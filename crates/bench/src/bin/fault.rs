@@ -13,10 +13,8 @@
 //! Usage: `cargo run --release -p dynp-bench --bin fault [--watch <addr>]`
 
 use dynp_bench::{cli_args_and_watch, start_watch, Report};
-use dynp_exp::{
-    checkpoint, run_campaign, CampaignConfig, ExactConfig, FaultKind, FaultPlan, SelectorSpec,
-};
-use dynp_obs::JsonValue;
+use dynp_exp::{run_campaign, CampaignConfig, ExactConfig, FaultKind, FaultPlan, SelectorSpec};
+use dynp_obs::{checkpoint, JsonValue};
 use dynp_trace::{CtcModel, Job, WorkloadModel, WEEK_SECONDS};
 use std::io::{Read as _, Write as _};
 use std::time::{Duration, Instant};

@@ -17,7 +17,7 @@
 //!   decisions by considering the incumbent policy,
 //! * [`tuner`] — [`SelfTuning`], the dynP scheduler state machine
 //!   executing self-tuning steps,
-//! * [`selector`] — the [`PolicySelector`] abstraction the simulator
+//! * [`selector`] — the [`PolicySelector`] abstraction the RMS kernel
 //!   drives, with [`FixedPolicy`] as the non-switching baseline,
 //! * [`stats`] — switch counts and per-policy residency for the ablation
 //!   experiments.

@@ -1,23 +1,24 @@
 //! The policy-selection interface the RMS simulator drives.
 //!
-//! At every (re-)planning point the simulator asks its selector which
-//! policy to plan with. A [`FixedPolicy`] never changes — the baseline the
-//! paper's context experiments compare against — while [`SelfTuning`]
-//! performs a full self-tuning step.
+//! At every tuning point the RMS kernel (`dynp_sim::Rms`) asks its
+//! selector which policy to plan with — and gets that policy's plan back,
+//! so the winner is never planned twice. A [`FixedPolicy`] never changes —
+//! the baseline the paper's context experiments compare against — while
+//! [`SelfTuning`] performs a full self-tuning step.
 
 use crate::tuner::SelfTuning;
-use dynp_sched::{PlanError, Policy, SchedulingProblem};
+use dynp_sched::{plan, PlanError, Policy, Schedule, SchedulingProblem};
 
 /// Chooses the scheduling policy for a quasi-off-line snapshot.
 pub trait PolicySelector {
-    /// Returns the policy to plan this snapshot with. Implementations may
-    /// mutate internal state (e.g. perform a self-tuning step).
+    /// Returns the policy chosen for this snapshot together with the full
+    /// schedule planned under it — the RMS installs exactly that plan.
+    /// Implementations may mutate internal state (e.g. perform a
+    /// self-tuning step).
     ///
-    /// Fails with [`PlanError`] when the snapshot contains a job the
-    /// selector cannot plan (the self-tuning step plans every policy, so
-    /// an unplannable job surfaces here); the RMS declines that job and
-    /// selects again.
-    fn select(&mut self, problem: &SchedulingProblem) -> Result<Policy, PlanError>;
+    /// Fails with [`PlanError`] when the snapshot contains a job that
+    /// cannot be planned; the RMS declines that job and selects again.
+    fn select(&mut self, problem: &SchedulingProblem) -> Result<(Policy, Schedule), PlanError>;
 
     /// Human-readable label for result tables.
     fn label(&self) -> String;
@@ -28,8 +29,8 @@ pub trait PolicySelector {
 pub struct FixedPolicy(pub Policy);
 
 impl PolicySelector for FixedPolicy {
-    fn select(&mut self, _problem: &SchedulingProblem) -> Result<Policy, PlanError> {
-        Ok(self.0)
+    fn select(&mut self, problem: &SchedulingProblem) -> Result<(Policy, Schedule), PlanError> {
+        Ok((self.0, plan(problem, self.0)?))
     }
 
     fn label(&self) -> String {
@@ -38,8 +39,9 @@ impl PolicySelector for FixedPolicy {
 }
 
 impl PolicySelector for SelfTuning {
-    fn select(&mut self, problem: &SchedulingProblem) -> Result<Policy, PlanError> {
-        Ok(self.step(problem)?.chosen)
+    fn select(&mut self, problem: &SchedulingProblem) -> Result<(Policy, Schedule), PlanError> {
+        let outcome = self.step(problem)?;
+        Ok((outcome.chosen, outcome.schedule))
     }
 
     fn label(&self) -> String {
@@ -57,8 +59,9 @@ mod tests {
     fn fixed_policy_never_switches() {
         let mut sel = FixedPolicy(Policy::Ljf);
         let p = SchedulingProblem::on_empty_machine(0, 4, vec![Job::exact(0, 0, 1, 10)]);
-        assert_eq!(sel.select(&p), Ok(Policy::Ljf));
-        assert_eq!(sel.select(&p), Ok(Policy::Ljf));
+        let expected = plan(&p, Policy::Ljf).unwrap();
+        assert_eq!(sel.select(&p), Ok((Policy::Ljf, expected.clone())));
+        assert_eq!(sel.select(&p), Ok((Policy::Ljf, expected)));
         assert_eq!(sel.label(), "LJF");
     }
 
@@ -74,7 +77,9 @@ mod tests {
                 Job::exact(2, 0, 4, 100),
             ],
         );
-        assert_eq!(sel.select(&p), Ok(Policy::Sjf));
+        let (chosen, schedule) = sel.select(&p).unwrap();
+        assert_eq!(chosen, Policy::Sjf);
+        assert_eq!(schedule, plan(&p, Policy::Sjf).unwrap());
         assert_eq!(sel.active(), Policy::Sjf);
         assert_eq!(sel.label(), "dynP(SLDwA)");
     }

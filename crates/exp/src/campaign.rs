@@ -9,18 +9,18 @@
 //! The cross-product `{shard × selector × factor}` is enumerated into a
 //! deterministic *cell* list. Cells are independent, so they fan out
 //! across a worker pool; every finished cell is appended to a JSONL
-//! checkpoint ([`crate::checkpoint`]), and re-launching the same campaign
-//! against the same output directory resumes exactly — completed cells
-//! are read back instead of recomputed, and the final report is
+//! checkpoint ([`dynp_obs::checkpoint`]), and re-launching the same
+//! campaign against the same output directory resumes exactly — completed
+//! cells are read back instead of recomputed, and the final report is
 //! **byte-identical** to an uninterrupted run. That works because cell
 //! records contain only deterministic quantities: solve effort is counted
 //! in branch & bound nodes and simplex iterations, never wall-clock time.
 
-use crate::checkpoint::{self, CheckpointLog};
 use crate::pool;
 use crate::report;
 use dynp_core::{Decider, FixedPolicy, SelfTuning};
 use dynp_milp::{solve_snapshot, BranchLimits, MipStatus, SolveConfig};
+use dynp_obs::checkpoint::{self, CheckpointLog};
 use dynp_obs::JsonValue;
 use dynp_sched::{Metric, Policy};
 use dynp_sim::{simulate, SimConfig, SnapshotFilter, TunedSnapshot};

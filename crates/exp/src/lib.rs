@@ -9,9 +9,10 @@
 //! * [`campaign`] — [`CampaignConfig`]/[`ExactConfig`] builders, the
 //!   [`SelectorSpec`] sweep axis, and [`run_campaign`], which fans the
 //!   `shard × selector × factor` cross-product over a worker pool,
-//! * [`checkpoint`] — the self-validating JSONL record format that makes
-//!   a killed campaign resume exactly where it died, with a
-//!   byte-identical final report,
+//! * [`dynp_obs::checkpoint`] — the self-validating JSONL record format
+//!   that makes a killed campaign resume exactly where it died, with a
+//!   byte-identical final report (shared with the serve front-end, hence
+//!   in `dynp-obs`),
 //! * [`report`] — the fold from checkpointed cells into the paper-style
 //!   comparison tables (text + strict JSON),
 //! * [`pool`] — the small self-scheduling worker pool behind the fan-out.
@@ -27,7 +28,6 @@
 //! ```
 
 pub mod campaign;
-pub mod checkpoint;
 pub mod pool;
 pub mod report;
 
@@ -35,5 +35,4 @@ pub use campaign::{
     run_campaign, CampaignConfig, CampaignError, CampaignOutcome, CellStatus, ExactConfig,
     FaultInjection, FaultKind, FaultPlan, SelectorSpec,
 };
-pub use checkpoint::{CheckpointLog, LoadedCheckpoint};
 pub use report::BuiltReport;

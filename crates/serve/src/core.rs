@@ -1,6 +1,13 @@
 //! The service core: a live planning-based RMS on a **logical clock**,
 //! mutated only by the decision loop.
 //!
+//! The RMS itself — machine, waiting queue, running set, plan, records,
+//! the tune/plan/decline/dispatch loop — is the kernel shared with the
+//! simulator, [`dynp_sim::Rms`]. This module is its second driver and
+//! keeps only what is the service's own: batching, the logical clock and
+//! the `(end, id)` finish heap that orders completions, id assignment,
+//! the flight recorder, the wire views and snapshot/restore.
+//!
 //! ## Time is data
 //!
 //! Nothing in here reads the wall clock. The service clock advances
@@ -16,11 +23,12 @@
 //!
 //! ## One planning pass per batch
 //!
-//! All submissions coalesced into a batch are admitted together and
-//! planned by **one** [`SelfTuning::step`]: one availability-profile
-//! build shared across every policy's plan (the planner hot-path work),
-//! instead of one full tuning pass per request. The serve bench
-//! measures exactly this batched-vs-per-request gap.
+//! All submissions coalesced into a batch are admitted together by
+//! **one** [`Rms::submit`] and planned by **one** [`SelfTuning::step`]:
+//! one availability-profile build shared across every policy's plan
+//! (the planner hot-path work), instead of one full tuning pass per
+//! request. The serve bench measures exactly this batched-vs-per-request
+//! gap.
 
 use std::collections::BTreeMap;
 use std::collections::BinaryHeap;
@@ -29,9 +37,8 @@ use std::cmp::Reverse;
 
 use dynp_core::SelfTuning;
 use dynp_obs::JsonValue;
-use dynp_platform::Machine;
-use dynp_sched::{plan, PlanError, Policy, Schedule, SchedulingProblem};
-use dynp_sim::JobRecord;
+use dynp_sched::{PlanError, Policy};
+use dynp_sim::{JobRecord, Rms, SnapshotLog, Step};
 use dynp_trace::{Job, JobId};
 
 use crate::api::{trace_id, Decision, Declined, JobRequest, ScheduleView, PlanEntry, WIRE_VERSION};
@@ -80,22 +87,14 @@ pub struct JobTimeline {
 pub struct ServiceCore {
     /// Logical service clock (seconds).
     clock: u64,
-    machine: Machine,
-    tuner: SelfTuning,
-    /// Admitted, not yet dispatched.
-    waiting: Vec<Job>,
-    /// Dispatched jobs and their start times, keyed by raw job id.
-    started: BTreeMap<u32, (Job, u64)>,
+    /// The RMS kernel: machine, tuner, queue, running set, plan, records.
+    rms: Rms<SelfTuning>,
     /// Pending completions `(actual_end, id)`, popped chronologically.
     finishes: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Completion records, in completion order.
-    records: Vec<JobRecord>,
-    /// Completion-record index by raw job id.
+    /// Index into the kernel's completion records by raw job id.
     record_index: BTreeMap<u32, usize>,
     /// Declined submissions and why, keyed by raw job id.
     declined: BTreeMap<u32, (JobRequest, Declined)>,
-    /// The most recent full plan (covers waiting jobs).
-    plan: Schedule,
     /// Next job id to assign; ids are admission-ordered.
     next_id: u32,
     /// Batches planned so far.
@@ -105,8 +104,8 @@ pub struct ServiceCore {
     /// the admission-fast-path lookups one bounds check instead of a
     /// hash; ids the recorder never saw stay `None`.
     timelines: Vec<Option<JobTimeline>>,
-    /// Plan revisions installed so far ([`install_and_dispatch`] calls)
-    /// — the monotone counter behind per-job `replans` accounting.
+    /// Plan revisions installed so far ([`Step::installed`] kernel
+    /// calls) — the monotone counter behind per-job `replans` accounting.
     installs: u64,
     /// Completions whose `serve.job` event has not been emitted yet.
     /// Completions only happen while a batch (or the final drain)
@@ -124,17 +123,17 @@ pub struct ServiceCore {
 impl ServiceCore {
     /// A fresh core over `capacity` resources tuned by `tuner`.
     pub fn new(capacity: u32, tuner: SelfTuning) -> ServiceCore {
+        ServiceCore::over(Rms::new(capacity, tuner, SnapshotLog::disabled()))
+    }
+
+    /// A core at clock 0 driving `rms`, with nothing admitted yet.
+    fn over(rms: Rms<SelfTuning>) -> ServiceCore {
         ServiceCore {
             clock: 0,
-            machine: Machine::new(capacity),
-            tuner,
-            waiting: Vec::new(),
-            started: BTreeMap::new(),
+            rms,
             finishes: BinaryHeap::new(),
-            records: Vec::new(),
             record_index: BTreeMap::new(),
             declined: BTreeMap::new(),
-            plan: Schedule::new(),
             next_id: 0,
             batches: 0,
             timelines: Vec::new(),
@@ -178,7 +177,7 @@ impl ServiceCore {
 
     /// Machine capacity.
     pub fn capacity(&self) -> u32 {
-        self.machine.capacity()
+        self.rms.machine().capacity()
     }
 
     /// Batches planned so far.
@@ -190,12 +189,12 @@ impl ServiceCore {
     /// submissions the batch carried (the quantity the serve bench
     /// compares against per-request planning).
     pub fn tuner_steps(&self) -> usize {
-        self.tuner.stats().steps()
+        self.rms.selector().stats().steps()
     }
 
     /// Completion records so far, in completion order.
     pub fn records(&self) -> &[JobRecord] {
-        &self.records
+        self.rms.records()
     }
 
     /// Jobs admitted or declined so far (== ids assigned).
@@ -205,7 +204,7 @@ impl ServiceCore {
 
     /// Waiting + running counts, for admission diagnostics.
     pub fn in_flight(&self) -> usize {
-        self.waiting.len() + self.started.len()
+        self.rms.waiting().len() + self.rms.running().len()
     }
 
     /// Admits `requests` as **one batch**: the clock advances to the
@@ -217,57 +216,66 @@ impl ServiceCore {
     pub fn submit_batch(&mut self, requests: &[JobRequest]) -> Vec<Decision> {
         let _span = dynp_obs::span("serve.batch");
         self.batches += 1;
-        // Clamp each request's logical submit up to the current clock
-        // (time never runs backwards), then advance to the batch time.
-        let submits: Vec<u64> = requests
-            .iter()
-            .map(|r| r.submit.unwrap_or(self.clock).max(self.clock))
-            .collect();
-        let batch_time = submits.iter().copied().max().unwrap_or(self.clock);
-        self.advance_to(batch_time);
-        self.flush_job_events();
-
-        // Admission: assign ids in request order; width-check at the
-        // door (a job wider than the machine can never be planned).
-        let mut ids = Vec::with_capacity(requests.len());
-        for (request, &submit) in requests.iter().zip(&submits) {
-            let id = self.next_id;
-            self.next_id += 1;
-            ids.push(id);
-            if request.width > self.machine.capacity() {
-                self.declined.insert(
-                    id,
-                    (
-                        *request,
-                        Declined::TooWide {
-                            width: request.width,
-                            capacity: self.machine.capacity(),
-                        },
-                    ),
-                );
-                continue;
-            }
-            self.waiting.push(Job {
+        // Admission: ids in request order, each logical submit clamped up
+        // to the current clock (time never runs backwards).
+        let jobs: Vec<Job> = (self.next_id..)
+            .zip(requests)
+            .map(|(id, request)| Job {
                 id: JobId(id),
-                submit,
+                submit: request.submit.unwrap_or(self.clock).max(self.clock),
                 width: request.width,
                 estimated_duration: request.runtime,
                 actual_duration: request.actual_runtime.unwrap_or(request.runtime),
                 user: 0,
-            });
-        }
+            })
+            .collect();
+        self.next_id += jobs.len() as u32;
+        let batch_time = jobs.iter().map(|j| j.submit).max().unwrap_or(self.clock);
+        self.advance_to(batch_time);
+        self.flush_job_events();
 
-        // One tuning step for the whole batch.
-        self.tune_and_dispatch();
+        // The kernel width-checks at the door (a job wider than the
+        // machine can never be planned) and runs one tuning step for the
+        // whole batch.
+        let step = self.rms.submit(self.clock, jobs.iter().copied());
+        self.apply(step);
 
         // One pass over the installed plan (`Schedule::start_of` is a
-        // linear scan; per-id scans would be O(batch × plan)). Both the
-        // timeline openings and the decision bodies read from this.
+        // linear scan; per-id scans would be O(batch × plan)).
         let starts: HashMap<u32, u64> = self
-            .plan
+            .rms
+            .plan()
             .entries()
             .iter()
             .map(|e| (e.id.0, e.start))
+            .collect();
+
+        // Decisions, in request order.
+        let (batch, clock, policy) = (self.batches, self.clock, self.rms.selector().active());
+        let decisions: Vec<Decision> = jobs
+            .iter()
+            .map(|job| {
+                let id = job.id.0;
+                let declined = self.declined.get(&id).map(|(_, why)| why.clone());
+                let started = self.rms.running().contains_key(&job.id);
+                let planned_start = if declined.is_some() {
+                    None
+                } else if started {
+                    Some(clock)
+                } else {
+                    starts.get(&id).copied()
+                };
+                Decision {
+                    id,
+                    batch,
+                    batch_size: requests.len(),
+                    clock,
+                    policy,
+                    planned_start,
+                    started,
+                    declined,
+                }
+            })
             .collect();
 
         // Flight recorder: open one timeline per id in this batch. The
@@ -276,30 +284,21 @@ impl ServiceCore {
         // their start stamped retroactively (it happened at this very
         // clock — no time passes inside a batch).
         if self.flight_recorder {
-            for (&id, &submit) in ids.iter().zip(&submits) {
-                let declined = self.declined.get(&id).map(|(_, why)| why.reason().to_string());
-                let started = self.started.contains_key(&id).then_some(self.clock);
-                let planned = if declined.is_some() {
-                    None
-                } else if started.is_some() {
-                    Some(self.clock)
-                } else {
-                    starts.get(&id).copied()
-                };
+            for (d, job) in decisions.iter().zip(&jobs) {
                 self.put_timeline(
-                    id,
+                    d.id,
                     JobTimeline {
-                        batch: self.batches,
-                        admitted: self.clock,
-                        submit,
-                        policy: self.tuner.active(),
-                        planned_start: planned,
-                        last_planned: planned,
+                        batch,
+                        admitted: clock,
+                        submit: job.submit,
+                        policy,
+                        planned_start: d.planned_start,
+                        last_planned: d.planned_start,
                         replans: 0,
                         replans_base: self.installs,
-                        started,
+                        started: d.started.then_some(clock),
                         finished: None,
-                        declined,
+                        declined: d.declined.as_ref().map(Declined::reason),
                     },
                 );
             }
@@ -310,100 +309,17 @@ impl ServiceCore {
             r.counter("serve.jobs").add(requests.len() as u64);
             r.histogram("serve.batch_size").record(requests.len() as u64);
             r.event("serve.batch")
-                .kv("batch", self.batches)
+                .kv("batch", batch)
                 .kv("size", requests.len())
-                .kv("clock", self.clock)
-                .kv("policy", self.tuner.active().name())
+                .kv("clock", clock)
+                .kv("policy", policy.name())
                 .emit();
         }
-
-        // Decisions, in request order.
-        let batch = self.batches;
-        let batch_size = requests.len();
-        ids.iter()
-            .map(|&id| {
-                let declined = self.declined.get(&id).map(|(_, why)| why.clone());
-                let started = self.started.contains_key(&id);
-                let planned_start = if declined.is_some() {
-                    None
-                } else if started {
-                    Some(self.clock)
-                } else {
-                    starts.get(&id).copied()
-                };
-                Decision {
-                    id,
-                    batch,
-                    batch_size,
-                    clock: self.clock,
-                    policy: self.tuner.active(),
-                    planned_start,
-                    started,
-                    declined,
-                }
-            })
-            .collect()
+        decisions
     }
 
-    /// Runs the self-tuning step over the current queue and dispatches
-    /// everything planned to start now. A [`PlanError`] from the step
-    /// names a single unplannable job: that job is declined and the
-    /// step retries with the rest (defensive — the door width check
-    /// catches the known case).
-    fn tune_and_dispatch(&mut self) {
-        loop {
-            if self.waiting.is_empty() {
-                self.plan = Schedule::new();
-                return;
-            }
-            let problem = SchedulingProblem::new(
-                self.clock,
-                self.machine.history(self.clock),
-                self.waiting.clone(),
-            );
-            match self.tuner.step(&problem) {
-                Ok(outcome) => {
-                    self.install_and_dispatch(outcome.schedule);
-                    return;
-                }
-                Err(e) => {
-                    if !self.decline_planner_reject(&e) {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Re-plans with the **active** policy (no tuning) and dispatches;
-    /// used on completions, mirroring the paper's submission-only
-    /// tuning.
-    fn replan_active(&mut self) {
-        loop {
-            if self.waiting.is_empty() {
-                self.plan = Schedule::new();
-                return;
-            }
-            let problem = SchedulingProblem::new(
-                self.clock,
-                self.machine.history(self.clock),
-                self.waiting.clone(),
-            );
-            match plan(&problem, self.tuner.active()) {
-                Ok(schedule) => {
-                    self.install_and_dispatch(schedule);
-                    return;
-                }
-                Err(e) => {
-                    if !self.decline_planner_reject(&e) {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Installs a fresh plan and starts every job due now.
+    /// Books what a kernel call did: declines, the plan revision, and a
+    /// pending completion per dispatched job.
     ///
     /// Flight-recorder accounting here is strictly O(dispatched): one
     /// counter bump for the revision plus a timeline stamp per job that
@@ -413,78 +329,57 @@ impl ServiceCore {
     /// quadratic in the backlog) — the `replans` counter instead
     /// derives from the install counter, and `last_planned` is
     /// refreshed when the job actually dispatches.
-    fn install_and_dispatch(&mut self, schedule: Schedule) {
-        self.installs += 1;
-        for entry in schedule.entries() {
-            if entry.start != self.clock {
-                continue;
+    fn apply(&mut self, step: Step) {
+        for decline in step.declined {
+            let (job, id) = (decline.job, decline.job.id.0);
+            let why = match decline.error {
+                PlanError::JobTooWide { width, capacity, .. } if decline.at_door => {
+                    Declined::TooWide { width, capacity }
+                }
+                error => Declined::Unplannable {
+                    reason: error.to_string(),
+                },
+            };
+            if self.flight_recorder {
+                // A planner rejection can hit a job from an earlier batch
+                // (its timeline is open); same-batch declines are folded
+                // in when the timeline opens.
+                if let Some(t) = self.timelines.get_mut(id as usize).and_then(Option::as_mut) {
+                    t.declined = Some(why.reason());
+                    t.planned_start = None;
+                    t.last_planned = None;
+                }
             }
-            let idx = self
-                .waiting
-                .iter()
-                .position(|j| j.id == entry.id)
-                .expect("planned job is waiting");
-            let job = self.waiting.swap_remove(idx);
-            let actual_end = self.machine.start(&job, self.clock);
-            self.finishes.push(Reverse((actual_end, job.id.0)));
+            let request = JobRequest {
+                width: job.width,
+                runtime: job.estimated_duration,
+                actual_runtime: Some(job.actual_duration),
+                submit: Some(job.submit),
+            };
+            self.declined.insert(id, (request, why));
+        }
+        self.installs += u64::from(step.installed);
+        for (id, actual_end) in step.dispatched {
+            self.finishes.push(Reverse((actual_end, id.0)));
             if self.flight_recorder {
                 // Jobs from *earlier* batches have open timelines; jobs
                 // of the batch being planned right now are stamped when
                 // their timelines open (same clock either way). The
                 // final plan placed the job at this very clock, so the
                 // dispatch stamp is also the last planned start.
-                if let Some(t) = self.timelines.get_mut(job.id.0 as usize).and_then(Option::as_mut) {
+                if let Some(t) = self.timelines.get_mut(id.0 as usize).and_then(Option::as_mut) {
                     t.started = Some(self.clock);
                     t.last_planned = Some(self.clock);
                     t.replans = self.installs.saturating_sub(t.replans_base + 1) as u32;
                 }
             }
-            self.started.insert(job.id.0, (job, self.clock));
         }
-        self.plan = schedule;
     }
 
-    /// Declines the job a [`PlanError`] names. Returns `false` when the
-    /// job is not waiting (nothing to decline — do not retry).
-    fn decline_planner_reject(&mut self, error: &PlanError) -> bool {
-        let id = match error {
-            PlanError::JobTooWide { id, .. } => *id,
-            PlanError::UnknownJob { id } => *id,
-        };
-        let Some(idx) = self.waiting.iter().position(|j| j.id == id) else {
-            return false;
-        };
-        let job = self.waiting.swap_remove(idx);
-        if self.flight_recorder {
-            // A planner rejection can hit a job from an earlier batch
-            // (its timeline is open); same-batch rejections are folded
-            // in when the timeline opens.
-            if let Some(t) = self.timelines.get_mut(id.0 as usize).and_then(Option::as_mut) {
-                t.declined = Some(error.to_string());
-                t.planned_start = None;
-                t.last_planned = None;
-            }
-        }
-        self.declined.insert(
-            id.0,
-            (
-                JobRequest {
-                    width: job.width,
-                    runtime: job.estimated_duration,
-                    actual_runtime: Some(job.actual_duration),
-                    submit: Some(job.submit),
-                },
-                Declined::Unplannable {
-                    reason: error.to_string(),
-                },
-            ),
-        );
-        true
-    }
-
-    /// Advances the clock to `t`, processing every completion it passes
-    /// in chronological order (each completion releases resources and
-    /// re-plans with the active policy, so waiting jobs move forward).
+    /// Advances the clock to `t`, completing every job whose actual end
+    /// it passes, in `(end, id)` order (each completion releases
+    /// resources and re-plans with the active policy, so waiting jobs
+    /// move forward).
     fn advance_to(&mut self, t: u64) {
         while let Some(&Reverse((end, id))) = self.finishes.peek() {
             if end > t {
@@ -492,42 +387,25 @@ impl ServiceCore {
             }
             self.finishes.pop();
             self.clock = end;
-            self.complete(id, end);
-        }
-        self.clock = self.clock.max(t);
-    }
-
-    /// Completes job `id` at time `end`.
-    fn complete(&mut self, id: u32, end: u64) {
-        if self.machine.complete(JobId(id)).is_err() {
             // A duplicate completion releases nothing (cannot happen
             // with the heap holding one entry per start, but cheap to
             // keep the machine's own defence).
-            return;
-        }
-        let (job, start) = self
-            .started
-            .remove(&id)
-            .expect("finished job was started");
-        self.record_index.insert(id, self.records.len());
-        self.records.push(JobRecord {
-            id: JobId(id),
-            submit: job.submit,
-            start,
-            end,
-            width: job.width,
-            estimated_duration: job.estimated_duration,
-        });
-        if self.flight_recorder {
-            if let Some(t) = self.timelines.get_mut(id as usize).and_then(Option::as_mut) {
-                t.finished = Some(end);
-                self.finished_unlogged.push(id);
+            let Ok(step) = self.rms.complete(end, JobId(id), false) else {
+                continue;
+            };
+            self.record_index.insert(id, self.rms.records().len() - 1);
+            if self.flight_recorder {
+                if let Some(t) = self.timelines.get_mut(id as usize).and_then(Option::as_mut) {
+                    t.finished = Some(end);
+                    self.finished_unlogged.push(id);
+                }
             }
+            if let Some(r) = dynp_obs::recorder() {
+                r.counter("serve.completed").inc();
+            }
+            self.apply(step);
         }
-        if let Some(r) = dynp_obs::recorder() {
-            r.counter("serve.completed").inc();
-        }
-        self.replan_active();
+        self.clock = self.clock.max(t);
     }
 
     /// Emits one `serve.job` event per buffered completion — the
@@ -583,7 +461,7 @@ impl ServiceCore {
             self.advance_to(end);
         }
         debug_assert!(
-            self.waiting.is_empty(),
+            self.rms.waiting().is_empty(),
             "drain left jobs waiting with an idle machine"
         );
         self.flush_job_events();
@@ -594,8 +472,10 @@ impl ServiceCore {
     /// running entries (actual starts, estimated ends) then planned
     /// waiting entries in planned-start order.
     pub fn schedule_view(&self) -> ScheduleView {
-        let mut entries = Vec::with_capacity(self.started.len() + self.waiting.len());
-        let mut running: Vec<&dynp_platform::RunningJob> = self.machine.running().iter().collect();
+        let (waiting, started) = (self.rms.waiting(), self.rms.running());
+        let mut entries = Vec::with_capacity(started.len() + waiting.len());
+        let mut running: Vec<&dynp_platform::RunningJob> =
+            self.rms.machine().running().iter().collect();
         running.sort_by_key(|r| (r.start, r.id));
         for r in running {
             entries.push(PlanEntry {
@@ -606,10 +486,10 @@ impl ServiceCore {
                 running: true,
             });
         }
-        for entry in self.plan.start_order() {
+        for entry in self.rms.plan().start_order() {
             // The plan covers dispatched jobs too; only show the ones
             // still waiting (the dispatched are in the running section).
-            if self.started.contains_key(&entry.id.0) {
+            if started.contains_key(&entry.id) {
                 continue;
             }
             entries.push(PlanEntry {
@@ -622,11 +502,11 @@ impl ServiceCore {
         }
         ScheduleView {
             clock: self.clock,
-            policy: self.tuner.active(),
+            policy: self.rms.selector().active(),
             batches: self.batches,
-            waiting: self.waiting.len(),
-            running: self.started.len(),
-            completed: self.records.len(),
+            waiting: waiting.len(),
+            running: started.len(),
+            completed: self.records().len(),
             declined: self.declined.len(),
             entries,
         }
@@ -641,17 +521,17 @@ impl ServiceCore {
                 .with("id", id)
                 .with("status", status)
         };
-        if let Some(job) = self.waiting.iter().find(|j| j.id.0 == id) {
+        if let Some(job) = self.rms.waiting().iter().find(|j| j.id.0 == id) {
             let mut json = base("waiting")
                 .with("submit", job.submit)
                 .with("width", job.width)
                 .with("estimated_duration", job.estimated_duration);
-            if let Some(start) = self.plan.start_of(job.id) {
+            if let Some(start) = self.rms.plan().start_of(job.id) {
                 json.set("planned_start", start);
             }
             return Some(json);
         }
-        if let Some((job, start)) = self.started.get(&id) {
+        if let Some((job, start)) = self.rms.running().get(&JobId(id)) {
             return Some(
                 base("running")
                     .with("submit", job.submit)
@@ -662,7 +542,7 @@ impl ServiceCore {
             );
         }
         if let Some(&idx) = self.record_index.get(&id) {
-            return Some(base("completed").with("record", self.records[idx].to_json()));
+            return Some(base("completed").with("record", self.records()[idx].to_json()));
         }
         if let Some((request, why)) = self.declined.get(&id) {
             return Some(
@@ -747,11 +627,11 @@ impl ServiceCore {
             .with("clock", self.clock)
             .with("batches", self.batches)
             .with("submitted", self.submitted())
-            .with("waiting", self.waiting.len())
-            .with("running", self.started.len())
-            .with("completed", self.records.len())
+            .with("waiting", self.rms.waiting().len())
+            .with("running", self.rms.running().len())
+            .with("completed", self.records().len())
             .with("declined", self.declined.len())
-            .with("policy", self.tuner.active().name())
+            .with("policy", self.rms.selector().active().name())
     }
 
     // ------------------------------------------------------------------
@@ -763,13 +643,14 @@ impl ServiceCore {
     /// snapshot taken under a different capacity, policy set, metric,
     /// or decider is ignored on load instead of corrupting the service.
     pub fn fingerprint_canonical(&self) -> String {
-        let policies: Vec<&str> = self.tuner.policies().iter().map(|p| p.name()).collect();
+        let tuner = self.rms.selector();
+        let policies: Vec<&str> = tuner.policies().iter().map(|p| p.name()).collect();
         format!(
             "serve/v{WIRE_VERSION}|capacity={}|policies={}|metric={}|decider={:?}",
-            self.machine.capacity(),
+            self.capacity(),
             policies.join(","),
-            self.tuner.metric().name(),
-            self.tuner.decider(),
+            tuner.metric().name(),
+            tuner.decider(),
         )
     }
 
@@ -786,15 +667,15 @@ impl ServiceCore {
                 .with("actual", job.actual_duration)
         };
         let mut waiting = JsonValue::array();
-        for job in &self.waiting {
+        for job in self.rms.waiting() {
             waiting.push(job_json(job));
         }
         let mut running = JsonValue::array();
-        for (job, start) in self.started.values() {
+        for (job, start) in self.rms.running().values() {
             running.push(job_json(job).with("start", *start));
         }
         let mut records = JsonValue::array();
-        for r in &self.records {
+        for r in self.records() {
             records.push(r.to_json());
         }
         let mut declined = JsonValue::array();
@@ -841,7 +722,7 @@ impl ServiceCore {
             .with("next_id", self.next_id)
             .with("batches", self.batches)
             .with("installs", self.installs)
-            .with("active", self.tuner.active().name())
+            .with("active", self.rms.selector().active().name())
             .with("waiting", waiting)
             .with("running", running)
             .with("records", records)
@@ -853,27 +734,24 @@ impl ServiceCore {
     /// caller passes the same configuration (capacity + tuner) the
     /// snapshot was taken under — the checkpoint fingerprint guarantees
     /// it matched at load time.
-    pub fn restore(capacity: u32, tuner: SelfTuning, data: &JsonValue) -> Result<ServiceCore, String> {
-        let mut core = ServiceCore::new(capacity, tuner);
+    pub fn restore(capacity: u32, mut tuner: SelfTuning, data: &JsonValue) -> Result<ServiceCore, String> {
         let u = |v: &JsonValue, key: &str| -> Result<u64, String> {
             v.get(key)
                 .and_then(JsonValue::as_u64)
                 .ok_or_else(|| format!("snapshot field {key:?} missing or not an integer"))
         };
-        core.clock = u(data, "clock")?;
-        core.next_id = u(data, "next_id")? as u32;
-        core.batches = u(data, "batches")?;
-        // Absent in pre-trace snapshots (no timelines to account for).
-        core.installs = data
-            .get("installs")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
+        let array = |key: &str| -> Result<&[JsonValue], String> {
+            data.get(key)
+                .and_then(JsonValue::as_array)
+                .ok_or_else(|| format!("snapshot field {key:?} missing"))
+        };
+        let clock = u(data, "clock")?;
         let active: Policy = data
             .get("active")
             .and_then(JsonValue::as_str)
             .ok_or("snapshot field \"active\" missing")?
             .parse()?;
-        if !core.tuner.restore_active(active) {
+        if !tuner.restore_active(active) {
             return Err(format!(
                 "snapshot policy {} is not in the configured policy set",
                 active.name()
@@ -889,54 +767,42 @@ impl ServiceCore {
                 user: 0,
             })
         };
-        for v in data
-            .get("waiting")
-            .and_then(JsonValue::as_array)
-            .ok_or("snapshot field \"waiting\" missing")?
-        {
-            core.waiting.push(parse_job(v)?);
+        let waiting = array("waiting")?.iter().map(parse_job).collect::<Result<Vec<Job>, _>>()?;
+        let running = array("running")?
+            .iter()
+            .map(|v| Ok((parse_job(v)?, u(v, "start")?)))
+            .collect::<Result<Vec<(Job, u64)>, String>>()?;
+        let records = array("records")?
+            .iter()
+            .map(|v| JobRecord::from_json(v).map_err(|e| e.to_string()))
+            .collect::<Result<Vec<JobRecord>, _>>()?;
+
+        // The kernel restarts running jobs at their recorded starts, so
+        // the machine reports the same actual ends the original run saw
+        // and the pending-completion heap rebuilds exactly.
+        let mut core = ServiceCore::over(Rms::restore(
+            capacity, tuner, clock, active, waiting, running, records,
+        )?);
+        for r in core.rms.machine().running() {
+            core.finishes.push(Reverse((r.actual_end, r.id.0)));
         }
-        // Restart running jobs in start order; `Machine::start` derives
-        // the same actual end the original run saw (same job data, same
-        // start time), so the pending-completion heap rebuilds exactly.
-        let mut running: Vec<(Job, u64)> = Vec::new();
-        for v in data
-            .get("running")
-            .and_then(JsonValue::as_array)
-            .ok_or("snapshot field \"running\" missing")?
-        {
-            running.push((parse_job(v)?, u(v, "start")?));
+        for (idx, record) in core.rms.records().iter().enumerate() {
+            core.record_index.insert(record.id.0, idx);
         }
-        running.sort_by_key(|(job, start)| (*start, job.id));
-        for (job, start) in running {
-            if !core.machine.can_start(job.width) {
-                return Err(format!("snapshot overcommits the machine at job {}", job.id.0));
-            }
-            let actual_end = core.machine.start(&job, start);
-            core.finishes.push(Reverse((actual_end, job.id.0)));
-            core.started.insert(job.id.0, (job, start));
-        }
-        for v in data
-            .get("records")
-            .and_then(JsonValue::as_array)
-            .ok_or("snapshot field \"records\" missing")?
-        {
-            let record = JobRecord {
-                id: JobId(u(v, "id")? as u32),
-                submit: u(v, "submit")?,
-                start: u(v, "start")?,
-                end: u(v, "end")?,
-                width: u(v, "width")? as u32,
-                estimated_duration: u(v, "estimated_duration")?,
-            };
-            core.record_index.insert(record.id.0, core.records.len());
-            core.records.push(record);
-        }
-        for v in data
-            .get("declined")
-            .and_then(JsonValue::as_array)
-            .ok_or("snapshot field \"declined\" missing")?
-        {
+        core.clock = clock;
+        core.next_id = u(data, "next_id")? as u32;
+        core.batches = u(data, "batches")?;
+        // Absent in pre-trace snapshots (no timelines to account for).
+        // Restored verbatim: the kernel re-derives the current plan, but
+        // that plan was already counted when it first installed, so the
+        // rebuild is revision-neutral — otherwise every waiting job
+        // would charge one phantom replan per restart and trace bodies
+        // would diverge from a server that never restarted.
+        core.installs = data
+            .get("installs")
+            .and_then(JsonValue::as_u64)
+            .unwrap_or(0);
+        for v in array("declined")? {
             let id = u(v, "id")? as u32;
             let width = u(v, "width")? as u32;
             let runtime = u(v, "runtime")?;
@@ -960,9 +826,9 @@ impl ServiceCore {
         }
         // Flight-recorder timelines (absent in pre-trace snapshots —
         // an empty recorder is the correct restore for those). The
-        // install counter and per-timeline bases are restored verbatim,
-        // so replan counters — and therefore trace bodies — stay
-        // byte-identical across the restart.
+        // per-timeline bases are restored verbatim like the install
+        // counter, so replan counters — and therefore trace bodies —
+        // stay byte-identical across the restart.
         if let Some(entries) = data.get("timelines").and_then(JsonValue::as_array) {
             for v in entries {
                 let policy: Policy = v
@@ -992,18 +858,6 @@ impl ServiceCore {
                 );
             }
         }
-        // Rebuild the current plan with the restored active policy (a
-        // deterministic function of the restored state, so it matches
-        // the plan the snapshotted service held; nothing new can be due
-        // now — whatever could start had already been dispatched). The
-        // rebuild reconstructs a plan that was already counted when it
-        // first installed, so it is revision-neutral: without the
-        // counter rollback, every waiting job would charge one phantom
-        // replan per restart and trace bodies would diverge from a
-        // server that never restarted.
-        let installs = core.installs;
-        core.replan_active();
-        core.installs = installs;
         Ok(core)
     }
 }

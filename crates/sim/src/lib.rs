@@ -1,6 +1,11 @@
 //! Discrete-event simulation of a planning-based resource management
 //! system (the paper's CCS).
 //!
+//! [`Rms`] is the RMS itself — one clock-agnostic state machine
+//! (`submit` / `complete` / `restore` over a single re-plan loop) that
+//! both this crate's DES replay ([`RmsModel`], behind [`simulate`]) and
+//! the online service (`dynp_serve::ServiceCore`) drive; see [`rms`].
+//!
 //! The simulator replays a job trace against a [`Machine`]
 //! (`dynp-platform`), re-planning the full schedule at every submission and
 //! completion exactly like a planning-based RMS:
@@ -27,7 +32,7 @@ pub mod run;
 pub mod snapshots;
 
 pub use queueing::{simulate_queue, QueueDiscipline, QueueRms};
-pub use record::{utilization_timeline, JobRecord, SimSummary};
-pub use rms::{Rms, RmsEvent};
+pub use record::{utilization_timeline, JobRecord, RecordFieldError, SimSummary};
+pub use rms::{Decline, Rms, RmsEvent, RmsModel, Step};
 pub use run::{simulate, SimConfig, SimRun};
 pub use snapshots::{SnapshotFilter, SnapshotLog, TunedSnapshot};

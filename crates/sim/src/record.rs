@@ -70,7 +70,41 @@ impl JobRecord {
             .with("wait", self.wait())
             .with("response", self.response())
     }
+
+    /// Parses what [`JobRecord::to_json`] rendered (the derived fields are
+    /// recomputed, not read).
+    pub fn from_json(v: &dynp_obs::JsonValue) -> Result<JobRecord, RecordFieldError> {
+        let u = |field: &'static str| {
+            v.get(field)
+                .and_then(dynp_obs::JsonValue::as_u64)
+                .ok_or(RecordFieldError(field))
+        };
+        let narrow = |field: &'static str| {
+            u(field).and_then(|x| u32::try_from(x).map_err(|_| RecordFieldError(field)))
+        };
+        Ok(JobRecord {
+            id: JobId(narrow("id")?),
+            submit: u("submit")?,
+            start: u("start")?,
+            end: u("end")?,
+            width: narrow("width")?,
+            estimated_duration: u("estimated_duration")?,
+        })
+    }
 }
+
+/// A [`JobRecord`] JSON object lacks the named field, or holds something
+/// other than an in-range unsigned integer there.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RecordFieldError(pub &'static str);
+
+impl std::fmt::Display for RecordFieldError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "job record field {:?} missing or not an integer", self.0)
+    }
+}
+
+impl std::error::Error for RecordFieldError {}
 
 /// Aggregate statistics over all completed jobs of a run.
 #[derive(Clone, Debug, PartialEq)]
@@ -231,6 +265,20 @@ mod tests {
         assert_eq!(r.runtime(), 100);
         assert!((r.slowdown() - 1.5).abs() < 1e-12);
         assert_eq!(r.area(), 400);
+    }
+
+    #[test]
+    fn record_json_round_trips_and_names_the_bad_field() {
+        let r = rec(7, 100, 150, 250, 4);
+        let parsed = dynp_obs::parse_json(&r.to_json().to_json()).unwrap();
+        assert_eq!(JobRecord::from_json(&parsed), Ok(r));
+        let mut missing = r.to_json();
+        missing.set("end", "soon");
+        assert_eq!(JobRecord::from_json(&missing), Err(RecordFieldError("end")));
+        let mut wide = r.to_json();
+        wide.set("width", u64::MAX);
+        assert_eq!(JobRecord::from_json(&wide), Err(RecordFieldError("width")));
+        assert!(JobRecord::from_json(&dynp_obs::JsonValue::object()).is_err());
     }
 
     #[test]

@@ -1,69 +1,78 @@
-//! The planning-based RMS as a discrete-event model.
+//! The planning-based RMS: one clock-agnostic kernel, plus its
+//! discrete-event driver.
 //!
-//! Event semantics follow CCS (§2): submissions trigger a self-tuning step
-//! (snapshot → policy selection → full re-plan); completions release
-//! resources and re-plan with the active policy so the plan tracks reality
-//! when jobs finish earlier than estimated. Jobs are dispatched whenever
-//! the freshly planned schedule says their start is "now".
+//! [`Rms`] is the paper's CCS (§2) as a state machine: machine, policy
+//! selector, waiting queue, running set, installed plan, completion
+//! records. It owns no clock and no event queue — the caller says what
+//! time it is. Submissions ([`Rms::submit`]) trigger a self-tuning step
+//! (snapshot → policy selection → full plan); completions
+//! ([`Rms::complete`]) release resources and re-plan with the active
+//! policy so the plan tracks reality when jobs finish earlier than
+//! estimated. Both funnel into one private `replan`, the only
+//! build-problem → plan → decline-and-retry → dispatch loop in the
+//! workspace, and each returns a [`Step`] saying what happened.
+//!
+//! Two drivers decide *when* those calls happen: [`RmsModel`] below (the
+//! DES replay behind [`crate::simulate`]) and `dynp_serve::ServiceCore`
+//! (logical clock + finish heap). Event order at equal timestamps is
+//! theirs and differs (`DESIGN.md` §4); everything else is this file.
 
 use crate::record::JobRecord;
 use crate::snapshots::SnapshotLog;
 use dynp_core::PolicySelector;
 use dynp_des::{EventQueue, Model};
-use dynp_platform::Machine;
-use dynp_sched::{plan, PlanError, Policy, SchedulingProblem};
+use dynp_platform::{Machine, MachineError};
+use dynp_sched::{plan, PlanError, Policy, Schedule, SchedulingProblem};
 use dynp_trace::{Job, JobId};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-/// Events driving the RMS.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RmsEvent {
-    /// A job arrives in the system.
-    Submit(Job),
-    /// A running job completes (its *actual* end).
-    Finish(JobId),
+/// A job the kernel refused, and why.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Decline {
+    /// The refused job.
+    pub job: Job,
+    /// The reason, naming the job.
+    pub error: PlanError,
+    /// `true` when the width check at submission refused it (it never
+    /// entered the queue); `false` when the selector or planner rejected
+    /// it from the queue later.
+    pub at_door: bool,
 }
 
-/// Everything an [`Rms`] hands back after a run (see [`Rms::into_parts`]).
-#[derive(Debug)]
-pub struct RmsParts<S> {
-    /// Completed-job records, in completion order.
-    pub records: Vec<JobRecord>,
-    /// `(time, policy)` at every selection point.
-    pub policy_log: Vec<(u64, Policy)>,
-    /// The snapshot tap.
-    pub snapshot_log: SnapshotLog,
-    /// The policy selector, with whatever statistics it accumulated.
-    pub selector: S,
-    /// Jobs refused as unplannable.
-    pub declined: Vec<Job>,
+/// What one kernel call did — everything a driver needs to schedule its
+/// own follow-up events.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Step {
+    /// The policy a self-tuning step chose; `None` when none ran (the
+    /// active policy was reused, or nothing was waiting).
+    pub tuned: Option<Policy>,
+    /// Whether a fresh plan was installed.
+    pub installed: bool,
+    /// Jobs started at the call's `now` with their **actual** ends, in
+    /// dispatch order.
+    pub dispatched: Vec<(JobId, u64)>,
+    /// Jobs refused, in refusal order.
+    pub declined: Vec<Decline>,
 }
 
-/// The resource management system under simulation.
+/// The resource management system: a clock-agnostic state machine.
 #[derive(Debug)]
 pub struct Rms<S: PolicySelector> {
     machine: Machine,
     selector: S,
     /// Waiting queue: submitted, not yet dispatched.
     waiting: Vec<Job>,
-    /// Jobs currently running, for completion bookkeeping.
-    started: HashMap<JobId, Job>,
-    /// Start times of running jobs.
-    start_times: HashMap<JobId, u64>,
+    /// Running jobs and their start times (id-ordered, so drivers that
+    /// serialize the set get a deterministic order).
+    running: BTreeMap<JobId, (Job, u64)>,
+    /// The most recent full plan (covers the jobs it dispatched too).
+    plan: Schedule,
     /// Completed-job records, in completion order.
     records: Vec<JobRecord>,
-    /// `(time, policy)` at every selection point.
-    policy_log: Vec<(u64, Policy)>,
-    /// Snapshot tap for the off-line ILP comparison.
-    snapshot_log: SnapshotLog,
     /// The policy used for the most recent plan.
     active: Option<Policy>,
-    /// Run a self-tuning step on completions too (extension; the paper
-    /// tunes on submissions only).
-    tune_on_finish: bool,
-    /// Jobs refused because no planner could ever place them (wider than
-    /// the machine); the malformed-input analogue of a trace filter.
-    declined: Vec<Job>,
+    /// Snapshot tap for the off-line ILP comparison.
+    snapshot_log: SnapshotLog,
 }
 
 impl<S: PolicySelector> Rms<S> {
@@ -73,36 +82,174 @@ impl<S: PolicySelector> Rms<S> {
             machine: Machine::new(capacity),
             selector,
             waiting: Vec::new(),
-            started: HashMap::new(),
-            start_times: HashMap::new(),
+            running: BTreeMap::new(),
+            plan: Schedule::new(),
             records: Vec::new(),
-            policy_log: Vec::new(),
-            snapshot_log,
             active: None,
-            tune_on_finish: false,
-            declined: Vec::new(),
+            snapshot_log,
         }
     }
 
-    /// Enables self-tuning on completion events as well (ablation).
-    pub fn tune_on_finish(mut self, enabled: bool) -> Self {
-        self.tune_on_finish = enabled;
-        self
+    /// Rebuilds an RMS observed at time `now`: `running` jobs are
+    /// restarted at their recorded start times (so
+    /// [`Machine::running`] reports the same actual ends the original
+    /// run saw), `active` is the policy of the last plan, and the plan
+    /// is re-derived from it — a deterministic function of the restored
+    /// state, so it matches the plan the original held; nothing new can
+    /// be due at `now`, whatever could start had already been dispatched.
+    ///
+    /// Fails when `running` does not fit the machine or a waiting job can
+    /// never be planned — neither state is reachable through
+    /// [`Rms::submit`], so the input was not produced by an [`Rms`].
+    pub fn restore(
+        capacity: u32,
+        selector: S,
+        now: u64,
+        active: Policy,
+        waiting: Vec<Job>,
+        mut running: Vec<(Job, u64)>,
+        records: Vec<JobRecord>,
+    ) -> Result<Rms<S>, String> {
+        let mut rms = Rms::new(capacity, selector, SnapshotLog::disabled());
+        rms.active = Some(active);
+        rms.waiting = waiting;
+        rms.records = records;
+        running.sort_by_key(|(job, start)| (*start, job.id));
+        for (job, start) in running {
+            if !rms.machine.can_start(job.width) {
+                return Err(format!(
+                    "restored state overcommits the machine at job {}",
+                    job.id.0
+                ));
+            }
+            rms.machine.start(&job, start);
+            rms.running.insert(job.id, (job, start));
+        }
+        let mut step = Step::default();
+        rms.replan(now, false, &mut step);
+        match step.declined.first() {
+            Some(decline) => Err(format!("restored queue is unplannable: {}", decline.error)),
+            None => Ok(rms),
+        }
     }
 
-    /// Completed-job records so far.
-    pub fn records(&self) -> &[JobRecord] {
-        &self.records
+    /// Admits `jobs` at time `now` and runs one self-tuning step over the
+    /// whole queue (§4: "at every job submission"). A job wider than the
+    /// machine can never be planned and is declined at the door — a real
+    /// RMS rejects it at submission. A call that admits nothing is not a
+    /// scheduling event: no step runs.
+    pub fn submit(&mut self, now: u64, jobs: impl IntoIterator<Item = Job>) -> Step {
+        let mut step = Step::default();
+        let queued = self.waiting.len();
+        for job in jobs {
+            if job.width > self.machine.capacity() {
+                let error = PlanError::JobTooWide {
+                    id: job.id,
+                    width: job.width,
+                    capacity: self.machine.capacity(),
+                };
+                step.declined.push(Decline {
+                    job,
+                    error,
+                    at_door: true,
+                });
+            } else {
+                self.waiting.push(job);
+            }
+        }
+        if self.waiting.len() > queued {
+            self.replan(now, true, &mut step);
+        }
+        step
     }
 
-    /// Policy chosen at each selection point.
-    pub fn policy_log(&self) -> &[(u64, Policy)] {
-        &self.policy_log
+    /// Completes running job `id` at time `now`: releases its resources,
+    /// records it, and re-plans so waiting jobs move forward — with the
+    /// active policy, or with a self-tuning step when `tune` is set (the
+    /// paper tunes on submissions only). A job that is not running
+    /// changes nothing.
+    pub fn complete(&mut self, now: u64, id: JobId, tune: bool) -> Result<Step, MachineError> {
+        self.machine.complete(id)?;
+        let (job, start) = self.running.remove(&id).expect("running job is tracked");
+        self.records.push(JobRecord {
+            id,
+            submit: job.submit,
+            start,
+            end: now,
+            width: job.width,
+            estimated_duration: job.estimated_duration,
+        });
+        let mut step = Step::default();
+        self.replan(now, tune, &mut step);
+        Ok(step)
     }
 
-    /// The snapshot tap.
-    pub fn snapshot_log(&self) -> &SnapshotLog {
-        &self.snapshot_log
+    /// Re-plans the full schedule and dispatches all jobs due now.
+    /// `tune` decides whether the policy selector runs a self-tuning step
+    /// or the active policy is reused.
+    ///
+    /// A [`PlanError`] from the selector or the planner names a single
+    /// unplannable job; that job is declined and planning retries with
+    /// the rest of the queue — one malformed job must not kill the
+    /// simulation (it used to unwind a whole campaign cell).
+    fn replan(&mut self, now: u64, tune: bool, step: &mut Step) {
+        while !self.waiting.is_empty() {
+            // The queue is lent to the snapshot, not cloned, and taken
+            // back before anything can return.
+            let problem = SchedulingProblem::new(
+                now,
+                self.machine.history(now),
+                std::mem::take(&mut self.waiting),
+            );
+            let planned = match self.active {
+                Some(active) if !tune => plan(&problem, active),
+                _ => self.selector.select(&problem).map(|(chosen, schedule)| {
+                    self.snapshot_log.offer(&problem, chosen);
+                    self.active = Some(chosen);
+                    step.tuned = Some(chosen);
+                    schedule
+                }),
+            };
+            debug_assert!(planned.iter().all(|s| s.validate(&problem).is_ok()));
+            self.waiting = problem.jobs;
+            match planned {
+                Ok(schedule) => {
+                    // Dispatch everything planned to start right now.
+                    for entry in schedule.entries().iter().filter(|e| e.start == now) {
+                        let job = self.take_waiting(entry.id).expect("planned job is waiting");
+                        let actual_end = self.machine.start(&job, now);
+                        self.running.insert(job.id, (job, now));
+                        step.dispatched.push((job.id, actual_end));
+                    }
+                    self.plan = schedule;
+                    step.installed = true;
+                    return;
+                }
+                Err(error) => {
+                    let id = match error {
+                        PlanError::JobTooWide { id, .. } | PlanError::UnknownJob { id } => id,
+                    };
+                    // Not waiting: nothing to decline, and retrying would spin.
+                    let Some(job) = self.take_waiting(id) else {
+                        return;
+                    };
+                    step.declined.push(Decline {
+                        job,
+                        error,
+                        at_door: false,
+                    });
+                }
+            }
+        }
+        self.plan = Schedule::new();
+    }
+
+    /// Removes job `id` from the waiting queue. `swap_remove`, so queue
+    /// order — which policy-ordering ties depend on — evolves the same
+    /// way for every driver.
+    fn take_waiting(&mut self, id: JobId) -> Option<Job> {
+        let idx = self.waiting.iter().position(|j| j.id == id)?;
+        Some(self.waiting.swap_remove(idx))
     }
 
     /// The underlying machine (for capacity / utilization queries).
@@ -115,141 +262,107 @@ impl<S: PolicySelector> Rms<S> {
         &self.selector
     }
 
-    /// Jobs refused as unplannable (see [`Rms::handle`] on `Submit`).
-    pub fn declined(&self) -> &[Job] {
-        &self.declined
+    /// Submitted, not yet dispatched jobs, in queue order.
+    pub fn waiting(&self) -> &[Job] {
+        &self.waiting
     }
 
-    /// Decomposes the RMS into its result parts.
-    pub fn into_parts(self) -> RmsParts<S> {
-        RmsParts {
-            records: self.records,
-            policy_log: self.policy_log,
-            snapshot_log: self.snapshot_log,
-            selector: self.selector,
-            declined: self.declined,
-        }
+    /// Running jobs and their start times, by id.
+    pub fn running(&self) -> &BTreeMap<JobId, (Job, u64)> {
+        &self.running
     }
 
-    /// Records `job` as declined, with the error as the reason.
-    fn record_declined(&mut self, job: Job, now: u64, error: &PlanError) {
-        if let Some(r) = dynp_obs::recorder() {
-            r.counter("sim.jobs_declined").inc();
-            r.event("sim.job_declined")
-                .kv("job", format!("{}", job.id))
-                .kv("time", now)
-                .kv("reason", error.to_string())
-                .emit();
-        }
-        self.declined.push(job);
+    /// The most recent full plan. It still lists the jobs it dispatched;
+    /// filter by [`Rms::running`] for the waiting part.
+    pub fn plan(&self) -> &Schedule {
+        &self.plan
     }
 
-    /// Removes the job a [`PlanError`] names from the waiting queue and
-    /// records it as declined. Returns `false` if the job is not waiting
-    /// (nothing to decline — the caller must not retry, or it would spin).
-    fn decline(&mut self, now: u64, error: &PlanError) -> bool {
-        let id = match error {
-            PlanError::JobTooWide { id, .. } => *id,
-            PlanError::UnknownJob { id } => *id,
-        };
-        let Some(idx) = self.waiting.iter().position(|j| j.id == id) else {
-            return false;
-        };
-        let job = self.waiting.swap_remove(idx);
-        self.record_declined(job, now, error);
-        true
+    /// Completed-job records so far, in completion order.
+    pub fn records(&self) -> &[JobRecord] {
+        &self.records
     }
 
-    /// Re-plans the full schedule and dispatches all jobs due now.
-    /// `tune` decides whether the policy selector runs a self-tuning step
-    /// or the active policy is reused.
-    ///
-    /// A [`PlanError`] from the selector or the planner names a single
-    /// unplannable job; that job is declined and planning retries with
-    /// the rest of the queue — one malformed job must not kill the
-    /// simulation (it used to unwind a whole campaign cell).
-    fn replan(&mut self, now: u64, queue: &mut EventQueue<RmsEvent>, tune: bool) {
-        loop {
-            if self.waiting.is_empty() {
-                return;
-            }
-            let problem =
-                SchedulingProblem::new(now, self.machine.history(now), self.waiting.clone());
-            let policy = match self.active {
-                Some(active) if !tune => active,
-                _ => match self.selector.select(&problem) {
-                    Ok(chosen) => {
-                        self.policy_log.push((now, chosen));
-                        self.snapshot_log.offer(&problem, chosen);
-                        chosen
-                    }
-                    Err(e) => {
-                        if self.decline(now, &e) {
-                            continue;
-                        }
-                        return;
-                    }
-                },
-            };
-            self.active = Some(policy);
-            let schedule = match plan(&problem, policy) {
-                Ok(s) => s,
-                Err(e) => {
-                    if self.decline(now, &e) {
-                        continue;
-                    }
-                    return;
-                }
-            };
-            debug_assert!(schedule.validate(&problem).is_ok());
-            // Dispatch everything planned to start right now.
-            for entry in schedule.entries() {
-                if entry.start != now {
-                    continue;
-                }
-                let idx = self
-                    .waiting
-                    .iter()
-                    .position(|j| j.id == entry.id)
-                    .expect("planned job is waiting");
-                let job = self.waiting.swap_remove(idx);
-                let actual_end = self.machine.start(&job, now);
-                self.started.insert(job.id, job);
-                self.start_times.insert(job.id, now);
-                queue.schedule(actual_end, RmsEvent::Finish(job.id));
-            }
-            return;
-        }
+    /// Decomposes the RMS into its records, snapshot tap and selector.
+    pub fn into_parts(self) -> (Vec<JobRecord>, SnapshotLog, S) {
+        (self.records, self.snapshot_log, self.selector)
     }
 }
 
-impl<S: PolicySelector> Model for Rms<S> {
+/// Events driving the RMS under simulation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RmsEvent {
+    /// A job arrives in the system.
+    Submit(Job),
+    /// A running job completes (its *actual* end).
+    Finish(JobId),
+}
+
+/// The DES driver: an [`Rms`] fed from an [`EventQueue`]. It adds only
+/// what a replay needs on top of the kernel — `Finish` events for
+/// dispatched jobs, the policy log, the declined list, telemetry.
+#[derive(Debug)]
+pub struct RmsModel<S: PolicySelector> {
+    pub(crate) rms: Rms<S>,
+    /// `(time, policy)` at every selection point.
+    pub(crate) policy_log: Vec<(u64, Policy)>,
+    /// Jobs refused as unplannable; the malformed-input analogue of a
+    /// trace filter.
+    pub(crate) declined: Vec<Job>,
+    /// Run a self-tuning step on completions too (extension; the paper
+    /// tunes on submissions only).
+    tune_on_finish: bool,
+}
+
+impl<S: PolicySelector> RmsModel<S> {
+    /// A fresh RMS over `capacity` resources driven by `selector`.
+    pub fn new(capacity: u32, selector: S, snapshot_log: SnapshotLog) -> RmsModel<S> {
+        RmsModel {
+            rms: Rms::new(capacity, selector, snapshot_log),
+            policy_log: Vec::new(),
+            declined: Vec::new(),
+            tune_on_finish: false,
+        }
+    }
+
+    /// Enables self-tuning on completion events as well (ablation).
+    pub fn tune_on_finish(mut self, enabled: bool) -> Self {
+        self.tune_on_finish = enabled;
+        self
+    }
+
+    /// Policy chosen at each selection point.
+    pub fn policy_log(&self) -> &[(u64, Policy)] {
+        &self.policy_log
+    }
+
+    /// Jobs refused as unplannable.
+    pub fn declined(&self) -> &[Job] {
+        &self.declined
+    }
+}
+
+/// Read access to the kernel: records, machine, selector.
+impl<S: PolicySelector> std::ops::Deref for RmsModel<S> {
+    type Target = Rms<S>;
+
+    fn deref(&self) -> &Rms<S> {
+        &self.rms
+    }
+}
+
+impl<S: PolicySelector> Model for RmsModel<S> {
     type Event = RmsEvent;
 
     fn handle(&mut self, now: u64, event: RmsEvent, queue: &mut EventQueue<RmsEvent>) {
-        match event {
+        let step = match event {
             RmsEvent::Submit(job) => {
                 debug_assert!(job.submit == now, "submit event at wrong time");
-                if job.width > self.machine.capacity() {
-                    // A job no planner can ever place is declined at the
-                    // door (a real RMS rejects it at submission); it used
-                    // to be an assert, which let one malformed job abort
-                    // a whole campaign cell.
-                    let error = PlanError::JobTooWide {
-                        id: job.id,
-                        width: job.width,
-                        capacity: self.machine.capacity(),
-                    };
-                    self.record_declined(job, now, &error);
-                    return;
-                }
-                self.waiting.push(job);
-                // Every submission is a self-tuning step (§4: "at every job
-                // submission").
-                self.replan(now, queue, true);
+                self.rms.submit(now, [job])
             }
-            RmsEvent::Finish(id) => {
-                if self.machine.complete(id).is_err() {
+            RmsEvent::Finish(id) => match self.rms.complete(now, id, self.tune_on_finish) {
+                Ok(step) => step,
+                Err(_) => {
                     // A duplicate (or spurious) completion releases
                     // nothing and must not corrupt the records.
                     if let Some(r) = dynp_obs::recorder() {
@@ -261,21 +374,24 @@ impl<S: PolicySelector> Model for Rms<S> {
                     }
                     return;
                 }
-                let job = self.started.remove(&id).expect("finished job was started");
-                let start = self.start_times.remove(&id).expect("start recorded");
-                self.records.push(JobRecord {
-                    id,
-                    submit: job.submit,
-                    start,
-                    end: now,
-                    width: job.width,
-                    estimated_duration: job.estimated_duration,
-                });
-                // Completions release resources; re-plan so waiting jobs
-                // move forward (with the active policy unless configured to
-                // tune here too).
-                self.replan(now, queue, self.tune_on_finish);
+            },
+        };
+        if let Some(policy) = step.tuned {
+            self.policy_log.push((now, policy));
+        }
+        for Decline { job, error, .. } in step.declined {
+            if let Some(r) = dynp_obs::recorder() {
+                r.counter("sim.jobs_declined").inc();
+                r.event("sim.job_declined")
+                    .kv("job", format!("{}", job.id))
+                    .kv("time", now)
+                    .kv("reason", error.to_string())
+                    .emit();
             }
+            self.declined.push(job);
+        }
+        for (id, actual_end) in step.dispatched {
+            queue.schedule(actual_end, RmsEvent::Finish(id));
         }
     }
 }
@@ -286,8 +402,8 @@ mod tests {
     use dynp_core::FixedPolicy;
     use dynp_des::run_to_completion;
 
-    fn drive(capacity: u32, jobs: Vec<Job>, policy: Policy) -> Rms<FixedPolicy> {
-        let mut rms = Rms::new(capacity, FixedPolicy(policy), SnapshotLog::disabled());
+    fn drive(capacity: u32, jobs: Vec<Job>, policy: Policy) -> RmsModel<FixedPolicy> {
+        let mut rms = RmsModel::new(capacity, FixedPolicy(policy), SnapshotLog::disabled());
         let mut queue = EventQueue::new();
         for job in jobs {
             queue.schedule(job.submit, RmsEvent::Submit(job));
@@ -412,8 +528,7 @@ mod tests {
 
     /// A malformed job injected mid-simulation (the queue already busy)
     /// must decline alone: every other job completes as if it never
-    /// arrived. This drives `Rms` directly because `simulate()` filters
-    /// oversized jobs before submission.
+    /// arrived.
     #[test]
     fn oversized_job_injected_mid_simulation_declines_alone() {
         let jobs = vec![
@@ -436,7 +551,7 @@ mod tests {
     /// (here: the run) finishes.
     #[test]
     fn dynp_declines_oversized_job_injected_mid_simulation() {
-        let mut rms = Rms::new(
+        let mut rms = RmsModel::new(
             4,
             dynp_core::SelfTuning::paper_config(dynp_sched::Metric::SldwA),
             SnapshotLog::disabled(),
@@ -456,11 +571,110 @@ mod tests {
         assert_eq!(rms.machine().free(), 4);
     }
 
+    /// The kernel contract, without any driver: each call reports what
+    /// it dispatched (with actual ends), what it declined and where, and
+    /// whether it tuned.
+    #[test]
+    fn kernel_calls_report_what_happened() {
+        let mut rms = Rms::new(4, FixedPolicy(Policy::Fcfs), SnapshotLog::disabled());
+        let step = rms.submit(
+            10,
+            [
+                Job::new(0, 10, 4, 100, 60),
+                Job::exact(1, 10, 9, 50),
+                Job::exact(2, 10, 4, 30),
+            ],
+        );
+        assert_eq!(step.tuned, Some(Policy::Fcfs));
+        assert!(step.installed);
+        assert_eq!(
+            step.dispatched,
+            [(JobId(0), 70)],
+            "actual end, not the estimate"
+        );
+        assert_eq!(step.declined.len(), 1);
+        assert!(step.declined[0].at_door);
+        assert_eq!(step.declined[0].job.id, JobId(1));
+        assert_eq!(rms.waiting().len(), 1);
+        assert_eq!(
+            rms.plan().start_of(JobId(2)),
+            Some(110),
+            "planned on the estimate"
+        );
+
+        // Completion: no tuning, the waiting job moves forward.
+        let step = rms.complete(70, JobId(0), false).unwrap();
+        assert_eq!(step.tuned, None);
+        assert_eq!(step.dispatched, [(JobId(2), 100)]);
+        assert_eq!(rms.records().len(), 1);
+        assert!(
+            rms.complete(70, JobId(0), false).is_err(),
+            "not running any more"
+        );
+
+        // The queue drains: the last completion installs nothing.
+        let step = rms.complete(100, JobId(2), false).unwrap();
+        assert_eq!(step, Step::default());
+        assert!(rms.plan().is_empty());
+    }
+
+    #[test]
+    fn submission_that_admits_nothing_is_not_a_tuning_point() {
+        let mut rms = Rms::new(
+            4,
+            dynp_core::SelfTuning::paper_config(dynp_sched::Metric::SldwA),
+            SnapshotLog::disabled(),
+        );
+        rms.submit(0, [Job::exact(0, 0, 4, 100), Job::exact(1, 0, 4, 100)]);
+        assert_eq!(rms.selector().stats().steps(), 1);
+        let step = rms.submit(5, [Job::exact(2, 5, 9, 10)]);
+        assert_eq!((step.tuned, step.installed), (None, false));
+        assert_eq!(step.declined.len(), 1);
+        assert_eq!(rms.selector().stats().steps(), 1);
+        assert_eq!(rms.plan().start_of(JobId(1)), Some(100), "plan untouched");
+    }
+
+    #[test]
+    fn restore_resumes_where_the_original_stands() {
+        let jobs = [
+            Job::new(0, 0, 3, 100, 80),
+            Job::exact(1, 0, 4, 50),
+            Job::exact(2, 0, 1, 20),
+        ];
+        let sjf = FixedPolicy(Policy::Sjf);
+        let mut a = Rms::new(4, sjf, SnapshotLog::disabled());
+        a.submit(0, jobs);
+        a.complete(20, JobId(2), false).unwrap();
+        let running = a.running().values().copied().collect();
+        let (waiting, records) = (a.waiting().to_vec(), a.records().to_vec());
+        let mut b = Rms::restore(4, sjf, 20, Policy::Sjf, waiting, running, records).unwrap();
+        // SJF ran job 2 first, job 1 (4-wide) took the machine at 20 and
+        // job 0 waits behind it; the original's plan also still lists
+        // the job it dispatched.
+        assert_eq!(b.plan().start_of(JobId(0)), Some(70));
+        assert_eq!(a.plan().start_of(JobId(0)), Some(70));
+        assert_eq!(b.machine().running(), a.machine().running());
+        assert_eq!(
+            a.complete(70, JobId(1), false),
+            b.complete(70, JobId(1), false)
+        );
+        assert_eq!(a.records(), b.records());
+        assert_eq!(a.running(), b.running());
+
+        // Two 3-wide jobs cannot both be running on 4 nodes.
+        let overcommitted = vec![(jobs[0], 0), (Job::exact(5, 0, 3, 10), 0)];
+        let err = Rms::restore(4, sjf, 0, Policy::Sjf, vec![], overcommitted, vec![]);
+        assert!(err.unwrap_err().contains("overcommits"));
+        let unplannable = vec![Job::exact(6, 0, 9, 10)];
+        let err = Rms::restore(4, sjf, 0, Policy::Sjf, unplannable, vec![], vec![]);
+        assert!(err.unwrap_err().contains("unplannable"));
+    }
+
     /// Regression: a duplicate Finish event must be ignored, not panic,
     /// and must not corrupt the machine's free count.
     #[test]
     fn duplicate_finish_event_is_ignored() {
-        let mut rms = Rms::new(4, FixedPolicy(Policy::Fcfs), SnapshotLog::disabled());
+        let mut rms = RmsModel::new(4, FixedPolicy(Policy::Fcfs), SnapshotLog::disabled());
         let mut queue = EventQueue::new();
         queue.schedule(0, RmsEvent::Submit(Job::exact(0, 0, 2, 50)));
         // The spurious second completion for a job the first Finish will

@@ -1,7 +1,7 @@
 //! High-level trace replay: one call from a job list to a finished run.
 
 use crate::record::{JobRecord, SimSummary};
-use crate::rms::{Rms, RmsEvent};
+use crate::rms::{RmsEvent, RmsModel};
 use crate::snapshots::{SnapshotFilter, SnapshotLog, TunedSnapshot};
 use dynp_core::PolicySelector;
 use dynp_des::{run_to_completion, EventQueue};
@@ -73,14 +73,15 @@ pub struct SimRun<S> {
     pub selector: S,
     /// Label of the selector, for tables.
     pub label: String,
-    /// Jobs dropped because they were wider than the machine.
+    /// Jobs the RMS declined (wider than the machine), in submit order.
     pub skipped: Vec<Job>,
 }
 
 /// Replays `jobs` through a planning-based RMS driven by `selector`.
 ///
-/// Jobs wider than the machine are skipped (and reported), matching how
-/// trace-replay studies clean archive traces.
+/// Jobs wider than the machine are declined by the RMS at submission and
+/// reported as skipped, matching how trace-replay studies clean archive
+/// traces.
 pub fn simulate<S: PolicySelector>(jobs: &[Job], selector: S, config: SimConfig) -> SimRun<S> {
     // Whole-run wall time, one histogram sample per replay; traced so
     // the span close event lands under the enclosing campaign cell.
@@ -90,18 +91,14 @@ pub fn simulate<S: PolicySelector>(jobs: &[Job], selector: S, config: SimConfig)
         Some(filter) => SnapshotLog::with_filter(filter),
         None => SnapshotLog::disabled(),
     };
-    let mut rms =
-        Rms::new(config.machine_size, selector, log).tune_on_finish(config.tune_on_finish);
+    let mut model =
+        RmsModel::new(config.machine_size, selector, log).tune_on_finish(config.tune_on_finish);
     let mut queue = EventQueue::new();
-    let mut skipped = Vec::new();
     for job in jobs {
-        if job.width > config.machine_size {
-            skipped.push(*job);
-            continue;
-        }
         queue.schedule(job.submit, RmsEvent::Submit(*job));
     }
-    run_to_completion(&mut rms, &mut queue);
+    run_to_completion(&mut model, &mut queue);
+    let (policy_log, skipped) = (model.policy_log, model.declined);
     if let Some(r) = dynp_obs::recorder() {
         r.event("sim.complete")
             .kv("selector", label.as_str())
@@ -110,13 +107,8 @@ pub fn simulate<S: PolicySelector>(jobs: &[Job], selector: S, config: SimConfig)
             .kv("end_time", queue.now())
             .emit();
     }
-    let machine_size = rms.machine().capacity();
-    let crate::rms::RmsParts { records, policy_log, snapshot_log, selector, declined } = rms.into_parts();
-    // Jobs the RMS declined mid-run (none on this path — the width filter
-    // above catches them first — unless a selector rejects a job for
-    // another reason) join the pre-filtered ones.
-    skipped.extend(declined);
-    let summary = SimSummary::compute(&records, machine_size);
+    let (records, snapshot_log, selector) = model.rms.into_parts();
+    let summary = SimSummary::compute(&records, config.machine_size);
     SimRun {
         summary,
         policy_log,

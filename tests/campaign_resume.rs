@@ -3,7 +3,7 @@
 //! the surviving cells and produce a final report **byte-identical** to
 //! an uninterrupted run.
 
-use dynp_rs::exp::checkpoint;
+use dynp_rs::obs::checkpoint;
 use dynp_rs::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
