@@ -1,7 +1,7 @@
 //! Planner hot-path benchmark: the pre-overhaul planner (per-policy
-//! profile rebuild, binary-search-restart `earliest_fit`, serial policy
-//! loop) against the current one (shared profile, `compress_before`,
-//! skip-scan fit, parallel per-policy planning), measured as complete
+//! profile rebuild, binary-search-restart `earliest_fit`) against the
+//! current one (shared profile, `compress_before`, skip-scan fit), both
+//! planning their policies in a serial loop, measured as complete
 //! `SelfTuning::step` calls at several queue depths.
 //!
 //! The baseline below is a faithful transcription of the pre-overhaul

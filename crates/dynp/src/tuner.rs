@@ -10,7 +10,6 @@
 use crate::decider::Decider;
 use crate::stats::TuningStats;
 use dynp_sched::{plan_with_profile, Metric, PlanError, Policy, Schedule, SchedulingProblem};
-use rayon::prelude::*;
 
 /// Static span name for one policy's planning pass, so each policy gets
 /// its own latency histogram ([`dynp_obs::Span`] requires `&'static str`).
@@ -145,27 +144,18 @@ impl SelfTuning {
             });
         }
         // Build the availability profile once; every policy plans against
-        // a clone of it. The per-policy passes are independent, so they
-        // run in parallel — the vendored rayon preserves input order,
-        // keeping the decider's enumeration-order tie-breaking (and hence
-        // the chosen schedule) bit-identical to the serial planner.
+        // a clone of it, one after the other in enumeration order (which
+        // is also the decider's tie-breaking order). The plans are
+        // independent but cost microseconds each — far less than handing
+        // them to threads (DESIGN.md §4) — and a plain loop keeps `step`
+        // the same code path on every host.
         let profile = problem.availability_profile();
-        let metric = self.metric;
-        let planned: Vec<Result<(Policy, f64, Schedule), PlanError>> = self
-            .policies
-            .par_iter()
-            .map(|&policy| {
-                let _plan_span = dynp_obs::Span::enter(plan_span_name(policy));
-                let schedule = plan_with_profile(problem, policy, &profile)?;
-                let value = metric.eval(problem, &schedule);
-                Ok((policy, value, schedule))
-            })
-            .collect();
-        let mut evaluations = Vec::with_capacity(planned.len());
-        let mut schedules = Vec::with_capacity(planned.len());
-        for result in planned {
-            let (policy, value, schedule) = result?;
-            evaluations.push((policy, value));
+        let mut evaluations = Vec::with_capacity(self.policies.len());
+        let mut schedules = Vec::with_capacity(self.policies.len());
+        for &policy in &self.policies {
+            let _plan_span = dynp_obs::Span::enter(plan_span_name(policy));
+            let schedule = plan_with_profile(problem, policy, &profile)?;
+            evaluations.push((policy, self.metric.eval(problem, &schedule)));
             schedules.push(schedule);
         }
         let chosen = self.decider.decide(self.metric, &evaluations, previous);

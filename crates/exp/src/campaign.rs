@@ -16,12 +16,11 @@
 //! records contain only deterministic quantities: solve effort is counted
 //! in branch & bound nodes and simplex iterations, never wall-clock time.
 
-use crate::pool;
 use crate::report;
 use dynp_core::{Decider, FixedPolicy, SelfTuning};
 use dynp_milp::{solve_snapshot, BranchLimits, MipStatus, SolveConfig};
 use dynp_obs::checkpoint::{self, CheckpointLog};
-use dynp_obs::JsonValue;
+use dynp_obs::{pool, JsonValue};
 use dynp_sched::{Metric, Policy};
 use dynp_sim::{simulate, SimConfig, SnapshotFilter, TunedSnapshot};
 use dynp_trace::filter::overestimate;

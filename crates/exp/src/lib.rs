@@ -8,14 +8,14 @@
 //!
 //! * [`campaign`] — [`CampaignConfig`]/[`ExactConfig`] builders, the
 //!   [`SelectorSpec`] sweep axis, and [`run_campaign`], which fans the
-//!   `shard × selector × factor` cross-product over a worker pool,
+//!   `shard × selector × factor` cross-product over the shared worker
+//!   pool ([`dynp_obs::pool`]: input-ordered, panic-isolating),
 //! * [`dynp_obs::checkpoint`] — the self-validating JSONL record format
 //!   that makes a killed campaign resume exactly where it died, with a
 //!   byte-identical final report (shared with the serve front-end, hence
 //!   in `dynp-obs`),
 //! * [`report`] — the fold from checkpointed cells into the paper-style
-//!   comparison tables (text + strict JSON),
-//! * [`pool`] — the small self-scheduling worker pool behind the fan-out.
+//!   comparison tables (text + strict JSON).
 //!
 //! ```no_run
 //! use dynp_exp::{run_campaign, CampaignConfig};
@@ -28,7 +28,6 @@
 //! ```
 
 pub mod campaign;
-pub mod pool;
 pub mod report;
 
 pub use campaign::{

@@ -23,9 +23,10 @@
 //!   of re-running phase 1 from the artificial basis (DESIGN.md §14).
 //! * **Deterministic parallel search**: the search runs in synchronous
 //!   rounds — pop the [`ROUND_WIDTH`] best open nodes, solve their LPs on
-//!   a worker pool ([`crate::par`]), then merge bounds, incumbents and
-//!   children *sequentially in pop order*. Each node LP is a pure function
-//!   of the model and the node's bounds (never of the incumbent), and the
+//!   the shared worker pool ([`dynp_obs::pool`]), then merge bounds,
+//!   incumbents and children *sequentially in pop order*. Each node LP
+//!   is a pure function of the model and the node's bounds (never of the
+//!   incumbent), and the
 //!   round width is a constant rather than the worker count, so the
 //!   explored tree, the gap trajectory (keyed on the node counter), and
 //!   the final [`MipSolution`] are byte-identical for any
@@ -42,10 +43,10 @@
 //! steady state — so node-limited runs are clock-free where it matters.
 
 use crate::model::Milp;
-use crate::par;
 use crate::simplex::{
     solve_lp_warm, solve_lp_with_start, Basis, LpOutcome, LpSolution, SimplexStart,
 };
+use dynp_obs::pool::{self, SlotOutcome};
 use dynp_obs::{JsonValue, Span};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -550,7 +551,7 @@ impl<'a> BranchBound<'a> {
             let model = self.model;
             let crash = &self.crash;
             let max_lp_iterations = self.limits.max_lp_iterations;
-            let outcomes = par::run_indexed(workers, &batch, |_, node| {
+            let outcomes = pool::run_indexed(workers, &batch, |_, node| {
                 if let Some(warm) = &node.warm {
                     solve_lp_warm(model, &node.lower, &node.upper, warm, max_lp_iterations)
                 } else {
@@ -577,12 +578,19 @@ impl<'a> BranchBound<'a> {
                     m.inc();
                 }
                 let (outcome, warmed) = match slot {
-                    par::SlotOutcome::Done(r) => r,
-                    par::SlotOutcome::Panicked => {
+                    SlotOutcome::Done(r) => r,
+                    SlotOutcome::Panicked(caught) => {
                         // A dead LP cannot bound its subtree; exactness is
                         // lost if we drop it silently, so surface the
                         // failure as a limit (mirrors IterationLimit).
                         hit_limit = true;
+                        if let Some(r) = obs {
+                            r.event("milp.lp_panicked")
+                                .kv("node", node.id)
+                                .kv("panic", caught.payload.as_str())
+                                .kv("at", caught.location.as_str())
+                                .emit();
+                        }
                         continue;
                     }
                 };
@@ -1161,6 +1169,53 @@ mod tests {
         let serial = render_limited(1);
         assert_eq!(serial, render_limited(2));
         assert_eq!(serial, render_limited(4));
+    }
+
+    #[test]
+    fn a_panicking_node_lp_degrades_the_solve_to_a_limit() {
+        // The crash hook runs inside the pooled node-LP closure and only
+        // for cold nodes, i.e. the root (children are warm-started), so a
+        // hook that panics on the root's bounds kills exactly node 0.
+        let m = knapsack(&[5.0, 4.0, 3.0], &[3.0, 3.0, 2.0], 4.0);
+        let recorder = dynp_obs::install(dynp_obs::Recorder::new(dynp_obs::Sink::memory()));
+        let render = |workers: usize| {
+            let sol = BranchBound::new(
+                &m,
+                BranchLimits {
+                    solver_workers: workers,
+                    ..BranchLimits::default()
+                },
+            )
+            .with_crash(Box::new(|lower, upper| {
+                assert!(
+                    lower.iter().any(|&l| l != 0.0) || upper.iter().any(|&u| u != 1.0),
+                    "injected root LP failure"
+                );
+                None
+            }))
+            .with_incumbent(vec![0.0, 1.0, 0.0])
+            .expect("seed is feasible")
+            .solve();
+            // The solve returned instead of unwinding, and the subtree
+            // nobody bounded shows as a limit, never as a proof.
+            assert_eq!(sol.status, MipStatus::Feasible, "workers={workers}");
+            assert_eq!((sol.nodes, sol.cold_lps, sol.warm_lps), (1, 0, 0));
+            sol.canonical_json().to_json_pretty()
+        };
+        assert_eq!(render(1), render(2));
+        // One event per dead LP (two solves, one dead root each), carrying
+        // what the panic hook would otherwise have printed or lost.
+        let panicked: Vec<String> = recorder
+            .events()
+            .into_iter()
+            .filter(|l| l.contains("\"target\":\"milp.lp_panicked\""))
+            .collect();
+        assert_eq!(panicked.len(), 2, "{panicked:?}");
+        for line in &panicked {
+            assert!(line.contains("\"node\":0"), "{line}");
+            assert!(line.contains("injected root LP failure"), "{line}");
+            assert!(line.contains("branch.rs:"), "{line}");
+        }
     }
 
     #[test]

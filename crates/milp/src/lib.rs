@@ -16,8 +16,8 @@
 //! * [`model`] — the general mixed 0/1 linear-program description,
 //! * [`branch`] — best-first branch & bound with LP bounds, integral
 //!   rounding, node/deterministic-work limits, warm-started child LPs
-//!   and deterministic synchronous-round parallel node solves,
-//! * `par` — the internal worker pool the node LPs run on,
+//!   and deterministic synchronous-round node solves on the shared
+//!   worker pool ([`dynp_obs::pool`]),
 //! * [`scaling`] — the paper's Eq. 6 memory-driven time-scale choice,
 //! * [`timeindex`] — builds the §3.1 formulation from a
 //!   [`SchedulingProblem`](dynp_sched::SchedulingProblem) and extracts
@@ -29,7 +29,6 @@
 pub mod branch;
 pub mod compact;
 pub mod model;
-mod par;
 pub mod scaling;
 pub mod simplex;
 pub mod solve;

@@ -135,11 +135,11 @@ pub fn cancelled() -> bool {
 /// The innermost token installed on this thread, if any.
 ///
 /// Installed tokens are thread-local, so a helper that fans work out to
-/// its own worker threads (e.g. the milp parallel node-LP pool) must
-/// carry the caller's token across explicitly: read it here on the
-/// calling thread, clone it into each worker, and [`install_cancel`] it
-/// there. All clones share one flag, so the campaign cell's deadline
-/// keeps governing the whole fan-out.
+/// its own worker threads must carry the caller's token across
+/// explicitly: read it here on the calling thread, clone it into each
+/// worker, and [`install_cancel`] it there — which is what
+/// [`crate::pool::run_indexed`] does. All clones share one flag, so the
+/// campaign cell's deadline keeps governing the whole fan-out.
 pub fn current_cancel() -> Option<CancelToken> {
     INSTALLED.with(|s| s.borrow().last().cloned())
 }

@@ -46,6 +46,11 @@
 //!   and polled from the solver's and simulator's unbounded loops via
 //!   [`cancelled`]; how campaign cells get a wall-clock budget without
 //!   new dependency edges.
+//! * **Worker pool** — [`pool::run_indexed`] is the workspace's one
+//!   ordered map-over-slice fan-out (campaign cells, branch & bound node
+//!   LPs): a panicking item becomes a [`pool::CaughtPanic`] with payload
+//!   and `file:line` instead of unwinding, and the caller's cancel token
+//!   is re-installed on every worker.
 //!
 //! The [`Recorder`] owns the metric registries and the event sink.
 //! Production code uses the optional process-global recorder:
@@ -76,6 +81,7 @@ pub mod context;
 pub mod expo;
 pub mod json;
 pub mod metrics;
+pub mod pool;
 pub mod profile;
 mod recorder;
 pub mod window;

@@ -1,23 +1,36 @@
-//! A small fixed-size worker pool with dynamic (self-scheduling) cell
-//! pickup and per-item panic isolation.
+//! The workspace's one worker pool: a fixed number of scoped threads
+//! with dynamic (self-scheduling) item pickup, results in input order,
+//! per-item panic isolation and cancel-token propagation.
 //!
-//! The vendored rayon stand-in splits its input into one contiguous chunk
-//! per core, which load-balances badly when cells have very different
-//! costs (an exact-comparison cell can be orders of magnitude slower than
-//! a plain replay cell) and offers no control over the worker count. The
-//! campaign runner needs both — heterogeneous cells *and* a `workers`
-//! knob for the speedup experiments — so this pool hands out items one at
-//! a time from a shared atomic cursor and collects results in input
-//! order.
+//! Both fan-outs in the workspace — campaign cells (`dynp-exp`) and the
+//! node LPs of one branch & bound round (`dynp-milp`) — map a function
+//! over a slice whose items have very different costs (an
+//! exact-comparison cell can be orders of magnitude slower than a plain
+//! replay cell), so the pool hands out items one at a time from a shared
+//! atomic cursor rather than in fixed chunks. Everything that *orders*
+//! the caller's work happens on the calling thread; the pool guarantees
+//! only ordering and isolation, not purity of `f`.
 //!
-//! **Panics do not abort the pool.** Each `f(i, item)` call runs under
-//! [`call_caught`]: a panicking item yields [`SlotOutcome::Panicked`]
-//! with the rendered payload and the `file:line` panic site, and every
-//! other item — including ones later in the same worker's pickup
-//! sequence — completes normally. Without this, one `unwrap` deep in a
-//! solver would unwind through `thread::scope` and re-raise on the
-//! caller, losing a whole campaign to one bad cell.
+//! It lives in `dynp-obs`, next to [`crate::cancel`], because its two
+//! non-trivial duties are about obs state:
+//!
+//! * **Panics do not abort the pool.** Each `f(i, item)` call runs under
+//!   [`call_caught`]: a panicking item yields [`SlotOutcome::Panicked`]
+//!   with the rendered payload and the `file:line` panic site, and every
+//!   other item — including ones later in the same worker's pickup
+//!   sequence — completes normally. Without this, one `unwrap` deep in a
+//!   solver would unwind through `thread::scope` and re-raise on the
+//!   caller, losing a whole campaign to one bad cell.
+//! * **Cancel propagation.** Installed cancel tokens are thread-local,
+//!   so the caller's innermost token (a campaign cell's wall-clock
+//!   deadline) is captured with [`current_cancel`] and re-installed on
+//!   every worker; work running on workers keeps polling the same
+//!   deadline it would have polled inline.
+//!
+//! With `workers <= 1` (or one item) everything runs inline on the
+//! calling thread — no threads, no channel — with the same isolation.
 
+use crate::cancel::{current_cancel, install_cancel};
 use std::cell::{Cell, RefCell};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -31,16 +44,6 @@ pub enum SlotOutcome<R> {
     /// `f` panicked; the slot carries the caught panic instead of a
     /// result.
     Panicked(CaughtPanic),
-}
-
-impl<R> SlotOutcome<R> {
-    /// The result, if the slot completed normally.
-    pub fn into_done(self) -> Option<R> {
-        match self {
-            SlotOutcome::Done(r) => Some(r),
-            SlotOutcome::Panicked(_) => None,
-        }
-    }
 }
 
 /// A panic caught by [`call_caught`], rendered to plain data.
@@ -102,8 +105,7 @@ fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs `f`, converting a panic into `Err(CaughtPanic)` instead of
 /// unwinding further. The campaign retry loop uses this directly (one
-/// catch per attempt); [`run_indexed`] wraps every item in it as the
-/// outer safety net.
+/// catch per attempt); [`run_indexed`] wraps every item in it.
 ///
 /// While a caught scope is active the panic hook records the panic site
 /// silently instead of printing the default report — an isolated cell
@@ -141,22 +143,29 @@ where
             .map(|(i, t)| caught_outcome(|| f(i, t)))
             .collect();
     }
+    let cancel = current_cancel();
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, SlotOutcome<R>)>();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
+            let cancel = &cancel;
             let cursor = &cursor;
             let f = &f;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else {
-                    return;
-                };
-                // A closed channel means the collector is gone, which
-                // cannot happen inside this scope; ignore the error to
-                // avoid a panic path in workers.
-                let _ = tx.send((i, caught_outcome(|| f(i, item))));
+            scope.spawn(move || {
+                // Re-install the caller's token so worker-side loops poll
+                // the same budget they would have polled inline.
+                let _cancel_guard = cancel.as_ref().map(install_cancel);
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else {
+                        return;
+                    };
+                    // A closed channel means the collector is gone, which
+                    // cannot happen inside this scope; ignore the error to
+                    // avoid a panic path in workers.
+                    let _ = tx.send((i, caught_outcome(|| f(i, item))));
+                }
             });
         }
         drop(tx);
@@ -174,7 +183,7 @@ where
                 s.unwrap_or_else(|| {
                     SlotOutcome::Panicked(CaughtPanic {
                         payload: "worker thread died without reporting a result".to_string(),
-                        location: "dynp-exp::pool".to_string(),
+                        location: "dynp-obs::pool".to_string(),
                     })
                 })
             })
@@ -196,7 +205,10 @@ mod tests {
     fn done<R>(outcomes: Vec<SlotOutcome<R>>) -> Vec<R> {
         outcomes
             .into_iter()
-            .map(|o| o.into_done().expect("slot completed"))
+            .map(|o| match o {
+                SlotOutcome::Done(r) => r,
+                SlotOutcome::Panicked(p) => panic!("slot panicked: {p:?}"),
+            })
             .collect()
     }
 
@@ -250,6 +262,34 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn inline_path_matches_threaded_path() {
+        let items: Vec<u64> = (0..16).map(|i| i * 3 + 1).collect();
+        let run = |workers| done(run_indexed(workers, &items, |i, &item| item + i as u64));
+        assert_eq!(run(1), run(4));
+    }
+
+    #[test]
+    fn callers_cancel_token_is_observed_on_every_worker() {
+        let token = crate::CancelToken::new();
+        token.cancel();
+        let _guard = install_cancel(&token);
+        // One item per worker and a barrier none can pass alone: each of
+        // the three items is held by a different worker thread.
+        let barrier = std::sync::Barrier::new(3);
+        let out = done(run_indexed(3, &[(); 3], |_, _| {
+            barrier.wait();
+            (crate::cancelled(), std::thread::current().id())
+        }));
+        let caller = std::thread::current().id();
+        for (i, (cancelled, thread)) in out.iter().enumerate() {
+            assert!(cancelled, "item {i}'s worker missed the caller's token");
+            assert_ne!(*thread, caller, "item {i} ran inline");
+            let shared = out[..i].iter().any(|(_, t)| t == thread);
+            assert!(!shared, "item {i} shared a worker");
         }
     }
 

@@ -1,9 +1,9 @@
 //! Differential acceptance test for the planner hot-path overhaul: the
 //! optimized planner (shared availability profile, `compress_before`
-//! prefix compression, skip-scan `earliest_fit`, parallel per-policy
-//! planning) must produce schedules **bit-identical** to the pre-overhaul
-//! planner — same starts, same entry order — for every policy on every
-//! snapshot a synthetic CTC run produces.
+//! prefix compression, skip-scan `earliest_fit`) must produce schedules
+//! **bit-identical** to the pre-overhaul planner — same starts, same
+//! entry order — for every policy on every snapshot a synthetic CTC run
+//! produces.
 //!
 //! The reference implementation below is a faithful transcription of the
 //! pre-overhaul code path: the availability profile is rebuilt from the
