@@ -25,13 +25,18 @@
 
 use dynp_bench::{busy_snapshot, cli_args_and_watch, start_watch, Report};
 use dynp_milp::{
-    solve_lp_warm, solve_lp_with_start, BranchBound, BranchLimits, LpOutcome, MipSolution,
-    TimeIndexedModel, TimeScaling,
+    solve_lp_warm, solve_lp_with_start, BranchBound, BranchLimits, KernelCounts, LpOutcome,
+    MipSolution, TimeIndexedModel, TimeScaling,
 };
 use dynp_obs::JsonValue;
 use dynp_sched::{plan, Policy};
 use std::time::Instant;
 
+/// The default instance's root LP under the dense-inverse kernel this
+/// solver had until PR 16 (`(seconds, iterations)` from the
+/// `BENCH_milp.json` committed then), reported next to the current run as
+/// the "before" of the trajectory.
+const DENSE_KERNEL_ROOT_LP: (f64, usize) = (127.010283101, 87_190);
 /// Per-LP iteration budget; far above anything these instances need.
 const MAX_ITERS: usize = 200_000;
 /// Machine size of the benchmark snapshot.
@@ -144,6 +149,7 @@ fn main() {
         "root LP: {} iterations in {root_seconds:.3} s, objective {:.1}",
         root.iterations, root.objective
     ));
+    report.line(format!("root LP kernel: {:?}", root.counts));
 
     let children = root_children(&ti, &root);
     let mut cold_seconds = 0.0;
@@ -165,6 +171,7 @@ fn main() {
     let mut warm_seconds = 0.0;
     let mut warm_iterations = 0usize;
     let mut warm_hits = 0usize;
+    let mut warm_kernel = KernelCounts::default();
     for ((lower, upper), cold_obj) in children.iter().zip(&cold_objs) {
         let t = Instant::now();
         let (out, used) = solve_lp_warm(model, lower, upper, &basis, MAX_ITERS);
@@ -172,6 +179,7 @@ fn main() {
         warm_hits += used as usize;
         if let LpOutcome::Optimal(sol) = out {
             warm_iterations += sol.iterations;
+            warm_kernel.absorb(&sol.counts);
             if let Some(cold) = cold_obj {
                 let tol = 1e-5 * cold.abs().max(1.0);
                 assert!(
@@ -226,6 +234,7 @@ fn main() {
              {} warm / {} cold LPs -> {path}",
             sol.status, sol.nodes, sol.lp_iterations, sol.warm_lps, sol.cold_lps
         ));
+        report.line(format!("workers {k} kernel: {:?}", sol.kernel));
         runs.push((k, seconds, render, sol));
     }
     let (k0, base_seconds, base_render, _) = &runs[0];
@@ -251,7 +260,21 @@ fn main() {
                 .with("nodes", sol.nodes)
                 .with("lp_iterations", sol.lp_iterations)
                 .with("warm_lps", sol.warm_lps)
-                .with("cold_lps", sol.cold_lps),
+                .with("cold_lps", sol.cold_lps)
+                .with("kernel", sol.kernel.to_json()),
+        );
+    }
+    let mut warm_vs_cold = JsonValue::object()
+        .with("child_lps", children.len())
+        .with("root_lp_seconds", root_seconds)
+        .with("root_lp_iterations", root.iterations)
+        .with("root_lp_kernel", root.counts.to_json());
+    if jobs == 1000 {
+        warm_vs_cold = warm_vs_cold.with(
+            "root_lp_dense_kernel",
+            JsonValue::object()
+                .with("seconds", DENSE_KERNEL_ROOT_LP.0)
+                .with("iterations", DENSE_KERNEL_ROOT_LP.1),
         );
     }
     let summary = JsonValue::object()
@@ -265,15 +288,13 @@ fn main() {
         .with("num_constraints", rows)
         .with(
             "warm_vs_cold",
-            JsonValue::object()
-                .with("child_lps", children.len())
-                .with("root_lp_seconds", root_seconds)
-                .with("root_lp_iterations", root.iterations)
+            warm_vs_cold
                 .with("cold_seconds", cold_seconds)
                 .with("cold_iterations", cold_iterations)
                 .with("warm_seconds", warm_seconds)
                 .with("warm_iterations", warm_iterations)
                 .with("warm_hits", warm_hits)
+                .with("warm_kernel", warm_kernel.to_json())
                 .with("speedup", warm_speedup),
         )
         .with("byte_identical", true)

@@ -44,7 +44,7 @@
 
 use crate::model::Milp;
 use crate::simplex::{
-    solve_lp_warm, solve_lp_with_start, Basis, LpOutcome, LpSolution, SimplexStart,
+    solve_lp_warm, solve_lp_with_start, Basis, KernelCounts, LpOutcome, LpSolution, SimplexStart,
 };
 use dynp_obs::pool::{self, SlotOutcome};
 use dynp_obs::{JsonValue, Span};
@@ -167,6 +167,9 @@ pub struct MipSolution {
     /// Node LPs solved cold (phase 1 or a crash basis), including
     /// warm-start attempts that fell back.
     pub cold_lps: usize,
+    /// What the node LPs cost the simplex kernel, folded over the LPs
+    /// that count towards `lp_iterations` (see [`KernelCounts`]).
+    pub kernel: KernelCounts,
     /// Wall time spent.
     pub wall_time: Duration,
     /// Incumbent/gap trajectory: one [`GapPoint`] per accepted incumbent
@@ -187,7 +190,8 @@ impl MipSolution {
     ///
     /// Covers everything the search *decided* — status, objective and
     /// point, proven bound, node and LP-iteration counts, warm/cold LP
-    /// split, and the gap trajectory keyed on the node counter — and
+    /// split, the kernel's work counts, and the gap trajectory keyed on
+    /// the node counter — and
     /// deliberately omits every timing field (`wall_time`, per-point
     /// `elapsed`). Two solves of the same model under the same limits
     /// must render byte-identically regardless of
@@ -230,6 +234,7 @@ impl MipSolution {
                 "cold_lps".to_string(),
                 JsonValue::Num(self.cold_lps as f64),
             ),
+            ("kernel".to_string(), self.kernel.to_json()),
             (
                 "trajectory".to_string(),
                 JsonValue::Array(
@@ -455,6 +460,7 @@ impl<'a> BranchBound<'a> {
         let mut lp_iterations = 0usize;
         let mut warm_lps = 0usize;
         let mut cold_lps = 0usize;
+        let mut kernel = KernelCounts::default();
         let mut next_id = 0u64;
         let mut hit_limit = false;
         // Global lower bound starts at -inf and is the min over open nodes.
@@ -616,6 +622,7 @@ impl<'a> BranchBound<'a> {
                     }
                 };
                 lp_iterations += sol.iterations;
+                kernel.absorb(&sol.counts);
                 if let Some(m) = &m_lp_iters {
                     m.record(sol.iterations as u64);
                 }
@@ -809,13 +816,24 @@ impl<'a> BranchBound<'a> {
                 // "milp-budget-exhaustion" alert rate-watches.
                 r.counter("milp.budget_exhausted").inc();
             }
-            r.event("milp.exit")
+            let mut exit = r
+                .event("milp.exit")
                 .kv("status", format!("{status:?}"))
                 .kv("nodes", nodes_explored)
                 .kv("lp_iterations", lp_iterations)
                 .kv("warm_lps", warm_lps)
-                .kv("cold_lps", cold_lps)
-                .kv("objective", objective)
+                .kv("cold_lps", cold_lps);
+            for (metric, n) in kernel.metrics() {
+                exit = exit.kv(KernelCounts::field_name(metric), n);
+                if metric == "milp.eta_nnz_max" {
+                    // A maximum: the gauge's high-water mark carries it
+                    // across solves, a counter would sum maxima.
+                    r.gauge(metric).set(n as i64);
+                } else {
+                    r.counter(metric).add(n as u64);
+                }
+            }
+            exit.kv("objective", objective)
                 .kv(
                     "bound",
                     best_bound.is_finite().then_some(best_bound),
@@ -836,6 +854,7 @@ impl<'a> BranchBound<'a> {
             lp_iterations,
             warm_lps,
             cold_lps,
+            kernel,
             wall_time,
             trajectory,
         }
@@ -1169,6 +1188,54 @@ mod tests {
         let serial = render_limited(1);
         assert_eq!(serial, render_limited(2));
         assert_eq!(serial, render_limited(4));
+    }
+
+    #[test]
+    fn kernel_counts_fold_over_the_node_lps() {
+        // Same instance as above: a real tree, so cold and warm node LPs
+        // both contribute. The counts are exact, hence equal across
+        // worker counts field by field (the render test covers the
+        // bytes; this one that there is something to cover).
+        let m = knapsack(
+            &[10.0, 13.0, 7.0, 8.0, 2.0, 9.0, 4.0],
+            &[5.0, 6.0, 3.0, 4.0, 1.0, 5.0, 2.0],
+            12.0,
+        );
+        let solve = |workers: usize| {
+            solve_mip(
+                &m,
+                BranchLimits {
+                    solver_workers: workers,
+                    ..BranchLimits::default()
+                },
+            )
+        };
+        let serial = solve(1);
+        assert!(serial.warm_lps > 0 && serial.cold_lps > 0);
+        let k = serial.kernel;
+        // Every counted LP factorizes at least the basis it starts from,
+        // and a 1-row factor stores its pivot.
+        assert!(k.refactors > 0 && k.lu_nnz >= k.refactors);
+        assert!(
+            k.primal_pivots + k.bound_flips > 0,
+            "the root is solved by the primal"
+        );
+        assert!(k.dual_pivots > 0, "warm children are repaired by the dual");
+        assert!(
+            k.pricing_row_nnz >= k.dual_pivots,
+            "a pricing row holds its pivot"
+        );
+        assert!(serial.lp_iterations >= k.primal_pivots + k.dual_pivots + k.bound_flips);
+        assert_eq!(k, solve(2).kernel);
+        assert_eq!(k, solve(4).kernel);
+        let render = serial.canonical_json().to_json();
+        for (metric, _) in k.metrics() {
+            let field = KernelCounts::field_name(metric);
+            assert!(
+                render.contains(&format!("\"{field}\":")),
+                "{field} not rendered"
+            );
+        }
     }
 
     #[test]

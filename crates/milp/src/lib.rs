@@ -11,8 +11,11 @@
 //! ILP's starting order to reclaim the slack the coarse grid introduces.
 //!
 //! Crate layout, bottom-up:
-//! * [`sparse`] — compressed sparse-column matrix used by the LP solver,
-//! * [`simplex`] — a bounded-variable, two-phase revised primal simplex,
+//! * [`sparse`] — compressed sparse-column matrix (with a row-wise
+//!   mirror) used by the LP solver,
+//! * [`lu`] — sparse LU factorization of a basis plus its eta file,
+//! * [`simplex`] — a bounded-variable, two-phase revised simplex (primal,
+//!   with a dual repair phase for warm starts) over that factor,
 //! * [`model`] — the general mixed 0/1 linear-program description,
 //! * [`branch`] — best-first branch & bound with LP bounds, integral
 //!   rounding, node/deterministic-work limits, warm-started child LPs
@@ -28,6 +31,7 @@
 
 pub mod branch;
 pub mod compact;
+pub mod lu;
 pub mod model;
 pub mod scaling;
 pub mod simplex;
@@ -40,8 +44,8 @@ pub use compact::compact;
 pub use model::{Milp, Sense};
 pub use scaling::{TimeScaling, PAPER_MEMORY_BYTES, PAPER_X_BYTES};
 pub use simplex::{
-    solve_lp, solve_lp_warm, solve_lp_with_bounds, solve_lp_with_start, Basis, LpOutcome,
-    LpSolution, SimplexStart,
+    solve_lp, solve_lp_warm, solve_lp_with_bounds, solve_lp_with_start, Basis, KernelCounts,
+    LpOutcome, LpSolution, SimplexStart,
 };
 pub use solve::{
     solve_snapshot, ExactComparison, ExactRun, SolveConfig, SolveError, SolveIncomplete,

@@ -35,6 +35,12 @@ pub struct Milp {
     pub upper: Vec<f64>,
     /// Which variables must be integral in a MIP solution.
     pub integral: Vec<bool>,
+    /// The simplex's per-column phase-2 cost perturbation, a pure function
+    /// of `objective` built once here so every node LP borrows it. It
+    /// only breaks pricing ties (the solver re-optimizes on the true
+    /// costs before reporting), so an `objective` edited after
+    /// construction costs tie-breaking quality, never correctness.
+    perturbation: Vec<f64>,
 }
 
 impl Milp {
@@ -69,6 +75,7 @@ impl Milp {
             );
         }
         Milp {
+            perturbation: crate::simplex::cost_perturbation(&objective),
             objective,
             matrix,
             senses,
@@ -96,6 +103,11 @@ impl Milp {
             vec![1.0; n],
             vec![true; n],
         )
+    }
+
+    /// The phase-2 cost perturbation of each column (see the field).
+    pub(crate) fn perturbation(&self) -> &[f64] {
+        &self.perturbation
     }
 
     /// Number of variables.

@@ -1,44 +1,115 @@
-//! A bounded-variable, two-phase revised primal simplex.
+//! A bounded-variable, two-phase revised simplex over a sparse LU of the
+//! basis.
 //!
 //! This is the LP engine under the branch & bound of [`crate::branch`]. It
 //! is written for the structure of time-indexed scheduling relaxations —
-//! many binary-bounded columns, few rows — but is a general solver:
+//! many binary-bounded columns, few rows, an almost triangular basis — but
+//! is a general solver:
 //!
 //! * variables with finite lower/upper bounds (slacks unbounded above),
 //! * all three constraint senses (slack/surplus added internally),
 //! * phase 1 over a full artificial basis (artificials are fixed to zero
 //!   afterwards, which safely neutralizes redundant rows),
-//! * explicit dense basis inverse with periodic refactorization,
-//! * Dantzig pricing with a permanent switch to Bland's rule after a
-//!   stall, guaranteeing termination.
+//! * the basis held as a sparse LU plus a product-form eta file
+//!   ([`crate::lu`]), refactorized when the eta file outgrows the factor,
+//! * primal phases priced column-wise from `y = c_Bᵀ B⁻¹` (one sparse
+//!   BTRAN per iteration, partial Dantzig pricing with a permanent switch
+//!   to Bland's rule after a stall, guaranteeing termination),
+//! * a dual repair phase for warm starts priced row-wise: the reduced
+//!   costs `d_N` are solver state, and a dual pivot costs one BTRAN of a
+//!   unit vector, one walk over the rows of `A` its result touches, and
+//!   one FTRAN — no column is priced from scratch between
+//!   refactorizations.
 //!
-//! Determinism: no randomness, no wall clock; the iteration limit is the
-//! only resource bound, so results are reproducible bit-for-bit.
+//! Determinism: no randomness, no wall clock, no environment; the
+//! iteration limit is the only resource bound and every tie breaks on the
+//! lowest index, so results — and the [`KernelCounts`] of the work done —
+//! are reproducible bit-for-bit.
 
-// Dense linear-algebra kernels below index row-major buffers directly;
-// iterator adaptors obscure the math there.
+// The kernels below index parallel per-row / per-variable buffers
+// directly; iterator adaptors obscure the math there.
 #![allow(clippy::needless_range_loop)]
 
+use crate::lu::{LuFactor, PIVOT_TOL};
 use crate::model::{Milp, Sense};
 
 /// Feasibility / optimality tolerance.
 const TOL: f64 = 1e-7;
-/// Smallest pivot magnitude accepted.
-const PIVOT_TOL: f64 = 1e-9;
-/// Refactorize the basis inverse at least every this many pivots. The
-/// actual interval is `max(REFACTOR_EVERY, m/2)` — the dense rebuild is
-/// O(m³), so a fixed interval makes refactorization the dominant cost on
-/// large bases (measured ~90 % of solve time at m ≈ 1300) while the
-/// rank-one pivot updates it amortizes against are only O(m²). Scaling
-/// the interval with m keeps the amortized cost per pivot at O(m²);
-/// the extra drift this admits is caught by the `singular` latch (cold
-/// restart) and the final true-cost cleanup pass.
-const REFACTOR_EVERY: usize = 128;
 /// Switch from Dantzig to Bland pricing after this many iterations without
 /// improvement, to break degenerate cycles.
 const STALL_LIMIT: usize = 512;
 /// Column block size for partial pricing.
 const PARTIAL_BLOCK: usize = 512;
+/// Entries of a pricing row `ρ_r` below this magnitude are rounding noise
+/// of the BTRAN and are not walked.
+const RHO_DROP_TOL: f64 = 1e-14;
+
+/// Exact work counts of the LP kernel: how often each operation ran and
+/// how large its operands were. Pure functions of the model and the
+/// bounds (no timers), so they repeat across runs and worker counts and
+/// can be compared between two versions of the solver.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KernelCounts {
+    /// LU factorizations of a basis (the installed one and every
+    /// refactorization of an evolved one).
+    pub refactors: usize,
+    /// Basis changes made by the primal phases.
+    pub primal_pivots: usize,
+    /// Basis changes made by the dual repair of a warm start.
+    pub dual_pivots: usize,
+    /// Primal iterations that moved a variable to its opposite bound
+    /// without changing the basis.
+    pub bound_flips: usize,
+    /// Non-zeros of `L` and `U`, summed over the factorizations.
+    pub lu_nnz: usize,
+    /// Largest eta file carried (non-zeros), i.e. how far the solver got
+    /// from a fresh factor; a maximum, not a sum.
+    pub eta_nnz_max: usize,
+    /// Non-zeros of the pricing rows `ρ_r = B⁻ᵀe_r`, summed over the dual
+    /// pivots — what a dual pivot's row walk is proportional to.
+    pub pricing_row_nnz: usize,
+}
+
+impl KernelCounts {
+    /// Folds another LP's counts into these.
+    pub fn absorb(&mut self, other: &KernelCounts) {
+        self.refactors += other.refactors;
+        self.primal_pivots += other.primal_pivots;
+        self.dual_pivots += other.dual_pivots;
+        self.bound_flips += other.bound_flips;
+        self.lu_nnz += other.lu_nnz;
+        self.eta_nnz_max = self.eta_nnz_max.max(other.eta_nnz_max);
+        self.pricing_row_nnz += other.pricing_row_nnz;
+    }
+
+    /// Every count under its metric name, in declaration order; events
+    /// and renders key the same values by [`KernelCounts::field_name`].
+    pub fn metrics(&self) -> [(&'static str, usize); 7] {
+        [
+            ("milp.refactors", self.refactors),
+            ("milp.primal_pivots", self.primal_pivots),
+            ("milp.dual_pivots", self.dual_pivots),
+            ("milp.bound_flips", self.bound_flips),
+            ("milp.lu_nnz", self.lu_nnz),
+            ("milp.eta_nnz_max", self.eta_nnz_max),
+            ("milp.pricing_row_nnz", self.pricing_row_nnz),
+        ]
+    }
+
+    /// The field behind a name from [`KernelCounts::metrics`].
+    pub fn field_name(metric: &'static str) -> &'static str {
+        metric.trim_start_matches("milp.")
+    }
+
+    /// The counts as a JSON object keyed by field name.
+    pub fn to_json(&self) -> dynp_obs::JsonValue {
+        self.metrics()
+            .into_iter()
+            .fold(dynp_obs::JsonValue::object(), |obj, (metric, n)| {
+                obj.with(Self::field_name(metric), n)
+            })
+    }
+}
 
 /// A solved LP relaxation.
 #[derive(Clone, Debug)]
@@ -54,6 +125,9 @@ pub struct LpSolution {
     pub reduced_costs: Vec<f64>,
     /// Simplex iterations used (both phases).
     pub iterations: usize,
+    /// What those iterations cost the kernel (abandoned warm attempts and
+    /// singular restarts included, like `iterations`).
+    pub counts: KernelCounts,
     /// The optimal basis, captured for warm-starting child node LPs (see
     /// [`Basis`]). `None` only when the solve path cannot certify a basis
     /// worth reusing.
@@ -116,19 +190,15 @@ impl LpOutcome {
 /// The solver verifies the basis (nonsingular, primal feasible within
 /// tolerance) and silently falls back to the artificial phase-1 start if
 /// the verification fails, so a wrong crash can cost time but never
-/// correctness.
+/// correctness. A triangular crash (the assignment/capacity crash of
+/// time-indexed models) needs no declaration: it is all singletons to the
+/// LU, which factors it in O(nnz) with no fill.
 #[derive(Clone, Debug)]
 pub struct SimplexStart {
     /// Basic variable per row.
     pub basis: Vec<usize>,
     /// Nonbasic variables parked at their upper bound.
     pub at_upper: Vec<usize>,
-    /// Declares that the basis matrix is `B = I + L` with unit diagonal
-    /// and `L` strictly lower triangular satisfying `L² = 0` (e.g. the
-    /// assignment/capacity crash of time-indexed models). The solver
-    /// verifies the claim structurally and then builds `B⁻¹ = I − L` in
-    /// O(nnz) instead of a dense O(m³) inversion.
-    pub unit_lower_triangular: bool,
 }
 
 /// Solves the LP relaxation of `model` with overridden variable bounds
@@ -153,7 +223,7 @@ pub fn solve_lp_with_start(
     max_iterations: usize,
 ) -> LpOutcome {
     let mut simplex = Simplex::new(model, node_lower, node_upper);
-    let crashed = start.is_some_and(|s| simplex.try_crash(s));
+    let crashed = start.is_some_and(|s| simplex.install(&s.basis, &s.at_upper, true));
     simplex.solve(max_iterations, crashed)
 }
 
@@ -164,7 +234,7 @@ pub fn solve_lp(model: &Milp, max_iterations: usize) -> LpOutcome {
 
 /// Like [`solve_lp_with_bounds`], warm-starting from a parent node's
 /// captured optimal [`Basis`]: the basis is re-installed under the child
-/// bounds, refactorized, and repaired with dual simplex pivots — skipping
+/// bounds, factorized, and repaired with dual simplex pivots — skipping
 /// phase 1 entirely on the usual branch & bound path where only one
 /// variable's bound changed.
 ///
@@ -172,8 +242,9 @@ pub fn solve_lp(model: &Milp, max_iterations: usize) -> LpOutcome {
 /// Every failure mode — stale basis (wrong length, duplicates,
 /// singular), a dual stall, numerical trouble — falls back to the cold
 /// two-phase solve, so a bad basis costs time, never correctness. The
-/// fallback's iteration count includes the pivots wasted on the abandoned
-/// warm attempt, keeping budget accounting honest and deterministic.
+/// fallback's iteration and kernel counts include the work wasted on the
+/// abandoned warm attempt, keeping budget accounting honest and
+/// deterministic.
 pub fn solve_lp_warm(
     model: &Milp,
     node_lower: &[f64],
@@ -182,22 +253,19 @@ pub fn solve_lp_warm(
     max_iterations: usize,
 ) -> (LpOutcome, bool) {
     let mut simplex = Simplex::new(model, node_lower, node_upper);
-    if simplex.try_warm(warm) {
+    let mut wasted = (0, KernelCounts::default());
+    if simplex.install(&warm.basis, &warm.at_upper, false) {
         match simplex.solve_from_warm(max_iterations) {
             WarmResult::Done(out) => return (out, true),
-            WarmResult::Fallback(wasted) => {
-                let mut out = solve_lp_with_bounds(model, node_lower, node_upper, max_iterations);
-                if let LpOutcome::Optimal(s) = &mut out {
-                    s.iterations += wasted;
-                }
-                return (out, false);
-            }
+            WarmResult::Fallback(iterations, counts) => wasted = (iterations, counts),
         }
     }
-    (
-        solve_lp_with_bounds(model, node_lower, node_upper, max_iterations),
-        false,
-    )
+    let mut out = solve_lp_with_bounds(model, node_lower, node_upper, max_iterations);
+    if let LpOutcome::Optimal(s) = &mut out {
+        s.iterations += wasted.0;
+        s.counts.absorb(&wasted.1);
+    }
+    (out, false)
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -207,47 +275,103 @@ enum VarState {
     AtUpper,
 }
 
-struct Simplex<'a> {
+/// The constraint matrix as the solver sees it — `[A | slacks |
+/// artificials]` — readable by column and by row.
+struct Columns<'a> {
     model: &'a Milp,
-    m: usize,
     n_struct: usize,
     n_slack: usize,
-    n_total: usize,
     /// Row and sign of each slack variable.
     slack_row: Vec<usize>,
     slack_sign: Vec<f64>,
+    /// Slack variable of each row (`usize::MAX` on equality rows).
+    row_slack: Vec<usize>,
     /// Sign of the artificial column in each row.
     art_sign: Vec<f64>,
+}
+
+impl Columns<'_> {
+    /// Structural and slack variables: everything but the artificials.
+    fn n_real(&self) -> usize {
+        self.n_struct + self.n_slack
+    }
+
+    /// Iterates the non-zero entries of column `j` (structural, slack or
+    /// artificial) as `(row, value)`.
+    fn for_column(&self, j: usize, mut f: impl FnMut(usize, f64)) {
+        if j < self.n_struct {
+            for (r, v) in self.model.matrix.column(j) {
+                f(r, v);
+            }
+        } else if j < self.n_real() {
+            let k = j - self.n_struct;
+            f(self.slack_row[k], self.slack_sign[k]);
+        } else {
+            let r = j - self.n_real();
+            f(r, self.art_sign[r]);
+        }
+    }
+
+    /// Iterates the non-zero entries of row `i` across all three column
+    /// groups as `(variable, value)`.
+    fn for_row(&self, i: usize, mut f: impl FnMut(usize, f64)) {
+        for (j, v) in self.model.matrix.row(i) {
+            f(j, v);
+        }
+        let slack = self.row_slack[i];
+        if slack != usize::MAX {
+            f(slack, self.slack_sign[slack - self.n_struct]);
+        }
+        f(self.n_real() + i, self.art_sign[i]);
+    }
+}
+
+struct Simplex<'a> {
+    a: Columns<'a>,
+    m: usize,
+    n_total: usize,
     lower: Vec<f64>,
     upper: Vec<f64>,
     basis: Vec<usize>,
     state: Vec<VarState>,
-    /// Dense m x m basis inverse, row-major.
-    binv: Vec<f64>,
+    /// LU of the basis matrix (column `k` = column of `basis[k]`) plus the
+    /// etas of the pivots since; stale until the first
+    /// [`Simplex::refactor`].
+    lu: LuFactor,
     /// Current values of all variables.
     x: Vec<f64>,
-    pivots_since_refactor: usize,
     iterations: usize,
     /// Rotating cursor for partial pricing.
     price_start: usize,
-    /// Latched when a periodic refactorization finds the evolved basis
-    /// numerically singular (a pivot accepted on drifted inverse values
-    /// can do that). [`Simplex::solve`] restarts cold once; the warm
-    /// path falls back.
+    /// Latched when a refactorization finds the evolved basis
+    /// numerically singular (a pivot accepted on drifted values can do
+    /// that). [`Simplex::solve`] restarts cold once; the warm path falls
+    /// back.
     singular: bool,
-    /// Per-structural-column phase-2 cost perturbation, a deterministic
-    /// pure function of the column index. Time-indexed models price
-    /// thousands of columns identically (`width * t` ties across jobs),
-    /// which degenerates Dantzig pricing into near-cycling; the
-    /// perturbation breaks every tie so phase 2 makes strict progress.
-    /// Applied only while [`Simplex::perturbed`] is set — the final
-    /// cleanup pass re-optimizes on the true costs, so the reported
-    /// optimum is exact.
-    perturbation: Vec<f64>,
-    /// Whether [`Simplex::cost`] currently adds the perturbation.
+    /// Whether [`Simplex::cost`] currently adds the model's phase-2 cost
+    /// perturbation (see [`cost_perturbation`]). The final cleanup pass
+    /// re-optimizes on the true costs, so the reported optimum is exact.
     perturbed: bool,
-    /// Pivots between dense refactorizations (see [`REFACTOR_EVERY`]).
-    refactor_every: usize,
+    /// Phase-2 reduced costs `d_j = c_j − yᵀA_j` of the nonbasic
+    /// variables (0 for basic ones). Derived by
+    /// [`Simplex::compute_duals`]; the dual repair then carries them
+    /// from pivot to pivot and only re-derives them at a
+    /// refactorization.
+    d: Vec<f64>,
+    counts: KernelCounts,
+    /// Scratch owned by the solver so no kernel call allocates: a
+    /// row-indexed right-hand side and the FTRAN result by basis
+    /// position; a position-indexed right-hand side and the BTRAN result
+    /// by row; the pivot row of the dual.
+    rhs_rows: Vec<f64>,
+    w: Vec<f64>,
+    rhs_pos: Vec<f64>,
+    y: Vec<f64>,
+    alpha: Vec<f64>,
+    /// Largest relative distance between a carried `d_j` and its
+    /// re-derived value, over the refactorizations of the dual repair.
+    #[cfg(test)]
+    dual_drift: f64,
 }
 
 /// Relative scale of the phase-2 cost perturbation: column `j` gets
@@ -270,6 +394,24 @@ fn mix64(j: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The per-structural-column phase-2 cost perturbation, a deterministic
+/// pure function of the objective — so [`Milp::new`] builds it once and
+/// every node LP borrows it. Time-indexed models price thousands of
+/// columns identically (`width * t` ties across jobs), which degenerates
+/// Dantzig pricing into near-cycling; the perturbation breaks every tie
+/// so phase 2 makes strict progress.
+pub(crate) fn cost_perturbation(objective: &[f64]) -> Vec<f64> {
+    objective
+        .iter()
+        .enumerate()
+        .map(|(j, c)| {
+            // xi in [0.5, 1.0): never zero, always tie-breaking.
+            let xi = 0.5 + (mix64(j as u64) >> 11) as f64 / (1u64 << 53) as f64 / 2.0;
+            PERT * (1.0 + c.abs()) * xi
+        })
+        .collect()
+}
+
 impl<'a> Simplex<'a> {
     fn new(model: &'a Milp, node_lower: &[f64], node_upper: &[f64]) -> Simplex<'a> {
         let m = model.num_constraints();
@@ -278,18 +420,16 @@ impl<'a> Simplex<'a> {
         assert_eq!(node_upper.len(), n_struct);
         let mut slack_row = Vec::new();
         let mut slack_sign = Vec::new();
+        let mut row_slack = vec![usize::MAX; m];
         for (i, sense) in model.senses.iter().enumerate() {
-            match sense {
-                Sense::Le => {
-                    slack_row.push(i);
-                    slack_sign.push(1.0);
-                }
-                Sense::Ge => {
-                    slack_row.push(i);
-                    slack_sign.push(-1.0);
-                }
-                Sense::Eq => {}
-            }
+            let sign = match sense {
+                Sense::Le => 1.0,
+                Sense::Ge => -1.0,
+                Sense::Eq => continue,
+            };
+            row_slack[i] = n_struct + slack_row.len();
+            slack_row.push(i);
+            slack_sign.push(sign);
         }
         let n_slack = slack_row.len();
         let n_total = n_struct + n_slack + m;
@@ -297,124 +437,115 @@ impl<'a> Simplex<'a> {
         let mut upper = Vec::with_capacity(n_total);
         lower.extend_from_slice(node_lower);
         upper.extend_from_slice(node_upper);
-        lower.extend(std::iter::repeat_n(0.0, n_slack));
-        upper.extend(std::iter::repeat_n(f64::INFINITY, n_slack));
-        lower.extend(std::iter::repeat_n(0.0, m));
-        upper.extend(std::iter::repeat_n(f64::INFINITY, m));
+        lower.resize(n_total, 0.0);
+        upper.resize(n_total, f64::INFINITY);
 
         let mut sx = Simplex {
-            model,
+            a: Columns {
+                model,
+                n_struct,
+                n_slack,
+                slack_row,
+                slack_sign,
+                row_slack,
+                art_sign: vec![1.0; m],
+            },
             m,
-            n_struct,
-            n_slack,
             n_total,
-            slack_row,
-            slack_sign,
-            art_sign: vec![1.0; m],
             lower,
             upper,
             basis: Vec::new(),
             state: vec![VarState::AtLower; n_total],
-            binv: vec![0.0; m * m],
+            lu: LuFactor::default(),
             x: vec![0.0; n_total],
-            pivots_since_refactor: 0,
             iterations: 0,
             price_start: 0,
             singular: false,
-            perturbation: (0..n_struct)
-                .map(|j| {
-                    // xi in [0.5, 1.0): never zero, always tie-breaking.
-                    let xi = 0.5 + (mix64(j as u64) >> 11) as f64 / (1u64 << 53) as f64 / 2.0;
-                    PERT * (1.0 + model.objective[j].abs()) * xi
-                })
-                .collect(),
             perturbed: false,
-            refactor_every: REFACTOR_EVERY.max(m / 2),
+            d: vec![0.0; n_total],
+            counts: KernelCounts::default(),
+            rhs_rows: vec![0.0; m],
+            w: vec![0.0; m],
+            rhs_pos: vec![0.0; m],
+            y: vec![0.0; m],
+            alpha: vec![0.0; n_total],
+            #[cfg(test)]
+            dual_drift: 0.0,
         };
         sx.initialize();
         sx
     }
 
-    /// Iterates the non-zero entries of column `j` (structural, slack or
-    /// artificial) as `(row, value)`.
-    fn for_column(&self, j: usize, mut f: impl FnMut(usize, f64)) {
-        if j < self.n_struct {
-            for (r, v) in self.model.matrix.column(j) {
-                f(r, v);
-            }
-        } else if j < self.n_struct + self.n_slack {
-            let k = j - self.n_struct;
-            f(self.slack_row[k], self.slack_sign[k]);
-        } else {
-            let r = j - self.n_struct - self.n_slack;
-            f(r, self.art_sign[r]);
+    /// Rests every structural and slack variable on a finite bound: the
+    /// lower one if there is one, else the upper, else zero (a free
+    /// variable is treated as "at lower" with an infinite bound; it can
+    /// enter but never flip).
+    fn park_nonbasics(&mut self) {
+        for j in 0..self.a.n_real() {
+            (self.state[j], self.x[j]) = if self.lower[j].is_finite() {
+                (VarState::AtLower, self.lower[j])
+            } else if self.upper[j].is_finite() {
+                (VarState::AtUpper, self.upper[j])
+            } else {
+                (VarState::AtLower, 0.0)
+            };
         }
     }
 
-    /// Places nonbasic variables on a bound and builds the all-artificial
-    /// starting basis with signs chosen so artificial values are >= 0.
+    /// Places nonbasic variables on a bound and sets up the
+    /// all-artificial starting basis with signs chosen so artificial
+    /// values are >= 0. The basis is not factorized here: a crash or warm
+    /// install usually replaces it first.
     fn initialize(&mut self) {
-        // Nonbasic structural + slack variables at their finite bound.
-        for j in 0..self.n_struct + self.n_slack {
-            if self.lower[j].is_finite() {
-                self.state[j] = VarState::AtLower;
-                self.x[j] = self.lower[j];
-            } else if self.upper[j].is_finite() {
-                self.state[j] = VarState::AtUpper;
-                self.x[j] = self.upper[j];
-            } else {
-                // Free variable: park at zero (treated as "at lower" with
-                // an infinite bound; it can enter but never flip).
-                self.state[j] = VarState::AtLower;
-                self.x[j] = 0.0;
-            }
-        }
+        self.park_nonbasics();
         // Residual r = b - A x_N decides artificial signs.
-        let mut residual = self.model.rhs.clone();
-        for j in 0..self.n_struct + self.n_slack {
+        let mut residual = self.a.model.rhs.clone();
+        for j in 0..self.a.n_real() {
             let xj = self.x[j];
             if xj != 0.0 {
-                self.for_column(j, |r, v| residual[r] -= v * xj);
+                self.a.for_column(j, |r, v| residual[r] -= v * xj);
             }
         }
         self.basis = Vec::with_capacity(self.m);
         for i in 0..self.m {
-            self.art_sign[i] = if residual[i] >= 0.0 { 1.0 } else { -1.0 };
-            let art = self.n_struct + self.n_slack + i;
+            self.a.art_sign[i] = if residual[i] >= 0.0 { 1.0 } else { -1.0 };
+            let art = self.a.n_real() + i;
             self.basis.push(art);
             self.state[art] = VarState::Basic(i);
             self.x[art] = residual[i].abs();
         }
-        // B = diag(art_sign) so B^-1 = diag(art_sign).
-        self.binv.iter_mut().for_each(|v| *v = 0.0);
-        for i in 0..self.m {
-            self.binv[i * self.m + i] = self.art_sign[i];
-        }
-        self.pivots_since_refactor = 0;
     }
 
     /// Cost vector of the given phase.
     fn cost(&self, phase1: bool, j: usize) -> f64 {
         if phase1 {
-            if j >= self.n_struct + self.n_slack {
+            if j >= self.a.n_real() {
                 1.0
             } else {
                 0.0
             }
-        } else if j < self.n_struct {
+        } else if j < self.a.n_struct {
             if self.perturbed {
-                self.model.objective[j] + self.perturbation[j]
+                self.a.model.objective[j] + self.a.model.perturbation()[j]
             } else {
-                self.model.objective[j]
+                self.a.model.objective[j]
             }
         } else {
             0.0
         }
     }
 
+    /// Reduced cost `c_j − yᵀA_j` of column `j` against the current
+    /// [`Simplex::y`].
+    fn reduced_cost(&self, phase1: bool, j: usize) -> f64 {
+        let mut d = self.cost(phase1, j);
+        self.a.for_column(j, |r, v| d -= self.y[r] * v);
+        d
+    }
+
     /// Reduced-cost test of one nonbasic column: returns `(|d|, direction)`
     /// when entering `j` improves the phase objective.
-    fn price_candidate(&self, phase1: bool, j: usize, y: &[f64]) -> Option<(f64, f64)> {
+    fn price_candidate(&self, phase1: bool, j: usize) -> Option<(f64, f64)> {
         let dir = match self.state[j] {
             VarState::Basic(_) => return None,
             VarState::AtLower => 1.0,
@@ -423,261 +554,74 @@ impl<'a> Simplex<'a> {
         if self.lower[j] == self.upper[j] {
             return None; // fixed (e.g. neutralized artificials)
         }
-        let mut d = self.cost(phase1, j);
-        self.for_column(j, |r, v| d -= y[r] * v);
+        let d = self.reduced_cost(phase1, j);
         let improving = if dir > 0.0 { d < -TOL } else { d > TOL };
         improving.then_some((d.abs(), dir))
     }
 
-    /// y = c_B^T B^-1.
-    fn btran(&self, phase1: bool) -> Vec<f64> {
-        let mut y = vec![0.0; self.m];
-        for i in 0..self.m {
-            let cb = self.cost(phase1, self.basis[i]);
-            if cb != 0.0 {
-                let row = &self.binv[i * self.m..(i + 1) * self.m];
-                for k in 0..self.m {
-                    y[k] += cb * row[k];
-                }
-            }
+    /// `y = c_Bᵀ B⁻¹` for the given phase's costs, into [`Simplex::y`].
+    fn btran_costs(&mut self, phase1: bool) {
+        for k in 0..self.m {
+            self.rhs_pos[k] = self.cost(phase1, self.basis[k]);
         }
-        y
+        self.lu.btran(&mut self.rhs_pos, &mut self.y);
     }
 
-    /// w = B^-1 A_j.
-    fn ftran(&self, j: usize) -> Vec<f64> {
-        let mut w = vec![0.0; self.m];
-        self.for_column(j, |r, v| {
-            for i in 0..self.m {
-                w[i] += self.binv[i * self.m + r] * v;
-            }
-        });
-        w
+    /// `w = B⁻¹ A_j`, into [`Simplex::w`].
+    fn ftran(&mut self, j: usize) {
+        self.rhs_rows.fill(0.0);
+        let rhs = &mut self.rhs_rows;
+        self.a.for_column(j, |r, v| rhs[r] = v);
+        self.lu.ftran(&mut self.rhs_rows, &mut self.w);
     }
 
-    /// Non-panicking refactorization; returns `false` on a singular basis
-    /// (leaving the inverse in an undefined state — reinitialize after).
-    fn try_refactorize(&mut self) -> bool {
-        let m = self.m;
-        // Dense B, column i = column of basis[i].
-        let mut b = vec![0.0; m * m];
-        for (i, &var) in self.basis.iter().enumerate() {
-            self.for_column(var, |r, v| b[r * m + i] = v);
-        }
-        // Gauss-Jordan with partial pivoting on [B | I].
-        let mut inv = vec![0.0; m * m];
-        for i in 0..m {
-            inv[i * m + i] = 1.0;
-        }
-        for col in 0..m {
-            // Pivot search.
-            let mut best = col;
-            let mut best_abs = b[col * m + col].abs();
-            for row in col + 1..m {
-                let a = b[row * m + col].abs();
-                if a > best_abs {
-                    best = row;
-                    best_abs = a;
-                }
-            }
-            if best_abs <= PIVOT_TOL {
-                return false;
-            }
-            if best != col {
-                for k in 0..m {
-                    b.swap(col * m + k, best * m + k);
-                    inv.swap(col * m + k, best * m + k);
-                }
-            }
-            let piv = b[col * m + col];
-            for k in 0..m {
-                b[col * m + k] /= piv;
-                inv[col * m + k] /= piv;
-            }
-            for row in 0..m {
-                if row != col {
-                    let factor = b[row * m + col];
-                    if factor != 0.0 {
-                        for k in 0..m {
-                            b[row * m + k] -= factor * b[col * m + k];
-                            inv[row * m + k] -= factor * inv[col * m + k];
-                        }
-                    }
-                }
-            }
-        }
-        self.binv = inv;
+    /// Factorizes the current basis afresh (dropping the eta file) and
+    /// recomputes the basic values from it. Returns `false` on a singular
+    /// basis, leaving the factor unusable — install another basis or give
+    /// the solve up.
+    fn refactor(&mut self) -> bool {
+        let (a, basis) = (&self.a, &self.basis);
+        let Some(lu) = LuFactor::factor(self.m, |k, sink| a.for_column(basis[k], sink)) else {
+            return false;
+        };
+        self.counts.refactors += 1;
+        self.counts.lu_nnz += lu.factor_nnz();
+        self.lu = lu;
         self.recompute_basics();
-        self.pivots_since_refactor = 0;
         true
     }
 
-    /// Builds `B⁻¹ = I − L` for a verified unit-lower-triangular basis
-    /// with `L² = 0` (see [`SimplexStart::unit_lower_triangular`]), then
-    /// recomputes the basic values. O(m² + nnz) instead of O(m³).
-    fn try_triangular_inverse(&mut self) -> bool {
-        let m = self.m;
-        // Verify structure while collecting L's entries: column c (the
-        // basis var of row c) must have a unit entry on the diagonal and
-        // all other entries strictly below it; sub-diagonal entries must
-        // only land on rows whose own columns are "light" (no
-        // sub-diagonal entries), which is exactly L² = 0.
-        let mut entries: Vec<(usize, usize, f64)> = Vec::new();
-        let mut heavy = vec![false; m]; // column has sub-diagonal entries
-        for (c, &var) in self.basis.iter().enumerate() {
-            let mut diag_ok = false;
-            let mut bad = false;
-            self.for_column(var, |r, v| {
-                if r == c {
-                    if (v - 1.0).abs() < 1e-12 {
-                        diag_ok = true;
-                    } else {
-                        bad = true;
-                    }
-                } else if r > c {
-                    entries.push((r, c, v));
-                    heavy[c] = true;
-                } else {
-                    bad = true; // entry above the diagonal
-                }
-            });
-            if bad || !diag_ok {
-                return false;
-            }
-        }
-        if entries.iter().any(|&(r, _, _)| heavy[r]) {
-            return false; // L² != 0
-        }
-        self.binv.iter_mut().for_each(|v| *v = 0.0);
-        for i in 0..m {
-            self.binv[i * m + i] = 1.0;
-        }
-        for &(r, c, v) in &entries {
-            self.binv[r * m + c] = -v;
-        }
-        self.recompute_basics();
-        self.pivots_since_refactor = 0;
-        true
+    /// Records the basis change "position `r` now holds the column whose
+    /// FTRAN image is [`Simplex::w`]" in the eta file.
+    fn push_eta(&mut self, r: usize) {
+        self.lu.update(r, &self.w);
+        self.counts.eta_nnz_max = self.counts.eta_nnz_max.max(self.lu.eta_nnz());
     }
 
-    /// Attempts to install a caller-supplied crash basis; returns whether
-    /// the basis is usable (nonsingular and primal feasible), in which case
-    /// phase 1 can be skipped. On failure the solver is restored to the
-    /// artificial start.
-    fn try_crash(&mut self, start: &SimplexStart) -> bool {
-        if start.basis.len() != self.m {
-            return false;
-        }
-        let limit = self.n_struct + self.n_slack;
-        if start.basis.iter().any(|&v| v >= limit) {
-            return false;
-        }
-        // Install states: nonbasic at lower unless listed at_upper.
-        let old_basis = self.basis.clone();
-        let old_state = self.state.clone();
-        let old_x = self.x.clone();
-        for j in 0..limit {
-            if self.lower[j].is_finite() {
-                self.state[j] = VarState::AtLower;
-                self.x[j] = self.lower[j];
-            } else if self.upper[j].is_finite() {
-                self.state[j] = VarState::AtUpper;
-                self.x[j] = self.upper[j];
-            } else {
-                self.state[j] = VarState::AtLower;
-                self.x[j] = 0.0;
-            }
-        }
-        for &j in &start.at_upper {
-            if j < limit && self.upper[j].is_finite() {
-                self.state[j] = VarState::AtUpper;
-                self.x[j] = self.upper[j];
-            }
-        }
-        // Artificials nonbasic, pinned at zero.
-        for i in 0..self.m {
-            let art = limit + i;
-            self.state[art] = VarState::AtLower;
-            self.x[art] = 0.0;
-            self.lower[art] = 0.0;
-            self.upper[art] = 0.0;
-        }
-        let mut seen = vec![false; limit];
-        let mut duplicate = false;
-        for (row, &var) in start.basis.iter().enumerate() {
-            if seen[var] {
-                duplicate = true;
-                break;
-            }
-            seen[var] = true;
-            self.basis[row] = var;
-            self.state[var] = VarState::Basic(row);
-        }
-        let inverted = !duplicate
-            && if start.unit_lower_triangular {
-                self.try_triangular_inverse()
-            } else {
-                self.try_refactorize()
-            };
-        let ok = inverted && self.is_primal_feasible();
-        if !ok {
-            // Restore the artificial start untouched.
-            self.basis = old_basis;
-            self.state = old_state;
-            self.x = old_x;
-            for i in 0..self.m {
-                let art = limit + i;
-                self.lower[art] = 0.0;
-                self.upper[art] = f64::INFINITY;
-            }
-            self.binv.iter_mut().for_each(|v| *v = 0.0);
-            for i in 0..self.m {
-                self.binv[i * self.m + i] = self.art_sign[i];
-            }
-            self.pivots_since_refactor = 0;
-        }
-        ok
-    }
-
-    /// Attempts to install a parent node's captured optimal basis under
-    /// this LP's (child) bounds; returns whether the install succeeded.
+    /// Installs a caller-supplied basis with its at-upper set; returns
+    /// whether it is usable, restoring the artificial start otherwise.
     ///
-    /// Unlike [`Self::try_crash`] the basis may contain artificials
-    /// (basic at zero on redundant parent rows) and the result need
-    /// *not* be primal feasible — bound changes make exactly the
-    /// branched variable's row infeasible, which [`Self::run_dual`]
-    /// repairs. What it must be is structurally sound: right length, no
-    /// duplicates, nonsingular. On failure the solver is restored to the
-    /// artificial phase-1 start.
-    fn try_warm(&mut self, warm: &Basis) -> bool {
-        if warm.basis.len() != self.m {
+    /// A `crash` basis (see [`SimplexStart`]) may not contain artificials
+    /// and must be primal feasible, so phase 1 can be skipped. A warm
+    /// basis (a parent node's optimal [`Basis`] under this LP's child
+    /// bounds) may contain artificials — basic at zero on redundant
+    /// parent rows — and need *not* be primal feasible: bound changes
+    /// make exactly the branched variable's row infeasible, which
+    /// [`Self::run_dual`] repairs. Either must be structurally sound:
+    /// right length, no duplicates, nonsingular.
+    fn install(&mut self, basis: &[usize], at_upper: &[usize], crash: bool) -> bool {
+        let n_real = self.a.n_real();
+        let var_limit = if crash { n_real } else { self.n_total };
+        if basis.len() != self.m || basis.iter().any(|&v| v >= var_limit) {
             return false;
         }
-        if warm.basis.iter().any(|&v| v >= self.n_total) {
-            return false;
-        }
-        let limit = self.n_struct + self.n_slack;
-        let old_basis = self.basis.clone();
-        let old_state = self.state.clone();
-        let old_x = self.x.clone();
-        // Nonbasic structural + slack variables onto a (child) bound —
-        // the parent's at_upper choices stay dual feasible because
-        // reduced costs depend on the basis and objective, not on the
-        // bound values.
-        for j in 0..limit {
-            if self.lower[j].is_finite() {
-                self.state[j] = VarState::AtLower;
-                self.x[j] = self.lower[j];
-            } else if self.upper[j].is_finite() {
-                self.state[j] = VarState::AtUpper;
-                self.x[j] = self.upper[j];
-            } else {
-                self.state[j] = VarState::AtLower;
-                self.x[j] = 0.0;
-            }
-        }
-        for &j in &warm.at_upper {
-            if j < limit && self.upper[j].is_finite() {
+        // Nonbasic structural + slack variables onto a bound of this LP —
+        // a parent's at_upper choices stay dual feasible because reduced
+        // costs depend on the basis and objective, not on the bound
+        // values.
+        self.park_nonbasics();
+        for &j in at_upper {
+            if j < n_real && self.upper[j].is_finite() {
                 self.state[j] = VarState::AtUpper;
                 self.x[j] = self.upper[j];
             }
@@ -685,41 +629,77 @@ impl<'a> Simplex<'a> {
         // Artificials pinned to [0,0] exactly as at the end of phase 1:
         // nonbasic ones can never re-enter; basic ones (redundant rows)
         // are driven out or stay at zero.
-        for i in 0..self.m {
-            let art = limit + i;
+        for art in n_real..self.n_total {
             self.state[art] = VarState::AtLower;
             self.x[art] = 0.0;
-            self.lower[art] = 0.0;
             self.upper[art] = 0.0;
         }
         let mut seen = vec![false; self.n_total];
-        let mut duplicate = false;
-        for (row, &var) in warm.basis.iter().enumerate() {
-            if seen[var] {
-                duplicate = true;
+        let mut distinct = true;
+        for (row, &var) in basis.iter().enumerate() {
+            if std::mem::replace(&mut seen[var], true) {
+                distinct = false;
                 break;
             }
-            seen[var] = true;
             self.basis[row] = var;
             self.state[var] = VarState::Basic(row);
         }
-        let ok = !duplicate && self.try_refactorize();
+        let ok = distinct && self.refactor() && (!crash || self.is_primal_feasible());
         if !ok {
-            self.basis = old_basis;
-            self.state = old_state;
-            self.x = old_x;
-            for i in 0..self.m {
-                let art = limit + i;
-                self.lower[art] = 0.0;
-                self.upper[art] = f64::INFINITY;
-            }
-            self.binv.iter_mut().for_each(|v| *v = 0.0);
-            for i in 0..self.m {
-                self.binv[i * self.m + i] = self.art_sign[i];
-            }
-            self.pivots_since_refactor = 0;
+            self.upper[n_real..].fill(f64::INFINITY);
+            self.initialize();
         }
         ok
+    }
+
+    /// Derives the phase-2 reduced costs of every nonbasic variable from
+    /// scratch: one BTRAN for `y`, one pass over the columns.
+    fn compute_duals(&mut self) {
+        self.btran_costs(false);
+        for j in 0..self.n_total {
+            self.d[j] = match self.state[j] {
+                VarState::Basic(_) => 0.0,
+                _ => self.reduced_cost(false, j),
+            };
+        }
+    }
+
+    /// [`Self::compute_duals`] after a refactorization in the middle of a
+    /// dual repair; test builds also record how far the carried values
+    /// had drifted from the fresh ones.
+    fn rederive_duals(&mut self) {
+        #[cfg(test)]
+        let carried = self.d.clone();
+        self.compute_duals();
+        #[cfg(test)]
+        for j in 0..self.n_total {
+            if !matches!(self.state[j], VarState::Basic(_)) {
+                let drift = (carried[j] - self.d[j]).abs() / (1.0 + self.d[j].abs());
+                self.dual_drift = self.dual_drift.max(drift);
+            }
+        }
+    }
+
+    /// Row `r` of `B⁻¹[A | slacks | artificials]` into
+    /// [`Simplex::alpha`]: one BTRAN of `e_r` for `ρ_r`, then
+    /// `α_j = ρ_rᵀA_j` accumulated by walking only the rows of the matrix
+    /// where `ρ_r` is non-zero. Columns no such row reaches stay zero;
+    /// the users sweep the whole vector, which is sequential and cheap
+    /// next to the walk.
+    fn pivot_row(&mut self, r: usize) {
+        self.rhs_pos.fill(0.0);
+        self.rhs_pos[r] = 1.0;
+        self.lu.btran(&mut self.rhs_pos, &mut self.y);
+        self.alpha.fill(0.0);
+        for i in 0..self.m {
+            let rho = self.y[i];
+            if rho.abs() <= RHO_DROP_TOL {
+                continue;
+            }
+            self.counts.pricing_row_nnz += 1;
+            let alpha = &mut self.alpha;
+            self.a.for_row(i, |j, v| alpha[j] += rho * v);
+        }
     }
 
     /// Dual simplex: starting from a dual-feasible basis whose basic
@@ -728,15 +708,20 @@ impl<'a> Simplex<'a> {
     /// admissible nonbasic column in, until primal feasible.
     ///
     /// The pivot choice keeps dual feasibility (min-ratio on
-    /// `|d_j| / |alpha_j|`), and every tie breaks on the lowest index,
-    /// so the repair is deterministic. The primal objective is
-    /// non-decreasing along the way; [`STALL_LIMIT`] degenerate steps in
-    /// a row abandon the attempt ([`DualStatus::GiveUp`]) instead of
-    /// risking a cycle — the caller falls back to the cold solve.
+    /// `|d_j| / |alpha_j|` over the pivot row), and every tie breaks on
+    /// the lowest index, so the repair is deterministic. The primal
+    /// objective is non-decreasing along the way; [`STALL_LIMIT`]
+    /// degenerate steps in a row abandon the attempt
+    /// ([`DualStatus::GiveUp`]) instead of risking a cycle — the caller
+    /// falls back to the cold solve.
     fn run_dual(&mut self, max_iterations: usize) -> DualStatus {
         let mut stall = 0usize;
+        // Only objective *changes* feed the stall detector, so it is
+        // tracked relative to the starting basis.
+        let mut obj = 0.0;
         let mut last_obj = f64::NEG_INFINITY;
         let mut last_viol = f64::INFINITY;
+        self.compute_duals();
         loop {
             if self.iterations >= max_iterations {
                 return DualStatus::IterationLimit;
@@ -744,10 +729,13 @@ impl<'a> Simplex<'a> {
             if self.iterations & 0xff == 0 && dynp_obs::cancelled() {
                 return DualStatus::IterationLimit;
             }
-            if self.pivots_since_refactor >= self.refactor_every && !self.try_refactorize() {
-                // The evolved basis went numerically singular; abandon
-                // the repair, the caller falls back to the cold solve.
-                return DualStatus::GiveUp;
+            if self.lu.needs_refactor() {
+                if !self.refactor() {
+                    // The evolved basis went numerically singular; abandon
+                    // the repair, the caller falls back to the cold solve.
+                    return DualStatus::GiveUp;
+                }
+                self.rederive_duals();
             }
             // Leaving row: the most infeasible basic variable. The scan
             // also totals the infeasibility — reducing it is progress
@@ -777,15 +765,17 @@ impl<'a> Simplex<'a> {
                 return DualStatus::Feasible; // primal repaired
             };
             self.iterations += 1;
-            // Entering column: over nonbasic admissible columns, the
-            // dual min-ratio |d_j| / |alpha_j| where alpha_j = (B⁻¹A_j)_r
-            // (computed from row r of B⁻¹) and d_j is the phase-2
-            // reduced cost. Admissible = moving j off its bound shifts
-            // the leaving variable toward the violated bound.
-            let y = self.btran(false);
-            let rho = &self.binv[r * self.m..(r + 1) * self.m];
-            let mut enter: Option<(usize, f64)> = None; // (var, ratio)
+            // Entering column: over the nonbasic columns the pivot row
+            // reaches, the dual min-ratio |d_j| / |alpha_j|. Admissible =
+            // moving j off its bound shifts the leaving variable toward
+            // the violated bound.
+            self.pivot_row(r);
+            let mut enter: Option<(f64, usize)> = None; // (ratio, var)
             for j in 0..self.n_total {
+                let alpha = self.alpha[j];
+                if alpha.abs() <= PIVOT_TOL {
+                    continue; // not reached, or too small to pivot on
+                }
                 let dir = match self.state[j] {
                     VarState::Basic(_) => continue,
                     VarState::AtLower => 1.0,
@@ -794,26 +784,17 @@ impl<'a> Simplex<'a> {
                 if self.lower[j] == self.upper[j] {
                     continue; // fixed (pinned artificials, fixed vars)
                 }
-                let mut alpha = 0.0;
-                self.for_column(j, |row, v| alpha += rho[row] * v);
                 // x_B[r] changes by -dir * alpha * t; "above" needs a
                 // decrease, "below" an increase.
-                let admissible = if above {
-                    dir * alpha > PIVOT_TOL
-                } else {
-                    dir * alpha < -PIVOT_TOL
-                };
-                if !admissible {
+                if above != (dir * alpha > 0.0) {
                     continue;
                 }
-                let mut d = self.cost(false, j);
-                self.for_column(j, |row, v| d -= y[row] * v);
-                let ratio = d.abs() / alpha.abs();
-                if enter.is_none_or(|(_, best)| ratio < best) {
-                    enter = Some((j, ratio));
+                let ratio = self.d[j].abs() / alpha.abs();
+                if enter.is_none_or(|(best, _)| ratio < best) {
+                    enter = Some((ratio, j));
                 }
             }
-            let Some((j_enter, _)) = enter else {
+            let Some((_, j_enter)) = enter else {
                 // No column can repair row r: a primal infeasibility
                 // certificate. Trust it only when the violation is
                 // decisively larger than the feasibility tolerance;
@@ -830,8 +811,8 @@ impl<'a> Simplex<'a> {
                 VarState::AtUpper => -1.0,
                 VarState::Basic(_) => unreachable!("entering var is nonbasic"),
             };
-            let w = self.ftran(j_enter);
-            if w[r].abs() <= PIVOT_TOL {
+            self.ftran(j_enter);
+            if self.w[r].abs() <= PIVOT_TOL {
                 return DualStatus::GiveUp; // drift between rho and w
             }
             let leaving = self.basis[r];
@@ -841,11 +822,10 @@ impl<'a> Simplex<'a> {
                 self.lower[leaving]
             };
             // Step length that lands the leaving variable on its bound.
-            let t = ((self.x[leaving] - target) / (dir * w[r])).max(0.0);
+            let t = ((self.x[leaving] - target) / (dir * self.w[r])).max(0.0);
             self.x[j_enter] += dir * t;
             for i in 0..self.m {
-                let var = self.basis[i];
-                self.x[var] -= dir * t * w[i];
+                self.x[self.basis[i]] -= dir * t * self.w[i];
             }
             self.x[leaving] = target;
             self.state[leaving] = if above {
@@ -855,11 +835,24 @@ impl<'a> Simplex<'a> {
             };
             self.basis[r] = j_enter;
             self.state[j_enter] = VarState::Basic(r);
-            self.pivot_update(r, &w);
-            self.pivots_since_refactor += 1;
+            // Carry the reduced costs across the basis change:
+            // d_j -= theta * alpha_j along the pivot row, which sends the
+            // entering column's to zero and the leaving one's to -theta.
+            let d_enter = self.d[j_enter];
+            let theta = d_enter / self.alpha[j_enter];
+            for j in 0..self.n_total {
+                let alpha = self.alpha[j];
+                if alpha != 0.0 && !matches!(self.state[j], VarState::Basic(_)) {
+                    self.d[j] -= theta * alpha;
+                }
+            }
+            self.d[leaving] = -theta;
+            self.d[j_enter] = 0.0;
+            self.push_eta(r);
+            self.counts.dual_pivots += 1;
             // The primal objective is non-decreasing in dual simplex;
             // degenerate (zero-progress) steps feed the stall counter.
-            let obj = self.phase_objective(false);
+            obj += d_enter * dir * t;
             if obj > last_obj + TOL {
                 stall = 0;
                 last_obj = obj;
@@ -883,20 +876,20 @@ impl<'a> Simplex<'a> {
             DualStatus::Feasible => {}
             DualStatus::Infeasible => return WarmResult::Done(LpOutcome::Infeasible),
             DualStatus::IterationLimit => return WarmResult::Done(LpOutcome::IterationLimit),
-            DualStatus::GiveUp => return WarmResult::Fallback(self.iterations),
+            DualStatus::GiveUp => return WarmResult::Fallback(self.iterations, self.counts),
         }
         let polish = self.run_phase(false, max_iterations);
         self.perturbed = false;
         let cleanup = polish.and_then(|()| self.run_phase(false, max_iterations));
         match cleanup {
             Ok(()) => {}
-            Err(out) => {
+            Err(stop) => {
                 if self.singular {
                     // Numerically singular mid-polish: hand the node to
                     // the cold path rather than reporting a fake limit.
-                    return WarmResult::Fallback(self.iterations);
+                    return WarmResult::Fallback(self.iterations, self.counts);
                 }
-                return WarmResult::Done(out);
+                return WarmResult::Done(stop.into());
             }
         }
         self.recompute_basics();
@@ -912,32 +905,33 @@ impl<'a> Simplex<'a> {
 
     /// x_B = B^-1 (b - N x_N).
     fn recompute_basics(&mut self) {
-        let mut rhs = self.model.rhs.clone();
+        self.rhs_rows.copy_from_slice(&self.a.model.rhs);
         for j in 0..self.n_total {
             if let VarState::Basic(_) = self.state[j] {
                 continue;
             }
             let xj = self.x[j];
             if xj != 0.0 {
-                self.for_column(j, |r, v| rhs[r] -= v * xj);
+                let rhs = &mut self.rhs_rows;
+                self.a.for_column(j, |r, v| rhs[r] -= v * xj);
             }
         }
-        for i in 0..self.m {
-            let mut v = 0.0;
-            for k in 0..self.m {
-                v += self.binv[i * self.m + k] * rhs[k];
-            }
-            self.x[self.basis[i]] = v;
+        self.lu.ftran(&mut self.rhs_rows, &mut self.w);
+        for k in 0..self.m {
+            self.x[self.basis[k]] = self.w[k];
         }
     }
 
     /// One phase of the simplex; returns `Ok(())` at optimality.
-    fn run_phase(&mut self, phase1: bool, max_iterations: usize) -> Result<(), LpOutcome> {
+    fn run_phase(&mut self, phase1: bool, max_iterations: usize) -> Result<(), PhaseStop> {
         let mut stall = 0usize;
+        // Only objective *changes* feed the stall detector, so it is
+        // tracked relative to the phase's starting point.
+        let mut obj = 0.0;
         let mut last_obj = f64::INFINITY;
         loop {
             if self.iterations >= max_iterations {
-                return Err(LpOutcome::IterationLimit);
+                return Err(PhaseStop::IterationLimit);
             }
             // Poll the cooperative cancel token every 256 iterations; a
             // cancelled LP surfaces as the iteration limit, which the
@@ -945,24 +939,24 @@ impl<'a> Simplex<'a> {
             // accounting. The mask keeps the common-path cost at one
             // branch per iteration.
             if self.iterations & 0xff == 0 && dynp_obs::cancelled() {
-                return Err(LpOutcome::IterationLimit);
+                return Err(PhaseStop::IterationLimit);
             }
             self.iterations += 1;
-            if self.pivots_since_refactor >= self.refactor_every && !self.try_refactorize() {
+            if self.lu.needs_refactor() && !self.refactor() {
                 // Latch the failure for the caller: `solve` restarts the
                 // whole LP cold, the warm path falls back. The returned
                 // outcome is a placeholder both callers replace.
                 self.singular = true;
-                return Err(LpOutcome::IterationLimit);
+                return Err(PhaseStop::IterationLimit);
             }
             let bland = stall >= STALL_LIMIT;
-            let y = self.btran(phase1);
+            self.btran_costs(phase1);
             // Pricing: partial (rotating blocks) under Dantzig, full scan
             // from index 0 under Bland (anti-cycling needs a fixed order).
             let mut enter: Option<(usize, f64, f64)> = None; // (var, |d|, dir)
             if bland {
                 for j in 0..self.n_total {
-                    if let Some((d_abs, dir)) = self.price_candidate(phase1, j, &y) {
+                    if let Some((d_abs, dir)) = self.price_candidate(phase1, j) {
                         enter = Some((j, d_abs, dir));
                         break; // Bland: first improving index wins
                     }
@@ -976,7 +970,7 @@ impl<'a> Simplex<'a> {
                     let block_end = (scanned + PARTIAL_BLOCK).min(n);
                     for off in scanned..block_end {
                         let j = (self.price_start + off) % n;
-                        if let Some((d_abs, dir)) = self.price_candidate(phase1, j, &y) {
+                        if let Some((d_abs, dir)) = self.price_candidate(phase1, j) {
                             if enter.is_none_or(|(_, best, _)| d_abs > best) {
                                 enter = Some((j, d_abs, dir));
                             }
@@ -989,16 +983,16 @@ impl<'a> Simplex<'a> {
                     }
                 }
             }
-            let Some((j_enter, _, dir)) = enter else {
+            let Some((j_enter, d_abs, dir)) = enter else {
                 return Ok(()); // optimal for this phase
             };
             // Ratio test.
-            let w = self.ftran(j_enter);
+            self.ftran(j_enter);
             let range = self.upper[j_enter] - self.lower[j_enter]; // may be inf
             let mut t_max = range;
             let mut blocking: Option<usize> = None; // basis row
             for i in 0..self.m {
-                let delta = dir * w[i]; // x_B[i] decreases by delta * t
+                let delta = dir * self.w[i]; // x_B[i] decreases by delta * t
                 let var = self.basis[i];
                 let xb = self.x[var];
                 if delta > PIVOT_TOL {
@@ -1023,17 +1017,16 @@ impl<'a> Simplex<'a> {
                 return Err(if phase1 {
                     // Phase 1 objective is bounded below by 0; cannot be
                     // unbounded. Treat as numerical trouble.
-                    LpOutcome::IterationLimit
+                    PhaseStop::IterationLimit
                 } else {
-                    LpOutcome::Unbounded
+                    PhaseStop::Unbounded
                 });
             }
             let t = t_max.max(0.0);
             // Apply the step.
             self.x[j_enter] += dir * t;
             for i in 0..self.m {
-                let var = self.basis[i];
-                self.x[var] -= dir * t * w[i];
+                self.x[self.basis[i]] -= dir * t * self.w[i];
             }
             match blocking {
                 None => {
@@ -1049,10 +1042,11 @@ impl<'a> Simplex<'a> {
                         }
                         VarState::Basic(_) => unreachable!("entering var is nonbasic"),
                     };
+                    self.counts.bound_flips += 1;
                 }
                 Some(r) => {
                     let leaving = self.basis[r];
-                    let delta = dir * w[r];
+                    let delta = dir * self.w[r];
                     // Snap the leaving variable exactly onto the bound it hit.
                     if delta > 0.0 {
                         self.x[leaving] = self.lower[leaving];
@@ -1063,12 +1057,13 @@ impl<'a> Simplex<'a> {
                     }
                     self.basis[r] = j_enter;
                     self.state[j_enter] = VarState::Basic(r);
-                    self.pivot_update(r, &w);
-                    self.pivots_since_refactor += 1;
+                    self.push_eta(r);
+                    self.counts.primal_pivots += 1;
                 }
             }
-            // Stall detection on the phase objective.
-            let obj = self.phase_objective(phase1);
+            // Stall detection on the phase objective, which the step
+            // lowered by |d| per unit of the entering variable's move.
+            obj -= d_abs * t;
             if obj < last_obj - TOL {
                 stall = 0;
                 last_obj = obj;
@@ -1078,50 +1073,22 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    fn phase_objective(&self, phase1: bool) -> f64 {
-        (0..self.n_total)
-            .map(|j| self.cost(phase1, j) * self.x[j])
-            .sum()
-    }
-
-    /// Rank-one update of B^-1 after pivoting column `w` into row `r`.
-    fn pivot_update(&mut self, r: usize, w: &[f64]) {
-        let m = self.m;
-        let piv = w[r];
-        debug_assert!(piv.abs() > PIVOT_TOL, "tiny pivot {piv}");
-        // Row r /= piv.
-        for k in 0..m {
-            self.binv[r * m + k] /= piv;
-        }
-        for i in 0..m {
-            if i != r {
-                let factor = w[i];
-                if factor != 0.0 {
-                    for k in 0..m {
-                        self.binv[i * m + k] -= factor * self.binv[r * m + k];
-                    }
-                }
-            }
-        }
-    }
-
     fn solve(mut self, max_iterations: usize, crashed: bool) -> LpOutcome {
         let out = self.solve_inner(max_iterations, crashed);
         if !self.singular {
             return out;
         }
-        // The periodic refactorization found the evolved basis
-        // numerically singular — possible when a pivot was accepted on
-        // drifted inverse values. Restart once from scratch on the
-        // guaranteed-nonsingular artificial basis (structural node
-        // bounds are never mutated mid-solve, so they can be reused),
-        // folding the wasted pivots into the count to keep budget
-        // accounting honest and deterministic.
-        let wasted = self.iterations;
+        // A refactorization found the evolved basis numerically singular
+        // — possible when a pivot was accepted on drifted values. Restart
+        // once from scratch on the guaranteed-nonsingular artificial
+        // basis (structural node bounds are never mutated mid-solve, so
+        // they can be reused), folding the wasted work into the counts to
+        // keep budget accounting honest and deterministic.
+        let n_struct = self.a.n_struct;
         let mut fresh = Simplex::new(
-            self.model,
-            &self.lower[..self.n_struct],
-            &self.upper[..self.n_struct],
+            self.a.model,
+            &self.lower[..n_struct],
+            &self.upper[..n_struct],
         );
         let mut out = fresh.solve_inner(max_iterations, false);
         if fresh.singular {
@@ -1130,7 +1097,8 @@ impl<'a> Simplex<'a> {
             return LpOutcome::IterationLimit;
         }
         if let LpOutcome::Optimal(s) = &mut out {
-            s.iterations += wasted;
+            s.iterations += self.iterations;
+            s.counts.absorb(&self.counts);
         }
         out
     }
@@ -1138,20 +1106,22 @@ impl<'a> Simplex<'a> {
     fn solve_inner(&mut self, max_iterations: usize, crashed: bool) -> LpOutcome {
         // Phase 1: drive artificials to zero (skipped entirely when a
         // verified primal-feasible crash basis is installed).
+        if !crashed {
+            let factored = self.refactor();
+            debug_assert!(factored, "the artificial basis is diagonal");
+        }
         if self.m > 0 && !crashed {
             match self.run_phase(true, max_iterations) {
                 Ok(()) => {}
-                Err(out) => return out,
+                Err(stop) => return stop.into(),
             }
             self.recompute_basics();
-            let infeas = self.phase_objective(true);
+            let infeas: f64 = (self.a.n_real()..self.n_total).map(|art| self.x[art]).sum();
             if infeas > 1e-6 {
                 return LpOutcome::Infeasible;
             }
             // Fix artificials at zero so phase 2 can never reuse them.
-            for i in 0..self.m {
-                let art = self.n_struct + self.n_slack + i;
-                self.lower[art] = 0.0;
+            for art in self.a.n_real()..self.n_total {
                 self.upper[art] = 0.0;
                 if !matches!(self.state[art], VarState::Basic(_)) {
                     self.x[art] = 0.0;
@@ -1163,60 +1133,55 @@ impl<'a> Simplex<'a> {
         // the perturbed optimum is almost always already optimal for
         // them, so the cleanup is a handful of pivots at most.
         self.perturbed = true;
-        let before = self.iterations;
         let phase2 = self.run_phase(false, max_iterations);
         self.perturbed = false;
-        let mid = self.iterations;
-        match phase2 {
+        match phase2.and_then(|()| self.run_phase(false, max_iterations)) {
             Ok(()) => {}
-            Err(out) => return out,
-        }
-        let cleanup = self.run_phase(false, max_iterations);
-        if std::env::var_os("DYNP_SIMPLEX_DEBUG").is_some() {
-            eprintln!(
-                "simplex: m={} phase2={} cleanup={}",
-                self.m,
-                mid - before,
-                self.iterations - mid
-            );
-        }
-        match cleanup {
-            Ok(()) => {}
-            Err(out) => return out,
+            Err(stop) => return stop.into(),
         }
         self.recompute_basics();
         self.extract_optimal()
     }
 
     /// Extracts the optimal solution from the current (phase-2 optimal)
-    /// basis: structural values, reduced costs, and the captured basis
-    /// for warm-starting children.
-    fn extract_optimal(&self) -> LpOutcome {
-        let x = self.x[..self.n_struct].to_vec();
-        // Reduced costs d_j = c_j - y A_j at the optimal basis.
-        let y = self.btran(false);
-        let mut reduced_costs = vec![0.0; self.n_struct];
-        for (j, rc) in reduced_costs.iter_mut().enumerate() {
-            if matches!(self.state[j], VarState::Basic(_)) {
-                continue;
-            }
-            let mut d = self.model.objective[j];
-            self.for_column(j, |r, v| d -= y[r] * v);
-            *rc = d;
-        }
+    /// basis: structural values, reduced costs on the true costs, and the
+    /// captured basis for warm-starting children.
+    fn extract_optimal(&mut self) -> LpOutcome {
+        let n_struct = self.a.n_struct;
+        let x = self.x[..n_struct].to_vec();
+        self.compute_duals();
         let at_upper = (0..self.n_total)
             .filter(|&j| matches!(self.state[j], VarState::AtUpper))
             .collect();
         LpOutcome::Optimal(LpSolution {
-            objective: self.model.objective_value(&x),
+            objective: self.a.model.objective_value(&x),
             x,
-            reduced_costs,
+            reduced_costs: self.d[..n_struct].to_vec(),
             iterations: self.iterations,
+            counts: self.counts,
             basis: Some(Basis {
                 basis: self.basis.clone(),
                 at_upper,
             }),
         })
+    }
+}
+
+/// Why a primal phase ended short of optimality.
+enum PhaseStop {
+    /// Iteration budget or cancel token — also the placeholder when the
+    /// `singular` latch ends the phase.
+    IterationLimit,
+    /// Phase 2 found an improving ray.
+    Unbounded,
+}
+
+impl From<PhaseStop> for LpOutcome {
+    fn from(stop: PhaseStop) -> LpOutcome {
+        match stop {
+            PhaseStop::IterationLimit => LpOutcome::IterationLimit,
+            PhaseStop::Unbounded => LpOutcome::Unbounded,
+        }
     }
 }
 
@@ -1238,9 +1203,9 @@ enum DualStatus {
 enum WarmResult {
     /// The warm path produced a definitive outcome.
     Done(LpOutcome),
-    /// The warm path was abandoned after this many wasted iterations;
-    /// the caller must re-solve cold.
-    Fallback(usize),
+    /// The warm path was abandoned after this much wasted work; the
+    /// caller must re-solve cold.
+    Fallback(usize, KernelCounts),
 }
 
 #[cfg(test)]
@@ -1633,6 +1598,27 @@ mod tests {
     }
 
     #[test]
+    fn rejected_crash_starts_continue_from_the_artificial_basis() {
+        // Unlike a stale warm basis (a fresh solver re-solves cold), a
+        // rejected crash is followed by phase 1 on the *same* solver, so
+        // the install must put the artificial start back.
+        let m = warm_parent();
+        for basis in [
+            vec![0, 1, 4, 5], // singular: no column reaches row 1
+            vec![0, 2, 4, 5], // regular, but x0 = x2 = 1 overfills row 2
+        ] {
+            let start = SimplexStart {
+                basis,
+                at_upper: vec![],
+            };
+            let out = solve_lp_with_start(&m, &m.lower, &m.upper, Some(&start), 100_000);
+            let s = out.optimal().expect("falls back to the two-phase solve");
+            assert!((s.objective - 3.0).abs() < 1e-6, "obj {}", s.objective);
+            m.check_feasible(&s.x, 1e-6).unwrap();
+        }
+    }
+
+    #[test]
     fn warm_start_detects_child_infeasibility() {
         // min x s.t. x + y >= 2 with x,y in [0,1]; fixing both to 0 is
         // infeasible.
@@ -1668,6 +1654,108 @@ mod tests {
         let s = out.optimal().expect("child solvable");
         assert!(used, "artificial-bearing basis is still warm-startable");
         assert!((s.objective - 2.0).abs() < 1e-6, "obj {}", s.objective);
+    }
+
+    /// A random §3.1 snapshot on an empty machine (same shape as
+    /// `tests/warm_props.rs`).
+    fn random_timeindex(capacity: u32, specs: &[(u32, u64)]) -> crate::timeindex::TimeIndexedModel {
+        use dynp_trace::Job;
+        let jobs: Vec<Job> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(w, d))| Job::exact(i as u32, 0, 1 + w % capacity, 60 * (1 + d % 30)))
+            .collect();
+        let horizon: u64 = jobs.iter().map(|j| j.estimated_duration).sum();
+        let problem = dynp_sched::SchedulingProblem::on_empty_machine(0, capacity, jobs);
+        crate::timeindex::TimeIndexedModel::build(
+            &problem,
+            crate::scaling::TimeScaling::fixed(60),
+            horizon,
+        )
+    }
+
+    #[test]
+    fn crash_install_is_one_fill_free_factorization() {
+        // The triangular crash basis needs no special case: installing it
+        // is a single factorization that stores exactly the entries of B,
+        // and nothing asks for another one before the first pivot.
+        let ti = random_timeindex(4, &[(3, 9), (1, 4), (2, 17), (0, 2)]);
+        let model = &ti.model;
+        let crash = ti.crash_start(&model.lower, &model.upper).unwrap();
+        let mut sx = Simplex::new(model, &model.lower, &model.upper);
+        assert!(sx.install(&crash.basis, &crash.at_upper, true));
+        let mut entries = 0;
+        for &var in &crash.basis {
+            sx.a.for_column(var, |_, _| entries += 1);
+        }
+        assert_eq!(sx.counts.refactors, 1);
+        assert_eq!(sx.counts.lu_nnz, entries, "no fill, no multipliers");
+        assert!(!sx.lu.needs_refactor());
+        // And the counts reach the caller: an LP solved from the crash
+        // reports its single install plus whatever the pivots cost.
+        let out = solve_lp_with_start(model, &model.lower, &model.upper, Some(&crash), 100_000);
+        let counts = out.optimal().unwrap().counts;
+        assert!(counts.refactors >= 1);
+        assert_eq!(counts.dual_pivots, 0, "a cold solve never runs the dual");
+        assert!(counts.primal_pivots + counts.bound_flips > 0);
+    }
+
+    proptest::proptest! {
+        /// The dual repair carries `d_N` from pivot to pivot; at every
+        /// refactorization the carried values must equal `c − yᵀA`
+        /// re-derived from scratch. Driven the way branch & bound drives
+        /// it: a root-optimal basis installed under a child's bounds.
+        #[test]
+        fn carried_reduced_costs_match_a_fresh_derivation(
+            capacity in 2u32..6,
+            specs in proptest::collection::vec((0u32..8, 0u64..40), 2..6),
+            var_seed in 0usize..1000,
+            fix_up in 0u32..2,
+        ) {
+            let ti = random_timeindex(capacity, &specs);
+            let model = &ti.model;
+            let root = solve_lp(model, 200_000);
+            let root = root.optimal().expect("generated models are feasible");
+            let warm = root.basis.as_ref().unwrap();
+            // Forbid a start the root uses, or force an arbitrary one:
+            // either way the installed basis needs repairing.
+            let used: Vec<usize> = (0..model.num_vars()).filter(|&j| root.x[j] > 1e-6).collect();
+            let mut lower = model.lower.clone();
+            let mut upper = model.upper.clone();
+            if fix_up == 1 {
+                lower[var_seed % model.num_vars()] = 1.0;
+            } else {
+                upper[used[var_seed % used.len()]] = 0.0;
+            }
+            let mut sx = Simplex::new(model, &lower, &upper);
+            proptest::prop_assert!(sx.install(&warm.basis, &warm.at_upper, false));
+            sx.perturbed = true;
+            let status = sx.run_dual(200_000);
+            // Costs reach width * slot, so 1e-9 relative is ~1e-6 absolute
+            // at worst — far below the 1e-7-per-unit pricing tolerance's
+            // reach only if it holds at every refactorization.
+            proptest::prop_assert!(
+                sx.dual_drift <= 1e-9,
+                "carried d_N drifted {} from c - yA over {} dual pivots / {} factorizations",
+                sx.dual_drift,
+                sx.counts.dual_pivots,
+                sx.counts.refactors,
+            );
+            if matches!(status, DualStatus::Feasible) {
+                // The repaired basis must also price out under the fresh
+                // duals the extraction hands to branch & bound.
+                let carried = sx.d.clone();
+                sx.compute_duals();
+                for j in 0..sx.n_total {
+                    proptest::prop_assert!(
+                        (carried[j] - sx.d[j]).abs() <= 1e-9 * (1.0 + sx.d[j].abs()),
+                        "d[{j}] carried {} vs fresh {}",
+                        carried[j],
+                        sx.d[j],
+                    );
+                }
+            }
+        }
     }
 
     #[test]

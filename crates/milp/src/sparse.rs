@@ -1,11 +1,16 @@
-//! Compressed sparse-column (CSC) matrix for the LP solver.
+//! Compressed sparse-column (CSC) matrix for the LP solver, with a
+//! row-wise mirror.
 //!
 //! The time-indexed constraint matrix is extremely sparse — each variable
 //! `x_it` appears in exactly one assignment row and `ceil(d_i/scale)`
-//! capacity rows — and the revised simplex only ever needs fast access to
-//! *columns* (pricing, FTRAN), which CSC provides.
+//! capacity rows. The primal simplex needs fast access to *columns*
+//! (pricing, FTRAN), which CSC provides; the dual simplex needs one *row*
+//! of `B⁻¹A` per pivot, which is a combination of a few rows of `A` — so
+//! [`CscBuilder::build`] also lays the same entries out row-wise (CSR),
+//! once per matrix.
 
-/// A sparse matrix stored column-wise.
+/// A sparse matrix stored column-wise, plus a row-wise copy of the same
+/// entries.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CscMatrix {
     rows: usize,
@@ -17,6 +22,13 @@ pub struct CscMatrix {
     row_idx: Vec<u32>,
     /// Value of each stored entry.
     values: Vec<f64>,
+    /// Start offset of each row in `col_idx`/`row_values`; length `rows+1`.
+    row_ptr: Vec<usize>,
+    /// Column index of each stored entry, grouped by row, strictly
+    /// increasing within a row.
+    col_idx: Vec<u32>,
+    /// Value of each stored entry, in `col_idx` order.
+    row_values: Vec<f64>,
 }
 
 /// Incremental builder: append one column at a time.
@@ -60,16 +72,52 @@ impl CscBuilder {
         self.col_ptr.push(self.row_idx.len());
     }
 
-    /// Finishes the matrix.
+    /// Finishes the matrix, laying the entries out row-wise as well.
     pub fn build(self) -> CscMatrix {
+        let (row_ptr, col_idx, row_values) =
+            transpose(self.rows, &self.col_ptr, &self.row_idx, &self.values);
         CscMatrix {
             rows: self.rows,
             cols: self.col_ptr.len() - 1,
             col_ptr: self.col_ptr,
             row_idx: self.row_idx,
             values: self.values,
+            row_ptr,
+            col_idx,
+            row_values,
         }
     }
+}
+
+/// Transposes a compressed sparse matrix: `ptr`/`idx`/`val` list each
+/// major slice's `(minor index, value)` entries; the result lists each of
+/// the `minors` minor slices' `(major index, value)` entries, majors
+/// ascending. A counting sort, O(nnz + minors).
+pub(crate) fn transpose(
+    minors: usize,
+    ptr: &[usize],
+    idx: &[u32],
+    val: &[f64],
+) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
+    let mut t_ptr = vec![0usize; minors + 1];
+    for &i in idx {
+        t_ptr[i as usize + 1] += 1;
+    }
+    for i in 0..minors {
+        t_ptr[i + 1] += t_ptr[i];
+    }
+    let mut next = t_ptr.clone();
+    let mut t_idx = vec![0u32; idx.len()];
+    let mut t_val = vec![0.0; idx.len()];
+    for major in 0..ptr.len() - 1 {
+        for e in ptr[major]..ptr[major + 1] {
+            let slot = &mut next[idx[e] as usize];
+            t_idx[*slot] = major as u32;
+            t_val[*slot] = val[e];
+            *slot += 1;
+        }
+    }
+    (t_ptr, t_idx, t_val)
 }
 
 impl CscMatrix {
@@ -112,6 +160,15 @@ impl CscMatrix {
             .iter()
             .zip(&self.values[range])
             .map(|(&r, &v)| (r as usize, v))
+    }
+
+    /// Iterates the non-zeros of row `i` as `(column, value)`.
+    pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let range = self.row_ptr[i]..self.row_ptr[i + 1];
+        self.col_idx[range.clone()]
+            .iter()
+            .zip(&self.row_values[range])
+            .map(|(&c, &v)| (c as usize, v))
     }
 
     /// Dot product of column `j` with a dense vector.
@@ -174,6 +231,14 @@ mod tests {
         assert_eq!(col0, vec![(0, 1.0), (2, 4.0)]);
         let col1: Vec<_> = m.column(1).collect();
         assert_eq!(col1, vec![(1, 3.0)]);
+    }
+
+    #[test]
+    fn row_iteration_mirrors_the_columns() {
+        let m = sample();
+        assert_eq!(m.row(0).collect::<Vec<_>>(), vec![(0, 1.0), (2, 2.0)]);
+        assert_eq!(m.row(1).collect::<Vec<_>>(), vec![(1, 3.0)]);
+        assert_eq!(m.row(2).collect::<Vec<_>>(), vec![(0, 4.0), (2, 5.0)]);
     }
 
     #[test]

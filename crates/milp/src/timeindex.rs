@@ -205,7 +205,8 @@ impl TimeIndexedModel {
     ///
     /// The basis exploits the model's block structure: one chosen `x_it`
     /// per job is basic in its assignment row, and every capacity row keeps
-    /// its slack basic — a lower-triangular, trivially invertible basis.
+    /// its slack basic — a triangular basis the LU factors as singletons,
+    /// in O(nnz) with no fill.
     /// The chosen starts come from a greedy earliest-fit that honours the
     /// node's fixings (`lower = 1` forces a start slot, `upper = 0`
     /// forbids one). Returns `None` when the greedy cannot satisfy the
@@ -276,7 +277,6 @@ impl TimeIndexedModel {
         Some(crate::simplex::SimplexStart {
             basis,
             at_upper: Vec::new(),
-            unit_lower_triangular: true,
         })
     }
 

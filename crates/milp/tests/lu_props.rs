@@ -1,0 +1,315 @@
+//! Differential tests of the sparse LU basis kernel (DESIGN.md §14)
+//! against a dense Gauss-Jordan inverse — the kernel the simplex used to
+//! carry, kept here as the reference.
+//!
+//! The bases are the ones the solver really factors: the assignment /
+//! capacity crash basis of a random §3.1 time-indexed model, the optimal
+//! basis of its root LP, and what either turns into after up to 64
+//! column replacements (each recorded as an eta, exactly as a simplex
+//! pivot does). On all of them FTRAN and BTRAN through `L`, `U` and the
+//! eta file must agree with the dense inverse to 1e-9, and the LU must
+//! call a basis singular exactly when the dense reference does.
+//!
+//! Runs with the default case count under `cargo test`; CI re-runs it
+//! with `PROPTEST_CASES=256`.
+
+mod common;
+
+use common::random_model;
+use dynp_milp::lu::LuFactor;
+use dynp_milp::{solve_lp_with_start, LpOutcome, Milp, Sense, TimeIndexedModel};
+use proptest::prelude::*;
+
+/// Agreement tolerance between a sparse solve and the dense reference,
+/// relative to the reference entry.
+const SOLVE_TOL: f64 = 1e-9;
+/// The reference's singularity threshold (the LU's `PIVOT_TOL`).
+const PIVOT_TOL: f64 = 1e-9;
+/// A replacement column is only pivoted in on an entry this large, so the
+/// walk stays on well-conditioned bases (the simplex ratio tests do the
+/// same job).
+const MIN_PIVOT: f64 = 1e-6;
+
+/// Column `j` of `[A | slacks | artificials]` in the solver's variable
+/// layout. Artificials carry `+1`: these models have `b >= 0` and every
+/// variable resting at a zero lower bound, so the solver signs them so.
+fn column(model: &Milp, j: usize) -> Vec<(usize, f64)> {
+    let n = model.num_vars();
+    let slack_rows: Vec<usize> = (0..model.num_constraints())
+        .filter(|&i| model.senses[i] != Sense::Eq)
+        .collect();
+    if j < n {
+        model.matrix.column(j).collect()
+    } else if j < n + slack_rows.len() {
+        let row = slack_rows[j - n];
+        let sign = if model.senses[row] == Sense::Le {
+            1.0
+        } else {
+            -1.0
+        };
+        vec![(row, sign)]
+    } else {
+        vec![(j - n - slack_rows.len(), 1.0)]
+    }
+}
+
+fn num_columns(model: &Milp) -> usize {
+    let slacks = model.senses.iter().filter(|&&s| s != Sense::Eq).count();
+    model.num_vars() + slacks + model.num_constraints()
+}
+
+fn factor(model: &Milp, basis: &[usize]) -> Option<LuFactor> {
+    LuFactor::factor(basis.len(), |k, sink| {
+        for (r, v) in column(model, basis[k]) {
+            sink(r, v);
+        }
+    })
+}
+
+/// The reference: `B⁻¹` by Gauss-Jordan with partial pivoting on
+/// `[B | I]`, row-major (`binv[position * m + row]`); `None` when a pivot
+/// is at most [`PIVOT_TOL`].
+fn dense_inverse(model: &Milp, basis: &[usize]) -> Option<Vec<f64>> {
+    let m = basis.len();
+    let mut b = vec![0.0; m * m];
+    for (k, &var) in basis.iter().enumerate() {
+        for (r, v) in column(model, var) {
+            b[r * m + k] = v;
+        }
+    }
+    let mut binv = vec![0.0; m * m];
+    for i in 0..m {
+        binv[i * m + i] = 1.0;
+    }
+    for col in 0..m {
+        let best = (col..m)
+            .max_by(|&x, &y| b[x * m + col].abs().total_cmp(&b[y * m + col].abs()))
+            .expect("non-empty range");
+        if b[best * m + col].abs() <= PIVOT_TOL {
+            return None;
+        }
+        for k in 0..m {
+            b.swap(col * m + k, best * m + k);
+            binv.swap(col * m + k, best * m + k);
+        }
+        let piv = b[col * m + col];
+        for k in 0..m {
+            b[col * m + k] /= piv;
+            binv[col * m + k] /= piv;
+        }
+        for row in (0..m).filter(|&row| row != col) {
+            let factor = b[row * m + col];
+            if factor != 0.0 {
+                for k in 0..m {
+                    b[row * m + k] -= factor * b[col * m + k];
+                    binv[row * m + k] -= factor * binv[col * m + k];
+                }
+            }
+        }
+    }
+    Some(binv)
+}
+
+fn ftran(lu: &LuFactor, a: &[f64]) -> Vec<f64> {
+    let mut w = vec![0.0; a.len()];
+    lu.ftran(&mut a.to_vec(), &mut w);
+    w
+}
+
+fn btran(lu: &LuFactor, c: &[f64]) -> Vec<f64> {
+    let mut y = vec![0.0; c.len()];
+    lu.btran(&mut c.to_vec(), &mut y);
+    y
+}
+
+fn scatter(m: usize, entries: &[(usize, f64)]) -> Vec<f64> {
+    let mut dense = vec![0.0; m];
+    for &(r, v) in entries {
+        dense[r] = v;
+    }
+    dense
+}
+
+/// FTRAN of a structural column and of a dense vector, BTRAN of a unit
+/// vector (the dual's pricing row) and of a dense vector: sparse vs
+/// `binv`.
+fn assert_solves_match(
+    model: &Milp,
+    lu: &LuFactor,
+    binv: &[f64],
+    picks: &[usize],
+) -> Result<(), TestCaseError> {
+    let m = model.num_constraints();
+    let dense: Vec<f64> = (0..m)
+        .map(|i| (picks[i % picks.len()] % 17) as f64 - 8.0)
+        .collect();
+    let sparse_col = scatter(m, &column(model, picks[0] % model.num_vars()));
+    let unit = scatter(m, &[(picks[1] % m, 1.0)]);
+    for rhs in [&sparse_col, &dense] {
+        let got = ftran(lu, rhs);
+        for k in 0..m {
+            let want: f64 = (0..m).map(|r| binv[k * m + r] * rhs[r]).sum();
+            prop_assert!(
+                (got[k] - want).abs() <= SOLVE_TOL * (1.0 + want.abs()),
+                "FTRAN position {k}: sparse {} vs dense {want}",
+                got[k]
+            );
+        }
+    }
+    for rhs in [&unit, &dense] {
+        let got = btran(lu, rhs);
+        for r in 0..m {
+            let want: f64 = (0..m).map(|k| rhs[k] * binv[k * m + r]).sum();
+            prop_assert!(
+                (got[r] - want).abs() <= SOLVE_TOL * (1.0 + want.abs()),
+                "BTRAN row {r}: sparse {} vs dense {want}",
+                got[r]
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The crash basis of `ti` under its own bounds, and the root LP's
+/// optimal basis reached from it.
+fn crash_and_optimal(ti: &TimeIndexedModel) -> (Vec<usize>, Vec<usize>) {
+    let model = &ti.model;
+    let crash = ti
+        .crash_start(&model.lower, &model.upper)
+        .expect("an unfixed model always has a greedy crash");
+    let LpOutcome::Optimal(root) =
+        solve_lp_with_start(model, &model.lower, &model.upper, Some(&crash), 200_000)
+    else {
+        panic!("root LP of a generated model did not solve");
+    };
+    let optimal = root.basis.expect("optimal LP carries a basis").basis;
+    (crash.basis, optimal)
+}
+
+proptest! {
+    /// Sparse FTRAN/BTRAN ≡ the dense inverse on a crash or root-optimal
+    /// basis, and still after `k` column replacements carried as etas —
+    /// where a fresh factor of the walked-to basis must agree as well.
+    #[test]
+    fn sparse_solves_match_the_dense_inverse(
+        capacity in 2u32..6,
+        scale_idx in 0usize..3,
+        specs in prop::collection::vec((0u32..8, 0u64..40), 2..5),
+        from_optimal in 0u32..2,
+        k in 0usize..64,
+        picks in prop::collection::vec(0usize..1_000_000, 64),
+    ) {
+        let ti = random_model(capacity, [60u64, 120, 300][scale_idx], &specs);
+        let model = &ti.model;
+        let m = model.num_constraints();
+        let (crash, optimal) = crash_and_optimal(&ti);
+        let mut basis = if from_optimal == 1 { optimal } else { crash };
+
+        let mut lu = factor(model, &basis).expect("a basis the solver pivoted on");
+        let binv = dense_inverse(model, &basis).expect("reference agrees it is regular");
+        assert_solves_match(model, &lu, &binv, &picks)?;
+
+        let mut replaced = 0;
+        for &pick in picks.iter().take(k) {
+            let entering = pick % num_columns(model);
+            if basis.contains(&entering) {
+                continue;
+            }
+            let w = ftran(&lu, &scatter(m, &column(model, entering)));
+            // Largest entry, lowest position on ties.
+            let r = (0..m).rev().max_by(|&x, &y| w[x].abs().total_cmp(&w[y].abs())).unwrap();
+            if w[r].abs() < MIN_PIVOT {
+                continue;
+            }
+            lu.update(r, &w);
+            basis[r] = entering;
+            replaced += 1;
+        }
+        if replaced > 0 {
+            let binv = dense_inverse(model, &basis).expect("pivots kept the basis regular");
+            assert_solves_match(model, &lu, &binv, &picks)?;
+            let fresh = factor(model, &basis).expect("LU agrees it is regular");
+            assert_solves_match(model, &fresh, &binv, &picks)?;
+            prop_assert!(lu.eta_nnz() >= replaced, "one eta per replacement");
+            prop_assert_eq!(fresh.eta_nnz(), 0);
+        }
+    }
+
+    /// Overwriting positions of an optimal basis with arbitrary columns
+    /// keeps it regular when the position is one the column's FTRAN image
+    /// reaches and (almost always) makes it singular otherwise — a
+    /// duplicated column, a row nobody covers. Half the overwrites are
+    /// drawn each way; the LU must reject exactly the bases the dense
+    /// reference rejects.
+    #[test]
+    fn lu_and_dense_agree_on_singularity(
+        capacity in 2u32..6,
+        specs in prop::collection::vec((0u32..8, 0u64..40), 2..5),
+        swaps in 1usize..4,
+        picks in prop::collection::vec(0usize..1_000_000, 12),
+    ) {
+        let ti = random_model(capacity, 60, &specs);
+        let model = &ti.model;
+        let m = model.num_constraints();
+        let (_, mut basis) = crash_and_optimal(&ti);
+        for s in 0..swaps {
+            let Some(lu) = factor(model, &basis) else { break };
+            let entering = picks[3 * s] % num_columns(model);
+            let w = ftran(&lu, &scatter(m, &column(model, entering)));
+            let reached: Vec<usize> = (0..m).filter(|&k| w[k].abs() > MIN_PIVOT).collect();
+            let position = if picks[3 * s + 1] % 2 == 0 && !reached.is_empty() {
+                reached[picks[3 * s + 2] % reached.len()]
+            } else {
+                picks[3 * s + 2] % m
+            };
+            basis[position] = entering;
+        }
+        let lu = factor(model, &basis);
+        let binv = dense_inverse(model, &basis);
+        prop_assert_eq!(
+            lu.is_some(),
+            binv.is_some(),
+            "LU says {}, dense says {}",
+            if lu.is_some() { "regular" } else { "singular" },
+            if binv.is_some() { "regular" } else { "singular" },
+        );
+        if let (Some(lu), Some(binv)) = (lu, binv) {
+            assert_solves_match(model, &lu, &binv, &picks)?;
+        }
+    }
+}
+
+/// The pinned structure behind deleting the triangular special case: the
+/// time-indexed crash basis is all singletons, so its factor stores
+/// exactly the entries of `B` — no fill, no multipliers — and starts with
+/// an empty eta file.
+#[test]
+fn the_crash_basis_factors_with_zero_fill() {
+    let ti = random_model(4, 60, &[(3, 9), (1, 4), (2, 17), (0, 2)]);
+    let (crash, _) = crash_and_optimal(&ti);
+    let entries: usize = crash.iter().map(|&v| column(&ti.model, v).len()).sum();
+    assert!(
+        entries > crash.len(),
+        "the crash basis is not just a diagonal"
+    );
+    let lu = factor(&ti.model, &crash).expect("the crash basis is triangular");
+    assert_eq!(lu.factor_nnz(), entries);
+    assert_eq!(lu.eta_nnz(), 0);
+    assert!(!lu.needs_refactor());
+}
+
+/// Both kernels reject the structurally singular basis the warm path's
+/// fallback test uses: two start columns of one job plus two slacks
+/// leave the second job's assignment row uncovered.
+#[test]
+fn a_basis_missing_a_row_is_singular_to_both() {
+    let ti = random_model(2, 60, &[(0, 0), (0, 0)]);
+    let model = &ti.model;
+    let m = model.num_constraints();
+    // Job 0's first two start columns, then slacks for the rest.
+    let n = model.num_vars();
+    let mut basis = vec![0, 1];
+    basis.extend((0..m - 2).map(|t| n + t));
+    assert!(factor(model, &basis).is_none());
+    assert!(dense_inverse(model, &basis).is_none());
+}

@@ -9,40 +9,48 @@
 //! These properties drive random §3.1 time-indexed models (the real
 //! workload) through exactly the parent-to-child step the solver takes.
 
-use dynp_milp::{
-    solve_lp_warm, solve_lp_with_bounds, LpOutcome, TimeIndexedModel, TimeScaling,
-};
-use dynp_sched::SchedulingProblem;
-use dynp_trace::Job;
+mod common;
+
+use common::random_model;
+use dynp_milp::sparse::CscBuilder;
+use dynp_milp::{solve_lp_warm, solve_lp_with_bounds, LpOutcome, Milp, Sense, TimeIndexedModel};
 use proptest::prelude::*;
 
 /// Agreement tolerance between the warm and cold optima. Both paths end
 /// at a vertex of the same LP, but through different pivot sequences and
-/// dense refactorizations, so they agree to simplex accuracy (1e-7
+/// LU refactorizations, so they agree to simplex accuracy (1e-7
 /// feasibility tolerance), not to machine epsilon.
 const OBJ_TOL: f64 = 1e-6;
 /// Per-LP iteration budget; generously above anything these small
 /// models need, so hitting it is a failure, not noise.
 const MAX_ITERS: usize = 200_000;
 
-/// A random snapshot on an empty machine: `specs` is one `(width_seed,
-/// duration_seed)` pair per waiting job.
-fn random_model(capacity: u32, scale: u64, specs: &[(u32, u64)]) -> TimeIndexedModel {
-    let jobs: Vec<Job> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, &(w, d))| {
-            Job::exact(
-                i as u32,
-                0,
-                1 + w % capacity,
-                60 * (1 + d % 30),
-            )
-        })
-        .collect();
-    let horizon: u64 = jobs.iter().map(|j| j.estimated_duration).sum();
-    let problem = SchedulingProblem::on_empty_machine(0, capacity, jobs);
-    TimeIndexedModel::build(&problem, TimeScaling::fixed(scale), horizon)
+/// `ti`'s model with every assignment row stated twice. The copies are
+/// redundant equalities: phase 1 can only cover them with artificials
+/// that stay basic at zero, so every optimal basis of this model carries
+/// one artificial per job.
+fn with_duplicated_assignment_rows(ti: &TimeIndexedModel) -> Milp {
+    let model = &ti.model;
+    let (m, jobs) = (model.num_constraints(), ti.job_ids.len());
+    let mut matrix = CscBuilder::new(m + jobs);
+    for j in 0..model.num_vars() {
+        let mut col: Vec<(usize, f64)> = model.matrix.column(j).collect();
+        col.push((m + ti.var_map[j].0, 1.0));
+        matrix.push_column(&col);
+    }
+    let mut senses = model.senses.clone();
+    senses.extend(vec![Sense::Eq; jobs]);
+    let mut rhs = model.rhs.clone();
+    rhs.extend(vec![1.0; jobs]);
+    Milp::new(
+        model.objective.clone(),
+        matrix.build(),
+        senses,
+        rhs,
+        model.lower.clone(),
+        model.upper.clone(),
+        model.integral.clone(),
+    )
 }
 
 proptest! {
@@ -104,6 +112,61 @@ proptest! {
                 let mut check = w.x.clone();
                 check.truncate(model.num_vars());
                 prop_assert!(model.check_feasible(&check, 1e-5).is_ok());
+            }
+            (LpOutcome::Infeasible, LpOutcome::Infeasible) => {}
+            (w, c) => prop_assert!(
+                false,
+                "outcome mismatch after fixing x{var}: warm {w:?} vs cold {c:?}"
+            ),
+        }
+    }
+
+    /// The same parent-to-child step when the parent basis contains basic
+    /// artificials on redundant rows: the install must accept them (they
+    /// are pinned to zero, not dropped), and the repaired child must
+    /// still agree with the cold solve.
+    #[test]
+    fn warm_child_matches_cold_child_with_artificials_on_redundant_rows(
+        capacity in 2u32..6,
+        specs in prop::collection::vec((0u32..8, 0u64..40), 2..5),
+        var_seed in 0usize..1000,
+        fix_up in 0u32..2,
+    ) {
+        let ti = random_model(capacity, 60, &specs);
+        let model = with_duplicated_assignment_rows(&ti);
+        let LpOutcome::Optimal(root) =
+            solve_lp_with_bounds(&model, &model.lower, &model.upper, MAX_ITERS)
+        else {
+            panic!("duplicating rows cannot make a feasible model infeasible");
+        };
+        let basis = root.basis.as_ref().expect("optimal LP carries a basis");
+        let first_artificial = model.num_vars() + ti.horizon_slots;
+        let artificials = basis.basis.iter().filter(|&&v| v >= first_artificial).count();
+        prop_assert!(
+            artificials >= ti.job_ids.len(),
+            "{artificials} basic artificials for {} redundant rows",
+            ti.job_ids.len(),
+        );
+
+        let var = var_seed % model.num_vars();
+        let mut lower = model.lower.clone();
+        let mut upper = model.upper.clone();
+        if fix_up == 1 {
+            lower[var] = 1.0;
+        } else {
+            upper[var] = 0.0;
+        }
+        let (warm_outcome, used) = solve_lp_warm(&model, &lower, &upper, basis, MAX_ITERS);
+        prop_assert!(used, "an artificial-bearing basis must still install and repair");
+        match (warm_outcome, solve_lp_with_bounds(&model, &lower, &upper, MAX_ITERS)) {
+            (LpOutcome::Optimal(w), LpOutcome::Optimal(c)) => {
+                prop_assert!(
+                    (w.objective - c.objective).abs() < OBJ_TOL,
+                    "warm {} vs cold {} after fixing x{var}",
+                    w.objective,
+                    c.objective,
+                );
+                prop_assert!(model.check_feasible(&w.x, 1e-5).is_ok());
             }
             (LpOutcome::Infeasible, LpOutcome::Infeasible) => {}
             (w, c) => prop_assert!(
