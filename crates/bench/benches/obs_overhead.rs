@@ -217,9 +217,9 @@ fn bench_context(c: &mut Criterion) {
 /// exact span shapes of `obs_context` again with the profiling flag
 /// explicitly confirmed off; the numbers must be statistically
 /// indistinguishable from that group's. (The profiling-ON cost is
-/// measured with a bounded op count in the `obs_insight` bin and
-/// recorded in `BENCH_watch.json`; an open-ended criterion loop would
-/// grow the profile buffer without limit.)
+/// not measured here: every profiled span close pushes a `SpanRec`,
+/// so an open-ended criterion loop would grow the profile buffer
+/// without limit.)
 fn bench_watch_disabled(c: &mut Criterion) {
     let r = recorder().expect("installed by a previous group");
     assert!(

@@ -7,8 +7,7 @@
 //! verifies the runs agree byte-for-byte, and validates the final report
 //! with the strict JSON parser. Writes
 //! `results/campaign.{txt,json,events.jsonl}` plus the campaign's own
-//! `results/campaign-run/` report files, and `BENCH_campaign.json` at the
-//! repo root.
+//! `results/campaign-run/` report files.
 //!
 //! Usage: `cargo run --release -p dynp-bench --bin campaign \
 //!   [n_jobs] [n_shards] [workers_csv] [selectors_csv] [--watch <addr>]`
@@ -156,7 +155,7 @@ fn main() {
                 .with("speedup", speedup),
         );
     }
-    report.set("sweep", rows.clone());
+    report.set("sweep", rows);
     for &w in &workers {
         // Scratch checkpoints only existed to defeat resume during timing.
         let _ = std::fs::remove_dir_all(format!("results/campaign-run-w{w}"));
@@ -180,13 +179,5 @@ fn main() {
     ));
     report.set("fingerprint", outcome.fingerprint.as_str());
     report.set("report_cells", outcome.cells_total);
-
-    // Repo-root summary for the driver, mirroring the other BENCH files.
-    let bench = JsonValue::object()
-        .with("bench", "campaign")
-        .with("n_jobs", jobs.len())
-        .with("cells", outcome.cells_total)
-        .with("sweep", rows);
-    std::fs::write("BENCH_campaign.json", bench.to_json_pretty()).expect("write BENCH_campaign");
     report.finish().expect("write report");
 }

@@ -2,8 +2,7 @@
 //! observability cost on the batched-admission fast path?
 //!
 //! Both modes drive the same [`dynp_serve::ServiceCore`] with the same
-//! CTC-shaped submission sequence in the same 64-job batches (the
-//! configuration `dynp-bench --bin serve` reports throughput for). The
+//! CTC-shaped submission sequence in the same 64-job batches. The
 //! *on* mode is the full PR-9 observability surface: per-job lifecycle
 //! timelines (the flight recorder behind `GET /v1/jobs/<id>/trace`)
 //! plus a sliding-window aggregator fed one cumulative snapshot per
@@ -113,9 +112,9 @@ fn main() {
     let chunk = 64;
 
     // The timed region runs against the exact recorder configuration
-    // `dynp-bench --bin serve` installs — a bounded in-memory ring, not
+    // the `dynp-serve` binary installs — a bounded in-memory ring, not
     // a file sink. `Report::new` installs a *rotating file* recorder,
-    // so (like obs_insight) the report is constructed after all timing;
+    // so the report is constructed after all timing;
     // attributing file I/O to the flight recorder would measure the
     // wrong deployment.
     dynp_obs::install(dynp_obs::Recorder::new(dynp_obs::Sink::ring(4096)));

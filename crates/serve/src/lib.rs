@@ -30,8 +30,8 @@
 //! 1. **Batched admission.** Submissions arriving within one tick are
 //!    coalesced and planned by a *single* self-tuning step — one
 //!    availability-profile build for the whole batch instead of one
-//!    full tuning pass per request. `dynp-bench --bin serve` measures
-//!    the resulting throughput gap at 1 000 concurrent submissions.
+//!    full tuning pass per request. `benchmark/`'s `serve_core_backlog`
+//!    and `serve_http_open` workloads measure the resulting throughput.
 //! 2. **Determinism.** The service runs on a logical clock advanced
 //!    only by submissions, so the decision stream is a pure function of
 //!    the admitted submission sequence: same order in, byte-identical

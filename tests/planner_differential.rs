@@ -74,7 +74,7 @@ fn plan_reference(problem: &SchedulingProblem, policy: Policy) -> Schedule {
 
 /// Asserts bit-identical schedules for every policy on one snapshot, and
 /// that a full `SelfTuning::step` returns the reference plan of its chosen
-/// policy with reference metric values.
+/// policy — the advanced decider's pick — with reference metric values.
 fn assert_planner_equivalence(problem: &SchedulingProblem) {
     for policy in Policy::ALL {
         let optimized = plan(problem, policy).expect("plannable snapshot");
@@ -93,6 +93,11 @@ fn assert_planner_equivalence(problem: &SchedulingProblem) {
         out.schedule,
         plan_reference(problem, out.chosen),
         "SelfTuning::step schedule differs from the reference plan"
+    );
+    assert_eq!(
+        out.chosen,
+        Decider::Advanced.decide(Metric::SldwA, &out.evaluations, Policy::PAPER_SET[0]),
+        "SelfTuning::step did not choose what the advanced decider picks"
     );
     for (policy, value) in &out.evaluations {
         let reference_value = Metric::SldwA.eval(problem, &plan_reference(problem, *policy));
@@ -134,6 +139,30 @@ fn synthetic_ctc_snapshots_plan_bit_identically() {
             assert_planner_equivalence(&snap.problem);
         }
     }
+}
+
+#[test]
+fn busy_machine_deep_queue_plans_bit_identically() {
+    // Ten running jobs (widths capped so all ten fit) and 1 000 waiting
+    // CTC jobs on 430 nodes, submissions folded into the hour before
+    // `now`: the deep-backlog shape the skip-scan fit was built for.
+    let (nodes, now) = (430u32, 1_000_000u64);
+    let trace = CtcModel::default().generate(1_010, 2_729);
+    assert_eq!(trace.machine_size, nodes);
+    let running: Vec<(u32, u64)> = trace.jobs[..10]
+        .iter()
+        .enumerate()
+        .map(|(k, j)| (j.width.min(nodes / 14), now + 600 + 300 * k as u64))
+        .collect();
+    let waiting = trace.jobs[10..]
+        .iter()
+        .map(|j| Job {
+            submit: now - j.submit % 3600,
+            ..*j
+        })
+        .collect();
+    let history = MachineHistory::build(nodes, now, &running);
+    assert_planner_equivalence(&SchedulingProblem::new(now, history, waiting));
 }
 
 #[test]

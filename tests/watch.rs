@@ -3,7 +3,8 @@
 //! a /progress document that reaches done == total, the self-test alert
 //! on /alerts, and tail-able /events — and the collapsed-stack profile
 //! it produces must reconcile with the dynp-insight analysis of the
-//! very same event log.
+//! very same event log. A campaign that loses a cell must raise the
+//! `campaign-degraded-cells` alert; a clean one must not.
 //!
 //! The recorder is process-global, so every test takes `OBS_LOCK` and
 //! installs a fresh recorder (the previous one is leaked by design).
@@ -80,6 +81,19 @@ fn config(dir: &std::path::Path) -> CampaignConfig {
         .with_output_dir(dir)
 }
 
+/// How often `rule` has fired according to an `/alerts` body.
+fn fired(alerts: &str, rule: &str) -> u64 {
+    let alerts = json::parse(alerts).expect("alerts are strict JSON");
+    alerts
+        .get("rules")
+        .and_then(json::JsonValue::as_array)
+        .expect("rules array")
+        .iter()
+        .find(|r| r.get("rule").and_then(json::JsonValue::as_str) == Some(rule))
+        .and_then(|r| r.get("fired").and_then(json::JsonValue::as_u64))
+        .unwrap_or_else(|| panic!("rule {rule} missing from /alerts"))
+}
+
 #[test]
 fn watched_campaign_serves_metrics_progress_alerts_and_a_reconciling_profile() {
     let (recorder, _guard) = fresh_recorder();
@@ -141,6 +155,8 @@ fn watched_campaign_serves_metrics_progress_alerts_and_a_reconciling_profile() {
         alerts.contains("campaign-progress-selftest"),
         "unexpected firing rule:\n{alerts}"
     );
+    // No cell degraded, so that rule stayed silent on every tick so far.
+    assert_eq!(fired(&alerts, "campaign-degraded-cells"), 0, "{alerts}");
 
     // /events: tailing from seq 0 returns the campaign's event lines,
     // each spliced in verbatim, with a resumable cursor.
@@ -202,6 +218,39 @@ fn watched_campaign_serves_metrics_progress_alerts_and_a_reconciling_profile() {
         );
     }
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn degraded_campaign_fires_the_degraded_cells_alert() {
+    let (_recorder, _guard) = fresh_recorder();
+    let server = WatchServer::start_with_tick(
+        ("127.0.0.1", 0),
+        default_rules(),
+        Duration::from_millis(20),
+    )
+    .expect("bind watch server");
+
+    // Cell 0 panics on every attempt, so it stays crashed and the sweep
+    // finishes degraded.
+    let dir = unique_dir("degraded");
+    let faulted = config(&dir).with_faults(FaultPlan::none().inject(0, FaultKind::Panic, u32::MAX));
+    let outcome = run_campaign(&campaign_trace(), &faulted).expect("degraded campaign exits ok");
+    assert_eq!(outcome.cells_crashed, 1);
+
+    // The alert tick is asynchronous: poll until the rule has fired.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let (status, alerts) = get(server.local_addr(), "/alerts");
+        assert_eq!(status, 200);
+        if fired(&alerts, "campaign-degraded-cells") >= 1 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "degraded-cells alert never fired:\n{alerts}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
