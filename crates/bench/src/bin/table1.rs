@@ -72,11 +72,10 @@ fn main() {
     let sample = spread_sample(&run.snapshots, rows);
     eprintln!("solving {} snapshots exactly (parallel) ...", sample.len());
     let config = SolveConfig {
-        // Eq. 6 with the per-entry constant re-measured for *this* solver:
-        // the paper calibrated x = 0.1 kB for CPLEX's data structures; our
-        // revised simplex keeps a dense m x m basis inverse, so the
-        // per-entry footprint is ~64x larger, which Eq. 6 turns into a
-        // correspondingly coarser (but still minutes-range) time scale.
+        // Eq. 6 with a 64x smaller budget than the paper's: a calibration
+        // kept so the time scales Eq. 6 picks (coarser than the paper's,
+        // still minutes-range) stay comparable across PRs. It no longer
+        // models this solver's footprint — the basis is a sparse LU.
         memory_bytes: dynp_milp::PAPER_MEMORY_BYTES / 64.0,
         limits: BranchLimits {
             max_nodes: 20_000,

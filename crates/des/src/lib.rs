@@ -165,35 +165,6 @@ pub fn run_to_completion<M: Model>(model: &mut M, queue: &mut EventQueue<M::Even
     queue.now()
 }
 
-/// Drives `model` until the queue is empty or the clock passes `deadline`;
-/// events scheduled after the deadline remain in the queue.
-///
-/// Instrumented like [`run_to_completion`], against the same
-/// `des.events` / `des.queue_depth` metrics, and cancellable through the
-/// same cooperative token.
-pub fn run_until<M: Model>(model: &mut M, queue: &mut EventQueue<M::Event>, deadline: u64) -> u64 {
-    let obs = dynp_obs::recorder();
-    let m_events = obs.map(|r| r.counter("des.events"));
-    let m_depth = obs.map(|r| r.gauge("des.queue_depth"));
-    while let Some(t) = queue.peek_time() {
-        if t > deadline {
-            break;
-        }
-        let (now, event) = queue.pop().expect("peeked event exists");
-        if let Some(m) = &m_events {
-            m.inc();
-        }
-        model.handle(now, event, queue);
-        if let Some(m) = &m_depth {
-            m.set(queue.len() as i64);
-        }
-        if dynp_obs::cancelled() {
-            break;
-        }
-    }
-    queue.now()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,23 +258,6 @@ mod tests {
         run_to_completion(&mut model, &mut q);
         assert_eq!(model.seen.len(), 1, "one event dispatched, then cancelled");
         assert!(!q.is_empty(), "remaining events stay queued");
-
-        let mut q2 = EventQueue::new();
-        q2.schedule(0, 100u32);
-        let mut model2 = Countdown { seen: vec![] };
-        run_until(&mut model2, &mut q2, 1_000_000);
-        assert_eq!(model2.seen.len(), 1);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut model = Countdown { seen: vec![] };
-        let mut q = EventQueue::new();
-        q.schedule(0, 5u32);
-        run_until(&mut model, &mut q, 25);
-        // Events at 0, 10, 20 processed; 30 remains.
-        assert_eq!(model.seen.len(), 3);
-        assert_eq!(q.peek_time(), Some(30));
     }
 
     #[test]

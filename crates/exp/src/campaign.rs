@@ -346,29 +346,10 @@ impl ExactConfig {
         self
     }
 
-    /// Global simplex iteration budget per solve, summed over all node
-    /// LPs (the per-LP budget caps one relaxation; this caps the solve).
-    pub fn with_total_lp_iteration_budget(mut self, budget: usize) -> ExactConfig {
-        self.total_lp_iteration_budget = Some(budget);
-        self
-    }
-
     /// Worker threads for node-LP solves (wall-clock only; results are
     /// byte-identical for any value).
     pub fn with_solver_workers(mut self, workers: usize) -> ExactConfig {
         self.solver_workers = workers;
-        self
-    }
-
-    /// Comparison metric.
-    pub fn with_metric(mut self, metric: Metric) -> ExactConfig {
-        self.metric = metric;
-        self
-    }
-
-    /// Fixed slot width (overrides Eq. 6).
-    pub fn with_scale_override(mut self, scale: u64) -> ExactConfig {
-        self.scale_override = Some(scale);
         self
     }
 
@@ -692,9 +673,6 @@ pub struct CampaignOutcome {
     /// Path of the OpenMetrics snapshot (`None` when no global recorder
     /// was installed, so there was nothing to expose).
     pub metrics_path: Option<PathBuf>,
-    /// Path of the collapsed-stack profile (`None` unless the global
-    /// recorder had span profiling enabled and captured spans).
-    pub folded_path: Option<PathBuf>,
 }
 
 /// One unit of campaign work, fully determined by config + trace.
@@ -781,7 +759,7 @@ pub fn run_campaign(jobs: &[Job], config: &CampaignConfig) -> Result<CampaignOut
         )
     });
     let campaign_started = std::time::Instant::now();
-    let campaign_id = dynp_obs::campaign_hash(&fingerprint);
+    let campaign_id = checkpoint::fnv1a64(fingerprint.as_bytes());
     let computed = AtomicUsize::new(0);
     let resumed = AtomicUsize::new(0);
     let cells_total = cells.len();
@@ -896,22 +874,6 @@ pub fn run_campaign(jobs: &[Job], config: &CampaignConfig) -> Result<CampaignOut
         }
         None => None,
     };
-    // Collapsed-stack profile when the span-profiling hook was on:
-    // `inferno`/`flamegraph.pl` render it directly.
-    let folded_path = match dynp_obs::recorder() {
-        Some(r) if r.profiling_enabled() => {
-            let records = r.profile_records();
-            if records.is_empty() {
-                None
-            } else {
-                let path = config.output_dir.join(format!("{}.folded", config.name));
-                let profile = dynp_obs::profile_spans(&records);
-                std::fs::write(&path, dynp_obs::render_folded(&profile))?;
-                Some(path)
-            }
-        }
-        _ => None,
-    };
     drop(span);
 
     Ok(CampaignOutcome {
@@ -927,7 +889,6 @@ pub fn run_campaign(jobs: &[Job], config: &CampaignConfig) -> Result<CampaignOut
         report_json_path,
         report_text_path,
         metrics_path,
-        folded_path,
     })
 }
 

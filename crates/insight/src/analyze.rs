@@ -99,8 +99,8 @@ pub fn analyze_groups(groups: &[MergedGroup], opts: &Options) -> JsonValue {
     let mut span_hists: BTreeMap<String, Histogram> = BTreeMap::new();
     let mut recon = Reconciliation::default();
     // Full-stream profile (cell + free spans), merged per run: the same
-    // fold that produces live `.folded` files, so the timing section's
-    // self times agree with them by construction.
+    // fold the `fold` subcommand renders, so the timing section's self
+    // times agree with it by construction.
     let mut profile = Profile::default();
     let mut logical_groups = JsonValue::Array(Vec::new());
     let mut timing_groups = JsonValue::Array(Vec::new());
@@ -178,9 +178,8 @@ fn partition_runs(group: &MergedGroup) -> Vec<Vec<&crate::event::Event>> {
     runs
 }
 
-/// Rebuilds [`SpanRec`]s from one run's `span` close events — the
-/// offline twin of the recorder's live profiling hook. Both cell and
-/// free spans are kept; span ids are only meaningful within one run,
+/// Rebuilds [`SpanRec`]s from one run's `span` close events. Both cell
+/// and free spans are kept; span ids are only meaningful within one run,
 /// which is why callers fold per run and [`Profile::merge`] the results.
 fn run_span_records(events: &[&crate::event::Event]) -> Vec<SpanRec> {
     events
@@ -257,7 +256,7 @@ fn analyze_run(
     // recompute it so we can verify every cell event belongs here.
     let expected_campaign = fingerprint
         .as_deref()
-        .map(|fp| format!("{:016x}", dynp_obs::campaign_hash(fp)));
+        .map(dynp_obs::checkpoint::fingerprint);
 
     let mut cells: BTreeMap<u64, CellAgg> = BTreeMap::new();
     let mut span_kinds: BTreeMap<String, u64> = BTreeMap::new();
@@ -346,7 +345,7 @@ fn analyze_run(
 
     let span_records = run_span_records(events);
     // Structure: every non-root span must hang off a span of its cell.
-    // Both invariants are checked by the same fold that builds live
+    // Both invariants are checked by the same fold that builds
     // `.folded` profiles; restricted to cell spans here so the logical
     // `orphan_spans` count never depends on what ran outside cells.
     let cell_profile = dynp_obs::profile_spans(
@@ -542,10 +541,9 @@ fn merged_groups(path: &std::path::Path) -> std::io::Result<Vec<MergedGroup>> {
     Ok(merged)
 }
 
-/// Rebuilds the collapsed-stack profile of merged event streams: the
-/// offline equivalent of a live `.folded` file, folding each run's span
-/// trees and merging them (per-run folds keep deterministic cell span
-/// ids from colliding across runs).
+/// Rebuilds the collapsed-stack profile of merged event streams,
+/// folding each run's span trees and merging them (per-run folds keep
+/// deterministic cell span ids from colliding across runs).
 pub fn profile_groups(groups: &[MergedGroup]) -> Profile {
     let mut profile = Profile::default();
     for group in groups {
@@ -679,7 +677,7 @@ mod tests {
     /// start, each cell with replay + exact spans, one milp exit each.
     fn mini_log() -> Vec<String> {
         let fp = "abc123";
-        let camp = format!("{:016x}", dynp_obs::campaign_hash(fp));
+        let camp = dynp_obs::checkpoint::fingerprint(fp);
         let mut seq = 0u64;
         let mut n = |line: String| {
             let out = line.replace("SEQ", &seq.to_string());
@@ -800,7 +798,7 @@ mod tests {
     fn violation_and_orphan_detection_fires() {
         // One cell whose child spans overrun the root and reference a
         // missing parent.
-        let camp = format!("{:016x}", dynp_obs::campaign_hash("fp"));
+        let camp = dynp_obs::checkpoint::fingerprint("fp");
         let base = 1u64 << 32;
         let lines = [
             r#"{"ts":0.0,"target":"exp.campaign_start","seq":0,"name":"bad","fingerprint":"fp","shards":1,"cells":1}"#
@@ -844,7 +842,7 @@ mod tests {
     fn fault_events_feed_the_failure_census() {
         // Fault events are emitted inside the cell's trace context, so
         // the cell index rides in the envelope like any other cell event.
-        let camp = format!("{:016x}", dynp_obs::campaign_hash("fp"));
+        let camp = dynp_obs::checkpoint::fingerprint("fp");
         let base = |c: u64| (c + 1) << 32;
         let lines = [
             r#"{"ts":0.0,"target":"exp.campaign_start","seq":0,"name":"faulty","fingerprint":"fp","shards":2,"cells":4}"#

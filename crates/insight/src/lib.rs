@@ -20,17 +20,12 @@
 //!   fail, timing shifts are notes.
 //! * [`analyze::profile_groups`] — rebuilds the collapsed-stack profile
 //!   (per-kind self times, `flamegraph.pl`-compatible folded stacks)
-//!   from the same span events, using the same `dynp_obs::profile` fold
-//!   as live `.folded` files, so online and offline profiles agree.
-//! * [`serve_report`] — joins a dynp-serve HTTP access log with the
-//!   service event log by trace id: per-job end-to-end latency
-//!   breakdown (queue wait vs. plan offset vs. placement drift) and an
-//!   SLO attainment census.
+//!   from the same span events through the `dynp_obs::profile` fold —
+//!   the one way to get a profile of a run.
 //!
 //! The `dynp-insight` binary wraps these as `analyze`, `diff`, `fold`
-//! (collapsed stacks, with `--diff` against a baseline `.folded`),
-//! `serve` (access-log / event-log join), and `check-metrics`
-//! (OpenMetrics validation) subcommands.
+//! (collapsed stacks), and `check-metrics` (OpenMetrics validation)
+//! subcommands.
 //!
 //! Like `dynp-obs`, this crate is std-only: its only dependency is
 //! `dynp-obs` itself (for the JSON and histogram machinery), which CI
@@ -40,7 +35,6 @@ pub mod analyze;
 pub mod diff;
 pub mod event;
 pub mod merge;
-pub mod serve_report;
 
 pub use analyze::{
     analyze_groups, analyze_path, profile_groups, profile_path, render_text, Options,
@@ -48,4 +42,3 @@ pub use analyze::{
 pub use diff::{diff_reports, DiffOutcome};
 pub use event::{parse_line, Event};
 pub use merge::{discover, group_for, merge_group, merge_lines, LogGroup, MergedGroup};
-pub use serve_report::{render_serve_text, serve_report, ServeOptions};

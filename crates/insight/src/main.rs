@@ -3,8 +3,7 @@
 //! ```text
 //! dynp-insight analyze <path>... [--logical] [--text] [--top N] [--out FILE]
 //! dynp-insight diff <baseline.json> <candidate.json>
-//! dynp-insight fold <path> [--out FILE] [--diff BASELINE.folded]
-//! dynp-insight serve <path>... [--text] [--out FILE] [--slo-admit-ms N] [--slo-queue-secs N]
+//! dynp-insight fold <path> [--out FILE]
 //! dynp-insight check-metrics <snapshot.metrics.txt>
 //! ```
 //!
@@ -14,17 +13,13 @@
 //! section (the golden-file mode CI diffs); `--text` prints the human
 //! summary instead. `diff` exits nonzero when the logical sections
 //! differ; timing shifts are printed as notes only. `fold` rebuilds
-//! the collapsed-stack profile from the span events (the offline twin
-//! of a live `.folded` file); with `--diff` it prints per-stack self
-//! time deltas against a baseline instead. `serve` joins a dynp-serve
-//! access log with the service event log by trace id (paths may be
-//! JSONL files or directories of them) and reports per-job end-to-end
-//! latency breakdowns plus an SLO attainment census. `check-metrics`
-//! validates an OpenMetrics snapshot with the strict parser.
+//! the collapsed-stack profile (`flamegraph.pl` / inferno input) from
+//! the span close events — the one way to get a profile of a run.
+//! `check-metrics` validates an OpenMetrics snapshot with the strict
+//! parser.
 
 use dynp_insight::{
-    analyze_groups, diff_reports, discover, merge_group, profile_path, render_serve_text,
-    render_text, serve_report, Options, ServeOptions,
+    analyze_groups, diff_reports, discover, merge_group, profile_path, render_text, Options,
 };
 use dynp_obs::JsonValue;
 use std::path::PathBuf;
@@ -32,7 +27,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  dynp-insight analyze <path>... [--logical] [--text] [--top N] [--out FILE]\n  dynp-insight diff <baseline.json> <candidate.json>\n  dynp-insight fold <path> [--out FILE] [--diff BASELINE.folded]\n  dynp-insight serve <path>... [--text] [--out FILE] [--slo-admit-ms N] [--slo-queue-secs N]\n  dynp-insight check-metrics <snapshot.metrics.txt>"
+        "usage:\n  dynp-insight analyze <path>... [--logical] [--text] [--top N] [--out FILE]\n  dynp-insight diff <baseline.json> <candidate.json>\n  dynp-insight fold <path> [--out FILE]\n  dynp-insight check-metrics <snapshot.metrics.txt>"
     );
     ExitCode::from(2)
 }
@@ -48,104 +43,9 @@ fn main() -> ExitCode {
         Some("analyze") => analyze_cmd(&args[1..]),
         Some("diff") => diff_cmd(&args[1..]),
         Some("fold") => fold_cmd(&args[1..]),
-        Some("serve") => serve_cmd(&args[1..]),
         Some("check-metrics") => check_metrics_cmd(&args[1..]),
         _ => usage(),
     }
-}
-
-/// Collects every JSONL file under `path` (a file is taken as-is; a
-/// directory contributes its `*.jsonl` files and their numbered
-/// rotations, e.g. `access.jsonl.2`).
-fn jsonl_files(path: &PathBuf) -> Result<Vec<PathBuf>, String> {
-    if path.is_file() {
-        return Ok(vec![path.clone()]);
-    }
-    let entries =
-        std::fs::read_dir(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let mut files = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let p = entry.path();
-        let Some(name) = p.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        let is_rotation = name
-            .rsplit_once(".jsonl.")
-            .is_some_and(|(_, n)| n.chars().all(|c| c.is_ascii_digit()) && !n.is_empty());
-        if p.is_file() && (name.ends_with(".jsonl") || is_rotation) {
-            files.push(p);
-        }
-    }
-    files.sort();
-    if files.is_empty() {
-        return Err(format!("no *.jsonl files under {}", path.display()));
-    }
-    Ok(files)
-}
-
-fn serve_cmd(args: &[String]) -> ExitCode {
-    let mut opts = ServeOptions::default();
-    let mut text = false;
-    let mut out: Option<PathBuf> = None;
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--text" => text = true,
-            "--out" => match it.next() {
-                Some(p) => out = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--slo-admit-ms" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(ms) => opts.slo_admit_ns = ms.saturating_mul(1_000_000),
-                None => return usage(),
-            },
-            "--slo-queue-secs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(secs) => opts.slo_queue_secs = secs,
-                None => return usage(),
-            },
-            other if other.starts_with("--") => return usage(),
-            other => paths.push(PathBuf::from(other)),
-        }
-    }
-    if paths.is_empty() {
-        return usage();
-    }
-    let mut content = String::new();
-    for path in &paths {
-        let files = match jsonl_files(path) {
-            Ok(f) => f,
-            Err(e) => return fail(&e),
-        };
-        for file in files {
-            match std::fs::read_to_string(&file) {
-                Ok(c) => {
-                    content.push_str(&c);
-                    if !content.ends_with('\n') {
-                        content.push('\n');
-                    }
-                }
-                Err(e) => return fail(&format!("cannot read {}: {e}", file.display())),
-            }
-        }
-    }
-    let report = serve_report(content.lines(), &opts);
-    let rendered = if text {
-        render_serve_text(&report)
-    } else {
-        report.to_json_pretty() + "\n"
-    };
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, rendered) {
-                return fail(&format!("cannot write {}: {e}", path.display()));
-            }
-            eprintln!("wrote {}", path.display());
-        }
-        None => print!("{rendered}"),
-    }
-    ExitCode::SUCCESS
 }
 
 fn analyze_cmd(args: &[String]) -> ExitCode {
@@ -242,17 +142,12 @@ fn diff_cmd(args: &[String]) -> ExitCode {
 
 fn fold_cmd(args: &[String]) -> ExitCode {
     let mut out: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--out" => match it.next() {
                 Some(p) => out = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--diff" => match it.next() {
-                Some(p) => baseline = Some(PathBuf::from(p)),
                 None => return usage(),
             },
             other if other.starts_with("--") => return usage(),
@@ -266,20 +161,7 @@ fn fold_cmd(args: &[String]) -> ExitCode {
         Ok(p) => p,
         Err(e) => return fail(&format!("cannot profile {}: {e}", path.display())),
     };
-    let rendered = match baseline {
-        None => dynp_obs::render_folded(&profile),
-        Some(base_path) => {
-            let text = match std::fs::read_to_string(&base_path) {
-                Ok(t) => t,
-                Err(e) => return fail(&format!("cannot read {}: {e}", base_path.display())),
-            };
-            let base = match dynp_obs::profile::parse_folded(&text) {
-                Ok(b) => b,
-                Err(e) => return fail(&format!("{}: {e}", base_path.display())),
-            };
-            render_folded_diff(&base, &profile.stacks)
-        }
-    };
+    let rendered = dynp_obs::render_folded(&profile);
     match out {
         Some(path) => {
             if let Err(e) = std::fs::write(&path, rendered) {
@@ -290,23 +172,6 @@ fn fold_cmd(args: &[String]) -> ExitCode {
         None => print!("{rendered}"),
     }
     ExitCode::SUCCESS
-}
-
-/// One `stack baseline candidate delta` line per stack present on
-/// either side, sorted by stack — a regression-friendly self-time diff.
-fn render_folded_diff(
-    base: &std::collections::BTreeMap<String, u64>,
-    cand: &std::collections::BTreeMap<String, u64>,
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let stacks: std::collections::BTreeSet<&String> = base.keys().chain(cand.keys()).collect();
-    for stack in stacks {
-        let b = base.get(stack).copied().unwrap_or(0);
-        let c = cand.get(stack).copied().unwrap_or(0);
-        let _ = writeln!(out, "{stack} {b} {c} {:+}", c as i128 - b as i128);
-    }
-    out
 }
 
 fn check_metrics_cmd(args: &[String]) -> ExitCode {

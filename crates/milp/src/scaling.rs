@@ -72,18 +72,6 @@ impl TimeScaling {
         )
     }
 
-    /// Estimated matrix memory (bytes) at this scale, per the paper's
-    /// approximation.
-    pub fn estimated_bytes(
-        &self,
-        max_makespan_seconds: u64,
-        accumulated_runtime_seconds: u64,
-        x_bytes: f64,
-    ) -> f64 {
-        max_makespan_seconds as f64 * accumulated_runtime_seconds as f64 * x_bytes
-            / (self.seconds_per_slot as f64 * self.seconds_per_slot as f64)
-    }
-
     /// Number of slots covering `span` seconds (rounded up).
     pub fn slots_for(&self, span_seconds: u64) -> usize {
         span_seconds.div_ceil(self.seconds_per_slot) as usize
@@ -138,16 +126,6 @@ mod tests {
         let s = TimeScaling::from_memory(100_000, 100_000, 102.4, 100_000_000.0);
         assert_eq!(s.seconds_per_slot % 60, 0);
         assert!(s.seconds_per_slot >= 60);
-    }
-
-    #[test]
-    fn estimated_bytes_respects_budget() {
-        let makespan = 155_559;
-        let acc = 1_798_684;
-        let s = TimeScaling::paper(makespan, acc);
-        // At the chosen scale the estimate must fit the budget (that is the
-        // whole point of Eq. 6).
-        assert!(s.estimated_bytes(makespan, acc, PAPER_X_BYTES) <= PAPER_MEMORY_BYTES);
     }
 
     #[test]

@@ -109,10 +109,6 @@ pub struct SolveConfig {
     pub scale_override: Option<u64>,
     /// Branch & bound limits.
     pub limits: BranchLimits,
-    /// Seed the best policy schedule as the starting incumbent.
-    pub seed_incumbent: bool,
-    /// Use the LP rounding heuristic during the search.
-    pub use_heuristic: bool,
     /// Skip the §3.2 compaction (ablation; the paper always compacts).
     pub skip_compaction: bool,
 }
@@ -126,8 +122,6 @@ impl Default for SolveConfig {
             memory_bytes: PAPER_MEMORY_BYTES,
             scale_override: None,
             limits: BranchLimits::default(),
-            seed_incumbent: true,
-            use_heuristic: true,
             skip_compaction: false,
         }
     }
@@ -306,48 +300,44 @@ pub fn solve_snapshot(
 
     // 4. Solve, seeding the best policy's start order as the incumbent.
     let mut bb = BranchBound::new(&ti.model, config.limits);
-    if config.seed_incumbent {
-        let order: Vec<usize> = {
-            // Map the best schedule's start order onto snapshot indices.
-            let order_ids: Vec<_> = best_schedule.start_order().iter().map(|e| e.id).collect();
-            order_ids
-                .iter()
-                .map(|id| {
-                    problem
-                        .jobs
-                        .iter()
-                        .position(|j| j.id == *id)
-                        .expect("schedule entry in snapshot")
-                })
-                .collect()
-        };
-        if let Some(seed) = ti.greedy_solution(&order) {
-            bb = match bb.with_incumbent(seed) {
-                Ok(seeded) => seeded,
-                Err(err) => {
-                    // A rejected seed costs the warm start, never the
-                    // sweep: continue cold rather than abort the run.
-                    if let Some(r) = dynp_obs::recorder() {
-                        r.event("milp.seed_rejected")
-                            .kv("jobs", problem.len())
-                            .kv("error", err.as_str())
-                            .emit();
-                    }
-                    BranchBound::new(&ti.model, config.limits)
+    let order: Vec<usize> = {
+        // Map the best schedule's start order onto snapshot indices.
+        let order_ids: Vec<_> = best_schedule.start_order().iter().map(|e| e.id).collect();
+        order_ids
+            .iter()
+            .map(|id| {
+                problem
+                    .jobs
+                    .iter()
+                    .position(|j| j.id == *id)
+                    .expect("schedule entry in snapshot")
+            })
+            .collect()
+    };
+    if let Some(seed) = ti.greedy_solution(&order) {
+        bb = match bb.with_incumbent(seed) {
+            Ok(seeded) => seeded,
+            Err(err) => {
+                // A rejected seed costs the warm start, never the
+                // sweep: continue cold rather than abort the run.
+                if let Some(r) = dynp_obs::recorder() {
+                    r.event("milp.seed_rejected")
+                        .kv("jobs", problem.len())
+                        .kv("error", err.as_str())
+                        .emit();
                 }
-            };
-        }
-    }
-    if config.use_heuristic {
-        let ti_ref = &ti;
-        bb = bb.with_heuristic(Box::new(move |_, lp| ti_ref.rounding_heuristic(lp)));
+                BranchBound::new(&ti.model, config.limits)
+            }
+        };
     }
     {
-        // Structure-aware acceleration: crash bases skip simplex phase 1,
-        // SOS branching on job start times replaces weak single-variable
-        // branching. Both preserve exactness (see their docs).
+        // The LP rounding heuristic, plus structure-aware acceleration:
+        // crash bases skip simplex phase 1, SOS branching on job start
+        // times replaces weak single-variable branching. Both preserve
+        // exactness (see their docs).
         let ti_ref = &ti;
         bb = bb
+            .with_heuristic(Box::new(move |_, lp| ti_ref.rounding_heuristic(lp)))
             .with_crash(Box::new(move |lower, upper| {
                 ti_ref.crash_start(lower, upper)
             }))
@@ -512,17 +502,28 @@ mod tests {
     #[test]
     fn node_limited_run_still_reports_policy_side() {
         let cfg = SolveConfig {
-            scale_override: Some(60),
+            scale_override: Some(1800),
             limits: BranchLimits {
                 max_nodes: 0,
                 ..BranchLimits::default()
             },
-            // Without a seed there is no incumbent at node 0.
-            seed_incumbent: false,
-            use_heuristic: false,
             ..SolveConfig::default()
         };
-        let run = solve_snapshot(&snapshot(), &cfg).unwrap();
+        // On a 30-min grid the best policy's (SJF) start order puts both
+        // short jobs in slot 0 and needs a third slot for the long one,
+        // past the two-slot §3.1 horizon that snapshot order fits: the
+        // seed cannot embed, so there is no incumbent at node 0.
+        let p = SchedulingProblem::on_empty_machine(
+            0,
+            2,
+            vec![
+                Job::exact(1, 0, 1, 3400),
+                Job::exact(2, 0, 1, 100),
+                Job::exact(0, 0, 1, 200),
+            ],
+        );
+        let run = solve_snapshot(&p, &cfg).unwrap();
+        assert_eq!(run.best_policy, Policy::Sjf);
         assert_eq!(run.status, MipStatus::Unknown);
         // "CPLEX still running" is a value, not a panic.
         let incomplete = run.comparison().unwrap_err();

@@ -171,21 +171,6 @@ impl CscMatrix {
             .map(|(&c, &v)| (c as usize, v))
     }
 
-    /// Dot product of column `j` with a dense vector.
-    pub fn column_dot(&self, j: usize, dense: &[f64]) -> f64 {
-        debug_assert_eq!(dense.len(), self.rows);
-        self.column(j).map(|(r, v)| v * dense[r]).sum()
-    }
-
-    /// Scatters column `j` into a dense vector (`out` must be zeroed by the
-    /// caller where relevant).
-    pub fn scatter_column(&self, j: usize, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.rows);
-        for (r, v) in self.column(j) {
-            out[r] = v;
-        }
-    }
-
     /// Computes `A * x` for a dense `x`.
     pub fn mat_vec(&self, x: &[f64]) -> Vec<f64> {
         debug_assert_eq!(x.len(), self.cols);
@@ -242,15 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn column_dot_matches_dense() {
-        let m = sample();
-        let y = [1.0, 2.0, 3.0];
-        assert_eq!(m.column_dot(0, &y), 1.0 + 12.0);
-        assert_eq!(m.column_dot(1, &y), 6.0);
-        assert_eq!(m.column_dot(2, &y), 2.0 + 15.0);
-    }
-
-    #[test]
     fn mat_vec_matches_dense() {
         let m = sample();
         let x = [1.0, 1.0, 1.0];
@@ -278,14 +254,6 @@ mod tests {
     fn out_of_range_row_panics() {
         let mut b = CscBuilder::new(2);
         b.push_column(&[(2, 1.0)]);
-    }
-
-    #[test]
-    fn scatter_column_writes_entries() {
-        let m = sample();
-        let mut out = vec![0.0; 3];
-        m.scatter_column(2, &mut out);
-        assert_eq!(out, vec![2.0, 0.0, 5.0]);
     }
 
     #[test]

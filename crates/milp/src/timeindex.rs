@@ -357,21 +357,6 @@ impl TimeIndexedModel {
         });
         self.greedy_solution(&order)
     }
-
-    /// Real-seconds ARTwW (Eq. 2) of an integral solution *on the slot
-    /// grid* (before compaction), for diagnostics.
-    pub fn artww_seconds(&self, x: &[f64], problem: &SchedulingProblem) -> f64 {
-        let slots = self.start_slots(x);
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for (i, job) in problem.jobs.iter().enumerate() {
-            let start = self.scaling.slot_start(self.now, slots[i]);
-            let response = (start - job.submit + job.estimated_duration) as f64;
-            num += response * job.width as f64;
-            den += job.width as f64;
-        }
-        num / den
-    }
 }
 
 /// Greedy earliest-fit on a slot capacity vector, jobs in snapshot order.
@@ -548,18 +533,6 @@ mod tests {
         for e in sched.entries() {
             assert_eq!((e.start - p.now) % 60, 0, "start off the grid");
         }
-    }
-
-    #[test]
-    fn artww_seconds_matches_manual_computation() {
-        let p = snapshot();
-        let ti = build(&p, 60);
-        let sol = solve_mip(&ti.model, BranchLimits::default());
-        let x = sol.x.unwrap();
-        // starts: job0 at 300, jobs 1,2 at 0.
-        // responses: 900 (w4), 300 (w2), 300 (w2).
-        let expect = (900.0 * 4.0 + 300.0 * 2.0 + 300.0 * 2.0) / 8.0;
-        assert!((ti.artww_seconds(&x, &p) - expect).abs() < 1e-9);
     }
 
     #[test]

@@ -27,7 +27,6 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use crate::profile::SpanRec;
 use crate::recorder::{recorder, Recorder};
 
 /// The correlation fields stamped on events emitted under a context.
@@ -71,17 +70,6 @@ static FREE_SPAN: AtomicU64 = AtomicU64::new(FREE_SPAN_BASE);
 /// cell, deterministically.
 pub const fn cell_span_base(cell: u64) -> u64 {
     (cell + 1) << 32
-}
-
-/// FNV-1a hash of a campaign fingerprint string, the numeric campaign
-/// identity events carry (rendered as 16 hex digits).
-pub fn campaign_hash(fingerprint: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in fingerprint.as_bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// The innermost active context on this thread, if any.
@@ -166,26 +154,15 @@ pub fn span(kind: &'static str) -> SpanGuard {
 
 /// Everything a closing span guard does while its frame is still on
 /// the stack: emit the close event (which picks up this span's own id
-/// from the thread-local context), feed the kind-named histogram, and —
-/// when the recorder's profiling hook is on — capture a [`SpanRec`] for
-/// collapsed-stack export. One `elapsed()` read feeds all three, so the
-/// event, the histogram, and the profile agree exactly.
+/// from the thread-local context) and feed the kind-named histogram.
+/// One `elapsed()` read feeds both, so the event — the record
+/// `dynp-insight fold` rebuilds profiles from — and the histogram agree
+/// exactly.
 fn close_span(r: &Recorder, kind: &'static str, started: Instant) {
     let dur = started.elapsed();
     let dur_ns = u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX);
     r.event("span").kv("kind", kind).kv("dur_ns", dur_ns).emit();
     r.histogram(kind).record_duration(dur);
-    if r.profiling_enabled() {
-        if let Some(ctx) = current() {
-            r.record_profile(SpanRec {
-                cell: ctx.in_cell.then_some(ctx.cell),
-                span: ctx.span,
-                parent: ctx.parent,
-                kind: kind.to_string(),
-                dur_ns,
-            });
-        }
-    }
 }
 
 /// RAII guard of a cell context; see [`enter_cell`].
@@ -231,6 +208,7 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::fnv1a64;
     use crate::recorder::{install, Sink};
     use crate::JsonValue;
     use std::sync::{Mutex, MutexGuard};
@@ -258,7 +236,7 @@ mod tests {
     fn cell_context_tags_events_and_spans_deterministically() {
         let (r, _guard) = fresh();
         {
-            let _cell = enter_cell(campaign_hash("fp"), 7);
+            let _cell = enter_cell(fnv1a64(b"fp"), 7);
             r.event("inner.note").kv("k", 1u64).emit();
             {
                 let _stage = span("stage.a");
@@ -274,7 +252,7 @@ mod tests {
             assert_eq!(u(e, "cell"), 7);
             assert_eq!(
                 e.get("campaign").and_then(JsonValue::as_str).unwrap(),
-                format!("{:016x}", campaign_hash("fp"))
+                format!("{:016x}", fnv1a64(b"fp"))
             );
         }
         // inner.note sits on the cell root span.
@@ -341,36 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn profiling_captures_spans_agreeing_with_close_events() {
-        let (r, _guard) = fresh();
-        r.set_profiling(true);
-        {
-            let _cell = enter_cell(1, 2);
-            let _a = span("stage.a");
-        }
-        {
-            let _free = span("free.stage");
-        }
-        let recs = r.profile_records();
-        assert_eq!(recs.len(), 3);
-        let base = cell_span_base(2);
-        assert_eq!(recs[0].kind, "stage.a");
-        assert_eq!(recs[0].cell, Some(2));
-        assert_eq!((recs[0].span, recs[0].parent), (base + 1, base));
-        assert_eq!(recs[1].kind, "exp.cell");
-        assert_eq!((recs[1].span, recs[1].parent), (base, 0));
-        assert_eq!(recs[2].cell, None);
-        assert_eq!(recs[2].parent, 0);
-        // The captured durations are the emitted close events' dur_ns,
-        // byte for byte — one clock read feeds both.
-        let events = parsed_events(r);
-        for (rec, ev) in recs.iter().zip(&events) {
-            assert_eq!(u(ev, "dur_ns"), rec.dur_ns);
-            assert_eq!(u(ev, "span"), rec.span);
-        }
-    }
-
-    #[test]
     fn guards_are_inert_without_a_recorder() {
         // No install here: whatever recorder another test installed may be
         // live, so only check the no-recorder constructor path compiles
@@ -385,11 +333,5 @@ mod tests {
             _not_send: PhantomData,
         };
         drop(guard);
-    }
-
-    #[test]
-    fn campaign_hash_is_stable() {
-        assert_eq!(campaign_hash("abc"), campaign_hash("abc"));
-        assert_ne!(campaign_hash("abc"), campaign_hash("abd"));
     }
 }

@@ -9,8 +9,8 @@
 //! * **Spans** — RAII [`Span`] timers feeding latency histograms;
 //!   near-zero cost when no global recorder is installed.
 //! * **Events** — one-line JSONL records (`{"ts":…,"target":…,…}`)
-//!   written to a file, an in-memory buffer, a bounded ring, a
-//!   size-rotating file set, or discarded; escaping is hand-rolled in
+//!   written to an in-memory buffer, a bounded ring, a size-rotating
+//!   file set, or discarded; escaping is hand-rolled in
 //!   [`json`], which also ships a strict serde-free validator used by
 //!   the test suite. Every event carries a `seq` logical-clock value so
 //!   interleaved multi-worker logs merge into one total order.
@@ -23,11 +23,10 @@
 //! * **Exposition** — [`expo`] renders a recorder snapshot in the
 //!   OpenMetrics/Prometheus text format (and strictly validates it),
 //!   including sink self-diagnostics (ring drops, log rotations).
-//! * **Profiling** — an opt-in hook ([`Recorder::set_profiling`])
-//!   captures every closed trace-context span; [`profile`] folds the
-//!   records into per-kind self times and `flamegraph.pl`-compatible
-//!   collapsed stacks, checking the parent ≥ Σ children invariant on
-//!   the way.
+//! * **Profiling** — [`profile`] folds closed-span records (rebuilt
+//!   from the `span` close events by `dynp-insight`) into per-kind self
+//!   times and `flamegraph.pl`-compatible collapsed stacks, checking
+//!   the parent ≥ Σ children invariant on the way.
 //! * **Alerts** — declarative online [`alert::Rule`]s (counter rate,
 //!   gauge threshold, histogram p99 bound, windowed p99 burn rate)
 //!   evaluated on a sampling tick by an [`AlertSet`]; state
@@ -89,7 +88,7 @@ pub mod window;
 pub use alert::{AlertSet, Rule, RuleKind};
 pub use cancel::{cancelled, current_cancel, install_cancel, CancelGuard, CancelToken};
 pub use checkpoint::{CheckpointLog, LoadedCheckpoint};
-pub use context::{campaign_hash, cell_span_base, enter_cell, span, CellGuard, SpanGuard, TraceContext};
+pub use context::{cell_span_base, enter_cell, span, CellGuard, SpanGuard, TraceContext};
 pub use json::{parse as parse_json, validate as validate_json, JsonValue};
 pub use metrics::{
     bucket_index, bucket_lower_bound, bucket_upper_bound, Counter, Gauge, Histogram,

@@ -3,10 +3,9 @@
 //! `flamegraph.pl`.
 //!
 //! The input is a flat list of [`SpanRec`]s — one per closed span, as
-//! captured live by the recorder's profiling hook or rebuilt offline by
-//! `dynp-insight` from `span` close events. Both producers feed the same
-//! [`profile_spans`] fold, so the live `.folded` profile and the offline
-//! report agree by construction.
+//! rebuilt by `dynp-insight` from the `span` close events of a log. Its
+//! report and its `fold` subcommand feed the same [`profile_spans`]
+//! fold, so the two agree by construction.
 //!
 //! *Self time* is a span's own duration minus the summed durations of
 //! its **direct** children (saturating at zero). Summing self time over
@@ -171,29 +170,6 @@ pub fn render_folded(profile: &Profile) -> String {
     out
 }
 
-/// Parses a collapsed-stack file back into `stack → value`, merging
-/// duplicate stacks. Blank lines are skipped; anything else malformed is
-/// an error naming the line.
-pub fn parse_folded(text: &str) -> Result<BTreeMap<String, u64>, String> {
-    let mut stacks = BTreeMap::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (stack, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("line {}: no value field: {line:?}", i + 1))?;
-        let value: u64 = value
-            .parse()
-            .map_err(|_| format!("line {}: non-integer value: {line:?}", i + 1))?;
-        if stack.is_empty() {
-            return Err(format!("line {}: empty stack: {line:?}", i + 1));
-        }
-        *stacks.entry(stack.to_string()).or_insert(0) += value;
-    }
-    Ok(stacks)
-}
-
 /// Serializes per-kind stats for reports: `kind → {count, total_ns,
 /// self_ns}`, sorted by kind.
 pub fn kinds_json(profile: &Profile) -> JsonValue {
@@ -284,19 +260,13 @@ mod tests {
     }
 
     #[test]
-    fn folded_round_trips_through_the_parser() {
+    fn folded_renders_one_sorted_line_per_stack() {
         let records = vec![
             rec(Some(0), 1, 0, "root", 100),
             rec(Some(0), 2, 1, "a", 60),
         ];
         let p = profile_spans(&records);
-        let text = render_folded(&p);
-        assert!(text.contains("root;a 60\n"));
-        let parsed = parse_folded(&text).unwrap();
-        assert_eq!(parsed, p.stacks);
-        assert!(parse_folded("no-value-here\n").is_err());
-        assert!(parse_folded(" 12\n").is_err());
-        assert!(parse_folded("a;b twelve\n").is_err());
+        assert_eq!(render_folded(&p), "root 40\nroot;a 60\n");
     }
 
     #[test]

@@ -20,13 +20,12 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use crate::json::JsonValue;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-use crate::profile::SpanRec;
 
 /// A bounded in-memory event buffer: keeps the most recent lines, counts
 /// the ones it had to drop.
@@ -135,8 +134,6 @@ pub enum Sink {
     /// Keep each JSONL line in memory; read back with
     /// [`Recorder::events`].
     Memory(Mutex<Vec<String>>),
-    /// Append each JSONL line to a file.
-    File(Mutex<std::io::BufWriter<std::fs::File>>),
     /// Keep the most recent lines in a bounded buffer; older lines are
     /// dropped (and counted) rather than growing memory unboundedly.
     Ring(Mutex<RingBuffer>),
@@ -149,12 +146,6 @@ impl Sink {
     /// An in-memory sink.
     pub fn memory() -> Sink {
         Sink::Memory(Mutex::new(Vec::new()))
-    }
-
-    /// A file sink, truncating `path`.
-    pub fn file(path: impl AsRef<Path>) -> std::io::Result<Sink> {
-        let f = std::fs::File::create(path)?;
-        Ok(Sink::File(Mutex::new(std::io::BufWriter::new(f))))
     }
 
     /// A bounded ring sink keeping the most recent `capacity` lines.
@@ -193,41 +184,16 @@ impl Sink {
         })))
     }
 
-    fn write_line(&self, line: &str) {
+    /// Writes one event line. In-memory sinks keep the string itself (no
+    /// copy) and return `None`; the others hand it back so the caller
+    /// can offer it to the live tail.
+    fn write_line(&self, line: String) -> Option<String> {
         match self {
-            Sink::Null => {}
-            Sink::Memory(buf) => buf.lock().unwrap().push(line.to_string()),
-            Sink::File(w) => {
-                let mut w = w.lock().unwrap();
-                // Diagnostics must never take the process down; a full
-                // disk just drops the event.
-                let _ = writeln!(w, "{line}");
+            Sink::Null => Some(line),
+            Sink::Memory(buf) => {
+                buf.lock().unwrap().push(line);
+                None
             }
-            Sink::Ring(ring) => {
-                let evicted = {
-                    let mut ring = ring.lock().unwrap();
-                    let evicted = if ring.lines.len() == ring.capacity {
-                        ring.dropped += 1;
-                        ring.lines.pop_front()
-                    } else {
-                        None
-                    };
-                    ring.lines.push_back(line.to_string());
-                    evicted
-                };
-                if let Some(e) = evicted {
-                    recycle_line(e);
-                }
-            }
-            Sink::Rotating(w) => w.lock().unwrap().write_line(line),
-        }
-    }
-
-    /// [`Sink::write_line`] taking ownership: in-memory sinks store the
-    /// string without a copy, file sinks write it out as usual.
-    fn write_line_owned(&self, line: String) {
-        match self {
-            Sink::Memory(buf) => buf.lock().unwrap().push(line),
             Sink::Ring(ring) => {
                 let evicted = {
                     let mut ring = ring.lock().unwrap();
@@ -243,8 +209,12 @@ impl Sink {
                 if let Some(e) = evicted {
                     recycle_line(e);
                 }
+                None
             }
-            other => other.write_line(&line),
+            Sink::Rotating(w) => {
+                w.lock().unwrap().write_line(&line);
+                Some(line)
+            }
         }
     }
 }
@@ -265,18 +235,12 @@ pub struct Recorder {
     /// `seq` field, establishing one process-wide total order that
     /// survives interleaving across worker threads and sink rotation.
     seq: AtomicU64,
-    /// Gate for the span-profiling hook. Off by default: span guards
-    /// then pay one relaxed load and nothing else.
-    profiling: AtomicBool,
-    /// Closed-span records captured while profiling is on; drained into
-    /// `.folded` collapsed-stack profiles at shutdown.
-    profile: Mutex<Vec<SpanRec>>,
     /// Capacity of the live-tail side ring (0 = disabled, the default).
     /// The watch server switches it on so `/events` can tail runs whose
     /// primary sink streams to a file.
     tail_capacity: AtomicUsize,
-    /// The most recent event lines, kept alongside *any* sink while the
-    /// tail is enabled.
+    /// The most recent event lines, kept alongside a null or file sink
+    /// while the tail is enabled.
     tail: Mutex<VecDeque<String>>,
 }
 
@@ -296,8 +260,6 @@ impl Recorder {
             sink,
             epoch: Instant::now(),
             seq: AtomicU64::new(0),
-            profiling: AtomicBool::new(false),
-            profile: Mutex::new(Vec::new()),
             tail_capacity: AtomicUsize::new(0),
             tail: Mutex::new(VecDeque::new()),
         }
@@ -382,15 +344,6 @@ impl Recorder {
         }
     }
 
-    /// How many lines a bounded ring sink has discarded (0 for every
-    /// other sink — they never drop for capacity).
-    pub fn events_dropped(&self) -> u64 {
-        match &self.sink {
-            Sink::Ring(ring) => ring.lock().unwrap().dropped,
-            _ => 0,
-        }
-    }
-
     /// Buffered event lines whose logical clock is at least `since`.
     /// Served from the sink's own buffer for memory and ring sinks;
     /// file-backed (and null) sinks fall back to the live-tail side
@@ -416,11 +369,13 @@ impl Recorder {
     }
 
     /// Keeps the most recent `capacity` event lines in an in-memory
-    /// side ring regardless of the primary sink, so [`Recorder::events_since`]
-    /// works even when events stream to a file. The watch server turns
-    /// this on; capacity 0 (the default) disables the tail, and
-    /// emission then pays one relaxed atomic load for it. Shrinking
-    /// discards the oldest lines immediately.
+    /// side ring so [`Recorder::events_since`] works even when events
+    /// stream to a file. The watch server turns this on; capacity 0 (the
+    /// default) disables the tail, and emission then pays one relaxed
+    /// atomic load for it. Shrinking discards the oldest lines
+    /// immediately. Has no effect behind memory and ring sinks: they own
+    /// every line they are handed and `events_since` reads them directly,
+    /// so nothing is ever offered to the tail.
     pub fn set_event_tail(&self, capacity: usize) {
         self.tail_capacity.store(capacity, Ordering::Relaxed);
         let mut tail = self.tail.lock().unwrap();
@@ -433,31 +388,6 @@ impl Recorder {
     /// number of events emitted so far).
     pub fn next_seq(&self) -> u64 {
         self.seq.load(Ordering::Relaxed)
-    }
-
-    /// Turns the span-profiling hook on or off. While on, every closed
-    /// trace-context span (see [`crate::context`]) is captured as a
-    /// [`SpanRec`] for collapsed-stack export; while off (the default)
-    /// the hook costs one relaxed atomic load per span close.
-    pub fn set_profiling(&self, on: bool) {
-        self.profiling.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the span-profiling hook is on.
-    pub fn profiling_enabled(&self) -> bool {
-        self.profiling.load(Ordering::Relaxed)
-    }
-
-    /// Captures one closed span, if profiling is on.
-    pub fn record_profile(&self, rec: SpanRec) {
-        if self.profiling_enabled() {
-            self.profile.lock().unwrap().push(rec);
-        }
-    }
-
-    /// A copy of every span captured by the profiling hook so far.
-    pub fn profile_records(&self) -> Vec<SpanRec> {
-        self.profile.lock().unwrap().clone()
     }
 
     /// Diagnostics of the event sink itself: its kind plus, where the
@@ -476,11 +406,6 @@ impl Recorder {
                 dropped: None,
                 rotations: None,
             },
-            Sink::File(_) => SinkStats {
-                kind: "file",
-                dropped: None,
-                rotations: None,
-            },
             Sink::Ring(ring) => SinkStats {
                 kind: "ring",
                 dropped: Some(ring.lock().unwrap().dropped),
@@ -494,16 +419,10 @@ impl Recorder {
         }
     }
 
-    /// Flushes buffered file/rotating sinks to disk (no-op otherwise).
+    /// Flushes a buffered rotating sink to disk (no-op otherwise).
     pub fn flush(&self) {
-        match &self.sink {
-            Sink::File(w) => {
-                let _ = w.lock().unwrap().flush();
-            }
-            Sink::Rotating(w) => {
-                let _ = w.lock().unwrap().writer.flush();
-            }
-            _ => {}
+        if let Sink::Rotating(w) = &self.sink {
+            let _ = w.lock().unwrap().writer.flush();
         }
     }
 
@@ -578,8 +497,7 @@ impl Recorder {
 /// Event-sink self-diagnostics; see [`Recorder::sink_stats`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SinkStats {
-    /// Sink variant name (`"null"`, `"memory"`, `"file"`, `"ring"`,
-    /// `"rotating"`).
+    /// Sink variant name (`"null"`, `"memory"`, `"ring"`, `"rotating"`).
     pub kind: &'static str,
     /// Lines a bounded ring discarded (`None` for other sinks).
     pub dropped: Option<u64>,
@@ -624,46 +542,20 @@ impl EventBuilder<'_> {
         self
     }
 
-    /// Adds an integer field without the [`JsonValue`] detour — `kv`
-    /// widens integers through `f64`, which costs two conversions and
-    /// an integrality check per field; burst emitters on hot paths use
-    /// this direct form.
-    pub fn kv_int(mut self, key: &str, value: i64) -> Self {
-        self.line.push(',');
-        crate::json::escape_into(&mut self.line, key);
-        self.line.push(':');
-        crate::json::int_into(&mut self.line, value);
-        self
-    }
-
-    /// Adds a string field, escaping it in place — the alloc-free form
-    /// of [`EventBuilder::kv`] for values already at hand as `&str`
-    /// (going through [`JsonValue`] would copy them into an owned
-    /// `String` first).
-    pub fn kv_str(mut self, key: &str, value: &str) -> Self {
-        self.line.push(',');
-        crate::json::escape_into(&mut self.line, key);
-        self.line.push(':');
-        crate::json::escape_into(&mut self.line, value);
-        self
-    }
-
     /// Finishes the line and writes it to the sink (and, when enabled,
     /// the recorder's live-tail ring).
     pub fn emit(mut self) {
         self.line.push('}');
+        let Some(line) = self.recorder.sink.write_line(self.line) else {
+            return;
+        };
         let cap = self.recorder.tail_capacity.load(Ordering::Relaxed);
         if cap > 0 {
-            self.recorder.sink.write_line(&self.line);
             let mut tail = self.recorder.tail.lock().unwrap();
             if tail.len() >= cap {
                 tail.pop_front();
             }
-            tail.push_back(self.line);
-        } else {
-            // No live tail: in-memory sinks take the line by value
-            // instead of cloning it.
-            self.recorder.sink.write_line_owned(self.line);
+            tail.push_back(line);
         }
     }
 }
@@ -783,22 +675,6 @@ mod tests {
     }
 
     #[test]
-    fn file_sink_appends_lines() {
-        let path = std::env::temp_dir().join("dynp_obs_sink_test.jsonl");
-        let r = Recorder::new(Sink::file(&path).unwrap());
-        r.event("a").kv("k", 1u64).emit();
-        r.event("b").emit();
-        r.flush();
-        let content = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<_> = content.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            crate::json::validate(line).unwrap();
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn span_records_into_histogram() {
         let r = Recorder::default();
         {
@@ -837,7 +713,7 @@ mod tests {
         }
         let lines = r.events();
         assert_eq!(lines.len(), 3);
-        assert_eq!(r.events_dropped(), 2);
+        assert_eq!(r.sink_stats().dropped, Some(2));
         // The survivors are the most recent events.
         assert!(lines[0].contains("\"i\":2"));
         assert!(lines[2].contains("\"i\":4"));
@@ -949,21 +825,28 @@ mod tests {
     }
 
     #[test]
-    fn profiling_is_gated_and_captures_records() {
-        let r = Recorder::new(Sink::memory());
-        let rec = crate::profile::SpanRec {
-            cell: Some(1),
-            span: 7,
-            parent: 0,
-            kind: "k".into(),
-            dur_ns: 9,
+    fn event_tail_is_a_no_op_behind_sinks_that_already_buffer() {
+        let emit_three = |r: &Recorder| {
+            r.set_event_tail(8);
+            for target in ["a", "b", "c"] {
+                r.event(target).emit();
+            }
         };
-        r.record_profile(rec.clone());
-        assert!(r.profile_records().is_empty(), "off by default");
-        r.set_profiling(true);
-        assert!(r.profiling_enabled());
-        r.record_profile(rec.clone());
-        assert_eq!(r.profile_records(), vec![rec]);
+        // Ring sink: `events_since` reads the ring, the tail stays empty.
+        let ring = Recorder::new(Sink::ring(16));
+        emit_three(&ring);
+        assert_eq!(ring.events_since(0), ring.events());
+        assert_eq!(ring.events().len(), 3);
+        assert!(ring.tail.lock().unwrap().is_empty());
+        // Rotating file sink: the tail is the only in-memory copy.
+        let dir = std::env::temp_dir().join("dynp_obs_tail_rotating_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let rot = Recorder::new(Sink::rotating(dir.join("ev.jsonl"), 1 << 20, 1).unwrap());
+        emit_three(&rot);
+        assert_eq!(rot.events_since(0).len(), 3);
+        assert_eq!(rot.tail.lock().unwrap().len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

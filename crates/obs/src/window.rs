@@ -166,16 +166,6 @@ impl WindowAggregator {
         }
     }
 
-    /// Names of the histogram series observed so far.
-    pub fn histogram_names(&self) -> Vec<&str> {
-        self.hists.keys().map(String::as_str).collect()
-    }
-
-    /// Names of the counter series observed so far.
-    pub fn counter_names(&self) -> Vec<&str> {
-        self.counters.keys().map(String::as_str).collect()
-    }
-
     /// Slots (inclusive of the one currently filling) that a window of
     /// `secs` covers.
     fn window_slots(&self, secs: u64) -> u64 {
@@ -387,9 +377,9 @@ mod tests {
         r.histogram("serve.admit_latency").record(1_000);
         let mut agg = WindowAggregator::for_slo();
         agg.sample(&r, 0);
-        assert_eq!(agg.counter_names(), vec!["serve.jobs"]);
-        assert_eq!(agg.histogram_names(), vec!["serve.admit_latency"]);
         assert_eq!(agg.counter_window("serve.jobs", 60, 0), Some(3));
+        let admit = agg.histogram_window("serve.admit_latency", 60, 0).unwrap();
+        assert_eq!(admit.count, 1);
     }
 
     #[test]

@@ -274,23 +274,6 @@ impl ResourceProfile {
         self.steps.dedup_by(|next, prev| next.1 == prev.1);
     }
 
-    /// First time `>= from` at which the whole machine is free again —
-    /// an upper bound on when any schedule tail can start fresh.
-    pub fn all_free_from(&self, from: u64) -> u64 {
-        for &(time, free) in self.steps.iter().rev() {
-            if free < self.capacity {
-                // The machine is fully free only after the last constrained
-                // segment; find the following breakpoint.
-                let idx = self.steps.iter().position(|&s| s.0 == time).unwrap();
-                return match self.steps.get(idx + 1) {
-                    Some(&(next, _)) => next.max(from),
-                    None => u64::MAX, // constrained forever
-                };
-            }
-        }
-        from
-    }
-
     /// Checks internal invariants; used by debug assertions and tests.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.steps.is_empty() {
@@ -441,16 +424,6 @@ mod tests {
         // [0,20) at 5 free should be a single segment.
         assert_eq!(p.steps().len(), 2);
         p.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn all_free_from_finds_tail() {
-        let mut p = ResourceProfile::new(8);
-        p.allocate(10, 90, 1);
-        assert_eq!(p.all_free_from(0), 90);
-        assert_eq!(p.all_free_from(200), 200);
-        let q = ResourceProfile::new(8);
-        assert_eq!(q.all_free_from(5), 5);
     }
 
     #[test]

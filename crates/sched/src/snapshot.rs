@@ -48,12 +48,6 @@ impl SchedulingProblem {
         }
     }
 
-    /// Adds admitted reservations (builder style).
-    pub fn with_reservations(mut self, reservations: Vec<Reservation>) -> Self {
-        self.reservations = reservations;
-        self
-    }
-
     /// The availability profile every consumer plans against: machine
     /// history (running jobs) minus admitted reservations. Reservations
     /// ending at or before `now` no longer constrain anything.

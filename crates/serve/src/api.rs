@@ -21,9 +21,8 @@ pub const WIRE_VERSION: u64 = 1;
 /// that admitted it and its admission-ordered id, so two servers fed
 /// the same admitted sequence mint identical ids — the correlation key
 /// threading an HTTP submission through the admission batch, the tuning
-/// step, the placement decision, the flight-recorder timeline
-/// (`GET /v1/jobs/<id>/trace`), the access log, and the `serve.job`
-/// completion event.
+/// step, the placement decision, and the flight-recorder timeline
+/// (`GET /v1/jobs/<id>/trace`).
 pub fn trace_id(batch: u64, id: u32) -> String {
     // Built by hand: this runs once per completion on the service fast
     // path, where `format!`'s per-call setup is measurable.

@@ -107,14 +107,6 @@ pub struct ServiceCore {
     /// Plan revisions installed so far ([`Step::installed`] kernel
     /// calls) — the monotone counter behind per-job `replans` accounting.
     installs: u64,
-    /// Completions whose `serve.job` event has not been emitted yet.
-    /// Completions only happen while a batch (or the final drain)
-    /// advances the clock, so the events flush in one burst per batch —
-    /// per-completion emission was measured at 3–5% of the admission
-    /// path (cold caches between completions), the burst is ~0.5%.
-    /// Purely observability buffering: not part of snapshots (the
-    /// decision loop checkpoints between batches, when it is empty).
-    finished_unlogged: Vec<u32>,
     /// Whether the flight recorder captures timelines (on by default;
     /// the overhead bench flips it off to measure the delta).
     flight_recorder: bool,
@@ -138,7 +130,6 @@ impl ServiceCore {
             batches: 0,
             timelines: Vec::new(),
             installs: 0,
-            finished_unlogged: Vec::new(),
             flight_recorder: true,
         }
     }
@@ -232,7 +223,6 @@ impl ServiceCore {
         self.next_id += jobs.len() as u32;
         let batch_time = jobs.iter().map(|j| j.submit).max().unwrap_or(self.clock);
         self.advance_to(batch_time);
-        self.flush_job_events();
 
         // The kernel width-checks at the door (a job wider than the
         // machine can never be planned) and runs one tuning step for the
@@ -397,7 +387,6 @@ impl ServiceCore {
             if self.flight_recorder {
                 if let Some(t) = self.timelines.get_mut(id as usize).and_then(Option::as_mut) {
                     t.finished = Some(end);
-                    self.finished_unlogged.push(id);
                 }
             }
             if let Some(r) = dynp_obs::recorder() {
@@ -406,51 +395,6 @@ impl ServiceCore {
             self.apply(step);
         }
         self.clock = self.clock.max(t);
-    }
-
-    /// Emits one `serve.job` event per buffered completion — the
-    /// offline analyzer (dynp-insight serve) joins these with the HTTP
-    /// access log by trace id / batch. Burst emission keeps the event
-    /// machinery warm instead of paying a cold start per completion.
-    fn flush_job_events(&mut self) {
-        if self.finished_unlogged.is_empty() {
-            return;
-        }
-        let ids = std::mem::take(&mut self.finished_unlogged);
-        let Some(r) = dynp_obs::recorder() else {
-            return;
-        };
-        // One reusable trace-id buffer for the whole burst; `kv_str`
-        // escapes it in place, so the loop allocates nothing beyond
-        // each event's own line.
-        let mut trace = String::with_capacity(24);
-        for id in ids {
-            let Some(t) = self.timelines.get(id as usize).and_then(Option::as_ref) else {
-                continue;
-            };
-            trace.clear();
-            trace.push_str("t-");
-            dynp_obs::json::int_into(&mut trace, t.batch as i64);
-            trace.push('-');
-            dynp_obs::json::int_into(&mut trace, i64::from(id));
-            // Job id and batch are not repeated as fields: the trace
-            // id is `t-<batch>-<id>`, and the event is sized for the
-            // admission fast path (every field here is one the
-            // dynp-insight serve join actually reads).
-            let ev = r
-                .event("serve.job")
-                .kv_str("trace", &trace)
-                .kv_str("policy", t.policy.name())
-                .kv_int("submit", t.submit as i64);
-            let ev = match t.planned_start {
-                Some(p) => ev.kv_int("planned_start", p as i64),
-                None => ev.kv("planned_start", JsonValue::Null),
-            };
-            ev.kv_int("replans", i64::from(t.replans))
-                .kv_int("start", t.started.unwrap_or(0) as i64)
-                .kv_int("end", t.finished.unwrap_or(0) as i64)
-                .emit();
-        }
     }
 
     /// Drains the service: advances the clock past every pending
@@ -464,7 +408,6 @@ impl ServiceCore {
             self.rms.waiting().is_empty(),
             "drain left jobs waiting with an idle machine"
         );
-        self.flush_job_events();
         self.clock
     }
 

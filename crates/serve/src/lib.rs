@@ -20,11 +20,6 @@
 //! - `POST /v1/shutdown` — graceful drain: stop admitting, finish
 //!   everything, answer status queries until the process exits.
 //!
-//! With [`ServeConfig::access_log`] set, every request also appends one
-//! structured JSONL line (route, status, bytes, batch, trace, latency)
-//! to a size-rotating file set — the raw material `dynp-insight serve`
-//! joins with event logs by trace id.
-//!
 //! Three properties drive the design (DESIGN.md §12):
 //!
 //! 1. **Batched admission.** Submissions arriving within one tick are

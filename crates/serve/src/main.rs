@@ -18,11 +18,10 @@ fn usage() -> ! {
 
 /// A live server until drained via the API. A ring recorder is installed
 /// so the service metrics (queue-depth gauge, admission spans, flight-
-/// recorder events) are live; `--watch` serves them, span profiling on.
+/// recorder events) are live; `--watch` serves them.
 fn listen(addr: &str, watch_addr: Option<&str>) {
-    let recorder = dynp_obs::install(dynp_obs::Recorder::new(dynp_obs::Sink::ring(4096)));
+    dynp_obs::install(dynp_obs::Recorder::new(dynp_obs::Sink::ring(4096)));
     let watch = watch_addr.map(|watch_addr| {
-        recorder.set_profiling(true);
         let watch = WatchServer::start(watch_addr, default_rules()).unwrap_or_else(|e| {
             eprintln!("watch: cannot bind {watch_addr}: {e}");
             std::process::exit(2);

@@ -30,7 +30,6 @@
 
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -39,11 +38,11 @@ use std::time::{Duration, Instant};
 
 use dynp_core::SelfTuning;
 use dynp_obs::checkpoint::{fingerprint, CheckpointLog};
-use dynp_obs::{Counter, Histogram, JsonValue, Recorder, Sink, WindowAggregator};
+use dynp_obs::{Counter, Histogram, JsonValue, WindowAggregator};
 use dynp_sched::Metric;
 use dynp_watch::{HttpServer, Request, Response, RouterConfig};
 
-use crate::api::{decisions_body, trace_id, ApiError, Decision, JobRequest, WIRE_VERSION};
+use crate::api::{decisions_body, ApiError, Decision, JobRequest, WIRE_VERSION};
 use crate::core::ServiceCore;
 
 /// Everything that can stop the service from starting or restoring.
@@ -104,10 +103,6 @@ pub struct ServeConfig {
     /// behind `GET /v1/jobs/<id>/trace`). Costs one small map entry per
     /// admitted job; off turns the trace route into a typed 404.
     pub flight_recorder: bool,
-    /// Structured access-log path: when set, every HTTP request appends
-    /// one `serve.access` JSONL line (route, status, bytes, batch,
-    /// trace, latency) to a size-rotating file set at this path.
-    pub access_log: Option<PathBuf>,
 }
 
 impl ServeConfig {
@@ -122,7 +117,6 @@ impl ServeConfig {
             max_body_bytes: 256 * 1024,
             checkpoint: None,
             flight_recorder: true,
-            access_log: None,
         }
     }
 
@@ -137,10 +131,6 @@ struct Submission {
     requests: Vec<JobRequest>,
     reply: mpsc::SyncSender<Vec<Decision>>,
 }
-
-/// Access-log rotation bounds: ~1 MiB active file, four rotations kept.
-const ACCESS_LOG_MAX_BYTES: u64 = 1024 * 1024;
-const ACCESS_LOG_MAX_ROTATED: usize = 4;
 
 /// The fixed route table behind `GET /v1/stats`: stable labels so the
 /// windowed series names never depend on client-supplied paths.
@@ -275,24 +265,6 @@ impl RouteStats {
     }
 }
 
-/// A routed response plus the admission correlation ids (when the
-/// request admitted jobs) threaded into the access log.
-struct Routed {
-    response: Response,
-    batch: Option<u64>,
-    trace: Option<String>,
-}
-
-impl From<Response> for Routed {
-    fn from(response: Response) -> Routed {
-        Routed {
-            response,
-            batch: None,
-            trace: None,
-        }
-    }
-}
-
 /// A running scheduling service. Dropping it (or calling
 /// [`ServeServer::shutdown`]) drains and stops every thread.
 pub struct ServeServer {
@@ -301,8 +273,6 @@ pub struct ServeServer {
     draining: Arc<AtomicBool>,
     submit: SyncSender<Submission>,
     queue_depth: usize,
-    stats: Arc<RouteStats>,
-    access: Option<Arc<Recorder>>,
     http: Option<HttpServer>,
     loop_thread: Option<thread::JoinHandle<()>>,
 }
@@ -337,25 +307,6 @@ impl ServeServer {
             },
         };
         let stats = Arc::new(RouteStats::new());
-        let access = match config.access_log.as_ref() {
-            None => None,
-            Some(path) => {
-                match Sink::rotating(path, ACCESS_LOG_MAX_BYTES, ACCESS_LOG_MAX_ROTATED) {
-                    Ok(sink) => Some(Arc::new(Recorder::new(sink))),
-                    Err(e) => {
-                        // Same stance as the checkpoint: a service that
-                        // cannot access-log still serves, and says so.
-                        if let Some(r) = dynp_obs::recorder() {
-                            r.counter("serve.access_log_open_failed").inc();
-                            r.event("serve.access_log_open_failed")
-                                .kv("error", e.to_string())
-                                .emit();
-                        }
-                        None
-                    }
-                }
-            }
-        };
         let loop_thread = {
             let core = Arc::clone(&core);
             let stop = Arc::clone(&stop);
@@ -373,30 +324,12 @@ impl ServeServer {
             let submit = submit.clone();
             let queue_depth = config.queue_depth;
             let stats = Arc::clone(&stats);
-            let access = access.clone();
             Arc::new(move |request: &Request| {
                 let started = Instant::now();
                 let idx = RouteStats::classify(&request.method, &request.path);
-                let routed = route(request, &core, &draining, &submit, queue_depth, &stats);
-                let latency_ns = started.elapsed().as_nanos() as u64;
-                stats.record(idx, routed.response.status, latency_ns);
-                if let Some(log) = access.as_deref() {
-                    let mut line = log
-                        .event("serve.access")
-                        .kv("route", ROUTE_LABELS[idx])
-                        .kv("method", request.method.as_str())
-                        .kv("path", request.path.as_str())
-                        .kv("status", u64::from(routed.response.status))
-                        .kv("bytes", routed.response.body.len());
-                    if let Some(batch) = routed.batch {
-                        line = line.kv("batch", batch);
-                    }
-                    if let Some(trace) = routed.trace.as_deref() {
-                        line = line.kv("trace", trace);
-                    }
-                    line.kv("latency_ns", latency_ns).emit();
-                }
-                routed.response
+                let response = route(request, &core, &draining, &submit, queue_depth, &stats);
+                stats.record(idx, response.status, started.elapsed().as_nanos() as u64);
+                response
             })
         };
         let http = HttpServer::start(
@@ -414,8 +347,6 @@ impl ServeServer {
             draining,
             submit,
             queue_depth: config.queue_depth,
-            stats,
-            access,
             http: Some(http),
             loop_thread: Some(loop_thread),
         })
@@ -493,9 +424,6 @@ impl ServeServer {
         if let Some(mut http) = self.http.take() {
             http.join();
         }
-        if let Some(access) = self.access.take() {
-            access.flush();
-        }
         let core = self.core.lock().unwrap_or_else(|e| e.into_inner());
         core.stats_json()
     }
@@ -504,13 +432,6 @@ impl ServeServer {
     pub fn stats(&self) -> JsonValue {
         let core = self.core.lock().unwrap_or_else(|e| e.into_inner());
         core.stats_json()
-    }
-
-    /// The `GET /v1/stats` body (per-route RED + sliding windows),
-    /// sampled fresh — the programmatic twin of the HTTP route.
-    pub fn route_stats(&self) -> JsonValue {
-        self.stats.sample();
-        self.stats.stats_json()
     }
 }
 
@@ -523,9 +444,6 @@ impl Drop for ServeServer {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(mut http) = self.http.take() {
             http.join();
-        }
-        if let Some(access) = self.access.take() {
-            access.flush();
         }
     }
 }
@@ -663,7 +581,7 @@ fn route(
     submit: &SyncSender<Submission>,
     queue_depth: usize,
     stats: &RouteStats,
-) -> Routed {
+) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/v1/jobs") => {
             if draining.load(Ordering::Relaxed) {
@@ -678,11 +596,7 @@ fn route(
                 Err(e) => return api_reply(Err(e)),
             };
             match enqueue(submit, requests, queue_depth) {
-                Ok(decisions) => Routed {
-                    batch: decisions.first().map(|d| d.batch),
-                    trace: decisions.first().map(|d| trace_id(d.batch, d.id)),
-                    response: Response::json(200, decisions_body(&decisions, was_batch)),
-                },
+                Ok(decisions) => Response::json(200, decisions_body(&decisions, was_batch)),
                 Err(e) => api_reply(Err(e)),
             }
         }
@@ -703,11 +617,7 @@ fn route(
                 (core.trace_json(id), core.flight_recorder())
             };
             match body {
-                Some(json) => Routed {
-                    trace: json.get("trace").and_then(JsonValue::as_str).map(String::from),
-                    batch: json.get("batch").and_then(JsonValue::as_u64),
-                    response: Response::json(200, json.to_json()),
-                },
+                Some(json) => Response::json(200, json.to_json()),
                 None if !enabled => api_reply(Err(ApiError::new(
                     404,
                     "trace_disabled",
@@ -732,7 +642,7 @@ fn route(
                 core.job_view(id)
             };
             match view {
-                Some(json) => Response::json(200, json.to_json()).into(),
+                Some(json) => Response::json(200, json.to_json()),
                 None => api_reply(Err(ApiError::not_found(format!(
                     "no job with id {id} was ever submitted"
                 )))),
@@ -740,11 +650,11 @@ fn route(
         }
         ("GET", "/v1/stats") => {
             stats.sample();
-            Response::json(200, stats.stats_json().to_json()).into()
+            Response::json(200, stats.stats_json().to_json())
         }
         ("GET", "/v1/schedule") => {
             let core = core.lock().unwrap_or_else(|e| e.into_inner());
-            Response::json(200, core.schedule_view().to_json().to_json()).into()
+            Response::json(200, core.schedule_view().to_json().to_json())
         }
         ("POST", "/v1/shutdown") => {
             let already = draining.swap(true, Ordering::Relaxed);
@@ -757,9 +667,9 @@ fn route(
                 .with("draining", true)
                 .with("already_draining", already)
                 .with("stats", stats);
-            Response::json(202, body.to_json()).into()
+            Response::json(202, body.to_json())
         }
-        ("GET", "/healthz") => Response::text(200, "ok\n").into(),
+        ("GET", "/healthz") => Response::text(200, "ok\n"),
         ("GET", _) => api_reply(Err(ApiError::not_found(format!(
             "no such route: GET {}",
             request.path
@@ -778,10 +688,10 @@ fn route(
 
 /// Serializes an [`ApiError`] (the `Ok` arm is unreachable by
 /// construction; the signature keeps call sites uniform).
-fn api_reply(result: Result<Response, ApiError>) -> Routed {
+fn api_reply(result: Result<Response, ApiError>) -> Response {
     match result {
-        Ok(r) => r.into(),
-        Err(e) => Response::json(e.status, e.to_json().to_json()).into(),
+        Ok(r) => r,
+        Err(e) => Response::json(e.status, e.to_json().to_json()),
     }
 }
 
@@ -940,38 +850,6 @@ mod tests {
         // The plain status route still answers.
         let (status, _) = get(addr, "/v1/jobs/0");
         assert_eq!(status, 200);
-    }
-
-    #[test]
-    fn access_log_writes_one_line_per_request() {
-        let dir = std::env::temp_dir().join(format!(
-            "dynp-serve-access-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("access.jsonl");
-        let mut config = ServeConfig::new(4);
-        config.access_log = Some(path.clone());
-        let s = ServeServer::start("127.0.0.1:0", config).unwrap();
-        let addr = s.local_addr();
-        post(addr, "/v1/jobs", "{\"v\":1,\"width\":2,\"runtime\":100}");
-        get(addr, "/v1/jobs/0");
-        get(addr, "/no/such/route");
-        s.shutdown();
-        let raw = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = raw.lines().collect();
-        assert_eq!(lines.len(), 3, "{raw}");
-        for line in &lines {
-            dynp_obs::validate_json(line).unwrap();
-        }
-        assert!(lines[0].contains("\"route\":\"jobs_submit\""), "{raw}");
-        assert!(lines[0].contains("\"trace\":\"t-1-0\""), "{raw}");
-        assert!(lines[0].contains("\"batch\":1"), "{raw}");
-        assert!(lines[0].contains("\"status\":200"), "{raw}");
-        assert!(lines[2].contains("\"route\":\"other\""), "{raw}");
-        assert!(lines[2].contains("\"status\":404"), "{raw}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

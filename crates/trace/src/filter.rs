@@ -45,25 +45,6 @@ pub fn rebase(jobs: &mut [Job]) {
     }
 }
 
-/// Multiplies every interarrival gap by `factor`, compressing (`< 1`) or
-/// stretching (`> 1`) the load while keeping job shapes intact. Used to
-/// sweep offered load in the ablation experiments.
-pub fn scale_interarrival(jobs: &[Job], factor: f64) -> Vec<Job> {
-    assert!(factor > 0.0, "interarrival factor must be positive");
-    let mut sorted: Vec<Job> = jobs.to_vec();
-    sort_by_submit(&mut sorted);
-    if sorted.is_empty() {
-        return sorted;
-    }
-    let base = sorted[0].submit;
-    for j in &mut sorted {
-        j.submit = base + ((j.submit - base) as f64 * factor).round() as u64;
-    }
-    // Rounding can reorder ties only in degenerate cases; restore order.
-    sort_by_submit(&mut sorted);
-    sorted
-}
-
 /// Re-estimates every job as `factor ×` its *actual* runtime (rounded,
 /// floored at 1 s): the over-estimation axis of the paper's §4 sweeps,
 /// where users request `factor` times what their job really needs.
@@ -97,27 +78,6 @@ pub fn clamp_widths(jobs: &[Job], machine_size: u32) -> Vec<Job> {
             ..*j
         })
         .collect()
-}
-
-/// Drops jobs a planning-based RMS cannot schedule: zero width, zero
-/// estimated or actual duration, or wider than `machine_size`. The SWF
-/// reader already rejects sentinel records at parse time; this is the
-/// belt-and-suspenders pass for jobs from other sources (synthetic
-/// generators, hand-built tests) before they reach the simulator.
-/// Returns the kept jobs and the number dropped.
-pub fn sanitize(jobs: &[Job], machine_size: u32) -> (Vec<Job>, usize) {
-    let kept: Vec<Job> = jobs
-        .iter()
-        .filter(|j| {
-            j.width > 0
-                && j.width <= machine_size
-                && j.estimated_duration > 0
-                && j.actual_duration > 0
-        })
-        .copied()
-        .collect();
-    let dropped = jobs.len() - kept.len();
-    (kept, dropped)
 }
 
 #[cfg(test)]
@@ -174,28 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_interarrival_stretches_gaps() {
-        let s = scale_interarrival(&sample(), 2.0);
-        assert_eq!(s[0].submit, 100);
-        assert_eq!(s[1].submit, 300);
-        assert_eq!(s[3].submit, 700);
-    }
-
-    #[test]
-    fn scale_interarrival_compresses_gaps() {
-        let s = scale_interarrival(&sample(), 0.5);
-        assert_eq!(s[0].submit, 100);
-        assert_eq!(s[1].submit, 150);
-        assert_eq!(s[3].submit, 250);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn scale_interarrival_rejects_zero() {
-        scale_interarrival(&sample(), 0.0);
-    }
-
-    #[test]
     fn overestimate_scales_estimates_only() {
         let jobs = vec![Job::new(0, 0, 2, 100, 100), Job::new(1, 10, 4, 50, 30)];
         let o = overestimate(&jobs, 3.0);
@@ -223,33 +161,5 @@ mod tests {
             c.iter().map(|j| j.width).collect::<Vec<_>>(),
             vec![1, 2, 3, 3]
         );
-    }
-
-    #[test]
-    fn sanitize_drops_degenerate_and_oversized_jobs() {
-        let mut jobs = sample();
-        jobs.push(Job {
-            width: 0,
-            ..Job::exact(4, 500, 1, 10)
-        });
-        jobs.push(Job {
-            estimated_duration: 0,
-            ..Job::exact(5, 600, 2, 10)
-        });
-        jobs.push(Job {
-            actual_duration: 0,
-            ..Job::exact(6, 700, 2, 10)
-        });
-        jobs.push(Job::exact(7, 800, 64, 10)); // wider than the machine
-        let (kept, dropped) = sanitize(&jobs, 8);
-        assert_eq!(kept, sample());
-        assert_eq!(dropped, 4);
-    }
-
-    #[test]
-    fn sanitize_keeps_clean_traces_intact() {
-        let (kept, dropped) = sanitize(&sample(), 8);
-        assert_eq!(kept, sample());
-        assert_eq!(dropped, 0);
     }
 }

@@ -101,11 +101,6 @@ impl Job {
         self.width as u64 * self.estimated_duration
     }
 
-    /// Job area over the effective (real, capped) duration.
-    pub fn effective_area(&self) -> u64 {
-        self.width as u64 * self.effective_duration()
-    }
-
     /// Checks the structural invariants, returning a human-readable reason on
     /// failure. Used by the SWF reader and the synthetic generator.
     pub fn validate(&self) -> Result<(), String> {
@@ -159,7 +154,6 @@ mod tests {
     fn area_uses_width_times_duration() {
         let j = Job::new(1, 0, 8, 100, 60);
         assert_eq!(j.estimated_area(), 800);
-        assert_eq!(j.effective_area(), 480);
     }
 
     #[test]

@@ -89,16 +89,6 @@ impl TraceStats {
             span,
         }
     }
-
-    /// Offered load against a machine of `machine_size` resources over the
-    /// trace span: total work divided by available resource-seconds.
-    /// Values near or above 1.0 mean the machine is saturated.
-    pub fn offered_load(&self, machine_size: u32) -> f64 {
-        if self.span == 0 || machine_size == 0 {
-            return 0.0;
-        }
-        self.total_work as f64 / (self.span as f64 * machine_size as f64)
-    }
 }
 
 impl std::fmt::Display for TraceStats {
@@ -137,7 +127,6 @@ mod tests {
         let s = TraceStats::compute(&[]);
         assert_eq!(s.count, 0);
         assert_eq!(s.total_work, 0);
-        assert_eq!(s.offered_load(100), 0.0);
     }
 
     #[test]
@@ -181,14 +170,6 @@ mod tests {
             Job::exact(4, 3, 8, 10),
         ];
         assert_eq!(TraceStats::compute(&jobs).serial_fraction, 0.5);
-    }
-
-    #[test]
-    fn offered_load_is_work_over_capacity() {
-        let jobs = vec![Job::exact(1, 0, 10, 100), Job::exact(2, 100, 10, 100)];
-        let s = TraceStats::compute(&jobs);
-        // work = 2 * 10 * 100 = 2000; span = 100; machine 20 => 2000/2000 = 1
-        assert!((s.offered_load(20) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -88,7 +88,6 @@ pub fn default_rules() -> Vec<Rule> {
 pub struct WatchServer {
     stop: Arc<AtomicBool>,
     alerts: Arc<Mutex<AlertSet>>,
-    window: Arc<Mutex<WindowAggregator>>,
     http: Option<HttpServer>,
     tick: Option<thread::JoinHandle<()>>,
 }
@@ -141,7 +140,6 @@ impl WatchServer {
         Ok(WatchServer {
             stop,
             alerts,
-            window,
             http: Some(http),
             tick: Some(tick_handle),
         })
@@ -150,17 +148,6 @@ impl WatchServer {
     /// The bound address — the actual port when started on port 0.
     pub fn local_addr(&self) -> SocketAddr {
         self.http.as_ref().expect("server running").local_addr()
-    }
-
-    /// Current alert state, as served on `GET /alerts`.
-    pub fn alerts_json(&self) -> JsonValue {
-        self.alerts.lock().unwrap().to_json()
-    }
-
-    /// The `GET /slo` body: the sliding-window view (sampled fresh from
-    /// the global recorder) plus the current alert state.
-    pub fn slo_json(&self) -> JsonValue {
-        slo_body(&self.alerts, &self.window)
     }
 
     /// Stops the accept and tick threads, waits for them, and returns

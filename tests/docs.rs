@@ -2,7 +2,9 @@
 //! `--bench <x>`) and every back-ticked repo path (`BENCH_*.json`,
 //! `results/…`, `ci/…`, `tests/…`, `*_output.txt`) that the documents
 //! below name must exist — at the repo root or inside one of `crates/*/`.
-//! Placeholders (`<name>`, globs, brace lists) are skipped.
+//! Placeholders (`<name>`, globs, brace lists) are skipped. And docs
+//! cannot quote a run no file backs: every fenced block of EXPERIMENTS.md
+//! without a language tag is a verbatim line span of a file in `results/`.
 
 use std::path::{Path, PathBuf};
 
@@ -77,6 +79,71 @@ fn paths(text: &str) -> Vec<String> {
         .collect()
 }
 
+/// The lines of every fenced block opened by a bare "```" (no language
+/// tag) — the result transcripts, as opposed to `console` commands.
+fn untagged_blocks(text: &str) -> Vec<Vec<&str>> {
+    let mut blocks = Vec::new();
+    let mut open: Option<(bool, Vec<&str>)> = None;
+    for line in text.lines() {
+        let fence = line.trim_start().strip_prefix("```");
+        open = match (fence, open) {
+            (Some(tag), None) => Some((tag.trim().is_empty(), Vec::new())),
+            (Some(_), Some((untagged, lines))) => {
+                if untagged {
+                    blocks.push(lines);
+                }
+                None
+            }
+            (None, Some((untagged, mut lines))) => {
+                lines.push(line);
+                Some((untagged, lines))
+            }
+            (None, None) => None,
+        };
+    }
+    blocks
+}
+
+/// The text of every readable file under `dir`, recursively.
+fn file_texts(dir: &Path) -> Vec<String> {
+    let mut texts = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("readable directory") {
+        let path = entry.expect("readable directory entry").path();
+        if path.is_dir() {
+            texts.extend(file_texts(&path));
+        } else if let Ok(text) = std::fs::read_to_string(&path) {
+            texts.push(text);
+        }
+    }
+    texts
+}
+
+#[test]
+fn every_untagged_experiments_block_is_a_span_of_a_results_file() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let doc = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("document exists");
+    let texts = file_texts(&root.join("results"));
+    let results: Vec<Vec<&str>> = texts.iter().map(|text| text.lines().collect()).collect();
+    let blocks = untagged_blocks(&doc);
+    assert!(!blocks.is_empty(), "EXPERIMENTS.md quotes no result at all");
+    let unbacked: Vec<String> = blocks
+        .iter()
+        .filter(|block| {
+            !results.iter().any(|lines| {
+                lines
+                    .windows(block.len().max(1))
+                    .any(|span| span == block.as_slice())
+            })
+        })
+        .map(|block| block.join("\n"))
+        .collect();
+    assert!(
+        unbacked.is_empty(),
+        "fenced blocks that are no line span of any file under results/:\n\n{}",
+        unbacked.join("\n\n")
+    );
+}
+
 #[test]
 fn every_target_and_path_the_docs_name_exists() {
     let bases = bases();
@@ -112,4 +179,7 @@ fn extraction_sees_targets_and_inline_paths_only() {
         ]
     );
     assert_eq!(paths(text), ["BENCH_milp.json", "tests/a.rs"]);
+    // Only the bare fence is a result transcript.
+    let fenced = "```\nrow 1\n\nrow 2\n```\n```console\n$ cmd\n```\n";
+    assert_eq!(untagged_blocks(fenced), [["row 1", "", "row 2"]]);
 }
