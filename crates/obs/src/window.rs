@@ -107,7 +107,11 @@ impl WindowAggregator {
     pub fn observe_histogram(&mut self, name: &str, cumulative: &HistogramSnapshot, now_secs: u64) {
         let epoch = self.epoch(now_secs);
         let keep = self.keep_slots as u64;
-        let series = self.hists.entry(name.to_string()).or_default();
+        // `entry` wants an owned key; only a new series pays for one.
+        let series = match self.hists.get_mut(name) {
+            Some(series) => series,
+            None => self.hists.entry(name.to_string()).or_default(),
+        };
         let delta = match &series.prev {
             Some(prev) => cumulative.delta_since(prev),
             None => cumulative.clone(),
@@ -132,7 +136,10 @@ impl WindowAggregator {
     pub fn observe_counter(&mut self, name: &str, total: u64, now_secs: u64) {
         let epoch = self.epoch(now_secs);
         let keep = self.keep_slots as u64;
-        let series = self.counters.entry(name.to_string()).or_default();
+        let series = match self.counters.get_mut(name) {
+            Some(series) => series,
+            None => self.counters.entry(name.to_string()).or_default(),
+        };
         let delta = if series.primed {
             total.saturating_sub(series.prev)
         } else {

@@ -70,9 +70,19 @@ impl ResourceProfile {
         min
     }
 
-    /// Whether a job of `width` resources fits in `[start, start+duration)`.
+    /// Whether a job of `width` resources fits in `[start, start+duration)`:
+    /// `width <= min_free(start, start + duration)`, answered at the first
+    /// segment that is too full instead of after the whole window — the
+    /// planner's frontier pass asks this of every queued job.
     pub fn fits(&self, start: u64, duration: u64, width: u32) -> bool {
-        width <= self.min_free(start, start.saturating_add(duration))
+        let end = start.saturating_add(duration);
+        if start >= end {
+            return width <= self.capacity;
+        }
+        self.steps[self.segment_index(start)..]
+            .iter()
+            .take_while(|&&(time, _)| time < end)
+            .all(|&(_, free)| width <= free)
     }
 
     /// Earliest start `t >= earliest` such that `width` resources are free
@@ -590,6 +600,21 @@ mod tests {
             prop_assert_eq!(
                 p.earliest_fit(earliest, duration, width),
                 p.earliest_fit_naive(earliest, duration, width)
+            );
+        }
+
+        #[test]
+        fn fits_equals_the_window_minimum(
+            cap in 1u32..=32,
+            allocs in prop::collection::vec((0u64..500, 1u64..80, 1u32..=16), 0..12),
+            start in 0u64..600,
+            duration in 0u64..200,
+            width in 0u32..=40,
+        ) {
+            let p = random_profile(cap, &allocs);
+            prop_assert_eq!(
+                p.fits(start, duration, width),
+                width <= p.min_free(start, start + duration)
             );
         }
 

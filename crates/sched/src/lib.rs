@@ -26,7 +26,9 @@ pub mod schedule;
 pub mod snapshot;
 
 pub use metrics::{Metric, MetricValue};
-pub use planner::{plan, plan_easy, plan_ordered, plan_ordered_in, plan_with_profile, PlanError};
+pub use planner::{
+    plan, plan_easy, plan_frontier, plan_ordered, plan_with_profile, PlanError,
+};
 pub use policy::Policy;
 pub use reservation::{admit, AdmissionRule, Reservation, ReservationRequest};
 pub use schedule::{Schedule, ScheduleEntry};

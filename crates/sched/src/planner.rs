@@ -91,7 +91,7 @@ pub fn plan_with_profile(
     if let Some(r) = dynp_obs::recorder() {
         r.counter("planner.profile_clones").inc();
     }
-    plan_ordered_in(problem, &policy.order(&problem.jobs), profile.clone())
+    plan_ordered_in(problem, &policy.order(&problem.jobs), profile.clone(), false)
 }
 
 /// Plans a full schedule with an explicit job order (must be a permutation
@@ -102,28 +102,65 @@ pub fn plan_ordered(
     problem: &SchedulingProblem,
     order: &[dynp_trace::Job],
 ) -> Result<Schedule, PlanError> {
-    plan_ordered_in(problem, order, problem.availability_profile())
+    plan_ordered_in(problem, order, problem.availability_profile(), false)
+}
+
+/// The **dispatch frontier** of the full plan: places `order` (a
+/// permutation of the snapshot's jobs, as for [`plan_ordered`]) exactly
+/// as the full pass does, but stops as soon as no unplaced job can still
+/// start at `problem.now`. The result is the placed prefix of
+/// `plan_ordered(problem, order)`, entry for entry, and it holds every
+/// entry of that plan with `start == now` — all a completion needs to
+/// dispatch — at the cost of the jobs placed, not of the queue.
+pub fn plan_frontier(
+    problem: &SchedulingProblem,
+    order: &[dynp_trace::Job],
+) -> Result<Schedule, PlanError> {
+    plan_ordered_in(problem, order, problem.availability_profile(), true)
 }
 
 /// Core list-scheduling pass: places `order` into an owned working
-/// `profile`. All planner entry points funnel here.
+/// `profile`. All planner entry points funnel here. With `frontier_only`
+/// it ends before the first position from which no job fits at `now` any
+/// more.
 ///
 /// The profile's pre-`now` prefix is compressed away first
 /// ([`ResourceProfile::compress_before`]) — no job may start before `now`,
 /// and a short profile keeps every subsequent skip-scan and allocation
 /// cheap. Emits `planner.fit_probes` (total segment probes) and the
 /// `planner.plan_ordered` latency span when a recorder is installed.
-pub fn plan_ordered_in(
+///
+/// Allocations only remove capacity, so a job that has stopped fitting
+/// at `now` never fits there again during the pass: `live` — one past
+/// the last position whose job still fits — only ever moves down, and
+/// the stop test costs one cheap check per queued job over the whole
+/// pass plus one per placement. (Comparing the free count at `now` with
+/// the narrowest remaining width is not enough: a narrow job can fit by
+/// width and still not for its whole window.)
+fn plan_ordered_in(
     problem: &SchedulingProblem,
     order: &[dynp_trace::Job],
     mut profile: ResourceProfile,
+    frontier_only: bool,
 ) -> Result<Schedule, PlanError> {
     let _span = dynp_obs::Span::enter("planner.plan_ordered");
     profile.compress_before(problem.now);
     let mut schedule = Schedule::new();
     let mut probes = 0u64;
-    for job in order {
+    let fits_now = |profile: &ResourceProfile, job: &dynp_trace::Job| {
+        profile.fits(problem.now, job.estimated_duration.max(1), job.width)
+    };
+    let mut live = order.len();
+    for (i, job) in order.iter().enumerate() {
         let duration = job.estimated_duration.max(1);
+        if frontier_only {
+            while live > i && !fits_now(&profile, &order[live - 1]) {
+                live -= 1;
+            }
+            if live == i {
+                break;
+            }
+        }
         let (start, fit_probes) = profile.earliest_fit_probed(problem.now, duration, job.width);
         probes += fit_probes;
         let start = start.ok_or(PlanError::JobTooWide {
@@ -299,6 +336,8 @@ mod tests {
             16,
             (0..20)
                 .map(|i| Job::exact(i, 0, 1 + (i % 7), 60 * (1 + (i as u64 % 9))))
+                // A zero estimate is planned — and validated — as one second.
+                .chain([Job::exact(20, 0, 2, 0)])
                 .collect(),
         );
         for policy in Policy::ALL {

@@ -67,10 +67,12 @@ impl Policy {
         primary.then(a.submit.cmp(&b.submit)).then(a.id.cmp(&b.id))
     }
 
-    /// Returns the waiting jobs sorted according to the policy.
+    /// Returns the waiting jobs sorted according to the policy. The
+    /// comparator ends in the job id, so no two distinct jobs compare
+    /// equal and the unstable sort returns what a stable one would.
     pub fn order(&self, jobs: &[Job]) -> Vec<Job> {
         let mut sorted = jobs.to_vec();
-        sorted.sort_by(|a, b| self.compare(a, b));
+        sorted.sort_unstable_by(|a, b| self.compare(a, b));
         sorted
     }
 }

@@ -128,7 +128,8 @@ impl Schedule {
                     entry.id, entry.width, job.width
                 ));
             }
-            if entry.duration() != job.estimated_duration {
+            // A zero estimate is planned as one second (see the planner).
+            if entry.duration() != job.estimated_duration.max(1) {
                 return Err(format!(
                     "job {}: planned duration {} != estimate {}",
                     entry.id,

@@ -32,7 +32,6 @@
 
 use std::collections::BTreeMap;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 use std::cmp::Reverse;
 
 use dynp_core::SelfTuning;
@@ -231,20 +230,23 @@ impl ServiceCore {
         self.apply(step);
 
         // One pass over the installed plan (`Schedule::start_of` is a
-        // linear scan; per-id scans would be O(batch × plan)).
-        let starts: HashMap<u32, u64> = self
-            .rms
-            .plan()
-            .entries()
-            .iter()
-            .map(|e| (e.id.0, e.start))
-            .collect();
+        // linear scan; per-id scans would be O(batch × plan)), keeping
+        // only this batch's own jobs: their ids are contiguous.
+        let first_id = self.next_id - jobs.len() as u32;
+        let mut starts: Vec<Option<u64>> = vec![None; jobs.len()];
+        for entry in self.rms.plan().entries() {
+            let slot = entry.id.0.checked_sub(first_id);
+            if let Some(slot) = slot.and_then(|k| starts.get_mut(k as usize)) {
+                *slot = Some(entry.start);
+            }
+        }
 
         // Decisions, in request order.
         let (batch, clock, policy) = (self.batches, self.clock, self.rms.selector().active());
         let decisions: Vec<Decision> = jobs
             .iter()
-            .map(|job| {
+            .zip(starts)
+            .map(|(job, planned)| {
                 let id = job.id.0;
                 let declined = self.declined.get(&id).map(|(_, why)| why.clone());
                 let started = self.rms.running().contains_key(&job.id);
@@ -253,7 +255,7 @@ impl ServiceCore {
                 } else if started {
                     Some(clock)
                 } else {
-                    starts.get(&id).copied()
+                    planned
                 };
                 Decision {
                     id,
@@ -430,8 +432,10 @@ impl ServiceCore {
             });
         }
         for entry in self.rms.plan().start_order() {
-            // The plan covers dispatched jobs too; only show the ones
-            // still waiting (the dispatched are in the running section).
+            // A tuning step's plan covers the jobs it dispatched too (a
+            // plan derived on this read, after a completion, does not);
+            // only show the ones still waiting — the dispatched are in
+            // the running section.
             if started.contains_key(&entry.id) {
                 continue;
             }
@@ -469,6 +473,7 @@ impl ServiceCore {
                 .with("submit", job.submit)
                 .with("width", job.width)
                 .with("estimated_duration", job.estimated_duration);
+            // After a completion the kernel derives the plan on this read.
             if let Some(start) = self.rms.plan().start_of(job.id) {
                 json.set("planned_start", start);
             }
@@ -808,7 +813,8 @@ impl ServiceCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynp_sched::Metric;
+    use dynp_platform::MachineHistory;
+    use dynp_sched::{plan, plan_frontier, Metric, SchedulingProblem};
 
     fn core(capacity: u32) -> ServiceCore {
         ServiceCore::new(capacity, SelfTuning::paper_config(Metric::SldwA))
@@ -989,6 +995,83 @@ mod tests {
         assert_eq!(da, db);
         assert_eq!(a.drain(), b.drain());
         assert_eq!(a.records(), b.records());
+    }
+
+    /// The one route that reads a plan nobody planned: completions empty
+    /// the kernel's plan, a batch that admits nothing runs no tuning
+    /// step to refill it, and the views derive it on read.
+    #[test]
+    fn views_after_a_completion_show_the_derived_plan() {
+        let mut c = core(4);
+        // Job 0 takes the machine and ends early, at 60; three jobs wait.
+        let early = JobRequest {
+            actual_runtime: Some(60),
+            ..req(4, 100)
+        };
+        c.submit_batch(&[early]);
+        c.submit_batch(&[req(4, 50), req(2, 30), req(3, 40)]);
+        let too_wide = JobRequest {
+            submit: Some(70),
+            ..req(9, 10)
+        };
+        let d = c.submit_batch(&[too_wide]);
+        assert!(d[0].declined.is_some());
+        assert_eq!((c.clock(), c.records().len()), (70, 1), "the clock passed job 0's end");
+        assert_eq!(c.tuner_steps(), 2, "admitting nothing is not a tuning point");
+
+        // What a fresh full plan of the queue gives, here and now.
+        let problem = SchedulingProblem::new(
+            c.clock(),
+            c.rms.machine().history(c.clock()),
+            c.rms.waiting().to_vec(),
+        );
+        let fresh = plan(&problem, c.rms.selector().active()).unwrap();
+        assert!(!fresh.is_empty(), "jobs still wait");
+        let view = c.schedule_view();
+        let shown: Vec<(u32, u64)> = view.entries.iter().filter(|e| !e.running).map(|e| (e.id, e.start)).collect();
+        let expected: Vec<(u32, u64)> = fresh.start_order().iter().map(|e| (e.id.0, e.start)).collect();
+        assert_eq!(shown, expected);
+        for (id, start) in expected {
+            let body = c.job_view(id).unwrap().to_json();
+            assert!(body.contains(&format!("\"planned_start\":{start}")), "{body}");
+        }
+
+        // A restored core plans the queue in full; the views cannot tell.
+        let b = ServiceCore::restore(4, SelfTuning::paper_config(Metric::SldwA), &c.snapshot())
+            .unwrap();
+        assert_eq!(
+            b.schedule_view().to_json().to_json(),
+            c.schedule_view().to_json().to_json()
+        );
+        for id in 0..5 {
+            assert_eq!(
+                b.job_view(id).map(|j| j.to_json()),
+                c.job_view(id).map(|j| j.to_json()),
+                "job {id}"
+            );
+        }
+    }
+
+    /// A completion costs the jobs it starts, not the queue behind them.
+    #[test]
+    fn a_completion_places_only_the_jobs_it_dispatches() {
+        let mut c = core(4);
+        let backlog: Vec<JobRequest> = (0..1001).map(|_| req(4, 100)).collect();
+        c.submit_batch(&backlog);
+        assert_eq!((c.rms.running().len(), c.rms.waiting().len()), (1, 1000));
+        // The pass as the kernel runs it when job 0 ends at 100: the
+        // placed prefix it returns is one job long, the one it starts.
+        let problem = SchedulingProblem::new(
+            100,
+            MachineHistory::empty(4, 100),
+            c.rms.waiting().to_vec(),
+        );
+        let order = c.rms.selector().active().order(&problem.jobs);
+        let frontier = plan_frontier(&problem, &order).unwrap();
+        assert_eq!(frontier.len(), 1, "placed {} of 1000 queued jobs", frontier.len());
+        c.advance_to(100);
+        assert!(c.rms.running().contains_key(&frontier.entries()[0].id));
+        assert_eq!((c.rms.running().len(), c.rms.waiting().len()), (1, 999));
     }
 
     #[test]

@@ -151,6 +151,11 @@ struct RouteCell {
     requests: Counter,
     errors: Counter,
     latency_ns: Histogram,
+    /// The window-series names of the three primitives, built once: the
+    /// decision loop samples on every turn, busy or idle.
+    requests_series: String,
+    errors_series: String,
+    latency_series: String,
 }
 
 /// Per-route request statistics plus the sliding-window aggregator that
@@ -176,6 +181,9 @@ impl RouteStats {
                     requests: Counter::new(),
                     errors: Counter::new(),
                     latency_ns: Histogram::new(),
+                    requests_series: format!("serve.route.{label}.requests"),
+                    errors_series: format!("serve.route.{label}.errors"),
+                    latency_series: format!("serve.route.{label}.latency_ns"),
                 })
                 .collect(),
             window: Mutex::new(WindowAggregator::for_slo()),
@@ -218,21 +226,9 @@ impl RouteStats {
         let now = self.now_secs();
         let mut window = self.window.lock().unwrap_or_else(|e| e.into_inner());
         for cell in &self.routes {
-            window.observe_histogram(
-                &format!("serve.route.{}.latency_ns", cell.label),
-                &cell.latency_ns.snapshot(),
-                now,
-            );
-            window.observe_counter(
-                &format!("serve.route.{}.requests", cell.label),
-                cell.requests.get(),
-                now,
-            );
-            window.observe_counter(
-                &format!("serve.route.{}.errors", cell.label),
-                cell.errors.get(),
-                now,
-            );
+            window.observe_histogram(&cell.latency_series, &cell.latency_ns.snapshot(), now);
+            window.observe_counter(&cell.requests_series, cell.requests.get(), now);
+            window.observe_counter(&cell.errors_series, cell.errors.get(), now);
         }
     }
 

@@ -7,16 +7,17 @@
 //! the online service (`dynp_serve::ServiceCore`) drive; see [`rms`].
 //!
 //! The simulator replays a job trace against a [`Machine`]
-//! (`dynp-platform`), re-planning the full schedule at every submission and
-//! completion exactly like a planning-based RMS:
+//! (`dynp-platform`), re-planning at every submission and completion
+//! exactly like a planning-based RMS:
 //!
 //! * **submission** → the new job joins the waiting queue, a quasi-off-line
 //!   snapshot is taken, the policy selector (fixed policy or the
 //!   self-tuning dynP) picks the policy, a full schedule is planned, and
 //!   every job whose planned start is "now" is dispatched;
 //! * **completion** → resources are released (jobs may finish *earlier*
-//!   than their estimate) and the schedule is re-planned with the active
-//!   policy so waiting jobs move forward.
+//!   than their estimate) and the active policy's plan is followed as far
+//!   as jobs can start "now" — the dispatch frontier — so waiting jobs
+//!   move forward; the rest of that plan is derived when somebody reads it.
 //!
 //! [`snapshots`] taps the per-submission snapshots — the instances the
 //! paper hands to CPLEX — without influencing the simulation, matching §4:

@@ -2,15 +2,20 @@
 //! discrete-event driver.
 //!
 //! [`Rms`] is the paper's CCS (§2) as a state machine: machine, policy
-//! selector, waiting queue, running set, installed plan, completion
-//! records. It owns no clock and no event queue — the caller says what
-//! time it is. Submissions ([`Rms::submit`]) trigger a self-tuning step
-//! (snapshot → policy selection → full plan); completions
-//! ([`Rms::complete`]) release resources and re-plan with the active
-//! policy so the plan tracks reality when jobs finish earlier than
-//! estimated. Both funnel into one private `replan`, the only
-//! build-problem → plan → decline-and-retry → dispatch loop in the
-//! workspace, and each returns a [`Step`] saying what happened.
+//! selector, waiting queue, running set, plan, completion records. It
+//! owns no clock and no event queue — the caller says what time it is.
+//! Submissions ([`Rms::submit`]) trigger a self-tuning step (snapshot →
+//! policy selection → full plan); completions ([`Rms::complete`]) release
+//! resources and move waiting jobs forward under the active policy, so
+//! the schedule tracks reality when jobs finish earlier than estimated.
+//! A completion needs only the jobs that start *now*, so it plans the
+//! **dispatch frontier** ([`dynp_sched::plan_frontier`]: the full pass,
+//! stopped once nothing unplaced can still start) and costs the jobs it
+//! starts, not the queue; the plan of the jobs left waiting is derived on
+//! read after a completion ([`Rms::plan`]). Both calls funnel into one
+//! private `replan`, the only build-problem → plan → decline-and-retry →
+//! dispatch loop in the workspace, and each returns a [`Step`] saying
+//! what happened.
 //!
 //! Two drivers decide *when* those calls happen: [`RmsModel`] below (the
 //! DES replay behind [`crate::simulate`]) and `dynp_serve::ServiceCore`
@@ -22,8 +27,11 @@ use crate::snapshots::SnapshotLog;
 use dynp_core::PolicySelector;
 use dynp_des::{EventQueue, Model};
 use dynp_platform::{Machine, MachineError};
-use dynp_sched::{plan, PlanError, Policy, Schedule, SchedulingProblem};
+use dynp_sched::{
+    plan, plan_frontier, PlanError, Policy, Schedule, ScheduleEntry, SchedulingProblem,
+};
 use dynp_trace::{Job, JobId};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 /// A job the kernel refused, and why.
@@ -46,7 +54,9 @@ pub struct Step {
     /// The policy a self-tuning step chose; `None` when none ran (the
     /// active policy was reused, or nothing was waiting).
     pub tuned: Option<Policy>,
-    /// Whether a fresh plan was installed.
+    /// Whether the plan was revised: `true` whenever jobs were waiting
+    /// at the call, whether a tuning step planned them all or a
+    /// completion planned only its dispatch frontier.
     pub installed: bool,
     /// Jobs started at the call's `now` with their **actual** ends, in
     /// dispatch order.
@@ -62,11 +72,20 @@ pub struct Rms<S: PolicySelector> {
     selector: S,
     /// Waiting queue: submitted, not yet dispatched.
     waiting: Vec<Job>,
+    /// `waiting` in the active policy's order, kept from one completion
+    /// to the next ([`Policy::compare`] is a total order, so it is a
+    /// function of the job set, not of `waiting`'s removal history).
+    /// `None` from a tuning step until the next completion sorts it.
+    ordered: Option<Vec<Job>>,
     /// Running jobs and their start times (id-ordered, so drivers that
     /// serialize the set get a deterministic order).
     running: BTreeMap<JobId, (Job, u64)>,
-    /// The most recent full plan (covers the jobs it dispatched too).
-    plan: Schedule,
+    /// The plan behind [`Rms::plan`]: filled by a tuning step and by
+    /// `restore`, emptied by a completion and derived on the next read.
+    plan: OnceCell<Schedule>,
+    /// The `now` of the most recent kernel call — when a derived plan
+    /// is planned.
+    planned_at: u64,
     /// Completed-job records, in completion order.
     records: Vec<JobRecord>,
     /// The policy used for the most recent plan.
@@ -82,8 +101,10 @@ impl<S: PolicySelector> Rms<S> {
             machine: Machine::new(capacity),
             selector,
             waiting: Vec::new(),
+            ordered: None,
             running: BTreeMap::new(),
-            plan: Schedule::new(),
+            plan: OnceCell::new(),
+            planned_at: 0,
             records: Vec::new(),
             active: None,
             snapshot_log,
@@ -95,8 +116,9 @@ impl<S: PolicySelector> Rms<S> {
     /// [`Machine::running`] reports the same actual ends the original
     /// run saw), `active` is the policy of the last plan, and the plan
     /// is re-derived from it — a deterministic function of the restored
-    /// state, so it matches the plan the original held; nothing new can
-    /// be due at `now`, whatever could start had already been dispatched.
+    /// state, so it matches the plan the original holds (or derives);
+    /// nothing new can be due at `now`, whatever could start had already
+    /// been dispatched.
     ///
     /// Fails when `running` does not fit the machine or a waiting job can
     /// never be planned — neither state is reachable through
@@ -114,6 +136,7 @@ impl<S: PolicySelector> Rms<S> {
         rms.active = Some(active);
         rms.waiting = waiting;
         rms.records = records;
+        rms.planned_at = now;
         running.sort_by_key(|(job, start)| (*start, job.id));
         for (job, start) in running {
             if !rms.machine.can_start(job.width) {
@@ -125,12 +148,15 @@ impl<S: PolicySelector> Rms<S> {
             rms.machine.start(&job, start);
             rms.running.insert(job.id, (job, start));
         }
-        let mut step = Step::default();
-        rms.replan(now, false, &mut step);
-        match step.declined.first() {
-            Some(decline) => Err(format!("restored queue is unplannable: {}", decline.error)),
-            None => Ok(rms),
-        }
+        // The full pass, not a completion's frontier pass: only placing
+        // every job finds the one that can never be placed, and it is
+        // this guard that keeps declines off the completion path.
+        let plan = rms
+            .derive_plan()
+            .map_err(|error| format!("restored queue is unplannable: {error}"))?;
+        rms.dispatch(now, &plan, &mut Step::default());
+        rms.plan = OnceCell::from(plan);
+        Ok(rms)
     }
 
     /// Admits `jobs` at time `now` and runs one self-tuning step over the
@@ -164,10 +190,10 @@ impl<S: PolicySelector> Rms<S> {
     }
 
     /// Completes running job `id` at time `now`: releases its resources,
-    /// records it, and re-plans so waiting jobs move forward — with the
-    /// active policy, or with a self-tuning step when `tune` is set (the
-    /// paper tunes on submissions only). A job that is not running
-    /// changes nothing.
+    /// records it, and moves waiting jobs forward — with the active
+    /// policy, or with a self-tuning step when `tune` is set (the paper
+    /// tunes on submissions only). A job that is not running changes
+    /// nothing.
     pub fn complete(&mut self, now: u64, id: JobId, tune: bool) -> Result<Step, MachineError> {
         self.machine.complete(id)?;
         let (job, start) = self.running.remove(&id).expect("running job is tracked");
@@ -184,15 +210,27 @@ impl<S: PolicySelector> Rms<S> {
         Ok(step)
     }
 
-    /// Re-plans the full schedule and dispatches all jobs due now.
-    /// `tune` decides whether the policy selector runs a self-tuning step
-    /// or the active policy is reused.
+    /// Re-plans and dispatches all jobs due now. With `tune` the policy
+    /// selector runs a self-tuning step and its full plan is kept;
+    /// without, the active policy is reused and only the dispatch
+    /// frontier is planned — every placement the full pass would make
+    /// up to the point where nothing unplaced can start at `now` any
+    /// more, hence the same dispatches in the same order — and the plan
+    /// of the jobs left waiting is derived when somebody reads it.
     ///
     /// A [`PlanError`] from the selector or the planner names a single
     /// unplannable job; that job is declined and planning retries with
     /// the rest of the queue — one malformed job must not kill the
-    /// simulation (it used to unwind a whole campaign cell).
+    /// simulation (it used to unwind a whole campaign cell). Only a
+    /// tuning step can meet one: every queued job passed the width check
+    /// at the door or `restore`'s full pass, and a machine history always
+    /// drains to full capacity, so the frontier arm's declines are
+    /// unreachable by construction (and [`Rms::plan`] relies on it).
     fn replan(&mut self, now: u64, tune: bool, step: &mut Step) {
+        self.plan.take();
+        self.planned_at = now;
+        // `Some`: plan the frontier under this policy; `None`: tune.
+        let reuse = self.active.filter(|_| !tune);
         while !self.waiting.is_empty() {
             // The queue is lent to the snapshot, not cloned, and taken
             // back before anything can return.
@@ -201,27 +239,40 @@ impl<S: PolicySelector> Rms<S> {
                 self.machine.history(now),
                 std::mem::take(&mut self.waiting),
             );
-            let planned = match self.active {
-                Some(active) if !tune => plan(&problem, active),
-                _ => self.selector.select(&problem).map(|(chosen, schedule)| {
-                    self.snapshot_log.offer(&problem, chosen);
-                    self.active = Some(chosen);
-                    step.tuned = Some(chosen);
-                    schedule
-                }),
+            let planned = match reuse {
+                Some(active) => {
+                    let order = self
+                        .ordered
+                        .get_or_insert_with(|| active.order(&problem.jobs));
+                    let frontier = plan_frontier(&problem, order);
+                    debug_assert_eq!(
+                        frontier.as_ref().map(|s| due(s, now).collect::<Vec<_>>()),
+                        plan(&problem, active)
+                            .as_ref()
+                            .map(|s| due(s, now).collect()),
+                        "the frontier pass and the full plan dispatch differently"
+                    );
+                    frontier
+                }
+                None => {
+                    self.ordered = None;
+                    let tuned = self.selector.select(&problem).map(|(chosen, schedule)| {
+                        self.snapshot_log.offer(&problem, chosen);
+                        self.active = Some(chosen);
+                        step.tuned = Some(chosen);
+                        schedule
+                    });
+                    debug_assert!(tuned.iter().all(|s| s.validate(&problem).is_ok()));
+                    tuned
+                }
             };
-            debug_assert!(planned.iter().all(|s| s.validate(&problem).is_ok()));
             self.waiting = problem.jobs;
             match planned {
                 Ok(schedule) => {
-                    // Dispatch everything planned to start right now.
-                    for entry in schedule.entries().iter().filter(|e| e.start == now) {
-                        let job = self.take_waiting(entry.id).expect("planned job is waiting");
-                        let actual_end = self.machine.start(&job, now);
-                        self.running.insert(job.id, (job, now));
-                        step.dispatched.push((job.id, actual_end));
+                    self.dispatch(now, &schedule, step);
+                    if reuse.is_none() {
+                        self.plan = OnceCell::from(schedule);
                     }
-                    self.plan = schedule;
                     step.installed = true;
                     return;
                 }
@@ -241,15 +292,38 @@ impl<S: PolicySelector> Rms<S> {
                 }
             }
         }
-        self.plan = Schedule::new();
+    }
+
+    /// Starts every job `schedule` plans at `now`, in plan order.
+    fn dispatch(&mut self, now: u64, schedule: &Schedule, step: &mut Step) {
+        for entry in due(schedule, now) {
+            let job = self.take_waiting(entry.id).expect("planned job is waiting");
+            let actual_end = self.machine.start(&job, now);
+            self.running.insert(job.id, (job, now));
+            step.dispatched.push((job.id, actual_end));
+        }
     }
 
     /// Removes job `id` from the waiting queue. `swap_remove`, so queue
-    /// order — which policy-ordering ties depend on — evolves the same
-    /// way for every driver.
+    /// order — which drivers serialize — evolves the same way for every
+    /// driver; the policy-ordered mirror keeps its order.
     fn take_waiting(&mut self, id: JobId) -> Option<Job> {
         let idx = self.waiting.iter().position(|j| j.id == id)?;
+        if let Some(ordered) = &mut self.ordered {
+            ordered.retain(|j| j.id != id);
+        }
         Some(self.waiting.swap_remove(idx))
+    }
+
+    /// The full plan of the waiting queue under the active policy, at
+    /// the time of the last kernel call.
+    fn derive_plan(&self) -> Result<Schedule, PlanError> {
+        let Some(active) = self.active else {
+            return Ok(Schedule::new());
+        };
+        let now = self.planned_at;
+        let problem = SchedulingProblem::new(now, self.machine.history(now), self.waiting.clone());
+        plan(&problem, active)
     }
 
     /// The underlying machine (for capacity / utilization queries).
@@ -272,10 +346,18 @@ impl<S: PolicySelector> Rms<S> {
         &self.running
     }
 
-    /// The most recent full plan. It still lists the jobs it dispatched;
-    /// filter by [`Rms::running`] for the waiting part.
+    /// The current plan. After a submission this is the tuning step's
+    /// full plan, which still lists the jobs it dispatched (filter by
+    /// [`Rms::running`] for the waiting part). After a completion it is
+    /// derived on read — the active policy's full plan of the jobs still
+    /// waiting, against the machine as the completion left it; the same
+    /// starts a full re-plan at the completion would have given them,
+    /// computed once and only if somebody asks.
     pub fn plan(&self) -> &Schedule {
-        &self.plan
+        self.plan.get_or_init(|| {
+            self.derive_plan()
+                .expect("every queued job was planned when it was admitted or restored")
+        })
     }
 
     /// Completed-job records so far, in completion order.
@@ -287,6 +369,11 @@ impl<S: PolicySelector> Rms<S> {
     pub fn into_parts(self) -> (Vec<JobRecord>, SnapshotLog, S) {
         (self.records, self.snapshot_log, self.selector)
     }
+}
+
+/// The entries of `schedule` that start at `now`, in plan order.
+fn due(schedule: &Schedule, now: u64) -> impl Iterator<Item = &ScheduleEntry> {
+    schedule.entries().iter().filter(move |e| e.start == now)
 }
 
 /// Events driving the RMS under simulation.
@@ -649,10 +736,11 @@ mod tests {
         let (waiting, records) = (a.waiting().to_vec(), a.records().to_vec());
         let mut b = Rms::restore(4, sjf, 20, Policy::Sjf, waiting, running, records).unwrap();
         // SJF ran job 2 first, job 1 (4-wide) took the machine at 20 and
-        // job 0 waits behind it; the original's plan also still lists
-        // the job it dispatched.
+        // job 0 waits behind it; the original derives its plan on this
+        // read and, like the restored one, lists waiting jobs only.
         assert_eq!(b.plan().start_of(JobId(0)), Some(70));
-        assert_eq!(a.plan().start_of(JobId(0)), Some(70));
+        assert_eq!(a.plan(), b.plan());
+        assert_eq!(a.plan().len(), 1);
         assert_eq!(b.machine().running(), a.machine().running());
         assert_eq!(
             a.complete(70, JobId(1), false),
