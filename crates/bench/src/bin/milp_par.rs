@@ -37,6 +37,17 @@ use std::time::Instant;
 /// `BENCH_milp.json` committed then), reported next to the current run as
 /// the "before" of the trajectory.
 const DENSE_KERNEL_ROOT_LP: (f64, usize) = (127.010283101, 87_190);
+/// The default instance under the textbook dual ratio test this solver
+/// had until PR 21, measured with the PR 20 binary on the box and day of
+/// the PR 21 run: `(seconds, LP iterations, dual pivots)` of the 8 warm
+/// children and of the 48-node sweep at one worker — the "before" of the
+/// long-step ratio test — and that run's root LP, whose code PR 21 did
+/// not touch, as the yardstick between the two runs. (The file committed
+/// at PR 16 has the same counts at 10.2 s and 102.5 s, on a box whose
+/// root LP took 16.7 s.)
+const TEXTBOOK_RATIO_WARM_CHILDREN: (f64, usize, usize) = (7.751839503, 2_740, 2_529);
+const TEXTBOOK_RATIO_SWEEP: (f64, usize, usize) = (102.967190574, 113_261, 27_213);
+const TEXTBOOK_RATIO_ROOT_LP_SECONDS: f64 = 12.72603028;
 /// Per-LP iteration budget; far above anything these instances need.
 const MAX_ITERS: usize = 200_000;
 /// Machine size of the benchmark snapshot.
@@ -277,7 +288,7 @@ fn main() {
                 .with("iterations", DENSE_KERNEL_ROOT_LP.1),
         );
     }
-    let summary = JsonValue::object()
+    let mut summary = JsonValue::object()
         .with("bench", "milp_par")
         .with("jobs", jobs)
         .with("machine_nodes", MACHINE_NODES)
@@ -299,6 +310,21 @@ fn main() {
         )
         .with("byte_identical", true)
         .with("sweep", sweep);
+    if jobs == 1000 {
+        let textbook = |(seconds, iterations, dual_pivots): (f64, usize, usize)| {
+            JsonValue::object()
+                .with("seconds", seconds)
+                .with("lp_iterations", iterations)
+                .with("dual_pivots", dual_pivots)
+        };
+        summary = summary.with(
+            "textbook_ratio_test",
+            JsonValue::object()
+                .with("root_lp_seconds", TEXTBOOK_RATIO_ROOT_LP_SECONDS)
+                .with("warm_children", textbook(TEXTBOOK_RATIO_WARM_CHILDREN))
+                .with("sweep_one_worker", textbook(TEXTBOOK_RATIO_SWEEP)),
+        );
+    }
     let json = summary.to_json_pretty();
     validate_or_die("BENCH_milp.json", &json);
     std::fs::write("BENCH_milp.json", &json).expect("write BENCH_milp.json");

@@ -37,10 +37,14 @@
 //! Limits are deterministic (node count, per-LP and global simplex
 //! iteration budgets) plus an optional wall-clock limit for the experiment
 //! harness, which reproduces the paper's "CPLEX is still solving the
-//! previous problem" regime. The wall clock is read only every
-//! [`CLOCK_CHECK_EVERY`] nodes while a time limit is armed, when an
-//! incumbent is accepted, and once at exit — never in the per-node
-//! steady state — so node-limited runs are clock-free where it matters.
+//! previous problem" regime. The time limit *is* a deadline token
+//! ([`dynp_obs::CancelToken::with_deadline`]) installed for the duration
+//! of the solve: the node loop polls it at every pop and both simplex
+//! loops every 256 iterations, next to whatever budget the caller
+//! installed around the solve, so a limit binds to within one poll
+//! interval of the slowest LP. Without one the clock is read only when an
+//! incumbent is accepted and once at exit, so node-limited runs are
+//! clock-free where it matters.
 
 use crate::model::Milp;
 use crate::simplex::{
@@ -61,9 +65,6 @@ const BOUND_TOL: f64 = 1e-9;
 /// *not* the worker count: the batch (and hence the explored tree) must
 /// not depend on how many workers happen to solve it.
 const ROUND_WIDTH: usize = 8;
-/// With a wall-clock limit armed, the clock is polled once every this
-/// many nodes (power of two; gated on the node counter).
-const CLOCK_CHECK_EVERY: usize = 64;
 
 /// Resource limits for one solve.
 #[derive(Clone, Copy, Debug)]
@@ -87,7 +88,10 @@ pub struct BranchLimits {
     /// module docs). `0` is treated as `1`.
     pub solver_workers: usize,
     /// Optional wall-clock limit (use node limits in tests for
-    /// determinism).
+    /// determinism): a deadline the node loop and every node LP poll.
+    /// A solve cut short keeps its incumbent and ends
+    /// [`MipStatus::Feasible`]/[`MipStatus::Unknown`], like any other
+    /// exhausted budget.
     pub time_limit: Option<Duration>,
 }
 
@@ -438,6 +442,11 @@ impl<'a> BranchBound<'a> {
     /// Runs the search to completion or a limit.
     pub fn solve(mut self) -> MipSolution {
         let solve_start = Instant::now();
+        let deadline = self
+            .limits
+            .time_limit
+            .map(dynp_obs::CancelToken::with_deadline);
+        let _deadline_guard = deadline.as_ref().map(dynp_obs::install_cancel);
         // The whole B&B search is one traced span (child of milp.solve
         // inside a campaign cell); per-node timing stays a plain
         // histogram span to keep the node loop cheap.
@@ -502,20 +511,14 @@ impl<'a> BranchBound<'a> {
                     }
                 }
                 let queued = nodes_explored + batch.len();
-                // The wall clock is polled only every CLOCK_CHECK_EVERY
-                // queued nodes, and only while a time limit is armed;
-                // node-limited runs never read it here. The cooperative
-                // cancel token (a campaign cell's wall-clock deadline) is
-                // the external analogue of `time_limit`: the search winds
+                // The cooperative cancel tokens — this solve's time limit
+                // and any budget installed around it, such as a campaign
+                // cell's wall-clock deadline — read the clock; with none
+                // installed nothing does. An expired one winds the search
                 // down exactly like any other exhausted budget, keeping
                 // "CPLEX still running" a value, not an abort.
                 let over_budget = queued >= self.limits.max_nodes
                     || lp_iterations >= self.limits.max_total_lp_iterations
-                    || (queued.is_multiple_of(CLOCK_CHECK_EVERY)
-                        && self
-                            .limits
-                            .time_limit
-                            .is_some_and(|limit| solve_start.elapsed() >= limit))
                     || dynp_obs::cancelled();
                 if over_budget {
                     // The triggering node goes back (its bound stays
@@ -1346,6 +1349,62 @@ mod tests {
         assert_eq!(zero.status, MipStatus::Unknown);
         assert_eq!(zero.nodes, 0);
         assert_eq!(zero.lp_iterations, 0);
+    }
+
+    #[test]
+    fn time_limit_stops_the_root_lp_and_nested_budgets_all_bind() {
+        use crate::scaling::TimeScaling;
+        use crate::timeindex::TimeIndexedModel;
+        use dynp_trace::Job;
+        // 100 jobs on 48 nodes: a root LP of several hundred iterations,
+        // so a 1 ms limit expires inside it, between two polls.
+        let jobs: Vec<Job> = (0..100u32)
+            .map(|i| Job::exact(i, 0, 1 + (i * 7) % 16, 120 * (1 + (i as u64 * 13) % 4)))
+            .collect();
+        let problem = dynp_sched::SchedulingProblem::on_empty_machine(0, 48, jobs);
+        let ti = TimeIndexedModel::build(&problem, TimeScaling::fixed(120), 0);
+        let order: Vec<usize> = (0..100).collect();
+        let seed = ti
+            .greedy_solution(&order)
+            .expect("build sized the grid for this order");
+        let seed_objective = ti.model.objective_value(&seed);
+        let solve = |max_nodes: usize, time_limit: Option<Duration>| {
+            let ti = &ti;
+            BranchBound::new(
+                &ti.model,
+                BranchLimits {
+                    max_nodes,
+                    time_limit,
+                    ..BranchLimits::default()
+                },
+            )
+            .with_incumbent(seed.clone())
+            .expect("greedy seed is feasible")
+            .with_crash(Box::new(move |lower, upper| ti.crash_start(lower, upper)))
+            .solve()
+        };
+        let root = solve(1, None);
+        assert_eq!(root.nodes, 1);
+        assert!(root.lp_iterations >= 300, "root LP: {}", root.lp_iterations);
+
+        // The limit expires during the root LP, which gives up at its
+        // next poll: one node entered, no LP finished, the seed kept.
+        let cut = solve(usize::MAX, Some(Duration::from_millis(1)));
+        assert!(cut.nodes <= 1, "{} nodes under a 1 ms limit", cut.nodes);
+        assert!(cut.lp_iterations < root.lp_iterations);
+        assert_eq!(cut.status, MipStatus::Feasible);
+        assert_eq!(cut.objective, Some(seed_objective));
+
+        // A limit that has already passed stops before the first node.
+        let none = solve(usize::MAX, Some(Duration::ZERO));
+        assert_eq!((none.nodes, none.status), (0, MipStatus::Feasible));
+
+        // A budget installed around the solve is not shadowed by the
+        // solve's own, later one.
+        let outer = dynp_obs::CancelToken::with_deadline(Duration::ZERO);
+        let _guard = dynp_obs::install_cancel(&outer);
+        let shadowed = solve(usize::MAX, Some(Duration::from_secs(3600)));
+        assert_eq!((shadowed.nodes, shadowed.status), (0, MipStatus::Feasible));
     }
 
     #[test]

@@ -17,9 +17,15 @@
 //!   to Bland's rule after a stall, guaranteeing termination),
 //! * a dual repair phase for warm starts priced row-wise: the reduced
 //!   costs `d_N` are solver state, and a dual pivot costs one BTRAN of a
-//!   unit vector, one walk over the rows of `A` its result touches, and
-//!   one FTRAN — no column is priced from scratch between
-//!   refactorizations.
+//!   unit vector, one walk over the rows of `A` its result touches, two
+//!   passes over the columns that walk reached, and one FTRAN — no
+//!   column is priced from scratch between refactorizations, and none
+//!   the pivot row does not reach is looked at,
+//! * a long-step (bound-flipping) dual ratio test: every structural of a
+//!   §3.1 model is boxed in `[0, 1]`, so a dual step may pass the
+//!   breakpoints of columns whose whole range cannot close the leaving
+//!   row's violation — they move to their other bound, all of them
+//!   through one more FTRAN, instead of costing a pivot each.
 //!
 //! Determinism: no randomness, no wall clock, no environment; the
 //! iteration limit is the only resource bound and every tie breaks on the
@@ -32,6 +38,8 @@
 
 use crate::lu::{LuFactor, PIVOT_TOL};
 use crate::model::{Milp, Sense};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Feasibility / optimality tolerance.
 const TOL: f64 = 1e-7;
@@ -68,6 +76,13 @@ pub struct KernelCounts {
     /// Non-zeros of the pricing rows `ρ_r = B⁻ᵀe_r`, summed over the dual
     /// pivots — what a dual pivot's row walk is proportional to.
     pub pricing_row_nnz: usize,
+    /// Nonbasic variables the long-step ratio test of the dual repair
+    /// moved to their opposite bound instead of pivoting them in.
+    pub dual_flips: usize,
+    /// Columns the pricing rows reached, summed over the dual pivots —
+    /// what a dual pivot's ratio test and `d_N` update are proportional
+    /// to.
+    pub pivot_row_cols: usize,
 }
 
 impl KernelCounts {
@@ -80,11 +95,13 @@ impl KernelCounts {
         self.lu_nnz += other.lu_nnz;
         self.eta_nnz_max = self.eta_nnz_max.max(other.eta_nnz_max);
         self.pricing_row_nnz += other.pricing_row_nnz;
+        self.dual_flips += other.dual_flips;
+        self.pivot_row_cols += other.pivot_row_cols;
     }
 
     /// Every count under its metric name, in declaration order; events
     /// and renders key the same values by [`KernelCounts::field_name`].
-    pub fn metrics(&self) -> [(&'static str, usize); 7] {
+    pub fn metrics(&self) -> [(&'static str, usize); 9] {
         [
             ("milp.refactors", self.refactors),
             ("milp.primal_pivots", self.primal_pivots),
@@ -93,6 +110,8 @@ impl KernelCounts {
             ("milp.lu_nnz", self.lu_nnz),
             ("milp.eta_nnz_max", self.eta_nnz_max),
             ("milp.pricing_row_nnz", self.pricing_row_nnz),
+            ("milp.dual_flips", self.dual_flips),
+            ("milp.pivot_row_cols", self.pivot_row_cols),
         ]
     }
 
@@ -312,6 +331,11 @@ impl Columns<'_> {
         }
     }
 
+    /// Entries [`Self::for_row`] visits on row `i`.
+    fn row_len(&self, i: usize) -> usize {
+        self.model.matrix.row_nnz(i) + usize::from(self.row_slack[i] != usize::MAX) + 1
+    }
+
     /// Iterates the non-zero entries of row `i` across all three column
     /// groups as `(variable, value)`.
     fn for_row(&self, i: usize, mut f: impl FnMut(usize, f64)) {
@@ -368,10 +392,34 @@ struct Simplex<'a> {
     rhs_pos: Vec<f64>,
     y: Vec<f64>,
     alpha: Vec<f64>,
+    /// The columns the current pivot row wrote in [`Simplex::alpha`]:
+    /// one bit per column, set by the row walk and swept (and cleared)
+    /// word by word into the ascending list `reached`. Everything a dual
+    /// pivot does per column visits that list, never all of `alpha`.
+    reach: Vec<u8>,
+    reached: Vec<u32>,
+    /// Scratch of the long-step ratio test: the columns one dual pivot
+    /// flips, the breakpoint of every reached column (infinite where it
+    /// has none), and the `(breakpoint, column)` min-queue a step that
+    /// passes the nearest one draws the others from — breakpoints by
+    /// their bit patterns, which order like the non-negative floats they
+    /// are.
+    flips: Vec<usize>,
+    ratios: Vec<f64>,
+    queue: BinaryHeap<Reverse<(u64, u32)>>,
     /// Largest relative distance between a carried `d_j` and its
     /// re-derived value, over the refactorizations of the dual repair.
     #[cfg(test)]
     dual_drift: f64,
+    /// Over the dual pivots of the repair: the largest relative distance
+    /// between a carried basic value and `B⁻¹(b − N x_N)` computed
+    /// afresh, and the largest amount, relative to the column's cost, by
+    /// which the `d_j` of a column a pivot flipped has the sign its new
+    /// bound forbids.
+    #[cfg(test)]
+    basics_drift: f64,
+    #[cfg(test)]
+    dual_infeasibility: f64,
 }
 
 /// Relative scale of the phase-2 cost perturbation: column `j` gets
@@ -469,8 +517,17 @@ impl<'a> Simplex<'a> {
             rhs_pos: vec![0.0; m],
             y: vec![0.0; m],
             alpha: vec![0.0; n_total],
+            reach: vec![0; n_total.next_multiple_of(8)],
+            reached: Vec::new(),
+            flips: Vec::new(),
+            ratios: Vec::new(),
+            queue: BinaryHeap::new(),
             #[cfg(test)]
             dual_drift: 0.0,
+            #[cfg(test)]
+            basics_drift: 0.0,
+            #[cfg(test)]
+            dual_infeasibility: 0.0,
         };
         sx.initialize();
         sx
@@ -683,37 +740,131 @@ impl<'a> Simplex<'a> {
     /// Row `r` of `B⁻¹[A | slacks | artificials]` into
     /// [`Simplex::alpha`]: one BTRAN of `e_r` for `ρ_r`, then
     /// `α_j = ρ_rᵀA_j` accumulated by walking only the rows of the matrix
-    /// where `ρ_r` is non-zero. Columns no such row reaches stay zero;
-    /// the users sweep the whole vector, which is sequential and cheap
-    /// next to the walk.
+    /// where `ρ_r` is non-zero — and the columns that walk wrote into
+    /// `reached`, ascending. Columns outside that list hold an exact zero
+    /// and are none of the dual pivot's business: the previous row's
+    /// entries are cleared, and this row's are priced and updated,
+    /// through the list alone.
+    ///
+    /// Recording the reach must not tax the walk, which on a dense `ρ_r`
+    /// visits every column many times over. While the walk has fewer
+    /// entries than the model has columns it marks a byte per entry — a
+    /// plain store, no test, nothing to wait for — and the marks are
+    /// swept eight at a time. A longer walk is left alone and the
+    /// non-zeros of `alpha` are collected after it: either way the row
+    /// pays for what it reaches.
     fn pivot_row(&mut self, r: usize) {
+        for &j in &self.reached {
+            self.alpha[j as usize] = 0.0;
+        }
+        self.reached.clear();
         self.rhs_pos.fill(0.0);
         self.rhs_pos[r] = 1.0;
         self.lu.btran(&mut self.rhs_pos, &mut self.y);
-        self.alpha.fill(0.0);
+        let touched = |rho: f64| rho.abs() > RHO_DROP_TOL;
+        let walk: usize = (0..self.m)
+            .filter(|&i| touched(self.y[i]))
+            .map(|i| self.a.row_len(i))
+            .sum();
+        let marking = walk < self.n_total;
+        let alpha = &mut self.alpha[..];
+        // One length for both, so an entry is bounds-checked once.
+        let reach = &mut self.reach[..alpha.len()];
         for i in 0..self.m {
             let rho = self.y[i];
-            if rho.abs() <= RHO_DROP_TOL {
+            if !touched(rho) {
                 continue;
             }
             self.counts.pricing_row_nnz += 1;
-            let alpha = &mut self.alpha;
-            self.a.for_row(i, |j, v| alpha[j] += rho * v);
+            if marking {
+                self.a.for_row(i, |j, v| {
+                    alpha[j] += rho * v;
+                    reach[j] = 1;
+                });
+            } else {
+                self.a.for_row(i, |j, v| alpha[j] += rho * v);
+            }
         }
+        if marking {
+            for (word, marks) in self.reach.chunks_exact_mut(8).enumerate() {
+                let mut bits = u64::from_le_bytes((&*marks).try_into().expect("chunks of 8"));
+                if bits != 0 {
+                    marks.fill(0);
+                }
+                while bits != 0 {
+                    self.reached
+                        .push((word << 3) as u32 | bits.trailing_zeros() >> 3);
+                    bits &= bits - 1;
+                }
+            }
+        } else {
+            self.reached.extend(
+                (0..self.n_total)
+                    .filter(|&j| self.alpha[j] != 0.0)
+                    .map(|j| j as u32),
+            );
+        }
+        self.counts.pivot_row_cols += self.reached.len();
+    }
+
+    /// The breakpoint `|d_j| / |α_rj|` of column `j` on the current pivot
+    /// row — the dual step at which its reduced cost reaches zero — if
+    /// `j` can repair the row: nonbasic, not fixed, a pivot-sized `α_rj`,
+    /// and moving off its bound shifts the leaving variable toward the
+    /// bound it violates (`above`: it must come down).
+    fn breakpoint(&self, j: usize, above: bool) -> Option<f64> {
+        let alpha = self.alpha[j];
+        if alpha.abs() <= PIVOT_TOL {
+            return None; // cancelled to nothing, or too small to pivot on
+        }
+        let dir = match self.state[j] {
+            VarState::Basic(_) => return None,
+            VarState::AtLower => 1.0,
+            VarState::AtUpper => -1.0,
+        };
+        if self.lower[j] == self.upper[j] {
+            return None; // fixed (pinned artificials, fixed vars)
+        }
+        // x_B[r] changes by -dir * alpha * t; "above" needs a decrease,
+        // "below" an increase.
+        if above != (dir * alpha > 0.0) {
+            return None;
+        }
+        Some(self.d[j].abs() / alpha.abs())
     }
 
     /// Dual simplex: starting from a dual-feasible basis whose basic
     /// values may violate their bounds, pivot the most-violating basic
-    /// variable out (onto the bound it violates) and the cheapest
-    /// admissible nonbasic column in, until primal feasible.
+    /// variable out (onto the bound it violates) and an admissible
+    /// nonbasic column in, until primal feasible.
     ///
-    /// The pivot choice keeps dual feasibility (min-ratio on
-    /// `|d_j| / |alpha_j|` over the pivot row), and every tie breaks on
-    /// the lowest index, so the repair is deterministic. The primal
+    /// The entering column comes from a **long-step (bound-flipping)
+    /// ratio test**. The breakpoints `|d_j| / |α_rj|` of the columns the
+    /// pivot row reaches are met nearest first. A boxed column whose
+    /// whole range `u_j − l_j` cannot close the leaving row's violation —
+    /// what is left of it after `|α_rj|·(u_j − l_j)` stays above [`TOL`]
+    /// — does not enter: it is flipped to its other bound, where the
+    /// sign its reduced cost takes beyond the breakpoint is the feasible
+    /// one, and the step goes on to the next breakpoint. The column at
+    /// which the violation would close enters. All flips of one pivot
+    /// reach `x_B` through one FTRAN of `Σ a_j·Δx_j`; the `d_N` update
+    /// is the textbook one. A step that passes no breakpoint *is* the
+    /// textbook min-ratio test, and costs the same: the first breakpoint
+    /// is found by one pass over the reached columns, and only a step
+    /// that passes it queues the others.
+    ///
+    /// Every choice keeps dual feasibility and every tie breaks on the
+    /// lowest index, so the repair is deterministic. The primal
     /// objective is non-decreasing along the way; [`STALL_LIMIT`]
     /// degenerate steps in a row abandon the attempt
     /// ([`DualStatus::GiveUp`]) instead of risking a cycle — the caller
     /// falls back to the cold solve.
+    ///
+    /// Per pivot: one BTRAN of a unit vector, one walk over the rows of
+    /// `A` it touches, two passes over the columns that walk reached
+    /// (ratio test, `d_N` update), one FTRAN — two when it flips — and a
+    /// scan of the basic values. Only [`Self::pivot_row`]'s collecting of
+    /// the reached columns looks past them, at a byte or a zero each.
     fn run_dual(&mut self, max_iterations: usize) -> DualStatus {
         let mut stall = 0usize;
         // Only objective *changes* feed the stall detector, so it is
@@ -765,47 +916,83 @@ impl<'a> Simplex<'a> {
                 return DualStatus::Feasible; // primal repaired
             };
             self.iterations += 1;
-            // Entering column: over the nonbasic columns the pivot row
-            // reaches, the dual min-ratio |d_j| / |alpha_j|. Admissible =
-            // moving j off its bound shifts the leaving variable toward
-            // the violated bound.
             self.pivot_row(r);
-            let mut enter: Option<(f64, usize)> = None; // (ratio, var)
-            for j in 0..self.n_total {
-                let alpha = self.alpha[j];
-                if alpha.abs() <= PIVOT_TOL {
-                    continue; // not reached, or too small to pivot on
-                }
-                let dir = match self.state[j] {
-                    VarState::Basic(_) => continue,
-                    VarState::AtLower => 1.0,
-                    VarState::AtUpper => -1.0,
-                };
-                if self.lower[j] == self.upper[j] {
-                    continue; // fixed (pinned artificials, fixed vars)
-                }
-                // x_B[r] changes by -dir * alpha * t; "above" needs a
-                // decrease, "below" an increase.
-                if above != (dir * alpha > 0.0) {
-                    continue;
-                }
-                let ratio = self.d[j].abs() / alpha.abs();
-                if enter.is_none_or(|(best, _)| ratio < best) {
-                    enter = Some((ratio, j));
+            // The nearest breakpoint: the textbook min-ratio candidate
+            // (a column without one counts as infinitely far).
+            let mut next: Option<usize> = None;
+            let mut nearest = f64::INFINITY;
+            self.ratios.clear();
+            for &j in &self.reached {
+                let ratio = self.breakpoint(j as usize, above).unwrap_or(f64::INFINITY);
+                self.ratios.push(ratio);
+                if ratio < nearest {
+                    (nearest, next) = (ratio, Some(j as usize));
                 }
             }
-            let Some((_, j_enter)) = enter else {
-                // No column can repair row r: a primal infeasibility
-                // certificate. Trust it only when the violation is
-                // decisively larger than the feasibility tolerance;
-                // a borderline certificate falls back to the cold
-                // phase-1 proof instead.
-                return if violation > 1e-6 {
-                    DualStatus::Infeasible
-                } else {
-                    DualStatus::GiveUp
+            // Walk the breakpoints while the step passes them. `slope` is
+            // what remains of row r's violation once every column passed
+            // so far rests on its other bound.
+            let mut slope = violation;
+            self.flips.clear();
+            let j_enter = loop {
+                let Some(j) = next else {
+                    // Every column that could repair row r already does
+                    // all it can and the row is still violated: a primal
+                    // infeasibility certificate. Trust it only when what
+                    // is left is decisively larger than the feasibility
+                    // tolerance; a borderline certificate falls back to
+                    // the cold phase-1 proof instead.
+                    return if slope > 1e-6 {
+                        DualStatus::Infeasible
+                    } else {
+                        DualStatus::GiveUp
+                    };
                 };
+                // An unbounded range sends `passed` to -inf: such a
+                // column always enters.
+                let passed = slope - self.alpha[j].abs() * (self.upper[j] - self.lower[j]);
+                if passed <= TOL {
+                    break j;
+                }
+                slope = passed;
+                self.flips.push(j);
+                if self.flips.len() == 1 {
+                    // Only a step that passes the nearest breakpoint
+                    // needs the others in order.
+                    self.queue.clear();
+                    self.queue.extend(
+                        self.reached
+                            .iter()
+                            .zip(&self.ratios)
+                            .filter(|&(&col, ratio)| ratio.is_finite() && col as usize != j)
+                            .map(|(&col, ratio)| Reverse((ratio.to_bits(), col))),
+                    );
+                }
+                next = self.queue.pop().map(|Reverse((_, col))| col as usize);
             };
+            if !self.flips.is_empty() {
+                // x_B = B⁻¹(b − N x_N): the flips move x_N by Δx, so x_B
+                // moves by −B⁻¹ Σ a_j Δx_j — one FTRAN for all of them.
+                self.rhs_rows.fill(0.0);
+                for &j in &self.flips {
+                    let (to, state) = match self.state[j] {
+                        VarState::AtLower => (self.upper[j], VarState::AtUpper),
+                        VarState::AtUpper => (self.lower[j], VarState::AtLower),
+                        VarState::Basic(_) => unreachable!("flipped var is nonbasic"),
+                    };
+                    let delta = to - self.x[j];
+                    obj += self.d[j] * delta;
+                    self.x[j] = to;
+                    self.state[j] = state;
+                    let rhs = &mut self.rhs_rows;
+                    self.a.for_column(j, |i, v| rhs[i] += v * delta);
+                }
+                self.lu.ftran(&mut self.rhs_rows, &mut self.w);
+                for i in 0..self.m {
+                    self.x[self.basis[i]] -= self.w[i];
+                }
+                self.counts.dual_flips += self.flips.len();
+            }
             let dir = match self.state[j_enter] {
                 VarState::AtLower => 1.0,
                 VarState::AtUpper => -1.0,
@@ -837,19 +1024,23 @@ impl<'a> Simplex<'a> {
             self.state[j_enter] = VarState::Basic(r);
             // Carry the reduced costs across the basis change:
             // d_j -= theta * alpha_j along the pivot row, which sends the
-            // entering column's to zero and the leaving one's to -theta.
+            // entering column's to zero, the leaving one's to -theta, and
+            // a flipped column's across zero — to the sign its new bound
+            // allows.
             let d_enter = self.d[j_enter];
             let theta = d_enter / self.alpha[j_enter];
-            for j in 0..self.n_total {
-                let alpha = self.alpha[j];
-                if alpha != 0.0 && !matches!(self.state[j], VarState::Basic(_)) {
-                    self.d[j] -= theta * alpha;
+            for &j in &self.reached {
+                let j = j as usize;
+                if !matches!(self.state[j], VarState::Basic(_)) {
+                    self.d[j] -= theta * self.alpha[j];
                 }
             }
             self.d[leaving] = -theta;
             self.d[j_enter] = 0.0;
             self.push_eta(r);
             self.counts.dual_pivots += 1;
+            #[cfg(test)]
+            self.audit_dual_pivot();
             // The primal objective is non-decreasing in dual simplex;
             // degenerate (zero-progress) steps feed the stall counter.
             obj += d_enter * dir * t;
@@ -862,6 +1053,34 @@ impl<'a> Simplex<'a> {
                     return DualStatus::GiveUp;
                 }
             }
+        }
+    }
+
+    /// Test builds check what a long-step pivot carries instead of
+    /// recomputing: the basic values against a fresh `B⁻¹(b − N x_N)`,
+    /// and every column it flipped against the bound the sign of its
+    /// updated `d_j` allows. (Not every nonbasic column: the repair runs
+    /// on perturbed costs from a basis optimal for the true ones, so
+    /// columns no pivot touched start up to the perturbation off.) The
+    /// carried values are put back, so test builds take the same path as
+    /// any other.
+    #[cfg(test)]
+    fn audit_dual_pivot(&mut self) {
+        let carried: Vec<f64> = self.basis.iter().map(|&var| self.x[var]).collect();
+        self.recompute_basics();
+        for (k, &var) in self.basis.iter().enumerate() {
+            let drift = (carried[k] - self.x[var]).abs() / (1.0 + self.x[var].abs());
+            self.basics_drift = self.basics_drift.max(drift);
+            self.x[var] = carried[k];
+        }
+        for &j in &self.flips {
+            let wrong = match self.state[j] {
+                VarState::Basic(_) => unreachable!("flipped var is nonbasic"),
+                VarState::AtLower => -self.d[j],
+                VarState::AtUpper => self.d[j],
+            };
+            let scale = 1.0 + self.cost(false, j).abs();
+            self.dual_infeasibility = self.dual_infeasibility.max(wrong / scale);
         }
     }
 
@@ -1656,6 +1875,99 @@ mod tests {
         assert!((s.objective - 2.0).abs() < 1e-6, "obj {}", s.objective);
     }
 
+    /// `x1 + x2 + x3 (+ z) − w ≥ 0` with unit-range `x` at costs 1, 2, 3
+    /// (and a wide `z` at cost 10): covering `w` buys the cheap columns
+    /// whole before it touches the next one. Columns `x1 x2 x3 [z] w`,
+    /// then the row's surplus.
+    fn cover(with_z: bool) -> Milp {
+        let mut cost = vec![1.0, 2.0, 3.0];
+        let mut row = vec![1.0, 1.0, 1.0];
+        let mut upper = vec![1.0, 1.0, 1.0];
+        if with_z {
+            cost.push(10.0);
+            row.push(1.0);
+            upper.push(5.0);
+        }
+        cost.push(0.0);
+        row.push(-1.0);
+        upper.push(4.0);
+        let n = cost.len();
+        lp(
+            cost,
+            &[row],
+            vec![Sense::Ge],
+            vec![0.0],
+            vec![0.0; n],
+            upper,
+        )
+    }
+
+    /// Solves `model` with `w` (its last column) raised to `demand`,
+    /// warm from the basis that is optimal at `w = 0`: the surplus basic
+    /// at zero, everything else at its lower bound.
+    fn cover_child(model: &Milp, demand: f64) -> (LpOutcome, LpOutcome) {
+        let n = model.num_vars();
+        let mut lower = model.lower.clone();
+        lower[n - 1] = demand;
+        let parent = Basis {
+            basis: vec![n],
+            at_upper: vec![],
+        };
+        let (warm, used) = solve_lp_warm(model, &lower, &model.upper, &parent, 10_000);
+        assert!(used, "the parent basis installs");
+        let cold = solve_lp_with_bounds(model, &lower, &model.upper, 10_000);
+        (warm, cold)
+    }
+
+    #[test]
+    fn long_step_flips_boxed_columns_the_step_passes() {
+        // Raising w to 2.5 leaves the surplus 2.5 below its bound. The
+        // breakpoints are x1, x2, x3, z in cost order; x1 and x2 cannot
+        // close the row (2.5 → 1.5 → 0.5 left), so they flip and x3
+        // enters at 0.5: three breakpoints met, one basis change.
+        let m = cover(true);
+        let (warm, cold) = cover_child(&m, 2.5);
+        let (warm, cold) = (warm.optimal().unwrap(), cold.optimal().unwrap());
+        assert_eq!(warm.counts.dual_flips, 2);
+        assert_eq!(warm.counts.dual_pivots, 1, "fewer pivots than breakpoints");
+        assert_eq!(
+            warm.counts.pivot_row_cols, 7,
+            "the one row reaches every column"
+        );
+        assert!(
+            (warm.objective - 4.5).abs() < 1e-9,
+            "obj {}",
+            warm.objective
+        );
+        assert!((warm.objective - cold.objective).abs() < 1e-9);
+        for (w, c) in warm.x.iter().zip(&cold.x) {
+            assert!((w - c).abs() < 1e-9, "{:?} vs {:?}", warm.x, cold.x);
+        }
+        // What x2's whole range leaves of the violation is within the
+        // feasibility tolerance: the row counts as closed there, so x2
+        // enters rather than flips.
+        let (warm, cold) = cover_child(&m, 2.0 + 0.5 * TOL);
+        let (warm, cold) = (warm.optimal().unwrap(), cold.optimal().unwrap());
+        assert_eq!((warm.counts.dual_flips, warm.counts.dual_pivots), (1, 1));
+        assert!((warm.objective - cold.objective).abs() < 1e-6);
+    }
+
+    #[test]
+    fn passing_every_breakpoint_certifies_infeasibility() {
+        // Without z the three unit columns cover at most 3: at w = 3.5
+        // every breakpoint is passed and half a unit stays uncovered.
+        let m = cover(false);
+        let (warm, cold) = cover_child(&m, 3.5);
+        assert!(matches!(warm, LpOutcome::Infeasible), "{warm:?}");
+        assert!(matches!(cold, LpOutcome::Infeasible), "{cold:?}");
+        // At w = 3 the last column closes the row exactly and enters.
+        let (warm, cold) = cover_child(&m, 3.0);
+        let (warm, cold) = (warm.optimal().unwrap(), cold.optimal().unwrap());
+        assert_eq!((warm.counts.dual_flips, warm.counts.dual_pivots), (2, 1));
+        assert!((warm.objective - 6.0).abs() < 1e-9);
+        assert!((warm.objective - cold.objective).abs() < 1e-9);
+    }
+
     /// A random §3.1 snapshot on an empty machine (same shape as
     /// `tests/warm_props.rs`).
     fn random_timeindex(capacity: u32, specs: &[(u32, u64)]) -> crate::timeindex::TimeIndexedModel {
@@ -1754,6 +2066,70 @@ mod tests {
                         sx.d[j],
                     );
                 }
+            }
+        }
+
+        /// A long-step pivot moves whole sets of nonbasic columns and
+        /// corrects `x_B` for all of them with one FTRAN. Driven the way
+        /// branch & bound drives it — a root-optimal basis under an
+        /// SOS-style child that forbids one job's starts on one side of
+        /// a slot — every dual pivot must leave the carried basic values
+        /// equal to `B⁻¹(b − N x_N)` computed afresh and every column it
+        /// flipped on the bound its `d_j` allows, and the repaired LP
+        /// must end on the cold solve's optimum.
+        #[test]
+        fn long_step_pivots_carry_exact_basics_and_bound_signs(
+            capacity in 2u32..6,
+            specs in proptest::collection::vec((0u32..8, 0u64..40), 2..6),
+            job_seed in 0usize..1000,
+            split_seed in 0usize..1000,
+            forbid_late in 0u32..2,
+        ) {
+            let ti = random_timeindex(capacity, &specs);
+            let model = &ti.model;
+            let root = solve_lp(model, 200_000);
+            let root = root.optimal().expect("generated models are feasible");
+            let warm = root.basis.as_ref().unwrap();
+            let (lo, hi) = ti.job_vars[job_seed % ti.job_ids.len()];
+            let split = lo + split_seed % (hi - lo);
+            let forbidden = if forbid_late == 1 { split + 1..hi } else { lo..split + 1 };
+            let mut upper = model.upper.clone();
+            upper[forbidden].fill(0.0);
+            let mut sx = Simplex::new(model, &model.lower, &upper);
+            proptest::prop_assert!(sx.install(&warm.basis, &warm.at_upper, false));
+            sx.perturbed = true;
+            let status = sx.run_dual(200_000);
+            proptest::prop_assert!(
+                sx.basics_drift <= 1e-9,
+                "carried x_B drifted {} from a fresh solve over {} dual pivots / {} flips",
+                sx.basics_drift,
+                sx.counts.dual_pivots,
+                sx.counts.dual_flips,
+            );
+            proptest::prop_assert!(
+                sx.dual_infeasibility <= TOL,
+                "a flipped column's d_j is {} on the wrong side of its bound after {} dual pivots / {} flips",
+                sx.dual_infeasibility,
+                sx.counts.dual_pivots,
+                sx.counts.dual_flips,
+            );
+            let (warm_out, used) = solve_lp_warm(model, &model.lower, &upper, warm, 200_000);
+            let cold_out = solve_lp_with_bounds(model, &model.lower, &upper, 200_000);
+            match (&warm_out, &cold_out) {
+                (LpOutcome::Optimal(w), LpOutcome::Optimal(c)) => {
+                    proptest::prop_assert!(
+                        !matches!(status, DualStatus::Infeasible),
+                        "the repair called a feasible child infeasible",
+                    );
+                    proptest::prop_assert!(
+                        (w.objective - c.objective).abs() < 1e-6,
+                        "warm {} (used: {used}) vs cold {}",
+                        w.objective,
+                        c.objective,
+                    );
+                }
+                (LpOutcome::Infeasible, LpOutcome::Infeasible) => {}
+                _ => proptest::prop_assert!(false, "warm {warm_out:?} vs cold {cold_out:?}"),
             }
         }
     }

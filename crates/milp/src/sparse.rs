@@ -162,6 +162,11 @@ impl CscMatrix {
             .map(|(&r, &v)| (r as usize, v))
     }
 
+    /// Number of stored non-zeros of row `i`.
+    pub fn row_nnz(&self, i: usize) -> usize {
+        self.row_ptr[i + 1] - self.row_ptr[i]
+    }
+
     /// Iterates the non-zeros of row `i` as `(column, value)`.
     pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let range = self.row_ptr[i]..self.row_ptr[i + 1];

@@ -10,7 +10,11 @@
 //! worker installs a [`CancelToken`] for the duration of the cell, and
 //! the three unbounded loops down the stack — the milp branch-and-bound
 //! node loop, the simplex iteration loop, and the DES event loop — poll
-//! [`cancelled`] and wind down early when the deadline has passed.
+//! [`cancelled`] and wind down early when the deadline has passed. An
+//! exact solve's own `time_limit` is the same thing one level down: a
+//! deadline token the branch & bound installs for its duration. Budgets
+//! nest, so [`cancelled`] answers for *every* token installed on the
+//! thread — an inner, later deadline never shadows the outer one.
 //!
 //! This module lives in `dynp-obs` for the same reason the trace
 //! context does: it is the one zero-dependency crate every layer
@@ -22,8 +26,8 @@
 //!
 //! Cost model: [`cancelled`] with no token installed is one
 //! thread-local read (the common case for library users — measured in
-//! the `obs_cancel` bench group); with a token it adds one atomic load,
-//! plus one `Instant::now()` while an un-expired deadline is still
+//! the `obs_cancel` bench group); each installed token adds one atomic
+//! load, plus one `Instant::now()` while an un-expired deadline is still
 //! being watched. Once tripped, the flag is latched and later checks
 //! are atomic-load cheap. Hot loops amortize further by polling every
 //! N iterations.
@@ -105,14 +109,13 @@ impl Default for CancelToken {
 
 thread_local! {
     /// Installed tokens, innermost last (nesting mirrors the context
-    /// stack: a campaign cell installs one, and a test or library user
-    /// may install a tighter one inside).
+    /// stack: a campaign cell installs one, and an exact solve with a
+    /// time limit installs its own inside).
     static INSTALLED: RefCell<Vec<CancelToken>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Installs `token` as this thread's active cancellation token until
-/// the returned guard drops (restoring the previously installed one,
-/// if any).
+/// Installs `token` on this thread, next to any already installed,
+/// until the returned guard drops.
 pub fn install_cancel(token: &CancelToken) -> CancelGuard {
     INSTALLED.with(|s| s.borrow_mut().push(token.clone()));
     CancelGuard {
@@ -120,28 +123,28 @@ pub fn install_cancel(token: &CancelToken) -> CancelGuard {
     }
 }
 
-/// Whether the innermost installed token on this thread is cancelled.
+/// Whether any token installed on this thread is cancelled: the work
+/// running here is inside every one of those budgets, so the first to
+/// expire stops it.
 ///
 /// With no token installed this is a single thread-local read returning
 /// `false` — cheap enough for per-event and per-node polling (see the
 /// `obs_cancel` bench group).
 pub fn cancelled() -> bool {
-    INSTALLED.with(|s| match s.borrow().last() {
-        Some(token) => token.is_cancelled(),
-        None => false,
-    })
+    INSTALLED.with(|s| s.borrow().iter().any(CancelToken::is_cancelled))
 }
 
-/// The innermost token installed on this thread, if any.
+/// The tokens installed on this thread, outermost first.
 ///
 /// Installed tokens are thread-local, so a helper that fans work out to
-/// its own worker threads must carry the caller's token across
-/// explicitly: read it here on the calling thread, clone it into each
-/// worker, and [`install_cancel`] it there — which is what
-/// [`crate::pool::run_indexed`] does. All clones share one flag, so the
-/// campaign cell's deadline keeps governing the whole fan-out.
-pub fn current_cancel() -> Option<CancelToken> {
-    INSTALLED.with(|s| s.borrow().last().cloned())
+/// its own worker threads must carry the caller's tokens across
+/// explicitly: read them here on the calling thread, and
+/// [`install_cancel`] each on every worker — which is what
+/// [`crate::pool::run_indexed`] does. All clones share one flag, so a
+/// campaign cell's deadline and a solve's time limit keep governing the
+/// whole fan-out.
+pub fn installed_cancels() -> Vec<CancelToken> {
+    INSTALLED.with(|s| s.borrow().clone())
 }
 
 /// RAII guard of an installed token; see [`install_cancel`].
@@ -190,18 +193,28 @@ mod tests {
     }
 
     #[test]
-    fn guard_restores_the_previous_token() {
+    fn guard_uninstalls_its_token() {
         let outer = CancelToken::new();
         let inner = CancelToken::new();
         let _outer_guard = install_cancel(&outer);
         {
             let _inner_guard = install_cancel(&inner);
             inner.cancel();
-            assert!(cancelled(), "innermost token governs");
+            assert!(cancelled(), "an inner token stops the work inside it");
         }
         assert!(!cancelled(), "outer token is intact after the guard drops");
         outer.cancel();
         assert!(cancelled());
+    }
+
+    #[test]
+    fn an_outer_deadline_is_not_shadowed_by_an_inner_token() {
+        let outer = CancelToken::new();
+        let _outer_guard = install_cancel(&outer);
+        let _inner_guard = install_cancel(&CancelToken::with_deadline(Duration::from_secs(3600)));
+        assert!(!cancelled());
+        outer.cancel();
+        assert!(cancelled(), "work inside both budgets stops at the first");
     }
 
     #[test]
@@ -210,25 +223,29 @@ mod tests {
     }
 
     #[test]
-    fn current_cancel_reads_the_innermost_token() {
-        assert!(current_cancel().is_none());
+    fn installed_cancels_lists_every_token() {
+        assert!(installed_cancels().is_empty());
         let outer = CancelToken::new();
         let _outer_guard = install_cancel(&outer);
-        let seen = current_cancel().expect("token installed");
+        let inner_guard = install_cancel(&CancelToken::new());
+        assert_eq!(installed_cancels().len(), 2);
+        drop(inner_guard);
+        let seen = installed_cancels();
+        assert_eq!(seen.len(), 1);
         // Clones share one flag: cancelling the copy read off the thread
         // trips the installed original (the worker-thread handoff relies
         // on this).
-        seen.cancel();
+        seen[0].cancel();
         assert!(cancelled());
         drop(_outer_guard);
-        assert!(current_cancel().is_none());
+        assert!(installed_cancels().is_empty());
     }
 
     #[test]
-    fn current_cancel_crosses_threads() {
+    fn installed_cancels_cross_threads() {
         let token = CancelToken::new();
         let _guard = install_cancel(&token);
-        let carried = current_cancel().expect("token installed");
+        let carried = installed_cancels().pop().expect("token installed");
         let observed = std::thread::spawn(move || {
             assert!(!cancelled(), "fresh thread has no token");
             let _g = install_cancel(&carried);

@@ -43,13 +43,14 @@
 //! * **Cancellation** — a cooperative [`CancelToken`] with an optional
 //!   wall-clock deadline, installed thread-locally ([`install_cancel`])
 //!   and polled from the solver's and simulator's unbounded loops via
-//!   [`cancelled`]; how campaign cells get a wall-clock budget without
-//!   new dependency edges.
+//!   [`cancelled`]; how campaign cells — and exact solves with a time
+//!   limit, nested inside them — get a wall-clock budget without new
+//!   dependency edges.
 //! * **Worker pool** — [`pool::run_indexed`] is the workspace's one
 //!   ordered map-over-slice fan-out (campaign cells, branch & bound node
 //!   LPs): a panicking item becomes a [`pool::CaughtPanic`] with payload
-//!   and `file:line` instead of unwinding, and the caller's cancel token
-//!   is re-installed on every worker.
+//!   and `file:line` instead of unwinding, and the caller's cancel
+//!   tokens are re-installed on every worker.
 //!
 //! The [`Recorder`] owns the metric registries and the event sink.
 //! Production code uses the optional process-global recorder:
@@ -86,7 +87,7 @@ mod recorder;
 pub mod window;
 
 pub use alert::{AlertSet, Rule, RuleKind};
-pub use cancel::{cancelled, current_cancel, install_cancel, CancelGuard, CancelToken};
+pub use cancel::{cancelled, install_cancel, installed_cancels, CancelGuard, CancelToken};
 pub use checkpoint::{CheckpointLog, LoadedCheckpoint};
 pub use context::{cell_span_base, enter_cell, span, CellGuard, SpanGuard, TraceContext};
 pub use json::{parse as parse_json, validate as validate_json, JsonValue};

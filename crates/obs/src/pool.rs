@@ -22,15 +22,15 @@
 //!   solver would unwind through `thread::scope` and re-raise on the
 //!   caller, losing a whole campaign to one bad cell.
 //! * **Cancel propagation.** Installed cancel tokens are thread-local,
-//!   so the caller's innermost token (a campaign cell's wall-clock
-//!   deadline) is captured with [`current_cancel`] and re-installed on
-//!   every worker; work running on workers keeps polling the same
-//!   deadline it would have polled inline.
+//!   so the caller's tokens (a campaign cell's wall-clock deadline, an
+//!   exact solve's time limit) are captured with [`installed_cancels`]
+//!   and re-installed on every worker; work running on workers keeps
+//!   polling the same deadlines it would have polled inline.
 //!
 //! With `workers <= 1` (or one item) everything runs inline on the
 //! calling thread — no threads, no channel — with the same isolation.
 
-use crate::cancel::{current_cancel, install_cancel};
+use crate::cancel::{install_cancel, installed_cancels};
 use std::cell::{Cell, RefCell};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -143,19 +143,19 @@ where
             .map(|(i, t)| caught_outcome(|| f(i, t)))
             .collect();
     }
-    let cancel = current_cancel();
+    let cancels = installed_cancels();
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, SlotOutcome<R>)>();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
-            let cancel = &cancel;
+            let cancels = &cancels;
             let cursor = &cursor;
             let f = &f;
             scope.spawn(move || {
-                // Re-install the caller's token so worker-side loops poll
-                // the same budget they would have polled inline.
-                let _cancel_guard = cancel.as_ref().map(install_cancel);
+                // Re-install the caller's tokens so worker-side loops poll
+                // the same budgets they would have polled inline.
+                let _cancel_guards: Vec<_> = cancels.iter().map(install_cancel).collect();
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(item) = items.get(i) else {
