@@ -48,6 +48,13 @@ const DENSE_KERNEL_ROOT_LP: (f64, usize) = (127.010283101, 87_190);
 const TEXTBOOK_RATIO_WARM_CHILDREN: (f64, usize, usize) = (7.751839503, 2_740, 2_529);
 const TEXTBOOK_RATIO_SWEEP: (f64, usize, usize) = (102.967190574, 113_261, 27_213);
 const TEXTBOOK_RATIO_ROOT_LP_SECONDS: f64 = 12.72603028;
+/// The default instance under the entry-wise matrix this solver had until
+/// PR 22 (every column and row a list of `(index, value)` pairs), measured
+/// with the PR 21 binary on the box and day of the PR 22 run: seconds of
+/// the root LP, of the 8 warm children and of the 48-node sweep at one
+/// worker. Counts are not listed: the run-length matrix leaves every one
+/// of them as it was.
+const ENTRY_WISE_MATRIX_SECONDS: (f64, f64, f64) = (14.922777819, 6.518174335, 75.156858638);
 /// Per-LP iteration budget; far above anything these instances need.
 const MAX_ITERS: usize = 200_000;
 /// Machine size of the benchmark snapshot.
@@ -323,6 +330,14 @@ fn main() {
                 .with("root_lp_seconds", TEXTBOOK_RATIO_ROOT_LP_SECONDS)
                 .with("warm_children", textbook(TEXTBOOK_RATIO_WARM_CHILDREN))
                 .with("sweep_one_worker", textbook(TEXTBOOK_RATIO_SWEEP)),
+        );
+        let (root_lp, warm_children, sweep_one_worker) = ENTRY_WISE_MATRIX_SECONDS;
+        summary = summary.with(
+            "entry_wise_matrix",
+            JsonValue::object()
+                .with("root_lp_seconds", root_lp)
+                .with("warm_children_seconds", warm_children)
+                .with("sweep_one_worker_seconds", sweep_one_worker),
         );
     }
     let json = summary.to_json_pretty();

@@ -24,7 +24,6 @@
 //! position-indexed right-hand side to a row-indexed solution of
 //! `Bᵀ y = c`. Both skip the zeros of their argument.
 
-use crate::sparse::transpose;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -39,6 +38,37 @@ const PIVOT_THRESHOLD: f64 = 0.1;
 /// matrix and from eta columns (integral bases cancel to exact zeros or
 /// to rounding noise, never to anything in between).
 const DROP_TOL: f64 = 1e-14;
+
+/// Transposes a compressed sparse matrix: `ptr`/`idx`/`val` list each
+/// major slice's `(minor index, value)` entries; the result lists each of
+/// the `minors` minor slices' `(major index, value)` entries, majors
+/// ascending. A counting sort, O(nnz + minors).
+fn transpose(
+    minors: usize,
+    ptr: &[usize],
+    idx: &[u32],
+    val: &[f64],
+) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
+    let mut t_ptr = vec![0usize; minors + 1];
+    for &i in idx {
+        t_ptr[i as usize + 1] += 1;
+    }
+    for i in 0..minors {
+        t_ptr[i + 1] += t_ptr[i];
+    }
+    let mut next = t_ptr.clone();
+    let mut t_idx = vec![0u32; idx.len()];
+    let mut t_val = vec![0.0; idx.len()];
+    for major in 0..ptr.len() - 1 {
+        for e in ptr[major]..ptr[major + 1] {
+            let slot = &mut next[idx[e] as usize];
+            t_idx[*slot] = major as u32;
+            t_val[*slot] = val[e];
+            *slot += 1;
+        }
+    }
+    (t_ptr, t_idx, t_val)
+}
 
 /// `B = L·U` in pivot order plus the eta file of the pivots applied since.
 #[derive(Clone, Debug, Default)]

@@ -14,18 +14,26 @@
 //!   ([`crate::lu`]), refactorized when the eta file outgrows the factor,
 //! * primal phases priced column-wise from `y = c_Bᵀ B⁻¹` (one sparse
 //!   BTRAN per iteration, partial Dantzig pricing with a permanent switch
-//!   to Bland's rule after a stall, guaranteeing termination),
+//!   to Bland's rule after a stall, guaranteeing termination) — and a
+//!   column is priced as the runs it is made of ([`crate::sparse`]):
+//!   next to `y` the BTRAN leaves its prefix sums `Y[k] = Σ_{i<k} y_i`,
+//!   so `d_j = c_j − Σ_runs v·(Y[end] − Y[first])` costs two lookups per
+//!   run where it cost a multiply-add per entry,
 //! * a dual repair phase for warm starts priced row-wise: the reduced
 //!   costs `d_N` are solver state, and a dual pivot costs one BTRAN of a
-//!   unit vector, one walk over the rows of `A` its result touches, two
-//!   passes over the columns that walk reached, and one FTRAN — no
-//!   column is priced from scratch between refactorizations, and none
-//!   the pivot row does not reach is looked at,
+//!   unit vector, one walk over the row runs of `A` its result touches
+//!   (`α[first..end] += ρ_i·v`, contiguous and index-free), two passes
+//!   over the columns that walk reached, and one FTRAN — no column is
+//!   priced from scratch between refactorizations, and none the pivot
+//!   row does not reach is looked at,
 //! * a long-step (bound-flipping) dual ratio test: every structural of a
 //!   §3.1 model is boxed in `[0, 1]`, so a dual step may pass the
 //!   breakpoints of columns whose whole range cannot close the leaving
 //!   row's violation — they move to their other bound, all of them
-//!   through one more FTRAN, instead of costing a pivot each.
+//!   through one more FTRAN, instead of costing a pivot each,
+//! * the two children of a branch & bound node install the same parent
+//!   basis, so the [`Basis`] they share carries its fresh factor and
+//!   `d_N`: the first child to arrive computes them, its sibling copies.
 //!
 //! Determinism: no randomness, no wall clock, no environment; the
 //! iteration limit is the only resource bound and every tie breaks on the
@@ -38,8 +46,10 @@
 
 use crate::lu::{LuFactor, PIVOT_TOL};
 use crate::model::{Milp, Sense};
+use crate::sparse::PrefixSums;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
 /// Feasibility / optimality tolerance.
 const TOL: f64 = 1e-7;
@@ -58,8 +68,10 @@ const RHO_DROP_TOL: f64 = 1e-14;
 /// can be compared between two versions of the solver.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelCounts {
-    /// LU factorizations of a basis (the installed one and every
-    /// refactorization of an evolved one).
+    /// LU factorizations of a basis (the installed one — computed here
+    /// or copied from the sibling that installed the same [`Basis`]
+    /// first, counted alike — and every refactorization of an evolved
+    /// one).
     pub refactors: usize,
     /// Basis changes made by the primal phases.
     pub primal_pivots: usize,
@@ -165,13 +177,54 @@ pub struct LpSolution {
 /// *dual* feasible when only bounds change, so the warm path repairs
 /// primal feasibility with dual simplex pivots instead of re-running
 /// phase 1.
-#[derive(Clone, Debug)]
+///
+/// What installing a basis costs before any bound is looked at — the LU
+/// factorization and the perturbed-cost `d_N` — depends on the model and
+/// the basis alone, so a `Basis` keeps it for whoever installs the same
+/// one next: branch & bound hands both children of a node one `Basis`,
+/// the first to arrive computes, its sibling copies. That makes a `Basis`
+/// value belong to the model it was captured from; a [`Clone`] is the
+/// same basis with nothing kept yet.
+#[derive(Debug)]
 pub struct Basis {
     /// Basic variable per row.
     pub basis: Vec<usize>,
     /// Nonbasic variables resting at their upper bound; all other
     /// nonbasic variables rest at their lower bound.
     pub at_upper: Vec<usize>,
+    /// Filled by the first warm install; `None` inside once that found
+    /// the basis singular.
+    fresh: WarmCell,
+}
+
+/// Where the installs of one [`Basis`] meet (boxed: an empty cell rides
+/// in every [`LpSolution`]).
+type WarmCell = OnceLock<Option<Box<FreshBasis>>>;
+
+/// The bound-independent part of a warm install.
+#[derive(Debug)]
+struct FreshBasis {
+    lu: LuFactor,
+    /// Phase-2 reduced costs on the perturbed costs.
+    d: Vec<f64>,
+}
+
+impl Basis {
+    /// A basis from its basic variables (one per row) and the nonbasic
+    /// variables at their upper bound.
+    pub fn new(basis: Vec<usize>, at_upper: Vec<usize>) -> Basis {
+        Basis {
+            basis,
+            at_upper,
+            fresh: OnceLock::new(),
+        }
+    }
+}
+
+impl Clone for Basis {
+    fn clone(&self) -> Basis {
+        Basis::new(self.basis.clone(), self.at_upper.clone())
+    }
 }
 
 /// Outcome of an LP solve.
@@ -242,7 +295,7 @@ pub fn solve_lp_with_start(
     max_iterations: usize,
 ) -> LpOutcome {
     let mut simplex = Simplex::new(model, node_lower, node_upper);
-    let crashed = start.is_some_and(|s| simplex.install(&s.basis, &s.at_upper, true));
+    let crashed = start.is_some_and(|s| simplex.install(&s.basis, &s.at_upper, None));
     simplex.solve(max_iterations, crashed)
 }
 
@@ -273,7 +326,7 @@ pub fn solve_lp_warm(
 ) -> (LpOutcome, bool) {
     let mut simplex = Simplex::new(model, node_lower, node_upper);
     let mut wasted = (0, KernelCounts::default());
-    if simplex.install(&warm.basis, &warm.at_upper, false) {
+    if simplex.install(&warm.basis, &warm.at_upper, Some(&warm.fresh)) {
         match simplex.solve_from_warm(max_iterations) {
             WarmResult::Done(out) => return (out, true),
             WarmResult::Fallback(iterations, counts) => wasted = (iterations, counts),
@@ -315,38 +368,45 @@ impl Columns<'_> {
         self.n_struct + self.n_slack
     }
 
+    /// The one entry `(row, value)` of slack or artificial column `j`.
+    fn unit_column(&self, j: usize) -> (usize, f64) {
+        if j < self.n_real() {
+            let k = j - self.n_struct;
+            (self.slack_row[k], self.slack_sign[k])
+        } else {
+            let r = j - self.n_real();
+            (r, self.art_sign[r])
+        }
+    }
+
     /// Iterates the non-zero entries of column `j` (structural, slack or
     /// artificial) as `(row, value)`.
     fn for_column(&self, j: usize, mut f: impl FnMut(usize, f64)) {
         if j < self.n_struct {
-            for (r, v) in self.model.matrix.column(j) {
-                f(r, v);
+            for run in self.model.matrix.col_runs(j) {
+                for r in run.range() {
+                    f(r, run.value);
+                }
             }
-        } else if j < self.n_real() {
-            let k = j - self.n_struct;
-            f(self.slack_row[k], self.slack_sign[k]);
         } else {
-            let r = j - self.n_real();
-            f(r, self.art_sign[r]);
+            let (r, v) = self.unit_column(j);
+            f(r, v);
         }
     }
 
-    /// Entries [`Self::for_row`] visits on row `i`.
+    /// Non-zeros of row `i` across all three column groups.
     fn row_len(&self, i: usize) -> usize {
         self.model.matrix.row_nnz(i) + usize::from(self.row_slack[i] != usize::MAX) + 1
     }
 
-    /// Iterates the non-zero entries of row `i` across all three column
-    /// groups as `(variable, value)`.
-    fn for_row(&self, i: usize, mut f: impl FnMut(usize, f64)) {
-        for (j, v) in self.model.matrix.row(i) {
-            f(j, v);
-        }
+    /// The entries `(variable, value)` of row `i` outside the structural
+    /// columns: its slack, if it has one, and its artificial.
+    fn unit_entries(&self, i: usize) -> impl Iterator<Item = (usize, f64)> {
         let slack = self.row_slack[i];
-        if slack != usize::MAX {
-            f(slack, self.slack_sign[slack - self.n_struct]);
-        }
-        f(self.n_real() + i, self.art_sign[i]);
+        let slack = (slack != usize::MAX).then(|| (slack, self.slack_sign[slack - self.n_struct]));
+        slack
+            .into_iter()
+            .chain([(self.n_real() + i, self.art_sign[i])])
     }
 }
 
@@ -391,11 +451,16 @@ struct Simplex<'a> {
     w: Vec<f64>,
     rhs_pos: Vec<f64>,
     y: Vec<f64>,
+    /// The `y` that [`Simplex::btran_costs`] left, with its prefix sums
+    /// ([`Simplex::pivot_row`] reuses `y` itself for a pricing row).
+    y_sums: PrefixSums,
     alpha: Vec<f64>,
     /// The columns the current pivot row wrote in [`Simplex::alpha`]:
-    /// one bit per column, set by the row walk and swept (and cleared)
+    /// one byte per column, set by the row walk and swept (and cleared)
     /// word by word into the ascending list `reached`. Everything a dual
     /// pivot does per column visits that list, never all of `alpha`.
+    /// All zero between pivots, so [`Simplex::install`] borrows the marks
+    /// for its duplicate check.
     reach: Vec<u8>,
     reached: Vec<u32>,
     /// Scratch of the long-step ratio test: the columns one dual pivot
@@ -516,6 +581,7 @@ impl<'a> Simplex<'a> {
             w: vec![0.0; m],
             rhs_pos: vec![0.0; m],
             y: vec![0.0; m],
+            y_sums: PrefixSums::default(),
             alpha: vec![0.0; n_total],
             reach: vec![0; n_total.next_multiple_of(8)],
             reached: Vec::new(),
@@ -592,12 +658,18 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    /// Reduced cost `c_j − yᵀA_j` of column `j` against the current
-    /// [`Simplex::y`].
+    /// Reduced cost `c_j − yᵀA_j` of column `j` against the `y` of the
+    /// last [`Simplex::btran_costs`]; a structural column is priced from
+    /// its prefix sums, two lookups per run.
     fn reduced_cost(&self, phase1: bool, j: usize) -> f64 {
-        let mut d = self.cost(phase1, j);
-        self.a.for_column(j, |r, v| d -= self.y[r] * v);
-        d
+        let cost = self.cost(phase1, j);
+        if j < self.a.n_struct {
+            let matrix = &self.a.model.matrix;
+            matrix.reduced_cost(j, cost, &self.y_sums)
+        } else {
+            let (r, v) = self.a.unit_column(j);
+            cost - self.y[r] * v
+        }
     }
 
     /// Reduced-cost test of one nonbasic column: returns `(|d|, direction)`
@@ -616,12 +688,14 @@ impl<'a> Simplex<'a> {
         improving.then_some((d.abs(), dir))
     }
 
-    /// `y = c_Bᵀ B⁻¹` for the given phase's costs, into [`Simplex::y`].
+    /// `y = c_Bᵀ B⁻¹` for the given phase's costs, into [`Simplex::y`],
+    /// and a copy with its prefix sums into [`Simplex::y_sums`].
     fn btran_costs(&mut self, phase1: bool) {
         for k in 0..self.m {
             self.rhs_pos[k] = self.cost(phase1, self.basis[k]);
         }
         self.lu.btran(&mut self.rhs_pos, &mut self.y);
+        self.y_sums.refill(&self.y);
     }
 
     /// `w = B⁻¹ A_j`, into [`Simplex::w`].
@@ -641,11 +715,17 @@ impl<'a> Simplex<'a> {
         let Some(lu) = LuFactor::factor(self.m, |k, sink| a.for_column(basis[k], sink)) else {
             return false;
         };
+        self.adopt_factor(lu);
+        true
+    }
+
+    /// Takes `lu` as the fresh factor of the current basis — counted the
+    /// same whoever computed it — and recomputes the basic values.
+    fn adopt_factor(&mut self, lu: LuFactor) {
         self.counts.refactors += 1;
         self.counts.lu_nnz += lu.factor_nnz();
         self.lu = lu;
         self.recompute_basics();
-        true
     }
 
     /// Records the basis change "position `r` now holds the column whose
@@ -658,17 +738,19 @@ impl<'a> Simplex<'a> {
     /// Installs a caller-supplied basis with its at-upper set; returns
     /// whether it is usable, restoring the artificial start otherwise.
     ///
-    /// A `crash` basis (see [`SimplexStart`]) may not contain artificials
-    /// and must be primal feasible, so phase 1 can be skipped. A warm
-    /// basis (a parent node's optimal [`Basis`] under this LP's child
-    /// bounds) may contain artificials — basic at zero on redundant
-    /// parent rows — and need *not* be primal feasible: bound changes
-    /// make exactly the branched variable's row infeasible, which
-    /// [`Self::run_dual`] repairs. Either must be structurally sound:
-    /// right length, no duplicates, nonsingular.
-    fn install(&mut self, basis: &[usize], at_upper: &[usize], crash: bool) -> bool {
+    /// A crash basis (see [`SimplexStart`]; no `warm` cell) may not
+    /// contain artificials and must be primal feasible, so phase 1 can be
+    /// skipped. A warm basis (a parent node's optimal [`Basis`] under
+    /// this LP's child bounds, with the cell its installs share) may
+    /// contain artificials — basic at zero on redundant parent rows — and
+    /// need *not* be primal feasible: bound changes make exactly the
+    /// branched variable's row infeasible, which [`Self::run_dual`]
+    /// repairs from the perturbed-cost `d_N` a warm install leaves in
+    /// [`Simplex::d`]. Either must be structurally sound: right length,
+    /// no duplicates, nonsingular.
+    fn install(&mut self, basis: &[usize], at_upper: &[usize], warm: Option<&WarmCell>) -> bool {
         let n_real = self.a.n_real();
-        let var_limit = if crash { n_real } else { self.n_total };
+        let var_limit = if warm.is_some() { self.n_total } else { n_real };
         if basis.len() != self.m || basis.iter().any(|&v| v >= var_limit) {
             return false;
         }
@@ -691,22 +773,58 @@ impl<'a> Simplex<'a> {
             self.x[art] = 0.0;
             self.upper[art] = 0.0;
         }
-        let mut seen = vec![false; self.n_total];
         let mut distinct = true;
         for (row, &var) in basis.iter().enumerate() {
-            if std::mem::replace(&mut seen[var], true) {
+            if std::mem::replace(&mut self.reach[var], 1) == 1 {
                 distinct = false;
                 break;
             }
             self.basis[row] = var;
             self.state[var] = VarState::Basic(row);
         }
-        let ok = distinct && self.refactor() && (!crash || self.is_primal_feasible());
+        for &var in basis {
+            self.reach[var] = 0;
+        }
+        let ok = distinct
+            && match warm {
+                None => self.refactor() && self.is_primal_feasible(),
+                Some(fresh) => self.factor_warm(fresh),
+            };
         if !ok {
+            self.perturbed = false;
             self.upper[n_real..].fill(f64::INFINITY);
             self.initialize();
         }
         ok
+    }
+
+    /// The bound-independent part of a warm install — the factorization
+    /// of the basis just placed and its reduced costs on the perturbed
+    /// costs, which the repair and the polish run on — computed into
+    /// `fresh` unless another install of the same [`Basis`] already did,
+    /// copied from it otherwise. Returns `false` on a singular basis.
+    fn factor_warm(&mut self, fresh: &WarmCell) -> bool {
+        self.perturbed = true;
+        let mut computed_here = false;
+        let fresh = fresh.get_or_init(|| {
+            computed_here = true;
+            self.refactor().then(|| {
+                self.compute_duals();
+                Box::new(FreshBasis {
+                    lu: self.lu.clone(),
+                    d: self.d.clone(),
+                })
+            })
+        });
+        match fresh {
+            None => false,
+            Some(_) if computed_here => true,
+            Some(fresh) => {
+                self.d.clone_from(&fresh.d);
+                self.adopt_factor(fresh.lu.clone());
+                true
+            }
+        }
     }
 
     /// Derives the phase-2 reduced costs of every nonbasic variable from
@@ -740,19 +858,20 @@ impl<'a> Simplex<'a> {
     /// Row `r` of `B⁻¹[A | slacks | artificials]` into
     /// [`Simplex::alpha`]: one BTRAN of `e_r` for `ρ_r`, then
     /// `α_j = ρ_rᵀA_j` accumulated by walking only the rows of the matrix
-    /// where `ρ_r` is non-zero — and the columns that walk wrote into
-    /// `reached`, ascending. Columns outside that list hold an exact zero
-    /// and are none of the dual pivot's business: the previous row's
-    /// entries are cleared, and this row's are priced and updated,
-    /// through the list alone.
+    /// where `ρ_r` is non-zero — run by run, `α[first..end] += ρ_i·v`,
+    /// which adds to every column what an entry-wise walk adds and in the
+    /// same row order, so `α_r` is the same to the bit — and the columns
+    /// that walk wrote into `reached`, ascending. Columns outside that
+    /// list hold an exact zero and are none of the dual pivot's business:
+    /// the previous row's entries are cleared, and this row's are priced
+    /// and updated, through the list alone.
     ///
     /// Recording the reach must not tax the walk, which on a dense `ρ_r`
     /// visits every column many times over. While the walk has fewer
     /// entries than the model has columns it marks a byte per entry — a
-    /// plain store, no test, nothing to wait for — and the marks are
-    /// swept eight at a time. A longer walk is left alone and the
-    /// non-zeros of `alpha` are collected after it: either way the row
-    /// pays for what it reaches.
+    /// fill of the run's range — and the marks are swept eight at a
+    /// time. A longer walk is left alone and the non-zeros of `alpha` are
+    /// collected after it: either way the row pays for what it reaches.
     fn pivot_row(&mut self, r: usize) {
         for &j in &self.reached {
             self.alpha[j as usize] = 0.0;
@@ -767,22 +886,25 @@ impl<'a> Simplex<'a> {
             .map(|i| self.a.row_len(i))
             .sum();
         let marking = walk < self.n_total;
-        let alpha = &mut self.alpha[..];
-        // One length for both, so an entry is bounds-checked once.
-        let reach = &mut self.reach[..alpha.len()];
+        let (alpha, reach) = (&mut self.alpha[..], &mut self.reach[..]);
         for i in 0..self.m {
             let rho = self.y[i];
             if !touched(rho) {
                 continue;
             }
             self.counts.pricing_row_nnz += 1;
+            let matrix = &self.a.model.matrix;
+            matrix.add_row(i, rho, alpha);
             if marking {
-                self.a.for_row(i, |j, v| {
-                    alpha[j] += rho * v;
+                for run in matrix.row_runs(i) {
+                    reach[run.range()].fill(1);
+                }
+            }
+            for (j, v) in self.a.unit_entries(i) {
+                alpha[j] += rho * v;
+                if marking {
                     reach[j] = 1;
-                });
-            } else {
-                self.a.for_row(i, |j, v| alpha[j] += rho * v);
+                }
             }
         }
         if marking {
@@ -865,6 +987,8 @@ impl<'a> Simplex<'a> {
     /// (ratio test, `d_N` update), one FTRAN — two when it flips — and a
     /// scan of the basic values. Only [`Self::pivot_row`]'s collecting of
     /// the reached columns looks past them, at a byte or a zero each.
+    ///
+    /// Starts from the `d_N` the warm [`Self::install`] left.
     fn run_dual(&mut self, max_iterations: usize) -> DualStatus {
         let mut stall = 0usize;
         // Only objective *changes* feed the stall detector, so it is
@@ -872,7 +996,6 @@ impl<'a> Simplex<'a> {
         let mut obj = 0.0;
         let mut last_obj = f64::NEG_INFINITY;
         let mut last_viol = f64::INFINITY;
-        self.compute_duals();
         loop {
             if self.iterations >= max_iterations {
                 return DualStatus::IterationLimit;
@@ -1088,9 +1211,10 @@ impl<'a> Simplex<'a> {
     /// primal phase 2 (a no-op at optimality, and the safety net for any
     /// dual-tolerance drift), then extraction.
     fn solve_from_warm(mut self, max_iterations: usize) -> WarmResult {
-        // Repair and polish under the perturbed costs (same tie-breaking
-        // as the cold phase 2), then clean up on the true costs.
-        self.perturbed = true;
+        // Repair and polish under the perturbed costs the warm install
+        // switched to (same tie-breaking as the cold phase 2), then clean
+        // up on the true costs.
+        debug_assert!(self.perturbed, "warm installs price on perturbed costs");
         match self.run_dual(max_iterations) {
             DualStatus::Feasible => {}
             DualStatus::Infeasible => return WarmResult::Done(LpOutcome::Infeasible),
@@ -1378,10 +1502,7 @@ impl<'a> Simplex<'a> {
             reduced_costs: self.d[..n_struct].to_vec(),
             iterations: self.iterations,
             counts: self.counts,
-            basis: Some(Basis {
-                basis: self.basis.clone(),
-                at_upper,
-            }),
+            basis: Some(Basis::new(self.basis.clone(), at_upper)),
         })
     }
 }
@@ -1783,18 +1904,12 @@ mod tests {
     fn stale_basis_falls_back_to_cold_solve() {
         let m = warm_parent();
         // Wrong length: cannot possibly install.
-        let short = Basis {
-            basis: vec![0, 1],
-            at_upper: vec![],
-        };
+        let short = Basis::new(vec![0, 1], vec![]);
         let (out, used) = solve_lp_warm(&m, &m.lower, &m.upper, &short, 100_000);
         assert!(!used, "stale basis must not be used");
         assert!((out.optimal().unwrap().objective - 3.0).abs() < 1e-6);
         // Duplicate entries: structurally singular.
-        let dup = Basis {
-            basis: vec![0, 0, 1, 2],
-            at_upper: vec![],
-        };
+        let dup = Basis::new(vec![0, 0, 1, 2], vec![]);
         let (out, used) = solve_lp_warm(&m, &m.lower, &m.upper, &dup, 100_000);
         assert!(!used);
         assert!((out.optimal().unwrap().objective - 3.0).abs() < 1e-6);
@@ -1807,10 +1922,7 @@ mod tests {
         // structural columns are dependent on rows {0}: x0=[r0,r2],
         // x1=[r0,r3], slack0=[r2], slack1=[r3] -> B misses row 1 entirely
         // and is singular.
-        let singular = Basis {
-            basis: vec![0, 1, 4, 5],
-            at_upper: vec![],
-        };
+        let singular = Basis::new(vec![0, 1, 4, 5], vec![]);
         let (out, used) = solve_lp_warm(&m, &m.lower, &m.upper, &singular, 100_000);
         assert!(!used, "singular basis must fall back to phase 1");
         assert!((out.optimal().unwrap().objective - 3.0).abs() < 1e-6);
@@ -1909,10 +2021,7 @@ mod tests {
         let n = model.num_vars();
         let mut lower = model.lower.clone();
         lower[n - 1] = demand;
-        let parent = Basis {
-            basis: vec![n],
-            at_upper: vec![],
-        };
+        let parent = Basis::new(vec![n], vec![]);
         let (warm, used) = solve_lp_warm(model, &lower, &model.upper, &parent, 10_000);
         assert!(used, "the parent basis installs");
         let cold = solve_lp_with_bounds(model, &lower, &model.upper, 10_000);
@@ -1995,7 +2104,7 @@ mod tests {
         let model = &ti.model;
         let crash = ti.crash_start(&model.lower, &model.upper).unwrap();
         let mut sx = Simplex::new(model, &model.lower, &model.upper);
-        assert!(sx.install(&crash.basis, &crash.at_upper, true));
+        assert!(sx.install(&crash.basis, &crash.at_upper, None));
         let mut entries = 0;
         for &var in &crash.basis {
             sx.a.for_column(var, |_, _| entries += 1);
@@ -2040,8 +2149,7 @@ mod tests {
                 upper[used[var_seed % used.len()]] = 0.0;
             }
             let mut sx = Simplex::new(model, &lower, &upper);
-            proptest::prop_assert!(sx.install(&warm.basis, &warm.at_upper, false));
-            sx.perturbed = true;
+            proptest::prop_assert!(sx.install(&warm.basis, &warm.at_upper, Some(&warm.fresh)));
             let status = sx.run_dual(200_000);
             // Costs reach width * slot, so 1e-9 relative is ~1e-6 absolute
             // at worst — far below the 1e-7-per-unit pricing tolerance's
@@ -2096,8 +2204,7 @@ mod tests {
             let mut upper = model.upper.clone();
             upper[forbidden].fill(0.0);
             let mut sx = Simplex::new(model, &model.lower, &upper);
-            proptest::prop_assert!(sx.install(&warm.basis, &warm.at_upper, false));
-            sx.perturbed = true;
+            proptest::prop_assert!(sx.install(&warm.basis, &warm.at_upper, Some(&warm.fresh)));
             let status = sx.run_dual(200_000);
             proptest::prop_assert!(
                 sx.basics_drift <= 1e-9,

@@ -110,12 +110,7 @@ impl TimeIndexedModel {
             let d = duration_slots[i];
             let first_var = objective.len();
             for t in 0..=(horizon_slots - d) {
-                let mut col: Vec<(usize, f64)> = Vec::with_capacity(1 + d);
-                col.push((i, 1.0));
-                for s in t..t + d {
-                    col.push((n + s, job.width as f64));
-                }
-                builder.push_column(&col);
+                builder.push_column_runs(&[(i..i + 1, 1.0), (n + t..n + t + d, job.width as f64)]);
                 objective.push(job.width as f64 * t as f64);
                 var_map.push((i, t));
             }
