@@ -55,6 +55,18 @@ const TEXTBOOK_RATIO_ROOT_LP_SECONDS: f64 = 12.72603028;
 /// worker. Counts are not listed: the run-length matrix leaves every one
 /// of them as it was.
 const ENTRY_WISE_MATRIX_SECONDS: (f64, f64, f64) = (14.922777819, 6.518174335, 75.156858638);
+/// The default instance under the factorization this solver had until
+/// PR 23 (a Markowitz search over every entry of every open column, the
+/// active matrix as a `Vec` per row and column), measured with the PR 22
+/// binary on the box and day of the PR 23 run: seconds of the root LP, of
+/// the 8 warm children and of the 48-node sweep at one worker. Counts are
+/// not listed: the factor is the same, bit for bit, so is every count.
+const COLUMN_SCAN_LU_SECONDS: (f64, f64, f64) = (17.106892899, 6.295965299, 81.948245569);
+/// Mean microseconds per `LuFactor::factor` call on the default instance
+/// before and after PR 23: timers on scratch copies of both commits (never
+/// in this repository) over `milp_par 1000 2 1`, 35 500 calls a side on
+/// 1 318-row bases of 4 890 entries and a 223-row nucleus on average.
+const FACTOR_MICROS_BEFORE_AFTER: (f64, f64) = (2537.2, 805.8);
 /// Per-LP iteration budget; far above anything these instances need.
 const MAX_ITERS: usize = 200_000;
 /// Machine size of the benchmark snapshot.
@@ -338,6 +350,17 @@ fn main() {
                 .with("root_lp_seconds", root_lp)
                 .with("warm_children_seconds", warm_children)
                 .with("sweep_one_worker_seconds", sweep_one_worker),
+        );
+        let (root_lp, warm_children, sweep_one_worker) = COLUMN_SCAN_LU_SECONDS;
+        let (factor_before, factor_after) = FACTOR_MICROS_BEFORE_AFTER;
+        summary = summary.with(
+            "column_scan_lu",
+            JsonValue::object()
+                .with("root_lp_seconds", root_lp)
+                .with("warm_children_seconds", warm_children)
+                .with("sweep_one_worker_seconds", sweep_one_worker)
+                .with("factor_mean_micros", factor_before)
+                .with("factor_mean_micros_now", factor_after),
         );
     }
     let json = summary.to_json_pretty();

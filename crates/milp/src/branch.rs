@@ -1219,6 +1219,7 @@ mod tests {
         // Every counted LP factorizes at least the basis it starts from,
         // and a 1-row factor stores its pivot.
         assert!(k.refactors > 0 && k.lu_nnz >= k.refactors);
+        assert_eq!(k.lu_nucleus_rows, 0, "one row is a singleton");
         assert!(
             k.primal_pivots + k.bound_flips > 0,
             "the root is solved by the primal"

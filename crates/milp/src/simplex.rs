@@ -95,6 +95,12 @@ pub struct KernelCounts {
     /// what a dual pivot's ratio test and `d_N` update are proportional
     /// to.
     pub pivot_row_cols: usize,
+    /// Rows the singleton peel of a factorization left to its Markowitz
+    /// elimination, summed over the factorizations (a copied sibling
+    /// factor counted like a computed one, as in `lu_nnz`) — per
+    /// refactorization, the order of the nucleus, which is where the time
+    /// of a factorization concentrates.
+    pub lu_nucleus_rows: usize,
 }
 
 impl KernelCounts {
@@ -109,11 +115,12 @@ impl KernelCounts {
         self.pricing_row_nnz += other.pricing_row_nnz;
         self.dual_flips += other.dual_flips;
         self.pivot_row_cols += other.pivot_row_cols;
+        self.lu_nucleus_rows += other.lu_nucleus_rows;
     }
 
     /// Every count under its metric name, in declaration order; events
     /// and renders key the same values by [`KernelCounts::field_name`].
-    pub fn metrics(&self) -> [(&'static str, usize); 9] {
+    pub fn metrics(&self) -> [(&'static str, usize); 10] {
         [
             ("milp.refactors", self.refactors),
             ("milp.primal_pivots", self.primal_pivots),
@@ -124,6 +131,7 @@ impl KernelCounts {
             ("milp.pricing_row_nnz", self.pricing_row_nnz),
             ("milp.dual_flips", self.dual_flips),
             ("milp.pivot_row_cols", self.pivot_row_cols),
+            ("milp.lu_nucleus_rows", self.lu_nucleus_rows),
         ]
     }
 
@@ -228,6 +236,10 @@ impl Clone for Basis {
 }
 
 /// Outcome of an LP solve.
+// One per solve and taken apart at once by its caller, never stored in
+// bulk: boxing the solution would buy nothing and cost every node LP an
+// allocation.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub enum LpOutcome {
     /// Proven optimal.
@@ -724,6 +736,7 @@ impl<'a> Simplex<'a> {
     fn adopt_factor(&mut self, lu: LuFactor) {
         self.counts.refactors += 1;
         self.counts.lu_nnz += lu.factor_nnz();
+        self.counts.lu_nucleus_rows += lu.nucleus_rows();
         self.lu = lu;
         self.recompute_basics();
     }
