@@ -25,8 +25,8 @@
 
 use dynp_bench::{busy_snapshot, cli_args_and_watch, start_watch, Report};
 use dynp_milp::{
-    solve_lp_warm, solve_lp_with_start, BranchBound, BranchLimits, KernelCounts, LpOutcome,
-    MipSolution, TimeIndexedModel, TimeScaling,
+    solve_lp, BranchBound, BranchLimits, KernelCounts, LpOutcome, LpStart, MipSolution,
+    TimeIndexedModel, TimeScaling,
 };
 use dynp_obs::JsonValue;
 use dynp_sched::{plan, Policy};
@@ -168,13 +168,14 @@ fn main() {
     // -- Part 1: cold vs warm LP path on the root's children. ------------
     let t = Instant::now();
     let crash = ti.crash_start(&model.lower, &model.upper);
-    let LpOutcome::Optimal(root) =
-        solve_lp_with_start(model, &model.lower, &model.upper, crash.as_ref(), MAX_ITERS)
+    let start = crash.as_ref().map_or(LpStart::Cold, LpStart::Crash);
+    let (LpOutcome::Optimal(root), _) =
+        solve_lp(model, &model.lower, &model.upper, start, MAX_ITERS)
     else {
         panic!("root LP of the benchmark instance did not solve");
     };
     let root_seconds = t.elapsed().as_secs_f64();
-    let basis = root.basis.clone().expect("optimal LP carries a basis");
+    let basis = root.basis.clone();
     report.line(format!(
         "root LP: {} iterations in {root_seconds:.3} s, objective {:.1}",
         root.iterations, root.objective
@@ -187,8 +188,9 @@ fn main() {
     let mut cold_objs: Vec<Option<f64>> = Vec::new();
     for (lower, upper) in &children {
         let t = Instant::now();
-        let start = ti.crash_start(lower, upper);
-        let out = solve_lp_with_start(model, lower, upper, start.as_ref(), MAX_ITERS);
+        let crash = ti.crash_start(lower, upper);
+        let start = crash.as_ref().map_or(LpStart::Cold, LpStart::Crash);
+        let (out, _) = solve_lp(model, lower, upper, start, MAX_ITERS);
         cold_seconds += t.elapsed().as_secs_f64();
         cold_objs.push(match out {
             LpOutcome::Optimal(sol) => {
@@ -204,7 +206,7 @@ fn main() {
     let mut warm_kernel = KernelCounts::default();
     for ((lower, upper), cold_obj) in children.iter().zip(&cold_objs) {
         let t = Instant::now();
-        let (out, used) = solve_lp_warm(model, lower, upper, &basis, MAX_ITERS);
+        let (out, used) = solve_lp(model, lower, upper, LpStart::Warm(&basis), MAX_ITERS);
         warm_seconds += t.elapsed().as_secs_f64();
         warm_hits += used as usize;
         if let LpOutcome::Optimal(sol) = out {

@@ -272,21 +272,11 @@ pub struct ExactConfig {
     pub node_budget: usize,
     /// Simplex iteration budget per LP.
     pub lp_iteration_budget: usize,
-    /// Global simplex iteration budget across all LPs of one solve
-    /// (`None` = uncapped). Deterministic like `node_budget`; caps the
-    /// `node_budget × lp_iteration_budget` worst case.
-    pub total_lp_iteration_budget: Option<usize>,
     /// Worker threads for each solve's node LPs. Wall-clock only: the
     /// solver guarantees byte-identical results for any value, so this
     /// knob is still covered by the checkpoint fingerprint merely to
     /// keep "what ran" honest in resumed sweeps.
     pub solver_workers: usize,
-    /// Optional wall-clock limit. **Breaks resume determinism** (a
-    /// resumed cell may have been cut at a different point than a fresh
-    /// one), so it defaults to `None`; prefer `node_budget`.
-    pub time_limit: Option<Duration>,
-    /// Fixed slot width override (ablations); `None` = Eq. 6 scaling.
-    pub scale_override: Option<u64>,
     /// Eq. 6 memory budget in bytes; `None` = the paper's 8 GB / 4.
     /// Smaller budgets coarsen the time grid, which bounds not just the
     /// matrix memory but the simplex cost per iteration — the knob to
@@ -311,10 +301,7 @@ impl ExactConfig {
             max_snapshots: 2,
             node_budget: 3_000,
             lp_iteration_budget: 200_000,
-            total_lp_iteration_budget: None,
             solver_workers: 1,
-            time_limit: None,
-            scale_override: None,
             memory_budget_bytes: None,
         }
     }
@@ -361,6 +348,8 @@ impl ExactConfig {
     }
 
     fn canonical(&self) -> JsonValue {
+        // The three nulls are knobs this config no longer has, written as
+        // they always were so fingerprints and checkpoints still match.
         JsonValue::object()
             .with("metric", self.metric.name())
             .with("min_jobs", self.min_jobs)
@@ -368,28 +357,10 @@ impl ExactConfig {
             .with("max_snapshots", self.max_snapshots)
             .with("node_budget", self.node_budget)
             .with("lp_iteration_budget", self.lp_iteration_budget)
-            .with(
-                "total_lp_iteration_budget",
-                match self.total_lp_iteration_budget {
-                    Some(b) => JsonValue::from(b),
-                    None => JsonValue::Null,
-                },
-            )
+            .with("total_lp_iteration_budget", JsonValue::Null)
             .with("solver_workers", self.solver_workers)
-            .with(
-                "time_limit_ms",
-                match self.time_limit {
-                    Some(d) => JsonValue::from(d.as_millis() as u64),
-                    None => JsonValue::Null,
-                },
-            )
-            .with(
-                "scale_override",
-                match self.scale_override {
-                    Some(s) => JsonValue::from(s),
-                    None => JsonValue::Null,
-                },
-            )
+            .with("time_limit_ms", JsonValue::Null)
+            .with("scale_override", JsonValue::Null)
             .with(
                 "memory_budget_bytes",
                 match self.memory_budget_bytes {
@@ -1104,13 +1075,11 @@ fn run_cell_exact(snapshots: &[TunedSnapshot], exact: &ExactConfig) -> JsonValue
     let sample = spread_sample(snapshots, exact.max_snapshots);
     let mut solve_config = SolveConfig {
         metric: exact.metric,
-        scale_override: exact.scale_override,
         limits: BranchLimits {
             max_nodes: exact.node_budget,
             max_lp_iterations: exact.lp_iteration_budget,
-            max_total_lp_iterations: exact.total_lp_iteration_budget.unwrap_or(usize::MAX),
             solver_workers: exact.solver_workers,
-            time_limit: exact.time_limit,
+            ..BranchLimits::default()
         },
         ..SolveConfig::default()
     };

@@ -34,8 +34,8 @@
 //!   only (see [`MipSolution::canonical_json`], asserted in the
 //!   `milp_par` bench and CI).
 //!
-//! Limits are deterministic (node count, per-LP and global simplex
-//! iteration budgets) plus an optional wall-clock limit for the experiment
+//! Limits are deterministic (node count, per-LP simplex iteration
+//! budget) plus an optional wall-clock limit for the experiment
 //! harness, which reproduces the paper's "CPLEX is still solving the
 //! previous problem" regime. The time limit *is* a deadline token
 //! ([`dynp_obs::CancelToken::with_deadline`]) installed for the duration
@@ -47,9 +47,7 @@
 //! clock-free where it matters.
 
 use crate::model::Milp;
-use crate::simplex::{
-    solve_lp_warm, solve_lp_with_start, Basis, KernelCounts, LpOutcome, LpSolution, SimplexStart,
-};
+use crate::simplex::{solve_lp, Basis, KernelCounts, LpOutcome, LpSolution, LpStart};
 use dynp_obs::pool::{self, SlotOutcome};
 use dynp_obs::{JsonValue, Span};
 use std::cmp::Ordering;
@@ -73,16 +71,6 @@ pub struct BranchLimits {
     pub max_nodes: usize,
     /// Simplex iteration budget per LP solve.
     pub max_lp_iterations: usize,
-    /// Global simplex iteration budget across *all* LPs of the solve.
-    /// `max_lp_iterations` bounds one LP; without this cap a solve could
-    /// still spend `max_nodes × max_lp_iterations` iterations via many
-    /// cheap LPs and blow its campaign budget. Checked when a round of
-    /// nodes is collected, so a solve can overshoot by at most one round
-    /// ([`ROUND_WIDTH`] `× max_lp_iterations`) of work already in
-    /// flight; exhaustion degrades the result exactly like `max_nodes`
-    /// (incumbent kept, status [`MipStatus::Feasible`]/
-    /// [`MipStatus::Unknown`]).
-    pub max_total_lp_iterations: usize,
     /// Worker threads for the round's node-LP solves. Affects wall-clock
     /// time only: results are byte-identical for any value (see the
     /// module docs). `0` is treated as `1`.
@@ -103,7 +91,6 @@ impl Default for BranchLimits {
             // rows); a cap keeps one degenerate LP from eating the whole
             // node budget's worth of time.
             max_lp_iterations: 200_000,
-            max_total_lp_iterations: usize::MAX,
             solver_workers: 1,
             time_limit: None,
         }
@@ -266,7 +253,7 @@ pub type PrimalHeuristic<'a> = Box<dyn Fn(&Milp, &LpSolution) -> Option<Vec<f64>
 /// A crash-basis provider: given a node's bound vectors, produce a
 /// primal-feasible starting basis so the LP skips phase 1. The simplex
 /// verifies the basis, so a wrong crash costs time, never correctness.
-pub type CrashHook<'a> = Box<dyn Fn(&[f64], &[f64]) -> Option<SimplexStart> + Send + Sync + 'a>;
+pub type CrashHook<'a> = Box<dyn Fn(&[f64], &[f64]) -> Option<Basis> + Send + Sync + 'a>;
 
 /// A custom brancher: given the fractional LP solution, return bound
 /// modifications `(var, new_lower, new_upper)` for the two children.
@@ -305,7 +292,7 @@ struct Node {
     upper: Vec<f64>,
     /// The parent's optimal basis, shared by both children (each child
     /// changed one bound, so the basis is dual feasible for both).
-    /// `None` at the root or when the parent LP produced no basis.
+    /// `None` at the root.
     warm: Option<Arc<Basis>>,
 }
 
@@ -517,9 +504,7 @@ impl<'a> BranchBound<'a> {
                 // installed nothing does. An expired one winds the search
                 // down exactly like any other exhausted budget, keeping
                 // "CPLEX still running" a value, not an abort.
-                let over_budget = queued >= self.limits.max_nodes
-                    || lp_iterations >= self.limits.max_total_lp_iterations
-                    || dynp_obs::cancelled();
+                let over_budget = queued >= self.limits.max_nodes || dynp_obs::cancelled();
                 if over_budget {
                     // The triggering node goes back (its bound stays
                     // open); the batch already collected is still solved
@@ -561,19 +546,15 @@ impl<'a> BranchBound<'a> {
             let crash = &self.crash;
             let max_lp_iterations = self.limits.max_lp_iterations;
             let outcomes = pool::run_indexed(workers, &batch, |_, node| {
-                if let Some(warm) = &node.warm {
-                    solve_lp_warm(model, &node.lower, &node.upper, warm, max_lp_iterations)
-                } else {
-                    let start = crash.as_ref().and_then(|c| c(&node.lower, &node.upper));
-                    let outcome = solve_lp_with_start(
-                        model,
-                        &node.lower,
-                        &node.upper,
-                        start.as_ref(),
-                        max_lp_iterations,
-                    );
-                    (outcome, false)
-                }
+                let crashed;
+                let start = match &node.warm {
+                    Some(warm) => LpStart::Warm(warm),
+                    None => {
+                        crashed = crash.as_ref().and_then(|c| c(&node.lower, &node.upper));
+                        crashed.as_ref().map_or(LpStart::Cold, LpStart::Crash)
+                    }
+                };
+                solve_lp(model, &node.lower, &node.upper, start, max_lp_iterations)
             });
             // ---- Merge: sequentially, in pop order. ----
             //
@@ -705,7 +686,7 @@ impl<'a> BranchBound<'a> {
                 // Both children differ from this node by one variable
                 // bound, so this node's optimal basis warm-starts their
                 // LPs (shared — it is read-only on the workers).
-                let warm = sol.basis.clone().map(Arc::new);
+                let warm = Some(Arc::new(sol.basis.clone()));
                 // Custom (e.g. SOS) branching first, when installed.
                 if let Some(brancher) = &self.brancher {
                     if let Some((mods_a, mods_b)) = brancher(self.model, &sol) {
@@ -1306,50 +1287,6 @@ mod tests {
         if sol.nodes > 1 {
             assert!(sol.warm_lps > 0, "no child LP was warm-started");
         }
-    }
-
-    #[test]
-    fn total_lp_iteration_cap_stops_the_search() {
-        // Fractional at the root (see the byte-identity test), so the
-        // unlimited solve needs several LPs and the cap has teeth.
-        let m = knapsack(
-            &[10.0, 13.0, 7.0, 8.0, 2.0, 9.0, 4.0],
-            &[5.0, 6.0, 3.0, 4.0, 1.0, 5.0, 2.0],
-            12.0,
-        );
-        let unlimited = solve_mip(&m, BranchLimits::default());
-        assert_eq!(unlimited.status, MipStatus::Optimal);
-        assert!(unlimited.lp_iterations > 1);
-        // A cap of 1 fires as soon as the root's iterations land: the
-        // check runs when a round is collected, so the overshoot is at
-        // most one round of LPs.
-        let capped = solve_mip(
-            &m,
-            BranchLimits {
-                max_total_lp_iterations: 1,
-                ..BranchLimits::default()
-            },
-        );
-        assert!(matches!(
-            capped.status,
-            MipStatus::Feasible | MipStatus::Unknown
-        ));
-        assert!(capped.nodes <= ROUND_WIDTH * 2);
-        assert!(capped.lp_iterations < unlimited.lp_iterations);
-        // The bound reported under the cap is still a valid lower bound.
-        let (bf_obj, _) = brute_force(&m).unwrap();
-        assert!(capped.best_bound <= bf_obj + 1e-6);
-        // A cap of zero stops before any LP runs.
-        let zero = solve_mip(
-            &m,
-            BranchLimits {
-                max_total_lp_iterations: 0,
-                ..BranchLimits::default()
-            },
-        );
-        assert_eq!(zero.status, MipStatus::Unknown);
-        assert_eq!(zero.nodes, 0);
-        assert_eq!(zero.lp_iterations, 0);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   mirror) used by the LP solver,
 //! * [`lu`] — sparse LU factorization of a basis plus its eta file,
 //! * [`simplex`] — a bounded-variable, two-phase revised simplex (primal,
-//!   with a dual repair phase for warm starts) over that factor,
+//!   with a dual repair phase for warm starts) over that factor, behind
+//!   one [`solve_lp`] that starts cold, from a crash basis or warm from a
+//!   parent's ([`LpStart`]),
 //! * [`model`] — the general mixed 0/1 linear-program description,
 //! * [`branch`] — best-first branch & bound with LP bounds, integral
 //!   rounding, node/deterministic-work limits, warm-started child LPs
@@ -43,10 +45,7 @@ pub use branch::{solve_mip, BranchBound, BranchLimits, GapPoint, MipSolution, Mi
 pub use compact::compact;
 pub use model::{Milp, Sense};
 pub use scaling::{TimeScaling, PAPER_MEMORY_BYTES, PAPER_X_BYTES};
-pub use simplex::{
-    solve_lp, solve_lp_warm, solve_lp_with_bounds, solve_lp_with_start, Basis, KernelCounts,
-    LpOutcome, LpSolution, SimplexStart,
-};
+pub use simplex::{solve_lp, Basis, KernelCounts, LpOutcome, LpSolution, LpStart};
 pub use solve::{
     solve_snapshot, ExactComparison, ExactRun, SolveConfig, SolveError, SolveIncomplete,
 };

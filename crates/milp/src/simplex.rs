@@ -33,7 +33,10 @@
 //!   through one more FTRAN, instead of costing a pivot each,
 //! * the two children of a branch & bound node install the same parent
 //!   basis, so the [`Basis`] they share carries its fresh factor and
-//!   `d_N`: the first child to arrive computes them, its sibling copies.
+//!   `d_N`: the first child to arrive computes them, its sibling copies,
+//! * one entry, [`solve_lp`], for every start — cold, crash or warm
+//!   ([`LpStart`]) — with one fallback: an abandoned attempt is re-solved
+//!   cold, its cost folded into the optimum.
 //!
 //! Determinism: no randomness, no wall clock, no environment; the
 //! iteration limit is the only resource bound and every tie breaks on the
@@ -164,35 +167,30 @@ pub struct LpSolution {
     pub reduced_costs: Vec<f64>,
     /// Simplex iterations used (both phases).
     pub iterations: usize,
-    /// What those iterations cost the kernel (abandoned warm attempts and
-    /// singular restarts included, like `iterations`).
+    /// What those iterations cost the kernel (abandoned attempts included,
+    /// like `iterations`; see [`solve_lp`]).
     pub counts: KernelCounts,
     /// The optimal basis, captured for warm-starting child node LPs (see
-    /// [`Basis`]). `None` only when the solve path cannot certify a basis
-    /// worth reusing.
-    pub basis: Option<Basis>,
+    /// [`LpStart::Warm`]).
+    pub basis: Basis,
 }
 
-/// An optimal basis captured from a solved LP, reusable to warm-start a
-/// *child* LP whose only difference is tightened variable bounds (the
-/// branch & bound case: one branching variable's bound changed).
+/// A basis: the basic variable of each row and the nonbasic variables
+/// resting at their upper bound — what a solve may start from
+/// ([`LpStart`]) and what an optimal one ends on.
 ///
-/// Indexing follows the solver's internal layout (see [`SimplexStart`]):
-/// structural variables `0..n`, then one slack per inequality row, then
-/// one artificial per row. Unlike a crash basis, a captured basis may
-/// contain artificials (they stay basic at zero on redundant rows) and
-/// need not be primal feasible for the child — the same basis stays
-/// *dual* feasible when only bounds change, so the warm path repairs
-/// primal feasibility with dual simplex pivots instead of re-running
-/// phase 1.
+/// Indexing follows the solver's internal layout: structural variables
+/// are `0..n`, the slack of the `k`-th **inequality** row (counting only
+/// `≤`/`≥` rows, in row order) has index `n + k`, and one artificial per
+/// row follows the slacks.
 ///
-/// What installing a basis costs before any bound is looked at — the LU
-/// factorization and the perturbed-cost `d_N` — depends on the model and
-/// the basis alone, so a `Basis` keeps it for whoever installs the same
-/// one next: branch & bound hands both children of a node one `Basis`,
-/// the first to arrive computes, its sibling copies. That makes a `Basis`
-/// value belong to the model it was captured from; a [`Clone`] is the
-/// same basis with nothing kept yet.
+/// What installing a basis as a warm start costs before any bound is
+/// looked at — the LU factorization and the perturbed-cost `d_N` —
+/// depends on the model and the basis alone, so a `Basis` keeps it for
+/// whoever installs the same one next: branch & bound hands both children
+/// of a node one `Basis`, the first to arrive computes, its sibling
+/// copies. That makes a `Basis` value belong to the model it was captured
+/// from; a [`Clone`] is the same basis with nothing kept yet.
 #[derive(Debug)]
 pub struct Basis {
     /// Basic variable per row.
@@ -201,7 +199,7 @@ pub struct Basis {
     /// nonbasic variables rest at their lower bound.
     pub at_upper: Vec<usize>,
     /// Filled by the first warm install; `None` inside once that found
-    /// the basis singular.
+    /// the basis singular. A crash install never touches it.
     fresh: WarmCell,
 }
 
@@ -262,94 +260,72 @@ impl LpOutcome {
     }
 }
 
-/// A primal-feasible starting basis ("crash basis") that skips phase 1.
+/// Where [`solve_lp`] starts.
+#[derive(Clone, Copy, Debug)]
+pub enum LpStart<'b> {
+    /// Phase 1 from the all-artificial basis.
+    Cold,
+    /// A primal-feasible basis without artificials ("crash basis") that
+    /// skips phase 1. It is verified — nonsingular, primal feasible within
+    /// tolerance — so a wrong crash can cost time but never correctness.
+    /// A triangular crash (the assignment/capacity crash of time-indexed
+    /// models) needs no declaration: it is all singletons to the LU,
+    /// which factors it in O(nnz) with no fill.
+    Crash(&'b Basis),
+    /// A parent node's optimal basis under this LP's child bounds, the
+    /// branch & bound case where one variable's bound changed: the basis
+    /// may contain artificials (basic at zero on redundant parent rows)
+    /// and need not be primal feasible — it stays *dual* feasible when
+    /// only bounds change, so dual simplex pivots repair it and phase 1
+    /// is skipped. Its factor and reduced costs are shared with the
+    /// sibling that installs the same [`Basis`].
+    Warm(&'b Basis),
+}
+
+/// Solves the LP relaxation of `model` under the variable bounds `lower`
+/// / `upper` (as branch & bound fixes variables; integrality flags are
+/// ignored) from `start`. Returns the outcome and whether the warm start
+/// produced it.
 ///
-/// `basis[i]` is the variable basic in row `i`. Variable indexing follows
-/// the solver's internal layout: structural variables are `0..n`, and the
-/// slack of the `k`-th **inequality** row (counting only `≤`/`≥` rows, in
-/// row order) has index `n + k`. `at_upper` lists nonbasic variables
-/// resting at their *upper* bound; all other nonbasic variables rest at
-/// their lower bound.
-///
-/// The solver verifies the basis (nonsingular, primal feasible within
-/// tolerance) and silently falls back to the artificial phase-1 start if
-/// the verification fails, so a wrong crash can cost time but never
-/// correctness. A triangular crash (the assignment/capacity crash of
-/// time-indexed models) needs no declaration: it is all singletons to the
-/// LU, which factors it in O(nnz) with no fill.
-#[derive(Clone, Debug)]
-pub struct SimplexStart {
-    /// Basic variable per row.
-    pub basis: Vec<usize>,
-    /// Nonbasic variables parked at their upper bound.
-    pub at_upper: Vec<usize>,
-}
-
-/// Solves the LP relaxation of `model` with overridden variable bounds
-/// (`node_lower` / `node_upper`, as branch & bound fixes variables).
-/// Integrality flags are ignored.
-pub fn solve_lp_with_bounds(
+/// One fallback rule covers every start. An attempt is *abandoned* when
+/// its start is rejected (wrong length, duplicates, singular, a crash
+/// that is not primal feasible), when the dual repair gives up, or when
+/// a refactorization finds the evolved basis singular; a fresh solver
+/// then re-solves the LP cold, and a cold attempt abandoned twice reports
+/// [`LpOutcome::IterationLimit`]. An optimum's iterations and
+/// [`KernelCounts`] include what the abandoned attempts cost, so a bad
+/// start costs time, accounted for deterministically, never correctness.
+pub fn solve_lp(
     model: &Milp,
-    node_lower: &[f64],
-    node_upper: &[f64],
-    max_iterations: usize,
-) -> LpOutcome {
-    solve_lp_with_start(model, node_lower, node_upper, None, max_iterations)
-}
-
-/// Like [`solve_lp_with_bounds`], optionally crash-starting from a caller
-/// supplied basis (see [`SimplexStart`]).
-pub fn solve_lp_with_start(
-    model: &Milp,
-    node_lower: &[f64],
-    node_upper: &[f64],
-    start: Option<&SimplexStart>,
-    max_iterations: usize,
-) -> LpOutcome {
-    let mut simplex = Simplex::new(model, node_lower, node_upper);
-    let crashed = start.is_some_and(|s| simplex.install(&s.basis, &s.at_upper, None));
-    simplex.solve(max_iterations, crashed)
-}
-
-/// Solves the plain LP relaxation of `model`.
-pub fn solve_lp(model: &Milp, max_iterations: usize) -> LpOutcome {
-    solve_lp_with_bounds(model, &model.lower, &model.upper, max_iterations)
-}
-
-/// Like [`solve_lp_with_bounds`], warm-starting from a parent node's
-/// captured optimal [`Basis`]: the basis is re-installed under the child
-/// bounds, factorized, and repaired with dual simplex pivots — skipping
-/// phase 1 entirely on the usual branch & bound path where only one
-/// variable's bound changed.
-///
-/// Returns the outcome plus whether the warm path was actually used.
-/// Every failure mode — stale basis (wrong length, duplicates,
-/// singular), a dual stall, numerical trouble — falls back to the cold
-/// two-phase solve, so a bad basis costs time, never correctness. The
-/// fallback's iteration and kernel counts include the work wasted on the
-/// abandoned warm attempt, keeping budget accounting honest and
-/// deterministic.
-pub fn solve_lp_warm(
-    model: &Milp,
-    node_lower: &[f64],
-    node_upper: &[f64],
-    warm: &Basis,
+    lower: &[f64],
+    upper: &[f64],
+    start: LpStart<'_>,
     max_iterations: usize,
 ) -> (LpOutcome, bool) {
-    let mut simplex = Simplex::new(model, node_lower, node_upper);
-    let mut wasted = (0, KernelCounts::default());
-    if simplex.install(&warm.basis, &warm.at_upper, Some(&warm.fresh)) {
-        match simplex.solve_from_warm(max_iterations) {
-            WarmResult::Done(out) => return (out, true),
-            WarmResult::Fallback(iterations, counts) => wasted = (iterations, counts),
-        }
+    let cold_retries = 2 - usize::from(matches!(start, LpStart::Cold));
+    let attempts = std::iter::once(start).chain(std::iter::repeat_n(LpStart::Cold, cold_retries));
+    let (mut iterations, mut counts) = (0, KernelCounts::default());
+    for attempt in attempts {
+        let mut simplex = Simplex::new(model, lower, upper);
+        let outcome = match simplex.run(attempt, max_iterations) {
+            Ok(mut solution) => {
+                solution.iterations += iterations;
+                solution.counts.absorb(&counts);
+                LpOutcome::Optimal(solution)
+            }
+            Err(Stop::Infeasible) => LpOutcome::Infeasible,
+            Err(Stop::Unbounded) => LpOutcome::Unbounded,
+            Err(Stop::IterationLimit) => LpOutcome::IterationLimit,
+            Err(Stop::Abandoned) => {
+                iterations += simplex.iterations;
+                counts.absorb(&simplex.counts);
+                continue;
+            }
+        };
+        return (outcome, matches!(attempt, LpStart::Warm(_)));
     }
-    let mut out = solve_lp_with_bounds(model, node_lower, node_upper, max_iterations);
-    if let LpOutcome::Optimal(s) = &mut out {
-        s.iterations += wasted.0;
-        s.counts.absorb(&wasted.1);
-    }
-    (out, false)
+    // Numerically unrecoverable: an honest give-up rather than a loop.
+    (LpOutcome::IterationLimit, false)
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -439,11 +415,6 @@ struct Simplex<'a> {
     iterations: usize,
     /// Rotating cursor for partial pricing.
     price_start: usize,
-    /// Latched when a refactorization finds the evolved basis
-    /// numerically singular (a pivot accepted on drifted values can do
-    /// that). [`Simplex::solve`] restarts cold once; the warm path falls
-    /// back.
-    singular: bool,
     /// Whether [`Simplex::cost`] currently adds the model's phase-2 cost
     /// perturbation (see [`cost_perturbation`]). The final cleanup pass
     /// re-optimizes on the true costs, so the reported optimum is exact.
@@ -537,6 +508,15 @@ pub(crate) fn cost_perturbation(objective: &[f64]) -> Vec<f64> {
         .collect()
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test builds: how many of the next mid-solve refactorization checks
+    /// on this thread report the basis singular, whether or not one was
+    /// due — the trigger of the singular fallbacks, which no model here
+    /// reaches.
+    static SINGULAR_REFACTORS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl<'a> Simplex<'a> {
     fn new(model: &'a Milp, node_lower: &[f64], node_upper: &[f64]) -> Simplex<'a> {
         let m = model.num_constraints();
@@ -585,7 +565,6 @@ impl<'a> Simplex<'a> {
             x: vec![0.0; n_total],
             iterations: 0,
             price_start: 0,
-            singular: false,
             perturbed: false,
             d: vec![0.0; n_total],
             counts: KernelCounts::default(),
@@ -720,8 +699,7 @@ impl<'a> Simplex<'a> {
 
     /// Factorizes the current basis afresh (dropping the eta file) and
     /// recomputes the basic values from it. Returns `false` on a singular
-    /// basis, leaving the factor unusable — install another basis or give
-    /// the solve up.
+    /// basis, leaving the factor unusable: the attempt is abandoned.
     fn refactor(&mut self) -> bool {
         let (a, basis) = (&self.a, &self.basis);
         let Some(lu) = LuFactor::factor(self.m, |k, sink| a.for_column(basis[k], sink)) else {
@@ -729,6 +707,22 @@ impl<'a> Simplex<'a> {
         };
         self.adopt_factor(lu);
         true
+    }
+
+    /// The refactorization an iteration starts with once the eta file has
+    /// outgrown the factor: `Ok(true)` when it ran, and
+    /// [`Stop::Abandoned`] when it found the evolved basis numerically
+    /// singular (a pivot accepted on drifted values can do that). Test
+    /// builds fail it on demand ([`SINGULAR_REFACTORS`]).
+    fn refactor_when_due(&mut self) -> Result<bool, Stop> {
+        #[cfg(test)]
+        if SINGULAR_REFACTORS.with(|n| n.replace(n.get().saturating_sub(1))) > 0 {
+            return Err(Stop::Abandoned);
+        }
+        if !self.lu.needs_refactor() {
+            return Ok(false);
+        }
+        self.refactor().then_some(true).ok_or(Stop::Abandoned)
     }
 
     /// Takes `lu` as the fresh factor of the current basis — counted the
@@ -748,23 +742,22 @@ impl<'a> Simplex<'a> {
         self.counts.eta_nnz_max = self.counts.eta_nnz_max.max(self.lu.eta_nnz());
     }
 
-    /// Installs a caller-supplied basis with its at-upper set; returns
-    /// whether it is usable, restoring the artificial start otherwise.
+    /// Installs the basis a crash (`warm == false`) or warm start brings;
+    /// returns whether it is usable — an unusable one abandons the
+    /// attempt (see [`solve_lp`]).
     ///
-    /// A crash basis (see [`SimplexStart`]; no `warm` cell) may not
-    /// contain artificials and must be primal feasible, so phase 1 can be
-    /// skipped. A warm basis (a parent node's optimal [`Basis`] under
-    /// this LP's child bounds, with the cell its installs share) may
-    /// contain artificials — basic at zero on redundant parent rows — and
-    /// need *not* be primal feasible: bound changes make exactly the
-    /// branched variable's row infeasible, which [`Self::run_dual`]
-    /// repairs from the perturbed-cost `d_N` a warm install leaves in
-    /// [`Simplex::d`]. Either must be structurally sound: right length,
-    /// no duplicates, nonsingular.
-    fn install(&mut self, basis: &[usize], at_upper: &[usize], warm: Option<&WarmCell>) -> bool {
+    /// A crash basis may not contain artificials and must be primal
+    /// feasible, so phase 1 can be skipped. A warm basis may contain
+    /// artificials — basic at zero on redundant parent rows — and need
+    /// *not* be primal feasible: bound changes make exactly the branched
+    /// variable's row infeasible, which [`Self::run_dual`] repairs from
+    /// the perturbed-cost `d_N` a warm install leaves in [`Simplex::d`].
+    /// Either must be structurally sound: right length, no duplicates,
+    /// nonsingular.
+    fn install(&mut self, start: &Basis, warm: bool) -> bool {
         let n_real = self.a.n_real();
-        let var_limit = if warm.is_some() { self.n_total } else { n_real };
-        if basis.len() != self.m || basis.iter().any(|&v| v >= var_limit) {
+        let var_limit = if warm { self.n_total } else { n_real };
+        if start.basis.len() != self.m || start.basis.iter().any(|&v| v >= var_limit) {
             return false;
         }
         // Nonbasic structural + slack variables onto a bound of this LP —
@@ -772,7 +765,7 @@ impl<'a> Simplex<'a> {
         // costs depend on the basis and objective, not on the bound
         // values.
         self.park_nonbasics();
-        for &j in at_upper {
+        for &j in &start.at_upper {
             if j < n_real && self.upper[j].is_finite() {
                 self.state[j] = VarState::AtUpper;
                 self.x[j] = self.upper[j];
@@ -787,7 +780,7 @@ impl<'a> Simplex<'a> {
             self.upper[art] = 0.0;
         }
         let mut distinct = true;
-        for (row, &var) in basis.iter().enumerate() {
+        for (row, &var) in start.basis.iter().enumerate() {
             if std::mem::replace(&mut self.reach[var], 1) == 1 {
                 distinct = false;
                 break;
@@ -795,20 +788,15 @@ impl<'a> Simplex<'a> {
             self.basis[row] = var;
             self.state[var] = VarState::Basic(row);
         }
-        for &var in basis {
+        for &var in &start.basis {
             self.reach[var] = 0;
         }
-        let ok = distinct
-            && match warm {
-                None => self.refactor() && self.is_primal_feasible(),
-                Some(fresh) => self.factor_warm(fresh),
-            };
-        if !ok {
-            self.perturbed = false;
-            self.upper[n_real..].fill(f64::INFINITY);
-            self.initialize();
-        }
-        ok
+        distinct
+            && if warm {
+                self.factor_warm(&start.fresh)
+            } else {
+                self.refactor() && self.is_primal_feasible()
+            }
     }
 
     /// The bound-independent part of a warm install — the factorization
@@ -991,9 +979,8 @@ impl<'a> Simplex<'a> {
     /// Every choice keeps dual feasibility and every tie breaks on the
     /// lowest index, so the repair is deterministic. The primal
     /// objective is non-decreasing along the way; [`STALL_LIMIT`]
-    /// degenerate steps in a row abandon the attempt
-    /// ([`DualStatus::GiveUp`]) instead of risking a cycle — the caller
-    /// falls back to the cold solve.
+    /// degenerate steps in a row give up ([`Stop::Abandoned`]) instead of
+    /// risking a cycle, and [`solve_lp`] re-solves the LP cold.
     ///
     /// Per pivot: one BTRAN of a unit vector, one walk over the rows of
     /// `A` it touches, two passes over the columns that walk reached
@@ -1002,7 +989,7 @@ impl<'a> Simplex<'a> {
     /// the reached columns looks past them, at a byte or a zero each.
     ///
     /// Starts from the `d_N` the warm [`Self::install`] left.
-    fn run_dual(&mut self, max_iterations: usize) -> DualStatus {
+    fn run_dual(&mut self, max_iterations: usize) -> Result<(), Stop> {
         let mut stall = 0usize;
         // Only objective *changes* feed the stall detector, so it is
         // tracked relative to the starting basis.
@@ -1011,17 +998,12 @@ impl<'a> Simplex<'a> {
         let mut last_viol = f64::INFINITY;
         loop {
             if self.iterations >= max_iterations {
-                return DualStatus::IterationLimit;
+                return Err(Stop::IterationLimit);
             }
             if self.iterations & 0xff == 0 && dynp_obs::cancelled() {
-                return DualStatus::IterationLimit;
+                return Err(Stop::IterationLimit);
             }
-            if self.lu.needs_refactor() {
-                if !self.refactor() {
-                    // The evolved basis went numerically singular; abandon
-                    // the repair, the caller falls back to the cold solve.
-                    return DualStatus::GiveUp;
-                }
+            if self.refactor_when_due()? {
                 self.rederive_duals();
             }
             // Leaving row: the most infeasible basic variable. The scan
@@ -1049,7 +1031,7 @@ impl<'a> Simplex<'a> {
             }
             last_viol = total_viol;
             let Some((r, violation, above)) = leave else {
-                return DualStatus::Feasible; // primal repaired
+                return Ok(()); // primal repaired
             };
             self.iterations += 1;
             self.pivot_row(r);
@@ -1076,13 +1058,13 @@ impl<'a> Simplex<'a> {
                     // all it can and the row is still violated: a primal
                     // infeasibility certificate. Trust it only when what
                     // is left is decisively larger than the feasibility
-                    // tolerance; a borderline certificate falls back to
-                    // the cold phase-1 proof instead.
-                    return if slope > 1e-6 {
-                        DualStatus::Infeasible
+                    // tolerance; a borderline certificate is left to the
+                    // cold phase-1 proof instead.
+                    return Err(if slope > 1e-6 {
+                        Stop::Infeasible
                     } else {
-                        DualStatus::GiveUp
-                    };
+                        Stop::Abandoned
+                    });
                 };
                 // An unbounded range sends `passed` to -inf: such a
                 // column always enters.
@@ -1136,7 +1118,7 @@ impl<'a> Simplex<'a> {
             };
             self.ftran(j_enter);
             if self.w[r].abs() <= PIVOT_TOL {
-                return DualStatus::GiveUp; // drift between rho and w
+                return Err(Stop::Abandoned); // drift between rho and w
             }
             let leaving = self.basis[r];
             let target = if above {
@@ -1186,7 +1168,7 @@ impl<'a> Simplex<'a> {
             } else {
                 stall += 1;
                 if stall >= STALL_LIMIT {
-                    return DualStatus::GiveUp;
+                    return Err(Stop::Abandoned);
                 }
             }
         }
@@ -1220,38 +1202,6 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    /// Finishes a successfully warm-started solve: dual repair, then the
-    /// primal phase 2 (a no-op at optimality, and the safety net for any
-    /// dual-tolerance drift), then extraction.
-    fn solve_from_warm(mut self, max_iterations: usize) -> WarmResult {
-        // Repair and polish under the perturbed costs the warm install
-        // switched to (same tie-breaking as the cold phase 2), then clean
-        // up on the true costs.
-        debug_assert!(self.perturbed, "warm installs price on perturbed costs");
-        match self.run_dual(max_iterations) {
-            DualStatus::Feasible => {}
-            DualStatus::Infeasible => return WarmResult::Done(LpOutcome::Infeasible),
-            DualStatus::IterationLimit => return WarmResult::Done(LpOutcome::IterationLimit),
-            DualStatus::GiveUp => return WarmResult::Fallback(self.iterations, self.counts),
-        }
-        let polish = self.run_phase(false, max_iterations);
-        self.perturbed = false;
-        let cleanup = polish.and_then(|()| self.run_phase(false, max_iterations));
-        match cleanup {
-            Ok(()) => {}
-            Err(stop) => {
-                if self.singular {
-                    // Numerically singular mid-polish: hand the node to
-                    // the cold path rather than reporting a fake limit.
-                    return WarmResult::Fallback(self.iterations, self.counts);
-                }
-                return WarmResult::Done(stop.into());
-            }
-        }
-        self.recompute_basics();
-        WarmResult::Done(self.extract_optimal())
-    }
-
     /// Checks the current basic values against their bounds.
     fn is_primal_feasible(&self) -> bool {
         self.basis.iter().all(|&var| {
@@ -1279,7 +1229,7 @@ impl<'a> Simplex<'a> {
     }
 
     /// One phase of the simplex; returns `Ok(())` at optimality.
-    fn run_phase(&mut self, phase1: bool, max_iterations: usize) -> Result<(), PhaseStop> {
+    fn run_phase(&mut self, phase1: bool, max_iterations: usize) -> Result<(), Stop> {
         let mut stall = 0usize;
         // Only objective *changes* feed the stall detector, so it is
         // tracked relative to the phase's starting point.
@@ -1287,7 +1237,7 @@ impl<'a> Simplex<'a> {
         let mut last_obj = f64::INFINITY;
         loop {
             if self.iterations >= max_iterations {
-                return Err(PhaseStop::IterationLimit);
+                return Err(Stop::IterationLimit);
             }
             // Poll the cooperative cancel token every 256 iterations; a
             // cancelled LP surfaces as the iteration limit, which the
@@ -1295,16 +1245,10 @@ impl<'a> Simplex<'a> {
             // accounting. The mask keeps the common-path cost at one
             // branch per iteration.
             if self.iterations & 0xff == 0 && dynp_obs::cancelled() {
-                return Err(PhaseStop::IterationLimit);
+                return Err(Stop::IterationLimit);
             }
             self.iterations += 1;
-            if self.lu.needs_refactor() && !self.refactor() {
-                // Latch the failure for the caller: `solve` restarts the
-                // whole LP cold, the warm path falls back. The returned
-                // outcome is a placeholder both callers replace.
-                self.singular = true;
-                return Err(PhaseStop::IterationLimit);
-            }
+            self.refactor_when_due()?;
             let bland = stall >= STALL_LIMIT;
             self.btran_costs(phase1);
             // Pricing: partial (rotating blocks) under Dantzig, full scan
@@ -1373,9 +1317,9 @@ impl<'a> Simplex<'a> {
                 return Err(if phase1 {
                     // Phase 1 objective is bounded below by 0; cannot be
                     // unbounded. Treat as numerical trouble.
-                    PhaseStop::IterationLimit
+                    Stop::IterationLimit
                 } else {
-                    PhaseStop::Unbounded
+                    Stop::Unbounded
                 });
             }
             let t = t_max.max(0.0);
@@ -1429,136 +1373,90 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    fn solve(mut self, max_iterations: usize, crashed: bool) -> LpOutcome {
-        let out = self.solve_inner(max_iterations, crashed);
-        if !self.singular {
-            return out;
-        }
-        // A refactorization found the evolved basis numerically singular
-        // — possible when a pivot was accepted on drifted values. Restart
-        // once from scratch on the guaranteed-nonsingular artificial
-        // basis (structural node bounds are never mutated mid-solve, so
-        // they can be reused), folding the wasted work into the counts to
-        // keep budget accounting honest and deterministic.
-        let n_struct = self.a.n_struct;
-        let mut fresh = Simplex::new(
-            self.a.model,
-            &self.lower[..n_struct],
-            &self.upper[..n_struct],
-        );
-        let mut out = fresh.solve_inner(max_iterations, false);
-        if fresh.singular {
-            // Unrecoverable numerics: report an honest give-up rather
-            // than looping.
-            return LpOutcome::IterationLimit;
-        }
-        if let LpOutcome::Optimal(s) = &mut out {
-            s.iterations += self.iterations;
-            s.counts.absorb(&self.counts);
-        }
-        out
-    }
-
-    fn solve_inner(&mut self, max_iterations: usize, crashed: bool) -> LpOutcome {
-        // Phase 1: drive artificials to zero (skipped entirely when a
-        // verified primal-feasible crash basis is installed).
-        if !crashed {
-            let factored = self.refactor();
-            debug_assert!(factored, "the artificial basis is diagonal");
-        }
-        if self.m > 0 && !crashed {
-            match self.run_phase(true, max_iterations) {
-                Ok(()) => {}
-                Err(stop) => return stop.into(),
+    /// Solves the LP from `start` — phase 1, a verified crash basis, or a
+    /// dual repair of a warm one — then, whichever it was, phase 2 on the
+    /// perturbed objective (every pricing tie broken, so progress is
+    /// strict; a no-op after a dual repair, and the safety net for any
+    /// dual-tolerance drift), a cleanup pass on the true costs (the
+    /// perturbed optimum is almost always already optimal for them, so a
+    /// handful of pivots at most), and the extraction.
+    fn run(&mut self, start: LpStart<'_>, max_iterations: usize) -> Result<LpSolution, Stop> {
+        match start {
+            LpStart::Cold => {
+                let factored = self.refactor();
+                debug_assert!(factored, "the artificial basis is diagonal");
+                if self.m > 0 {
+                    self.run_phase(true, max_iterations)?;
+                    self.recompute_basics();
+                    let infeas: f64 = (self.a.n_real()..self.n_total).map(|art| self.x[art]).sum();
+                    if infeas > 1e-6 {
+                        return Err(Stop::Infeasible);
+                    }
+                    // Fix artificials at zero so phase 2 can never reuse them.
+                    for art in self.a.n_real()..self.n_total {
+                        self.upper[art] = 0.0;
+                        if !matches!(self.state[art], VarState::Basic(_)) {
+                            self.x[art] = 0.0;
+                        }
+                    }
+                }
             }
-            self.recompute_basics();
-            let infeas: f64 = (self.a.n_real()..self.n_total).map(|art| self.x[art]).sum();
-            if infeas > 1e-6 {
-                return LpOutcome::Infeasible;
-            }
-            // Fix artificials at zero so phase 2 can never reuse them.
-            for art in self.a.n_real()..self.n_total {
-                self.upper[art] = 0.0;
-                if !matches!(self.state[art], VarState::Basic(_)) {
-                    self.x[art] = 0.0;
+            LpStart::Crash(basis) | LpStart::Warm(basis) => {
+                let warm = matches!(start, LpStart::Warm(_));
+                if !self.install(basis, warm) {
+                    return Err(Stop::Abandoned);
+                }
+                if warm {
+                    // The install switched to the perturbed costs, so the
+                    // repair breaks ties as phase 2 does.
+                    debug_assert!(self.perturbed, "warm installs price on perturbed costs");
+                    self.run_dual(max_iterations)?;
                 }
             }
         }
-        // Phase 2 on the perturbed objective (every pricing tie broken,
-        // so progress is strict), then a cleanup pass on the true costs:
-        // the perturbed optimum is almost always already optimal for
-        // them, so the cleanup is a handful of pivots at most.
         self.perturbed = true;
         let phase2 = self.run_phase(false, max_iterations);
         self.perturbed = false;
-        match phase2.and_then(|()| self.run_phase(false, max_iterations)) {
-            Ok(()) => {}
-            Err(stop) => return stop.into(),
-        }
+        phase2?;
+        self.run_phase(false, max_iterations)?;
         self.recompute_basics();
-        self.extract_optimal()
+        Ok(self.extract_optimal())
     }
 
     /// Extracts the optimal solution from the current (phase-2 optimal)
     /// basis: structural values, reduced costs on the true costs, and the
     /// captured basis for warm-starting children.
-    fn extract_optimal(&mut self) -> LpOutcome {
+    fn extract_optimal(&mut self) -> LpSolution {
         let n_struct = self.a.n_struct;
         let x = self.x[..n_struct].to_vec();
         self.compute_duals();
         let at_upper = (0..self.n_total)
             .filter(|&j| matches!(self.state[j], VarState::AtUpper))
             .collect();
-        LpOutcome::Optimal(LpSolution {
+        LpSolution {
             objective: self.a.model.objective_value(&x),
             x,
             reduced_costs: self.d[..n_struct].to_vec(),
             iterations: self.iterations,
             counts: self.counts,
-            basis: Some(Basis::new(self.basis.clone(), at_upper)),
-        })
-    }
-}
-
-/// Why a primal phase ended short of optimality.
-enum PhaseStop {
-    /// Iteration budget or cancel token — also the placeholder when the
-    /// `singular` latch ends the phase.
-    IterationLimit,
-    /// Phase 2 found an improving ray.
-    Unbounded,
-}
-
-impl From<PhaseStop> for LpOutcome {
-    fn from(stop: PhaseStop) -> LpOutcome {
-        match stop {
-            PhaseStop::IterationLimit => LpOutcome::IterationLimit,
-            PhaseStop::Unbounded => LpOutcome::Unbounded,
+            basis: Basis::new(self.basis.clone(), at_upper),
         }
     }
 }
 
-/// Outcome of the dual-simplex repair phase (see [`Simplex::run_dual`]).
-enum DualStatus {
-    /// Primal feasibility restored; the basis is optimal up to phase-2
-    /// polishing.
-    Feasible,
-    /// A row certified primal infeasibility (violation decisively above
-    /// tolerance).
-    Infeasible,
-    /// Iteration budget (or a cancel token) expired mid-repair.
+/// Why an attempt ended without an optimum.
+enum Stop {
+    /// Iteration budget or cancel token.
     IterationLimit,
-    /// Stalled or hit numerical trouble — not an answer; re-solve cold.
-    GiveUp,
-}
-
-/// Result of a warm-started solve attempt.
-enum WarmResult {
-    /// The warm path produced a definitive outcome.
-    Done(LpOutcome),
-    /// The warm path was abandoned after this much wasted work; the
-    /// caller must re-solve cold.
-    Fallback(usize, KernelCounts),
+    /// Phase 2 found an improving ray.
+    Unbounded,
+    /// Phase 1 left the artificials above tolerance, or a row of the dual
+    /// repair certified infeasibility decisively above it.
+    Infeasible,
+    /// Not an answer: the start was rejected, the dual repair gave up, or
+    /// a refactorization found the basis singular. [`solve_lp`] re-solves
+    /// the LP cold.
+    Abandoned,
 }
 
 #[cfg(test)]
@@ -1586,8 +1484,22 @@ mod tests {
         )
     }
 
+    /// `model` under `lower` / `upper` from `start`.
+    fn solve_from(
+        model: &Milp,
+        lower: &[f64],
+        upper: &[f64],
+        start: LpStart<'_>,
+    ) -> (LpOutcome, bool) {
+        solve_lp(model, lower, upper, start, 200_000)
+    }
+
+    fn cold(model: &Milp, lower: &[f64], upper: &[f64]) -> LpOutcome {
+        solve_from(model, lower, upper, LpStart::Cold).0
+    }
+
     fn solve(model: &Milp) -> LpOutcome {
-        solve_lp(model, 100_000)
+        cold(model, &model.lower, &model.upper)
     }
 
     #[test]
@@ -1717,7 +1629,7 @@ mod tests {
             vec![0.0, 0.0],
             vec![1.0, 1.0],
         );
-        let out = solve_lp_with_bounds(&m, &[0.0, 0.0], &[0.0, 1.0], 10_000);
+        let out = cold(&m, &[0.0, 0.0], &[0.0, 1.0]);
         let s = out.optimal().unwrap();
         assert!(s.x[0].abs() < 1e-9);
         assert!((s.x[1] - 1.0).abs() < 1e-7);
@@ -1799,7 +1711,7 @@ mod tests {
             vec![0.0, 0.0],
             vec![f64::INFINITY, f64::INFINITY],
         );
-        let out = solve_lp(&m, 100_000);
+        let out = solve(&m);
         let s = out.optimal().unwrap();
         assert_eq!(s.reduced_costs.len(), 2);
         // At optimality, nonbasic-at-lower variables have nonnegative
@@ -1825,14 +1737,14 @@ mod tests {
             vec![0.0, 0.0],
             vec![1.0, 1.0],
         );
-        let base = solve_lp(&m, 10_000);
+        let base = solve(&m);
         let base = base.optimal().unwrap();
         // Optimal: y = 1 (cost 1), x = 0 nonbasic with rc = 2 - 1 = 1.
         assert!((base.objective - 1.0).abs() < 1e-7);
         let rc_x = base.reduced_costs[0];
         assert!(rc_x > 0.5);
         // Force x = 1: new optimum must be >= base + rc_x * 1.
-        let forced = solve_lp_with_bounds(&m, &[1.0, 0.0], &[1.0, 1.0], 10_000);
+        let forced = cold(&m, &[1.0, 0.0], &[1.0, 1.0]);
         let forced = forced.optimal().unwrap();
         assert!(forced.objective >= base.objective + rc_x - 1e-6);
     }
@@ -1858,9 +1770,9 @@ mod tests {
     #[test]
     fn optimal_solutions_capture_a_basis() {
         let m = warm_parent();
-        let out = solve_lp(&m, 100_000);
+        let out = solve(&m);
         let s = out.optimal().unwrap();
-        let basis = s.basis.as_ref().expect("basis captured");
+        let basis = &s.basis;
         assert_eq!(basis.basis.len(), m.num_constraints());
         // Every captured basic variable is a real internal index.
         let n_total = m.num_vars() + 2 /* slacks */ + m.num_constraints();
@@ -1870,16 +1782,16 @@ mod tests {
     #[test]
     fn warm_started_child_matches_cold_solve() {
         let m = warm_parent();
-        let parent = solve_lp(&m, 100_000);
+        let parent = solve(&m);
         let parent = parent.optimal().unwrap();
-        let warm = parent.basis.clone().unwrap();
+        let warm = parent.basis.clone();
         // Branch like B&B would: fix x0 to 0, then to 1.
         for (lo, hi) in [(0.0, 0.0), (1.0, 1.0)] {
             let lower = [lo, 0.0, 0.0, 0.0];
             let upper = [hi, 1.0, 1.0, 1.0];
-            let cold = solve_lp_with_bounds(&m, &lower, &upper, 100_000);
+            let cold = cold(&m, &lower, &upper);
             let cold = cold.optimal().expect("child feasible");
-            let (out, used) = solve_lp_warm(&m, &lower, &upper, &warm, 100_000);
+            let (out, used) = solve_from(&m, &lower, &upper, LpStart::Warm(&warm));
             let s = out.optimal().expect("warm child optimal");
             assert!(used, "structurally sound basis must install");
             assert!(
@@ -1895,14 +1807,14 @@ mod tests {
     #[test]
     fn warm_start_skips_phase_one_iterations() {
         let m = warm_parent();
-        let parent = solve_lp(&m, 100_000);
+        let parent = solve(&m);
         let parent = parent.optimal().unwrap();
-        let warm = parent.basis.clone().unwrap();
+        let warm = parent.basis.clone();
         let lower = [0.0; 4];
         let upper = [0.0, 1.0, 1.0, 1.0];
-        let cold = solve_lp_with_bounds(&m, &lower, &upper, 100_000);
+        let cold = cold(&m, &lower, &upper);
         let cold = cold.optimal().unwrap();
-        let (out, used) = solve_lp_warm(&m, &lower, &upper, &warm, 100_000);
+        let (out, used) = solve_from(&m, &lower, &upper, LpStart::Warm(&warm));
         let s = out.optimal().unwrap();
         assert!(used);
         assert!(
@@ -1911,55 +1823,6 @@ mod tests {
             s.iterations,
             cold.iterations
         );
-    }
-
-    #[test]
-    fn stale_basis_falls_back_to_cold_solve() {
-        let m = warm_parent();
-        // Wrong length: cannot possibly install.
-        let short = Basis::new(vec![0, 1], vec![]);
-        let (out, used) = solve_lp_warm(&m, &m.lower, &m.upper, &short, 100_000);
-        assert!(!used, "stale basis must not be used");
-        assert!((out.optimal().unwrap().objective - 3.0).abs() < 1e-6);
-        // Duplicate entries: structurally singular.
-        let dup = Basis::new(vec![0, 0, 1, 2], vec![]);
-        let (out, used) = solve_lp_warm(&m, &m.lower, &m.upper, &dup, 100_000);
-        assert!(!used);
-        assert!((out.optimal().unwrap().objective - 3.0).abs() < 1e-6);
-        // Numerically singular: x0 and the two Eq rows cannot span; rows
-        // 0 and 1 of [x0, x1] are [1,1] and [0,0] -> columns of x2-free
-        // rows collapse. Use two columns with identical rows: x0 and x1
-        // share row 0 only plus distinct rows, so build singularity from
-        // slacks of the same row instead — slack index 4 twice is a
-        // duplicate, so pick {x0, x1, slack0, slack0+1} where the two
-        // structural columns are dependent on rows {0}: x0=[r0,r2],
-        // x1=[r0,r3], slack0=[r2], slack1=[r3] -> B misses row 1 entirely
-        // and is singular.
-        let singular = Basis::new(vec![0, 1, 4, 5], vec![]);
-        let (out, used) = solve_lp_warm(&m, &m.lower, &m.upper, &singular, 100_000);
-        assert!(!used, "singular basis must fall back to phase 1");
-        assert!((out.optimal().unwrap().objective - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn rejected_crash_starts_continue_from_the_artificial_basis() {
-        // Unlike a stale warm basis (a fresh solver re-solves cold), a
-        // rejected crash is followed by phase 1 on the *same* solver, so
-        // the install must put the artificial start back.
-        let m = warm_parent();
-        for basis in [
-            vec![0, 1, 4, 5], // singular: no column reaches row 1
-            vec![0, 2, 4, 5], // regular, but x0 = x2 = 1 overfills row 2
-        ] {
-            let start = SimplexStart {
-                basis,
-                at_upper: vec![],
-            };
-            let out = solve_lp_with_start(&m, &m.lower, &m.upper, Some(&start), 100_000);
-            let s = out.optimal().expect("falls back to the two-phase solve");
-            assert!((s.objective - 3.0).abs() < 1e-6, "obj {}", s.objective);
-            m.check_feasible(&s.x, 1e-6).unwrap();
-        }
     }
 
     #[test]
@@ -1974,9 +1837,9 @@ mod tests {
             vec![0.0, 0.0],
             vec![1.0, 1.0],
         );
-        let parent = solve_lp(&m, 10_000);
-        let warm = parent.optimal().unwrap().basis.clone().unwrap();
-        let (out, _) = solve_lp_warm(&m, &[0.0, 0.0], &[0.0, 0.0], &warm, 10_000);
+        let parent = solve(&m);
+        let warm = parent.optimal().unwrap().basis.clone();
+        let (out, _) = solve_from(&m, &[0.0, 0.0], &[0.0, 0.0], LpStart::Warm(&warm));
         assert!(matches!(out, LpOutcome::Infeasible));
     }
 
@@ -1992,9 +1855,9 @@ mod tests {
             vec![0.0, 0.0],
             vec![1.0, 1.0],
         );
-        let parent = solve_lp(&m, 10_000);
-        let warm = parent.optimal().unwrap().basis.clone().unwrap();
-        let (out, used) = solve_lp_warm(&m, &[0.0, 0.0], &[0.0, 1.0], &warm, 10_000);
+        let parent = solve(&m);
+        let warm = parent.optimal().unwrap().basis.clone();
+        let (out, used) = solve_from(&m, &[0.0, 0.0], &[0.0, 1.0], LpStart::Warm(&warm));
         let s = out.optimal().expect("child solvable");
         assert!(used, "artificial-bearing basis is still warm-startable");
         assert!((s.objective - 2.0).abs() < 1e-6, "obj {}", s.objective);
@@ -2035,9 +1898,9 @@ mod tests {
         let mut lower = model.lower.clone();
         lower[n - 1] = demand;
         let parent = Basis::new(vec![n], vec![]);
-        let (warm, used) = solve_lp_warm(model, &lower, &model.upper, &parent, 10_000);
+        let (warm, used) = solve_from(model, &lower, &model.upper, LpStart::Warm(&parent));
         assert!(used, "the parent basis installs");
-        let cold = solve_lp_with_bounds(model, &lower, &model.upper, 10_000);
+        let cold = cold(model, &lower, &model.upper);
         (warm, cold)
     }
 
@@ -2117,7 +1980,7 @@ mod tests {
         let model = &ti.model;
         let crash = ti.crash_start(&model.lower, &model.upper).unwrap();
         let mut sx = Simplex::new(model, &model.lower, &model.upper);
-        assert!(sx.install(&crash.basis, &crash.at_upper, None));
+        assert!(sx.install(&crash, false));
         let mut entries = 0;
         for &var in &crash.basis {
             sx.a.for_column(var, |_, _| entries += 1);
@@ -2127,7 +1990,7 @@ mod tests {
         assert!(!sx.lu.needs_refactor());
         // And the counts reach the caller: an LP solved from the crash
         // reports its single install plus whatever the pivots cost.
-        let out = solve_lp_with_start(model, &model.lower, &model.upper, Some(&crash), 100_000);
+        let (out, _) = solve_from(model, &model.lower, &model.upper, LpStart::Crash(&crash));
         let counts = out.optimal().unwrap().counts;
         assert!(counts.refactors >= 1);
         assert_eq!(counts.dual_pivots, 0, "a cold solve never runs the dual");
@@ -2148,9 +2011,9 @@ mod tests {
         ) {
             let ti = random_timeindex(capacity, &specs);
             let model = &ti.model;
-            let root = solve_lp(model, 200_000);
+            let root = solve(model);
             let root = root.optimal().expect("generated models are feasible");
-            let warm = root.basis.as_ref().unwrap();
+            let warm = &root.basis;
             // Forbid a start the root uses, or force an arbitrary one:
             // either way the installed basis needs repairing.
             let used: Vec<usize> = (0..model.num_vars()).filter(|&j| root.x[j] > 1e-6).collect();
@@ -2162,7 +2025,7 @@ mod tests {
                 upper[used[var_seed % used.len()]] = 0.0;
             }
             let mut sx = Simplex::new(model, &lower, &upper);
-            proptest::prop_assert!(sx.install(&warm.basis, &warm.at_upper, Some(&warm.fresh)));
+            proptest::prop_assert!(sx.install(warm, true));
             let status = sx.run_dual(200_000);
             // Costs reach width * slot, so 1e-9 relative is ~1e-6 absolute
             // at worst — far below the 1e-7-per-unit pricing tolerance's
@@ -2174,7 +2037,7 @@ mod tests {
                 sx.counts.dual_pivots,
                 sx.counts.refactors,
             );
-            if matches!(status, DualStatus::Feasible) {
+            if status.is_ok() {
                 // The repaired basis must also price out under the fresh
                 // duals the extraction hands to branch & bound.
                 let carried = sx.d.clone();
@@ -2208,16 +2071,16 @@ mod tests {
         ) {
             let ti = random_timeindex(capacity, &specs);
             let model = &ti.model;
-            let root = solve_lp(model, 200_000);
+            let root = solve(model);
             let root = root.optimal().expect("generated models are feasible");
-            let warm = root.basis.as_ref().unwrap();
+            let warm = &root.basis;
             let (lo, hi) = ti.job_vars[job_seed % ti.job_ids.len()];
             let split = lo + split_seed % (hi - lo);
             let forbidden = if forbid_late == 1 { split + 1..hi } else { lo..split + 1 };
             let mut upper = model.upper.clone();
             upper[forbidden].fill(0.0);
             let mut sx = Simplex::new(model, &model.lower, &upper);
-            proptest::prop_assert!(sx.install(&warm.basis, &warm.at_upper, Some(&warm.fresh)));
+            proptest::prop_assert!(sx.install(warm, true));
             let status = sx.run_dual(200_000);
             proptest::prop_assert!(
                 sx.basics_drift <= 1e-9,
@@ -2233,12 +2096,12 @@ mod tests {
                 sx.counts.dual_pivots,
                 sx.counts.dual_flips,
             );
-            let (warm_out, used) = solve_lp_warm(model, &model.lower, &upper, warm, 200_000);
-            let cold_out = solve_lp_with_bounds(model, &model.lower, &upper, 200_000);
+            let (warm_out, used) = solve_from(model, &model.lower, &upper, LpStart::Warm(warm));
+            let cold_out = cold(model, &model.lower, &upper);
             match (&warm_out, &cold_out) {
                 (LpOutcome::Optimal(w), LpOutcome::Optimal(c)) => {
                     proptest::prop_assert!(
-                        !matches!(status, DualStatus::Infeasible),
+                        !matches!(status, Err(Stop::Infeasible)),
                         "the repair called a feasible child infeasible",
                     );
                     proptest::prop_assert!(
@@ -2250,6 +2113,148 @@ mod tests {
                 }
                 (LpOutcome::Infeasible, LpOutcome::Infeasible) => {}
                 _ => proptest::prop_assert!(false, "warm {warm_out:?} vs cold {cold_out:?}"),
+            }
+        }
+    }
+
+    /// One test per trigger of [`solve_lp`]'s fallback rule. Each checks
+    /// that the fallback answers what a cold solve answers, to the bit,
+    /// that the answer is not credited to a warm start, and that the
+    /// optimum's iterations and kernel counts are the abandoned attempt's
+    /// plus the cold solve's.
+    mod fallback {
+        use super::*;
+
+        /// An optimum's floats by their bits, and its basis.
+        fn bits(s: &LpSolution) -> (Vec<u64>, &[usize], &[usize]) {
+            let floats = std::iter::once(&s.objective)
+                .chain(&s.x)
+                .chain(&s.reduced_costs);
+            let bits = floats.map(|v| v.to_bits()).collect();
+            (bits, &s.basis.basis, &s.basis.at_upper)
+        }
+
+        /// Solves the LP from `start` with the next `singular` mid-solve
+        /// refactorizations failing, asserts the fallback described above,
+        /// and returns what the abandoned attempt cost — measured by
+        /// running it alone, as `solve_lp` runs it.
+        fn assert_falls_back(
+            model: &Milp,
+            lower: &[f64],
+            upper: &[f64],
+            start: LpStart<'_>,
+            singular: usize,
+        ) -> (usize, KernelCounts) {
+            let want = cold(model, lower, upper);
+            let want = want.optimal().expect("the cold solve is optimal");
+            SINGULAR_REFACTORS.set(singular);
+            let mut attempt = Simplex::new(model, lower, upper);
+            assert!(
+                matches!(attempt.run(start, 200_000), Err(Stop::Abandoned)),
+                "the start is abandoned"
+            );
+            SINGULAR_REFACTORS.set(singular);
+            let (got, used) = solve_from(model, lower, upper, start);
+            assert_eq!(SINGULAR_REFACTORS.get(), 0, "every trigger fired");
+            assert!(!used, "a fallback is not a warm answer");
+            let got = got.optimal().expect("the fallback is optimal");
+            assert_eq!(bits(got), bits(want), "the cold answer");
+            let mut counts = want.counts;
+            counts.absorb(&attempt.counts);
+            assert_eq!(
+                (got.iterations, got.counts),
+                (attempt.iterations + want.iterations, counts),
+                "abandoned plus cold"
+            );
+            (attempt.iterations, attempt.counts)
+        }
+
+        #[test]
+        fn rejected_crash() {
+            let m = warm_parent();
+            // Singular (no column reaches row 1): rejected before anything
+            // is counted.
+            let singular = Basis::new(vec![0, 1, 4, 5], vec![]);
+            let wasted = assert_falls_back(&m, &m.lower, &m.upper, LpStart::Crash(&singular), 0);
+            assert_eq!(wasted, (0, KernelCounts::default()));
+            // Regular, but x0 = x2 = 1 overfills row 2: rejected after its
+            // factorization, which the optimum carries.
+            let infeasible = Basis::new(vec![0, 2, 4, 5], vec![]);
+            let (iterations, counts) =
+                assert_falls_back(&m, &m.lower, &m.upper, LpStart::Crash(&infeasible), 0);
+            assert_eq!((iterations, counts.refactors), (0, 1));
+        }
+
+        #[test]
+        fn rejected_warm_install() {
+            let m = warm_parent();
+            for basis in [
+                vec![0, 1],       // wrong length
+                vec![0, 0, 1, 2], // a duplicate
+                vec![0, 1, 4, 5], // singular: no column reaches row 1
+            ] {
+                let stale = Basis::new(basis, vec![]);
+                let wasted = assert_falls_back(&m, &m.lower, &m.upper, LpStart::Warm(&stale), 0);
+                assert_eq!(wasted, (0, KernelCounts::default()), "nothing was factored");
+            }
+        }
+
+        #[test]
+        fn warm_give_up() {
+            // Without z the three unit columns cover 3 of w: at w = 3 + 5e-7
+            // every breakpoint is passed and 5e-7 stays uncovered, above
+            // the feasibility tolerance but too close to it to certify
+            // infeasibility — the repair gives up after its first pivot row
+            // and phase 1 decides.
+            let m = cover(false);
+            let n = m.num_vars();
+            let mut lower = m.lower.clone();
+            lower[n - 1] = 3.0 + 5e-7;
+            let parent = Basis::new(vec![n], vec![]);
+            let (iterations, counts) =
+                assert_falls_back(&m, &lower, &m.upper, LpStart::Warm(&parent), 0);
+            assert_eq!(
+                (iterations, counts.refactors, counts.dual_pivots),
+                (1, 1, 0)
+            );
+        }
+
+        #[test]
+        fn singular_refactorization_mid_solve() {
+            // A warm start goes singular in its dual repair, a crash start
+            // in its primal phase 2: both re-solve cold.
+            let m = warm_parent();
+            let (lower, upper) = ([0.0; 4], [0.0, 1.0, 1.0, 1.0]);
+            let parent = solve(&m);
+            let parent = &parent.optimal().unwrap().basis;
+            let (_, counts) = assert_falls_back(&m, &lower, &upper, LpStart::Warm(parent), 1);
+            assert_eq!(
+                counts.refactors, 1,
+                "the install; a failed one counts nothing"
+            );
+            let ti = random_timeindex(4, &[(3, 9), (1, 4), (2, 17), (0, 2)]);
+            let model = &ti.model;
+            let crash = ti.crash_start(&model.lower, &model.upper).unwrap();
+            let (iterations, _) =
+                assert_falls_back(model, &model.lower, &model.upper, LpStart::Crash(&crash), 1);
+            assert_eq!(iterations, 1, "abandoned in its first iteration");
+        }
+
+        #[test]
+        fn second_singular_is_an_iteration_limit() {
+            // A cold solve that goes singular is restarted once...
+            let m = warm_parent();
+            let (iterations, _) = assert_falls_back(&m, &m.lower, &m.upper, LpStart::Cold, 1);
+            assert_eq!(iterations, 1);
+            // ...and gives up when the restart goes singular too, as does a
+            // crash start whose two cold re-solves both do.
+            let crash = solve(&m).optimal().unwrap().basis.clone();
+            for (start, singular) in [(LpStart::Cold, 2), (LpStart::Crash(&crash), 3)] {
+                SINGULAR_REFACTORS.set(singular);
+                let (out, used) = solve_from(&m, &m.lower, &m.upper, start);
+                assert_eq!(SINGULAR_REFACTORS.get(), 0, "every trigger fired");
+                assert!(matches!(out, LpOutcome::IterationLimit), "{out:?}");
+                assert!(!used);
             }
         }
     }

@@ -196,7 +196,7 @@ impl TimeIndexedModel {
 
     /// Builds a primal-feasible crash basis for the node described by
     /// `(lower, upper)` bound vectors, skipping simplex phase 1 entirely
-    /// (see [`crate::simplex::SimplexStart`]).
+    /// (see [`crate::simplex::LpStart::Crash`]).
     ///
     /// The basis exploits the model's block structure: one chosen `x_it`
     /// per job is basic in its assignment row, and every capacity row keeps
@@ -208,11 +208,7 @@ impl TimeIndexedModel {
     /// fixings (the node may still be LP-feasible; the solver then falls
     /// back to phase 1).
     #[allow(clippy::needless_range_loop)] // parallel arrays indexed by job
-    pub fn crash_start(
-        &self,
-        lower: &[f64],
-        upper: &[f64],
-    ) -> Option<crate::simplex::SimplexStart> {
+    pub fn crash_start(&self, lower: &[f64], upper: &[f64]) -> Option<crate::simplex::Basis> {
         let n = self.job_ids.len();
         let mut rem: Vec<i64> = self.slot_capacity.iter().map(|&c| c as i64).collect();
         let mut chosen = vec![usize::MAX; n];
@@ -269,10 +265,7 @@ impl TimeIndexedModel {
         let mut basis = Vec::with_capacity(n + self.horizon_slots);
         basis.extend_from_slice(&chosen);
         basis.extend((0..self.horizon_slots).map(|t| n_vars + t));
-        Some(crate::simplex::SimplexStart {
-            basis,
-            at_upper: Vec::new(),
-        })
+        Some(crate::simplex::Basis::new(basis, Vec::new()))
     }
 
     /// SOS-style branching on job start times: picks the job with the most
@@ -534,7 +527,9 @@ mod tests {
     fn rounding_heuristic_returns_feasible_point() {
         let p = snapshot();
         let ti = build(&p, 60);
-        let lp = crate::simplex::solve_lp(&ti.model, 100_000);
+        let model = &ti.model;
+        let start = crate::simplex::LpStart::Cold;
+        let (lp, _) = crate::simplex::solve_lp(model, &model.lower, &model.upper, start, 100_000);
         let lp = lp.optimal().unwrap();
         let x = ti.rounding_heuristic(lp).unwrap();
         ti.model.check_feasible(&x, 1e-6).unwrap();

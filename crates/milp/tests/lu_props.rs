@@ -10,6 +10,9 @@
 //! eta file must agree with the dense inverse to 1e-9, and the LU must
 //! call a basis singular exactly when the dense reference does.
 //!
+//! Two tests pin bits rather than compare within a tolerance: the factor's
+//! solves, and every answer of the LP engine above it.
+//!
 //! Runs with the default case count under `cargo test`; CI re-runs it
 //! with `PROPTEST_CASES=256`.
 
@@ -17,7 +20,9 @@ mod common;
 
 use common::random_model;
 use dynp_milp::lu::LuFactor;
-use dynp_milp::{solve_lp_with_start, LpOutcome, Milp, Sense, TimeIndexedModel};
+use dynp_milp::{
+    solve_lp, BranchBound, BranchLimits, LpOutcome, LpStart, Milp, Sense, TimeIndexedModel,
+};
 use proptest::prelude::*;
 
 /// Agreement tolerance between a sparse solve and the dense reference,
@@ -182,13 +187,16 @@ fn crash_and_optimal(ti: &TimeIndexedModel) -> (Vec<usize>, Vec<usize>) {
     let crash = ti
         .crash_start(&model.lower, &model.upper)
         .expect("an unfixed model always has a greedy crash");
-    let LpOutcome::Optimal(root) =
-        solve_lp_with_start(model, &model.lower, &model.upper, Some(&crash), 200_000)
-    else {
+    let (LpOutcome::Optimal(root), _) = solve_lp(
+        model,
+        &model.lower,
+        &model.upper,
+        LpStart::Crash(&crash),
+        200_000,
+    ) else {
         panic!("root LP of a generated model did not solve");
     };
-    let optimal = root.basis.expect("optimal LP carries a basis").basis;
-    (crash.basis, optimal)
+    (crash.basis, root.basis.basis)
 }
 
 proptest! {
@@ -539,6 +547,129 @@ fn factors_are_pinned_to_the_bit() {
             }
         }
         *hash = dynp_obs::checkpoint::fnv1a64(&bytes);
+    }
+    assert_eq!(
+        got.map(|h| format!("{h:#018x}")),
+        PINNED.map(|h| format!("{h:#018x}"))
+    );
+}
+
+/// Appends the bits of an LP's answer: objective, point, reduced costs,
+/// iterations, kernel counts and captured basis — or one marker byte for
+/// an outcome without a solution.
+fn fold_lp(bytes: &mut Vec<u8>, outcome: &LpOutcome) {
+    let solution = match outcome {
+        LpOutcome::Optimal(solution) => solution,
+        LpOutcome::Infeasible => return bytes.push(0xf1),
+        LpOutcome::Unbounded => return bytes.push(0xf2),
+        LpOutcome::IterationLimit => return bytes.push(0xf3),
+    };
+    let floats = std::iter::once(&solution.objective)
+        .chain(&solution.x)
+        .chain(&solution.reduced_costs);
+    bytes.extend(floats.flat_map(|v| v.to_bits().to_le_bytes()));
+    let basis = &solution.basis;
+    let counts = solution.counts.metrics().map(|(_, n)| n);
+    let words = std::iter::once(solution.iterations)
+        .chain(counts)
+        .chain(basis.basis.iter().copied())
+        .chain(basis.at_upper.iter().copied());
+    bytes.extend(words.flat_map(|n| (n as u64).to_le_bytes()));
+}
+
+/// The bits one seed contributes: the canonical render of a
+/// `solve_snapshot`-shaped search (snapshot-order seed incumbent, rounding
+/// heuristic, crash hook, SOS brancher) under a 16-node budget into
+/// `search`; into `lps`, the crash-started root LP, one child that forbids
+/// a start the root uses solved cold, crash-started and warm from the
+/// root's basis, and one child that forbids the root crash's first start,
+/// crash-started from that now infeasible basis.
+fn fold_solution_seed(search: &mut Vec<u8>, lps: &mut Vec<u8>, seed: u64) {
+    let mut state = seed;
+    let capacity = 3 + (next_draw(&mut state) % 6) as u32;
+    let scale = [60u64, 120, 300][next_draw(&mut state) % 3];
+    let specs: Vec<(u32, u64)> = (0..4 + next_draw(&mut state) % 4)
+        .map(|_| {
+            (
+                next_draw(&mut state) as u32 % 8,
+                next_draw(&mut state) as u64 % 40,
+            )
+        })
+        .collect();
+    let ti = random_model(capacity, scale, &specs);
+    let model = &ti.model;
+    let limits = BranchLimits {
+        max_nodes: 16,
+        ..BranchLimits::default()
+    };
+    let order: Vec<usize> = (0..ti.job_ids.len()).collect();
+    let seed_x = ti
+        .greedy_solution(&order)
+        .expect("build fits the snapshot order");
+    let mip = BranchBound::new(model, limits)
+        .with_incumbent(seed_x)
+        .expect("the snapshot-order greedy is feasible")
+        .with_heuristic(Box::new(|_, lp| ti.rounding_heuristic(lp)))
+        .with_crash(Box::new(|lower, upper| ti.crash_start(lower, upper)))
+        .with_brancher(Box::new(|_, lp| ti.sos_branch(lp)))
+        .solve();
+    search.extend(mip.canonical_json().to_json().bytes());
+
+    let crash = ti
+        .crash_start(&model.lower, &model.upper)
+        .expect("an unfixed model always has a greedy crash");
+    let (lower, upper) = (&model.lower, &model.upper);
+    let (root, _) = solve_lp(model, lower, upper, LpStart::Crash(&crash), 200_000);
+    fold_lp(lps, &root);
+    let LpOutcome::Optimal(root) = root else {
+        panic!("root LP of a generated model did not solve");
+    };
+    let used: Vec<usize> = (0..model.num_vars())
+        .filter(|&j| root.x[j] > 1e-6)
+        .collect();
+    let mut upper = model.upper.clone();
+    upper[used[next_draw(&mut state) % used.len()]] = 0.0;
+    fold_lp(
+        lps,
+        &solve_lp(model, lower, &upper, LpStart::Cold, 200_000).0,
+    );
+    let child_crash = ti.crash_start(lower, &upper);
+    let start = child_crash.as_ref().map_or(LpStart::Cold, LpStart::Crash);
+    fold_lp(lps, &solve_lp(model, lower, &upper, start, 200_000).0);
+    let (warm, warmed) = solve_lp(model, lower, &upper, LpStart::Warm(&root.basis), 200_000);
+    fold_lp(lps, &warm);
+    lps.push(u8::from(warmed));
+    let mut upper = model.upper.clone();
+    upper[crash.basis[0]] = 0.0;
+    let (rejected, _) = solve_lp(model, lower, &upper, LpStart::Crash(&crash), 200_000);
+    fold_lp(lps, &rejected);
+}
+
+/// The LP engine is a pure function of model, bounds and start, down to
+/// the last bit of every answer and every work count: the constants below
+/// were produced by the four entry points of commit 6bcd642 (PR 23),
+/// before PR 24 merged them into one `solve_lp`, and any later version
+/// must reproduce them. A reordered tail (polish, cleanup, recompute,
+/// extraction) or a fallback that keeps state the cold solve would not
+/// have moves a bit here that no 1e-9 comparison sees. Two groups of
+/// eight §3.1 seeds; per group, one constant over the searches and one
+/// over the single LPs.
+#[test]
+fn solutions_are_pinned_to_the_bit() {
+    const PINNED: [u64; 4] = [
+        0x78b0_2c8c_26b9_4c6b,
+        0xbea5_55cd_0fcc_0b78,
+        0xadbf_d953_48b7_1904,
+        0xfb6e_7f4b_f7aa_80c9,
+    ];
+    let mut got = [0u64; 4];
+    for group in 0..2 {
+        let (mut search, mut lps) = (Vec::new(), Vec::new());
+        for seed in 100 + 8 * group as u64..100 + 8 * (group as u64 + 1) {
+            fold_solution_seed(&mut search, &mut lps, seed);
+        }
+        got[2 * group] = dynp_obs::checkpoint::fnv1a64(&search);
+        got[2 * group + 1] = dynp_obs::checkpoint::fnv1a64(&lps);
     }
     assert_eq!(
         got.map(|h| format!("{h:#018x}")),

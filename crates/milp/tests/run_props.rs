@@ -16,7 +16,7 @@ mod common;
 
 use common::random_model;
 use dynp_milp::sparse::{CscBuilder, CscMatrix, PrefixSums, Run};
-use dynp_milp::{solve_lp_warm, solve_lp_with_bounds, Basis, LpOutcome, LpSolution};
+use dynp_milp::{solve_lp, Basis, LpOutcome, LpSolution, LpStart};
 use proptest::prelude::*;
 
 /// A dense `rows × cols` matrix from one value code per cell: half the
@@ -232,7 +232,6 @@ fn fingerprint(outcome: &(LpOutcome, bool)) -> Option<Fingerprint> {
         return None;
     };
     let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-    let basis = basis.as_ref().expect("optimal LP carries a basis");
     let mut values = bits(x);
     values.push(objective.to_bits());
     Some((
@@ -398,12 +397,12 @@ proptest! {
     ) {
         let ti = random_model(capacity, [60u64, 120, 300][scale_idx], &specs);
         let model = &ti.model;
-        let LpOutcome::Optimal(root) =
-            solve_lp_with_bounds(model, &model.lower, &model.upper, 200_000)
+        let (LpOutcome::Optimal(root), _) =
+            solve_lp(model, &model.lower, &model.upper, LpStart::Cold, 200_000)
         else {
             panic!("root LP of a generated model did not solve");
         };
-        let parent = root.basis.as_ref().expect("optimal LP carries a basis");
+        let parent = &root.basis;
         // Branch on a start the root uses: the down child forbids it,
         // the up child forces it.
         let used: Vec<usize> = (0..model.num_vars()).filter(|&j| root.x[j] > 1e-6).collect();
@@ -417,7 +416,7 @@ proptest! {
             })
             .collect();
         let solve = |basis: &Basis, child: &(Vec<f64>, Vec<f64>)| {
-            fingerprint(&solve_lp_warm(model, &child.0, &child.1, basis, 200_000))
+            fingerprint(&solve_lp(model, &child.0, &child.1, LpStart::Warm(basis), 200_000))
         };
         // Alone: a clone of a basis has nothing cached.
         let alone: Vec<_> = children.iter().map(|c| solve(&parent.clone(), c)).collect();

@@ -13,7 +13,7 @@ mod common;
 
 use common::random_model;
 use dynp_milp::sparse::CscBuilder;
-use dynp_milp::{solve_lp_warm, solve_lp_with_bounds, LpOutcome, Milp, Sense, TimeIndexedModel};
+use dynp_milp::{solve_lp, Basis, LpOutcome, LpStart, Milp, Sense, TimeIndexedModel};
 use proptest::prelude::*;
 
 /// Agreement tolerance between the warm and cold optima. Both paths end
@@ -53,6 +53,17 @@ fn with_duplicated_assignment_rows(ti: &TimeIndexedModel) -> Milp {
     )
 }
 
+/// `model` under `lower` / `upper`, solved cold.
+fn cold(model: &Milp, lower: &[f64], upper: &[f64]) -> LpOutcome {
+    solve_lp(model, lower, upper, LpStart::Cold, MAX_ITERS).0
+}
+
+/// `model` under `lower` / `upper`, warm from `basis`, and whether the
+/// warm start answered.
+fn warm(model: &Milp, lower: &[f64], upper: &[f64], basis: &Basis) -> (LpOutcome, bool) {
+    solve_lp(model, lower, upper, LpStart::Warm(basis), MAX_ITERS)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -72,13 +83,13 @@ proptest! {
         let ti = random_model(capacity, scale, &specs);
         let model = &ti.model;
         let LpOutcome::Optimal(root) =
-            solve_lp_with_bounds(model, &model.lower, &model.upper, MAX_ITERS)
+            cold(model, &model.lower, &model.upper)
         else {
             // The builder guarantees a feasible model; anything else is
             // a solver bug this test should surface.
             panic!("root LP of a generated model did not solve");
         };
-        let basis = root.basis.as_ref().expect("optimal LP carries a basis");
+        let basis = &root.basis;
 
         // The child differs by one bound, exactly as in branching: pick
         // any still-free variable and pin it to 0 or 1.
@@ -95,8 +106,8 @@ proptest! {
             upper[var] = 0.0;
         }
 
-        let (warm_outcome, _used) = solve_lp_warm(model, &lower, &upper, basis, MAX_ITERS);
-        let cold_outcome = solve_lp_with_bounds(model, &lower, &upper, MAX_ITERS);
+        let (warm_outcome, _used) = warm(model, &lower, &upper, basis);
+        let cold_outcome = cold(model, &lower, &upper);
         match (warm_outcome, cold_outcome) {
             (LpOutcome::Optimal(w), LpOutcome::Optimal(c)) => {
                 prop_assert!(
@@ -135,11 +146,11 @@ proptest! {
         let ti = random_model(capacity, 60, &specs);
         let model = with_duplicated_assignment_rows(&ti);
         let LpOutcome::Optimal(root) =
-            solve_lp_with_bounds(&model, &model.lower, &model.upper, MAX_ITERS)
+            cold(&model, &model.lower, &model.upper)
         else {
             panic!("duplicating rows cannot make a feasible model infeasible");
         };
-        let basis = root.basis.as_ref().expect("optimal LP carries a basis");
+        let basis = &root.basis;
         let first_artificial = model.num_vars() + ti.horizon_slots;
         let artificials = basis.basis.iter().filter(|&&v| v >= first_artificial).count();
         prop_assert!(
@@ -156,9 +167,9 @@ proptest! {
         } else {
             upper[var] = 0.0;
         }
-        let (warm_outcome, used) = solve_lp_warm(&model, &lower, &upper, basis, MAX_ITERS);
+        let (warm_outcome, used) = warm(&model, &lower, &upper, basis);
         prop_assert!(used, "an artificial-bearing basis must still install and repair");
-        match (warm_outcome, solve_lp_with_bounds(&model, &lower, &upper, MAX_ITERS)) {
+        match (warm_outcome, cold(&model, &lower, &upper)) {
             (LpOutcome::Optimal(w), LpOutcome::Optimal(c)) => {
                 prop_assert!(
                     (w.objective - c.objective).abs() < OBJ_TOL,
@@ -186,13 +197,13 @@ proptest! {
         let ti = random_model(capacity, 60, &specs);
         let model = &ti.model;
         let LpOutcome::Optimal(root) =
-            solve_lp_with_bounds(model, &model.lower, &model.upper, MAX_ITERS)
+            cold(model, &model.lower, &model.upper)
         else {
             panic!("root LP of a generated model did not solve");
         };
-        let basis = root.basis.as_ref().unwrap();
+        let basis = &root.basis;
         let (outcome, used) =
-            solve_lp_warm(model, &model.lower, &model.upper, basis, MAX_ITERS);
+            warm(model, &model.lower, &model.upper, basis);
         prop_assert!(used, "re-installing an optimal basis fell back to cold");
         let LpOutcome::Optimal(again) = outcome else {
             panic!("re-solve from the optimal basis failed");

@@ -201,8 +201,8 @@ impl RouteStats {
     fn classify(method: &str, path: &str) -> usize {
         match (method, path) {
             ("POST", "/v1/jobs") => 0,
-            ("GET", p) if p.starts_with("/v1/jobs/") && p.ends_with("/trace") => 2,
-            ("GET", p) if p.starts_with("/v1/jobs/") => 1,
+            ("GET", p) if job_path(p).is_some_and(|(_, trace)| trace) => 2,
+            ("GET", p) if job_path(p).is_some() => 1,
             ("GET", "/v1/schedule") => 3,
             ("GET", "/v1/stats") => 4,
             ("POST", "/v1/shutdown") => 5,
@@ -569,6 +569,45 @@ fn write_snapshot(checkpoint: &Option<(CheckpointLog, String)>, core: &ServiceCo
     }
 }
 
+/// Splits `/v1/jobs/<id>` and `/v1/jobs/<id>/trace` into the id text and
+/// whether the trace was asked for; `None` for any other path.
+fn job_path(path: &str) -> Option<(&str, bool)> {
+    let rest = path.strip_prefix("/v1/jobs/")?;
+    Some(match rest.strip_suffix("/trace") {
+        Some(id) => (id, true),
+        None => (rest, false),
+    })
+}
+
+/// `GET /v1/jobs/<id>`, the job's status, or with `trace` its
+/// flight-recorder timeline; `id` is the path segment as sent.
+fn job_reply(core: &Mutex<ServiceCore>, id: &str, trace: bool) -> Response {
+    let Ok(id) = id.parse::<u32>() else {
+        return api_reply(Err(ApiError::bad_request(
+            "job id must be an unsigned integer",
+        )));
+    };
+    let (body, enabled) = {
+        let core = core.lock().unwrap_or_else(|e| e.into_inner());
+        if trace {
+            (core.trace_json(id), core.flight_recorder())
+        } else {
+            (core.job_view(id), true)
+        }
+    };
+    match body {
+        Some(json) => Response::json(200, json.to_json()),
+        None if !enabled => api_reply(Err(ApiError::new(
+            404,
+            "trace_disabled",
+            "the flight recorder is disabled on this server",
+        ))),
+        None => api_reply(Err(ApiError::not_found(format!(
+            "no job with id {id} was ever submitted"
+        )))),
+    }
+}
+
 /// Routes one HTTP request against the live service.
 fn route(
     request: &Request,
@@ -578,6 +617,9 @@ fn route(
     queue_depth: usize,
     stats: &RouteStats,
 ) -> Response {
+    if let ("GET", Some((id, trace))) = (request.method.as_str(), job_path(&request.path)) {
+        return job_reply(core, id, trace);
+    }
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/v1/jobs") => {
             if draining.load(Ordering::Relaxed) {
@@ -594,54 +636,6 @@ fn route(
             match enqueue(submit, requests, queue_depth) {
                 Ok(decisions) => Response::json(200, decisions_body(&decisions, was_batch)),
                 Err(e) => api_reply(Err(e)),
-            }
-        }
-        // The trace suffix must match before the plain status arm: the
-        // status arm parses everything after `/v1/jobs/` as an id.
-        ("GET", path) if path.starts_with("/v1/jobs/") && path.ends_with("/trace") => {
-            let middle = &path["/v1/jobs/".len()..path.len() - "/trace".len()];
-            let id = match middle.parse::<u32>() {
-                Ok(id) => id,
-                Err(_) => {
-                    return api_reply(Err(ApiError::bad_request(
-                        "job id must be an unsigned integer",
-                    )))
-                }
-            };
-            let (body, enabled) = {
-                let core = core.lock().unwrap_or_else(|e| e.into_inner());
-                (core.trace_json(id), core.flight_recorder())
-            };
-            match body {
-                Some(json) => Response::json(200, json.to_json()),
-                None if !enabled => api_reply(Err(ApiError::new(
-                    404,
-                    "trace_disabled",
-                    "the flight recorder is disabled on this server",
-                ))),
-                None => api_reply(Err(ApiError::not_found(format!(
-                    "no job with id {id} was ever submitted"
-                )))),
-            }
-        }
-        ("GET", path) if path.starts_with("/v1/jobs/") => {
-            let id = match path["/v1/jobs/".len()..].parse::<u32>() {
-                Ok(id) => id,
-                Err(_) => {
-                    return api_reply(Err(ApiError::bad_request(
-                        "job id must be an unsigned integer",
-                    )))
-                }
-            };
-            let view = {
-                let core = core.lock().unwrap_or_else(|e| e.into_inner());
-                core.job_view(id)
-            };
-            match view {
-                Some(json) => Response::json(200, json.to_json()),
-                None => api_reply(Err(ApiError::not_found(format!(
-                    "no job with id {id} was ever submitted"
-                )))),
             }
         }
         ("GET", "/v1/stats") => {
@@ -831,6 +825,24 @@ mod tests {
         let (status, body) = get(addr, "/v1/jobs/zzz/trace");
         assert_eq!(status, 400);
         assert!(body.contains("unsigned integer"), "{body}");
+    }
+
+    #[test]
+    fn trace_suffix_without_an_id_is_a_typed_400() {
+        // `/v1/jobs/` and `/trace` overlap in `/v1/jobs/trace`: an empty
+        // id between them, not a slice that ends before it starts.
+        let s = server(4);
+        let addr = s.local_addr();
+        for path in ["/v1/jobs/trace", "/v1/jobs//trace", "/v1/jobs/"] {
+            let (status, body) = get(addr, path);
+            assert_eq!(status, 400, "{path}: {body}");
+            assert!(body.contains("unsigned integer"), "{body}");
+            dynp_obs::validate_json(&body).unwrap();
+        }
+        // The handler survived: the next request is served.
+        post(addr, "/v1/jobs", "{\"v\":1,\"width\":2,\"runtime\":100}");
+        let (status, body) = get(addr, "/v1/jobs/0/trace");
+        assert_eq!(status, 200, "{body}");
     }
 
     #[test]

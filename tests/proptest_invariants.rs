@@ -152,7 +152,8 @@ proptest! {
             vec![Sense::Le],
             vec![cap as f64],
         );
-        let lp = milp::solve_lp(&model, 100_000);
+        let start = milp::LpStart::Cold;
+        let (lp, _) = milp::solve_lp(&model, &model.lower, &model.upper, start, 100_000);
         let lp_obj = lp.optimal().expect("knapsack LP solvable").objective;
         let mip = solve_mip(&model, BranchLimits::default());
         prop_assert_eq!(mip.status, MipStatus::Optimal);
