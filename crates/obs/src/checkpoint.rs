@@ -22,11 +22,18 @@
 //!   truncated tail line (the process died mid-write) fails the parse or
 //!   the checksum and is simply dropped; the cell is recomputed.
 //!
+//! A record is rendered once: the header and the data are written into
+//! one buffer, checksummed, and the `crc` member is spliced in before the
+//! closing brace. [`CheckpointLog::append_json`] takes data already
+//! rendered as text, so a caller that can write its state directly (the
+//! serve snapshot) never builds a [`JsonValue`] tree at all.
+//!
 //! Lines are flushed to the OS after every append: a crash loses at most
 //! the cell that was being written.
 
-use crate::json::{parse, JsonValue};
+use crate::json::{escape_into, number_into, parse, JsonValue};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -49,16 +56,39 @@ pub fn fingerprint(canonical: &str) -> String {
     format!("{:016x}", fnv1a64(canonical.as_bytes()))
 }
 
+/// The record minus its checksum, `{"v":…,"campaign":…,"cell":…,"data":…}`,
+/// with `data` written by `data`: the bytes the checksum covers. The
+/// `capacity` hint should cover the data; the header and the `crc`
+/// member [`seal`] adds are reserved on top.
+fn body(campaign: &str, cell: usize, capacity: usize, data: impl FnOnce(&mut String)) -> String {
+    let mut out = String::with_capacity(capacity + campaign.len() + 96);
+    out.push_str("{\"v\":");
+    number_into(&mut out, CHECKPOINT_VERSION as f64);
+    out.push_str(",\"campaign\":");
+    escape_into(&mut out, campaign);
+    out.push_str(",\"cell\":");
+    number_into(&mut out, cell as f64);
+    out.push_str(",\"data\":");
+    data(&mut out);
+    out.push('}');
+    out
+}
+
+/// The record line: `body` with `,"crc":"<fnv1a64 of body>"` in front
+/// of its closing brace.
+fn seal(mut body: String) -> String {
+    let crc = fnv1a64(body.as_bytes());
+    body.pop();
+    body.push_str(",\"crc\":\"");
+    let _ = write!(body, "{crc:016x}");
+    body.push_str("\"}");
+    body
+}
+
 /// Serializes one checkpoint record (a single JSONL line, no trailing
 /// newline).
 pub fn record_line(campaign: &str, cell: usize, data: &JsonValue) -> String {
-    let body = JsonValue::object()
-        .with("v", CHECKPOINT_VERSION)
-        .with("campaign", campaign)
-        .with("cell", cell)
-        .with("data", data.clone());
-    let crc = format!("{:016x}", fnv1a64(body.to_json().as_bytes()));
-    body.with("crc", crc).to_json()
+    seal(body(campaign, cell, 0, |out| data.write_into(out)))
 }
 
 /// Decodes one checkpoint line. Returns the cell index and its data when
@@ -66,7 +96,15 @@ pub fn record_line(campaign: &str, cell: usize, data: &JsonValue) -> String {
 /// `Err` explains the rejection (used only for accounting — a rejected
 /// line just means the cell is recomputed).
 pub fn decode_line(line: &str, campaign: &str) -> Result<(usize, JsonValue), String> {
-    let value = parse(line).map_err(|e| format!("unparseable: {e}"))?;
+    let mut value = parse(line).map_err(|e| format!("unparseable: {e}"))?;
+    // Moved out, not cloned: the rest of the record is only read.
+    let data = match &mut value {
+        JsonValue::Object(members) => members
+            .iter_mut()
+            .find(|(key, _)| key == "data")
+            .map(|(_, data)| std::mem::replace(data, JsonValue::Null)),
+        _ => None,
+    };
     let v = value
         .get("v")
         .and_then(JsonValue::as_u64)
@@ -82,7 +120,7 @@ pub fn decode_line(line: &str, campaign: &str) -> Result<(usize, JsonValue), Str
         .get("cell")
         .and_then(JsonValue::as_u64)
         .ok_or("missing cell index")? as usize;
-    let data = value.get("data").ok_or("missing data")?.clone();
+    let data = data.ok_or("missing data")?;
     let crc = value
         .get("crc")
         .and_then(JsonValue::as_str)
@@ -90,12 +128,8 @@ pub fn decode_line(line: &str, campaign: &str) -> Result<(usize, JsonValue), Str
     // Recompute the checksum over the canonical re-serialization; the
     // parser keeps key order and number round-tripping, so a clean line
     // reproduces its own bytes.
-    let body = JsonValue::object()
-        .with("v", v)
-        .with("campaign", record_campaign)
-        .with("cell", cell)
-        .with("data", data.clone());
-    let expect = format!("{:016x}", fnv1a64(body.to_json().as_bytes()));
+    let body = body(record_campaign, cell, line.len(), |out| data.write_into(out));
+    let expect = format!("{:016x}", fnv1a64(body.as_bytes()));
     if crc != expect {
         return Err(format!("checksum mismatch: {crc} vs {expect}"));
     }
@@ -188,14 +222,30 @@ impl CheckpointLog {
     /// swallowed after being reported once via the event log — a full
     /// disk degrades crash-safety, it must not kill a multi-hour sweep.
     pub fn append(&self, campaign: &str, cell: usize, data: &JsonValue) {
-        let line = record_line(campaign, cell, data);
+        self.write_line(cell, record_line(campaign, cell, data));
+    }
+
+    /// [`append`] for data already rendered as canonical JSON text (what
+    /// [`JsonValue::to_json`] gives for the same value): the record is
+    /// rendered around it in one pass, without a tree, and the line is
+    /// byte-identical to `append(campaign, cell, &parse(data_json)?)`.
+    ///
+    /// [`append`]: CheckpointLog::append
+    pub fn append_json(&self, campaign: &str, cell: usize, data_json: &str) {
+        let body = body(campaign, cell, data_json.len(), |out| out.push_str(data_json));
+        self.write_line(cell, seal(body));
+    }
+
+    /// Writes `line` and its newline with one `write_all`, then flushes.
+    fn write_line(&self, cell: usize, mut line: String) {
+        line.push('\n');
         // A worker that panicked while holding the lock poisons it, but
         // an append-only file handle has no invariant a half-finished
         // writer could break: the torn tail is dropped on load and the
         // cell recomputed. Recover the guard instead of propagating the
         // panic into every surviving worker.
         let mut file = self.file.lock().unwrap_or_else(|p| p.into_inner());
-        if let Err(e) = writeln!(file, "{line}").and_then(|_| file.flush()) {
+        if let Err(e) = file.write_all(line.as_bytes()).and_then(|_| file.flush()) {
             report_write_failure(cell, &e.to_string());
         }
     }

@@ -35,6 +35,7 @@ use std::collections::BinaryHeap;
 use std::cmp::Reverse;
 
 use dynp_core::SelfTuning;
+use dynp_obs::json::{array_into, ObjectWriter};
 use dynp_obs::JsonValue;
 use dynp_sched::{PlanError, Policy};
 use dynp_sim::{JobRecord, Rms, SnapshotLog, Step};
@@ -79,6 +80,52 @@ pub struct JobTimeline {
     /// Decline reason, for jobs that never entered the queue (or were
     /// rejected by the planner later).
     pub declined: Option<String>,
+}
+
+// The snapshot's flat wire shapes, one key list each in wire order:
+// `snapshot_json` writes through these lists and `restore` reads
+// through them.
+
+/// A waiting job; a running one carries `start` after these.
+const JOB_FIELDS: [&str; 5] = ["id", "submit", "width", "runtime", "actual"];
+
+/// The values of [`JOB_FIELDS`].
+fn job_fields(job: &Job) -> [u64; 5] {
+    [
+        job.id.0.into(),
+        job.submit,
+        job.width.into(),
+        job.estimated_duration,
+        job.actual_duration,
+    ]
+}
+
+/// A timeline's members before its `policy`.
+const TIMELINE_HEAD: [&str; 4] = ["id", "batch", "admitted", "submit"];
+
+/// A timeline's members after its `policy`, each written when set (the
+/// two counts always are); `declined` follows when set.
+const TIMELINE_TAIL: [&str; 6] = [
+    "replans",
+    "replans_base",
+    "planned_start",
+    "last_planned",
+    "started",
+    "finished",
+];
+
+impl JobTimeline {
+    /// The values of [`TIMELINE_TAIL`].
+    fn tail(&self) -> [Option<u64>; 6] {
+        [
+            Some(self.replans.into()),
+            Some(self.replans_base),
+            self.planned_start,
+            self.last_planned,
+            self.started,
+            self.finished,
+        ]
+    }
 }
 
 /// The live scheduling state behind the serve API.
@@ -602,80 +649,69 @@ impl ServiceCore {
         )
     }
 
-    /// The full service state as one checkpoint `data` object.
-    /// Everything is deterministic (logical times only), so a restored
-    /// core continues the decision sequence byte-identically.
-    pub fn snapshot(&self) -> JsonValue {
-        let job_json = |job: &Job| {
-            JsonValue::object()
-                .with("id", job.id.0)
-                .with("submit", job.submit)
-                .with("width", job.width)
-                .with("runtime", job.estimated_duration)
-                .with("actual", job.actual_duration)
-        };
-        let mut waiting = JsonValue::array();
-        for job in self.rms.waiting() {
-            waiting.push(job_json(job));
-        }
-        let mut running = JsonValue::array();
-        for (job, start) in self.rms.running().values() {
-            running.push(job_json(job).with("start", *start));
-        }
-        let mut records = JsonValue::array();
-        for r in self.records() {
-            records.push(r.to_json());
-        }
-        let mut declined = JsonValue::array();
-        for (id, (request, why)) in &self.declined {
-            declined.push(
-                JsonValue::object()
-                    .with("id", *id)
-                    .with("width", request.width)
-                    .with("runtime", request.runtime)
-                    .with("reason", why.reason()),
-            );
-        }
-        let mut timelines = JsonValue::array();
+    /// The full service state as one checkpoint `data` object, written
+    /// as compact JSON text in one pass — the service's only state
+    /// serializer. Everything is deterministic (logical times only), so
+    /// a restored core continues the decision sequence byte-identically.
+    pub fn snapshot_json(&self) -> String {
+        let (waiting, running) = (self.rms.waiting(), self.rms.running());
+        let entries = waiting.len() + running.len() + self.records().len() + self.timelines.len();
+        let mut out = String::with_capacity(256 + 160 * entries);
+        let mut state = ObjectWriter::open(&mut out);
+        state
+            .uint("clock", self.clock)
+            .uint("next_id", self.next_id.into())
+            .uint("batches", self.batches)
+            .uint("installs", self.installs)
+            .str("active", self.rms.selector().active().name());
+        array_into(state.key("waiting"), waiting, |out, job| {
+            let mut object = ObjectWriter::open(out);
+            object.uints(&JOB_FIELDS, &job_fields(job));
+            object.close();
+        });
+        array_into(state.key("running"), running.values(), |out, (job, start)| {
+            let mut object = ObjectWriter::open(out);
+            object.uints(&JOB_FIELDS, &job_fields(job)).uint("start", *start);
+            object.close();
+        });
+        array_into(state.key("records"), self.records(), |out, r| r.write_json(out));
+        array_into(state.key("declined"), &self.declined, |out, (id, (request, why))| {
+            let mut object = ObjectWriter::open(out);
+            object
+                .uint("id", (*id).into())
+                .uint("width", request.width.into())
+                .uint("runtime", request.runtime)
+                .str("reason", &why.reason());
+            object.close();
+        });
         // Vector order is ascending-id by construction.
-        for (id, t) in (0u32..).zip(&self.timelines) {
-            let Some(t) = t else { continue };
-            let mut entry = JsonValue::object()
-                .with("id", id)
-                .with("batch", t.batch)
-                .with("admitted", t.admitted)
-                .with("submit", t.submit)
-                .with("policy", t.policy.name())
-                .with("replans", t.replans)
-                .with("replans_base", t.replans_base);
-            if let Some(p) = t.planned_start {
-                entry.set("planned_start", p);
-            }
-            if let Some(p) = t.last_planned {
-                entry.set("last_planned", p);
-            }
-            if let Some(s) = t.started {
-                entry.set("started", s);
-            }
-            if let Some(f) = t.finished {
-                entry.set("finished", f);
+        let timelines = (0u32..).zip(&self.timelines).filter_map(|(id, t)| Some((id, t.as_ref()?)));
+        array_into(state.key("timelines"), timelines, |out, (id, t)| {
+            let mut object = ObjectWriter::open(out);
+            object
+                .uints(&TIMELINE_HEAD, &[id.into(), t.batch, t.admitted, t.submit])
+                .str("policy", t.policy.name());
+            for (key, value) in TIMELINE_TAIL.iter().zip(t.tail()) {
+                if let Some(value) = value {
+                    object.uint(key, value);
+                }
             }
             if let Some(reason) = &t.declined {
-                entry.set("declined", reason.as_str());
+                object.str("declined", reason);
             }
-            timelines.push(entry);
-        }
-        JsonValue::object()
-            .with("clock", self.clock)
-            .with("next_id", self.next_id)
-            .with("batches", self.batches)
-            .with("installs", self.installs)
-            .with("active", self.rms.selector().active().name())
-            .with("waiting", waiting)
-            .with("running", running)
-            .with("records", records)
-            .with("declined", declined)
-            .with("timelines", timelines)
+            object.close();
+        });
+        state.close();
+        out
+    }
+
+    /// [`ServiceCore::snapshot_json`] parsed: the state as the tree
+    /// [`ServiceCore::restore`] reads.
+    pub fn snapshot(&self) -> JsonValue {
+        let text = self.snapshot_json();
+        let tree = dynp_obs::parse_json(&text).expect("the snapshot writer emits strict JSON");
+        debug_assert_eq!(tree.to_json(), text, "the snapshot text is canonical");
+        tree
     }
 
     /// Rebuilds a core from a [`ServiceCore::snapshot`] object. The
@@ -683,10 +719,9 @@ impl ServiceCore {
     /// snapshot was taken under — the checkpoint fingerprint guarantees
     /// it matched at load time.
     pub fn restore(capacity: u32, mut tuner: SelfTuning, data: &JsonValue) -> Result<ServiceCore, String> {
+        let missing = |key: &str| format!("snapshot field {key:?} missing or not an integer");
         let u = |v: &JsonValue, key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("snapshot field {key:?} missing or not an integer"))
+            v.get(key).and_then(JsonValue::as_u64).ok_or_else(|| missing(key))
         };
         let array = |key: &str| -> Result<&[JsonValue], String> {
             data.get(key)
@@ -706,12 +741,13 @@ impl ServiceCore {
             ));
         }
         let parse_job = |v: &JsonValue| -> Result<Job, String> {
+            let [id, submit, width, runtime, actual] = JOB_FIELDS.map(|key| u(v, key));
             Ok(Job {
-                id: JobId(u(v, "id")? as u32),
-                submit: u(v, "submit")?,
-                width: u(v, "width")? as u32,
-                estimated_duration: u(v, "runtime")?,
-                actual_duration: u(v, "actual")?,
+                id: JobId(id? as u32),
+                submit: submit?,
+                width: width? as u32,
+                estimated_duration: runtime?,
+                actual_duration: actual?,
                 user: 0,
             })
         };
@@ -784,20 +820,22 @@ impl ServiceCore {
                     .and_then(JsonValue::as_str)
                     .ok_or("timeline entry without a policy")?
                     .parse()?;
-                let opt = |key: &str| v.get(key).and_then(JsonValue::as_u64);
+                let [id, batch, admitted, submit] = TIMELINE_HEAD.map(|key| u(v, key));
+                let [replans, replans_base, planned_start, last_planned, started, finished] =
+                    TIMELINE_TAIL.map(|key| v.get(key).and_then(JsonValue::as_u64));
                 core.put_timeline(
-                    u(v, "id")? as u32,
+                    id? as u32,
                     JobTimeline {
-                        batch: u(v, "batch")?,
-                        admitted: u(v, "admitted")?,
-                        submit: u(v, "submit")?,
+                        batch: batch?,
+                        admitted: admitted?,
+                        submit: submit?,
                         policy,
-                        planned_start: opt("planned_start"),
-                        last_planned: opt("last_planned"),
-                        replans: u(v, "replans")? as u32,
-                        replans_base: opt("replans_base").unwrap_or(0),
-                        started: opt("started"),
-                        finished: opt("finished"),
+                        planned_start,
+                        last_planned,
+                        replans: replans.ok_or_else(|| missing("replans"))? as u32,
+                        replans_base: replans_base.unwrap_or(0),
+                        started,
+                        finished,
                         declined: v
                             .get("declined")
                             .and_then(JsonValue::as_str)

@@ -562,10 +562,11 @@ fn process_batch(
     }
 }
 
-/// Appends the core's snapshot as checkpoint cell 0.
+/// Appends the core's snapshot as checkpoint cell 0, rendered once as
+/// text (no tree in between).
 fn write_snapshot(checkpoint: &Option<(CheckpointLog, String)>, core: &ServiceCore) {
     if let Some((log, fp)) = checkpoint {
-        log.append(fp, 0, &core.snapshot());
+        log.append_json(fp, 0, &core.snapshot_json());
     }
 }
 

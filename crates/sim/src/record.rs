@@ -56,19 +56,49 @@ impl JobRecord {
         self.width as u64 * self.runtime()
     }
 
-    /// The record as a strict-JSON object (raw fields plus the derived
-    /// wait/response, so consumers need no arithmetic). Shared by the
-    /// serve API's completed-job view and ad-hoc result dumps.
+    /// The wire shape, in wire order: the stored fields, then the derived
+    /// wait and response (so consumers need no arithmetic).
+    /// [`JobRecord::to_json`] and [`JobRecord::write_json`] write all
+    /// eight; [`JobRecord::from_json`] reads the first six and recomputes
+    /// the derived two.
+    const FIELDS: [&str; 8] = [
+        "id",
+        "submit",
+        "start",
+        "end",
+        "width",
+        "estimated_duration",
+        "wait",
+        "response",
+    ];
+
+    /// The values of [`JobRecord::FIELDS`], in the same order.
+    fn field_values(&self) -> [u64; 8] {
+        [
+            self.id.0.into(),
+            self.submit,
+            self.start,
+            self.end,
+            self.width.into(),
+            self.estimated_duration,
+            self.wait(),
+            self.response(),
+        ]
+    }
+
+    /// The record as a strict-JSON object. Shared by the serve API's
+    /// completed-job view and ad-hoc result dumps.
     pub fn to_json(&self) -> dynp_obs::JsonValue {
-        dynp_obs::JsonValue::object()
-            .with("id", self.id.0)
-            .with("submit", self.submit)
-            .with("start", self.start)
-            .with("end", self.end)
-            .with("width", self.width)
-            .with("estimated_duration", self.estimated_duration)
-            .with("wait", self.wait())
-            .with("response", self.response())
+        let members = Self::FIELDS.iter().zip(self.field_values());
+        dynp_obs::JsonValue::Object(members.map(|(k, v)| (k.to_string(), v.into())).collect())
+    }
+
+    /// Appends the bytes `self.to_json().to_json()` renders, without
+    /// building the object (how the serve snapshot writes its records).
+    pub fn write_json(&self, out: &mut String) {
+        let mut object = dynp_obs::json::ObjectWriter::open(out);
+        object.uints(&Self::FIELDS, &self.field_values());
+        object.close();
     }
 
     /// Parses what [`JobRecord::to_json`] rendered (the derived fields are
@@ -82,13 +112,14 @@ impl JobRecord {
         let narrow = |field: &'static str| {
             u(field).and_then(|x| u32::try_from(x).map_err(|_| RecordFieldError(field)))
         };
+        let [id, submit, start, end, width, estimated_duration, ..] = Self::FIELDS;
         Ok(JobRecord {
-            id: JobId(narrow("id")?),
-            submit: u("submit")?,
-            start: u("start")?,
-            end: u("end")?,
-            width: narrow("width")?,
-            estimated_duration: u("estimated_duration")?,
+            id: JobId(narrow(id)?),
+            submit: u(submit)?,
+            start: u(start)?,
+            end: u(end)?,
+            width: narrow(width)?,
+            estimated_duration: u(estimated_duration)?,
         })
     }
 }
@@ -286,6 +317,9 @@ mod tests {
         let r = rec(1, 100, 150, 250, 4);
         let json = r.to_json().to_json();
         dynp_obs::validate_json(&json).unwrap();
+        let mut text = String::new();
+        r.write_json(&mut text);
+        assert_eq!(text, json, "the text writer and the tree render alike");
         let v = dynp_obs::parse_json(&json).unwrap();
         assert_eq!(v.get("id").and_then(|x| x.as_u64()), Some(1));
         assert_eq!(v.get("wait").and_then(|x| x.as_u64()), Some(50));

@@ -226,6 +226,88 @@ fn connection_cap_answers_503() {
     server.shutdown();
 }
 
+/// The fixed submission sequence behind the pinned checkpoint: thirty
+/// batches of one to four jobs, every seventh job too wide for the
+/// 8-wide machine, every third one finishing at half its estimate, and
+/// logical time advancing 25 s a batch so completions, re-plans and
+/// admissions interleave.
+fn pinned_batches() -> Vec<Vec<JobRequest>> {
+    let mut n = 0u64;
+    (0..30u64)
+        .map(|b| {
+            (0..1 + b % 4)
+                .map(|_| {
+                    n += 1;
+                    let runtime = 20 + n * 37 % 200;
+                    JobRequest {
+                        width: if n.is_multiple_of(7) { 9 } else { 1 + (n * 5 % 8) as u32 },
+                        runtime,
+                        actual_runtime: n.is_multiple_of(3).then_some(runtime / 2 + 1),
+                        submit: Some(b * 25),
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn checkpoint_bytes_are_pinned_and_match_the_in_process_records() {
+    use dynp_rs::obs::checkpoint::{fingerprint, fnv1a64, record_line};
+    let dir = std::env::temp_dir().join(format!("dynp-serve-pinned-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("serve.ckpt");
+    let _ = std::fs::remove_file(&path);
+    let batches = pinned_batches();
+
+    // One submission at a time, each waiting for its decisions: every
+    // batch the decision loop plans is exactly one of `batches`.
+    let mut config = ServeConfig::new(8);
+    config.checkpoint = Some(path.clone());
+    let server = ServeServer::start("127.0.0.1:0", config).unwrap();
+    for batch in &batches {
+        server.submit(batch.clone()).unwrap();
+    }
+    server.shutdown();
+    let written = std::fs::read(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // The same batches through an in-process core: a record of its
+    // snapshot after every batch and after the drain.
+    let tuner = dynp_rs::dynp::SelfTuning::paper_config(dynp_rs::sched::Metric::SldwA);
+    let mut core = ServiceCore::new(8, tuner);
+    let fp = fingerprint(&core.fingerprint_canonical());
+    let mut expected = String::new();
+    for batch in &batches {
+        core.submit_batch(batch);
+        expected.push_str(&record_line(&fp, 0, &core.snapshot()));
+        expected.push('\n');
+    }
+    core.drain();
+    expected.push_str(&record_line(&fp, 0, &core.snapshot()));
+    expected.push('\n');
+    assert!(written == expected.as_bytes(), "server and core checkpoints differ");
+    // The sequence reaches every part of the snapshot layout.
+    for needle in [
+        "\"waiting\":[{",
+        "\"running\":[{",
+        "\"declined\":[{",
+        "\"reason\":\"width 9 exceeds machine capacity 8\"",
+        "\"last_planned\":",
+        "\"finished\":",
+        "\"wait\":",
+    ] {
+        assert!(expected.contains(needle), "{needle} never written");
+    }
+
+    // Recorded from the record layout before the snapshot was written
+    // as text: the same file, byte for byte.
+    assert_eq!(
+        (written.len(), format!("{:016x}", fnv1a64(&written))),
+        (267_482, "8286c306ae1a96d5".to_string())
+    );
+}
+
 #[test]
 fn prelude_serve_surface_is_usable() {
     // The versioned types re-export through the facade prelude.
