@@ -9,7 +9,9 @@
 
 use crate::decider::Decider;
 use crate::stats::TuningStats;
-use dynp_sched::{plan_with_profile, Metric, PlanError, Policy, Schedule, SchedulingProblem};
+use dynp_sched::{
+    plan_ordered_with_profile, Metric, PlanError, Policy, Schedule, SchedulingProblem,
+};
 
 /// Static span name for one policy's planning pass, so each policy gets
 /// its own latency histogram ([`dynp_obs::Span`] requires `&'static str`).
@@ -148,14 +150,18 @@ impl SelfTuning {
         // is also the decider's tie-breaking order). The plans are
         // independent but cost microseconds each — far less than handing
         // them to threads (DESIGN.md §4) — and a plain loop keeps `step`
-        // the same code path on every host.
+        // the same code path on every host. Each policy's queue is ordered
+        // once; the plan's entries come out in that order, so the metric
+        // pairs them with their jobs by position.
         let profile = problem.availability_profile();
         let mut evaluations = Vec::with_capacity(self.policies.len());
         let mut schedules = Vec::with_capacity(self.policies.len());
         for &policy in &self.policies {
             let _plan_span = dynp_obs::Span::enter(plan_span_name(policy));
-            let schedule = plan_with_profile(problem, policy, &profile)?;
-            evaluations.push((policy, self.metric.eval(problem, &schedule)));
+            let order = policy.order(&problem.jobs);
+            let schedule = plan_ordered_with_profile(problem, &order, &profile)?;
+            let value = self.metric.eval_in_order(problem, &order, &schedule);
+            evaluations.push((policy, value));
             schedules.push(schedule);
         }
         let chosen = self.decider.decide(self.metric, &evaluations, previous);

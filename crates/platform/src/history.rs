@@ -45,32 +45,37 @@ impl MachineHistory {
     /// resources, and a planning system keeps its reservation one step
     /// ahead. Jobs wider than remaining capacity are a caller bug.
     pub fn build(capacity: u32, now: u64, running: &[(u32, u64)]) -> MachineHistory {
-        let mut releases: Vec<(u64, u32)> = running
-            .iter()
-            .map(|&(width, est_end)| (est_end.max(now + 1), width))
-            .collect();
-        releases.sort_unstable();
+        let mut ordered = running.to_vec();
+        ordered.sort_unstable_by_key(|&(_, est_end)| est_end);
         let busy: u64 = running.iter().map(|&(w, _)| w as u64).sum();
         assert!(
             busy <= capacity as u64,
             "running jobs occupy {busy} > capacity {capacity}"
         );
-        let mut points = vec![HistoryPoint {
-            time: now,
-            free: capacity - busy as u32,
-        }];
-        let mut free = capacity - busy as u32;
-        let mut i = 0;
-        while i < releases.len() {
-            let t = releases[i].0;
-            let mut released = 0u32;
-            // Coalesce all jobs ending at the same time stamp.
-            while i < releases.len() && releases[i].0 == t {
-                released += releases[i].1;
-                i += 1;
+        MachineHistory::from_ordered(capacity, now, busy as u32, ordered)
+    }
+
+    /// [`Self::build`] over a running set already ordered by estimated
+    /// end, occupying `busy` resources in total: one pass, no sort. Ends
+    /// clamped to `now + 1` keep that order, and jobs sharing a time stamp
+    /// are coalesced into one point.
+    pub(crate) fn from_ordered(
+        capacity: u32,
+        now: u64,
+        busy: u32,
+        running: impl IntoIterator<Item = (u32, u64)>,
+    ) -> MachineHistory {
+        let running = running.into_iter();
+        let mut free = capacity - busy;
+        let mut points = Vec::with_capacity(running.size_hint().0 + 1);
+        points.push(HistoryPoint { time: now, free });
+        for (width, est_end) in running {
+            let time = est_end.max(now + 1);
+            free += width;
+            match points.last_mut() {
+                Some(last) if last.time == time => last.free = free,
+                _ => points.push(HistoryPoint { time, free }),
             }
-            free += released;
-            points.push(HistoryPoint { time: t, free });
         }
         MachineHistory { capacity, points }
     }
@@ -113,22 +118,25 @@ impl MachineHistory {
     }
 
     /// Converts to a [`ResourceProfile`] over absolute time: full capacity
-    /// before `now()` is irrelevant to planners (they never place jobs in
-    /// the past), so the profile simply carves out the busy intervals.
+    /// before `now()` (irrelevant to planners, which never place jobs in
+    /// the past), then the history's points as the profile's breakpoints —
+    /// written in one pass, equal neighbours coalesced, which is the
+    /// profile carving each busy interval out of a free machine would
+    /// build.
     pub fn to_profile(&self) -> ResourceProfile {
-        let mut profile = ResourceProfile::new(self.capacity);
-        for w in self.points.windows(2) {
-            let busy = self.capacity - w[0].free;
-            if busy > 0 {
-                profile.allocate(w[0].time, w[1].time, busy);
+        // The final point always reaches capacity: every running job
+        // releases at some time stamp.
+        debug_assert_eq!(self.points.last().unwrap().free, self.capacity);
+        let mut steps = Vec::with_capacity(self.points.len() + 1);
+        if self.now() > 0 {
+            steps.push((0, self.capacity));
+        }
+        for p in &self.points {
+            if steps.last().is_none_or(|&(_, free)| free != p.free) {
+                steps.push((p.time, p.free));
             }
         }
-        // The interval from the last release onward is fully free; the
-        // interval before `now` is never consulted. But the segment at the
-        // last point may still be busy if free < capacity (never happens by
-        // construction; the final point always reaches capacity).
-        debug_assert_eq!(self.points.last().unwrap().free, self.capacity);
-        profile
+        ResourceProfile::from_steps(self.capacity, steps)
     }
 
     /// Checks the paper's invariants: strictly increasing time stamps,
@@ -165,6 +173,7 @@ impl MachineHistory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn empty_history_is_single_full_point() {
@@ -244,5 +253,45 @@ mod tests {
     fn drained_at_is_last_release() {
         let h = MachineHistory::build(10, 0, &[(1, 500), (1, 90)]);
         assert_eq!(h.drained_at(), 500);
+    }
+
+    /// The construction [`MachineHistory::to_profile`] replaced: carve
+    /// every busy interval out of a free machine, one `allocate` per
+    /// history point. Kept as the differential reference.
+    fn profile_by_allocation(h: &MachineHistory) -> ResourceProfile {
+        let mut profile = ResourceProfile::new(h.capacity());
+        for w in h.points().windows(2) {
+            let busy = h.capacity() - w[0].free;
+            if busy > 0 {
+                profile.allocate(w[0].time, w[1].time, busy);
+            }
+        }
+        profile
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn to_profile_equals_the_allocated_profile(
+            capacity in 0u32..=48,
+            // `now == 0` in one case of six.
+            now in 0u64..600,
+            // End offsets from `now` in steps of ten seconds: overdue ends
+            // (negative), ends at `now`, and many equal ends.
+            jobs in prop::collection::vec((1u32..=12, -6i64..20), 0..12),
+        ) {
+            let now = now.saturating_sub(100);
+            let mut room = capacity;
+            let running: Vec<(u32, u64)> = jobs
+                .iter()
+                .filter(|&&(width, _)| width <= room && { room -= width; true })
+                .map(|&(width, offset)| (width, (now as i64 + 10 * offset).max(0) as u64))
+                .collect();
+            let h = MachineHistory::build(capacity, now, &running);
+            let profile = h.to_profile();
+            prop_assert_eq!(profile.check_invariants(), Ok(()));
+            prop_assert_eq!(&profile, &profile_by_allocation(&h));
+        }
     }
 }

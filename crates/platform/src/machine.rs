@@ -53,6 +53,7 @@ pub struct RunningJob {
 pub struct Machine {
     capacity: u32,
     free: u32,
+    /// Ordered by `(estimated_end, id)`, so the history is one pass.
     running: Vec<RunningJob>,
 }
 
@@ -81,7 +82,7 @@ impl Machine {
         self.capacity - self.free
     }
 
-    /// Jobs currently running.
+    /// Jobs currently running, by estimated end (ties by id).
     pub fn running(&self) -> &[RunningJob] {
         &self.running
     }
@@ -105,15 +106,18 @@ impl Machine {
             self.free
         );
         self.free -= job.width;
-        let actual_end = now + job.effective_duration();
-        self.running.push(RunningJob {
+        let record = RunningJob {
             id: job.id,
             width: job.width,
             start: now,
             estimated_end: now + job.estimated_duration,
-            actual_end,
-        });
-        actual_end
+            actual_end: now + job.effective_duration(),
+        };
+        let idx = self
+            .running
+            .partition_point(|r| (r.estimated_end, r.id) < (record.estimated_end, record.id));
+        self.running.insert(idx, record);
+        record.actual_end
     }
 
     /// Completes the running job `id`, releasing its resources. Returns the
@@ -126,20 +130,24 @@ impl Machine {
             .iter()
             .position(|r| r.id == id)
             .ok_or(MachineError::NotRunning(id))?;
-        let record = self.running.swap_remove(idx);
+        let record = self.running.remove(idx);
         self.free += record.width;
         Ok(record)
     }
 
     /// Renders the machine history at time `now` from the running set's
-    /// **estimated** ends, as §3.1 prescribes.
+    /// **estimated** ends, as §3.1 prescribes: one pass over the set,
+    /// which is already in release order.
     pub fn history(&self, now: u64) -> MachineHistory {
-        let running: Vec<(u32, u64)> = self
-            .running
-            .iter()
-            .map(|r| (r.width, r.estimated_end))
-            .collect();
-        MachineHistory::build(self.capacity, now, &running)
+        let releases = self.running.iter().map(|r| (r.width, r.estimated_end));
+        let history =
+            MachineHistory::from_ordered(self.capacity, now, self.busy(), releases.clone());
+        debug_assert_eq!(
+            history,
+            MachineHistory::build(self.capacity, now, &releases.collect::<Vec<_>>()),
+            "the ordered running set and the sorted build disagree"
+        );
+        history
     }
 
     /// Utilization right now, in `[0, 1]`.
@@ -156,6 +164,7 @@ impl Machine {
 mod tests {
     use super::*;
     use dynp_trace::Job;
+    use proptest::prelude::*;
 
     #[test]
     fn start_and_complete_roundtrip() {
@@ -240,5 +249,48 @@ mod tests {
         m.start(&Job::exact(1, 0, 5, 10), 0);
         assert!((m.utilization() - 0.5).abs() < 1e-12);
         assert_eq!(Machine::new(0).utilization(), 0.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random start/complete sequences: the running set stays ordered
+        /// by `(estimated_end, id)`, and the one-pass history equals the
+        /// sorted build over the same set — now, and later when some
+        /// estimated ends are overdue.
+        #[test]
+        fn ordered_history_equals_the_sorted_build(
+            capacity in 1u32..=32,
+            ops in prop::collection::vec((0u32..3, 1u32..=8, 1u64..6, 0u64..40, 0usize..64), 0..40),
+        ) {
+            let mut m = Machine::new(capacity);
+            let mut now = 0;
+            for (next_id, &(kind, width, est, advance, pick)) in (0u32..).zip(&ops) {
+                now += advance;
+                if kind == 0 && !m.running().is_empty() {
+                    let id = m.running()[pick % m.running().len()].id;
+                    prop_assert_eq!(m.complete(id).map(|r| r.id), Ok(id));
+                } else if m.can_start(width) {
+                    // Estimates in steps of ten seconds, so ends tie often;
+                    // ids out of order, so ties need the id to break them.
+                    let id = next_id.wrapping_mul(7919) % 10_007;
+                    m.start(&Job::new(id, now, width, 10 * est, 10 * est), now);
+                }
+                prop_assert!(
+                    m.running()
+                        .windows(2)
+                        .all(|w| (w[0].estimated_end, w[0].id) < (w[1].estimated_end, w[1].id)),
+                    "running set out of order: {:?}",
+                    m.running()
+                );
+                let busy: u32 = m.running().iter().map(|r| r.width).sum();
+                prop_assert_eq!(m.busy(), busy);
+                let releases: Vec<(u32, u64)> =
+                    m.running().iter().map(|r| (r.width, r.estimated_end)).collect();
+                for at in [now, now + 25, now + 70] {
+                    prop_assert_eq!(m.history(at), MachineHistory::build(capacity, at, &releases));
+                }
+            }
+        }
     }
 }

@@ -31,6 +31,14 @@ impl ResourceProfile {
         }
     }
 
+    /// A profile from breakpoints that already satisfy the invariants of
+    /// [`Self::check_invariants`] (the machine history writes its own).
+    pub(crate) fn from_steps(capacity: u32, steps: Vec<(u64, u32)>) -> Self {
+        let profile = ResourceProfile { capacity, steps };
+        debug_assert_eq!(profile.check_invariants(), Ok(()));
+        profile
+    }
+
     /// Total machine capacity.
     pub fn capacity(&self) -> u32 {
         self.capacity
@@ -42,10 +50,20 @@ impl ResourceProfile {
     }
 
     /// Index of the segment containing time `t`.
+    ///
+    /// A time inside the head segment is answered without a search: on a
+    /// working profile compressed at `now` that is every `now`-anchored
+    /// `earliest_fit` and `fits`, the frontier pass's per-job check
+    /// included.
     fn segment_index(&self, t: u64) -> usize {
-        // partition_point returns the first index with step.0 > t; the
-        // segment containing t is the one before it.
-        self.steps.partition_point(|&(time, _)| time <= t) - 1
+        match self.steps.get(1) {
+            // partition_point returns the first index with step.0 > t; the
+            // segment containing t is the one before it.
+            Some(&(next, _)) if next <= t => {
+                self.steps[2..].partition_point(|&(time, _)| time <= t) + 1
+            }
+            _ => 0,
+        }
     }
 
     /// Free resources at time `t`.
@@ -538,8 +556,113 @@ mod tests {
         p
     }
 
+    /// Free resources at `t` by a linear scan over every breakpoint.
+    fn naive_free_at(p: &ResourceProfile, t: u64) -> u32 {
+        p.steps.iter().take_while(|&&(time, _)| time <= t).last().unwrap().1
+    }
+
+    /// Minimum over every segment overlapping `[start, end)`, found by
+    /// scanning them all.
+    fn naive_min_free(p: &ResourceProfile, start: u64, end: u64) -> u32 {
+        if start >= end {
+            return p.capacity;
+        }
+        (0..p.steps.len())
+            .filter(|&i| {
+                let seg_end = p.steps.get(i + 1).map_or(u64::MAX, |s| s.0);
+                p.steps[i].0 < end && seg_end > start
+            })
+            .map(|i| p.steps[i].1)
+            .min()
+            .unwrap()
+    }
+
+    /// The earliest feasible start is `earliest` or a breakpoint after it
+    /// (a feasible start inside a segment stays feasible one second
+    /// earlier), so try them all in order.
+    fn naive_earliest_fit(
+        p: &ResourceProfile,
+        earliest: u64,
+        duration: u64,
+        width: u32,
+    ) -> Option<u64> {
+        if width > p.capacity {
+            return None;
+        }
+        if width == 0 {
+            return Some(earliest);
+        }
+        let need = duration.max(1);
+        std::iter::once(earliest)
+            .chain(p.steps.iter().map(|&(time, _)| time).filter(|&t| t > earliest))
+            .find(|&s| naive_min_free(p, s, s.saturating_add(need)) >= width)
+    }
+
+    /// Every query of `q` at `t` against the naive scans of `reference`
+    /// (the same profile, or the one `q` was compressed from).
+    fn agrees_with_naive_scans(
+        q: &ResourceProfile,
+        reference: &ResourceProfile,
+        t: u64,
+        duration: u64,
+        width: u32,
+    ) -> Result<(), TestCaseError> {
+        let end = t.saturating_add(duration);
+        prop_assert_eq!(q.free_at(t), naive_free_at(reference, t), "free_at({})", t);
+        prop_assert_eq!(q.min_free(t, end), naive_min_free(reference, t, end), "min_free({})", t);
+        prop_assert_eq!(
+            q.fits(t, duration, width),
+            width <= naive_min_free(reference, t, end),
+            "fits({}, {}, {})",
+            t,
+            duration,
+            width
+        );
+        prop_assert_eq!(
+            q.earliest_fit(t, duration, width),
+            naive_earliest_fit(reference, t, duration, width),
+            "earliest_fit({}, {}, {})",
+            t,
+            duration,
+            width
+        );
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn lookups_at_breakpoints_and_in_the_head_equal_naive_scans(
+            cap in 1u32..=32,
+            allocs in prop::collection::vec((0u64..500, 1u64..80, 1u32..=16), 0..12),
+            cut in 0u64..400,
+            head in 0u64..1_000,
+            duration in 0u64..100,
+            width in 0u32..=40,
+        ) {
+            let p = random_profile(cap, &allocs);
+            let mut q = p.clone();
+            q.compress_before(cut);
+            // Every breakpoint, either side of it, and a time in each
+            // profile's head segment.
+            let mut times: Vec<u64> = p
+                .steps
+                .iter()
+                .flat_map(|&(time, _)| [time.saturating_sub(1), time, time + 1])
+                .collect();
+            let head_end = |profile: &ResourceProfile| profile.steps.get(1).map_or(u64::MAX, |s| s.0);
+            times.push(head % head_end(&p));
+            times.push(cut + head % (head_end(&q) - cut));
+            for t in times {
+                agrees_with_naive_scans(&p, &p, t, duration, width)?;
+                // Compression invalidates the queries before the cut only.
+                if t >= cut {
+                    agrees_with_naive_scans(&q, &p, t, duration, width)?;
+                    agrees_with_naive_scans(&q, &q, t, duration, width)?;
+                }
+            }
+        }
 
         #[test]
         fn fit_never_overlaps_a_blocked_segment(

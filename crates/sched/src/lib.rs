@@ -27,7 +27,8 @@ pub mod snapshot;
 
 pub use metrics::{Metric, MetricValue};
 pub use planner::{
-    plan, plan_easy, plan_frontier, plan_ordered, plan_with_profile, PlanError,
+    plan, plan_easy, plan_frontier, plan_ordered, plan_ordered_with_profile, plan_with_profile,
+    PlanError,
 };
 pub use policy::Policy;
 pub use reservation::{admit, AdmissionRule, Reservation, ReservationRequest};

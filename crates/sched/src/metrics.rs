@@ -12,8 +12,9 @@
 //! helpers are reused by `dynp-sim` on actual durations for end-of-run
 //! statistics.
 
-use crate::schedule::Schedule;
+use crate::schedule::{Schedule, ScheduleEntry};
 use crate::snapshot::SchedulingProblem;
+use dynp_trace::Job;
 
 /// A schedule performance metric.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -76,6 +77,39 @@ impl Metric {
     /// Returns `0.0` for an empty schedule (no waiting jobs: nothing to
     /// measure, and the self-tuning step is skipped upstream anyway).
     pub fn eval(&self, problem: &SchedulingProblem, schedule: &Schedule) -> f64 {
+        self.eval_pairs(problem, schedule, || zip_jobs(problem, schedule))
+    }
+
+    /// [`Self::eval`] of a schedule planned in `order` (as
+    /// [`crate::plan_ordered_with_profile`] plans it): the schedule's
+    /// `i`-th entry places `order[i]`, so jobs pair with their entries by
+    /// position, without an index by id, and in the order `eval` pairs
+    /// them — the value is the same to the bit.
+    pub fn eval_in_order(
+        &self,
+        problem: &SchedulingProblem,
+        order: &[Job],
+        schedule: &Schedule,
+    ) -> f64 {
+        debug_assert!(
+            schedule.len() <= order.len()
+                && order.iter().zip(schedule.entries()).all(|(job, e)| job.id == e.id),
+            "the schedule was not planned in this order"
+        );
+        self.eval_pairs(problem, schedule, || order.iter().zip(schedule.entries()))
+    }
+
+    /// The formulas, over the `(job, entry)` pairs of `schedule` in its
+    /// entry order; `pairs` is only called by the metrics that read them.
+    fn eval_pairs<'a, I>(
+        &self,
+        problem: &SchedulingProblem,
+        schedule: &Schedule,
+        pairs: impl FnOnce() -> I,
+    ) -> f64
+    where
+        I: Iterator<Item = (&'a Job, &'a ScheduleEntry)>,
+    {
         if schedule.is_empty() {
             return 0.0;
         }
@@ -83,7 +117,7 @@ impl Metric {
             Metric::ArtwW => {
                 let mut num = 0.0;
                 let mut den = 0.0;
-                for (job, entry) in zip_jobs(problem, schedule) {
+                for (job, entry) in pairs() {
                     // (t - s_i + d_i) * w_i, per Eq. 2.
                     let response = (entry.start - job.submit + job.estimated_duration) as f64;
                     num += response * job.width as f64;
@@ -94,7 +128,7 @@ impl Metric {
             Metric::SldwA => {
                 let mut num = 0.0;
                 let mut den = 0.0;
-                for (job, entry) in zip_jobs(problem, schedule) {
+                for (job, entry) in pairs() {
                     let wait = (entry.start - job.submit) as f64;
                     let run = job.estimated_duration as f64;
                     let slowdown = (wait + run) / run;
@@ -104,14 +138,11 @@ impl Metric {
                 }
                 num / den
             }
-            Metric::Art => mean(
-                zip_jobs(problem, schedule)
-                    .map(|(job, e)| (e.start - job.submit + job.estimated_duration) as f64),
-            ),
-            Metric::AvgWait => {
-                mean(zip_jobs(problem, schedule).map(|(job, e)| (e.start - job.submit) as f64))
+            Metric::Art => {
+                mean(pairs().map(|(job, e)| (e.start - job.submit + job.estimated_duration) as f64))
             }
-            Metric::AvgSlowdown => mean(zip_jobs(problem, schedule).map(|(job, e)| {
+            Metric::AvgWait => mean(pairs().map(|(job, e)| (e.start - job.submit) as f64)),
+            Metric::AvgSlowdown => mean(pairs().map(|(job, e)| {
                 let wait = (e.start - job.submit) as f64;
                 let run = job.estimated_duration as f64;
                 (wait + run) / run
@@ -163,16 +194,16 @@ impl std::str::FromStr for Metric {
     }
 }
 
-/// Pairs each schedule entry with its job record.
-///
-/// Metrics run once per policy per self-tuning step, so the lookup is on
-/// the planning hot path: jobs are indexed by id once and found by binary
-/// search per entry (`O((n+m) log n)`) instead of a linear scan per entry.
+/// Pairs each schedule entry with its job record, for a schedule whose
+/// planning order is not at hand: jobs are indexed by id once and found by
+/// binary search per entry (`O((n+m) log n)`) instead of a linear scan per
+/// entry. The tuning step knows its orders and uses
+/// [`Metric::eval_in_order`] instead.
 fn zip_jobs<'a>(
     problem: &'a SchedulingProblem,
     schedule: &'a Schedule,
-) -> impl Iterator<Item = (&'a dynp_trace::Job, &'a crate::schedule::ScheduleEntry)> {
-    let mut by_id: Vec<&dynp_trace::Job> = problem.jobs.iter().collect();
+) -> impl Iterator<Item = (&'a Job, &'a ScheduleEntry)> {
+    let mut by_id: Vec<&Job> = problem.jobs.iter().collect();
     by_id.sort_unstable_by_key(|j| j.id);
     schedule.entries().iter().map(move |entry| {
         let idx = by_id
@@ -222,9 +253,20 @@ pub fn performance_loss_percent(metric: Metric, reference: f64, policy_value: f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::plan;
+    use crate::planner::{plan, plan_frontier, plan_ordered};
     use crate::policy::Policy;
-    use dynp_trace::Job;
+    use dynp_platform::MachineHistory;
+    use proptest::prelude::*;
+
+    const ALL: [Metric; 7] = [
+        Metric::ArtwW,
+        Metric::SldwA,
+        Metric::Art,
+        Metric::AvgWait,
+        Metric::AvgSlowdown,
+        Metric::Utilization,
+        Metric::Makespan,
+    ];
 
     fn one_job_problem() -> (SchedulingProblem, Schedule) {
         let p = SchedulingProblem::on_empty_machine(100, 8, vec![Job::exact(0, 40, 4, 60)]);
@@ -232,18 +274,58 @@ mod tests {
         (p, s)
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Pairing by plan position ≡ pairing by id, to the bit, for every
+        /// metric: full plans of a random order on a busy machine, and the
+        /// frontier prefix of the same order.
+        #[test]
+        fn eval_in_order_equals_eval_to_the_bit(
+            capacity in 1u32..=24,
+            now in 0u64..1_000,
+            running in prop::collection::vec((1u32..=6, 0u64..400), 0..5),
+            // (waited, width, estimate, position key) per waiting job.
+            queued in prop::collection::vec((0u64..900, 1u32..=24, 1u64..300, 0u64..1_000), 0..25),
+        ) {
+            let mut room = capacity;
+            let running: Vec<(u32, u64)> = running
+                .into_iter()
+                .filter(|&(width, _)| width <= room && { room -= width; true })
+                .map(|(width, end)| (width, now + end))
+                .collect();
+            let history = MachineHistory::build(capacity, now, &running);
+            let jobs: Vec<Job> = (0u32..)
+                .zip(&queued)
+                .map(|(id, &(waited, width, estimate, _))| {
+                    let width = 1 + (width - 1) % capacity;
+                    Job::exact(id, now.saturating_sub(waited), width, estimate)
+                })
+                .collect();
+            let mut order = jobs.clone();
+            order.sort_by_key(|job| (queued[job.id.0 as usize].3, job.id));
+            let problem = SchedulingProblem::new(now, history, jobs);
+            for schedule in [
+                plan_ordered(&problem, &order).unwrap(),
+                plan_frontier(&problem, &order).unwrap(),
+            ] {
+                for metric in ALL {
+                    prop_assert_eq!(
+                        metric.eval_in_order(&problem, &order, &schedule).to_bits(),
+                        metric.eval(&problem, &schedule).to_bits(),
+                        "{} over {} of {} jobs",
+                        metric,
+                        schedule.len(),
+                        order.len()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn metric_names_round_trip_through_fromstr() {
-        let all = [
-            Metric::ArtwW,
-            Metric::SldwA,
-            Metric::Art,
-            Metric::AvgWait,
-            Metric::AvgSlowdown,
-            Metric::Utilization,
-            Metric::Makespan,
-        ];
-        for m in all {
+        for m in ALL {
             assert_eq!(m.name().parse::<Metric>().unwrap(), m);
             assert_eq!(m.name().to_lowercase().parse::<Metric>().unwrap(), m);
         }
@@ -322,16 +404,9 @@ mod tests {
     fn empty_schedule_measures_zero() {
         let p = SchedulingProblem::on_empty_machine(4, 4, vec![]);
         let s = Schedule::new();
-        for m in [
-            Metric::ArtwW,
-            Metric::SldwA,
-            Metric::Art,
-            Metric::AvgWait,
-            Metric::AvgSlowdown,
-            Metric::Utilization,
-            Metric::Makespan,
-        ] {
+        for m in ALL {
             assert_eq!(m.eval(&p, &s), 0.0);
+            assert_eq!(m.eval_in_order(&p, &[], &s), 0.0);
         }
     }
 

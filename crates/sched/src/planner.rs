@@ -88,10 +88,22 @@ pub fn plan_with_profile(
     policy: Policy,
     profile: &ResourceProfile,
 ) -> Result<Schedule, PlanError> {
+    plan_ordered_with_profile(problem, &policy.order(&problem.jobs), profile)
+}
+
+/// [`plan_ordered`] against a caller-supplied availability profile, as
+/// [`plan_with_profile`] is to [`plan`]: the self-tuning step orders each
+/// policy's queue once and keeps the order, whose `i`-th job is the
+/// schedule's `i`-th entry, to evaluate the plan with.
+pub fn plan_ordered_with_profile(
+    problem: &SchedulingProblem,
+    order: &[dynp_trace::Job],
+    profile: &ResourceProfile,
+) -> Result<Schedule, PlanError> {
     if let Some(r) = dynp_obs::recorder() {
         r.counter("planner.profile_clones").inc();
     }
-    plan_ordered_in(problem, &policy.order(&problem.jobs), profile.clone(), false)
+    plan_ordered_in(problem, order, profile.clone(), false)
 }
 
 /// Plans a full schedule with an explicit job order (must be a permutation
@@ -145,7 +157,8 @@ fn plan_ordered_in(
 ) -> Result<Schedule, PlanError> {
     let _span = dynp_obs::Span::enter("planner.plan_ordered");
     profile.compress_before(problem.now);
-    let mut schedule = Schedule::new();
+    // A full pass places every job; the frontier usually a few.
+    let mut schedule = Schedule::with_capacity(if frontier_only { 0 } else { order.len() });
     let mut probes = 0u64;
     let fits_now = |profile: &ResourceProfile, job: &dynp_trace::Job| {
         profile.fits(problem.now, job.estimated_duration.max(1), job.width)

@@ -45,6 +45,11 @@ impl Schedule {
         Schedule::default()
     }
 
+    /// An empty schedule with room for `n` placements.
+    pub(crate) fn with_capacity(n: usize) -> Schedule {
+        Schedule::from_entries(Vec::with_capacity(n))
+    }
+
     /// Builds a schedule from entries (order is irrelevant; kept as given).
     pub fn from_entries(entries: Vec<ScheduleEntry>) -> Schedule {
         Schedule { entries }

@@ -52,8 +52,16 @@ impl SwfJob {
     /// archive conventions: requested processors fall back to allocated
     /// processors, the runtime estimate falls back to the actual runtime,
     /// and records that are unusable for scheduling (zero width, zero
-    /// runtime, cancelled before start) are rejected with a reason.
+    /// runtime, cancelled before start) are rejected with a reason, as are
+    /// a job number, processor count or user id that do not fit a `u32` —
+    /// truncated, a job number would alias another job's id and a
+    /// processor count would shrink the job.
     pub fn to_job(&self) -> Result<Job, String> {
+        let in_range = |value: i64, field: &str| {
+            u32::try_from(value)
+                .map_err(|_| format!("job {}: {field} {value} out of range", self.job_number))
+        };
+        let id = in_range(self.job_number, "job number")?;
         // SWF status: 1 = completed, 0 = failed, 5 = cancelled (before
         // start). Failed and cancelled records carry `-1` sentinels in
         // their time fields; letting them through would smuggle clamped
@@ -72,6 +80,9 @@ impl SwfJob {
         if width <= 0 {
             return Err(format!("job {}: no processor count", self.job_number));
         }
+        let width = in_range(width, "processor count")?;
+        // Unknown (-1) and zero user ids map to user 0.
+        let user = in_range(self.user_id.max(0), "user id")?;
         let actual = self.run_time;
         if actual <= 0 {
             return Err(format!("job {}: no positive runtime", self.job_number));
@@ -92,19 +103,15 @@ impl SwfJob {
             return Err(format!("job {}: negative submit time", self.job_number));
         }
         let job = Job {
-            id: JobId(self.job_number as u32),
+            id: JobId(id),
             submit: self.submit_time as u64,
-            width: width as u32,
+            width,
             // Jobs may exceed their estimate in archive traces; the planner
             // and the simulator cap the runtime at the estimate (CCS
             // semantics), so keep both raw values here.
             estimated_duration: estimated as u64,
             actual_duration: actual as u64,
-            user: if self.user_id > 0 {
-                self.user_id as u32
-            } else {
-                0
-            },
+            user,
         };
         job.validate()?;
         Ok(job)
@@ -436,6 +443,33 @@ mod tests {
         let t = parse_swf(line).unwrap();
         assert!(t.jobs.is_empty());
         assert!(t.skipped[0].contains("submit"), "{}", t.skipped[0]);
+    }
+
+    #[test]
+    fn out_of_range_fields_are_rejected_not_truncated() {
+        // Regression: `as u32` made 4 294 967 300 processors a 4-wide job,
+        // and job numbers 2^32 + 1 and -3 alias the ids 1 and 4 294 967 293
+        // the RMS keys its running set, records and completions by.
+        let text = "\
+1 10 0 300 4 -1 -1 4294967300 400 -1 1 -1 -1 -1 -1 -1 -1 -1
+4294967297 10 0 300 4 -1 -1 4 400 -1 1 -1 -1 -1 -1 -1 -1 -1
+-3 10 0 300 4 -1 -1 4 400 -1 1 -1 -1 -1 -1 -1 -1 -1
+2 10 0 300 4 -1 -1 4 400 -1 1 4294967296 -1 -1 -1 -1 -1 -1
+3 10 0 300 4 -1 -1 4 400 -1 1 4294967295 -1 -1 -1 -1 -1 -1
+";
+        let t = parse_swf(text).unwrap();
+        assert_eq!(
+            t.skipped,
+            [
+                "job 1: processor count 4294967300 out of range",
+                "job 4294967297: job number 4294967297 out of range",
+                "job -3: job number -3 out of range",
+                "job 2: user id 4294967296 out of range",
+            ]
+        );
+        // The largest user id that fits is kept as it is.
+        assert_eq!(t.jobs.len(), 1);
+        assert_eq!((t.jobs[0].id, t.jobs[0].user), (JobId(3), u32::MAX));
     }
 
     #[test]
