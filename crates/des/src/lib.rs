@@ -112,11 +112,6 @@ impl<E> EventQueue<E> {
         self.now = ev.time;
         Some((ev.time, ev.payload))
     }
-
-    /// Delivery time of the next event without popping it.
-    pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.time)
-    }
 }
 
 /// A simulation model: reacts to events, possibly scheduling new ones.

@@ -25,8 +25,8 @@
 //! cell calls.
 //!
 //! Cost model: [`cancelled`] with no token installed is one
-//! thread-local read (the common case for library users — measured in
-//! the `obs_cancel` bench group); each installed token adds one atomic
+//! thread-local read (the common case for library users, and the state
+//! every `benchmark/` workload runs in); each installed token adds one atomic
 //! load, plus one `Instant::now()` while an un-expired deadline is still
 //! being watched. Once tripped, the flag is latched and later checks
 //! are atomic-load cheap. Hot loops amortize further by polling every
@@ -128,8 +128,7 @@ pub fn install_cancel(token: &CancelToken) -> CancelGuard {
 /// expire stops it.
 ///
 /// With no token installed this is a single thread-local read returning
-/// `false` — cheap enough for per-event and per-node polling (see the
-/// `obs_cancel` bench group).
+/// `false` — cheap enough for per-event and per-node polling.
 pub fn cancelled() -> bool {
     INSTALLED.with(|s| s.borrow().iter().any(CancelToken::is_cancelled))
 }

@@ -425,9 +425,14 @@ impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts: far beyond
+/// any document the workspace writes, and shallow enough that the
+/// recursive descent cannot run a thread out of stack on a hostile body.
+const MAX_DEPTH: usize = 128;
+
 /// Parses `input` as exactly one well-formed JSON value (RFC 8259
-/// grammar; numbers, strings with escapes, nesting). Errors carry the
-/// byte offset of the first problem.
+/// grammar; numbers, strings with escapes, nesting up to 128 levels).
+/// Errors carry the byte offset of the first problem.
 ///
 /// Duplicate object keys keep the *last* value (matching
 /// [`JsonValue::set`] semantics), and `\uXXXX` escapes decode surrogate
@@ -437,7 +442,7 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
     skip_ws(bytes, &mut pos);
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -457,11 +462,15 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses the value at `pos`, inside `depth` open arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     match bytes.get(*pos) {
         None => Err(format!("unexpected end of input at byte {pos}")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(JsonValue::Str),
         Some(b't') => parse_literal(bytes, pos, b"true").map(|_| JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, b"false").map(|_| JsonValue::Bool(false)),
@@ -480,7 +489,7 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // consume '{'
     let mut object = JsonValue::object();
     skip_ws(bytes, pos);
@@ -500,7 +509,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         }
         *pos += 1;
         skip_ws(bytes, pos);
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         object.set(&key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -514,7 +523,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -524,7 +533,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
     loop {
         skip_ws(bytes, pos);
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -683,6 +692,19 @@ mod tests {
         );
         validate(&v.to_json()).unwrap();
         validate(&v.to_json_pretty()).unwrap();
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_recursed_without_end() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        // A body of nothing but openers, far past any thread's stack.
+        assert!(parse(&"{\"k\":[".repeat(1 << 20)).is_err());
     }
 
     #[test]

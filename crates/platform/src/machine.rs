@@ -92,7 +92,9 @@ impl Machine {
         width <= self.free
     }
 
-    /// Starts `job` at time `now`, returning its completion time.
+    /// Starts `job` at time `now`, returning its completion time. Ends
+    /// saturate at the end of the time axis (a planned job's estimated
+    /// window always fits; a restored one is not planned).
     ///
     /// # Panics
     /// Panics if the job does not fit — the scheduler must only dispatch
@@ -110,8 +112,8 @@ impl Machine {
             id: job.id,
             width: job.width,
             start: now,
-            estimated_end: now + job.estimated_duration,
-            actual_end: now + job.effective_duration(),
+            estimated_end: now.saturating_add(job.estimated_duration),
+            actual_end: now.saturating_add(job.effective_duration()),
         };
         let idx = self
             .running
@@ -198,6 +200,14 @@ mod tests {
         let mut m = Machine::new(10);
         let j = Job::new(1, 0, 2, 100, 150);
         assert_eq!(m.start(&j, 0), 100);
+    }
+
+    #[test]
+    fn ends_saturate_at_the_end_of_the_time_axis() {
+        let mut m = Machine::new(10);
+        let j = Job::new(1, 0, 2, u64::MAX, u64::MAX - 5);
+        assert_eq!(m.start(&j, 10), u64::MAX);
+        assert_eq!(m.running()[0].estimated_end, u64::MAX);
     }
 
     #[test]

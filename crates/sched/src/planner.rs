@@ -24,11 +24,11 @@ use dynp_platform::ResourceProfile;
 
 /// Why a planning pass could not produce a schedule.
 ///
-/// Planning is total except for one input defect: a waiting job that can
-/// *never* fit the machine (its width exceeds capacity, or the profile
-/// stays too full forever). Earlier revisions panicked on this, which made
-/// `admit()` violate its own "returns `None`" contract; now every planner
-/// entry point surfaces it as a value.
+/// Planning is total except for input defects that name one job: a
+/// waiting job that can *never* fit the machine (its width exceeds
+/// capacity, or the profile stays too full forever), or one whose window
+/// would end past the `u64` time axis. Every planner entry point
+/// surfaces them as values, so the caller can decline the job named.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PlanError {
     /// A job can never be placed: wider than the machine, or blocked by a
@@ -49,6 +49,27 @@ pub enum PlanError {
         /// The referenced-but-absent job.
         id: dynp_trace::JobId,
     },
+    /// A job's earliest window `[start, start + duration)` ends past
+    /// `u64::MAX`; no later start can fit either.
+    PastTimeAxis {
+        /// The offending job.
+        id: dynp_trace::JobId,
+        /// Its earliest feasible start.
+        start: u64,
+        /// Its planned duration (the estimate, at least one second).
+        duration: u64,
+    },
+}
+
+impl PlanError {
+    /// The job the error names.
+    pub fn job(&self) -> dynp_trace::JobId {
+        match *self {
+            PlanError::JobTooWide { id, .. }
+            | PlanError::UnknownJob { id }
+            | PlanError::PastTimeAxis { id, .. } => id,
+        }
+    }
 }
 
 impl std::fmt::Display for PlanError {
@@ -63,8 +84,26 @@ impl std::fmt::Display for PlanError {
                 "job {id} (width {width}) cannot ever fit machine of {capacity}"
             ),
             PlanError::UnknownJob { id } => write!(f, "job {id} not in snapshot"),
+            PlanError::PastTimeAxis {
+                id,
+                start,
+                duration,
+            } => write!(
+                f,
+                "job {id} (runtime {duration}) cannot start before {start} and would end past the time axis"
+            ),
         }
     }
+}
+
+/// The end of `job`'s window from `start`, or the error naming it when
+/// that end does not fit the time axis.
+fn window_end(job: &dynp_trace::Job, start: u64, duration: u64) -> Result<u64, PlanError> {
+    start.checked_add(duration).ok_or(PlanError::PastTimeAxis {
+        id: job.id,
+        start,
+        duration,
+    })
 }
 
 impl std::error::Error for PlanError {}
@@ -181,11 +220,12 @@ fn plan_ordered_in(
             width: job.width,
             capacity: problem.capacity(),
         })?;
-        profile.allocate(start, start + duration, job.width);
+        let end = window_end(job, start, duration)?;
+        profile.allocate(start, end, job.width);
         schedule.push(ScheduleEntry {
             id: job.id,
             start,
-            end: start + duration,
+            end,
             width: job.width,
         });
     }
@@ -221,11 +261,12 @@ pub fn plan_easy(problem: &SchedulingProblem, policy: Policy) -> Result<Schedule
                     width: head.width,
                     capacity: problem.capacity(),
                 })?;
-        profile.allocate(head_start, head_start + head_dur, head.width);
+        let head_end = window_end(&head, head_start, head_dur)?;
+        profile.allocate(head_start, head_end, head.width);
         schedule.push(ScheduleEntry {
             id: head.id,
             start: head_start,
-            end: head_start + head_dur,
+            end: head_end,
             width: head.width,
         });
         // Backfill: place any remaining job that can start before the head
@@ -238,11 +279,12 @@ pub fn plan_easy(problem: &SchedulingProblem, policy: Policy) -> Result<Schedule
             let dur = cand.estimated_duration.max(1);
             match profile.earliest_fit(clock, dur, cand.width) {
                 Some(start) if start < head_start => {
-                    profile.allocate(start, start + dur, cand.width);
+                    let end = window_end(&cand, start, dur)?;
+                    profile.allocate(start, end, cand.width);
                     schedule.push(ScheduleEntry {
                         id: cand.id,
                         start,
-                        end: start + dur,
+                        end,
                         width: cand.width,
                     });
                     waiting.remove(i);
@@ -377,6 +419,26 @@ mod tests {
         );
         assert!(err.to_string().contains("cannot ever fit"));
         assert_eq!(plan_easy(&p, Policy::Fcfs).unwrap_err(), err);
+    }
+
+    #[test]
+    fn window_past_the_time_axis_is_an_error_not_a_panic() {
+        let half = u64::MAX / 2;
+        let p = snapshot(4, (0..3).map(|i| Job::exact(i, 0, 4, half)).collect());
+        let err = PlanError::PastTimeAxis {
+            id: JobId(2),
+            start: 2 * half,
+            duration: half,
+        };
+        assert_eq!(plan(&p, Policy::Fcfs).unwrap_err(), err);
+        assert_eq!(plan_easy(&p, Policy::Fcfs).unwrap_err(), err);
+        assert_eq!(err.job(), JobId(2));
+        assert!(err.to_string().contains("past the time axis"));
+        let fits = snapshot(4, p.jobs[..2].to_vec());
+        assert_eq!(
+            plan(&fits, Policy::Fcfs).unwrap().makespan_end(),
+            Some(2 * half)
+        );
     }
 
     #[test]

@@ -51,9 +51,9 @@ impl JobRecord {
         ((self.wait() + self.runtime()) as f64 / denom).max(1.0)
     }
 
-    /// Actual area: width times actual runtime.
+    /// Actual area: width times actual runtime, saturating at `u64::MAX`.
     pub fn area(&self) -> u64 {
-        self.width as u64 * self.runtime()
+        (self.width as u64).saturating_mul(self.runtime())
     }
 
     /// The wire shape, in wire order: the stored fields, then the derived

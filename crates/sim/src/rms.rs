@@ -221,11 +221,12 @@ impl<S: PolicySelector> Rms<S> {
     /// A [`PlanError`] from the selector or the planner names a single
     /// unplannable job; that job is declined and planning retries with
     /// the rest of the queue — one malformed job must not kill the
-    /// simulation (it used to unwind a whole campaign cell). Only a
-    /// tuning step can meet one: every queued job passed the width check
-    /// at the door or `restore`'s full pass, and a machine history always
-    /// drains to full capacity, so the frontier arm's declines are
-    /// unreachable by construction (and [`Rms::plan`] relies on it).
+    /// simulation (it used to unwind a whole campaign cell). The frontier
+    /// arm meets only [`PlanError::PastTimeAxis`]: every queued job passed
+    /// the width check at the door or `restore`'s full pass, and a machine
+    /// history always drains to full capacity, but list scheduling is not
+    /// monotone — an early completion can delay a job the tuning step
+    /// placed, and a delay can push its window past the time axis.
     fn replan(&mut self, now: u64, tune: bool, step: &mut Step) {
         self.plan.take();
         self.planned_at = now;
@@ -245,11 +246,16 @@ impl<S: PolicySelector> Rms<S> {
                         .ordered
                         .get_or_insert_with(|| active.order(&problem.jobs));
                     let frontier = plan_frontier(&problem, order);
-                    debug_assert_eq!(
-                        frontier.as_ref().map(|s| due(s, now).collect::<Vec<_>>()),
-                        plan(&problem, active)
+                    // An error declines a job and plans again; compare the
+                    // pass that dispatches. A window past the time axis
+                    // beyond the frontier fails only the full plan.
+                    debug_assert!(
+                        frontier
                             .as_ref()
-                            .map(|s| due(s, now).collect()),
+                            .map_or(true, |s| match plan(&problem, active) {
+                                Ok(full) => due(s, now).eq(due(&full, now)),
+                                Err(e) => matches!(e, PlanError::PastTimeAxis { .. }),
+                            }),
                         "the frontier pass and the full plan dispatch differently"
                     );
                     frontier
@@ -277,11 +283,8 @@ impl<S: PolicySelector> Rms<S> {
                     return;
                 }
                 Err(error) => {
-                    let id = match error {
-                        PlanError::JobTooWide { id, .. } | PlanError::UnknownJob { id } => id,
-                    };
                     // Not waiting: nothing to decline, and retrying would spin.
-                    let Some(job) = self.take_waiting(id) else {
+                    let Some(job) = self.take_waiting(error.job()) else {
                         return;
                     };
                     step.declined.push(Decline {
@@ -316,14 +319,22 @@ impl<S: PolicySelector> Rms<S> {
     }
 
     /// The full plan of the waiting queue under the active policy, at
-    /// the time of the last kernel call.
+    /// the time of the last kernel call, leaving out every job whose
+    /// window would end past the time axis (see [`Rms::plan`]); any other
+    /// error fails the plan.
     fn derive_plan(&self) -> Result<Schedule, PlanError> {
         let Some(active) = self.active else {
             return Ok(Schedule::new());
         };
         let now = self.planned_at;
-        let problem = SchedulingProblem::new(now, self.machine.history(now), self.waiting.clone());
-        plan(&problem, active)
+        let mut problem =
+            SchedulingProblem::new(now, self.machine.history(now), self.waiting.clone());
+        loop {
+            match plan(&problem, active) {
+                Err(PlanError::PastTimeAxis { id, .. }) => problem.jobs.retain(|j| j.id != id),
+                planned => return planned,
+            }
+        }
     }
 
     /// The underlying machine (for capacity / utilization queries).
@@ -352,7 +363,9 @@ impl<S: PolicySelector> Rms<S> {
     /// derived on read — the active policy's full plan of the jobs still
     /// waiting, against the machine as the completion left it; the same
     /// starts a full re-plan at the completion would have given them,
-    /// computed once and only if somebody asks.
+    /// computed once and only if somebody asks. A job whose window such a
+    /// re-plan pushes past the time axis is left out until a kernel call
+    /// reaches and declines it.
     pub fn plan(&self) -> &Schedule {
         self.plan.get_or_init(|| {
             self.derive_plan()
@@ -756,6 +769,54 @@ mod tests {
         let unplannable = vec![Job::exact(6, 0, 9, 10)];
         let err = Rms::restore(4, sjf, 0, Policy::Sjf, unplannable, vec![], vec![]);
         assert!(err.unwrap_err().contains("unplannable"));
+    }
+
+    /// An early completion can delay a planned job (list scheduling is not
+    /// monotone), and a job whose window ended exactly at `u64::MAX`
+    /// then ends past it. The completion's frontier still dispatches, the
+    /// plan read after it leaves that job out, and the pass that reaches
+    /// it declines it by name.
+    #[test]
+    fn a_job_delayed_past_the_time_axis_is_declined_when_reached() {
+        let mut rms = Rms::new(2, FixedPolicy(Policy::Fcfs), SnapshotLog::disabled());
+        // Two running jobs: one estimated to end at 53 that finishes at 44.
+        let step = rms.submit(0, [Job::new(10, 0, 1, 53, 44), Job::exact(11, 0, 1, 79)]);
+        assert_eq!(step.dispatched, [(JobId(10), 44), (JobId(11), 79)]);
+        let x = Job::exact(3, 0, 2, u64::MAX - 146);
+        let queue = [
+            Job::exact(0, 0, 1, 58),
+            Job::exact(1, 0, 2, 35),
+            Job::exact(2, 0, 1, 25),
+            x,
+        ];
+        let step = rms.submit(0, queue);
+        assert!(step.dispatched.is_empty() && step.declined.is_empty());
+        assert_eq!(
+            rms.plan().entries().last().map(|e| (e.id, e.end)),
+            Some((x.id, u64::MAX))
+        );
+
+        // Job 0 starts at 44 and pushes job 2 from 79 to 137, so x
+        // cannot start before 162.
+        let step = rms.complete(44, JobId(10), false).unwrap();
+        assert_eq!(step.dispatched, [(JobId(0), 102)]);
+        assert_eq!(rms.plan().start_of(JobId(2)), Some(137));
+        assert_eq!(rms.plan().start_of(x.id), None);
+        assert!(rms.waiting().contains(&x));
+
+        let mut finishes: Vec<(u64, JobId)> = vec![(79, JobId(11)), (102, JobId(0))];
+        let mut declined = Vec::new();
+        while let Some(next) = finishes.iter().copied().min() {
+            finishes.retain(|&f| f != next);
+            let step = rms.complete(next.0, next.1, false).unwrap();
+            finishes.extend(step.dispatched.iter().map(|&(id, end)| (end, id)));
+            declined.extend(step.declined);
+        }
+        assert_eq!(declined.len(), 1);
+        assert_eq!(declined[0].job, x);
+        assert!(matches!(declined[0].error, PlanError::PastTimeAxis { .. }));
+        assert!(rms.waiting().is_empty());
+        assert_eq!(rms.records().len(), 5);
     }
 
     /// Regression: a duplicate Finish event must be ignored, not panic,

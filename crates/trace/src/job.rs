@@ -96,9 +96,10 @@ impl Job {
     }
 
     /// Job *area* `w_i * d_i` over the estimated duration — the weight used
-    /// by the SLDwA metric ("slowdown weighted by job area").
+    /// by the SLDwA metric ("slowdown weighted by job area") — saturating
+    /// at `u64::MAX` for estimates near the end of the time axis.
     pub fn estimated_area(&self) -> u64 {
-        self.width as u64 * self.estimated_duration
+        (self.width as u64).saturating_mul(self.estimated_duration)
     }
 
     /// Checks the structural invariants, returning a human-readable reason on

@@ -215,11 +215,13 @@ fn parse_i64(tok: &str, line_number: usize, field: &str) -> Result<i64, SwfError
 ///
 /// Header comments (`; Key: Value`) are scanned for `MaxNodes` / `MaxProcs`.
 /// Data lines with fewer than 18 fields are an error; records that parse but
-/// are unusable for scheduling (no width, no runtime) are collected in
-/// [`SwfTrace::skipped`] rather than aborting the whole read, mirroring how
-/// simulation studies clean archive traces.
+/// are unusable for scheduling (no width, no runtime, a job number seen
+/// before) are collected in [`SwfTrace::skipped`] rather than aborting the
+/// whole read, mirroring how simulation studies clean archive traces.
 pub fn read_swf<R: BufRead>(reader: R) -> Result<SwfTrace, SwfError> {
     let mut trace = SwfTrace::default();
+    // The RMS keys its queue, running set and completions by job id.
+    let mut ids = std::collections::HashSet::new();
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
         let line_number = idx + 1;
@@ -268,6 +270,9 @@ pub fn read_swf<R: BufRead>(reader: R) -> Result<SwfTrace, SwfError> {
             think_time: parse_i64(toks[17], line_number, "think_time")?,
         };
         match record.to_job() {
+            Ok(job) if !ids.insert(job.id) => trace
+                .skipped
+                .push(format!("job {}: duplicate job number", job.id)),
             Ok(job) => trace.jobs.push(job),
             Err(reason) => trace.skipped.push(reason),
         }

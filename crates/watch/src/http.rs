@@ -133,14 +133,14 @@ impl Response {
 /// bytes, bounded by `max_body`.
 pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
+    let mut head_left = MAX_HEAD_BYTES;
     let mut line = String::new();
-    reader
-        .read_line(&mut line)
+    let n = read_head_line(&mut reader, &mut line, head_left)
         .map_err(|e| HttpError::new(400, format!("reading request line: {e}")))?;
-    let mut head_bytes = line.len();
-    if head_bytes > MAX_HEAD_BYTES {
+    if n > head_left {
         return Err(HttpError::new(400, "request line too long"));
     }
+    head_left -= n;
     let mut request =
         parse_request_line(line.trim_end()).map_err(|e| HttpError::new(400, e))?;
     // Drain headers up to the blank line so the peer sees us consume its
@@ -149,13 +149,13 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
     let mut content_length = 0usize;
     loop {
         let mut header = String::new();
-        match reader.read_line(&mut header) {
+        match read_head_line(&mut reader, &mut header, head_left) {
             Ok(0) => break,
             Ok(n) => {
-                head_bytes += n;
-                if head_bytes > MAX_HEAD_BYTES {
+                if n > head_left {
                     return Err(HttpError::new(400, "request head too large"));
                 }
+                head_left -= n;
                 let header = header.trim_end();
                 if header.is_empty() {
                     break;
@@ -185,6 +185,17 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
         request.body = body;
     }
     Ok(request)
+}
+
+/// Reads one head line into `line`, but never more than `budget + 1`
+/// bytes of it: a line longer than the head budget left is cut off
+/// there, and the byte count past `budget` tells the caller so.
+fn read_head_line(
+    reader: &mut impl BufRead,
+    line: &mut String,
+    budget: usize,
+) -> std::io::Result<usize> {
+    reader.take(budget as u64 + 1).read_line(line)
 }
 
 /// Parses `"GET /path?k=v HTTP/1.1"`.
@@ -312,6 +323,65 @@ mod tests {
         let raw = b"POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n";
         let mut cursor = std::io::Cursor::new(raw.to_vec());
         assert_eq!(read_request(&mut cursor, 1024).unwrap_err().status, 400);
+    }
+
+    /// Serves `head` once, then `filler` bytes without end (an error
+    /// after 1 MiB, so a parser that never stops fails instead of hangs),
+    /// counting every byte handed out.
+    struct Endless {
+        head: &'static [u8],
+        filler: u8,
+        served: usize,
+    }
+
+    impl Read for Endless {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.served > 1 << 20 {
+                return Err(std::io::Error::other("endless stream cut off at 1 MiB"));
+            }
+            let n = buf.len();
+            for (i, byte) in buf.iter_mut().enumerate() {
+                *byte = *self.head.get(self.served + i).unwrap_or(&self.filler);
+            }
+            self.served += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn head_without_end_is_refused_within_the_head_budget() {
+        // BufReader's default capacity: the one read past the budget.
+        const BUFFER: usize = 8 * 1024;
+        for (head, what) in [
+            (&b""[..], "request line too long"),
+            (&b"GET / HTTP/1.1\r\nX-Pad: "[..], "request head too large"),
+        ] {
+            let mut stream = Endless {
+                head,
+                filler: b'a',
+                served: 0,
+            };
+            let err = read_request(&mut stream, 1024).unwrap_err();
+            assert_eq!((err.status, err.message.as_str()), (400, what));
+            assert!(
+                stream.served <= MAX_HEAD_BYTES + BUFFER,
+                "read {} bytes for a {MAX_HEAD_BYTES}-byte head budget",
+                stream.served
+            );
+        }
+    }
+
+    #[test]
+    fn head_of_exactly_the_budget_is_accepted() {
+        let line = b"GET / HTTP/1.1\r\n";
+        let mut raw = line.to_vec();
+        let pad = MAX_HEAD_BYTES - line.len() - "X: \r\n\r\n".len();
+        raw.extend_from_slice(format!("X: {}\r\n\r\n", "p".repeat(pad)).as_bytes());
+        assert_eq!(raw.len(), MAX_HEAD_BYTES);
+        assert!(read_request(&mut raw.as_slice(), 0).is_ok());
+        raw.insert(line.len(), b'p');
+        let err = read_request(&mut raw.as_slice(), 0).unwrap_err();
+        assert_eq!(err.message, "request head too large");
     }
 
     #[test]

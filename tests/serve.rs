@@ -226,6 +226,27 @@ fn connection_cap_answers_503() {
     server.shutdown();
 }
 
+/// One valid POST of 2 100 full-width jobs of 2^53 s (≈ 80 kB, under the
+/// body cap) plans windows past the end of the `u64` time axis. The
+/// batch is answered 200 with the 53 jobs that cannot end on the axis
+/// declined by name, and the decision loop keeps deciding: the next
+/// ordinary POST gets 200 too.
+#[test]
+fn a_batch_past_the_end_of_time_is_declined_and_the_server_keeps_deciding() {
+    let server = ServeServer::start("127.0.0.1:0", ServeConfig::new(8)).unwrap();
+    let addr = server.local_addr();
+    let job = format!("{{\"width\":8,\"runtime\":{}}}", 1u64 << 53);
+    let body = format!("{{\"v\":1,\"jobs\":[{}]}}", vec![job; 2100].join(","));
+    let (status, reply) = post(addr, "/v1/jobs", &body);
+    assert_eq!(status, 200, "{reply}");
+    assert_eq!(reply.matches("\"status\":\"declined\"").count(), 53);
+    assert!(reply.contains("would end past the time axis"), "{reply}");
+    let (status, reply) = post(addr, "/v1/jobs", "{\"v\":1,\"width\":1,\"runtime\":5}");
+    assert_eq!(status, 200, "{reply}");
+    assert!(reply.contains("\"status\":\"waiting\""), "{reply}");
+    server.shutdown();
+}
+
 /// The fixed submission sequence behind the pinned checkpoint: thirty
 /// batches of one to four jobs, every seventh job too wide for the
 /// 8-wide machine, every third one finishing at half its estimate, and
