@@ -6,7 +6,9 @@
 //! * **Best-first** node selection on the LP bound: the first time the best
 //!   open bound reaches the incumbent, optimality is proven — mirroring how
 //!   MIP solvers close the gap.
-//! * **Most-fractional branching** with deterministic tie-breaking.
+//! * **One way to branch**: a child is a list of bound changes, from a
+//!   custom [`BranchHook`] or, by default, most-fractional branching with
+//!   deterministic tie-breaking.
 //! * **Integral-objective rounding**: when every variable is integral and
 //!   every objective coefficient is an integer, a node bound `b` can be
 //!   lifted to `ceil(b)`, which prunes aggressively on scheduling models
@@ -22,7 +24,7 @@
 //!   and repairs primal feasibility with a few dual simplex pivots instead
 //!   of re-running phase 1 from the artificial basis (DESIGN.md §14).
 //! * **Deterministic parallel search**: the search runs in synchronous
-//!   rounds — pop the [`ROUND_WIDTH`] best open nodes, solve their LPs on
+//!   rounds — pop the `ROUND_WIDTH` best open nodes, solve their LPs on
 //!   the shared worker pool ([`dynp_obs::pool`]), then merge bounds,
 //!   incumbents and children *sequentially in pop order*. Each node LP
 //!   is a pure function of the model and the node's bounds (never of the
@@ -48,6 +50,7 @@
 
 use crate::model::Milp;
 use crate::simplex::{solve_lp, Basis, KernelCounts, LpOutcome, LpSolution, LpStart};
+use crate::timeindex::BranchChildren;
 use dynp_obs::pool::{self, SlotOutcome};
 use dynp_obs::{JsonValue, Span};
 use std::cmp::Ordering;
@@ -189,59 +192,28 @@ impl MipSolution {
     /// [`BranchLimits::solver_workers`]; the `milp_par` bench and the CI
     /// `milp-smoke` job diff these renders byte-for-byte.
     pub fn canonical_json(&self) -> JsonValue {
-        let finite = |v: f64| {
-            if v.is_finite() {
-                JsonValue::Num(v)
-            } else {
-                JsonValue::Null
-            }
-        };
-        JsonValue::Object(vec![
-            (
-                "status".to_string(),
-                JsonValue::Str(format!("{:?}", self.status)),
-            ),
-            (
-                "objective".to_string(),
-                self.objective.map_or(JsonValue::Null, JsonValue::Num),
-            ),
-            (
-                "x".to_string(),
-                self.x.as_ref().map_or(JsonValue::Null, |x| {
-                    JsonValue::Array(x.iter().map(|&v| JsonValue::Num(v)).collect())
-                }),
-            ),
-            ("best_bound".to_string(), finite(self.best_bound)),
-            ("nodes".to_string(), JsonValue::Num(self.nodes as f64)),
-            (
-                "lp_iterations".to_string(),
-                JsonValue::Num(self.lp_iterations as f64),
-            ),
-            (
-                "warm_lps".to_string(),
-                JsonValue::Num(self.warm_lps as f64),
-            ),
-            (
-                "cold_lps".to_string(),
-                JsonValue::Num(self.cold_lps as f64),
-            ),
-            ("kernel".to_string(), self.kernel.to_json()),
-            (
-                "trajectory".to_string(),
-                JsonValue::Array(
-                    self.trajectory
-                        .iter()
-                        .map(|p| {
-                            JsonValue::Object(vec![
-                                ("nodes".to_string(), JsonValue::Num(p.nodes as f64)),
-                                ("incumbent".to_string(), JsonValue::Num(p.incumbent)),
-                                ("bound".to_string(), finite(p.bound)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        let finite = |v: f64| v.is_finite().then_some(v);
+        let trajectory: Vec<JsonValue> = self
+            .trajectory
+            .iter()
+            .map(|p| {
+                JsonValue::object()
+                    .with("nodes", p.nodes)
+                    .with("incumbent", p.incumbent)
+                    .with("bound", finite(p.bound))
+            })
+            .collect();
+        JsonValue::object()
+            .with("status", format!("{:?}", self.status))
+            .with("objective", self.objective)
+            .with("x", self.x.clone())
+            .with("best_bound", finite(self.best_bound))
+            .with("nodes", self.nodes)
+            .with("lp_iterations", self.lp_iterations)
+            .with("warm_lps", self.warm_lps)
+            .with("cold_lps", self.cold_lps)
+            .with("kernel", self.kernel.to_json())
+            .with("trajectory", trajectory)
     }
 }
 
@@ -294,6 +266,28 @@ struct Node {
     /// changed one bound, so the basis is dual feasible for both).
     /// `None` at the root.
     warm: Option<Arc<Basis>>,
+}
+
+impl Node {
+    /// Applies a child's bound changes `(var, lo, hi)`, each narrowing
+    /// `var` to `[max(lower, lo), min(upper, hi)]`. On a tie the change's
+    /// value is the one kept, so a change that sets a bound sets exactly
+    /// its bits, signed zeros included. Returns `false`, leaving the rest
+    /// unapplied, once a variable's range is empty.
+    fn tighten(&mut self, changes: &[(usize, f64, f64)]) -> bool {
+        for &(var, lo, hi) in changes {
+            if lo >= self.lower[var] {
+                self.lower[var] = lo;
+            }
+            if hi <= self.upper[var] {
+                self.upper[var] = hi;
+            }
+            if self.lower[var] > self.upper[var] {
+                return false;
+            }
+        }
+        true
+    }
 }
 
 impl PartialEq for Node {
@@ -365,15 +359,24 @@ impl<'a> BranchBound<'a> {
     /// acknowledge) the failure instead of the solver aborting the
     /// process.
     pub fn with_incumbent(mut self, x: Vec<f64>) -> Result<Self, String> {
-        self.model
-            .check_feasible(&x, 1e-6)
-            .map_err(|e| format!("seed incumbent infeasible: {e}"))?;
-        if !self.model.is_integral(&x, INT_TOL) {
-            return Err("seed incumbent is fractional".to_string());
-        }
-        let obj = self.model.objective_value(&x);
+        let obj = self
+            .verified_objective(&x)
+            .map_err(|e| format!("seed incumbent {e}"))?;
         self.offer_incumbent(obj, x, 0, None, f64::NEG_INFINITY);
         Ok(self)
+    }
+
+    /// The objective of `x` once it is checked feasible (to 1e-6) and
+    /// integral — the test a caller's point, seed or heuristic, must pass
+    /// before it may prune the tree.
+    fn verified_objective(&self, x: &[f64]) -> Result<f64, String> {
+        self.model
+            .check_feasible(x, 1e-6)
+            .map_err(|e| format!("infeasible: {e}"))?;
+        if !self.model.is_integral(x, INT_TOL) {
+            return Err("is fractional".to_string());
+        }
+        Ok(self.model.objective_value(x))
     }
 
     /// Accepts `x` as the new incumbent when it improves on the current
@@ -415,6 +418,26 @@ impl<'a> BranchBound<'a> {
                     .emit();
             }
         }
+    }
+
+    /// The default branching, as bound changes for [`Node::tighten`]: on
+    /// the most fractional integral variable `x_j = v`, a down child
+    /// `x_j ≤ ⌊v⌋` and an up child `x_j ≥ ⌈v⌉`.
+    fn most_fractional(&self, x: &[f64]) -> BranchChildren {
+        let j = x
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| self.model.integral[j])
+            .map(|(j, &v)| (j, (v - v.round()).abs()))
+            .filter(|&(_, frac)| frac > INT_TOL)
+            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal))
+            .map(|(j, _)| j)
+            .expect("fractional solution has a fractional integral var");
+        let v = x[j];
+        (
+            vec![(j, f64::NEG_INFINITY, v.floor())],
+            vec![(j, v.ceil(), f64::INFINITY)],
+        )
     }
 
     /// Lifts an LP bound using objective integrality when available.
@@ -667,90 +690,40 @@ impl<'a> BranchBound<'a> {
                     continue;
                 }
                 // Primal heuristic on fractional solutions.
-                if let Some(h) = &self.heuristic {
-                    if let Some(hx) = h(self.model, &sol) {
-                        if self.model.check_feasible(&hx, 1e-6).is_ok()
-                            && self.model.is_integral(&hx, INT_TOL)
-                        {
-                            let obj = self.model.objective_value(&hx);
-                            self.offer_incumbent(
-                                obj,
-                                hx,
-                                nodes_explored,
-                                Some(solve_start),
-                                proven_bound,
-                            );
-                        }
+                if let Some(hx) = self.heuristic.as_ref().and_then(|h| h(self.model, &sol)) {
+                    if let Ok(obj) = self.verified_objective(&hx) {
+                        self.offer_incumbent(
+                            obj,
+                            hx,
+                            nodes_explored,
+                            Some(solve_start),
+                            proven_bound,
+                        );
                     }
                 }
-                // Both children differ from this node by one variable
-                // bound, so this node's optimal basis warm-starts their
+                // Custom (e.g. SOS) branching when installed and willing,
+                // most-fractional otherwise.
+                let (down, up) = self
+                    .brancher
+                    .as_ref()
+                    .and_then(|brancher| brancher(self.model, &sol))
+                    .unwrap_or_else(|| self.most_fractional(&sol.x));
+                // Both children differ from this node by a few variable
+                // bounds, so this node's optimal basis warm-starts their
                 // LPs (shared — it is read-only on the workers).
                 let warm = Some(Arc::new(sol.basis.clone()));
-                // Custom (e.g. SOS) branching first, when installed.
-                if let Some(brancher) = &self.brancher {
-                    if let Some((mods_a, mods_b)) = brancher(self.model, &sol) {
-                        for mods in [mods_a, mods_b] {
-                            let mut child = Node {
-                                bound,
-                                id: next_id,
-                                lower: node.lower.clone(),
-                                upper: node.upper.clone(),
-                                warm: warm.clone(),
-                            };
-                            next_id += 1;
-                            let mut feasible = true;
-                            for (var, lo, hi) in mods {
-                                child.lower[var] = child.lower[var].max(lo);
-                                child.upper[var] = child.upper[var].min(hi);
-                                if child.lower[var] > child.upper[var] {
-                                    feasible = false;
-                                    break;
-                                }
-                            }
-                            if feasible {
-                                heap.push(child);
-                            }
-                        }
-                        continue;
+                for changes in [down, up] {
+                    let mut child = Node {
+                        bound,
+                        id: next_id,
+                        lower: node.lower.clone(),
+                        upper: node.upper.clone(),
+                        warm: warm.clone(),
+                    };
+                    next_id += 1;
+                    if child.tighten(&changes) {
+                        heap.push(child);
                     }
-                }
-                // Branch on the most fractional integral variable.
-                let branch_var = sol
-                    .x
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| self.model.integral[j])
-                    .map(|(j, &v)| (j, (v - v.round()).abs()))
-                    .filter(|&(_, frac)| frac > INT_TOL)
-                    .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal))
-                    .map(|(j, _)| j)
-                    .expect("fractional solution has a fractional integral var");
-                let v = sol.x[branch_var];
-                // Down child: x_j <= floor(v); up child: x_j >= ceil(v).
-                let mut down = Node {
-                    bound,
-                    id: next_id,
-                    lower: node.lower.clone(),
-                    upper: node.upper.clone(),
-                    warm: warm.clone(),
-                };
-                next_id += 1;
-                down.upper[branch_var] = v.floor();
-                if down.lower[branch_var] <= down.upper[branch_var] {
-                    heap.push(down);
-                }
-                let mut up = Node {
-                    bound,
-                    id: next_id,
-                    lower: node.lower,
-                    upper: node.upper,
-                    warm,
-                };
-                next_id += 1;
-                up.lower[branch_var] = v.ceil();
-                if up.lower[branch_var] <= up.upper[branch_var] {
-                    heap.push(up);
                 }
             }
             if hit_limit {
@@ -1032,6 +1005,29 @@ mod tests {
             called.load(std::sync::atomic::Ordering::Relaxed),
             "heuristic was never invoked"
         );
+    }
+
+    #[test]
+    fn a_bound_change_keeps_its_own_bits_on_a_tie() {
+        // A most-fractional child's bound is exactly ⌊v⌋ or ⌈v⌉. For an LP
+        // value a hair outside [0, 1] that equals the bound it replaces up
+        // to the sign of zero, and the child must carry the new bits.
+        let node = |lower: f64, upper: f64| Node {
+            bound: 0.0,
+            id: 0,
+            lower: vec![lower],
+            upper: vec![upper],
+            warm: None,
+        };
+        let mut up = node(0.0, 1.0);
+        assert!(up.tighten(&[(0, (-2e-6f64).ceil(), f64::INFINITY)]));
+        assert_eq!(up.lower[0].to_bits(), (-0.0f64).to_bits());
+        let mut down = node(-0.0, -0.0);
+        assert!(down.tighten(&[(0, f64::NEG_INFINITY, 2e-6f64.floor())]));
+        assert_eq!(down.upper[0].to_bits(), 0.0f64.to_bits());
+        // A change that empties a range rejects the child.
+        let mut fixed = node(1.0, 1.0);
+        assert!(!fixed.tighten(&[(0, 0.0, 0.0)]));
     }
 
     #[test]

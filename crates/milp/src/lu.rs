@@ -10,7 +10,7 @@
 //! (the *nucleus*) is eliminated right-looking — every pivot updates the
 //! rows of its column at once — with **Markowitz** pivot selection under
 //! **threshold partial pivoting**: among the entries within
-//! [`PIVOT_THRESHOLD`] of their column's largest, take the one minimizing
+//! `PIVOT_THRESHOLD` of their column's largest, take the one minimizing
 //! `(row count − 1)·(column count − 1)`.
 //!
 //! Every choice breaks ties on the lowest index (position first, then
@@ -20,9 +20,9 @@
 //!
 //! # The shape this is built for
 //!
-//! Measured on the Table 1 snapshots (DESIGN.md §14, "What a factorization
-//! costs"): a basis has ≈ 340 rows and ≈ 11 000 entries, the peel takes
-//! three quarters of the rows, and the nucleus is **84 rows of 342, more
+//! Measured on the Table 1 snapshots (DESIGN.md §14, "Root LP"): a basis
+//! has ≈ 340 rows and ≈ 11 000 entries, the peel takes three quarters of
+//! the rows, and the nucleus is **84 rows of 342, more
 //! than half of its cells non-zero** (11 of 342 on the large snapshots of
 //! `exact_root_lp`). Five of six nucleus pivots have merit 0 — a row or
 //! column singleton uncovered by an earlier pivot — typically a singleton

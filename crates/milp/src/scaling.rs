@@ -62,16 +62,6 @@ impl TimeScaling {
         }
     }
 
-    /// The paper's configuration (x = 0.1 kB, 8 GB / 4).
-    pub fn paper(max_makespan_seconds: u64, accumulated_runtime_seconds: u64) -> TimeScaling {
-        TimeScaling::from_memory(
-            max_makespan_seconds,
-            accumulated_runtime_seconds,
-            PAPER_X_BYTES,
-            PAPER_MEMORY_BYTES,
-        )
-    }
-
     /// Number of slots covering `span` seconds (rounded up).
     pub fn slots_for(&self, span_seconds: u64) -> usize {
         span_seconds.div_ceil(self.seconds_per_slot) as usize
@@ -93,7 +83,7 @@ mod tests {
         // 1798684 s. Eq. 6 with x = 0.1 kB and 2 GB yields a raw scale of
         // ~116 s, i.e. 2 full minutes — the same order as the paper's
         // reported scales (1–6 min).
-        let s = TimeScaling::paper(155_559, 1_798_684);
+        let s = TimeScaling::from_memory(155_559, 1_798_684, PAPER_X_BYTES, PAPER_MEMORY_BYTES);
         assert_eq!(s.seconds_per_slot, 120);
     }
 
@@ -105,7 +95,7 @@ mod tests {
             (172_776, 1_617_178),
             (116_391, 1_030_642),
         ] {
-            let s = TimeScaling::paper(makespan, acc);
+            let s = TimeScaling::from_memory(makespan, acc, PAPER_X_BYTES, PAPER_MEMORY_BYTES);
             assert!(
                 (60..=360).contains(&s.seconds_per_slot),
                 "scale {} s out of the paper's 1-6 min range",
@@ -116,7 +106,7 @@ mod tests {
 
     #[test]
     fn small_instances_get_the_minimum_minute() {
-        let s = TimeScaling::paper(3600, 7200);
+        let s = TimeScaling::from_memory(3600, 7200, PAPER_X_BYTES, PAPER_MEMORY_BYTES);
         assert_eq!(s.seconds_per_slot, 60);
     }
 

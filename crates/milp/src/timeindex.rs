@@ -18,7 +18,8 @@ use crate::model::{Milp, Sense};
 use crate::scaling::TimeScaling;
 
 /// Bound modifications `(variable, new lower, new upper)` for the two
-/// children of an SOS branch (see [`TimeIndexedModel::sos_branch`]).
+/// children of a branch: an SOS one (see [`TimeIndexedModel::sos_branch`])
+/// or the solver's default most-fractional one.
 pub type BranchChildren = (Vec<(usize, f64, f64)>, Vec<(usize, f64, f64)>);
 use crate::simplex::LpSolution;
 use crate::sparse::CscBuilder;
@@ -86,11 +87,15 @@ impl TimeIndexedModel {
 
         // Greedy placement in snapshot order to find a horizon that surely
         // admits a feasible solution.
+        let widths: Vec<u32> = problem.jobs.iter().map(|j| j.width).collect();
+        let order: Vec<usize> = (0..problem.jobs.len()).collect();
         let horizon_slots = {
             let mut t_needed = base_slots;
             loop {
                 let mut rem: Vec<i64> = (0..t_needed).map(|t| capacity_at(t) as i64).collect();
-                if greedy_fill(problem, &duration_slots, &mut rem).is_some() {
+                if greedy_fill_order(&order, &duration_slots, &widths, &mut rem, |_, _| true)
+                    .is_some()
+                {
                     break t_needed;
                 }
                 t_needed += base_slots.max(16);
@@ -131,7 +136,7 @@ impl TimeIndexedModel {
             job_vars,
             now,
             job_ids: problem.jobs.iter().map(|j| j.id).collect(),
-            widths: problem.jobs.iter().map(|j| j.width).collect(),
+            widths,
         }
     }
 
@@ -178,12 +183,18 @@ impl TimeIndexedModel {
     }
 
     /// Greedy slot-grid placement in the given job order; returns the
-    /// variable vector of a feasible solution. Used both for incumbent
-    /// seeding (from the best policy's start order) and as the rounding
-    /// heuristic's engine.
+    /// variable vector of a feasible solution. Used for incumbent seeding
+    /// (from the best policy's start order) and as the rounding
+    /// heuristic's engine; [`Self::crash_start`] runs the same greedy.
     pub fn greedy_solution(&self, order: &[usize]) -> Option<Vec<f64>> {
         let mut rem: Vec<i64> = self.slot_capacity.iter().map(|&c| c as i64).collect();
-        let starts = greedy_fill_order(order, &self.duration_slots, &self.widths, &mut rem)?;
+        let starts = greedy_fill_order(
+            order,
+            &self.duration_slots,
+            &self.widths,
+            &mut rem,
+            |_, _| true,
+        )?;
         let mut x = vec![0.0; self.model.num_vars()];
         for (i, &t) in starts.iter().enumerate() {
             let (lo, hi) = self.job_vars[i];
@@ -202,68 +213,43 @@ impl TimeIndexedModel {
     /// per job is basic in its assignment row, and every capacity row keeps
     /// its slack basic — a triangular basis the LU factors as singletons,
     /// in O(nnz) with no fill.
-    /// The chosen starts come from a greedy earliest-fit that honours the
-    /// node's fixings (`lower = 1` forces a start slot, `upper = 0`
-    /// forbids one). Returns `None` when the greedy cannot satisfy the
-    /// fixings (the node may still be LP-feasible; the solver then falls
-    /// back to phase 1).
-    #[allow(clippy::needless_range_loop)] // parallel arrays indexed by job
+    /// The chosen starts honour the node's fixings: a `lower = 1` start
+    /// is taken as forced, and every other job goes through the slot-grid
+    /// greedy of [`Self::greedy_solution`], in snapshot order, on the
+    /// starts whose `upper` is not 0. Returns `None` when that cannot
+    /// satisfy the fixings (the node may still be LP-feasible; the solver
+    /// then falls back to phase 1).
     pub fn crash_start(&self, lower: &[f64], upper: &[f64]) -> Option<crate::simplex::Basis> {
         let n = self.job_ids.len();
         let mut rem: Vec<i64> = self.slot_capacity.iter().map(|&c| c as i64).collect();
-        let mut chosen = vec![usize::MAX; n];
-        // Forced starts first: vars with lower bound 1.
-        for i in 0..n {
-            let (lo, hi) = self.job_vars[i];
-            for v in lo..hi {
-                if lower[v] > 0.5 {
-                    let (_, t) = self.var_map[v];
-                    let d = self.duration_slots[i];
-                    let w = self.widths[i] as i64;
-                    if (t..t + d).any(|s| rem[s] < w) {
-                        return None; // forced starts clash
-                    }
-                    for s in t..t + d {
-                        rem[s] -= w;
-                    }
-                    chosen[i] = v;
-                    break;
-                }
-            }
-        }
-        // Remaining jobs: earliest allowed fit.
-        for i in 0..n {
-            if chosen[i] != usize::MAX {
+        let mut forced = vec![None; n];
+        for (i, &(lo, hi)) in self.job_vars.iter().enumerate() {
+            let Some(v) = (lo..hi).find(|&v| lower[v] > 0.5) else {
                 continue;
+            };
+            let (t, d, w) = (v - lo, self.duration_slots[i], self.widths[i] as i64);
+            if rem[t..t + d].iter().any(|&r| r < w) {
+                return None; // forced starts clash
             }
-            let (lo, hi) = self.job_vars[i];
-            let d = self.duration_slots[i];
-            let w = self.widths[i] as i64;
-            let mut placed = false;
-            for v in lo..hi {
-                if upper[v] < 0.5 {
-                    continue; // slot forbidden at this node
-                }
-                let (_, t) = self.var_map[v];
-                if (t..t + d).all(|s| rem[s] >= w) {
-                    for s in t..t + d {
-                        rem[s] -= w;
-                    }
-                    chosen[i] = v;
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                return None;
-            }
+            rem[t..t + d].iter_mut().for_each(|r| *r -= w);
+            forced[i] = Some(t);
         }
-        // Basis: assignment row i -> chosen x var; capacity row t -> its
-        // slack, which (with all-Le capacity rows after all-Eq assignment
-        // rows) has solver index n_vars + t.
+        let order: Vec<usize> = (0..n).filter(|&i| forced[i].is_none()).collect();
+        let allowed = |i: usize, t: usize| upper[self.job_vars[i].0 + t] >= 0.5;
+        let starts = greedy_fill_order(
+            &order,
+            &self.duration_slots,
+            &self.widths,
+            &mut rem,
+            allowed,
+        )?;
+        // Basis: assignment row i -> its job's start variable; capacity row
+        // t -> its slack, which (with all-Le capacity rows after all-Eq
+        // assignment rows) has solver index n_vars + t.
         let n_vars = self.model.num_vars();
-        let mut basis = Vec::with_capacity(n + self.horizon_slots);
-        basis.extend_from_slice(&chosen);
+        let mut basis: Vec<usize> = (0..n)
+            .map(|i| self.job_vars[i].0 + forced[i].unwrap_or(starts[i]))
+            .collect();
         basis.extend((0..self.horizon_slots).map(|t| n_vars + t));
         Some(crate::simplex::Basis::new(basis, Vec::new()))
     }
@@ -347,51 +333,39 @@ impl TimeIndexedModel {
     }
 }
 
-/// Greedy earliest-fit on a slot capacity vector, jobs in snapshot order.
-/// Returns start slots or `None` if the horizon is too short.
-fn greedy_fill(
-    problem: &SchedulingProblem,
-    duration_slots: &[usize],
-    rem: &mut [i64],
-) -> Option<Vec<usize>> {
-    let widths: Vec<u32> = problem.jobs.iter().map(|j| j.width).collect();
-    let order: Vec<usize> = (0..problem.jobs.len()).collect();
-    greedy_fill_order(&order, duration_slots, &widths, rem)
-}
-
-/// Greedy earliest-fit in an explicit order; mutates `rem` in place.
+/// The slot-grid greedy: each job of `order` in turn takes the earliest
+/// start slot `t` with `allowed(job, t)` where it fits the remaining
+/// capacity `rem`, which it then debits. Returns every job's start slot
+/// (0 for jobs not in `order`), or `None` when some job fits nowhere.
+///
+/// A blocked slot `s` rules out every start up to `s` at once, so the scan
+/// skips past it; that finds the same start as trying each slot in turn.
 fn greedy_fill_order(
     order: &[usize],
     duration_slots: &[usize],
     widths: &[u32],
     rem: &mut [i64],
+    allowed: impl Fn(usize, usize) -> bool,
 ) -> Option<Vec<usize>> {
     let horizon = rem.len();
     let mut starts = vec![0usize; duration_slots.len()];
     for &i in order {
-        let d = duration_slots[i];
-        let w = widths[i] as i64;
-        if d > horizon {
-            return None;
-        }
-        let mut placed = false;
-        let mut t = 0usize;
-        while t + d <= horizon {
-            match (t..t + d).find(|&s| rem[s] < w) {
-                Some(blocked) => t = blocked + 1,
-                None => {
-                    for slot in rem.iter_mut().take(t + d).skip(t) {
-                        *slot -= w;
-                    }
-                    starts[i] = t;
-                    placed = true;
-                    break;
-                }
+        let (d, w) = (duration_slots[i], widths[i] as i64);
+        let mut t = 0;
+        let start = loop {
+            if t + d > horizon {
+                return None;
             }
-        }
-        if !placed {
-            return None;
-        }
+            if !allowed(i, t) {
+                t += 1;
+            } else if let Some(blocked) = (t..t + d).find(|&s| rem[s] < w) {
+                t = blocked + 1;
+            } else {
+                break t;
+            }
+        };
+        rem[start..start + d].iter_mut().for_each(|r| *r -= w);
+        starts[i] = start;
     }
     Some(starts)
 }

@@ -20,6 +20,7 @@ mod common;
 
 use common::random_model;
 use dynp_milp::lu::LuFactor;
+use dynp_milp::sparse::CscMatrix;
 use dynp_milp::{
     solve_lp, BranchBound, BranchLimits, LpOutcome, LpStart, Milp, Sense, TimeIndexedModel,
 };
@@ -459,22 +460,23 @@ fn fold_solves(bytes: &mut Vec<u8>, m: usize, lu: Option<&LuFactor>) {
     }
 }
 
+/// The [`random_model`] the next draws of `state` describe: capacity 3–8,
+/// a 1, 2 or 5 minute grid, and 4–7 jobs.
+fn seeded_model(state: &mut u64) -> TimeIndexedModel {
+    let capacity = 3 + (next_draw(state) % 6) as u32;
+    let scale = [60u64, 120, 300][next_draw(state) % 3];
+    let specs: Vec<(u32, u64)> = (0..4 + next_draw(state) % 4)
+        .map(|_| (next_draw(state) as u32 % 8, next_draw(state) as u64 % 40))
+        .collect();
+    random_model(capacity, scale, &specs)
+}
+
 /// The bits one seed contributes: solves through the factor of the crash
 /// basis, of the root LP's optimal basis, of that factor after 16 eta
 /// updates, and of a fresh factor of the basis the updates walked to.
 fn fold_model_seed(bytes: &mut Vec<u8>, seed: u64) {
     let mut state = seed;
-    let capacity = 3 + (next_draw(&mut state) % 6) as u32;
-    let scale = [60u64, 120, 300][next_draw(&mut state) % 3];
-    let specs: Vec<(u32, u64)> = (0..4 + next_draw(&mut state) % 4)
-        .map(|_| {
-            (
-                next_draw(&mut state) as u32 % 8,
-                next_draw(&mut state) as u64 % 40,
-            )
-        })
-        .collect();
-    let ti = random_model(capacity, scale, &specs);
+    let ti = seeded_model(&mut state);
     let model = &ti.model;
     let m = model.num_constraints();
     let (crash, mut basis) = crash_and_optimal(&ti);
@@ -586,17 +588,7 @@ fn fold_lp(bytes: &mut Vec<u8>, outcome: &LpOutcome) {
 /// crash-started from that now infeasible basis.
 fn fold_solution_seed(search: &mut Vec<u8>, lps: &mut Vec<u8>, seed: u64) {
     let mut state = seed;
-    let capacity = 3 + (next_draw(&mut state) % 6) as u32;
-    let scale = [60u64, 120, 300][next_draw(&mut state) % 3];
-    let specs: Vec<(u32, u64)> = (0..4 + next_draw(&mut state) % 4)
-        .map(|_| {
-            (
-                next_draw(&mut state) as u32 % 8,
-                next_draw(&mut state) as u64 % 40,
-            )
-        })
-        .collect();
-    let ti = random_model(capacity, scale, &specs);
+    let ti = seeded_model(&mut state);
     let model = &ti.model;
     let limits = BranchLimits {
         max_nodes: 16,
@@ -675,4 +667,120 @@ fn solutions_are_pinned_to_the_bit() {
         got.map(|h| format!("{h:#018x}")),
         PINNED.map(|h| format!("{h:#018x}"))
     );
+}
+
+/// A generic model drawn from `seed`: a 0/1 knapsack with two capacity
+/// rows, a 0/1 set cover, or a knapsack whose integer variables range
+/// over `0..=3`.
+fn generic_model(seed: u64) -> Milp {
+    let mut state = seed;
+    let n = 6 + next_draw(&mut state) % 5;
+    // `n` draws from `lo..lo + modulus`.
+    let mut row = |lo: f64, modulus: usize| -> Vec<f64> {
+        (0..n)
+            .map(|_| lo + (next_draw(&mut state) % modulus) as f64)
+            .collect()
+    };
+    match seed % 3 {
+        0 => {
+            let weights = [row(1.0, 9), row(1.0, 9)];
+            let caps = weights
+                .iter()
+                .map(|w| (w.iter().sum::<f64>() / 2.0).floor())
+                .collect();
+            let values = row(1.0, 20).iter().map(|v| -v).collect();
+            Milp::binary(
+                values,
+                CscMatrix::from_dense(&weights),
+                vec![Sense::Le; 2],
+                caps,
+            )
+        }
+        1 => {
+            // Element `e` is in a third of the sets, and always in set `e`.
+            let mut cover: Vec<Vec<f64>> = (0..4)
+                .map(|_| row(0.0, 3).iter().map(|&d| f64::from(d == 0.0)).collect())
+                .collect();
+            for (e, sets) in cover.iter_mut().enumerate() {
+                sets[e] = 1.0;
+            }
+            let costs = row(1.0, 9);
+            Milp::binary(
+                costs,
+                CscMatrix::from_dense(&cover),
+                vec![Sense::Ge; 4],
+                vec![1.0; 4],
+            )
+        }
+        _ => {
+            let weights = [row(1.0, 9)];
+            let cap = vec![weights[0].iter().sum::<f64>() + 1.0];
+            let values = row(1.0, 20).iter().map(|v| -v).collect();
+            let matrix = CscMatrix::from_dense(&weights);
+            Milp::new(
+                values,
+                matrix,
+                vec![Sense::Le],
+                cap,
+                vec![0.0; n],
+                vec![3.0; n],
+                vec![true; n],
+            )
+        }
+    }
+}
+
+/// Most-fractional branching, the search every caller without a brancher
+/// gets, is a pure function of the model down to the last bit: the
+/// constants below were produced by commit cb3adc7, before the custom and
+/// the default brancher shared one child-building loop, and any later
+/// version must reproduce them. Each is one constant over the canonical
+/// renders of brancher-less, hook-less searches under a 64-node budget:
+/// on sixteen §3.1 seeds, and on twelve generic models.
+#[test]
+fn default_branching_is_pinned_to_the_bit() {
+    const PINNED: [u64; 2] = [0x2d08_8e4d_398a_798b, 0xe7dc_8262_7875_3887];
+    let limits = BranchLimits {
+        max_nodes: 64,
+        ..BranchLimits::default()
+    };
+    let render = |bytes: &mut Vec<u8>, model: &Milp| {
+        let mip = BranchBound::new(model, limits).solve();
+        bytes.extend(mip.canonical_json().to_json().bytes());
+    };
+    let (mut timeindex, mut generic) = (Vec::new(), Vec::new());
+    for mut state in 100..116 {
+        render(&mut timeindex, &seeded_model(&mut state).model);
+    }
+    for seed in 0..12 {
+        render(&mut generic, &generic_model(seed));
+    }
+    let got = [&timeindex, &generic].map(|bytes| dynp_obs::checkpoint::fnv1a64(bytes));
+    assert_eq!(
+        got.map(|h| format!("{h:#018x}")),
+        PINNED.map(|h| format!("{h:#018x}"))
+    );
+}
+
+proptest! {
+    /// With no start fixed or forbidden, the crash basis starts every job
+    /// where the snapshot-order greedy seed does.
+    #[test]
+    fn unfixed_crash_starts_are_the_greedy_starts(
+        capacity in 2u32..6,
+        scale_idx in 0usize..3,
+        specs in prop::collection::vec((0u32..8, 0u64..40), 2..8),
+    ) {
+        let ti = random_model(capacity, [60u64, 120, 300][scale_idx], &specs);
+        let model = &ti.model;
+        let n = ti.job_ids.len();
+        let crash = ti
+            .crash_start(&model.lower, &model.upper)
+            .expect("an unfixed model always has a greedy crash");
+        let order: Vec<usize> = (0..n).collect();
+        let seed = ti.greedy_solution(&order).expect("build fits the snapshot order");
+        let crash_jobs: Vec<(usize, usize)> = crash.basis[..n].iter().map(|&v| ti.var_map[v]).collect();
+        let greedy_jobs: Vec<(usize, usize)> = ti.start_slots(&seed).into_iter().enumerate().collect();
+        prop_assert_eq!(crash_jobs, greedy_jobs);
+    }
 }

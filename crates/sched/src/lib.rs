@@ -12,8 +12,7 @@
 //! * [`policy`] — the waiting-queue orders: FCFS, SJF, LJF (the three
 //!   policies of CCS) plus extension policies for ablations,
 //! * [`planner`] — profile-based list scheduling that realizes a policy
-//!   order as a full schedule with implicit backfilling, plus an
-//!   EASY-style aggressive variant,
+//!   order as a full schedule with implicit backfilling,
 //! * [`schedule`] — the schedule data structure with validity checking,
 //! * [`metrics`] — ARTwW, SLDwA and friends, exactly as the paper weighs
 //!   them.
@@ -27,8 +26,7 @@ pub mod snapshot;
 
 pub use metrics::{Metric, MetricValue};
 pub use planner::{
-    plan, plan_easy, plan_frontier, plan_ordered, plan_ordered_with_profile, plan_with_profile,
-    PlanError,
+    plan, plan_frontier, plan_ordered, plan_ordered_with_profile, plan_with_profile, PlanError,
 };
 pub use policy::Policy;
 pub use reservation::{admit, AdmissionRule, Reservation, ReservationRequest};

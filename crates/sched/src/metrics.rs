@@ -8,9 +8,9 @@
 //! slowdown weighted by job area.
 //!
 //! At planning time all metrics use the *estimated* duration, because that
-//! is the only duration the scheduler knows (§3.1). The same weighted-mean
-//! helpers are reused by `dynp-sim` on actual durations for end-of-run
-//! statistics.
+//! is the only duration the scheduler knows (§3.1). End-of-run statistics
+//! on actual durations are `dynp-sim`'s `SimSummary::compute`, which sums
+//! the same weights over finished job records in its own pass.
 
 use crate::schedule::{Schedule, ScheduleEntry};
 use crate::snapshot::SchedulingProblem;

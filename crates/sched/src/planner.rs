@@ -11,11 +11,6 @@
 //! availability profile (machine history plus already-placed jobs). Because
 //! later jobs may slot into holes left before earlier jobs' starts, this is
 //! equivalent to *conservative backfilling* relative to the policy order.
-//!
-//! [`plan_easy`] is an extension (not used by the paper's dynP): EASY-style
-//! aggressive backfilling where only the head job of the order holds a
-//! reservation, which can improve utilization at the cost of delaying
-//! non-head jobs unboundedly.
 
 use crate::policy::Policy;
 use crate::schedule::{Schedule, ScheduleEntry};
@@ -235,69 +230,6 @@ fn plan_ordered_in(
     Ok(schedule)
 }
 
-/// EASY-style aggressive backfilling (extension; see module docs).
-///
-/// The head job of the policy order gets a reservation at its earliest
-/// feasible start. Remaining jobs are started (planned) in policy order
-/// only if they can run without delaying the head job's reservation;
-/// otherwise they queue behind it. This repeats each time the head job is
-/// placed, mirroring the EASY LoadLeveler algorithm transplanted into a
-/// planning context.
-pub fn plan_easy(problem: &SchedulingProblem, policy: Policy) -> Result<Schedule, PlanError> {
-    let mut waiting = policy.order(&problem.jobs);
-    let mut profile = problem.availability_profile();
-    profile.compress_before(problem.now);
-    let mut schedule = Schedule::new();
-    let mut clock = problem.now;
-    while !waiting.is_empty() {
-        // Reserve the head job.
-        let head = waiting.remove(0);
-        let head_dur = head.estimated_duration.max(1);
-        let head_start =
-            profile
-                .earliest_fit(clock, head_dur, head.width)
-                .ok_or(PlanError::JobTooWide {
-                    id: head.id,
-                    width: head.width,
-                    capacity: problem.capacity(),
-                })?;
-        let head_end = window_end(&head, head_start, head_dur)?;
-        profile.allocate(head_start, head_end, head.width);
-        schedule.push(ScheduleEntry {
-            id: head.id,
-            start: head_start,
-            end: head_end,
-            width: head.width,
-        });
-        // Backfill: place any remaining job that can start before the head
-        // reservation *without moving it* — i.e. at its earliest fit in the
-        // updated profile, but only if that start is < head_start (true
-        // backfill) — in policy order, one pass.
-        let mut i = 0;
-        while i < waiting.len() {
-            let cand = waiting[i];
-            let dur = cand.estimated_duration.max(1);
-            match profile.earliest_fit(clock, dur, cand.width) {
-                Some(start) if start < head_start => {
-                    let end = window_end(&cand, start, dur)?;
-                    profile.allocate(start, end, cand.width);
-                    schedule.push(ScheduleEntry {
-                        id: cand.id,
-                        start,
-                        end,
-                        width: cand.width,
-                    });
-                    waiting.remove(i);
-                }
-                _ => i += 1,
-            }
-        }
-        // Next round plans from the head start onward.
-        clock = head_start;
-    }
-    Ok(schedule)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,7 +350,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("cannot ever fit"));
-        assert_eq!(plan_easy(&p, Policy::Fcfs).unwrap_err(), err);
     }
 
     #[test]
@@ -431,7 +362,6 @@ mod tests {
             duration: half,
         };
         assert_eq!(plan(&p, Policy::Fcfs).unwrap_err(), err);
-        assert_eq!(plan_easy(&p, Policy::Fcfs).unwrap_err(), err);
         assert_eq!(err.job(), JobId(2));
         assert!(err.to_string().contains("past the time axis"));
         let fits = snapshot(4, p.jobs[..2].to_vec());
@@ -456,40 +386,6 @@ mod tests {
                 plan(&p, policy).unwrap(),
                 "policy {policy:?}"
             );
-        }
-    }
-
-    #[test]
-    fn easy_backfill_is_valid_and_fills() {
-        let p = snapshot(
-            8,
-            vec![
-                Job::exact(0, 0, 6, 100),
-                Job::exact(1, 0, 7, 100),
-                Job::exact(2, 0, 2, 50),
-            ],
-        );
-        let s = plan_easy(&p, Policy::Fcfs).unwrap();
-        s.validate(&p).unwrap();
-        // Job 2 backfills next to job 0.
-        assert_eq!(s.start_of(JobId(2)), Some(0));
-    }
-
-    #[test]
-    fn easy_equals_conservative_on_independent_jobs() {
-        // When everything fits at once the two variants agree.
-        let p = snapshot(
-            16,
-            vec![
-                Job::exact(0, 0, 4, 100),
-                Job::exact(1, 0, 4, 100),
-                Job::exact(2, 0, 4, 100),
-            ],
-        );
-        let a = plan(&p, Policy::Fcfs).unwrap();
-        let b = plan_easy(&p, Policy::Fcfs).unwrap();
-        for id in [0u32, 1, 2] {
-            assert_eq!(a.start_of(JobId(id)), b.start_of(JobId(id)));
         }
     }
 

@@ -22,10 +22,10 @@
 //!
 //! Three properties drive the design (DESIGN.md §12):
 //!
-//! 1. **Batched admission.** Submissions arriving within one tick are
-//!    coalesced and planned by a *single* self-tuning step — one
-//!    availability-profile build for the whole batch instead of one
-//!    full tuning pass per request. `benchmark/`'s `serve_core_backlog`
+//! 1. **Batched admission.** Submissions that queue while a batch is
+//!    planned are coalesced into the next one and planned by a *single*
+//!    self-tuning step — one availability-profile build for the whole
+//!    batch instead of one full tuning pass per request. `benchmark/`'s `serve_core_backlog`
 //!    and `serve_http_open` workloads measure the resulting throughput.
 //! 2. **Determinism.** The service runs on a logical clock advanced
 //!    only by submissions, so the decision stream is a pure function of

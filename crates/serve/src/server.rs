@@ -8,7 +8,7 @@
 //!        │  try_send(Submission)          bounded sync_channel
 //!        ▼                                (full → HTTP 429)
 //!  decision loop (one thread, owns the ServiceCore)
-//!        │  recv_timeout(tick) + try_recv drain → ONE batch
+//!        │  recv_timeout(TICK) + try_recv drain → ONE batch
 //!        ▼
 //!  ServiceCore::submit_batch → one self-tuning step, replies fan out
 //! ```
@@ -16,8 +16,9 @@
 //! Only the decision loop touches the [`ServiceCore`] for *writes*;
 //! status reads (`GET /v1/jobs/<id>`, `/v1/schedule`) take the same
 //! mutex briefly. Batching is what buys throughput: every submission
-//! that lands within one tick shares a single planning pass (one
-//! availability-profile build), instead of paying one per request.
+//! that queues while a batch is being planned shares the next planning
+//! pass (one availability-profile build), instead of paying one per
+//! request.
 //!
 //! ## Graceful drain
 //!
@@ -79,23 +80,26 @@ impl From<io::Error> for ServeError {
     }
 }
 
-/// Service configuration. [`ServeConfig::new`] gives the paper setup
-/// (SLDwA metric, FCFS/SJF/LJF policy set) on a machine of `capacity`.
+/// How long the decision loop waits for a submission before it wakes
+/// idle to sample the route windows and notice a drain. It never widens
+/// a batch: the loop takes the first submission the moment it arrives,
+/// plus whatever is already queued behind it.
+const TICK: Duration = Duration::from_millis(20);
+
+/// Request-body bound in bytes (413 above).
+const MAX_BODY_BYTES: usize = 256 * 1024;
+
+/// Service configuration on a machine of `capacity`. The service always
+/// runs the paper setup: self-tuning dynP over FCFS/SJF/LJF under the
+/// SLDwA metric.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Machine capacity (resources).
     pub capacity: u32,
-    /// The self-tuning yardstick.
-    pub metric: Metric,
-    /// Batch window: how long the decision loop waits for the first
-    /// submission before idling, and the coalescing window after it.
-    pub tick: Duration,
     /// Submission-queue depth; a full queue answers HTTP 429.
     pub queue_depth: usize,
     /// Concurrent-connection cap for the HTTP front-end (503 above).
     pub max_connections: usize,
-    /// Request-body bound in bytes (413 above).
-    pub max_body_bytes: usize,
     /// Snapshot file: when set, the service restores from the last
     /// valid snapshot at start and checkpoints after every batch.
     pub checkpoint: Option<std::path::PathBuf>,
@@ -110,19 +114,17 @@ impl ServeConfig {
     pub fn new(capacity: u32) -> ServeConfig {
         ServeConfig {
             capacity,
-            metric: Metric::SldwA,
-            tick: Duration::from_millis(20),
             queue_depth: 1024,
             max_connections: 64,
-            max_body_bytes: 256 * 1024,
             checkpoint: None,
             flight_recorder: true,
         }
     }
+}
 
-    fn tuner(&self) -> SelfTuning {
-        SelfTuning::paper_config(self.metric)
-    }
+/// The self-tuning scheduler every service runs.
+fn paper_tuner() -> SelfTuning {
+    SelfTuning::paper_config(Metric::SldwA)
 }
 
 /// One queued submission: the parsed batch plus the reply channel its
@@ -308,10 +310,9 @@ impl ServeServer {
             let stop = Arc::clone(&stop);
             let draining = Arc::clone(&draining);
             let stats = Arc::clone(&stats);
-            let tick = config.tick;
-            thread::Builder::new().name("serve-decide".into()).spawn(move || {
-                decision_loop(&core, &stop, &draining, &inbox, tick, checkpoint, &stats)
-            })?
+            thread::Builder::new()
+                .name("serve-decide".into())
+                .spawn(move || decision_loop(&core, &stop, &draining, &inbox, checkpoint, &stats))?
         };
 
         let handler: dynp_watch::router::Handler = {
@@ -333,7 +334,7 @@ impl ServeServer {
             Arc::clone(&stop),
             RouterConfig::new("serve-conn", "serve.conn_rejected")
                 .with_max_connections(config.max_connections)
-                .with_max_body_bytes(config.max_body_bytes),
+                .with_max_body_bytes(MAX_BODY_BYTES),
             handler,
         )?;
 
@@ -349,7 +350,7 @@ impl ServeServer {
     }
 
     fn build_core(config: &ServeConfig) -> Result<ServiceCore, ServeError> {
-        let mut fresh = ServiceCore::new(config.capacity, config.tuner());
+        let mut fresh = ServiceCore::new(config.capacity, paper_tuner());
         fresh.set_flight_recorder(config.flight_recorder);
         let Some(path) = &config.checkpoint else {
             return Ok(fresh);
@@ -364,7 +365,7 @@ impl ServeServer {
         let Some(data) = loaded.cells.get(&0) else {
             return Ok(fresh);
         };
-        let mut core = ServiceCore::restore(config.capacity, config.tuner(), data)
+        let mut core = ServiceCore::restore(config.capacity, paper_tuner(), data)
             .map_err(ServeError::Snapshot)?;
         core.set_flight_recorder(config.flight_recorder);
         if let Some(r) = dynp_obs::recorder() {
@@ -473,19 +474,18 @@ fn enqueue(
     decisions.recv().map_err(|_| ApiError::draining())
 }
 
-/// The decision loop: blocks up to `tick` for the first submission,
+/// The decision loop: blocks up to [`TICK`] for the first submission,
 /// then drains everything already queued into the same planning pass.
 fn decision_loop(
     core: &Mutex<ServiceCore>,
     stop: &AtomicBool,
     draining: &AtomicBool,
     inbox: &Receiver<Submission>,
-    tick: Duration,
     checkpoint: Option<(CheckpointLog, String)>,
     stats: &RouteStats,
 ) {
     loop {
-        let first = match inbox.recv_timeout(tick) {
+        let first = match inbox.recv_timeout(TICK) {
             Ok(s) => Some(s),
             Err(mpsc::RecvTimeoutError::Timeout) => None,
             Err(mpsc::RecvTimeoutError::Disconnected) => None,

@@ -5,6 +5,8 @@
 //! Placeholders (`<name>`, globs, brace lists) are skipped. And docs
 //! cannot quote a run no file backs: every fenced block of EXPERIMENTS.md
 //! without a language tag is a verbatim line span of a file in `results/`.
+//! Nor can a manifest outlive the code: every crate a workspace manifest
+//! lists as a dependency is named by that package's sources.
 
 use std::path::{Path, PathBuf};
 
@@ -23,6 +25,47 @@ fn bases() -> Vec<PathBuf> {
     std::iter::once(root.to_path_buf())
         .chain(crates.map(|entry| entry.expect("readable crates/ entry").path()))
         .collect()
+}
+
+/// Every workspace package directory: the root, `crates/*/` and
+/// `vendor/*/`.
+fn packages() -> Vec<PathBuf> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let vendor = std::fs::read_dir(root.join("vendor")).expect("vendor/ exists");
+    bases()
+        .into_iter()
+        .chain(vendor.map(|entry| entry.expect("readable vendor/ entry").path()))
+        .collect()
+}
+
+/// The names under `[dependencies]` and `[dev-dependencies]` in a
+/// manifest.
+fn dependency_names(manifest: &str) -> Vec<&str> {
+    let mut section = "";
+    manifest
+        .lines()
+        .map(str::trim)
+        .filter_map(|line| {
+            if line.starts_with('[') {
+                section = line;
+                return None;
+            }
+            let listed = matches!(section, "[dependencies]" | "[dev-dependencies]");
+            let name = line.split(['=', '.', ' ']).next().unwrap_or("");
+            (listed && !name.is_empty() && !name.starts_with('#')).then_some(name)
+        })
+        .collect()
+}
+
+/// Whether `text` names the crate `ident` as code does: in a path
+/// (`ident::…`) or a rename (`ident as …`), not as part of a longer name.
+fn names_crate(text: &str, ident: &str) -> bool {
+    text.match_indices(ident).any(|(at, _)| {
+        let before = text[..at].chars().next_back();
+        let after = &text[at + ident.len()..];
+        !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
+            && (after.starts_with("::") || after.starts_with(" as "))
+    })
 }
 
 /// Names following `--bin` / `--bench` anywhere in `text`, as the
@@ -166,6 +209,34 @@ fn every_target_and_path_the_docs_name_exists() {
 }
 
 #[test]
+fn every_manifest_dependency_is_named_by_its_crate() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut unused = Vec::new();
+    for package in packages() {
+        let manifest =
+            std::fs::read_to_string(package.join("Cargo.toml")).expect("package manifest exists");
+        let sources: Vec<String> = ["src", "tests", "examples"]
+            .iter()
+            .map(|dir| package.join(dir))
+            .filter(|dir| dir.is_dir())
+            .flat_map(|dir| file_texts(&dir))
+            .collect();
+        for name in dependency_names(&manifest) {
+            let ident = name.replace('-', "_");
+            if !sources.iter().any(|text| names_crate(text, &ident)) {
+                let package = package.strip_prefix(root).expect("package under the root");
+                unused.push(format!("{}: {name}", package.join("Cargo.toml").display()));
+            }
+        }
+    }
+    assert!(
+        unused.is_empty(),
+        "manifest dependencies no source of their package names:\n{}",
+        unused.join("\n")
+    );
+}
+
+#[test]
 fn extraction_sees_targets_and_inline_paths_only() {
     let text = "run `cargo bench -p x --bench kernel`) or --bin\ntable1; see\n\
                 `BENCH_milp.json`, `tests/a.rs::case`, `results/<name>.txt`.\n\
@@ -182,4 +253,10 @@ fn extraction_sees_targets_and_inline_paths_only() {
     // Only the bare fence is a result transcript.
     let fenced = "```\nrow 1\n\nrow 2\n```\n```console\n$ cmd\n```\n";
     assert_eq!(untagged_blocks(fenced), [["row 1", "", "row 2"]]);
+    let manifest = "[package]\nname = \"p\"\n[dependencies]\nalpha-beta.workspace = true\n\
+                    # gamma = 1\n[dev-dependencies]\ndelta = { path = \"d\" }\n[lib]\npath = \"x\"\n";
+    assert_eq!(dependency_names(manifest), ["alpha-beta", "delta"]);
+    let uses = "// delta is vendored\nuse alpha_beta::X;\npub use epsilon as e;\nzdelta::f();";
+    let named = ["alpha_beta", "epsilon", "delta"].map(|ident| names_crate(uses, ident));
+    assert_eq!(named, [true, true, false]);
 }
