@@ -32,23 +32,37 @@ impl fmt::Display for MachineError {
 
 impl std::error::Error for MachineError {}
 
-/// A job currently occupying resources.
+/// A job currently occupying resources: the job as admitted and when it
+/// started. Its ends follow from the two, saturating at the end of the
+/// time axis (a planned job's estimated window always fits; a restored
+/// one is not planned).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunningJob {
-    /// Job id.
-    pub id: JobId,
-    /// Resources occupied.
-    pub width: u32,
+    /// The job, as submitted.
+    pub job: Job,
     /// Absolute start time.
     pub start: u64,
-    /// Estimated end = start + estimated duration (what the planner sees).
-    pub estimated_end: u64,
-    /// Actual end = start + effective duration (when the completion event
-    /// really fires).
-    pub actual_end: u64,
 }
 
-/// A cluster of identical resources with a running-job set.
+impl RunningJob {
+    /// Start + estimated duration: what the planner sees.
+    pub fn estimated_end(&self) -> u64 {
+        self.start.saturating_add(self.job.estimated_duration)
+    }
+
+    /// Start + effective duration: when the job really completes.
+    pub fn actual_end(&self) -> u64 {
+        self.start.saturating_add(self.job.effective_duration())
+    }
+
+    /// The order of [`Machine::running`].
+    fn release_key(&self) -> (u64, JobId) {
+        (self.estimated_end(), self.job.id)
+    }
+}
+
+/// A cluster of identical resources with a running-job set — the only
+/// record of which jobs run, since when, and until when.
 #[derive(Clone, Debug)]
 pub struct Machine {
     capacity: u32,
@@ -92,9 +106,7 @@ impl Machine {
         width <= self.free
     }
 
-    /// Starts `job` at time `now`, returning its completion time. Ends
-    /// saturate at the end of the time axis (a planned job's estimated
-    /// window always fits; a restored one is not planned).
+    /// Starts `job` at time `now`, returning its actual end.
     ///
     /// # Panics
     /// Panics if the job does not fit — the scheduler must only dispatch
@@ -109,17 +121,14 @@ impl Machine {
         );
         self.free -= job.width;
         let record = RunningJob {
-            id: job.id,
-            width: job.width,
+            job: *job,
             start: now,
-            estimated_end: now.saturating_add(job.estimated_duration),
-            actual_end: now.saturating_add(job.effective_duration()),
         };
         let idx = self
             .running
-            .partition_point(|r| (r.estimated_end, r.id) < (record.estimated_end, record.id));
+            .partition_point(|r| r.release_key() < record.release_key());
         self.running.insert(idx, record);
-        record.actual_end
+        record.actual_end()
     }
 
     /// Completes the running job `id`, releasing its resources. Returns the
@@ -130,18 +139,24 @@ impl Machine {
         let idx = self
             .running
             .iter()
-            .position(|r| r.id == id)
+            .position(|r| r.job.id == id)
             .ok_or(MachineError::NotRunning(id))?;
         let record = self.running.remove(idx);
-        self.free += record.width;
+        self.free += record.job.width;
         Ok(record)
+    }
+
+    /// The running job that completes first, as `(actual end, id)` —
+    /// ties by id — or `None` on an idle machine.
+    pub fn next_completion(&self) -> Option<(u64, JobId)> {
+        self.running.iter().map(|r| (r.actual_end(), r.job.id)).min()
     }
 
     /// Renders the machine history at time `now` from the running set's
     /// **estimated** ends, as §3.1 prescribes: one pass over the set,
     /// which is already in release order.
     pub fn history(&self, now: u64) -> MachineHistory {
-        let releases = self.running.iter().map(|r| (r.width, r.estimated_end));
+        let releases = self.running.iter().map(|r| (r.job.width, r.estimated_end()));
         let history =
             MachineHistory::from_ordered(self.capacity, now, self.busy(), releases.clone());
         debug_assert_eq!(
@@ -150,15 +165,6 @@ impl Machine {
             "the ordered running set and the sorted build disagree"
         );
         history
-    }
-
-    /// Utilization right now, in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        if self.capacity == 0 {
-            0.0
-        } else {
-            self.busy() as f64 / self.capacity as f64
-        }
     }
 }
 
@@ -177,7 +183,7 @@ mod tests {
         assert_eq!(m.free(), 6);
         assert_eq!(m.busy(), 4);
         let rec = m.complete(JobId(1)).unwrap();
-        assert_eq!(rec.width, 4);
+        assert_eq!((rec.job, rec.start), (j, 50));
         assert_eq!(m.free(), 10);
         assert!(m.running().is_empty());
     }
@@ -207,7 +213,7 @@ mod tests {
         let mut m = Machine::new(10);
         let j = Job::new(1, 0, 2, u64::MAX, u64::MAX - 5);
         assert_eq!(m.start(&j, 10), u64::MAX);
-        assert_eq!(m.running()[0].estimated_end, u64::MAX);
+        assert_eq!(m.running()[0].estimated_end(), u64::MAX);
     }
 
     #[test]
@@ -253,12 +259,18 @@ mod tests {
     }
 
     #[test]
-    fn utilization_tracks_busy_fraction() {
+    fn next_completion_is_the_earliest_actual_end() {
         let mut m = Machine::new(10);
-        assert_eq!(m.utilization(), 0.0);
-        m.start(&Job::exact(1, 0, 5, 10), 0);
-        assert!((m.utilization() - 0.5).abs() < 1e-12);
-        assert_eq!(Machine::new(0).utilization(), 0.0);
+        assert_eq!(m.next_completion(), None);
+        // Running order is by estimated end; completions go by actual end,
+        // ties by id.
+        m.start(&Job::new(3, 0, 1, 50, 50), 0);
+        m.start(&Job::new(1, 0, 1, 100, 30), 0);
+        m.start(&Job::new(2, 0, 1, 40, 30), 0);
+        assert_eq!(m.running()[0].job.id, JobId(2));
+        assert_eq!(m.next_completion(), Some((30, JobId(1))));
+        m.complete(JobId(1)).unwrap();
+        assert_eq!(m.next_completion(), Some((30, JobId(2))));
     }
 
     proptest! {
@@ -278,8 +290,8 @@ mod tests {
             for (next_id, &(kind, width, est, advance, pick)) in (0u32..).zip(&ops) {
                 now += advance;
                 if kind == 0 && !m.running().is_empty() {
-                    let id = m.running()[pick % m.running().len()].id;
-                    prop_assert_eq!(m.complete(id).map(|r| r.id), Ok(id));
+                    let id = m.running()[pick % m.running().len()].job.id;
+                    prop_assert_eq!(m.complete(id).map(|r| r.job.id), Ok(id));
                 } else if m.can_start(width) {
                     // Estimates in steps of ten seconds, so ends tie often;
                     // ids out of order, so ties need the id to break them.
@@ -289,14 +301,14 @@ mod tests {
                 prop_assert!(
                     m.running()
                         .windows(2)
-                        .all(|w| (w[0].estimated_end, w[0].id) < (w[1].estimated_end, w[1].id)),
+                        .all(|w| w[0].release_key() < w[1].release_key()),
                     "running set out of order: {:?}",
                     m.running()
                 );
-                let busy: u32 = m.running().iter().map(|r| r.width).sum();
+                let busy: u32 = m.running().iter().map(|r| r.job.width).sum();
                 prop_assert_eq!(m.busy(), busy);
                 let releases: Vec<(u32, u64)> =
-                    m.running().iter().map(|r| (r.width, r.estimated_end)).collect();
+                    m.running().iter().map(|r| (r.job.width, r.estimated_end())).collect();
                 for at in [now, now + 25, now + 70] {
                     prop_assert_eq!(m.history(at), MachineHistory::build(capacity, at, &releases));
                 }

@@ -24,7 +24,7 @@ pub const WIRE_VERSION: u64 = 1;
 /// step, the placement decision, and the flight-recorder timeline
 /// (`GET /v1/jobs/<id>/trace`).
 pub fn trace_id(batch: u64, id: u32) -> String {
-    // Built by hand: this runs once per completion on the service fast
+    // Built by hand: this runs once per decision on the admission fast
     // path, where `format!`'s per-call setup is measurable.
     let mut out = String::with_capacity(16);
     out.push_str("t-");

@@ -4,9 +4,10 @@
 //! The RMS itself — machine, waiting queue, running set, plan, records,
 //! the tune/plan/decline/dispatch loop — is the kernel shared with the
 //! simulator, [`dynp_sim::Rms`]. This module is its second driver and
-//! keeps only what is the service's own: batching, the logical clock and
-//! the `(end, id)` finish heap that orders completions, id assignment,
-//! the flight recorder, the wire views and snapshot/restore.
+//! keeps only what is the service's own: batching, the logical clock
+//! (completions are taken from the machine's running set in `(actual
+//! end, id)` order as the clock passes them), id assignment, the flight
+//! recorder, the wire views and snapshot/restore.
 //!
 //! ## Time is data
 //!
@@ -31,22 +32,24 @@
 //! gap.
 
 use std::collections::BTreeMap;
-use std::collections::BinaryHeap;
-use std::cmp::Reverse;
 
 use dynp_core::SelfTuning;
 use dynp_obs::json::{array_into, ObjectWriter};
 use dynp_obs::JsonValue;
+use dynp_platform::RunningJob;
 use dynp_sched::{PlanError, Policy};
-use dynp_sim::{JobRecord, Rms, SnapshotLog, Step};
+use dynp_sim::{Decline, JobRecord, Rms, SnapshotLog};
 use dynp_trace::{Job, JobId};
 
 use crate::api::{trace_id, Decision, Declined, JobRequest, ScheduleView, PlanEntry, WIRE_VERSION};
 
-/// One job's lifecycle timeline in the flight recorder: every milestone
-/// on the **logical** clock, so the rendered trace body is a pure
-/// function of the admitted sequence (byte-identical across servers and
-/// across a checkpoint restart — no wall-clock field ever lands here).
+/// What admission decided about one job — the flight recorder's entry.
+/// The rest of the job's lifecycle (dispatch, completion, a later
+/// decline) is read from where the kernel holds it when the trace is
+/// rendered, so nothing is stamped after admission. Every field is on
+/// the **logical** clock: the rendered trace body is a pure function of
+/// the admitted sequence (byte-identical across servers and across a
+/// checkpoint restart — no wall-clock field ever lands here).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobTimeline {
     /// Batch that admitted the job (1-based, the wire `batch` field).
@@ -57,29 +60,26 @@ pub struct JobTimeline {
     pub submit: u64,
     /// Policy the batch's tuning step decided on.
     pub policy: Policy,
-    /// First planned start (`None` until planned, or when declined).
+    /// Where the batch's plan placed the job; `None` when the batch
+    /// declined it.
     pub planned_start: Option<u64>,
-    /// Latest known planned start: the first placement until dispatch,
-    /// then the actual start (where the final plan put the job). The
-    /// recorder never rescans the queue on a plan revision — milestones
-    /// are stamped O(1) at admission, dispatch, and completion, which
-    /// is what keeps the recorder inside its ≤2% overhead budget.
-    pub last_planned: Option<u64>,
-    /// Plan revisions installed between admission and dispatch — how
-    /// many times the queue was re-planned while this job sat in it.
-    /// Frozen at dispatch; while the job waits, the live value is
-    /// `ServiceCore` installs minus [`JobTimeline::replans_base`].
-    pub replans: u32,
-    /// Install-counter reading when the timeline opened (bookkeeping
-    /// for the O(1) `replans` accounting).
-    pub replans_base: u64,
-    /// Actual dispatch time.
-    pub started: Option<u64>,
-    /// Actual completion time.
-    pub finished: Option<u64>,
-    /// Decline reason, for jobs that never entered the queue (or were
-    /// rejected by the planner later).
-    pub declined: Option<String>,
+}
+
+/// A submission the service refused: what the views and the snapshot
+/// show of it.
+#[derive(Debug)]
+struct DeclinedJob {
+    width: u32,
+    runtime: u64,
+    why: Declined,
+}
+
+/// Where a job is now: exactly one of the places the service keeps jobs.
+enum Whereabouts<'a> {
+    Waiting(&'a Job),
+    Running(&'a RunningJob),
+    Completed(&'a JobRecord),
+    Declined(&'a DeclinedJob),
 }
 
 // The snapshot's flat wire shapes, one key list each in wire order:
@@ -100,59 +100,31 @@ fn job_fields(job: &Job) -> [u64; 5] {
     ]
 }
 
-/// A timeline's members before its `policy`.
+/// A timeline's members before its `policy`; `planned_start` follows
+/// when set.
 const TIMELINE_HEAD: [&str; 4] = ["id", "batch", "admitted", "submit"];
-
-/// A timeline's members after its `policy`, each written when set (the
-/// two counts always are); `declined` follows when set.
-const TIMELINE_TAIL: [&str; 6] = [
-    "replans",
-    "replans_base",
-    "planned_start",
-    "last_planned",
-    "started",
-    "finished",
-];
-
-impl JobTimeline {
-    /// The values of [`TIMELINE_TAIL`].
-    fn tail(&self) -> [Option<u64>; 6] {
-        [
-            Some(self.replans.into()),
-            Some(self.replans_base),
-            self.planned_start,
-            self.last_planned,
-            self.started,
-            self.finished,
-        ]
-    }
-}
 
 /// The live scheduling state behind the serve API.
 #[derive(Debug)]
 pub struct ServiceCore {
     /// Logical service clock (seconds).
     clock: u64,
-    /// The RMS kernel: machine, tuner, queue, running set, plan, records.
+    /// The RMS kernel: machine (with the running set), tuner, queue,
+    /// plan, records.
     rms: Rms<SelfTuning>,
-    /// Pending completions `(actual_end, id)`, popped chronologically.
-    finishes: BinaryHeap<Reverse<(u64, u32)>>,
     /// Index into the kernel's completion records by raw job id.
     record_index: BTreeMap<u32, usize>,
     /// Declined submissions and why, keyed by raw job id.
-    declined: BTreeMap<u32, (JobRequest, Declined)>,
+    declined: BTreeMap<u32, DeclinedJob>,
     /// Next job id to assign; ids are admission-ordered.
     next_id: u32,
     /// Batches planned so far.
     batches: u64,
-    /// Flight recorder: per-job lifecycle timelines, indexed by raw
+    /// Flight recorder: what admission decided per job, indexed by raw
     /// job id. Ids are assigned densely from zero, so a vector makes
-    /// the admission-fast-path lookups one bounds check instead of a
+    /// the admission-fast-path write one bounds check instead of a
     /// hash; ids the recorder never saw stay `None`.
     timelines: Vec<Option<JobTimeline>>,
-    /// Plan revisions installed so far ([`Step::installed`] kernel
-    /// calls) — the monotone counter behind per-job `replans` accounting.
-    installs: u64,
     /// Whether the flight recorder captures timelines (on by default;
     /// the overhead bench flips it off to measure the delta).
     flight_recorder: bool,
@@ -169,20 +141,18 @@ impl ServiceCore {
         ServiceCore {
             clock: 0,
             rms,
-            finishes: BinaryHeap::new(),
             record_index: BTreeMap::new(),
             declined: BTreeMap::new(),
             next_id: 0,
             batches: 0,
             timelines: Vec::new(),
-            installs: 0,
             flight_recorder: true,
         }
     }
 
-    /// Turns the flight recorder on or off. Off, `submit_batch` skips
-    /// timeline bookkeeping entirely and [`ServiceCore::trace_json`]
-    /// answers `None` for every id.
+    /// Turns the flight recorder on or off. Off, `submit_batch` opens no
+    /// timelines and [`ServiceCore::trace_json`] answers `None` for every
+    /// id.
     pub fn set_flight_recorder(&mut self, on: bool) {
         self.flight_recorder = on;
     }
@@ -192,7 +162,7 @@ impl ServiceCore {
         self.flight_recorder
     }
 
-    /// The recorded timeline for `id`, if the flight recorder saw it.
+    /// What the flight recorder kept of `id`'s admission, if it saw it.
     pub fn timeline(&self, id: u32) -> Option<&JobTimeline> {
         self.timelines.get(id as usize).and_then(Option::as_ref)
     }
@@ -241,7 +211,7 @@ impl ServiceCore {
 
     /// Waiting + running counts, for admission diagnostics.
     pub fn in_flight(&self) -> usize {
-        self.rms.waiting().len() + self.rms.running().len()
+        self.rms.waiting().len() + self.rms.machine().running().len()
     }
 
     /// Admits `requests` as **one batch**: the clock advances to the
@@ -274,17 +244,24 @@ impl ServiceCore {
         // machine can never be planned) and runs one tuning step for the
         // whole batch.
         let step = self.rms.submit(self.clock, jobs.iter().copied());
-        self.apply(step);
 
-        // One pass over the installed plan (`Schedule::start_of` is a
-        // linear scan; per-id scans would be O(batch × plan)), keeping
-        // only this batch's own jobs: their ids are contiguous.
+        // One pass each over the dispatched jobs and the installed plan
+        // (`Schedule::start_of` is a linear scan; per-id scans would be
+        // O(batch × plan)), keeping only this batch's own jobs: their ids
+        // are contiguous.
         let first_id = self.next_id - jobs.len() as u32;
+        let slot = |id: JobId| id.0.checked_sub(first_id).map(|k| k as usize);
+        let mut started = vec![false; jobs.len()];
+        for (id, _) in &step.dispatched {
+            if let Some(flag) = slot(*id).and_then(|k| started.get_mut(k)) {
+                *flag = true;
+            }
+        }
+        self.book_declines(step.declined);
         let mut starts: Vec<Option<u64>> = vec![None; jobs.len()];
         for entry in self.rms.plan().entries() {
-            let slot = entry.id.0.checked_sub(first_id);
-            if let Some(slot) = slot.and_then(|k| starts.get_mut(k as usize)) {
-                *slot = Some(entry.start);
+            if let Some(start) = slot(entry.id).and_then(|k| starts.get_mut(k)) {
+                *start = Some(entry.start);
             }
         }
 
@@ -293,10 +270,10 @@ impl ServiceCore {
         let decisions: Vec<Decision> = jobs
             .iter()
             .zip(starts)
-            .map(|(job, planned)| {
+            .zip(started)
+            .map(|((job, planned), started)| {
                 let id = job.id.0;
-                let declined = self.declined.get(&id).map(|(_, why)| why.clone());
-                let started = self.rms.running().contains_key(&job.id);
+                let declined = self.declined.get(&id).map(|d| d.why.clone());
                 let planned_start = if declined.is_some() {
                     None
                 } else if started {
@@ -317,11 +294,9 @@ impl ServiceCore {
             })
             .collect();
 
-        // Flight recorder: open one timeline per id in this batch. The
-        // deciding policy is only known after the tuning step, so the
-        // timelines open here; jobs the dispatcher already started get
-        // their start stamped retroactively (it happened at this very
-        // clock — no time passes inside a batch).
+        // Flight recorder: one entry per id in this batch, written once.
+        // The deciding policy is only known after the tuning step, so the
+        // entries open here.
         if self.flight_recorder {
             for (d, job) in decisions.iter().zip(&jobs) {
                 self.put_timeline(
@@ -332,12 +307,6 @@ impl ServiceCore {
                         submit: job.submit,
                         policy,
                         planned_start: d.planned_start,
-                        last_planned: d.planned_start,
-                        replans: 0,
-                        replans_base: self.installs,
-                        started: d.started.then_some(clock),
-                        finished: None,
-                        declined: d.declined.as_ref().map(Declined::reason),
                     },
                 );
             }
@@ -357,91 +326,44 @@ impl ServiceCore {
         decisions
     }
 
-    /// Books what a kernel call did: declines, the plan revision, and a
-    /// pending completion per dispatched job.
-    ///
-    /// Flight-recorder accounting here is strictly O(dispatched): one
-    /// counter bump for the revision plus a timeline stamp per job that
-    /// starts. Re-scanning the whole waiting queue per revision to diff
-    /// planned starts was measured at 20–37% of the batched-admission
-    /// path (revisions land on every completion, so the scan was
-    /// quadratic in the backlog) — the `replans` counter instead
-    /// derives from the install counter, and `last_planned` is
-    /// refreshed when the job actually dispatches.
-    fn apply(&mut self, step: Step) {
-        for decline in step.declined {
-            let (job, id) = (decline.job, decline.job.id.0);
-            let why = match decline.error {
-                PlanError::JobTooWide { width, capacity, .. } if decline.at_door => {
+    /// Books the jobs a kernel call refused, with the wire reason.
+    fn book_declines(&mut self, declined: Vec<Decline>) {
+        for Decline { job, error, at_door } in declined {
+            let why = match error {
+                PlanError::JobTooWide { width, capacity, .. } if at_door => {
                     Declined::TooWide { width, capacity }
                 }
                 error => Declined::Unplannable {
                     reason: error.to_string(),
                 },
             };
-            if self.flight_recorder {
-                // A planner rejection can hit a job from an earlier batch
-                // (its timeline is open); same-batch declines are folded
-                // in when the timeline opens.
-                if let Some(t) = self.timelines.get_mut(id as usize).and_then(Option::as_mut) {
-                    t.declined = Some(why.reason());
-                    t.planned_start = None;
-                    t.last_planned = None;
-                }
-            }
-            let request = JobRequest {
+            let declined = DeclinedJob {
                 width: job.width,
                 runtime: job.estimated_duration,
-                actual_runtime: Some(job.actual_duration),
-                submit: Some(job.submit),
+                why,
             };
-            self.declined.insert(id, (request, why));
-        }
-        self.installs += u64::from(step.installed);
-        for (id, actual_end) in step.dispatched {
-            self.finishes.push(Reverse((actual_end, id.0)));
-            if self.flight_recorder {
-                // Jobs from *earlier* batches have open timelines; jobs
-                // of the batch being planned right now are stamped when
-                // their timelines open (same clock either way). The
-                // final plan placed the job at this very clock, so the
-                // dispatch stamp is also the last planned start.
-                if let Some(t) = self.timelines.get_mut(id.0 as usize).and_then(Option::as_mut) {
-                    t.started = Some(self.clock);
-                    t.last_planned = Some(self.clock);
-                    t.replans = self.installs.saturating_sub(t.replans_base + 1) as u32;
-                }
-            }
+            self.declined.insert(job.id.0, declined);
         }
     }
 
-    /// Advances the clock to `t`, completing every job whose actual end
-    /// it passes, in `(end, id)` order (each completion releases
-    /// resources and re-plans with the active policy, so waiting jobs
-    /// move forward).
+    /// Advances the clock to `t`, completing every running job whose
+    /// actual end it passes, in `(end, id)` order (each completion
+    /// releases resources and re-plans with the active policy, so
+    /// waiting jobs move forward).
     fn advance_to(&mut self, t: u64) {
-        while let Some(&Reverse((end, id))) = self.finishes.peek() {
-            if end > t {
-                break;
-            }
-            self.finishes.pop();
+        while let Some((end, id)) =
+            self.rms.machine().next_completion().filter(|&(end, _)| end <= t)
+        {
             self.clock = end;
-            // A duplicate completion releases nothing (cannot happen
-            // with the heap holding one entry per start, but cheap to
-            // keep the machine's own defence).
-            let Ok(step) = self.rms.complete(end, JobId(id), false) else {
-                continue;
-            };
-            self.record_index.insert(id, self.rms.records().len() - 1);
-            if self.flight_recorder {
-                if let Some(t) = self.timelines.get_mut(id as usize).and_then(Option::as_mut) {
-                    t.finished = Some(end);
-                }
-            }
+            let step = self
+                .rms
+                .complete(end, id, false)
+                .expect("the machine's next completion is running");
+            self.record_index.insert(id.0, self.rms.records().len() - 1);
             if let Some(r) = dynp_obs::recorder() {
                 r.counter("serve.completed").inc();
             }
-            self.apply(step);
+            self.book_declines(step.declined);
         }
         self.clock = self.clock.max(t);
     }
@@ -450,7 +372,7 @@ impl ServiceCore {
     /// completion until nothing is running or waiting. Returns the
     /// final clock.
     pub fn drain(&mut self) -> u64 {
-        while let Some(&Reverse((end, _))) = self.finishes.peek() {
+        while let Some((end, _)) = self.rms.machine().next_completion() {
             self.advance_to(end);
         }
         debug_assert!(
@@ -464,26 +386,27 @@ impl ServiceCore {
     /// running entries (actual starts, estimated ends) then planned
     /// waiting entries in planned-start order.
     pub fn schedule_view(&self) -> ScheduleView {
-        let (waiting, started) = (self.rms.waiting(), self.rms.running());
-        let mut entries = Vec::with_capacity(started.len() + waiting.len());
-        let mut running: Vec<&dynp_platform::RunningJob> =
-            self.rms.machine().running().iter().collect();
-        running.sort_by_key(|r| (r.start, r.id));
-        for r in running {
+        let (waiting, running) = (self.rms.waiting(), self.rms.machine().running());
+        let mut entries = Vec::with_capacity(running.len() + waiting.len());
+        let mut by_start: Vec<&RunningJob> = running.iter().collect();
+        by_start.sort_by_key(|r| (r.start, r.job.id));
+        for r in by_start {
             entries.push(PlanEntry {
-                id: r.id.0,
+                id: r.job.id.0,
                 start: r.start,
-                estimated_end: r.estimated_end,
-                width: r.width,
+                estimated_end: r.estimated_end(),
+                width: r.job.width,
                 running: true,
             });
         }
+        let mut started: Vec<JobId> = running.iter().map(|r| r.job.id).collect();
+        started.sort_unstable();
         for entry in self.rms.plan().start_order() {
             // A tuning step's plan covers the jobs it dispatched too (a
             // plan derived on this read, after a completion, does not);
             // only show the ones still waiting — the dispatched are in
             // the running section.
-            if started.contains_key(&entry.id) {
+            if started.binary_search(&entry.id).is_ok() {
                 continue;
             }
             entries.push(PlanEntry {
@@ -499,11 +422,26 @@ impl ServiceCore {
             policy: self.rms.selector().active(),
             batches: self.batches,
             waiting: waiting.len(),
-            running: started.len(),
+            running: running.len(),
             completed: self.records().len(),
             declined: self.declined.len(),
             entries,
         }
+    }
+
+    /// Where job `id` is now, or `None` for an id the service never
+    /// assigned.
+    fn whereabouts(&self, id: u32) -> Option<Whereabouts<'_>> {
+        if let Some(job) = self.rms.waiting().iter().find(|j| j.id.0 == id) {
+            return Some(Whereabouts::Waiting(job));
+        }
+        if let Some(r) = self.rms.machine().running().iter().find(|r| r.job.id.0 == id) {
+            return Some(Whereabouts::Running(r));
+        }
+        if let Some(&idx) = self.record_index.get(&id) {
+            return Some(Whereabouts::Completed(&self.records()[idx]));
+        }
+        self.declined.get(&id).map(Whereabouts::Declined)
     }
 
     /// The status body for `GET /v1/jobs/<id>`, or `None` for an id the
@@ -515,93 +453,69 @@ impl ServiceCore {
                 .with("id", id)
                 .with("status", status)
         };
-        if let Some(job) = self.rms.waiting().iter().find(|j| j.id.0 == id) {
-            let mut json = base("waiting")
-                .with("submit", job.submit)
-                .with("width", job.width)
-                .with("estimated_duration", job.estimated_duration);
-            // After a completion the kernel derives the plan on this read.
-            if let Some(start) = self.rms.plan().start_of(job.id) {
-                json.set("planned_start", start);
-            }
-            return Some(json);
-        }
-        if let Some((job, start)) = self.rms.running().get(&JobId(id)) {
-            return Some(
-                base("running")
+        let view = match self.whereabouts(id)? {
+            Whereabouts::Waiting(job) => {
+                let mut json = base("waiting")
                     .with("submit", job.submit)
                     .with("width", job.width)
-                    .with("estimated_duration", job.estimated_duration)
-                    .with("start", *start)
-                    .with("estimated_end", *start + job.estimated_duration),
-            );
-        }
-        if let Some(&idx) = self.record_index.get(&id) {
-            return Some(base("completed").with("record", self.records()[idx].to_json()));
-        }
-        if let Some((request, why)) = self.declined.get(&id) {
-            return Some(
-                base("declined")
-                    .with("width", request.width)
-                    .with("reason", why.reason()),
-            );
-        }
-        None
+                    .with("estimated_duration", job.estimated_duration);
+                // After a completion the kernel derives the plan on this read.
+                if let Some(start) = self.rms.plan().start_of(job.id) {
+                    json.set("planned_start", start);
+                }
+                json
+            }
+            Whereabouts::Running(r) => base("running")
+                .with("submit", r.job.submit)
+                .with("width", r.job.width)
+                .with("estimated_duration", r.job.estimated_duration)
+                .with("start", r.start)
+                .with("estimated_end", r.estimated_end()),
+            Whereabouts::Completed(record) => base("completed").with("record", record.to_json()),
+            Whereabouts::Declined(d) => base("declined")
+                .with("width", d.width)
+                .with("reason", d.why.reason()),
+        };
+        Some(view)
     }
 
     /// The flight-recorder body for `GET /v1/jobs/<id>/trace`: the
-    /// job's full lifecycle timeline on the logical clock. `None` when
-    /// the recorder is off or never saw the id. Every field is logical,
-    /// so two servers fed the same admitted sequence render
-    /// byte-identical bodies (the differential test in
-    /// `tests/serve_trace.rs` holds this across a checkpoint restart).
+    /// job's full lifecycle timeline on the logical clock — admission as
+    /// the recorder kept it, then dispatch, completion or a decline as
+    /// the kernel holds them. `None` when the recorder is off or never
+    /// saw the id. Every field is logical, so two servers fed the same
+    /// admitted sequence render byte-identical bodies (the differential
+    /// test in `tests/serve_trace.rs` holds this across a checkpoint
+    /// restart).
     pub fn trace_json(&self, id: u32) -> Option<JsonValue> {
         if !self.flight_recorder {
             return None;
         }
-        let t = self.timelines.get(id as usize)?.as_ref()?;
+        let t = self.timeline(id)?;
+        let event = |name: &str| JsonValue::object().with("event", name);
         let mut timeline = JsonValue::array();
-        timeline.push(
-            JsonValue::object()
-                .with("event", "submitted")
-                .with("clock", t.admitted)
-                .with("submit", t.submit),
-        );
-        if let Some(reason) = &t.declined {
+        timeline.push(event("submitted").with("clock", t.admitted).with("submit", t.submit));
+        let now = self.whereabouts(id)?;
+        if let Whereabouts::Declined(d) = now {
             timeline.push(
-                JsonValue::object()
-                    .with("event", "declined")
+                event("declined")
                     .with("clock", t.admitted)
-                    .with("reason", reason.as_str()),
+                    .with("reason", d.why.reason()),
             );
         } else {
-            timeline.push(JsonValue::object().with("event", "queued").with("clock", t.admitted));
-            if let Some(first) = t.planned_start {
-                let mut planned = JsonValue::object()
-                    .with("event", "planned")
-                    .with("start", first);
-                if let Some(last) = t.last_planned {
-                    if last != first {
-                        planned.set("last_start", last);
-                    }
+            timeline.push(event("queued").with("clock", t.admitted));
+            if let Some(start) = t.planned_start {
+                timeline.push(event("planned").with("start", start));
+            }
+            let (started, finished) = match now {
+                Whereabouts::Running(r) => (Some(r.start), None),
+                Whereabouts::Completed(record) => (Some(record.start), Some(record.end)),
+                _ => (None, None),
+            };
+            for (name, clock) in [("started", started), ("finished", finished)] {
+                if let Some(clock) = clock {
+                    timeline.push(event(name).with("clock", clock));
                 }
-                // Frozen at dispatch; live while the job still waits
-                // (every install since admission is a revision it sat
-                // through — the dispatch freeze excludes the revision
-                // that started the job, so the value never regresses).
-                let replans = if t.started.is_some() {
-                    u64::from(t.replans)
-                } else {
-                    self.installs.saturating_sub(t.replans_base)
-                };
-                planned.set("replans", replans);
-                timeline.push(planned);
-            }
-            if let Some(s) = t.started {
-                timeline.push(JsonValue::object().with("event", "started").with("clock", s));
-            }
-            if let Some(f) = t.finished {
-                timeline.push(JsonValue::object().with("event", "finished").with("clock", f));
             }
         }
         Some(
@@ -623,7 +537,7 @@ impl ServiceCore {
             .with("batches", self.batches)
             .with("submitted", self.submitted())
             .with("waiting", self.rms.waiting().len())
-            .with("running", self.rms.running().len())
+            .with("running", self.rms.machine().running().len())
             .with("completed", self.records().len())
             .with("declined", self.declined.len())
             .with("policy", self.rms.selector().active().name())
@@ -654,7 +568,7 @@ impl ServiceCore {
     /// serializer. Everything is deterministic (logical times only), so
     /// a restored core continues the decision sequence byte-identically.
     pub fn snapshot_json(&self) -> String {
-        let (waiting, running) = (self.rms.waiting(), self.rms.running());
+        let (waiting, running) = (self.rms.waiting(), self.rms.machine().running());
         let entries = waiting.len() + running.len() + self.records().len() + self.timelines.len();
         let mut out = String::with_capacity(256 + 160 * entries);
         let mut state = ObjectWriter::open(&mut out);
@@ -662,26 +576,25 @@ impl ServiceCore {
             .uint("clock", self.clock)
             .uint("next_id", self.next_id.into())
             .uint("batches", self.batches)
-            .uint("installs", self.installs)
             .str("active", self.rms.selector().active().name());
         array_into(state.key("waiting"), waiting, |out, job| {
             let mut object = ObjectWriter::open(out);
             object.uints(&JOB_FIELDS, &job_fields(job));
             object.close();
         });
-        array_into(state.key("running"), running.values(), |out, (job, start)| {
+        array_into(state.key("running"), running, |out, r| {
             let mut object = ObjectWriter::open(out);
-            object.uints(&JOB_FIELDS, &job_fields(job)).uint("start", *start);
+            object.uints(&JOB_FIELDS, &job_fields(&r.job)).uint("start", r.start);
             object.close();
         });
         array_into(state.key("records"), self.records(), |out, r| r.write_json(out));
-        array_into(state.key("declined"), &self.declined, |out, (id, (request, why))| {
+        array_into(state.key("declined"), &self.declined, |out, (id, d)| {
             let mut object = ObjectWriter::open(out);
             object
                 .uint("id", (*id).into())
-                .uint("width", request.width.into())
-                .uint("runtime", request.runtime)
-                .str("reason", &why.reason());
+                .uint("width", d.width.into())
+                .uint("runtime", d.runtime)
+                .str("reason", &d.why.reason());
             object.close();
         });
         // Vector order is ascending-id by construction.
@@ -691,13 +604,8 @@ impl ServiceCore {
             object
                 .uints(&TIMELINE_HEAD, &[id.into(), t.batch, t.admitted, t.submit])
                 .str("policy", t.policy.name());
-            for (key, value) in TIMELINE_TAIL.iter().zip(t.tail()) {
-                if let Some(value) = value {
-                    object.uint(key, value);
-                }
-            }
-            if let Some(reason) = &t.declined {
-                object.str("declined", reason);
+            if let Some(start) = t.planned_start {
+                object.uint("planned_start", start);
             }
             object.close();
         });
@@ -754,38 +662,30 @@ impl ServiceCore {
         let waiting = array("waiting")?.iter().map(parse_job).collect::<Result<Vec<Job>, _>>()?;
         let running = array("running")?
             .iter()
-            .map(|v| Ok((parse_job(v)?, u(v, "start")?)))
-            .collect::<Result<Vec<(Job, u64)>, String>>()?;
+            .map(|v| {
+                Ok(RunningJob {
+                    job: parse_job(v)?,
+                    start: u(v, "start")?,
+                })
+            })
+            .collect::<Result<Vec<RunningJob>, String>>()?;
         let records = array("records")?
             .iter()
             .map(|v| JobRecord::from_json(v).map_err(|e| e.to_string()))
             .collect::<Result<Vec<JobRecord>, _>>()?;
 
         // The kernel restarts running jobs at their recorded starts, so
-        // the machine reports the same actual ends the original run saw
-        // and the pending-completion heap rebuilds exactly.
+        // the machine completes them at the same actual ends the original
+        // run saw.
         let mut core = ServiceCore::over(Rms::restore(
             capacity, tuner, clock, active, waiting, running, records,
         )?);
-        for r in core.rms.machine().running() {
-            core.finishes.push(Reverse((r.actual_end, r.id.0)));
-        }
         for (idx, record) in core.rms.records().iter().enumerate() {
             core.record_index.insert(record.id.0, idx);
         }
         core.clock = clock;
         core.next_id = u(data, "next_id")? as u32;
         core.batches = u(data, "batches")?;
-        // Absent in pre-trace snapshots (no timelines to account for).
-        // Restored verbatim: the kernel re-derives the current plan, but
-        // that plan was already counted when it first installed, so the
-        // rebuild is revision-neutral — otherwise every waiting job
-        // would charge one phantom replan per restart and trace bodies
-        // would diverge from a server that never restarted.
-        core.installs = data
-            .get("installs")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
         for v in array("declined")? {
             let id = u(v, "id")? as u32;
             let width = u(v, "width")? as u32;
@@ -795,24 +695,14 @@ impl ServiceCore {
                 .and_then(JsonValue::as_str)
                 .ok_or("declined entry without a reason")?
                 .to_string();
-            core.declined.insert(
-                id,
-                (
-                    JobRequest {
-                        width,
-                        runtime,
-                        actual_runtime: None,
-                        submit: None,
-                    },
-                    Declined::Unplannable { reason },
-                ),
-            );
+            let why = Declined::Unplannable { reason };
+            core.declined.insert(id, DeclinedJob { width, runtime, why });
         }
-        // Flight-recorder timelines (absent in pre-trace snapshots —
-        // an empty recorder is the correct restore for those). The
-        // per-timeline bases are restored verbatim like the install
-        // counter, so replan counters — and therefore trace bodies —
-        // stay byte-identical across the restart.
+        // Flight-recorder entries (absent in pre-trace snapshots — an
+        // empty recorder is the correct restore for those). Members that
+        // snapshots once carried after `policy` (dispatch and completion
+        // stamps, replan counts, the decline reason) are the kernel's to
+        // hold, and are ignored.
         if let Some(entries) = data.get("timelines").and_then(JsonValue::as_array) {
             for v in entries {
                 let policy: Policy = v
@@ -821,8 +711,6 @@ impl ServiceCore {
                     .ok_or("timeline entry without a policy")?
                     .parse()?;
                 let [id, batch, admitted, submit] = TIMELINE_HEAD.map(|key| u(v, key));
-                let [replans, replans_base, planned_start, last_planned, started, finished] =
-                    TIMELINE_TAIL.map(|key| v.get(key).and_then(JsonValue::as_u64));
                 core.put_timeline(
                     id? as u32,
                     JobTimeline {
@@ -830,16 +718,7 @@ impl ServiceCore {
                         admitted: admitted?,
                         submit: submit?,
                         policy,
-                        planned_start,
-                        last_planned,
-                        replans: replans.ok_or_else(|| missing("replans"))? as u32,
-                        replans_base: replans_base.unwrap_or(0),
-                        started,
-                        finished,
-                        declined: v
-                            .get("declined")
-                            .and_then(JsonValue::as_str)
-                            .map(str::to_string),
+                        planned_start: v.get("planned_start").and_then(JsonValue::as_u64),
                     },
                 );
             }
@@ -1096,7 +975,7 @@ mod tests {
         let mut c = core(4);
         let backlog: Vec<JobRequest> = (0..1001).map(|_| req(4, 100)).collect();
         c.submit_batch(&backlog);
-        assert_eq!((c.rms.running().len(), c.rms.waiting().len()), (1, 1000));
+        assert_eq!((c.rms.machine().running().len(), c.rms.waiting().len()), (1, 1000));
         // The pass as the kernel runs it when job 0 ends at 100: the
         // placed prefix it returns is one job long, the one it starts.
         let problem = SchedulingProblem::new(
@@ -1108,8 +987,8 @@ mod tests {
         let frontier = plan_frontier(&problem, &order).unwrap();
         assert_eq!(frontier.len(), 1, "placed {} of 1000 queued jobs", frontier.len());
         c.advance_to(100);
-        assert!(c.rms.running().contains_key(&frontier.entries()[0].id));
-        assert_eq!((c.rms.running().len(), c.rms.waiting().len()), (1, 999));
+        assert_eq!(c.rms.machine().running()[0].job.id, frontier.entries()[0].id);
+        assert_eq!((c.rms.machine().running().len(), c.rms.waiting().len()), (1, 999));
     }
 
     #[test]
@@ -1119,36 +998,34 @@ mod tests {
         c.submit_batch(&[req(4, 100)]);
         c.submit_batch(&[req(4, 50), req(9, 10)]);
 
-        let t0 = c.timeline(0).unwrap().clone();
-        assert_eq!((t0.batch, t0.started), (1, Some(0)));
-        assert!(t0.finished.is_none());
+        // The recorder keeps what admission decided, nothing later.
         let t1 = c.timeline(1).unwrap();
-        assert_eq!(t1.planned_start, Some(100));
-        assert!(t1.started.is_none());
-        let t2 = c.timeline(2).unwrap();
-        assert!(t2.declined.is_some());
+        assert_eq!((t1.batch, t1.admitted, t1.planned_start), (2, 0, Some(100)));
+        assert_eq!(c.timeline(2).unwrap().planned_start, None);
+        let events = |c: &ServiceCore, id: u32| {
+            let body = c.trace_json(id).unwrap().to_json();
+            dynp_obs::validate_json(&body).unwrap();
+            let (_, timeline) = body.split_once("\"timeline\":").unwrap();
+            timeline.to_string()
+        };
+        assert_eq!(
+            events(&c, 0),
+            r#"[{"event":"submitted","clock":0,"submit":0},{"event":"queued","clock":0},{"event":"planned","start":0},{"event":"started","clock":0}]}"#
+        );
+        assert_eq!(
+            events(&c, 1),
+            r#"[{"event":"submitted","clock":0,"submit":0},{"event":"queued","clock":0},{"event":"planned","start":100}]}"#
+        );
 
+        // Dispatch and completion are read from the kernel's records.
         c.drain();
-        let t0 = c.timeline(0).unwrap();
-        assert_eq!(t0.finished, Some(100));
-        let t1 = c.timeline(1).unwrap();
-        assert_eq!((t1.started, t1.finished), (Some(100), Some(150)));
-
-        // Trace bodies: every event on the logical clock, strict JSON.
-        let body = c.trace_json(1).unwrap().to_json();
-        dynp_obs::validate_json(&body).unwrap();
-        for needle in [
-            "\"event\":\"submitted\"",
-            "\"event\":\"queued\"",
-            "\"event\":\"planned\"",
-            "\"event\":\"started\"",
-            "\"event\":\"finished\"",
-            "\"trace\":\"t-2-1\"",
-        ] {
-            assert!(body.contains(needle), "{needle} missing in {body}");
-        }
-        let declined = c.trace_json(2).unwrap().to_json();
-        assert!(declined.contains("\"event\":\"declined\""), "{declined}");
+        assert!(events(&c, 0).ends_with(r#"{"event":"started","clock":0},{"event":"finished","clock":100}]}"#));
+        assert!(events(&c, 1).ends_with(r#"{"event":"planned","start":100},{"event":"started","clock":100},{"event":"finished","clock":150}]}"#));
+        assert!(c.trace_json(1).unwrap().to_json().contains("\"trace\":\"t-2-1\""));
+        assert_eq!(
+            events(&c, 2),
+            r#"[{"event":"submitted","clock":0,"submit":0},{"event":"declined","clock":0,"reason":"width 9 exceeds machine capacity 4"}]}"#
+        );
         assert!(c.trace_json(77).is_none());
     }
 
@@ -1197,6 +1074,29 @@ mod tests {
                 b.trace_json(id).map(|j| j.to_json()),
                 "post-restore trace diverged for job {id}"
             );
+        }
+    }
+
+    /// A snapshot in the layout written before the flight recorder kept
+    /// only admission's facts (an install counter; dispatch, completion,
+    /// replan and decline members on every timeline; running jobs in id
+    /// order) restores to the core that wrote it.
+    #[test]
+    fn snapshots_in_the_earlier_layout_still_restore() {
+        const EARLIER: &str = r#"{"clock":70,"next_id":6,"batches":3,"installs":4,"active":"SJF","waiting":[{"id":4,"submit":50,"width":8,"runtime":40,"actual":40},{"id":5,"submit":70,"width":3,"runtime":20,"actual":20}],"running":[{"id":0,"submit":0,"width":4,"runtime":100,"actual":100,"start":0},{"id":2,"submit":0,"width":2,"runtime":30,"actual":30,"start":60}],"records":[{"id":1,"submit":0,"start":0,"end":60,"width":4,"estimated_duration":60,"wait":0,"response":60}],"declined":[{"id":3,"width":9,"runtime":10,"reason":"width 9 exceeds machine capacity 8"}],"timelines":[{"id":0,"batch":1,"admitted":0,"submit":0,"policy":"FCFS","replans":0,"replans_base":1,"planned_start":0,"last_planned":0,"started":0},{"id":1,"batch":1,"admitted":0,"submit":0,"policy":"FCFS","replans":0,"replans_base":1,"planned_start":0,"last_planned":0,"started":0,"finished":60},{"id":2,"batch":1,"admitted":0,"submit":0,"policy":"FCFS","replans":1,"replans_base":1,"planned_start":60,"last_planned":60,"started":60},{"id":3,"batch":1,"admitted":0,"submit":0,"policy":"FCFS","replans":0,"replans_base":1,"declined":"width 9 exceeds machine capacity 8"},{"id":4,"batch":2,"admitted":50,"submit":50,"policy":"FCFS","replans":0,"replans_base":2,"planned_start":100,"last_planned":100},{"id":5,"batch":3,"admitted":70,"submit":70,"policy":"SJF","replans":0,"replans_base":4,"planned_start":90,"last_planned":90}]}"#;
+        let mut live = core(8);
+        live.submit_batch(&[req(4, 100), req(4, 60), req(2, 30), req(9, 10)]);
+        live.submit_batch(&[JobRequest { submit: Some(50), ..req(8, 40) }]);
+        live.submit_batch(&[JobRequest { submit: Some(70), ..req(3, 20) }]);
+        let earlier = dynp_obs::parse_json(EARLIER).unwrap();
+        let mut restored =
+            ServiceCore::restore(8, SelfTuning::paper_config(Metric::SldwA), &earlier).unwrap();
+        assert_eq!(restored.snapshot_json(), live.snapshot_json());
+        live.drain();
+        restored.drain();
+        for id in 0..6 {
+            assert_eq!(restored.job_view(id), live.job_view(id), "job {id}");
+            assert_eq!(restored.trace_json(id), live.trace_json(id), "trace {id}");
         }
     }
 

@@ -9,10 +9,11 @@
 //!   [`Decision`] per job (dispatched now, planned start, or declined),
 //!   each stamped with a deterministic trace id ([`api::trace_id`]).
 //! - `GET /v1/jobs/<id>` — lifecycle status of a submitted job.
-//! - `GET /v1/jobs/<id>/trace` — the flight-recorder timeline
-//!   ([`JobTimeline`]): submitted → queued → planned → started →
-//!   finished on the logical clock, with the deciding policy, batch id,
-//!   and replan count. Persists through checkpoints.
+//! - `GET /v1/jobs/<id>/trace` — the flight-recorder timeline:
+//!   submitted → queued → planned → started → finished on the logical
+//!   clock, with the deciding policy and batch id. The recorder keeps
+//!   what admission decided ([`JobTimeline`], persisted through
+//!   checkpoints); dispatch and completion are read from the kernel.
 //! - `GET /v1/schedule` — the current plan ([`ScheduleView`]).
 //! - `GET /v1/stats` — per-route RED (rate / errors / duration) plus
 //!   sliding-window (1m/5m/15m) p50/p95/p99, fed by an

@@ -104,8 +104,9 @@ pub struct ServeConfig {
     /// valid snapshot at start and checkpoints after every batch.
     pub checkpoint: Option<std::path::PathBuf>,
     /// Whether the per-job flight recorder is on (lifecycle timelines
-    /// behind `GET /v1/jobs/<id>/trace`). Costs one small map entry per
-    /// admitted job; off turns the trace route into a typed 404.
+    /// behind `GET /v1/jobs/<id>/trace`). Costs one small entry per
+    /// admitted job, written once at admission; off turns the trace
+    /// route into a typed 404.
     pub flight_recorder: bool,
 }
 

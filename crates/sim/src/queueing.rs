@@ -22,7 +22,6 @@ use dynp_des::{EventQueue, Model};
 use dynp_platform::Machine;
 use dynp_sched::Policy;
 use dynp_trace::{Job, JobId};
-use std::collections::HashMap;
 
 /// Dispatch rule of the queue-based RMS.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,7 +49,6 @@ pub struct QueueRms {
     policy: Policy,
     discipline: QueueDiscipline,
     queue: Vec<Job>,
-    started: HashMap<JobId, (Job, u64)>,
     records: Vec<JobRecord>,
     /// Count of dispatches that jumped the queue (backfills).
     backfills: usize,
@@ -64,7 +62,6 @@ impl QueueRms {
             policy,
             discipline,
             queue: Vec::new(),
-            started: HashMap::new(),
             records: Vec::new(),
             backfills: 0,
         }
@@ -92,7 +89,6 @@ impl QueueRms {
 
     fn start_job(&mut self, job: Job, now: u64, queue: &mut EventQueue<QueueEvent>) {
         let end = self.machine.start(&job, now);
-        self.started.insert(job.id, (job, now));
         queue.schedule(end, QueueEvent::Finish(job.id));
     }
 
@@ -109,7 +105,7 @@ impl QueueRms {
                 break;
             }
         }
-        let extra = self.machine.history(now).free_at(shadow_time) - head.width;
+        let extra = history.free_at(shadow_time) - head.width;
         (shadow_time, extra)
     }
 
@@ -173,20 +169,12 @@ impl Model for QueueRms {
                 self.dispatch(now, queue);
             }
             QueueEvent::Finish(id) => {
-                if self.machine.complete(id).is_err() {
-                    // Duplicate completion: nothing was released, so
-                    // there is nothing to record or dispatch against.
+                // A duplicate completion releases nothing, so there is
+                // nothing to record or dispatch against.
+                let Ok(running) = self.machine.complete(id) else {
                     return;
-                }
-                let (job, start) = self.started.remove(&id).expect("was started");
-                self.records.push(JobRecord {
-                    id,
-                    submit: job.submit,
-                    start,
-                    end: now,
-                    width: job.width,
-                    estimated_duration: job.estimated_duration,
-                });
+                };
+                self.records.push(JobRecord::completed(running, now));
                 self.dispatch(now, queue);
             }
         }

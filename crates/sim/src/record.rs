@@ -4,6 +4,7 @@
 //! the *actual* runtimes, so the end-of-run metrics here are computed on
 //! what really happened — the numbers a machine owner would report.
 
+use dynp_platform::RunningJob;
 use dynp_trace::JobId;
 
 /// Everything known about one completed job.
@@ -24,6 +25,19 @@ pub struct JobRecord {
 }
 
 impl JobRecord {
+    /// The record of `running`, released from the machine at `end`.
+    pub fn completed(running: RunningJob, end: u64) -> JobRecord {
+        let RunningJob { job, start } = running;
+        JobRecord {
+            id: job.id,
+            submit: job.submit,
+            start,
+            end,
+            width: job.width,
+            estimated_duration: job.estimated_duration,
+        }
+    }
+
     /// Waiting time: start minus submit.
     pub fn wait(&self) -> u64 {
         self.start - self.submit

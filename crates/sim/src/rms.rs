@@ -1,9 +1,10 @@
 //! The planning-based RMS: one clock-agnostic kernel, plus its
 //! discrete-event driver.
 //!
-//! [`Rms`] is the paper's CCS (§2) as a state machine: machine, policy
-//! selector, waiting queue, running set, plan, completion records. It
-//! owns no clock and no event queue — the caller says what time it is.
+//! [`Rms`] is the paper's CCS (§2) as a state machine: machine (whose
+//! running set is the only one), policy selector, waiting queue, plan,
+//! completion records. It owns no clock and no event queue — the caller
+//! says what time it is.
 //! Submissions ([`Rms::submit`]) trigger a self-tuning step (snapshot →
 //! policy selection → full plan); completions ([`Rms::complete`]) release
 //! resources and move waiting jobs forward under the active policy, so
@@ -26,13 +27,12 @@ use crate::record::JobRecord;
 use crate::snapshots::SnapshotLog;
 use dynp_core::PolicySelector;
 use dynp_des::{EventQueue, Model};
-use dynp_platform::{Machine, MachineError};
+use dynp_platform::{Machine, MachineError, RunningJob};
 use dynp_sched::{
     plan, plan_frontier, PlanError, Policy, Schedule, ScheduleEntry, SchedulingProblem,
 };
 use dynp_trace::{Job, JobId};
 use std::cell::OnceCell;
-use std::collections::BTreeMap;
 
 /// A job the kernel refused, and why.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -77,9 +77,6 @@ pub struct Rms<S: PolicySelector> {
     /// function of the job set, not of `waiting`'s removal history).
     /// `None` from a tuning step until the next completion sorts it.
     ordered: Option<Vec<Job>>,
-    /// Running jobs and their start times (id-ordered, so drivers that
-    /// serialize the set get a deterministic order).
-    running: BTreeMap<JobId, (Job, u64)>,
     /// The plan behind [`Rms::plan`]: filled by a tuning step and by
     /// `restore`, emptied by a completion and derived on the next read.
     plan: OnceCell<Schedule>,
@@ -102,7 +99,6 @@ impl<S: PolicySelector> Rms<S> {
             selector,
             waiting: Vec::new(),
             ordered: None,
-            running: BTreeMap::new(),
             plan: OnceCell::new(),
             planned_at: 0,
             records: Vec::new(),
@@ -129,7 +125,7 @@ impl<S: PolicySelector> Rms<S> {
         now: u64,
         active: Policy,
         waiting: Vec<Job>,
-        mut running: Vec<(Job, u64)>,
+        mut running: Vec<RunningJob>,
         records: Vec<JobRecord>,
     ) -> Result<Rms<S>, String> {
         let mut rms = Rms::new(capacity, selector, SnapshotLog::disabled());
@@ -137,8 +133,8 @@ impl<S: PolicySelector> Rms<S> {
         rms.waiting = waiting;
         rms.records = records;
         rms.planned_at = now;
-        running.sort_by_key(|(job, start)| (*start, job.id));
-        for (job, start) in running {
+        running.sort_by_key(|r| (r.start, r.job.id));
+        for RunningJob { job, start } in running {
             if !rms.machine.can_start(job.width) {
                 return Err(format!(
                     "restored state overcommits the machine at job {}",
@@ -146,7 +142,6 @@ impl<S: PolicySelector> Rms<S> {
                 ));
             }
             rms.machine.start(&job, start);
-            rms.running.insert(job.id, (job, start));
         }
         // The full pass, not a completion's frontier pass: only placing
         // every job finds the one that can never be placed, and it is
@@ -195,16 +190,8 @@ impl<S: PolicySelector> Rms<S> {
     /// tunes on submissions only). A job that is not running changes
     /// nothing.
     pub fn complete(&mut self, now: u64, id: JobId, tune: bool) -> Result<Step, MachineError> {
-        self.machine.complete(id)?;
-        let (job, start) = self.running.remove(&id).expect("running job is tracked");
-        self.records.push(JobRecord {
-            id,
-            submit: job.submit,
-            start,
-            end: now,
-            width: job.width,
-            estimated_duration: job.estimated_duration,
-        });
+        let running = self.machine.complete(id)?;
+        self.records.push(JobRecord::completed(running, now));
         let mut step = Step::default();
         self.replan(now, tune, &mut step);
         Ok(step)
@@ -302,7 +289,6 @@ impl<S: PolicySelector> Rms<S> {
         for entry in due(schedule, now) {
             let job = self.take_waiting(entry.id).expect("planned job is waiting");
             let actual_end = self.machine.start(&job, now);
-            self.running.insert(job.id, (job, now));
             step.dispatched.push((job.id, actual_end));
         }
     }
@@ -337,7 +323,7 @@ impl<S: PolicySelector> Rms<S> {
         }
     }
 
-    /// The underlying machine (for capacity / utilization queries).
+    /// The machine: capacity, and the running set with start times.
     pub fn machine(&self) -> &Machine {
         &self.machine
     }
@@ -352,14 +338,9 @@ impl<S: PolicySelector> Rms<S> {
         &self.waiting
     }
 
-    /// Running jobs and their start times, by id.
-    pub fn running(&self) -> &BTreeMap<JobId, (Job, u64)> {
-        &self.running
-    }
-
     /// The current plan. After a submission this is the tuning step's
     /// full plan, which still lists the jobs it dispatched (filter by
-    /// [`Rms::running`] for the waiting part). After a completion it is
+    /// [`Machine::running`] for the waiting part). After a completion it is
     /// derived on read — the active policy's full plan of the jobs still
     /// waiting, against the machine as the completion left it; the same
     /// starts a full re-plan at the completion would have given them,
@@ -745,7 +726,7 @@ mod tests {
         let mut a = Rms::new(4, sjf, SnapshotLog::disabled());
         a.submit(0, jobs);
         a.complete(20, JobId(2), false).unwrap();
-        let running = a.running().values().copied().collect();
+        let running = a.machine().running().to_vec();
         let (waiting, records) = (a.waiting().to_vec(), a.records().to_vec());
         let mut b = Rms::restore(4, sjf, 20, Policy::Sjf, waiting, running, records).unwrap();
         // SJF ran job 2 first, job 1 (4-wide) took the machine at 20 and
@@ -760,10 +741,12 @@ mod tests {
             b.complete(70, JobId(1), false)
         );
         assert_eq!(a.records(), b.records());
-        assert_eq!(a.running(), b.running());
+        assert_eq!(a.machine().running(), b.machine().running());
 
         // Two 3-wide jobs cannot both be running on 4 nodes.
-        let overcommitted = vec![(jobs[0], 0), (Job::exact(5, 0, 3, 10), 0)];
+        let overcommitted = [jobs[0], Job::exact(5, 0, 3, 10)]
+            .map(|job| RunningJob { job, start: 0 })
+            .to_vec();
         let err = Rms::restore(4, sjf, 0, Policy::Sjf, vec![], overcommitted, vec![]);
         assert!(err.unwrap_err().contains("overcommits"));
         let unplannable = vec![Job::exact(6, 0, 9, 10)];

@@ -10,6 +10,9 @@
 //! * a 5 s-interarrival 1 000-job trace through `ServiceCore::submit_batch`
 //!   at 32 jobs a batch plus the drain — every decision body and record.
 //!
+//! A fourth pin, `service_views_are_pinned`, folds every status, schedule
+//! and trace body the service renders over a shorter sequence.
+//!
 //! A change that moves one schedule, one metric value or one tie-break
 //! moves a digest. Run in release too: the kernel's debug cross-checks are
 //! compiled out there, so this is what holds the optimised build.
@@ -89,4 +92,77 @@ fn service_backlog_replay_is_pinned() {
     assert_eq!(core.records().len(), trace.jobs.len());
     push_records(&mut bytes, core.records());
     assert_eq!(digest(&bytes), "eef4764b0945da74");
+}
+
+/// Every body the service renders for one job sequence with declines and
+/// a backlog: the decisions, `GET /v1/schedule` and the stats after every
+/// batch, and `GET /v1/jobs/<id>` and `/trace` for every id after every
+/// fourth batch and after the drain — jobs waiting, running, completed
+/// and declined. A core restored from the mid-stream snapshot renders the
+/// same bodies from there on. The job-view constant was recorded on the
+/// commit before the kernel's running set became the machine's; the trace
+/// constant there too, with the `last_start` and `replans` members (no
+/// longer kept) taken out of each body.
+#[test]
+fn service_views_are_pinned() {
+    let model = CtcModel {
+        mean_interarrival: 5.0,
+        ..CtcModel::default()
+    };
+    let trace = model.generate(240, 7);
+    let requests: Vec<JobRequest> = (0..)
+        .zip(&trace.jobs)
+        .map(|(k, j)| JobRequest {
+            // Every 25th job is wider than the machine.
+            width: if k % 25 == 3 { trace.machine_size + 1 } else { j.width },
+            runtime: j.estimated_duration,
+            actual_runtime: Some(j.actual_duration),
+            submit: Some(j.submit),
+        })
+        .collect();
+    let tuner = || SelfTuning::paper_config(Metric::SldwA);
+    let mut live = ServiceCore::new(trace.machine_size, tuner());
+    let mut restored: Option<ServiceCore> = None;
+    let (mut views, mut traces) = (String::new(), String::new());
+    let mut deepest = 0;
+    for (k, group) in requests.chunks(16).enumerate() {
+        if k == 6 {
+            let snapshot = live.snapshot();
+            restored = Some(ServiceCore::restore(trace.machine_size, tuner(), &snapshot).unwrap());
+        }
+        views.push_str(&decisions_body(&live.submit_batch(group), true));
+        if let Some(twin) = &mut restored {
+            twin.submit_batch(group);
+        }
+        deepest = deepest.max(live.in_flight());
+        render_state(&live, k % 4 == 3, &mut views, &mut traces);
+    }
+    live.drain();
+    render_state(&live, true, &mut views, &mut traces);
+    assert!(deepest > 60, "the backlog never grew: {deepest} in flight");
+
+    let mut twin = restored.expect("restored mid-stream");
+    twin.drain();
+    for id in 0..live.submitted() as u32 {
+        assert_eq!(twin.job_view(id), live.job_view(id), "job {id}");
+        assert_eq!(twin.trace_json(id), live.trace_json(id), "trace {id}");
+    }
+    assert_eq!(
+        (digest(&views), digest(&traces)),
+        ("c6a3fb04dd959301".to_string(), "2762a268eb64df20".to_string())
+    );
+}
+
+/// Appends the schedule view and the stats to `views`, and with
+/// `per_job` every job's status body to `views` and trace body to
+/// `traces`.
+fn render_state(core: &ServiceCore, per_job: bool, views: &mut String, traces: &mut String) {
+    views.push_str(&core.schedule_view().to_json().to_json());
+    views.push_str(&core.stats_json().to_json());
+    if per_job {
+        for id in 0..core.submitted() as u32 {
+            views.push_str(&core.job_view(id).expect("assigned").to_json());
+            traces.push_str(&core.trace_json(id).expect("recorded").to_json());
+        }
+    }
 }

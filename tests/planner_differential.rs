@@ -19,6 +19,7 @@
 //! These properties take the default case count, so `PROPTEST_CASES`
 //! scales them (CI runs 256 in release).
 
+use dynp_rs::platform::RunningJob;
 use dynp_rs::prelude::*;
 use dynp_rs::sched::{plan, plan_frontier, Reservation, ScheduleEntry};
 use dynp_rs::sim::{Rms, SnapshotFilter, Step};
@@ -293,13 +294,16 @@ fn assert_completion_equivalence(problem: &SchedulingProblem, policy: Policy) {
     // nothing can start at the restore, and its completion leaves the
     // kernel looking at exactly `problem`.
     let finishing = Job::new(u32::MAX, 0, free_now, now + 1, now);
-    let mut running = vec![(finishing, 0)];
+    let mut running = vec![RunningJob {
+        job: finishing,
+        start: 0,
+    }];
     for (k, step) in points.windows(2).enumerate() {
         let width = step[1].free - step[0].free;
-        running.push((
-            Job::exact(u32::MAX - 1 - k as u32, 0, width, step[1].time),
-            0,
-        ));
+        running.push(RunningJob {
+            job: Job::exact(u32::MAX - 1 - k as u32, 0, width, step[1].time),
+            start: 0,
+        });
     }
     let mut rms = Rms::restore(
         problem.capacity(),
@@ -488,8 +492,8 @@ fn replay_checking_completions<S: PolicySelector>(
                     .machine()
                     .running()
                     .iter()
-                    .filter(|r| r.id != id)
-                    .map(|r| (r.width, r.estimated_end))
+                    .filter(|r| r.job.id != id)
+                    .map(|r| (r.job.width, r.estimated_end()))
                     .collect();
                 let history = MachineHistory::build(capacity, now, &running);
                 let problem = SchedulingProblem::new(now, history, rms.waiting().to_vec());
@@ -524,7 +528,7 @@ fn replay_checking_completions<S: PolicySelector>(
                 .map(|(id, end)| Reverse((end, id))),
         );
     }
-    assert!(rms.waiting().is_empty() && rms.running().is_empty());
+    assert!(rms.waiting().is_empty() && rms.machine().running().is_empty());
     checked
 }
 
