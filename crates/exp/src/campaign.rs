@@ -396,7 +396,7 @@ pub struct CampaignConfig {
     /// Exact ILP comparison; `None` replays only.
     pub exact: Option<ExactConfig>,
     /// Wall-clock budget per cell attempt. Past it the cell's
-    /// cooperative cancel token fires, the DES / branch & bound /
+    /// cooperative cancel token fires, the replay / branch & bound /
     /// simplex loops wind down, the attempt's partial results are
     /// discarded, and the cell records `timed_out` (after retries).
     /// `None` disables the deadline. Whether a deadline is *hit* is a
@@ -928,8 +928,8 @@ fn sleep_unless_cancelled(total: Duration) {
 ///   [`pool::call_caught`] at the cell boundary — the worker thread and
 ///   its sibling cells keep running,
 /// * the deadline is enforced cooperatively: a fresh [`CancelToken`]
-///   with the configured budget is installed per attempt, and the DES
-///   event loop, the branch & bound loop, and the simplex iteration
+///   with the configured budget is installed per attempt, and the replay
+///   loop, the branch & bound loop, and the simplex iteration
 ///   loop poll it. A cancelled attempt *returns normally* with partial
 ///   data, which is discarded here — an interrupted replay is not a
 ///   finished one,

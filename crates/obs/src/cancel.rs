@@ -9,7 +9,7 @@
 //! checkpoint state), so the budget is enforced cooperatively: the
 //! worker installs a [`CancelToken`] for the duration of the cell, and
 //! the three unbounded loops down the stack — the milp branch-and-bound
-//! node loop, the simplex iteration loop, and the DES event loop — poll
+//! node loop, the simplex iteration loop, and the sim replay loop — poll
 //! [`cancelled`] and wind down early when the deadline has passed. An
 //! exact solve's own `time_limit` is the same thing one level down: a
 //! deadline token the branch & bound installs for its duration. Budgets
@@ -18,8 +18,8 @@
 //!
 //! This module lives in `dynp-obs` for the same reason the trace
 //! context does: it is the one zero-dependency crate every layer
-//! already links, so the token can cross the exp → sim → des → milp
-//! stack without new edges. Like the context, the installed token is
+//! already links, so the token can cross the exp → sim → milp stack
+//! without new edges. Like the context, the installed token is
 //! **thread-local** — a campaign cell runs entirely on one worker
 //! thread, so installing at the cell boundary covers everything the
 //! cell calls.

@@ -308,16 +308,16 @@ mod tests {
     fn render_produces_a_valid_exposition() {
         let r = Recorder::new(Sink::memory());
         r.counter("milp.nodes").add(42);
-        r.gauge("des.queue_depth").set(9);
-        r.gauge("des.queue_depth").set(4);
+        r.gauge("milp.open_nodes").set(9);
+        r.gauge("milp.open_nodes").set(4);
         r.histogram("milp.node").record(0);
         r.histogram("milp.node").record(5);
         r.histogram("milp.node").record(700);
         let text = render(&r);
         validate(&text).unwrap();
         assert!(text.contains("# TYPE dynp_milp_nodes counter\ndynp_milp_nodes_total 42\n"));
-        assert!(text.contains("dynp_des_queue_depth 4\n"));
-        assert!(text.contains("dynp_des_queue_depth_highwater 9\n"));
+        assert!(text.contains("dynp_milp_open_nodes 4\n"));
+        assert!(text.contains("dynp_milp_open_nodes_highwater 9\n"));
         assert!(text.contains("dynp_milp_node_bucket{le=\"0\"} 1\n"));
         assert!(text.contains("dynp_milp_node_bucket{le=\"+Inf\"} 3\n"));
         assert!(text.contains("dynp_milp_node_count 3\n"));

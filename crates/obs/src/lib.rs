@@ -66,7 +66,7 @@
 //!
 //! let r = Recorder::new(Sink::memory());
 //! r.counter("milp.nodes").add(128);
-//! r.gauge("des.queue_depth").set(17);
+//! r.gauge("milp.open_nodes").set(17);
 //! {
 //!     let _timer = Span::enter_with(&r, "milp.node");
 //! }

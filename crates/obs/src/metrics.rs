@@ -2,8 +2,8 @@
 //! fixed-bucket base-2 histograms.
 //!
 //! Everything here is `&self`-updatable over atomics so instrumented hot
-//! loops (the branch-and-bound node loop, the DES dispatch loop) can share
-//! one `Arc` handle across threads without locking. Reads are snapshots
+//! loops (the branch-and-bound node loop) can share one `Arc` handle
+//! across threads without locking. Reads are snapshots
 //! with `Relaxed` ordering — metrics are diagnostics, not synchronization.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

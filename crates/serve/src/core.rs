@@ -351,14 +351,8 @@ impl ServiceCore {
     /// releases resources and re-plans with the active policy, so
     /// waiting jobs move forward).
     fn advance_to(&mut self, t: u64) {
-        while let Some((end, id)) =
-            self.rms.machine().next_completion().filter(|&(end, _)| end <= t)
-        {
+        while let Some((end, id, step)) = self.rms.complete_next(t, false) {
             self.clock = end;
-            let step = self
-                .rms
-                .complete(end, id, false)
-                .expect("the machine's next completion is running");
             self.record_index.insert(id.0, self.rms.records().len() - 1);
             if let Some(r) = dynp_obs::recorder() {
                 r.counter("serve.completed").inc();

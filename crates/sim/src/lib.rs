@@ -2,9 +2,10 @@
 //! system (the paper's CCS).
 //!
 //! [`Rms`] is the RMS itself — one clock-agnostic state machine
-//! (`submit` / `complete` / `restore` over a single re-plan loop) that
-//! both this crate's DES replay ([`RmsModel`], behind [`simulate`]) and
-//! the online service (`dynp_serve::ServiceCore`) drive; see [`rms`].
+//! (`submit` / `complete_next` / `restore` over a single re-plan loop)
+//! that both this crate's trace replay ([`simulate`]) and the online
+//! service (`dynp_serve::ServiceCore`) drive with the same loop; see
+//! [`rms`].
 //!
 //! The simulator replays a job trace against a [`Machine`]
 //! (`dynp-platform`), re-planning at every submission and completion
@@ -34,6 +35,6 @@ pub mod snapshots;
 
 pub use queueing::{simulate_queue, QueueDiscipline, QueueRms};
 pub use record::{utilization_timeline, JobRecord, RecordFieldError, SimSummary};
-pub use rms::{Decline, Rms, RmsEvent, RmsModel, Step};
+pub use rms::{Decline, Rms, Step};
 pub use run::{simulate, SimConfig, SimRun};
 pub use snapshots::{SnapshotFilter, SnapshotLog, TunedSnapshot};

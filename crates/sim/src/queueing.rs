@@ -18,7 +18,7 @@
 //! full schedules to evaluate) and reservation admission require planning.
 
 use crate::record::JobRecord;
-use dynp_des::{EventQueue, Model};
+use crate::run::arrival_order;
 use dynp_platform::Machine;
 use dynp_sched::Policy;
 use dynp_trace::{Job, JobId};
@@ -31,15 +31,6 @@ pub enum QueueDiscipline {
     /// EASY backfilling: later jobs may jump ahead iff they cannot delay
     /// the head job's shadow-time reservation.
     EasyBackfill,
-}
-
-/// Events of the queue-based RMS (same shape as the planning RMS).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueueEvent {
-    /// A job arrives.
-    Submit(Job),
-    /// A running job completes.
-    Finish(JobId),
 }
 
 /// The queue-based resource management system.
@@ -87,9 +78,31 @@ impl QueueRms {
         self.records
     }
 
-    fn start_job(&mut self, job: Job, now: u64, queue: &mut EventQueue<QueueEvent>) {
-        let end = self.machine.start(&job, now);
-        queue.schedule(end, QueueEvent::Finish(job.id));
+    /// Admits `job` at time `now` and dispatches what the discipline
+    /// allows.
+    ///
+    /// # Panics
+    /// Panics if `job` is wider than the machine: it could never start.
+    pub fn submit(&mut self, now: u64, job: Job) {
+        assert!(
+            job.width <= self.machine.capacity(),
+            "job {} wider than machine",
+            job.id
+        );
+        self.queue.push(job);
+        self.dispatch(now);
+    }
+
+    /// Completes the running job that finishes first if its actual end
+    /// is at or before `t` — ties to the lower id, as in
+    /// [`crate::Rms::complete_next`] — records it and dispatches at its
+    /// end. Returns its `(end, id)`, or `None` when nothing is due by `t`.
+    pub fn complete_next(&mut self, t: u64) -> Option<(u64, JobId)> {
+        let (end, id) = self.machine.next_completion().filter(|&(end, _)| end <= t)?;
+        let running = self.machine.complete(id).expect("the next completion is running");
+        self.records.push(JobRecord::completed(running, end));
+        self.dispatch(end);
+        Some((end, id))
     }
 
     /// The EASY shadow time and extra nodes for the current head job:
@@ -110,14 +123,14 @@ impl QueueRms {
     }
 
     /// Dispatches everything the discipline allows right now.
-    fn dispatch(&mut self, now: u64, queue: &mut EventQueue<QueueEvent>) {
+    fn dispatch(&mut self, now: u64) {
         // Queue in policy order.
         self.queue.sort_by(|a, b| self.policy.compare(a, b));
         // First, drain in-order starts.
         while let Some(head) = self.queue.first().copied() {
             if self.machine.can_start(head.width) {
                 self.queue.remove(0);
-                self.start_job(head, now, queue);
+                self.machine.start(&head, now);
             } else {
                 break;
             }
@@ -141,7 +154,7 @@ impl QueueRms {
             let fits_extra = cand.width <= extra;
             if finishes_before_shadow || fits_extra {
                 self.queue.remove(i);
-                self.start_job(cand, now, queue);
+                self.machine.start(&cand, now);
                 self.backfills += 1;
                 // Starting a backfill changes the running set; re-derive
                 // the head's shadow reservation so later candidates are
@@ -154,35 +167,10 @@ impl QueueRms {
     }
 }
 
-impl Model for QueueRms {
-    type Event = QueueEvent;
-
-    fn handle(&mut self, now: u64, event: QueueEvent, queue: &mut EventQueue<QueueEvent>) {
-        match event {
-            QueueEvent::Submit(job) => {
-                assert!(
-                    job.width <= self.machine.capacity(),
-                    "job {} wider than machine",
-                    job.id
-                );
-                self.queue.push(job);
-                self.dispatch(now, queue);
-            }
-            QueueEvent::Finish(id) => {
-                // A duplicate completion releases nothing, so there is
-                // nothing to record or dispatch against.
-                let Ok(running) = self.machine.complete(id) else {
-                    return;
-                };
-                self.records.push(JobRecord::completed(running, now));
-                self.dispatch(now, queue);
-            }
-        }
-    }
-}
-
 /// Replays `jobs` through a queue-based RMS; returns completion records
-/// and the backfill count.
+/// and the backfill count. Jobs wider than the machine are left out; the
+/// rest arrive in submit order (ties in input order), each after every
+/// completion due by its submit time, as in [`crate::simulate`].
 pub fn simulate_queue(
     jobs: &[Job],
     capacity: u32,
@@ -190,13 +178,11 @@ pub fn simulate_queue(
     discipline: QueueDiscipline,
 ) -> (Vec<JobRecord>, usize) {
     let mut rms = QueueRms::new(capacity, policy, discipline);
-    let mut queue = EventQueue::new();
-    for job in jobs {
-        if job.width <= capacity {
-            queue.schedule(job.submit, QueueEvent::Submit(*job));
-        }
+    for job in arrival_order(jobs).into_iter().filter(|job| job.width <= capacity) {
+        while rms.complete_next(job.submit).is_some() {}
+        rms.submit(job.submit, *job);
     }
-    dynp_des::run_to_completion(&mut rms, &mut queue);
+    while rms.complete_next(u64::MAX).is_some() {}
     let backfills = rms.backfills();
     (rms.into_records(), backfills)
 }

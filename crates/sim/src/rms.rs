@@ -1,14 +1,14 @@
-//! The planning-based RMS: one clock-agnostic kernel, plus its
-//! discrete-event driver.
+//! The planning-based RMS: one clock-agnostic kernel.
 //!
 //! [`Rms`] is the paper's CCS (§2) as a state machine: machine (whose
 //! running set is the only one), policy selector, waiting queue, plan,
 //! completion records. It owns no clock and no event queue — the caller
 //! says what time it is.
 //! Submissions ([`Rms::submit`]) trigger a self-tuning step (snapshot →
-//! policy selection → full plan); completions ([`Rms::complete`]) release
-//! resources and move waiting jobs forward under the active policy, so
-//! the schedule tracks reality when jobs finish earlier than estimated.
+//! policy selection → full plan); completions ([`Rms::complete_next`])
+//! release resources and move waiting jobs forward under the active
+//! policy, so the schedule tracks reality when jobs finish earlier than
+//! estimated.
 //! A completion needs only the jobs that start *now*, so it plans the
 //! **dispatch frontier** ([`dynp_sched::plan_frontier`]: the full pass,
 //! stopped once nothing unplaced can still start) and costs the jobs it
@@ -18,16 +18,18 @@
 //! dispatch loop in the workspace, and each returns a [`Step`] saying
 //! what happened.
 //!
-//! Two drivers decide *when* those calls happen: [`RmsModel`] below (the
-//! DES replay behind [`crate::simulate`]) and `dynp_serve::ServiceCore`
-//! (logical clock + finish heap). Event order at equal timestamps is
-//! theirs and differs (`DESIGN.md` §4); everything else is this file.
+//! Completions are not named by the caller: the kernel takes them from
+//! the machine's running set in `(actual end, id)` order. Both drivers —
+//! the trace replay [`crate::simulate`] and the online service
+//! `dynp_serve::ServiceCore` — run the same loop: for each submission at
+//! `t`, complete everything due by `t`, then submit; then drain. So
+//! equal timestamps have one tie rule (`DESIGN.md` §4): completions
+//! before submissions, completions by `(end, id)`.
 
 use crate::record::JobRecord;
 use crate::snapshots::SnapshotLog;
 use dynp_core::PolicySelector;
-use dynp_des::{EventQueue, Model};
-use dynp_platform::{Machine, MachineError, RunningJob};
+use dynp_platform::{Machine, RunningJob};
 use dynp_sched::{
     plan, plan_frontier, PlanError, Policy, Schedule, ScheduleEntry, SchedulingProblem,
 };
@@ -47,8 +49,8 @@ pub struct Decline {
     pub at_door: bool,
 }
 
-/// What one kernel call did — everything a driver needs to schedule its
-/// own follow-up events.
+/// What one kernel call did — everything a driver needs for its own
+/// books.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Step {
     /// The policy a self-tuning step chose; `None` when none ran (the
@@ -184,17 +186,20 @@ impl<S: PolicySelector> Rms<S> {
         step
     }
 
-    /// Completes running job `id` at time `now`: releases its resources,
-    /// records it, and moves waiting jobs forward — with the active
-    /// policy, or with a self-tuning step when `tune` is set (the paper
-    /// tunes on submissions only). A job that is not running changes
-    /// nothing.
-    pub fn complete(&mut self, now: u64, id: JobId, tune: bool) -> Result<Step, MachineError> {
-        let running = self.machine.complete(id)?;
-        self.records.push(JobRecord::completed(running, now));
+    /// Completes the running job that finishes first, if its actual end
+    /// is at or before `t`: releases its resources, records it, and moves
+    /// waiting jobs forward at its end — with the active policy, or with
+    /// a self-tuning step when `tune` is set (the paper tunes on
+    /// submissions only). Ties go to the lower id
+    /// ([`Machine::next_completion`]). Returns the completion's
+    /// `(end, id)` and what it did, or `None` when nothing is due by `t`.
+    pub fn complete_next(&mut self, t: u64, tune: bool) -> Option<(u64, JobId, Step)> {
+        let (end, id) = self.machine.next_completion().filter(|&(end, _)| end <= t)?;
+        let running = self.machine.complete(id).expect("the next completion is running");
+        self.records.push(JobRecord::completed(running, end));
         let mut step = Step::default();
-        self.replan(now, tune, &mut step);
-        Ok(step)
+        self.replan(end, tune, &mut step);
+        Some((end, id, step))
     }
 
     /// Re-plans and dispatches all jobs due now. With `tune` the policy
@@ -370,127 +375,54 @@ fn due(schedule: &Schedule, now: u64) -> impl Iterator<Item = &ScheduleEntry> {
     schedule.entries().iter().filter(move |e| e.start == now)
 }
 
-/// Events driving the RMS under simulation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RmsEvent {
-    /// A job arrives in the system.
-    Submit(Job),
-    /// A running job completes (its *actual* end).
-    Finish(JobId),
-}
-
-/// The DES driver: an [`Rms`] fed from an [`EventQueue`]. It adds only
-/// what a replay needs on top of the kernel — `Finish` events for
-/// dispatched jobs, the policy log, the declined list, telemetry.
-#[derive(Debug)]
-pub struct RmsModel<S: PolicySelector> {
-    pub(crate) rms: Rms<S>,
-    /// `(time, policy)` at every selection point.
-    pub(crate) policy_log: Vec<(u64, Policy)>,
-    /// Jobs refused as unplannable; the malformed-input analogue of a
-    /// trace filter.
-    pub(crate) declined: Vec<Job>,
-    /// Run a self-tuning step on completions too (extension; the paper
-    /// tunes on submissions only).
-    tune_on_finish: bool,
-}
-
-impl<S: PolicySelector> RmsModel<S> {
-    /// A fresh RMS over `capacity` resources driven by `selector`.
-    pub fn new(capacity: u32, selector: S, snapshot_log: SnapshotLog) -> RmsModel<S> {
-        RmsModel {
-            rms: Rms::new(capacity, selector, snapshot_log),
-            policy_log: Vec::new(),
-            declined: Vec::new(),
-            tune_on_finish: false,
-        }
-    }
-
-    /// Enables self-tuning on completion events as well (ablation).
-    pub fn tune_on_finish(mut self, enabled: bool) -> Self {
-        self.tune_on_finish = enabled;
-        self
-    }
-
-    /// Policy chosen at each selection point.
-    pub fn policy_log(&self) -> &[(u64, Policy)] {
-        &self.policy_log
-    }
-
-    /// Jobs refused as unplannable.
-    pub fn declined(&self) -> &[Job] {
-        &self.declined
-    }
-}
-
-/// Read access to the kernel: records, machine, selector.
-impl<S: PolicySelector> std::ops::Deref for RmsModel<S> {
-    type Target = Rms<S>;
-
-    fn deref(&self) -> &Rms<S> {
-        &self.rms
-    }
-}
-
-impl<S: PolicySelector> Model for RmsModel<S> {
-    type Event = RmsEvent;
-
-    fn handle(&mut self, now: u64, event: RmsEvent, queue: &mut EventQueue<RmsEvent>) {
-        let step = match event {
-            RmsEvent::Submit(job) => {
-                debug_assert!(job.submit == now, "submit event at wrong time");
-                self.rms.submit(now, [job])
-            }
-            RmsEvent::Finish(id) => match self.rms.complete(now, id, self.tune_on_finish) {
-                Ok(step) => step,
-                Err(_) => {
-                    // A duplicate (or spurious) completion releases
-                    // nothing and must not corrupt the records.
-                    if let Some(r) = dynp_obs::recorder() {
-                        r.counter("sim.duplicate_finish").inc();
-                        r.event("sim.duplicate_finish")
-                            .kv("job", format!("{id}"))
-                            .kv("time", now)
-                            .emit();
-                    }
-                    return;
-                }
-            },
-        };
-        if let Some(policy) = step.tuned {
-            self.policy_log.push((now, policy));
-        }
-        for Decline { job, error, .. } in step.declined {
-            if let Some(r) = dynp_obs::recorder() {
-                r.counter("sim.jobs_declined").inc();
-                r.event("sim.job_declined")
-                    .kv("job", format!("{}", job.id))
-                    .kv("time", now)
-                    .kv("reason", error.to_string())
-                    .emit();
-            }
-            self.declined.push(job);
-        }
-        for (id, actual_end) in step.dispatched {
-            queue.schedule(actual_end, RmsEvent::Finish(id));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dynp_core::FixedPolicy;
-    use dynp_des::run_to_completion;
 
-    fn drive(capacity: u32, jobs: Vec<Job>, policy: Policy) -> RmsModel<FixedPolicy> {
-        let mut rms = RmsModel::new(capacity, FixedPolicy(policy), SnapshotLog::disabled());
-        let mut queue = EventQueue::new();
+    /// A kernel after a replay, with what the calls refused.
+    struct Driven<S: PolicySelector> {
+        rms: Rms<S>,
+        declined: Vec<JobId>,
+        policy_log: Vec<Policy>,
+    }
+
+    /// Drives a fresh kernel through `jobs` (in submit order) with the
+    /// loop of [`crate::simulate`]: each submission after every
+    /// completion due by its time, then the drain.
+    fn drive_with<S: PolicySelector>(capacity: u32, selector: S, jobs: &[Job]) -> Driven<S> {
+        let mut rms = Rms::new(capacity, selector, SnapshotLog::disabled());
+        let (mut declined, mut policy_log) = (Vec::new(), Vec::new());
+        let mut book = |step: Step| {
+            policy_log.extend(step.tuned);
+            declined.extend(step.declined.iter().map(|d| d.job.id));
+        };
         for job in jobs {
-            queue.schedule(job.submit, RmsEvent::Submit(job));
+            while let Some((_, _, step)) = rms.complete_next(job.submit, false) {
+                book(step);
+            }
+            book(rms.submit(job.submit, [*job]));
         }
-        run_to_completion(&mut rms, &mut queue);
-        rms
+        while let Some((_, _, step)) = rms.complete_next(u64::MAX, false) {
+            book(step);
+        }
+        Driven {
+            rms,
+            declined,
+            policy_log,
+        }
+    }
+
+    fn drive(capacity: u32, jobs: Vec<Job>, policy: Policy) -> Driven<FixedPolicy> {
+        drive_with(capacity, FixedPolicy(policy), &jobs)
+    }
+
+    impl<S: PolicySelector> std::ops::Deref for Driven<S> {
+        type Target = Rms<S>;
+
+        fn deref(&self) -> &Rms<S> {
+            &self.rms
+        }
     }
 
     #[test]
@@ -577,7 +509,7 @@ mod tests {
             .map(|i| Job::exact(i, i as u64 * 10, 1, 50))
             .collect();
         let rms = drive(4, jobs, Policy::Fcfs);
-        assert_eq!(rms.policy_log().len(), 5);
+        assert_eq!(rms.policy_log.len(), 5);
     }
 
     #[test]
@@ -602,8 +534,7 @@ mod tests {
             Policy::Fcfs,
         );
         assert_eq!(rms.records().len(), 1, "the plannable job completes");
-        assert_eq!(rms.declined().len(), 1);
-        assert_eq!(rms.declined()[0].id, JobId(1));
+        assert_eq!(rms.declined, [JobId(1)]);
         assert_eq!(rms.machine().free(), 4);
     }
 
@@ -618,8 +549,7 @@ mod tests {
             Job::exact(2, 20, 4, 100), // must still complete
         ];
         let rms = drive(4, jobs, Policy::Fcfs);
-        assert_eq!(rms.declined().len(), 1);
-        assert_eq!(rms.declined()[0].id, JobId(1));
+        assert_eq!(rms.declined, [JobId(1)]);
         let mut records = rms.records().to_vec();
         records.sort_by_key(|r| r.id);
         assert_eq!(records.len(), 2);
@@ -632,22 +562,16 @@ mod tests {
     /// (here: the run) finishes.
     #[test]
     fn dynp_declines_oversized_job_injected_mid_simulation() {
-        let mut rms = RmsModel::new(
+        let rms = drive_with(
             4,
             dynp_core::SelfTuning::paper_config(dynp_sched::Metric::SldwA),
-            SnapshotLog::disabled(),
+            &[
+                Job::exact(0, 0, 4, 100),
+                Job::exact(1, 10, 9, 50),
+                Job::exact(2, 10, 2, 60),
+            ],
         );
-        let mut queue = EventQueue::new();
-        for job in [
-            Job::exact(0, 0, 4, 100),
-            Job::exact(1, 10, 9, 50),
-            Job::exact(2, 10, 2, 60),
-        ] {
-            queue.schedule(job.submit, RmsEvent::Submit(job));
-        }
-        run_to_completion(&mut rms, &mut queue);
-        assert_eq!(rms.declined().len(), 1);
-        assert_eq!(rms.declined()[0].id, JobId(1));
+        assert_eq!(rms.declined, [JobId(1)]);
         assert_eq!(rms.records().len(), 2);
         assert_eq!(rms.machine().free(), 4);
     }
@@ -684,19 +608,20 @@ mod tests {
         );
 
         // Completion: no tuning, the waiting job moves forward.
-        let step = rms.complete(70, JobId(0), false).unwrap();
+        assert_eq!(rms.complete_next(69, false), None, "not due before its actual end");
+        let (end, id, step) = rms.complete_next(u64::MAX, false).unwrap();
+        assert_eq!((end, id), (70, JobId(0)));
         assert_eq!(step.tuned, None);
         assert_eq!(step.dispatched, [(JobId(2), 100)]);
         assert_eq!(rms.records().len(), 1);
-        assert!(
-            rms.complete(70, JobId(0), false).is_err(),
-            "not running any more"
-        );
 
         // The queue drains: the last completion installs nothing.
-        let step = rms.complete(100, JobId(2), false).unwrap();
-        assert_eq!(step, Step::default());
+        assert_eq!(
+            rms.complete_next(100, false),
+            Some((100, JobId(2), Step::default()))
+        );
         assert!(rms.plan().is_empty());
+        assert_eq!(rms.complete_next(u64::MAX, false), None, "nothing running");
     }
 
     #[test]
@@ -725,7 +650,7 @@ mod tests {
         let sjf = FixedPolicy(Policy::Sjf);
         let mut a = Rms::new(4, sjf, SnapshotLog::disabled());
         a.submit(0, jobs);
-        a.complete(20, JobId(2), false).unwrap();
+        assert_eq!(a.complete_next(20, false).map(|(_, id, _)| id), Some(JobId(2)));
         let running = a.machine().running().to_vec();
         let (waiting, records) = (a.waiting().to_vec(), a.records().to_vec());
         let mut b = Rms::restore(4, sjf, 20, Policy::Sjf, waiting, running, records).unwrap();
@@ -736,10 +661,9 @@ mod tests {
         assert_eq!(a.plan(), b.plan());
         assert_eq!(a.plan().len(), 1);
         assert_eq!(b.machine().running(), a.machine().running());
-        assert_eq!(
-            a.complete(70, JobId(1), false),
-            b.complete(70, JobId(1), false)
-        );
+        let next = a.complete_next(70, false);
+        assert_eq!(next.as_ref().map(|&(end, id, _)| (end, id)), Some((70, JobId(1))));
+        assert_eq!(next, b.complete_next(70, false));
         assert_eq!(a.records(), b.records());
         assert_eq!(a.machine().running(), b.machine().running());
 
@@ -781,18 +705,15 @@ mod tests {
 
         // Job 0 starts at 44 and pushes job 2 from 79 to 137, so x
         // cannot start before 162.
-        let step = rms.complete(44, JobId(10), false).unwrap();
+        let (_, id, step) = rms.complete_next(44, false).unwrap();
+        assert_eq!(id, JobId(10));
         assert_eq!(step.dispatched, [(JobId(0), 102)]);
         assert_eq!(rms.plan().start_of(JobId(2)), Some(137));
         assert_eq!(rms.plan().start_of(x.id), None);
         assert!(rms.waiting().contains(&x));
 
-        let mut finishes: Vec<(u64, JobId)> = vec![(79, JobId(11)), (102, JobId(0))];
         let mut declined = Vec::new();
-        while let Some(next) = finishes.iter().copied().min() {
-            finishes.retain(|&f| f != next);
-            let step = rms.complete(next.0, next.1, false).unwrap();
-            finishes.extend(step.dispatched.iter().map(|&(id, end)| (end, id)));
+        while let Some((_, _, step)) = rms.complete_next(u64::MAX, false) {
             declined.extend(step.declined);
         }
         assert_eq!(declined.len(), 1);
@@ -800,20 +721,5 @@ mod tests {
         assert!(matches!(declined[0].error, PlanError::PastTimeAxis { .. }));
         assert!(rms.waiting().is_empty());
         assert_eq!(rms.records().len(), 5);
-    }
-
-    /// Regression: a duplicate Finish event must be ignored, not panic,
-    /// and must not corrupt the machine's free count.
-    #[test]
-    fn duplicate_finish_event_is_ignored() {
-        let mut rms = RmsModel::new(4, FixedPolicy(Policy::Fcfs), SnapshotLog::disabled());
-        let mut queue = EventQueue::new();
-        queue.schedule(0, RmsEvent::Submit(Job::exact(0, 0, 2, 50)));
-        // The spurious second completion for a job the first Finish will
-        // have already released.
-        queue.schedule(60, RmsEvent::Finish(JobId(0)));
-        run_to_completion(&mut rms, &mut queue);
-        assert_eq!(rms.records().len(), 1);
-        assert_eq!(rms.machine().free(), 4, "free count must not drift");
     }
 }

@@ -1,10 +1,9 @@
 //! High-level trace replay: one call from a job list to a finished run.
 
 use crate::record::{JobRecord, SimSummary};
-use crate::rms::{RmsEvent, RmsModel};
+use crate::rms::{Decline, Rms, Step};
 use crate::snapshots::{SnapshotFilter, SnapshotLog, TunedSnapshot};
 use dynp_core::PolicySelector;
-use dynp_des::{run_to_completion, EventQueue};
 use dynp_sched::Policy;
 use dynp_trace::Job;
 
@@ -79,9 +78,18 @@ pub struct SimRun<S> {
 
 /// Replays `jobs` through a planning-based RMS driven by `selector`.
 ///
+/// Jobs arrive in submit order, ties in input order. Before each
+/// submission every running job due by its submit time completes, in
+/// `(actual end, id)` order ([`Rms::complete_next`]); after the last one
+/// the machine drains — the loop `dynp_serve::ServiceCore` runs too.
 /// Jobs wider than the machine are declined by the RMS at submission and
 /// reported as skipped, matching how trace-replay studies clean archive
 /// traces.
+///
+/// The replay polls the thread's cooperative [`dynp_obs::cancel`] token
+/// after every kernel call and stops early once it is cancelled (a
+/// campaign cell past its wall-clock deadline); the partial run is the
+/// caller's to discard.
 pub fn simulate<S: PolicySelector>(jobs: &[Job], selector: S, config: SimConfig) -> SimRun<S> {
     // Whole-run wall time, one histogram sample per replay; traced so
     // the span close event lands under the enclosing campaign cell.
@@ -91,23 +99,36 @@ pub fn simulate<S: PolicySelector>(jobs: &[Job], selector: S, config: SimConfig)
         Some(filter) => SnapshotLog::with_filter(filter),
         None => SnapshotLog::disabled(),
     };
-    let mut model =
-        RmsModel::new(config.machine_size, selector, log).tune_on_finish(config.tune_on_finish);
-    let mut queue = EventQueue::new();
-    for job in jobs {
-        queue.schedule(job.submit, RmsEvent::Submit(*job));
+    let mut rms = Rms::new(config.machine_size, selector, log);
+    let mut book = Book::default();
+    let mut arrivals = arrival_order(jobs).into_iter();
+    'replay: loop {
+        let next = arrivals.next();
+        let due_by = next.map_or(u64::MAX, |job| job.submit);
+        while let Some((end, _, step)) = rms.complete_next(due_by, config.tune_on_finish) {
+            if book.stops_after(end, step) {
+                break 'replay;
+            }
+        }
+        let Some(job) = next else { break };
+        if book.stops_after(job.submit, rms.submit(job.submit, [*job])) {
+            break;
+        }
     }
-    run_to_completion(&mut model, &mut queue);
-    let (policy_log, skipped) = (model.policy_log, model.declined);
+    let Book {
+        policy_log,
+        skipped,
+        now,
+    } = book;
     if let Some(r) = dynp_obs::recorder() {
         r.event("sim.complete")
             .kv("selector", label.as_str())
             .kv("jobs", jobs.len() - skipped.len())
             .kv("skipped", skipped.len())
-            .kv("end_time", queue.now())
+            .kv("end_time", now)
             .emit();
     }
-    let (records, snapshot_log, selector) = model.rms.into_parts();
+    let (records, snapshot_log, selector) = rms.into_parts();
     let summary = SimSummary::compute(&records, config.machine_size);
     SimRun {
         summary,
@@ -117,6 +138,48 @@ pub fn simulate<S: PolicySelector>(jobs: &[Job], selector: S, config: SimConfig)
         selector,
         label,
         skipped,
+    }
+}
+
+/// `jobs` in the order a replay submits them: by submit time, ties in
+/// input order.
+pub(crate) fn arrival_order(jobs: &[Job]) -> Vec<&Job> {
+    let mut arrivals: Vec<&Job> = jobs.iter().collect();
+    arrivals.sort_by_key(|job| job.submit);
+    arrivals
+}
+
+/// What a replay keeps beside the kernel.
+#[derive(Default)]
+struct Book {
+    /// `(time, policy)` at every selection point.
+    policy_log: Vec<(u64, Policy)>,
+    /// Jobs the kernel refused, in refusal order.
+    skipped: Vec<Job>,
+    /// The time of the last kernel call.
+    now: u64,
+}
+
+impl Book {
+    /// Books the kernel call made at `now`; `true` once the thread's
+    /// cancel token has fired.
+    fn stops_after(&mut self, now: u64, step: Step) -> bool {
+        self.now = now;
+        if let Some(policy) = step.tuned {
+            self.policy_log.push((now, policy));
+        }
+        for Decline { job, error, .. } in step.declined {
+            if let Some(r) = dynp_obs::recorder() {
+                r.counter("sim.jobs_declined").inc();
+                r.event("sim.job_declined")
+                    .kv("job", format!("{}", job.id))
+                    .kv("time", now)
+                    .kv("reason", error.to_string())
+                    .emit();
+            }
+            self.skipped.push(job);
+        }
+        dynp_obs::cancelled()
     }
 }
 
@@ -203,6 +266,24 @@ mod tests {
         let run = simulate(&jobs, FixedPolicy(Policy::Fcfs), SimConfig::new(8));
         assert_eq!(run.records.len(), 1);
         assert_eq!(run.skipped.len(), 1);
+    }
+
+    /// An installed, already-cancelled token stops the replay after one
+    /// kernel call: the wall-clock budget the campaign runner enforces.
+    #[test]
+    fn cancelled_token_stops_the_replay() {
+        let (jobs, size) = small_trace(50, 7);
+        let token = dynp_obs::CancelToken::new();
+        token.cancel();
+        let _guard = dynp_obs::install_cancel(&token);
+        let run = simulate(
+            &jobs,
+            SelfTuning::paper_config(Metric::SldwA),
+            SimConfig::new(size),
+        );
+        // The first call is the first submission; nothing completed yet.
+        assert_eq!(run.policy_log.len(), 1, "one kernel call");
+        assert!(run.records.is_empty(), "the replay ran on");
     }
 
     #[test]

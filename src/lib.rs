@@ -9,7 +9,6 @@
 //!   weekly trace shards,
 //! * [`platform`] — machine, availability profile, machine history,
 //! * [`sched`] — planning-based schedules, FCFS/SJF/LJF, metrics,
-//! * [`des`] — the discrete-event simulation kernel,
 //! * [`dynp`] — the self-tuning dynP scheduler (deciders, tuner),
 //! * [`sim`] — the RMS simulator replaying traces,
 //! * [`milp`] — the exact time-indexed ILP solver (the CPLEX substitute),
@@ -59,7 +58,6 @@
 //! them for applications that drive several subsystems behind one `?`.
 
 pub use dynp_core as dynp;
-pub use dynp_des as des;
 pub use dynp_exp as exp;
 pub use dynp_insight as insight;
 pub use dynp_milp as milp;

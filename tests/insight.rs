@@ -116,7 +116,7 @@ fn campaign_events_analyze_identically_across_worker_counts() {
     assert_eq!(recon.get("violations").unwrap().as_u64(), Some(0));
     // Every traced kind made it into the percentile table.
     let kinds = full.get("timing").unwrap().get("span_kinds").unwrap();
-    for kind in ["exp.cell", "exp.replay", "exp.exact", "sim.run", "des.run", "milp.solve"] {
+    for kind in ["exp.cell", "exp.replay", "exp.exact", "sim.run", "milp.solve"] {
         assert!(kinds.get(kind).is_some(), "missing span kind {kind}");
     }
 

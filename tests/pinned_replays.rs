@@ -1,14 +1,23 @@
 //! Every decision of the shared RMS kernel pinned to recorded bytes.
 //!
 //! Three replays are folded with FNV-1a (`obs::checkpoint::fnv1a64`) and
-//! compared with constants recorded before the kernel's running set,
-//! history → profile build and in-order metric evaluation were rewritten:
+//! compared with recorded constants:
 //!
 //! * a 2 000-job default-CTC replay under `SelfTuning::paper_config(SldwA)`
 //!   — every job record, the policy log and the SLDwA summary by its bits;
 //! * the same replay with self-tuning on completions too;
 //! * a 5 s-interarrival 1 000-job trace through `ServiceCore::submit_batch`
 //!   at 32 jobs a batch plus the drain — every decision body and record.
+//!
+//! The service constant predates the rewrite of the kernel's running set,
+//! history → profile build and in-order metric evaluation. The two replay
+//! constants are those of the service's event order — completions due by
+//! a submission before it, in `(end, id)` order — recorded by driving the
+//! kernel in that order on the commit before `simulate` adopted it (the
+//! first equals `ServiceCore::submit_batch` one job per batch plus the
+//! drain over the same trace). The replay has 23 completions at a submit
+//! time and 93 at an end an earlier completion already had, so the tie
+//! rule is part of what is pinned.
 //!
 //! A fourth pin, `service_views_are_pinned`, folds every status, schedule
 //! and trace body the service renders over a shorter sequence.
@@ -56,12 +65,12 @@ fn sim_digest(tune_on_finish: bool) -> String {
 
 #[test]
 fn submission_tuned_replay_is_pinned() {
-    assert_eq!(sim_digest(false), "e0b10e99e5363d35");
+    assert_eq!(sim_digest(false), "32f3c3ca93ebf857");
 }
 
 #[test]
 fn completion_tuned_replay_is_pinned() {
-    assert_eq!(sim_digest(true), "3a29940f14c1db7a");
+    assert_eq!(sim_digest(true), "fe37290a823537d4");
 }
 
 #[test]

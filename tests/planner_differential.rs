@@ -24,8 +24,6 @@ use dynp_rs::prelude::*;
 use dynp_rs::sched::{plan, plan_frontier, Reservation, ScheduleEntry};
 use dynp_rs::sim::{Rms, SnapshotFilter, Step};
 use proptest::prelude::*;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Pre-overhaul `ResourceProfile::earliest_fit`: restart at the next
 /// segment after any blocking one, re-running the entry binary search.
@@ -322,15 +320,18 @@ fn assert_completion_equivalence(problem: &SchedulingProblem, policy: Policy) {
     );
 
     let (dispatched, left) = expected_completion(problem, policy);
-    let step = rms.complete(now, finishing.id, false).expect("running");
     assert_eq!(
-        step,
-        Step {
-            tuned: None,
-            installed: true,
-            dispatched,
-            declined: Vec::new(),
-        },
+        rms.complete_next(now, false),
+        Some((
+            now,
+            finishing.id,
+            Step {
+                tuned: None,
+                installed: true,
+                dispatched,
+                declined: Vec::new(),
+            }
+        )),
         "{policy:?} at now={now}"
     );
     assert_eq!(
@@ -467,9 +468,9 @@ proptest! {
     }
 }
 
-/// Replays `jobs` (sorted by submit) through `rms` with a finish heap —
-/// no second kernel: before each completion the expected dispatch and
-/// the expected derived plan are computed from the public accessors.
+/// Replays `jobs` (sorted by submit) through `rms` with the kernel's own
+/// loop — no second kernel: before each completion the expected dispatch
+/// and the expected derived plan are computed from the public accessors.
 /// Returns how many completions found jobs waiting.
 fn replay_checking_completions<S: PolicySelector>(
     rms: &mut Rms<S>,
@@ -477,56 +478,50 @@ fn replay_checking_completions<S: PolicySelector>(
     active: impl Fn(&Rms<S>) -> Policy,
 ) -> usize {
     let capacity = rms.machine().capacity();
-    let mut finishes: BinaryHeap<Reverse<(u64, JobId)>> = BinaryHeap::new();
-    let (mut submitted, mut checked) = (0, 0);
-    loop {
-        let next_finish = finishes.peek().map(|f| f.0);
-        let step = match (jobs.get(submitted), next_finish) {
-            (Some(job), finish) if finish.is_none_or(|(end, _)| job.submit < end) => {
-                submitted += 1;
-                rms.submit(job.submit, [*job])
-            }
-            (_, Some((now, id))) => {
-                finishes.pop();
-                let running: Vec<(u32, u64)> = rms
-                    .machine()
-                    .running()
-                    .iter()
-                    .filter(|r| r.job.id != id)
-                    .map(|r| (r.job.width, r.estimated_end()))
-                    .collect();
-                let history = MachineHistory::build(capacity, now, &running);
-                let problem = SchedulingProblem::new(now, history, rms.waiting().to_vec());
-                let policy = active(rms);
-                let (dispatched, left) = expected_completion(&problem, policy);
-                let step = rms.complete(now, id, false).expect("running");
-                let installed = !problem.jobs.is_empty();
-                checked += usize::from(installed);
-                assert_eq!(
-                    step,
+    let mut checked = 0;
+    for job in jobs.iter().map(Some).chain([None]) {
+        let due_by = job.map_or(u64::MAX, |j| j.submit);
+        while let Some((now, id)) = rms
+            .machine()
+            .next_completion()
+            .filter(|&(end, _)| end <= due_by)
+        {
+            let running: Vec<(u32, u64)> = rms
+                .machine()
+                .running()
+                .iter()
+                .filter(|r| r.job.id != id)
+                .map(|r| (r.job.width, r.estimated_end()))
+                .collect();
+            let history = MachineHistory::build(capacity, now, &running);
+            let problem = SchedulingProblem::new(now, history, rms.waiting().to_vec());
+            let policy = active(rms);
+            let (dispatched, left) = expected_completion(&problem, policy);
+            let installed = !problem.jobs.is_empty();
+            checked += usize::from(installed);
+            assert_eq!(
+                rms.complete_next(due_by, false),
+                Some((
+                    now,
+                    id,
                     Step {
                         tuned: None,
                         installed,
                         dispatched,
                         declined: Vec::new()
-                    },
-                    "completion of {id} at {now} under {policy:?}"
-                );
-                assert_eq!(
-                    rms.plan().entries(),
-                    left,
-                    "derived plan after {id} at {now}"
-                );
-                step
-            }
-            (None, None) => break,
-            (Some(_), None) => unreachable!("the first arm takes a submission with no finish"),
-        };
-        finishes.extend(
-            step.dispatched
-                .into_iter()
-                .map(|(id, end)| Reverse((end, id))),
-        );
+                    }
+                )),
+                "completion of {id} at {now} under {policy:?}"
+            );
+            assert_eq!(
+                rms.plan().entries(),
+                left,
+                "derived plan after {id} at {now}"
+            );
+        }
+        if let Some(job) = job {
+            rms.submit(job.submit, [*job]);
+        }
     }
     assert!(rms.waiting().is_empty() && rms.machine().running().is_empty());
     checked
