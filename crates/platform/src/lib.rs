@@ -20,4 +20,4 @@ pub mod profile;
 
 pub use history::{HistoryPoint, MachineHistory};
 pub use machine::{Machine, MachineError, RunningJob};
-pub use profile::ResourceProfile;
+pub use profile::{ResourceProfile, Unplaceable};

@@ -22,6 +22,28 @@ pub struct ResourceProfile {
     steps: Vec<(u64, u32)>,
 }
 
+/// Why [`ResourceProfile::place`] allocated nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Unplaceable {
+    /// The job never fits: it is wider than the machine, or the profile
+    /// stays too full forever.
+    Never,
+    /// The earliest window starts at `start` and ends past `u64::MAX`; no
+    /// later start can fit either.
+    PastTimeAxis {
+        /// The earliest feasible start.
+        start: u64,
+    },
+}
+
+/// A window found by the skip-scan: its start, the index of the segment
+/// holding the start, and one past the last segment the window overlaps.
+struct Window {
+    start: u64,
+    first: usize,
+    past: usize,
+}
+
 impl ResourceProfile {
     /// A fully free machine of `capacity` resources.
     pub fn new(capacity: u32) -> Self {
@@ -123,16 +145,65 @@ impl ResourceProfile {
     /// segment (the previous implementation paid `O(log S)` per blocked
     /// segment; on deep queues nearly every segment ahead of a placement
     /// is blocked, which made full-schedule planning quadratic with a
-    /// log factor on top). Each call is `O(S)` worst case in the number
-    /// of segments, with exactly one `O(log S)` search at entry.
+    /// log factor on top). One `O(log S)` search finds the segment of
+    /// `earliest`; the scan then probes the segments from there to the end
+    /// of the window it returns, `O(S)` worst case. A caller that knows a
+    /// lower bound for the fit later than its own `earliest` passes the
+    /// bound instead and pays only for the segments after it — the
+    /// planner takes one from its earlier placements.
     pub fn earliest_fit_probed(&self, earliest: u64, duration: u64, width: u32) -> (Option<u64>, u64) {
-        if width > self.capacity {
-            return (None, 0);
-        }
         if width == 0 {
             return (Some(earliest), 0);
         }
+        let (window, probes) = self.scan(earliest, duration.max(1), width);
+        (window.map(|w| w.start), probes)
+    }
+
+    /// [`Self::earliest_fit_probed`] followed by [`Self::allocate`] of the
+    /// window found, `[start, start + duration.max(1))`, in one search:
+    /// the window is cut out at the two segment indices the scan ended on.
+    /// Returns the start, or why nothing was allocated, plus the scan's
+    /// probes (the same count `earliest_fit_probed` reports). A zero-width
+    /// job allocates nothing and starts at `earliest`.
+    pub fn place(
+        &mut self,
+        earliest: u64,
+        duration: u64,
+        width: u32,
+    ) -> (Result<u64, Unplaceable>, u64) {
         let need = duration.max(1);
+        if width == 0 {
+            let placed = match earliest.checked_add(need) {
+                Some(_) => Ok(earliest),
+                None => Err(Unplaceable::PastTimeAxis { start: earliest }),
+            };
+            return (placed, 0);
+        }
+        let (window, probes) = self.scan(earliest, need, width);
+        let Some(Window { start, first, past }) = window else {
+            return (Err(Unplaceable::Never), probes);
+        };
+        let Some(end) = start.checked_add(need) else {
+            return (Err(Unplaceable::PastTimeAxis { start }), probes);
+        };
+        let lo = self.split(first, start);
+        let past = past + (lo - first);
+        // The window's last segment is `past - 1`, unless a breakpoint
+        // sits at `end` already.
+        let at_end = self.steps.get(past).is_some_and(|&(time, _)| time == end);
+        let hi = self.split(if at_end { past } else { past - 1 }, end);
+        self.take(lo, hi, width);
+        (Ok(start), probes)
+    }
+
+    /// The skip-scan behind [`Self::earliest_fit_probed`] and
+    /// [`Self::place`] for a job of `width >= 1` over `need >= 1` seconds:
+    /// the earliest window and the segment indices it spans, or `None`
+    /// when the profile never has `width` free for that long.
+    fn scan(&self, earliest: u64, need: u64, width: u32) -> (Option<Window>, u64) {
+        if width > self.capacity {
+            return (None, 0);
+        }
         let mut probes = 1u64;
         let mut i = self.segment_index(earliest);
         // Candidate start: `earliest` itself inside segment `i`, later the
@@ -170,7 +241,14 @@ impl ResourceProfile {
                         j += 1;
                     }
                     // Window clear to its end (or the profile's tail).
-                    _ => return (Some(t), probes),
+                    _ => {
+                        let window = Window {
+                            start: t,
+                            first: i,
+                            past: j,
+                        };
+                        return (Some(window), probes);
+                    }
                 }
             }
         }
@@ -241,12 +319,18 @@ impl ResourceProfile {
         }
         let lo = self.split_at(start);
         let hi = self.split_at(end);
-        // Only the segments in [start, end) — indices [lo, hi) — change,
-        // and they all shift by the same amount, so inequality between
-        // interior neighbours is preserved. Coalescing can therefore only
-        // be needed at the two boundaries; everything outside the range is
-        // untouched. This keeps a planning pass's per-job cost bounded by
-        // the allocated span instead of the whole profile.
+        self.take(lo, hi, width);
+    }
+
+    /// Removes `width` resources from the segments `[lo, hi)`, both ends
+    /// breakpoints already.
+    fn take(&mut self, lo: usize, hi: usize, width: u32) {
+        // Only the segments in [lo, hi) change, and they all shift by the
+        // same amount, so inequality between interior neighbours is
+        // preserved. Coalescing can therefore only be needed at the two
+        // boundaries; everything outside the range is untouched. This
+        // keeps a planning pass's per-job cost bounded by the allocated
+        // span instead of the whole profile.
         for step in &mut self.steps[lo..hi] {
             assert!(
                 step.1 >= width,
@@ -267,27 +351,13 @@ impl ResourceProfile {
         }
     }
 
-    /// Adds `width` resources back over `[start, end)`, clamped at capacity.
-    /// Used when building profiles from release events rather than
-    /// reservations.
-    pub fn release(&mut self, start: u64, end: u64, width: u32) {
-        assert!(start < end, "release: empty interval [{start}, {end})");
-        if width == 0 {
-            return;
-        }
-        self.split_at(start);
-        self.split_at(end);
-        for step in &mut self.steps {
-            if step.0 >= start && step.0 < end {
-                step.1 = (step.1 + width).min(self.capacity);
-            }
-        }
-        self.coalesce();
-    }
-
     /// Ensures a breakpoint exists at time `t`; returns its index.
     fn split_at(&mut self, t: u64) -> usize {
-        let idx = self.segment_index(t);
+        self.split(self.segment_index(t), t)
+    }
+
+    /// [`Self::split_at`] given `idx`, the index of the segment holding `t`.
+    fn split(&mut self, idx: usize, t: u64) -> usize {
         if self.steps[idx].0 == t {
             idx
         } else {
@@ -369,25 +439,6 @@ mod tests {
         let mut p = ResourceProfile::new(4);
         p.allocate(0, 10, 3);
         p.allocate(5, 15, 2);
-    }
-
-    #[test]
-    fn release_restores_capacity() {
-        let mut p = ResourceProfile::new(8);
-        p.allocate(0, 100, 5);
-        p.release(20, 60, 5);
-        assert_eq!(p.free_at(10), 3);
-        assert_eq!(p.free_at(30), 8);
-        assert_eq!(p.free_at(70), 3);
-        p.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn release_clamps_at_capacity() {
-        let mut p = ResourceProfile::new(8);
-        p.release(0, 10, 100);
-        assert_eq!(p.free_at(5), 8);
-        p.check_invariants().unwrap();
     }
 
     #[test]
@@ -554,6 +605,19 @@ mod tests {
         }
         p.check_invariants().unwrap();
         p
+    }
+
+    fn any_bool() -> impl Strategy<Value = bool> {
+        (0u8..2).prop_map(|b| b == 1)
+    }
+
+    /// `x`, or `x` before the end of the time axis.
+    fn near_either_end((x, at_end): (u64, bool)) -> u64 {
+        if at_end {
+            u64::MAX - x
+        } else {
+            x
+        }
     }
 
     /// Free resources at `t` by a linear scan over every breakpoint.
@@ -724,6 +788,43 @@ mod tests {
                 p.earliest_fit(earliest, duration, width),
                 p.earliest_fit_naive(earliest, duration, width)
             );
+        }
+
+        #[test]
+        fn place_equals_fit_then_allocate(
+            cap in 1u32..=32,
+            allocs in prop::collection::vec((0u64..500, 1u64..80, 1u32..=16), 0..12),
+            tail in (0u64..600, 1u32..=32),
+            earliest in (0u64..600, any_bool()).prop_map(near_either_end),
+            duration in (0u64..100, any_bool()).prop_map(near_either_end),
+            width in 0u32..=40,
+        ) {
+            let mut p = random_profile(cap, &allocs);
+            // Mostly, a reservation up to the end of the time axis.
+            let (len, tail_width) = tail;
+            if len > 0 {
+                p.allocate(u64::MAX - len, u64::MAX, tail_width.min(cap));
+            }
+            // The drawn window, and one that ends at u64::MAX exactly if
+            // it starts at `earliest` and past it if it starts later.
+            for duration in [duration, u64::MAX - earliest] {
+                let (fit, probes) = p.earliest_fit_probed(earliest, duration, width);
+                let mut expected = p.clone();
+                let placed = match fit {
+                    None => Err(Unplaceable::Never),
+                    Some(t) => match t.checked_add(duration.max(1)) {
+                        None => Err(Unplaceable::PastTimeAxis { start: t }),
+                        Some(end) => {
+                            expected.allocate(t, end, width);
+                            Ok(t)
+                        }
+                    },
+                };
+                let mut q = p.clone();
+                prop_assert_eq!(q.place(earliest, duration, width), (placed, probes));
+                prop_assert_eq!(&q, &expected);
+                q.check_invariants().map_err(TestCaseError::Fail)?;
+            }
         }
 
         #[test]

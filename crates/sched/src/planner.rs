@@ -15,7 +15,7 @@
 use crate::policy::Policy;
 use crate::schedule::{Schedule, ScheduleEntry};
 use crate::snapshot::SchedulingProblem;
-use dynp_platform::ResourceProfile;
+use dynp_platform::{ResourceProfile, Unplaceable};
 
 /// Why a planning pass could not produce a schedule.
 ///
@@ -91,16 +91,6 @@ impl std::fmt::Display for PlanError {
     }
 }
 
-/// The end of `job`'s window from `start`, or the error naming it when
-/// that end does not fit the time axis.
-fn window_end(job: &dynp_trace::Job, start: u64, duration: u64) -> Result<u64, PlanError> {
-    start.checked_add(duration).ok_or(PlanError::PastTimeAxis {
-        id: job.id,
-        start,
-        duration,
-    })
-}
-
 impl std::error::Error for PlanError {}
 
 /// Plans a full schedule for `problem` with the waiting queue ordered by
@@ -157,13 +147,19 @@ pub fn plan_ordered(
 /// start at `problem.now`. The result is the placed prefix of
 /// `plan_ordered(problem, order)`, entry for entry, and it holds every
 /// entry of that plan with `start == now` — all a completion needs to
-/// dispatch — at the cost of the jobs placed, not of the queue.
+/// dispatch. It places only that prefix, but its stop test asks
+/// [`ResourceProfile::fits`] once of every job in `order` over the pass:
+/// one cheap check per queued job, plus one per placement.
 pub fn plan_frontier(
     problem: &SchedulingProblem,
     order: &[dynp_trace::Job],
 ) -> Result<Schedule, PlanError> {
     plan_ordered_in(problem, order, problem.availability_profile(), true)
 }
+
+/// How many of a pass's latest placements bound the next fit (see
+/// [`plan_ordered_in`]).
+const RECENT: usize = 8;
 
 /// Core list-scheduling pass: places `order` into an owned working
 /// `profile`. All planner entry points funnel here. With `frontier_only`
@@ -175,6 +171,16 @@ pub fn plan_frontier(
 /// and a short profile keeps every subsequent skip-scan and allocation
 /// cheap. Emits `planner.fit_probes` (total segment probes) and the
 /// `planner.plan_ordered` latency span when a recorder is installed.
+///
+/// Each fit starts at a lower bound rather than at `now`. Within the pass
+/// the working profile only loses capacity, and the earliest fit of
+/// (width `w`, planned duration `d`) can only get later as capacity falls,
+/// as `w` grows and as `d` grows. So an earlier placement of the pass with
+/// `w' <= w` and `d' <= d` that started at `r'` rules out every start
+/// before `r'`, and the scan from `max(now, r')` returns exactly the start
+/// the scan from `now` does. The bound is the latest such `r'` among the
+/// last [`RECENT`] placements; it never outlives the pass. The fit and the
+/// allocation are one [`ResourceProfile::place`].
 ///
 /// Allocations only remove capacity, so a job that has stopped fitting
 /// at `now` never fits there again during the pass: `live` — one past
@@ -198,6 +204,9 @@ fn plan_ordered_in(
         profile.fits(problem.now, job.estimated_duration.max(1), job.width)
     };
     let mut live = order.len();
+    // (width, planned duration, start) of the latest placements; the
+    // initial entries bound nothing below `now`.
+    let mut recent = [(0u32, 0u64, problem.now); RECENT];
     for (i, job) in order.iter().enumerate() {
         let duration = job.estimated_duration.max(1);
         if frontier_only {
@@ -208,19 +217,29 @@ fn plan_ordered_in(
                 break;
             }
         }
-        let (start, fit_probes) = profile.earliest_fit_probed(problem.now, duration, job.width);
+        let bound = recent
+            .iter()
+            .filter(|&&(width, planned, _)| width <= job.width && planned <= duration)
+            .fold(problem.now, |bound, &(_, _, start)| bound.max(start));
+        let (placed, fit_probes) = profile.place(bound, duration, job.width);
         probes += fit_probes;
-        let start = start.ok_or(PlanError::JobTooWide {
-            id: job.id,
-            width: job.width,
-            capacity: problem.capacity(),
+        let start = placed.map_err(|why| match why {
+            Unplaceable::Never => PlanError::JobTooWide {
+                id: job.id,
+                width: job.width,
+                capacity: problem.capacity(),
+            },
+            Unplaceable::PastTimeAxis { start } => PlanError::PastTimeAxis {
+                id: job.id,
+                start,
+                duration,
+            },
         })?;
-        let end = window_end(job, start, duration)?;
-        profile.allocate(start, end, job.width);
+        recent[i % RECENT] = (job.width, duration, start);
         schedule.push(ScheduleEntry {
             id: job.id,
             start,
-            end,
+            end: start + duration,
             width: job.width,
         });
     }

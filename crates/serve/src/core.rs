@@ -963,7 +963,7 @@ mod tests {
         }
     }
 
-    /// A completion costs the jobs it starts, not the queue behind them.
+    /// A completion places the jobs it starts, not the queue behind them.
     #[test]
     fn a_completion_places_only_the_jobs_it_dispatches() {
         let mut c = core(4);

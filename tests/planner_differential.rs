@@ -436,7 +436,45 @@ fn running_strategy(capacity: u32) -> impl Strategy<Value = Vec<(u32, u64)>> {
     )
 }
 
+/// Strategy: a deep queue of 200–800 jobs, each one of two to five
+/// (width, estimate) shapes, submitted by `now` = 2000 — so most jobs
+/// share a shape with one of the last placements and the planner starts
+/// their fits at a bound instead of at `now`.
+fn deep_queue_strategy(capacity: u32) -> impl Strategy<Value = Vec<Job>> {
+    let shapes = prop::collection::vec((1..=capacity, 0u64..4000), 2..=5);
+    let picks = prop::collection::vec((0usize..5, 0u64..=2000), 200..=800);
+    (shapes, picks).prop_map(|(shapes, picks)| {
+        let jobs = picks.into_iter().enumerate();
+        jobs.map(|(i, (k, submit))| {
+            let (width, estimate) = shapes[k % shapes.len()];
+            Job::new(i as u32, submit, width, estimate, estimate / 2)
+        })
+        .collect()
+    })
+}
+
 proptest! {
+    /// Deep queues of repeated shapes over a busy machine: every policy's
+    /// full plan, the tuning step and every frontier pass against the
+    /// reference planner, which scans every fit from `now`.
+    #[test]
+    fn deep_queues_of_repeated_shapes_plan_like_the_scan_from_now(
+        jobs in deep_queue_strategy(64),
+        running in running_strategy(64),
+    ) {
+        let now = 2000u64;
+        let history = MachineHistory::build(64, now, &running);
+        let problem = SchedulingProblem::new(now, history, jobs);
+        assert_planner_equivalence(&problem);
+        for policy in Policy::ALL {
+            let reference = plan_reference(&problem, policy);
+            let order = policy.order(&problem.jobs);
+            let frontier = plan_frontier(&problem, &order).expect("plannable snapshot");
+            prop_assert_eq!(frontier.entries(), &reference.entries()[..frontier.len()]);
+            prop_assert_eq!(due(&frontier, now), due(&reference, now));
+        }
+    }
+
     #[test]
     fn completions_on_generated_snapshots_match_the_full_plan(
         jobs in jobs_strategy(16, 24),

@@ -79,12 +79,17 @@ proptest! {
             }
         }
         p.check_invariants().unwrap();
-        // Releasing everything restores a fully free machine.
-        for (start, end, width) in applied {
-            p.release(start, end, width);
+        // Every breakpoint holds the capacity minus what was allocated
+        // over it, and the machine is fully free after the last window.
+        for &(time, free) in p.steps() {
+            let taken: u32 = applied
+                .iter()
+                .filter(|&&(start, end, _)| start <= time && time < end)
+                .map(|&(_, _, width)| width)
+                .sum();
+            prop_assert_eq!(free, 64 - taken, "free at {}", time);
         }
-        p.check_invariants().unwrap();
-        prop_assert_eq!(p.min_free(0, 10_000), 64);
+        prop_assert_eq!(p.free_at(10_000), 64);
     }
 
     #[test]
