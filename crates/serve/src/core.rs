@@ -31,6 +31,7 @@
 //! request. The serve bench measures exactly this batched-vs-per-request
 //! gap.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use dynp_core::SelfTuning;
@@ -104,6 +105,66 @@ fn job_fields(job: &Job) -> [u64; 5] {
 /// when set.
 const TIMELINE_HEAD: [&str; 4] = ["id", "batch", "admitted", "submit"];
 
+/// The snapshot's `records` and `timelines` items rendered so far,
+/// comma-joined without brackets, and how far into each list they
+/// reach. Both lists only grow and an entry never changes once written,
+/// so the text of the entries before a cursor is final.
+#[derive(Debug, Default)]
+struct RenderCache {
+    records: String,
+    records_done: usize,
+    timelines: String,
+    /// Next timeline slot to look at (slots the recorder skipped stay
+    /// `None` for good: later ids are only ever higher).
+    timelines_done: usize,
+}
+
+impl RenderCache {
+    /// Renders the records and timeline slots appended since the last
+    /// call.
+    fn catch_up(&mut self, records: &[JobRecord], timelines: &[Option<JobTimeline>]) {
+        let fresh = &records[self.records_done..];
+        extend_items(&mut self.records, fresh, |out, r| r.write_json(out));
+        self.records_done = records.len();
+        // Slot order is ascending-id by construction.
+        let fresh = (self.timelines_done..).zip(&timelines[self.timelines_done..]);
+        let fresh = fresh.filter_map(|(id, t)| Some((id as u64, t.as_ref()?)));
+        extend_items(&mut self.timelines, fresh, |out, (id, t)| {
+            let mut object = ObjectWriter::open(out);
+            object
+                .uints(&TIMELINE_HEAD, &[id, t.batch, t.admitted, t.submit])
+                .str("policy", t.policy.name());
+            if let Some(start) = t.planned_start {
+                object.uint("planned_start", start);
+            }
+            object.close();
+        });
+        self.timelines_done = timelines.len();
+    }
+}
+
+/// Appends one rendered item per entry of `items` to the comma-joined
+/// `text` (every item renders non-empty, so empty text means no items).
+fn extend_items<T>(
+    text: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    for it in items {
+        if !text.is_empty() {
+            text.push(',');
+        }
+        item(text, it);
+    }
+}
+
+/// Writes comma-joined `items` as a JSON array.
+fn bracketed(out: &mut String, items: &str) {
+    out.push('[');
+    out.push_str(items);
+    out.push(']');
+}
+
 /// The live scheduling state behind the serve API.
 #[derive(Debug)]
 pub struct ServiceCore {
@@ -128,6 +189,10 @@ pub struct ServiceCore {
     /// Whether the flight recorder captures timelines (on by default;
     /// the overhead bench flips it off to measure the delta).
     flight_recorder: bool,
+    /// What [`ServiceCore::snapshot_json`] rendered of the append-only
+    /// lists; empty until the first snapshot, so a core that never
+    /// checkpoints pays nothing for it.
+    rendered: RefCell<RenderCache>,
 }
 
 impl ServiceCore {
@@ -147,6 +212,7 @@ impl ServiceCore {
             batches: 0,
             timelines: Vec::new(),
             flight_recorder: true,
+            rendered: RefCell::default(),
         }
     }
 
@@ -558,13 +624,22 @@ impl ServiceCore {
     }
 
     /// The full service state as one checkpoint `data` object, written
-    /// as compact JSON text in one pass — the service's only state
-    /// serializer. Everything is deterministic (logical times only), so
-    /// a restored core continues the decision sequence byte-identically.
+    /// as compact JSON text — the service's only state serializer.
+    /// Everything is deterministic (logical times only), so a restored
+    /// core continues the decision sequence byte-identically.
+    ///
+    /// Each completion record and flight-recorder entry is rendered once
+    /// per core: both lists only grow and never change an entry once
+    /// written, so a call renders the entries appended since the last
+    /// one and copies the text of the rest. The header and the
+    /// `waiting`, `running` and `declined` arrays are rendered afresh.
     pub fn snapshot_json(&self) -> String {
+        let mut cache = self.rendered.borrow_mut();
+        cache.catch_up(self.records(), &self.timelines);
         let (waiting, running) = (self.rms.waiting(), self.rms.machine().running());
-        let entries = waiting.len() + running.len() + self.records().len() + self.timelines.len();
-        let mut out = String::with_capacity(256 + 160 * entries);
+        let entries = waiting.len() + running.len() + self.declined.len();
+        let cached = cache.records.len() + cache.timelines.len();
+        let mut out = String::with_capacity(256 + 160 * entries + cached);
         let mut state = ObjectWriter::open(&mut out);
         state
             .uint("clock", self.clock)
@@ -581,7 +656,7 @@ impl ServiceCore {
             object.uints(&JOB_FIELDS, &job_fields(&r.job)).uint("start", r.start);
             object.close();
         });
-        array_into(state.key("records"), self.records(), |out, r| r.write_json(out));
+        bracketed(state.key("records"), &cache.records);
         array_into(state.key("declined"), &self.declined, |out, (id, d)| {
             let mut object = ObjectWriter::open(out);
             object
@@ -591,18 +666,7 @@ impl ServiceCore {
                 .str("reason", &d.why.reason());
             object.close();
         });
-        // Vector order is ascending-id by construction.
-        let timelines = (0u32..).zip(&self.timelines).filter_map(|(id, t)| Some((id, t.as_ref()?)));
-        array_into(state.key("timelines"), timelines, |out, (id, t)| {
-            let mut object = ObjectWriter::open(out);
-            object
-                .uints(&TIMELINE_HEAD, &[id.into(), t.batch, t.admitted, t.submit])
-                .str("policy", t.policy.name());
-            if let Some(start) = t.planned_start {
-                object.uint("planned_start", start);
-            }
-            object.close();
-        });
+        bracketed(state.key("timelines"), &cache.timelines);
         state.close();
         out
     }

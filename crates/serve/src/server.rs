@@ -563,11 +563,17 @@ fn process_batch(
     }
 }
 
-/// Appends the core's snapshot as checkpoint cell 0, rendered once as
-/// text (no tree in between).
+/// Appends the core's snapshot as checkpoint cell 0, rendered as text
+/// (no tree in between), under a `serve.checkpoint` span; the
+/// `serve.snapshot_bytes` gauge holds the length of the data appended.
 fn write_snapshot(checkpoint: &Option<(CheckpointLog, String)>, core: &ServiceCore) {
     if let Some((log, fp)) = checkpoint {
-        log.append_json(fp, 0, &core.snapshot_json());
+        let _span = dynp_obs::span("serve.checkpoint");
+        let data = core.snapshot_json();
+        log.append_json(fp, 0, &data);
+        if let Some(r) = dynp_obs::recorder() {
+            r.gauge("serve.snapshot_bytes").set(data.len() as i64);
+        }
     }
 }
 

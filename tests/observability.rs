@@ -124,3 +124,36 @@ fn uninstrumented_paths_stay_silent_on_a_fresh_recorder() {
     assert!(recorder.events().is_empty());
     assert_eq!(recorder.counter("milp.nodes").get(), 0);
 }
+
+#[test]
+fn each_checkpoint_is_one_span_and_sets_the_snapshot_bytes_gauge() {
+    let (recorder, _guard) = fresh_recorder();
+    let dir = std::env::temp_dir().join(format!("dynp-obs-checkpoint-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("serve.ckpt");
+    let _ = std::fs::remove_file(&path);
+    let mut config = ServeConfig::new(4);
+    config.checkpoint = Some(path.clone());
+    let server = ServeServer::start("127.0.0.1:0", config).unwrap();
+    let job = |width| JobRequest {
+        width,
+        runtime: 60,
+        actual_runtime: None,
+        submit: None,
+    };
+    server.submit(vec![job(2), job(4)]).unwrap();
+    server.submit(vec![job(1)]).unwrap();
+    server.shutdown();
+    let written = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // One span per record: two batches and the drain.
+    let lines: Vec<&str> = written.lines().collect();
+    assert_eq!(lines.len(), 3);
+    assert_eq!(recorder.histogram("serve.checkpoint").snapshot().count, 3);
+    // The gauge holds the length of the last record's data, which is
+    // written as canonical text.
+    let last = obs::parse_json(lines[2]).unwrap();
+    let data = last.get("data").unwrap().to_json();
+    assert_eq!(recorder.gauge("serve.snapshot_bytes").get(), data.len() as i64);
+}

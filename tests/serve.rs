@@ -5,6 +5,7 @@
 //! submission sequence answer with **byte-identical** decision bodies.
 
 use dynp_rs::prelude::serve::*;
+use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -327,6 +328,65 @@ fn checkpoint_bytes_are_pinned_and_match_the_in_process_records() {
         (written.len(), format!("{:016x}", fnv1a64(&written))),
         (192_800, "d9bfd18148fbbf3c".to_string())
     );
+}
+
+/// A request as the property below draws it: width, estimate, actual
+/// runtime (0: none given), and whether the submit stamp is absent (0),
+/// repeats the previous explicit stamp (1) or moves it on by `step` (2).
+type Drawn = (u32, u64, u64, u8, u64);
+
+fn drawn_batches() -> impl Strategy<Value = Vec<Vec<Drawn>>> {
+    let request = (1u32..=10, 1u64..400, 0u64..600, 0u8..3, 0u64..150);
+    prop::collection::vec(prop::collection::vec(request, 1..=12), 1..=10)
+}
+
+proptest! {
+    /// The live core renders each record and admission entry once and
+    /// copies its text afterwards; a restored core starts with nothing
+    /// rendered. After every batch and after the drain, the restored
+    /// core's first render must equal the live core's cached one byte
+    /// for byte. Widths reach past capacity (declined at the door) and
+    /// the flight recorder flips between batches, so skipped timeline
+    /// slots sit between rendered ones. Every stamp stays far below 2^53.
+    #[test]
+    fn a_cached_snapshot_render_equals_a_fresh_one(
+        capacity in 1u32..=8,
+        batches in drawn_batches(),
+        recorder in prop::collection::vec(0u8..2, 10),
+    ) {
+        let tuner = || dynp_rs::dynp::SelfTuning::paper_config(dynp_rs::sched::Metric::SldwA);
+        let fresh_equals_cached = |live: &ServiceCore| -> Result<(), TestCaseError> {
+            let cached = live.snapshot_json();
+            let data = dynp_rs::obs::parse_json(&cached).map_err(TestCaseError::Fail)?;
+            let restored =
+                ServiceCore::restore(capacity, tuner(), &data).map_err(TestCaseError::Fail)?;
+            prop_assert_eq!(restored.snapshot_json(), cached);
+            Ok(())
+        };
+        let mut live = ServiceCore::new(capacity, tuner());
+        let mut stamp = 0u64;
+        for (batch, on) in batches.iter().zip(&recorder) {
+            live.set_flight_recorder(*on == 1);
+            let requests: Vec<JobRequest> = batch
+                .iter()
+                .map(|&(width, runtime, actual, mode, step)| {
+                    if mode == 2 {
+                        stamp += step;
+                    }
+                    JobRequest {
+                        width,
+                        runtime,
+                        actual_runtime: (actual > 0).then_some(actual),
+                        submit: (mode > 0).then_some(stamp),
+                    }
+                })
+                .collect();
+            live.submit_batch(&requests);
+            fresh_equals_cached(&live)?;
+        }
+        live.drain();
+        fresh_equals_cached(&live)?;
+    }
 }
 
 #[test]
