@@ -13,18 +13,6 @@ use dynp_sched::{
     plan_ordered_with_profile, Metric, PlanError, Policy, Schedule, SchedulingProblem,
 };
 
-/// Static span name for one policy's planning pass, so each policy gets
-/// its own latency histogram ([`dynp_obs::Span`] requires `&'static str`).
-fn plan_span_name(policy: Policy) -> &'static str {
-    match policy {
-        Policy::Fcfs => "planner.plan.fcfs",
-        Policy::Sjf => "planner.plan.sjf",
-        Policy::Ljf => "planner.plan.ljf",
-        Policy::Saf => "planner.plan.saf",
-        Policy::Laf => "planner.plan.laf",
-    }
-}
-
 /// Result of one self-tuning step.
 #[derive(Clone, Debug)]
 pub struct TuningOutcome {
@@ -157,7 +145,6 @@ impl SelfTuning {
         let mut evaluations = Vec::with_capacity(self.policies.len());
         let mut schedules = Vec::with_capacity(self.policies.len());
         for &policy in &self.policies {
-            let _plan_span = dynp_obs::Span::enter(plan_span_name(policy));
             let order = policy.order(&problem.jobs);
             let schedule = plan_ordered_with_profile(problem, &order, &profile)?;
             let value = self.metric.eval_in_order(problem, &order, &schedule);

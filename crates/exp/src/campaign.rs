@@ -670,7 +670,6 @@ struct Cell<'a> {
 /// the `exp.cells_degraded` gauge, and the
 /// `exp.cell_crashed`/`exp.cell_timeout`/`exp.cell_retry` events.
 pub fn run_campaign(jobs: &[Job], config: &CampaignConfig) -> Result<CampaignOutcome, CampaignError> {
-    let span = dynp_obs::Span::enter("exp.campaign");
     // Panic-safe: even a campaign that dies mid-cell leaves a flushed
     // event log behind, matching what the checkpoint recorded.
     let _flush = dynp_obs::flush_on_drop();
@@ -749,7 +748,7 @@ pub fn run_campaign(jobs: &[Job], config: &CampaignConfig) -> Result<CampaignOut
             inflight.add(1);
         }
         // Everything a cell does — replay, exact solves, the checkpoint
-        // append, the completion event — runs under the cell's trace
+        // append — runs under the cell's trace
         // context, so all its events correlate. A cell runs entirely on
         // one worker thread, which is what keeps its span ids
         // deterministic regardless of the worker count.
@@ -761,14 +760,6 @@ pub fn run_campaign(jobs: &[Job], config: &CampaignConfig) -> Result<CampaignOut
             log.append(&fingerprint, i, &data);
         }
         let computed_now = computed.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(r) = dynp_obs::recorder() {
-            r.event("exp.cell_done")
-                .kv("shard", cell.shard.index)
-                .kv("selector", cell.spec.label().as_str())
-                .kv("factor", cell.factor)
-                .kv("status", record_status(&data))
-                .emit();
-        }
         drop(cell_ctx);
         let done_now = match &progress {
             Some((done, inflight, degraded)) => {
@@ -845,7 +836,6 @@ pub fn run_campaign(jobs: &[Job], config: &CampaignConfig) -> Result<CampaignOut
         }
         None => None,
     };
-    drop(span);
 
     Ok(CampaignOutcome {
         fingerprint,

@@ -52,7 +52,7 @@ use crate::model::Milp;
 use crate::simplex::{solve_lp, Basis, KernelCounts, LpOutcome, LpSolution, LpStart};
 use crate::timeindex::BranchChildren;
 use dynp_obs::pool::{self, SlotOutcome};
-use dynp_obs::{JsonValue, Span};
+use dynp_obs::JsonValue;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -458,8 +458,7 @@ impl<'a> BranchBound<'a> {
             .map(dynp_obs::CancelToken::with_deadline);
         let _deadline_guard = deadline.as_ref().map(dynp_obs::install_cancel);
         // The whole B&B search is one traced span (child of milp.solve
-        // inside a campaign cell); per-node timing stays a plain
-        // histogram span to keep the node loop cheap.
+        // inside a campaign cell).
         let _search_span = dynp_obs::span("milp.search");
         // Metric handles are fetched once here; the round loop below only
         // touches atomics (or skips entirely when no recorder is
@@ -468,13 +467,7 @@ impl<'a> BranchBound<'a> {
         let m_nodes = obs.map(|r| r.counter("milp.nodes"));
         let m_open = obs.map(|r| r.gauge("milp.open_nodes"));
         let m_lp_iters = obs.map(|r| r.histogram("milp.lp_iterations"));
-        let m_rounds = obs.map(|r| r.counter("milp.rounds"));
-        let m_warm = obs.map(|r| r.counter("milp.warm_lps"));
-        let m_cold = obs.map(|r| r.counter("milp.cold_lps"));
         let workers = self.limits.solver_workers.max(1);
-        if let Some(r) = obs {
-            r.gauge("milp.solver_workers").set(workers as i64);
-        }
         let mut nodes_explored = 0usize;
         let mut lp_iterations = 0usize;
         let mut warm_lps = 0usize;
@@ -549,14 +542,10 @@ impl<'a> BranchBound<'a> {
                 // fired before the first pop.
                 break;
             }
-            if let Some(m) = &m_rounds {
-                m.inc();
-            }
             if let Some(m) = &m_open {
                 // All of heap plus the collected batch are still open.
                 m.set((heap.len() + batch.len()) as i64);
             }
-            let _round_span = Span::enter("milp.round");
             // ---- Solve: the batch's node LPs, concurrently. ----
             //
             // Each LP is a pure function of the model and the node's
@@ -586,7 +575,6 @@ impl<'a> BranchBound<'a> {
             // state after the round is independent of worker count.
             for (node, slot) in batch.into_iter().zip(outcomes) {
                 nodes_explored += 1;
-                let _node_span = Span::enter("milp.node");
                 if let Some(m) = &m_nodes {
                     m.inc();
                 }
@@ -609,14 +597,8 @@ impl<'a> BranchBound<'a> {
                 };
                 if warmed {
                     warm_lps += 1;
-                    if let Some(m) = &m_warm {
-                        m.inc();
-                    }
                 } else {
                     cold_lps += 1;
-                    if let Some(m) = &m_cold {
-                        m.inc();
-                    }
                 }
                 let sol = match outcome {
                     LpOutcome::Infeasible => continue,
@@ -780,15 +762,8 @@ impl<'a> BranchBound<'a> {
                 .kv("lp_iterations", lp_iterations)
                 .kv("warm_lps", warm_lps)
                 .kv("cold_lps", cold_lps);
-            for (metric, n) in kernel.metrics() {
-                exit = exit.kv(KernelCounts::field_name(metric), n);
-                if metric == "milp.eta_nnz_max" {
-                    // A maximum: the gauge's high-water mark carries it
-                    // across solves, a counter would sum maxima.
-                    r.gauge(metric).set(n as i64);
-                } else {
-                    r.counter(metric).add(n as u64);
-                }
+            for (field, n) in kernel.fields() {
+                exit = exit.kv(field, n);
             }
             exit.kv("objective", objective)
                 .kv(
@@ -1210,8 +1185,7 @@ mod tests {
         assert_eq!(k, solve(2).kernel);
         assert_eq!(k, solve(4).kernel);
         let render = serial.canonical_json().to_json();
-        for (metric, _) in k.metrics() {
-            let field = KernelCounts::field_name(metric);
+        for (field, _) in k.fields() {
             assert!(
                 render.contains(&format!("\"{field}\":")),
                 "{field} not rendered"

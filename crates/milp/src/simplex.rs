@@ -121,34 +121,29 @@ impl KernelCounts {
         self.lu_nucleus_rows += other.lu_nucleus_rows;
     }
 
-    /// Every count under its metric name, in declaration order; events
-    /// and renders key the same values by [`KernelCounts::field_name`].
-    pub fn metrics(&self) -> [(&'static str, usize); 10] {
+    /// Every count under its field name, in declaration order, as the
+    /// `milp.exit` event and the renders key them.
+    pub fn fields(&self) -> [(&'static str, usize); 10] {
         [
-            ("milp.refactors", self.refactors),
-            ("milp.primal_pivots", self.primal_pivots),
-            ("milp.dual_pivots", self.dual_pivots),
-            ("milp.bound_flips", self.bound_flips),
-            ("milp.lu_nnz", self.lu_nnz),
-            ("milp.eta_nnz_max", self.eta_nnz_max),
-            ("milp.pricing_row_nnz", self.pricing_row_nnz),
-            ("milp.dual_flips", self.dual_flips),
-            ("milp.pivot_row_cols", self.pivot_row_cols),
-            ("milp.lu_nucleus_rows", self.lu_nucleus_rows),
+            ("refactors", self.refactors),
+            ("primal_pivots", self.primal_pivots),
+            ("dual_pivots", self.dual_pivots),
+            ("bound_flips", self.bound_flips),
+            ("lu_nnz", self.lu_nnz),
+            ("eta_nnz_max", self.eta_nnz_max),
+            ("pricing_row_nnz", self.pricing_row_nnz),
+            ("dual_flips", self.dual_flips),
+            ("pivot_row_cols", self.pivot_row_cols),
+            ("lu_nucleus_rows", self.lu_nucleus_rows),
         ]
-    }
-
-    /// The field behind a name from [`KernelCounts::metrics`].
-    pub fn field_name(metric: &'static str) -> &'static str {
-        metric.trim_start_matches("milp.")
     }
 
     /// The counts as a JSON object keyed by field name.
     pub fn to_json(&self) -> dynp_obs::JsonValue {
-        self.metrics()
+        self.fields()
             .into_iter()
-            .fold(dynp_obs::JsonValue::object(), |obj, (metric, n)| {
-                obj.with(Self::field_name(metric), n)
+            .fold(dynp_obs::JsonValue::object(), |obj, (field, n)| {
+                obj.with(field, n)
             })
     }
 }

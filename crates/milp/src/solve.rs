@@ -315,20 +315,11 @@ pub fn solve_snapshot(
             .collect()
     };
     if let Some(seed) = ti.greedy_solution(&order) {
-        bb = match bb.with_incumbent(seed) {
-            Ok(seeded) => seeded,
-            Err(err) => {
-                // A rejected seed costs the warm start, never the
-                // sweep: continue cold rather than abort the run.
-                if let Some(r) = dynp_obs::recorder() {
-                    r.event("milp.seed_rejected")
-                        .kv("jobs", problem.len())
-                        .kv("error", err.as_str())
-                        .emit();
-                }
-                BranchBound::new(&ti.model, config.limits)
-            }
-        };
+        // A rejected seed costs the warm start, never the sweep:
+        // continue cold rather than abort the run.
+        bb = bb
+            .with_incumbent(seed)
+            .unwrap_or_else(|_| BranchBound::new(&ti.model, config.limits));
     }
     {
         // The LP rounding heuristic, plus structure-aware acceleration:

@@ -571,7 +571,7 @@ fn fold_lp(bytes: &mut Vec<u8>, outcome: &LpOutcome) {
         .chain(&solution.reduced_costs);
     bytes.extend(floats.flat_map(|v| v.to_bits().to_le_bytes()));
     let basis = &solution.basis;
-    let counts = solution.counts.metrics().map(|(_, n)| n);
+    let counts = solution.counts.fields().map(|(_, n)| n);
     let words = std::iter::once(solution.iterations)
         .chain(counts)
         .chain(basis.basis.iter().copied())

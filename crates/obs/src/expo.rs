@@ -6,7 +6,7 @@
 //! from a `/metrics` endpoint:
 //!
 //! * every family is prefixed `dynp_` and the dotted metric names are
-//!   sanitized (`milp.node` → `dynp_milp_node`);
+//!   sanitized (`milp.open_nodes` → `dynp_milp_open_nodes`);
 //! * counters expose one `<family>_total` sample;
 //! * gauges expose the last value plus a companion
 //!   `<family>_highwater` gauge family;

@@ -6,8 +6,9 @@
 //!
 //! * **Metrics** — atomic [`Counter`]s, [`Gauge`]s with high-water
 //!   marks, and fixed-bucket base-2 [`Histogram`]s with merge support.
-//! * **Spans** — RAII [`Span`] timers feeding latency histograms;
-//!   near-zero cost when no global recorder is installed.
+//! * **Spans** — RAII [`span`] guards: each close feeds the kind's
+//!   latency histogram and is itself one event; near-zero cost when no
+//!   global recorder is installed.
 //! * **Events** — one-line JSONL records (`{"ts":…,"target":…,…}`)
 //!   written to an in-memory buffer, a bounded ring, a size-rotating
 //!   file set, or discarded; escaping is hand-rolled in
@@ -62,14 +63,12 @@
 //! disk even when the run panics.
 //!
 //! ```
-//! use dynp_obs::{Recorder, Sink, Span};
+//! use dynp_obs::{Recorder, Sink};
 //!
 //! let r = Recorder::new(Sink::memory());
 //! r.counter("milp.nodes").add(128);
 //! r.gauge("milp.open_nodes").set(17);
-//! {
-//!     let _timer = Span::enter_with(&r, "milp.node");
-//! }
+//! r.histogram("milp.lp_iterations").record(40);
 //! r.event("milp.incumbent").kv("objective", 42.0).emit();
 //! assert_eq!(r.events().len(), 1);
 //! ```
@@ -96,5 +95,5 @@ pub use metrics::{
     HistogramSnapshot, BUCKETS,
 };
 pub use profile::{profile_spans, render_folded, KindStat, Profile, SpanRec};
-pub use recorder::{install, flush_on_drop, recorder, EventBuilder, FlushGuard, Recorder, Sink, SinkStats, Span};
+pub use recorder::{install, flush_on_drop, recorder, EventBuilder, FlushGuard, Recorder, Sink, SinkStats};
 pub use window::{Window, WindowAggregator, WINDOWS};

@@ -560,40 +560,6 @@ impl EventBuilder<'_> {
     }
 }
 
-/// An RAII timer: created by [`Span::enter`], records its lifetime in
-/// nanoseconds into the named histogram on drop. When no recorder is
-/// installed the span is inert and never reads the clock.
-#[derive(Debug)]
-#[must_use = "a Span measures until dropped; binding it to _ drops immediately"]
-pub struct Span {
-    state: Option<(Arc<Histogram>, Instant)>,
-}
-
-impl Span {
-    /// Starts timing against the global recorder's histogram `name`.
-    pub fn enter(name: &'static str) -> Span {
-        match recorder() {
-            Some(r) => Span::enter_with(r, name),
-            None => Span { state: None },
-        }
-    }
-
-    /// Starts timing against `recorder`'s histogram `name`.
-    pub fn enter_with(recorder: &Recorder, name: &'static str) -> Span {
-        Span {
-            state: Some((recorder.histogram(name), Instant::now())),
-        }
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some((histogram, started)) = self.state.take() {
-            histogram.record_duration(started.elapsed());
-        }
-    }
-}
-
 static GLOBAL: AtomicPtr<Recorder> = AtomicPtr::new(std::ptr::null_mut());
 
 /// Installs `recorder` as the process-global recorder, returning a
@@ -672,20 +638,6 @@ mod tests {
         assert!(lines[0].contains("\"target\":\"test.event\""));
         assert!(lines[0].contains("\"policy\":\"SJF\""));
         assert!(lines[0].starts_with("{\"ts\":"));
-    }
-
-    #[test]
-    fn span_records_into_histogram() {
-        let r = Recorder::default();
-        {
-            let _span = Span::enter_with(&r, "unit.span");
-        }
-        assert_eq!(r.histogram("unit.span").snapshot().count, 1);
-    }
-
-    #[test]
-    fn inert_span_without_recorder_is_fine() {
-        let _span = Span { state: None };
     }
 
     #[test]

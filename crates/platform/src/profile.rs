@@ -134,9 +134,7 @@ impl ResourceProfile {
     }
 
     /// [`Self::earliest_fit`] plus the number of segment probes the scan
-    /// performed — the planner's `planner.fit_probes` counter feeds on
-    /// this, turning "how much scanning did placement cost" into a
-    /// first-class observable.
+    /// performed: how much scanning a placement costs.
     ///
     /// The scan is a *skip-scan*: both the candidate segment `i` and the
     /// window check `j` only ever move forward, and a blocking segment
@@ -162,29 +160,21 @@ impl ResourceProfile {
     /// [`Self::earliest_fit_probed`] followed by [`Self::allocate`] of the
     /// window found, `[start, start + duration.max(1))`, in one search:
     /// the window is cut out at the two segment indices the scan ended on.
-    /// Returns the start, or why nothing was allocated, plus the scan's
-    /// probes (the same count `earliest_fit_probed` reports). A zero-width
-    /// job allocates nothing and starts at `earliest`.
-    pub fn place(
-        &mut self,
-        earliest: u64,
-        duration: u64,
-        width: u32,
-    ) -> (Result<u64, Unplaceable>, u64) {
+    /// Returns the start, or why nothing was allocated. A zero-width job
+    /// allocates nothing and starts at `earliest`.
+    pub fn place(&mut self, earliest: u64, duration: u64, width: u32) -> Result<u64, Unplaceable> {
         let need = duration.max(1);
         if width == 0 {
-            let placed = match earliest.checked_add(need) {
+            return match earliest.checked_add(need) {
                 Some(_) => Ok(earliest),
                 None => Err(Unplaceable::PastTimeAxis { start: earliest }),
             };
-            return (placed, 0);
         }
-        let (window, probes) = self.scan(earliest, need, width);
-        let Some(Window { start, first, past }) = window else {
-            return (Err(Unplaceable::Never), probes);
+        let Some(Window { start, first, past }) = self.scan(earliest, need, width).0 else {
+            return Err(Unplaceable::Never);
         };
         let Some(end) = start.checked_add(need) else {
-            return (Err(Unplaceable::PastTimeAxis { start }), probes);
+            return Err(Unplaceable::PastTimeAxis { start });
         };
         let lo = self.split(first, start);
         let past = past + (lo - first);
@@ -193,7 +183,7 @@ impl ResourceProfile {
         let at_end = self.steps.get(past).is_some_and(|&(time, _)| time == end);
         let hi = self.split(if at_end { past } else { past - 1 }, end);
         self.take(lo, hi, width);
-        (Ok(start), probes)
+        Ok(start)
     }
 
     /// The skip-scan behind [`Self::earliest_fit_probed`] and
@@ -808,7 +798,7 @@ mod tests {
             // The drawn window, and one that ends at u64::MAX exactly if
             // it starts at `earliest` and past it if it starts later.
             for duration in [duration, u64::MAX - earliest] {
-                let (fit, probes) = p.earliest_fit_probed(earliest, duration, width);
+                let fit = p.earliest_fit(earliest, duration, width);
                 let mut expected = p.clone();
                 let placed = match fit {
                     None => Err(Unplaceable::Never),
@@ -821,7 +811,7 @@ mod tests {
                     },
                 };
                 let mut q = p.clone();
-                prop_assert_eq!(q.place(earliest, duration, width), (placed, probes));
+                prop_assert_eq!(q.place(earliest, duration, width), placed);
                 prop_assert_eq!(&q, &expected);
                 q.check_invariants().map_err(TestCaseError::Fail)?;
             }

@@ -124,9 +124,6 @@ pub fn plan_ordered_with_profile(
     order: &[dynp_trace::Job],
     profile: &ResourceProfile,
 ) -> Result<Schedule, PlanError> {
-    if let Some(r) = dynp_obs::recorder() {
-        r.counter("planner.profile_clones").inc();
-    }
     plan_ordered_in(problem, order, profile.clone(), false)
 }
 
@@ -169,8 +166,7 @@ const RECENT: usize = 8;
 /// The profile's pre-`now` prefix is compressed away first
 /// ([`ResourceProfile::compress_before`]) — no job may start before `now`,
 /// and a short profile keeps every subsequent skip-scan and allocation
-/// cheap. Emits `planner.fit_probes` (total segment probes) and the
-/// `planner.plan_ordered` latency span when a recorder is installed.
+/// cheap.
 ///
 /// Each fit starts at a lower bound rather than at `now`. Within the pass
 /// the working profile only loses capacity, and the earliest fit of
@@ -195,11 +191,9 @@ fn plan_ordered_in(
     mut profile: ResourceProfile,
     frontier_only: bool,
 ) -> Result<Schedule, PlanError> {
-    let _span = dynp_obs::Span::enter("planner.plan_ordered");
     profile.compress_before(problem.now);
     // A full pass places every job; the frontier usually a few.
     let mut schedule = Schedule::with_capacity(if frontier_only { 0 } else { order.len() });
-    let mut probes = 0u64;
     let fits_now = |profile: &ResourceProfile, job: &dynp_trace::Job| {
         profile.fits(problem.now, job.estimated_duration.max(1), job.width)
     };
@@ -221,20 +215,20 @@ fn plan_ordered_in(
             .iter()
             .filter(|&&(width, planned, _)| width <= job.width && planned <= duration)
             .fold(problem.now, |bound, &(_, _, start)| bound.max(start));
-        let (placed, fit_probes) = profile.place(bound, duration, job.width);
-        probes += fit_probes;
-        let start = placed.map_err(|why| match why {
-            Unplaceable::Never => PlanError::JobTooWide {
-                id: job.id,
-                width: job.width,
-                capacity: problem.capacity(),
-            },
-            Unplaceable::PastTimeAxis { start } => PlanError::PastTimeAxis {
-                id: job.id,
-                start,
-                duration,
-            },
-        })?;
+        let start = profile
+            .place(bound, duration, job.width)
+            .map_err(|why| match why {
+                Unplaceable::Never => PlanError::JobTooWide {
+                    id: job.id,
+                    width: job.width,
+                    capacity: problem.capacity(),
+                },
+                Unplaceable::PastTimeAxis { start } => PlanError::PastTimeAxis {
+                    id: job.id,
+                    start,
+                    duration,
+                },
+            })?;
         recent[i % RECENT] = (job.width, duration, start);
         schedule.push(ScheduleEntry {
             id: job.id,
@@ -242,9 +236,6 @@ fn plan_ordered_in(
             end: start + duration,
             width: job.width,
         });
-    }
-    if let Some(r) = dynp_obs::recorder() {
-        r.counter("planner.fit_probes").add(probes);
     }
     Ok(schedule)
 }

@@ -689,6 +689,10 @@ impl ServiceCore {
         let u = |v: &JsonValue, key: &str| -> Result<u64, String> {
             v.get(key).and_then(JsonValue::as_u64).ok_or_else(|| missing(key))
         };
+        // Ids and widths are `u32`: a larger value is refused, never cut.
+        let narrow = |v: &JsonValue, key: &str| -> Result<u32, String> {
+            u32::try_from(u(v, key)?).map_err(|_| format!("snapshot field {key:?} exceeds u32"))
+        };
         let array = |key: &str| -> Result<&[JsonValue], String> {
             data.get(key)
                 .and_then(JsonValue::as_array)
@@ -707,13 +711,13 @@ impl ServiceCore {
             ));
         }
         let parse_job = |v: &JsonValue| -> Result<Job, String> {
-            let [id, submit, width, runtime, actual] = JOB_FIELDS.map(|key| u(v, key));
+            let [id, submit, width, runtime, actual] = JOB_FIELDS;
             Ok(Job {
-                id: JobId(id? as u32),
-                submit: submit?,
-                width: width? as u32,
-                estimated_duration: runtime?,
-                actual_duration: actual?,
+                id: JobId(narrow(v, id)?),
+                submit: u(v, submit)?,
+                width: narrow(v, width)?,
+                estimated_duration: u(v, runtime)?,
+                actual_duration: u(v, actual)?,
                 user: 0,
             })
         };
@@ -742,11 +746,11 @@ impl ServiceCore {
             core.record_index.insert(record.id.0, idx);
         }
         core.clock = clock;
-        core.next_id = u(data, "next_id")? as u32;
+        core.next_id = narrow(data, "next_id")?;
         core.batches = u(data, "batches")?;
         for v in array("declined")? {
-            let id = u(v, "id")? as u32;
-            let width = u(v, "width")? as u32;
+            let id = narrow(v, "id")?;
+            let width = narrow(v, "width")?;
             let runtime = u(v, "runtime")?;
             let reason = v
                 .get("reason")
@@ -768,13 +772,19 @@ impl ServiceCore {
                     .and_then(JsonValue::as_str)
                     .ok_or("timeline entry without a policy")?
                     .parse()?;
-                let [id, batch, admitted, submit] = TIMELINE_HEAD.map(|key| u(v, key));
+                let [id, batch, admitted, submit] = TIMELINE_HEAD;
+                let id = narrow(v, id)?;
+                // Ids are dense below `next_id`; a larger one would grow
+                // the id-indexed table to it.
+                if id >= core.next_id {
+                    return Err(format!("timeline id {id} is not below next_id {}", core.next_id));
+                }
                 core.put_timeline(
-                    id? as u32,
+                    id,
                     JobTimeline {
-                        batch: batch?,
-                        admitted: admitted?,
-                        submit: submit?,
+                        batch: u(v, batch)?,
+                        admitted: u(v, admitted)?,
+                        submit: u(v, submit)?,
                         policy,
                         planned_start: v.get("planned_start").and_then(JsonValue::as_u64),
                     },
@@ -1172,6 +1182,38 @@ mod tests {
         let err = ServiceCore::restore(8, SelfTuning::paper_config(Metric::SldwA), &snapshot)
             .unwrap_err();
         assert!(err.contains("not in the configured policy set"), "{err}");
+    }
+
+    #[test]
+    fn restore_refuses_what_it_would_have_to_cut() {
+        let mut live = core(8);
+        live.submit_batch(&[req(4, 100), req(4, 60), req(2, 30), req(9, 10)]);
+        live.submit_batch(&[JobRequest { submit: Some(50), ..req(8, 40) }]);
+        let text = live.snapshot_json();
+        let restore = |text: &str| {
+            let data = dynp_obs::parse_json(text).unwrap();
+            ServiceCore::restore(8, SelfTuning::paper_config(Metric::SldwA), &data)
+        };
+        assert!(restore(&text).is_ok());
+        // One field at a time: ids and widths past `u32`, and a timeline
+        // id `next_id + 3`. Each would restore cut or grow the timeline
+        // table; each must be refused instead.
+        let past = |v: u64| (1u64 << 32) + v;
+        let edits = [
+            (r#"{"id":4,"submit":50,"#, format!(r#"{{"id":{},"submit":50,"#, past(4))),
+            (r#""width":8,"runtime":40"#, format!(r#""width":{},"runtime":40"#, past(8))),
+            (r#""width":4,"runtime":60"#, format!(r#""width":{},"runtime":60"#, past(4))),
+            (r#"{"id":3,"width":9"#, format!(r#"{{"id":{},"width":9"#, past(3))),
+            (r#""width":9,"runtime":10"#, format!(r#""width":{},"runtime":10"#, past(3))),
+            (r#""next_id":5"#, format!(r#""next_id":{}"#, past(5))),
+            (r#"{"id":4,"batch":2"#, format!(r#"{{"id":{},"batch":2"#, past(4))),
+            (r#"{"id":4,"batch":2"#, r#"{"id":8,"batch":2"#.to_string()),
+        ];
+        for (from, to) in edits {
+            let edited = text.replacen(from, &to, 1);
+            assert_ne!(edited, text, "{from} is not in the snapshot");
+            assert!(restore(&edited).is_err(), "{to} restored");
+        }
     }
 
     #[test]

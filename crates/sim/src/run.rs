@@ -168,17 +168,8 @@ impl Book {
         if let Some(policy) = step.tuned {
             self.policy_log.push((now, policy));
         }
-        for Decline { job, error, .. } in step.declined {
-            if let Some(r) = dynp_obs::recorder() {
-                r.counter("sim.jobs_declined").inc();
-                r.event("sim.job_declined")
-                    .kv("job", format!("{}", job.id))
-                    .kv("time", now)
-                    .kv("reason", error.to_string())
-                    .emit();
-            }
-            self.skipped.push(job);
-        }
+        self.skipped
+            .extend(step.declined.into_iter().map(|Decline { job, .. }| job));
         dynp_obs::cancelled()
     }
 }

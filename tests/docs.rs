@@ -6,8 +6,11 @@
 //! cannot quote a run no file backs: every fenced block of EXPERIMENTS.md
 //! without a language tag is a verbatim line span of a file in `results/`.
 //! Nor can a manifest outlive the code: every crate a workspace manifest
-//! lists as a dependency is named by that package's sources.
+//! lists as a dependency is named by that package's sources. And no
+//! telemetry signal goes unread: DESIGN.md §7's registry lists every name
+//! the program hands its recorder, each with a reader that names it.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 const DOCS: [&str; 5] = [
@@ -147,18 +150,227 @@ fn untagged_blocks(text: &str) -> Vec<Vec<&str>> {
     blocks
 }
 
-/// The text of every readable file under `dir`, recursively.
-fn file_texts(dir: &Path) -> Vec<String> {
-    let mut texts = Vec::new();
+/// Every file under `dir`, recursively.
+fn files(dir: &Path) -> Vec<PathBuf> {
+    let mut found = Vec::new();
     for entry in std::fs::read_dir(dir).expect("readable directory") {
         let path = entry.expect("readable directory entry").path();
         if path.is_dir() {
-            texts.extend(file_texts(&path));
-        } else if let Ok(text) = std::fs::read_to_string(&path) {
-            texts.push(text);
+            found.extend(files(&path));
+        } else {
+            found.push(path);
         }
     }
-    texts
+    found
+}
+
+/// The text of every readable file under `dir`, recursively.
+fn file_texts(dir: &Path) -> Vec<String> {
+    files(dir)
+        .iter()
+        .filter_map(|path| std::fs::read_to_string(path).ok())
+        .collect()
+}
+
+/// Where non-test code hands the recorder a signal name as a literal,
+/// and the kinds each such call records: a traced span is its kind's
+/// histogram plus one `span` close event, and a router's rejection
+/// counter is also the name of its rejection event.
+const EMITTERS: [(&str, &str); 7] = [
+    (".counter(\"", "counter"),
+    (".gauge(\"", "gauge"),
+    (".histogram(\"", "histogram"),
+    (".event(\"", "event"),
+    ("::span(\"", "span"),
+    ("close_span(r, \"", "span"),
+    ("RouterConfig::new(\"", "counter + event"),
+];
+
+/// The only files that hand the recorder a name that is not a literal:
+/// they forward the names the literals above open.
+const FORWARDERS: [&str; 2] = ["crates/obs/src/context.rs", "crates/watch/src/router.rs"];
+
+/// The code of a source file outside its trailing `#[cfg(test)] mod
+/// tests` and outside its comment lines.
+fn non_test_code(text: &str) -> String {
+    let code = text.split("#[cfg(test)]\nmod tests").next().unwrap_or(text);
+    code.lines()
+        .filter(|line| !line.trim_start().starts_with("//"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// Every `(name, kind)` the code hands the recorder, and the recorder
+/// calls whose name is not a literal.
+fn emitted(code: &str) -> (Vec<(String, &'static str)>, usize) {
+    let mut names = Vec::new();
+    for (call, kind) in EMITTERS {
+        for (at, _) in code.match_indices(call) {
+            let mut args = code[at + call.len()..].split('"');
+            // The router's first argument is its thread name.
+            if call.starts_with("RouterConfig") {
+                args.nth(1);
+            }
+            if let Some(name) = args.next() {
+                names.push((name.to_string(), kind));
+            }
+        }
+    }
+    let computed = [".counter(", ".gauge(", ".histogram(", ".event(", "::span("]
+        .iter()
+        .map(|call| code.matches(call).count() - code.matches(&format!("{call}\"")).count())
+        .sum();
+    (names, computed)
+}
+
+/// Whether `text` names the signal `name`, dotted or in its OpenMetrics
+/// form (`serve.jobs` → `dynp_serve_jobs_total`), and not as part of a
+/// longer name (`serve.batch` is not named by `serve.batch_size`).
+fn names_signal(text: &str, name: &str) -> bool {
+    let word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let standalone = |form: &str, suffixes: &[&str]| {
+        text.match_indices(form).any(|(at, _)| {
+            let before = text[..at].chars().next_back();
+            let rest = &text[at + form.len()..];
+            !before.is_some_and(|c| word(c) || c == '.')
+                && suffixes.iter().any(|suffix| {
+                    rest.strip_prefix(suffix).is_some_and(|after| {
+                        let mut next = after.chars();
+                        match next.next() {
+                            Some('.') => !next.next().is_some_and(word),
+                            c => !c.is_some_and(word),
+                        }
+                    })
+                })
+        })
+    };
+    let exposed = format!("dynp_{}", name.replace('.', "_"));
+    standalone(name, &[""])
+        || standalone(
+            &exposed,
+            &["", "_total", "_count", "_sum", "_bucket", "_highwater"],
+        )
+}
+
+/// The body of `fn name` in `text`: from its signature to the closing
+/// brace at the signature's indentation.
+fn fn_body<'t>(text: &'t str, name: &str) -> Option<&'t str> {
+    let at = text.find(&format!("fn {name}("))?;
+    let line_start = text[..at].rfind('\n').map_or(0, |i| i + 1);
+    let indent = &text[line_start..at];
+    let close = format!("\n{indent}}}");
+    let end = text[at..].find(&close)? + at + close.len();
+    Some(&text[at..end])
+}
+
+/// The rows of the `| signal | kind | emitter | reader |` table.
+fn registry(design: &str) -> Vec<[String; 4]> {
+    design
+        .lines()
+        .skip_while(|line| *line != "| signal | kind | emitter | reader |")
+        .skip(2)
+        .take_while(|line| line.starts_with('|'))
+        .map(|line| {
+            let cells: Vec<String> = line
+                .split('|')
+                .map(|cell| cell.trim().replace('`', ""))
+                .collect();
+            [1, 2, 3, 4].map(|i| cells.get(i).cloned().unwrap_or_default())
+        })
+        .collect()
+}
+
+#[test]
+fn every_signal_is_declared_with_a_reader_that_names_it() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md exists");
+    let rows = registry(&design);
+    assert!(!rows.is_empty(), "DESIGN.md has no signal registry");
+
+    // Each emitted name with the files that emit it and the kinds they
+    // record.
+    let mut emitters: BTreeMap<String, (Vec<String>, BTreeSet<&str>)> = BTreeMap::new();
+    let mut problems = Vec::new();
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/ exists");
+    let sources =
+        crates.flat_map(|entry| files(&entry.expect("readable crates/ entry").path().join("src")));
+    for path in sources.filter(|path| path.extension().is_some_and(|ext| ext == "rs")) {
+        let file = path
+            .strip_prefix(root)
+            .expect("under the root")
+            .display()
+            .to_string();
+        let code = non_test_code(&std::fs::read_to_string(&path).expect("readable source"));
+        let (names, computed) = emitted(&code);
+        if computed > 0 && !FORWARDERS.contains(&file.as_str()) {
+            problems.push(format!(
+                "{file}: {computed} recorder call(s) with a computed name"
+            ));
+        }
+        for (name, kind) in names {
+            let (files, kinds) = emitters.entry(name).or_default();
+            files.push(file.clone());
+            kinds.extend(kind.split(" + "));
+        }
+    }
+
+    for (name, (files, kinds)) in &emitters {
+        let Some(row) = rows.iter().find(|row| row[0] == *name) else {
+            problems.push(format!(
+                "{name}: emitted by {}, not in the registry",
+                files[0]
+            ));
+            continue;
+        };
+        if row[1].split(" + ").collect::<BTreeSet<_>>() != *kinds {
+            let recorded: Vec<&str> = kinds.iter().copied().collect();
+            problems.push(format!(
+                "{name}: declared {}, recorded {}",
+                row[1],
+                recorded.join(" + ")
+            ));
+        }
+        if !files.contains(&row[2]) {
+            problems.push(format!("{name}: {} does not emit it", row[2]));
+        }
+    }
+    for (i, [name, _, emitter, reader]) in rows.iter().enumerate() {
+        if rows[..i].iter().any(|row| row[0] == *name) {
+            problems.push(format!("{name}: declared twice"));
+        }
+        if !emitters.contains_key(name) {
+            problems.push(format!(
+                "{name}: no longer emitted (by {emitter} or any file)"
+            ));
+        }
+        let (path, test_fn) = match reader.split_once("::") {
+            Some((path, test_fn)) => (path, Some(test_fn)),
+            None => (reader.as_str(), None),
+        };
+        if path == "DESIGN.md"
+            || path.starts_with("results/")
+            || (path == emitter && test_fn.is_none())
+        {
+            problems.push(format!("{name}: {reader} cannot be its reader"));
+            continue;
+        }
+        let Ok(text) = std::fs::read_to_string(root.join(path)) else {
+            problems.push(format!("{name}: reader {path} does not exist"));
+            continue;
+        };
+        let text = match test_fn {
+            Some(test_fn) => fn_body(&text, test_fn).unwrap_or_default(),
+            None => &text,
+        };
+        if !names_signal(text, name) {
+            problems.push(format!("{name}: {reader} does not name it"));
+        }
+    }
+    assert!(
+        problems.is_empty(),
+        "DESIGN.md §7's signal registry and the code disagree:\n{}",
+        problems.join("\n")
+    );
 }
 
 #[test]

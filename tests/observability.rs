@@ -54,12 +54,6 @@ fn exact_solve_populates_trajectory_histograms_and_events() {
     assert!(recorder.counter("milp.nodes").get() > 0, "no nodes counted");
     let lp = recorder.histogram("milp.lp_iterations").snapshot();
     assert!(lp.count > 0, "no LP solves recorded");
-    let node_time = recorder.histogram("milp.node").snapshot();
-    assert_eq!(
-        node_time.count,
-        recorder.counter("milp.nodes").get(),
-        "one span sample per node"
-    );
     assert!(recorder.gauge("milp.open_nodes").high_water() > 0);
 
     // Incumbent and exit events exist and every line is valid JSON.
@@ -132,9 +126,12 @@ fn each_checkpoint_is_one_span_and_sets_the_snapshot_bytes_gauge() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("serve.ckpt");
     let _ = std::fs::remove_file(&path);
-    let mut config = ServeConfig::new(4);
-    config.checkpoint = Some(path.clone());
-    let server = ServeServer::start("127.0.0.1:0", config).unwrap();
+    let config_at = |checkpoint| {
+        let mut config = ServeConfig::new(4);
+        config.checkpoint = Some(checkpoint);
+        config
+    };
+    let server = ServeServer::start("127.0.0.1:0", config_at(path.clone())).unwrap();
     let job = |width| JobRequest {
         width,
         runtime: 60,
@@ -145,7 +142,6 @@ fn each_checkpoint_is_one_span_and_sets_the_snapshot_bytes_gauge() {
     server.submit(vec![job(1)]).unwrap();
     server.shutdown();
     let written = std::fs::read_to_string(&path).unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
 
     // One span per record: two batches and the drain.
     let lines: Vec<&str> = written.lines().collect();
@@ -156,4 +152,22 @@ fn each_checkpoint_is_one_span_and_sets_the_snapshot_bytes_gauge() {
     let last = obs::parse_json(lines[2]).unwrap();
     let data = last.get("data").unwrap().to_json();
     assert_eq!(recorder.gauge("serve.snapshot_bytes").get(), data.len() as i64);
+    // Each batch is one span and one event; the drain is one event.
+    let targets = |target: &str| {
+        let needle = format!("\"target\":\"{target}\"");
+        recorder.events().iter().filter(|l| l.contains(&needle)).count()
+    };
+    assert_eq!(recorder.histogram("serve.batch").snapshot().count, 2);
+    assert_eq!((targets("serve.batch"), targets("serve.drained")), (2, 1));
+
+    // A restart on the same file says it restored; a checkpoint file
+    // that cannot be created (its directory is missing) still serves,
+    // and says so.
+    ServeServer::start("127.0.0.1:0", config_at(path)).unwrap().shutdown();
+    assert_eq!(targets("serve.restored"), 1);
+    let unopenable = dir.join("missing").join("serve.ckpt");
+    ServeServer::start("127.0.0.1:0", config_at(unopenable)).unwrap().shutdown();
+    assert_eq!(recorder.counter("serve.checkpoint_open_failed").get(), 1);
+    assert_eq!(targets("serve.checkpoint_open_failed"), 1);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

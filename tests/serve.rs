@@ -4,11 +4,20 @@
 //! versioning, and the tentpole guarantee — two servers fed the same
 //! submission sequence answer with **byte-identical** decision bodies.
 
+use dynp_rs::obs::{self, Recorder};
 use dynp_rs::prelude::serve::*;
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::OnceLock;
 use std::time::Duration;
+
+/// The process-global recorder, installed once: the tests that read its
+/// counters run concurrently, so they share it.
+fn recorder() -> &'static Recorder {
+    static INSTALLED: OnceLock<&'static Recorder> = OnceLock::new();
+    INSTALLED.get_or_init(|| obs::install(Recorder::default()))
+}
 
 /// One raw HTTP exchange; returns (status, body).
 fn http(addr: SocketAddr, request: &str) -> (u16, String) {
@@ -169,6 +178,7 @@ fn full_queue_answers_429() {
     // ApiError-to-response mapping is covered by the version test.)
     let mut config = ServeConfig::new(64);
     config.queue_depth = 1;
+    let recorder = recorder();
     let server = ServeServer::start("127.0.0.1:0", config).unwrap();
     let rejected = std::sync::atomic::AtomicUsize::new(0);
     std::thread::scope(|scope| {
@@ -192,10 +202,10 @@ fn full_queue_answers_429() {
             });
         }
     });
-    assert!(
-        rejected.load(std::sync::atomic::Ordering::Relaxed) > 0,
-        "a 1-deep queue under 16 concurrent submitters never filled"
-    );
+    let rejected = rejected.into_inner();
+    assert!(rejected > 0, "a 1-deep queue under 16 concurrent submitters never filled");
+    // Every rejection is counted where `/metrics` shows it.
+    assert!(recorder.counter("serve.rejected").get() >= rejected as u64);
     server.shutdown();
 }
 
@@ -203,6 +213,7 @@ fn full_queue_answers_429() {
 fn connection_cap_answers_503() {
     let mut config = ServeConfig::new(8);
     config.max_connections = 1;
+    let recorder = recorder();
     let server = ServeServer::start("127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
 
@@ -221,6 +232,8 @@ fn connection_cap_answers_503() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(saw_503, "the 1-connection cap never rejected");
+    // Counted where `/metrics` shows it.
+    assert!(recorder.counter("serve.conn_rejected").get() >= 1);
     drop(parked);
     server.shutdown();
 }

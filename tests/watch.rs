@@ -381,7 +381,7 @@ fn events_since_behind_a_dropped_tail_returns_promptly() {
 
 #[test]
 fn oversized_bodies_get_413_from_the_shared_router() {
-    let (_recorder, _guard) = fresh_recorder();
+    let (recorder, _guard) = fresh_recorder();
     let server = WatchServer::start(("127.0.0.1", 0), Vec::new()).expect("bind");
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     // Announce a body far over the router's 256 KiB cap; the router
@@ -394,5 +394,13 @@ fn oversized_bodies_get_413_from_the_shared_router() {
     let mut raw = String::new();
     stream.read_to_string(&mut raw).unwrap();
     assert!(raw.starts_with("HTTP/1.1 413"), "{raw}");
+    // Past the router's 64-connection cap a connection gets 503 and is
+    // counted. An idle connection holds its slot for the 500 ms socket
+    // timeout.
+    let addr = server.local_addr();
+    let idle: Vec<TcpStream> = (0..64).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    assert_eq!(get(addr, "/healthz").0, 503);
+    assert_eq!(recorder.counter("watch.conn_rejected").get(), 1);
+    drop(idle);
     server.shutdown();
 }
