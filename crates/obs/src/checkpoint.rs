@@ -5,7 +5,7 @@
 //! Every finished cell is appended as one self-validating JSON line:
 //!
 //! ```json
-//! {"v":1,"campaign":"<fingerprint>","cell":17,"data":{...},"crc":"<fnv64>"}
+//! {"v":2,"campaign":"<fingerprint>","cell":17,"data":{...},"crc":"<checksum>"}
 //! ```
 //!
 //! * `v` — checkpoint schema version,
@@ -18,9 +18,22 @@
 //! * `data` — the cell result (deterministic quantities only — no wall
 //!   times — so a resumed report is byte-identical to an uninterrupted
 //!   one),
-//! * `crc` — FNV-1a over the record serialization *without* `crc`. A
-//!   truncated tail line (the process died mid-write) fails the parse or
-//!   the checksum and is simply dropped; the cell is recomputed.
+//! * `crc` — 16 lowercase hex digits of a 64-bit checksum over the record
+//!   serialization *without* `crc`. A truncated tail line (the process
+//!   died mid-write) fails the parse or the checksum and is simply
+//!   dropped; the cell is recomputed.
+//!
+//! The checksum of a version-2 record reads the bytes as 32-byte blocks of
+//! four little-endian `u64` words, one word per lane, and steps each lane
+//! `h = (h.rotate_left(5) ^ w) * 0x100000001b3` (wrapping) from the FNV-1a
+//! offset basis. The four lanes are then folded, lane 0 first, into a seed
+//! of the offset basis XOR the byte length, and each of the 0–31 bytes
+//! left over takes one more step. Every step is a bijection of the state,
+//! so changing any one byte always changes the checksum; the four lanes
+//! are independent chains, so the checksum runs at several bytes per cycle
+//! where byte-serial FNV-1a waits on one multiply per byte. Version-1
+//! records, checksummed with byte-serial [`fnv1a64`], are still read and
+//! never written.
 //!
 //! A record is rendered once: the header and the data are written into
 //! one buffer, checksummed, and the `crc` member is spliced in before the
@@ -38,8 +51,13 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Checkpoint schema version; bump when the record layout changes.
-pub const CHECKPOINT_VERSION: u64 = 1;
+/// Checkpoint schema version every record is written with; bump when
+/// the record layout or its checksum changes.
+pub const CHECKPOINT_VERSION: u64 = 2;
+
+/// The version whose records carry a byte-serial [`fnv1a64`] checksum:
+/// read, never written.
+const FNV_VERSION: u64 = 1;
 
 /// 64-bit FNV-1a.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -51,6 +69,39 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// FNV-1a's offset basis and prime, the record checksum's start and
+/// multiplier.
+const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One checksum step: a bijection of `h` for each `w`, and of `w` for
+/// each `h` (rotation and XOR are invertible, the prime is odd).
+fn step(h: u64, w: u64) -> u64 {
+    (h.rotate_left(5) ^ w).wrapping_mul(FNV_PRIME)
+}
+
+/// The checksum of a version-2 record: four lanes over 32-byte blocks,
+/// folded into a length seed, then the tail a byte at a time (module
+/// doc).
+fn checksum(bytes: &[u8]) -> u64 {
+    let word = |block: &[u8], i: usize| {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(&block[8 * i..8 * i + 8]);
+        u64::from_le_bytes(w)
+    };
+    let mut lanes = [FNV_OFFSET_BASIS; 4];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        lanes[0] = step(lanes[0], word(block, 0));
+        lanes[1] = step(lanes[1], word(block, 1));
+        lanes[2] = step(lanes[2], word(block, 2));
+        lanes[3] = step(lanes[3], word(block, 3));
+    }
+    let seed = FNV_OFFSET_BASIS ^ bytes.len() as u64;
+    let folded = lanes.into_iter().fold(seed, step);
+    blocks.remainder().iter().fold(folded, |h, &b| step(h, b as u64))
+}
+
 /// Hex fingerprint of a canonical configuration string.
 pub fn fingerprint(canonical: &str) -> String {
     format!("{:016x}", fnv1a64(canonical.as_bytes()))
@@ -60,10 +111,16 @@ pub fn fingerprint(canonical: &str) -> String {
 /// with `data` written by `data`: the bytes the checksum covers. The
 /// `capacity` hint should cover the data; the header and the `crc`
 /// member [`seal`] adds are reserved on top.
-fn body(campaign: &str, cell: usize, capacity: usize, data: impl FnOnce(&mut String)) -> String {
+fn body(
+    version: u64,
+    campaign: &str,
+    cell: usize,
+    capacity: usize,
+    data: impl FnOnce(&mut String),
+) -> String {
     let mut out = String::with_capacity(capacity + campaign.len() + 96);
     out.push_str("{\"v\":");
-    number_into(&mut out, CHECKPOINT_VERSION as f64);
+    number_into(&mut out, version as f64);
     out.push_str(",\"campaign\":");
     escape_into(&mut out, campaign);
     out.push_str(",\"cell\":");
@@ -74,10 +131,10 @@ fn body(campaign: &str, cell: usize, capacity: usize, data: impl FnOnce(&mut Str
     out
 }
 
-/// The record line: `body` with `,"crc":"<fnv1a64 of body>"` in front
+/// The record line: `body` with `,"crc":"<checksum of body>"` in front
 /// of its closing brace.
 fn seal(mut body: String) -> String {
-    let crc = fnv1a64(body.as_bytes());
+    let crc = checksum(body.as_bytes());
     body.pop();
     body.push_str(",\"crc\":\"");
     let _ = write!(body, "{crc:016x}");
@@ -88,7 +145,7 @@ fn seal(mut body: String) -> String {
 /// Serializes one checkpoint record (a single JSONL line, no trailing
 /// newline).
 pub fn record_line(campaign: &str, cell: usize, data: &JsonValue) -> String {
-    seal(body(campaign, cell, 0, |out| data.write_into(out)))
+    seal(body(CHECKPOINT_VERSION, campaign, cell, 0, |out| data.write_into(out)))
 }
 
 /// Decodes one checkpoint line. Returns the cell index and its data when
@@ -109,9 +166,11 @@ pub fn decode_line(line: &str, campaign: &str) -> Result<(usize, JsonValue), Str
         .get("v")
         .and_then(JsonValue::as_u64)
         .ok_or("missing version")?;
-    if v != CHECKPOINT_VERSION {
-        return Err(format!("unknown checkpoint version {v}"));
-    }
+    let sum = match v {
+        CHECKPOINT_VERSION => checksum,
+        FNV_VERSION => fnv1a64,
+        _ => return Err(format!("unknown checkpoint version {v}")),
+    };
     let record_campaign = value
         .get("campaign")
         .and_then(JsonValue::as_str)
@@ -128,8 +187,8 @@ pub fn decode_line(line: &str, campaign: &str) -> Result<(usize, JsonValue), Str
     // Recompute the checksum over the canonical re-serialization; the
     // parser keeps key order and number round-tripping, so a clean line
     // reproduces its own bytes.
-    let body = body(record_campaign, cell, line.len(), |out| data.write_into(out));
-    let expect = format!("{:016x}", fnv1a64(body.as_bytes()));
+    let body = body(v, record_campaign, cell, line.len(), |out| data.write_into(out));
+    let expect = format!("{:016x}", sum(body.as_bytes()));
     if crc != expect {
         return Err(format!("checksum mismatch: {crc} vs {expect}"));
     }
@@ -232,7 +291,9 @@ impl CheckpointLog {
     ///
     /// [`append`]: CheckpointLog::append
     pub fn append_json(&self, campaign: &str, cell: usize, data_json: &str) {
-        let body = body(campaign, cell, data_json.len(), |out| out.push_str(data_json));
+        let body = body(CHECKPOINT_VERSION, campaign, cell, data_json.len(), |out| {
+            out.push_str(data_json)
+        });
         self.write_line(cell, seal(body));
     }
 
@@ -292,9 +353,14 @@ mod tests {
             .with("label", "dynP(SLDwA)")
     }
 
+    /// `record_line("cafe", 3, &data(7))` as version 1 wrote it, with a
+    /// byte-serial FNV-1a `crc`.
+    const V1_LINE: &str = r#"{"v":1,"campaign":"cafe","cell":3,"data":{"x":7,"f":0.1,"label":"dynP(SLDwA)"},"crc":"b235c50a1cc64519"}"#;
+
     #[test]
     fn record_round_trips() {
         let line = record_line("cafe", 3, &data(7));
+        assert!(line.starts_with(r#"{"v":2,"#), "{line}");
         crate::json::validate(&line).unwrap();
         let (cell, d) = decode_line(&line, "cafe").unwrap();
         assert_eq!(cell, 3);
@@ -312,6 +378,36 @@ mod tests {
         assert!(decode_line(&tampered, "cafe").unwrap_err().contains("checksum"));
         // Foreign fingerprint.
         assert!(decode_line(&line, "beef").unwrap_err().contains("foreign"));
+    }
+
+    #[test]
+    fn version_1_lines_still_decode() {
+        assert_eq!(decode_line(V1_LINE, "cafe").unwrap(), (3, data(7)));
+        let tampered = V1_LINE.replace("\"x\":7", "\"x\":8");
+        assert!(decode_line(&tampered, "cafe").unwrap_err().contains("checksum"));
+        let relabelled = V1_LINE.replace("\"v\":1", "\"v\":2");
+        assert!(decode_line(&relabelled, "cafe").unwrap_err().contains("checksum"));
+        assert!(decode_line(&V1_LINE.replace("\"v\":1", "\"v\":3"), "cafe")
+            .unwrap_err()
+            .contains("unknown checkpoint version 3"));
+    }
+
+    /// Around every block and word edge: each byte, changed to each of
+    /// its 255 other values, moves the checksum.
+    #[test]
+    fn every_single_byte_change_moves_the_checksum() {
+        let mut bytes: Vec<u8> = (0..100u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=bytes.len() {
+            let reference = checksum(&bytes[..len]);
+            for at in 0..len {
+                let original = bytes[at];
+                for delta in 1..=255u8 {
+                    bytes[at] = original.wrapping_add(delta);
+                    assert_ne!(checksum(&bytes[..len]), reference, "len {len}, byte {at}");
+                }
+                bytes[at] = original;
+            }
+        }
     }
 
     #[test]

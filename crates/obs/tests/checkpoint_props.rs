@@ -1,11 +1,35 @@
 //! Property tests for the checkpoint record layout: the one-pass record
 //! renderer is byte-identical to the tree construction it replaced (kept
-//! here as the reference), every record it writes decodes, and appending
-//! canonical text writes what appending its parsed tree writes.
+//! here as the reference, with the checksum written out from its spec),
+//! every record it writes decodes, no single-byte change or truncation of
+//! a record decodes to something else, and appending canonical text
+//! writes what appending its parsed tree writes.
 
-use dynp_obs::checkpoint::{decode_line, fnv1a64, record_line, CheckpointLog, CHECKPOINT_VERSION};
+use dynp_obs::checkpoint::{decode_line, record_line, CheckpointLog, CHECKPOINT_VERSION};
 use dynp_obs::json::{parse, JsonValue};
 use proptest::prelude::*;
+
+/// The version-2 record checksum as DESIGN.md §8 specifies it, written
+/// out independently of `dynp_obs::checkpoint`.
+fn spec_checksum(bytes: &[u8]) -> u64 {
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x100_0000_01b3;
+    let step = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(PRIME);
+    let full = bytes.len() / 32 * 32;
+    let mut lanes = [BASIS; 4];
+    for (i, word) in bytes[..full].chunks(8).enumerate() {
+        let w = u64::from_le_bytes(word.try_into().unwrap());
+        lanes[i % 4] = step(lanes[i % 4], w);
+    }
+    let mut h = BASIS ^ bytes.len() as u64;
+    for lane in lanes {
+        h = step(h, lane);
+    }
+    for &b in &bytes[full..] {
+        h = step(h, u64::from(b));
+    }
+    h
+}
 
 /// The record as it used to be built: the header and a deep copy of
 /// `data` as a tree, rendered for the checksum, then rendered again with
@@ -16,8 +40,36 @@ fn reference_line(campaign: &str, cell: usize, data: &JsonValue) -> String {
         .with("campaign", campaign)
         .with("cell", cell)
         .with("data", data.clone());
-    let crc = format!("{:016x}", fnv1a64(body.to_json().as_bytes()));
+    let crc = format!("{:016x}", spec_checksum(body.to_json().as_bytes()));
     body.with("crc", crc).to_json()
+}
+
+/// No single-byte change and no truncation of `line` decodes to another
+/// record. A change may still decode when it only respells the same
+/// record (`\u001F` for `\u001f`, `E` for `e`): the canonical
+/// re-rendering the checksum covers is then the same bytes.
+fn changes_are_rejected(line: &str, campaign: &str) -> Result<(), TestCaseError> {
+    let original = decode_line(line, campaign).map_err(TestCaseError::Fail)?;
+    let mut bytes = line.as_bytes().to_vec();
+    for at in 0..bytes.len() {
+        let byte = bytes[at];
+        for delta in 1..=255u8 {
+            bytes[at] = byte.wrapping_add(delta);
+            let Ok(changed) = std::str::from_utf8(&bytes) else {
+                continue;
+            };
+            if let Ok(decoded) = decode_line(changed, campaign) {
+                prop_assert_eq!(&decoded, &original, "{} accepted", changed);
+            }
+        }
+        bytes[at] = byte;
+    }
+    for len in 0..line.len() {
+        if line.is_char_boundary(len) {
+            prop_assert!(decode_line(&line[..len], campaign).is_err(), "prefix {} accepted", len);
+        }
+    }
+    Ok(())
 }
 
 /// Characters a renderer must escape or pass through untouched: quotes,
@@ -112,6 +164,27 @@ proptest! {
         let (got_cell, got_data) = decoded.unwrap();
         prop_assert_eq!(got_cell, cell);
         prop_assert_eq!(got_data, parse(&data.to_json()).unwrap());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn single_byte_changes_and_truncations_are_rejected((campaign, cell, data) in record()) {
+        changes_are_rejected(&record_line(&campaign, cell, &data), &campaign)?;
+    }
+}
+
+/// Records whose checksummed bytes run over 101 consecutive lengths: every
+/// remainder modulo the 32-byte block and the 8-byte word, several times.
+#[test]
+fn every_length_around_the_block_and_word_edges_rejects_changes() {
+    for len in 0..=100 {
+        let data = JsonValue::Str((0..len).map(|i| char::from(b'a' + (i * 7 % 26) as u8)).collect());
+        let line = record_line("cafe", len, &data);
+        assert_eq!(line, reference_line("cafe", len, &data));
+        changes_are_rejected(&line, "cafe").unwrap();
     }
 }
 

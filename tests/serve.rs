@@ -336,11 +336,65 @@ fn checkpoint_bytes_are_pinned_and_match_the_in_process_records() {
     // Re-recorded when the flight-recorder entries shrank to what
     // admission decided and running jobs came to be written in the
     // machine's order (267 482 bytes, 8286c306ae1a96d5 before; the
-    // decisions behind them are `tests/pinned_replays.rs`'s to hold).
+    // decisions behind them are `tests/pinned_replays.rs`'s to hold),
+    // and again when records moved to version 2 and its four-lane
+    // checksum: `"v":2` and the 16-hex `crc` keep every width, so only
+    // the digest moved (d9bfd18148fbbf3c at version 1).
     assert_eq!(
         (written.len(), format!("{:016x}", fnv1a64(&written))),
-        (192_800, "d9bfd18148fbbf3c".to_string())
+        (192_800, "c4362dc8c62d1d64".to_string())
     );
+}
+
+#[test]
+fn a_version_1_checkpoint_restores_and_the_server_writes_version_2_after_it() {
+    use dynp_rs::obs::checkpoint::{fingerprint, fnv1a64, load, record_line};
+    let dir = std::env::temp_dir().join(format!("dynp-serve-v1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("serve.ckpt");
+
+    // A core that served the pinned batches, checkpointed the way
+    // version 1 wrote a record: byte-serial FNV-1a over the record
+    // without its `crc`.
+    let tuner = dynp_rs::dynp::SelfTuning::paper_config(dynp_rs::sched::Metric::SldwA);
+    let mut core = ServiceCore::new(8, tuner);
+    for batch in pinned_batches() {
+        core.submit_batch(&batch);
+    }
+    let fp = fingerprint(&core.fingerprint_canonical());
+    let body = format!(r#"{{"v":1,"campaign":"{fp}","cell":0,"data":{}}}"#, core.snapshot_json());
+    let v1 = format!(
+        "{},\"crc\":\"{:016x}\"}}",
+        &body[..body.len() - 1],
+        fnv1a64(body.as_bytes())
+    );
+    std::fs::write(&path, format!("{v1}\n")).unwrap();
+
+    let mut config = ServeConfig::new(8);
+    config.checkpoint = Some(path.clone());
+    let server = ServeServer::start("127.0.0.1:0", config).unwrap();
+    let request = JobRequest {
+        width: 3,
+        runtime: 40,
+        actual_runtime: None,
+        submit: None,
+    };
+    let decisions = server.submit(vec![request]).unwrap();
+    server.shutdown();
+    let written = std::fs::read_to_string(&path).unwrap();
+    let loaded = load(&path, &fp).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // The server resumed where the version-1 record left off: the same
+    // decision the core that wrote it makes next, the same records after.
+    assert_eq!(decisions, core.submit_batch(&[request]));
+    assert_eq!(decisions[0].id as usize, pinned_batches().iter().map(Vec::len).sum::<usize>());
+    let after_batch = record_line(&fp, 0, &core.snapshot());
+    core.drain();
+    let after_drain = record_line(&fp, 0, &core.snapshot());
+    assert_eq!(written.lines().collect::<Vec<_>>(), [v1.as_str(), &after_batch, &after_drain]);
+    assert!(after_batch.starts_with(r#"{"v":2,"#), "{after_batch}");
+    assert_eq!((loaded.lines, loaded.rejected), (3, 0));
 }
 
 /// A request as the property below draws it: width, estimate, actual
