@@ -18,7 +18,6 @@ use dynp_bench::{
 use dynp_milp::{BranchLimits, SolveConfig};
 use dynp_obs::JsonValue;
 use dynp_sim::SnapshotFilter;
-use std::time::Duration;
 
 fn main() {
     let (args, watch_addr) = cli_args_and_watch();
@@ -68,7 +67,6 @@ fn main() {
                 skip_compaction: !compacted,
                 limits: BranchLimits {
                     max_nodes: 5_000,
-                    time_limit: Some(Duration::from_secs(30)),
                     ..BranchLimits::default()
                 },
                 ..SolveConfig::default()

@@ -25,7 +25,6 @@ use dynp_bench::{
 use dynp_milp::{BranchLimits, SolveConfig};
 use dynp_obs::JsonValue;
 use dynp_sim::SnapshotFilter;
-use std::time::Duration;
 
 fn main() {
     let (args, watch_addr) = cli_args_and_watch();
@@ -79,7 +78,6 @@ fn main() {
         memory_bytes: dynp_milp::PAPER_MEMORY_BYTES / 64.0,
         limits: BranchLimits {
             max_nodes: 20_000,
-            time_limit: Some(Duration::from_secs(60)),
             ..BranchLimits::default()
         },
         ..SolveConfig::default()

@@ -7,8 +7,8 @@
 //! timelines (the flight recorder behind `GET /v1/jobs/<id>/trace`)
 //! plus a sliding-window aggregator fed one cumulative snapshot per
 //! batch — the same work the serve decision loop does per tick. The
-//! *off* mode turns both off, which is exactly what
-//! `ServeConfig { flight_recorder: false, .. }` serves.
+//! *off* mode turns both off: the core runs with
+//! [`ServiceCore::set_flight_recorder`]`(false)` and feeds no window.
 //!
 //! Each mode runs `reps` times interleaved (on/off alternating, so
 //! thermal and allocator drift hits both equally). The verdict is the
@@ -25,7 +25,7 @@
 //! repo-root `BENCH_trace.json`; exits 1 when the gate fails.
 //!
 //! Usage: `cargo run --release -p dynp-bench --bin trace \
-//!             [jobs=1000] [capacity=430] [reps=61] [--watch <addr>]`
+//!             [jobs=1000] [capacity=430] [reps=121] [--watch <addr>]`
 
 use dynp_bench::{cli_args_and_watch, start_watch, Report, CTC_NODES};
 use dynp_core::SelfTuning;
@@ -108,7 +108,7 @@ fn main() {
     let reps: usize = args
         .get(2)
         .map(|a| a.parse().expect("reps must be a number"))
-        .unwrap_or(61);
+        .unwrap_or(121);
     let chunk = 64;
 
     // The timed region runs against the exact recorder configuration

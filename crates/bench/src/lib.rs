@@ -178,10 +178,10 @@ pub const TABLE1_HEADER: &str =
 /// Constructing a report also installs a global [`dynp_obs`] recorder
 /// whose JSONL event stream lands in `results/<name>.events.jsonl`, size-
 /// rotated so result directories stay bounded (`dynp-insight` merges the
-/// rotations back by logical clock); [`Report::finish`] embeds the
-/// recorder's metric snapshot under the `"metrics"` key of the JSON file
-/// and writes the same snapshot as OpenMetrics text to
-/// `results/<name>.metrics.txt`.
+/// rotations back by logical clock). The recorder's counters and timing
+/// histograms stay out of the two reports: they change from run to run,
+/// and a report carries only what its inputs decide and the timings it
+/// prints itself.
 #[derive(Debug)]
 pub struct Report {
     name: String,
@@ -242,23 +242,9 @@ impl Report {
         self.json.set(key, value);
     }
 
-    /// Writes `results/<name>.txt`, `results/<name>.json` (embedding the
-    /// recorder's metric snapshot) and `results/<name>.metrics.txt` in
-    /// OpenMetrics text format, and flushes the event sink.
-    pub fn finish(mut self) -> std::io::Result<()> {
-        if let Some(r) = dynp_obs::recorder() {
-            self.json.set("metrics", r.metrics_json());
-            let exposition = dynp_obs::expo::render(r);
-            debug_assert!(
-                dynp_obs::expo::validate(&exposition).is_ok(),
-                "rendered exposition must self-validate"
-            );
-            std::fs::write(
-                self.dir.join(format!("{}.metrics.txt", self.name)),
-                exposition,
-            )?;
-            r.flush();
-        }
+    /// Writes `results/<name>.txt` and `results/<name>.json`; the event
+    /// sink flushes when the report drops.
+    pub fn finish(self) -> std::io::Result<()> {
         std::fs::write(self.dir.join(format!("{}.txt", self.name)), &self.text)?;
         std::fs::write(
             self.dir.join(format!("{}.json", self.name)),

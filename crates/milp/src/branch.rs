@@ -36,17 +36,15 @@
 //!   only (see [`MipSolution::canonical_json`], asserted in the
 //!   `milp_par` bench and CI).
 //!
-//! Limits are deterministic (node count, per-LP simplex iteration
-//! budget) plus an optional wall-clock limit for the experiment
-//! harness, which reproduces the paper's "CPLEX is still solving the
-//! previous problem" regime. The time limit *is* a deadline token
-//! ([`dynp_obs::CancelToken::with_deadline`]) installed for the duration
-//! of the solve: the node loop polls it at every pop and both simplex
-//! loops every 256 iterations, next to whatever budget the caller
-//! installed around the solve, so a limit binds to within one poll
-//! interval of the slowest LP. Without one the clock is read only when an
-//! incumbent is accepted and once at exit, so node-limited runs are
-//! clock-free where it matters.
+//! Limits are deterministic: a node count and a per-LP simplex
+//! iteration budget. A caller that must also bound wall time (a campaign
+//! cell, the paper's "CPLEX is still solving the previous problem"
+//! regime) installs a [`dynp_obs::CancelToken`] around the solve; the
+//! node loop polls the installed tokens at every pop and both simplex
+//! loops every 256 iterations, so a deadline binds to within one poll
+//! interval of the slowest LP. With none installed the clock is read only
+//! when an incumbent is accepted and once at exit, so the explored tree
+//! never depends on it.
 
 use crate::model::Milp;
 use crate::simplex::{solve_lp, Basis, KernelCounts, LpOutcome, LpSolution, LpStart};
@@ -78,12 +76,6 @@ pub struct BranchLimits {
     /// time only: results are byte-identical for any value (see the
     /// module docs). `0` is treated as `1`.
     pub solver_workers: usize,
-    /// Optional wall-clock limit (use node limits in tests for
-    /// determinism): a deadline the node loop and every node LP poll.
-    /// A solve cut short keeps its incumbent and ends
-    /// [`MipStatus::Feasible`]/[`MipStatus::Unknown`], like any other
-    /// exhausted budget.
-    pub time_limit: Option<Duration>,
 }
 
 impl Default for BranchLimits {
@@ -95,7 +87,6 @@ impl Default for BranchLimits {
             // node budget's worth of time.
             max_lp_iterations: 200_000,
             solver_workers: 1,
-            time_limit: None,
         }
     }
 }
@@ -452,11 +443,6 @@ impl<'a> BranchBound<'a> {
     /// Runs the search to completion or a limit.
     pub fn solve(mut self) -> MipSolution {
         let solve_start = Instant::now();
-        let deadline = self
-            .limits
-            .time_limit
-            .map(dynp_obs::CancelToken::with_deadline);
-        let _deadline_guard = deadline.as_ref().map(dynp_obs::install_cancel);
         // The whole B&B search is one traced span (child of milp.solve
         // inside a campaign cell).
         let _search_span = dynp_obs::span("milp.search");
@@ -514,12 +500,12 @@ impl<'a> BranchBound<'a> {
                     }
                 }
                 let queued = nodes_explored + batch.len();
-                // The cooperative cancel tokens — this solve's time limit
-                // and any budget installed around it, such as a campaign
-                // cell's wall-clock deadline — read the clock; with none
-                // installed nothing does. An expired one winds the search
-                // down exactly like any other exhausted budget, keeping
-                // "CPLEX still running" a value, not an abort.
+                // The cooperative cancel tokens installed around the
+                // solve, such as a campaign cell's wall-clock deadline,
+                // read the clock; with none installed nothing does. An
+                // expired one winds the search down exactly like any
+                // other exhausted budget, keeping "CPLEX still running" a
+                // value, not an abort.
                 let over_budget = queued >= self.limits.max_nodes || dynp_obs::cancelled();
                 if over_budget {
                     // The triggering node goes back (its bound stays
@@ -1260,12 +1246,13 @@ mod tests {
     }
 
     #[test]
-    fn time_limit_stops_the_root_lp_and_nested_budgets_all_bind() {
+    fn an_installed_deadline_stops_the_root_lp_and_nested_budgets_all_bind() {
         use crate::scaling::TimeScaling;
         use crate::timeindex::TimeIndexedModel;
+        use dynp_obs::{install_cancel, CancelToken};
         use dynp_trace::Job;
         // 100 jobs on 48 nodes: a root LP of several hundred iterations,
-        // so a 1 ms limit expires inside it, between two polls.
+        // so a 1 ms deadline expires inside it, between two polls.
         let jobs: Vec<Job> = (0..100u32)
             .map(|i| Job::exact(i, 0, 1 + (i * 7) % 16, 120 * (1 + (i as u64 * 13) % 4)))
             .collect();
@@ -1276,13 +1263,15 @@ mod tests {
             .greedy_solution(&order)
             .expect("build sized the grid for this order");
         let seed_objective = ti.model.objective_value(&seed);
-        let solve = |max_nodes: usize, time_limit: Option<Duration>| {
+        // Solves under a caller-installed deadline token, if any.
+        let solve = |max_nodes: usize, deadline: Option<Duration>| {
             let ti = &ti;
+            let token = deadline.map(CancelToken::with_deadline);
+            let _guard = token.as_ref().map(install_cancel);
             BranchBound::new(
                 &ti.model,
                 BranchLimits {
                     max_nodes,
-                    time_limit,
                     ..BranchLimits::default()
                 },
             )
@@ -1295,22 +1284,22 @@ mod tests {
         assert_eq!(root.nodes, 1);
         assert!(root.lp_iterations >= 300, "root LP: {}", root.lp_iterations);
 
-        // The limit expires during the root LP, which gives up at its
+        // The deadline expires during the root LP, which gives up at its
         // next poll: one node entered, no LP finished, the seed kept.
         let cut = solve(usize::MAX, Some(Duration::from_millis(1)));
-        assert!(cut.nodes <= 1, "{} nodes under a 1 ms limit", cut.nodes);
+        assert!(cut.nodes <= 1, "{} nodes under a 1 ms deadline", cut.nodes);
         assert!(cut.lp_iterations < root.lp_iterations);
         assert_eq!(cut.status, MipStatus::Feasible);
         assert_eq!(cut.objective, Some(seed_objective));
 
-        // A limit that has already passed stops before the first node.
+        // A deadline that has already passed stops before the first node.
         let none = solve(usize::MAX, Some(Duration::ZERO));
         assert_eq!((none.nodes, none.status), (0, MipStatus::Feasible));
 
-        // A budget installed around the solve is not shadowed by the
-        // solve's own, later one.
-        let outer = dynp_obs::CancelToken::with_deadline(Duration::ZERO);
-        let _guard = dynp_obs::install_cancel(&outer);
+        // An expired outer budget is not shadowed by a later, generous
+        // inner one.
+        let outer = CancelToken::with_deadline(Duration::ZERO);
+        let _guard = install_cancel(&outer);
         let shadowed = solve(usize::MAX, Some(Duration::from_secs(3600)));
         assert_eq!((shadowed.nodes, shadowed.status), (0, MipStatus::Feasible));
     }

@@ -10,11 +10,11 @@
 //! worker installs a [`CancelToken`] for the duration of the cell, and
 //! the three unbounded loops down the stack — the milp branch-and-bound
 //! node loop, the simplex iteration loop, and the sim replay loop — poll
-//! [`cancelled`] and wind down early when the deadline has passed. An
-//! exact solve's own `time_limit` is the same thing one level down: a
-//! deadline token the branch & bound installs for its duration. Budgets
-//! nest, so [`cancelled`] answers for *every* token installed on the
-//! thread — an inner, later deadline never shadows the outer one.
+//! [`cancelled`] and wind down early when the deadline has passed. This
+//! is the only wall-clock bound on an exact solve: its own limits are
+//! node and iteration counts. Budgets nest, so [`cancelled`] answers for
+//! *every* token installed on the thread — an inner, later deadline
+//! never shadows the outer one.
 //!
 //! This module lives in `dynp-obs` for the same reason the trace
 //! context does: it is the one zero-dependency crate every layer
@@ -109,8 +109,8 @@ impl Default for CancelToken {
 
 thread_local! {
     /// Installed tokens, innermost last (nesting mirrors the context
-    /// stack: a campaign cell installs one, and an exact solve with a
-    /// time limit installs its own inside).
+    /// stack: a campaign cell installs one, and code it calls may
+    /// install a tighter one inside).
     static INSTALLED: RefCell<Vec<CancelToken>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -140,8 +140,7 @@ pub fn cancelled() -> bool {
 /// explicitly: read them here on the calling thread, and
 /// [`install_cancel`] each on every worker — which is what
 /// [`crate::pool::run_indexed`] does. All clones share one flag, so a
-/// campaign cell's deadline and a solve's time limit keep governing the
-/// whole fan-out.
+/// campaign cell's deadline keeps governing the whole fan-out.
 pub fn installed_cancels() -> Vec<CancelToken> {
     INSTALLED.with(|s| s.borrow().clone())
 }

@@ -2,8 +2,8 @@
 //! metrics, plus a strict validator used by tests and CI.
 //!
 //! [`render`] produces one self-contained snapshot suitable for writing
-//! alongside a bench or campaign run (`<name>.metrics.txt`) or serving
-//! from a `/metrics` endpoint:
+//! alongside a campaign report (`<name>.metrics.txt`) or serving from a
+//! `/metrics` endpoint:
 //!
 //! * every family is prefixed `dynp_` and the dotted metric names are
 //!   sanitized (`milp.open_nodes` → `dynp_milp_open_nodes`);

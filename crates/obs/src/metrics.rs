@@ -285,30 +285,6 @@ impl HistogramSnapshot {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Serializes as a JSON object for result files.
-    pub fn to_json(&self) -> crate::json::JsonValue {
-        use crate::json::JsonValue;
-        let mut nonzero = JsonValue::array();
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n > 0 {
-                nonzero.push(
-                    JsonValue::object()
-                        .with("ge", bucket_lower_bound(i))
-                        .with("count", n),
-                );
-            }
-        }
-        JsonValue::object()
-            .with("count", self.count)
-            .with("sum", self.sum)
-            .with("min", if self.count > 0 { Some(self.min) } else { None })
-            .with("max", if self.count > 0 { Some(self.max) } else { None })
-            .with("mean", self.mean())
-            .with("p50", self.quantile(0.5))
-            .with("p99", self.quantile(0.99))
-            .with("buckets", nonzero)
-    }
 }
 
 #[cfg(test)]
@@ -363,7 +339,6 @@ mod tests {
         assert_eq!(s.buckets[0], 1);
         assert_eq!(s.buckets[1], 2);
         assert_eq!(s.buckets.iter().sum::<u64>(), 5);
-        crate::json::validate(&s.to_json().to_json()).unwrap();
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //!   solver would unwind through `thread::scope` and re-raise on the
 //!   caller, losing a whole campaign to one bad cell.
 //! * **Cancel propagation.** Installed cancel tokens are thread-local,
-//!   so the caller's tokens (a campaign cell's wall-clock deadline, an
-//!   exact solve's time limit) are captured with [`installed_cancels`]
-//!   and re-installed on every worker; work running on workers keeps
-//!   polling the same deadlines it would have polled inline.
+//!   so the caller's tokens (a campaign cell's wall-clock deadline) are
+//!   captured with [`installed_cancels`] and re-installed on every
+//!   worker; work running on workers keeps polling the same deadlines it
+//!   would have polled inline.
 //!
 //! With `workers <= 1` (or one item) everything runs inline on the
 //! calling thread — no threads, no channel — with the same isolation.

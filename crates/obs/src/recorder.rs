@@ -464,34 +464,6 @@ impl Recorder {
         v.sort_unstable_by_key(|(name, _)| *name);
         v
     }
-
-    /// Every registered metric as one JSON object, for embedding in
-    /// result files: counters and gauges as numbers, histograms as the
-    /// object produced by
-    /// [`HistogramSnapshot::to_json`](crate::metrics::HistogramSnapshot::to_json).
-    pub fn metrics_json(&self) -> JsonValue {
-        let mut counters_json = JsonValue::object();
-        for (name, v) in self.counter_snapshots() {
-            counters_json.set(name, v);
-        }
-        let mut gauges_json = JsonValue::object();
-        for (name, last, high) in self.gauge_snapshots() {
-            gauges_json.set(
-                name,
-                JsonValue::object()
-                    .with("last", last)
-                    .with("high_water", high),
-            );
-        }
-        let mut histograms_json = JsonValue::object();
-        for (name, snap) in self.histogram_snapshots() {
-            histograms_json.set(name, snap.to_json());
-        }
-        JsonValue::object()
-            .with("counters", counters_json)
-            .with("gauges", gauges_json)
-            .with("histograms", histograms_json)
-    }
 }
 
 /// Event-sink self-diagnostics; see [`Recorder::sink_stats`].
@@ -823,17 +795,5 @@ mod tests {
         assert!(stats.rotations.unwrap() > 0);
         assert_eq!(Recorder::new(Sink::Null).sink_stats().kind, "null");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn metrics_json_is_valid_and_sorted() {
-        let r = Recorder::default();
-        r.counter("b.count").add(2);
-        r.counter("a.count").inc();
-        r.gauge("q.depth").set(7);
-        r.histogram("lat").record(100);
-        let json = r.metrics_json().to_json();
-        crate::json::validate(&json).unwrap();
-        assert!(json.find("a.count").unwrap() < json.find("b.count").unwrap());
     }
 }

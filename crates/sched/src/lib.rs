@@ -24,7 +24,7 @@ pub mod reservation;
 pub mod schedule;
 pub mod snapshot;
 
-pub use metrics::{Metric, MetricValue};
+pub use metrics::Metric;
 pub use planner::{
     plan, plan_frontier, plan_ordered, plan_ordered_with_profile, plan_with_profile, PlanError,
 };

@@ -35,16 +35,6 @@ pub enum Metric {
     Makespan,
 }
 
-/// A metric value paired with its direction, so deciders can compare
-/// without re-deriving which way is "better".
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MetricValue {
-    /// Which metric.
-    pub metric: Metric,
-    /// The value; `0.0` for an empty schedule.
-    pub value: f64,
-}
-
 impl Metric {
     /// Whether smaller values are better for this metric.
     pub fn lower_is_better(&self) -> bool {
@@ -157,14 +147,6 @@ impl Metric {
                 work / (span * problem.capacity() as f64)
             }
             Metric::Makespan => (schedule.makespan_end().expect("non-empty") - problem.now) as f64,
-        }
-    }
-
-    /// Evaluates and wraps into a [`MetricValue`].
-    pub fn measure(&self, problem: &SchedulingProblem, schedule: &Schedule) -> MetricValue {
-        MetricValue {
-            metric: *self,
-            value: self.eval(problem, schedule),
         }
     }
 }
@@ -432,13 +414,5 @@ mod tests {
         // Utilization flips the ratio.
         let q = quality(Metric::Utilization, 0.8, 0.4);
         assert!((q - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn measure_wraps_value() {
-        let (p, s) = one_job_problem();
-        let v = Metric::SldwA.measure(&p, &s);
-        assert_eq!(v.metric, Metric::SldwA);
-        assert_eq!(v.value, 2.0);
     }
 }

@@ -223,11 +223,6 @@ impl ServiceCore {
         self.flight_recorder = on;
     }
 
-    /// Whether the flight recorder is capturing timelines.
-    pub fn flight_recorder(&self) -> bool {
-        self.flight_recorder
-    }
-
     /// What the flight recorder kept of `id`'s admission, if it saw it.
     pub fn timeline(&self, id: u32) -> Option<&JobTimeline> {
         self.timelines.get(id as usize).and_then(Option::as_ref)

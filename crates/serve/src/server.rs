@@ -103,11 +103,6 @@ pub struct ServeConfig {
     /// Snapshot file: when set, the service restores from the last
     /// valid snapshot at start and checkpoints after every batch.
     pub checkpoint: Option<std::path::PathBuf>,
-    /// Whether the per-job flight recorder is on (lifecycle timelines
-    /// behind `GET /v1/jobs/<id>/trace`). Costs one small entry per
-    /// admitted job, written once at admission; off turns the trace
-    /// route into a typed 404.
-    pub flight_recorder: bool,
 }
 
 impl ServeConfig {
@@ -118,7 +113,6 @@ impl ServeConfig {
             queue_depth: 1024,
             max_connections: 64,
             checkpoint: None,
-            flight_recorder: true,
         }
     }
 }
@@ -351,8 +345,7 @@ impl ServeServer {
     }
 
     fn build_core(config: &ServeConfig) -> Result<ServiceCore, ServeError> {
-        let mut fresh = ServiceCore::new(config.capacity, paper_tuner());
-        fresh.set_flight_recorder(config.flight_recorder);
+        let fresh = ServiceCore::new(config.capacity, paper_tuner());
         let Some(path) = &config.checkpoint else {
             return Ok(fresh);
         };
@@ -366,9 +359,8 @@ impl ServeServer {
         let Some(data) = loaded.cells.get(&0) else {
             return Ok(fresh);
         };
-        let mut core = ServiceCore::restore(config.capacity, paper_tuner(), data)
+        let core = ServiceCore::restore(config.capacity, paper_tuner(), data)
             .map_err(ServeError::Snapshot)?;
-        core.set_flight_recorder(config.flight_recorder);
         if let Some(r) = dynp_obs::recorder() {
             r.event("serve.restored")
                 .kv("clock", core.clock())
@@ -595,21 +587,16 @@ fn job_reply(core: &Mutex<ServiceCore>, id: &str, trace: bool) -> Response {
             "job id must be an unsigned integer",
         )));
     };
-    let (body, enabled) = {
+    let body = {
         let core = core.lock().unwrap_or_else(|e| e.into_inner());
         if trace {
-            (core.trace_json(id), core.flight_recorder())
+            core.trace_json(id)
         } else {
-            (core.job_view(id), true)
+            core.job_view(id)
         }
     };
     match body {
         Some(json) => Response::json(200, json.to_json()),
-        None if !enabled => api_reply(Err(ApiError::new(
-            404,
-            "trace_disabled",
-            "the flight recorder is disabled on this server",
-        ))),
         None => api_reply(Err(ApiError::not_found(format!(
             "no job with id {id} was ever submitted"
         )))),
@@ -851,21 +838,6 @@ mod tests {
         post(addr, "/v1/jobs", "{\"v\":1,\"width\":2,\"runtime\":100}");
         let (status, body) = get(addr, "/v1/jobs/0/trace");
         assert_eq!(status, 200, "{body}");
-    }
-
-    #[test]
-    fn disabled_flight_recorder_is_a_typed_404() {
-        let mut config = ServeConfig::new(4);
-        config.flight_recorder = false;
-        let s = ServeServer::start("127.0.0.1:0", config).unwrap();
-        let addr = s.local_addr();
-        post(addr, "/v1/jobs", "{\"v\":1,\"width\":2,\"runtime\":100}");
-        let (status, body) = get(addr, "/v1/jobs/0/trace");
-        assert_eq!(status, 404, "{body}");
-        assert!(body.contains("trace_disabled"), "{body}");
-        // The plain status route still answers.
-        let (status, _) = get(addr, "/v1/jobs/0");
-        assert_eq!(status, 200);
     }
 
     #[test]

@@ -54,7 +54,6 @@ fn main() -> Result<(), dynp_rs::Error> {
         scale_override: Some(300),
         limits: dynp_rs::milp::BranchLimits {
             max_nodes: 50_000,
-            time_limit: Some(std::time::Duration::from_secs(60)),
             ..Default::default()
         },
         ..SolveConfig::default()

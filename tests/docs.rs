@@ -9,6 +9,9 @@
 //! lists as a dependency is named by that package's sources. And no
 //! telemetry signal goes unread: DESIGN.md §7's registry lists every name
 //! the program hands its recorder, each with a reader that names it.
+//! Nor does a committed result carry recorder state, which differs
+//! between identical runs: no results JSON has a `metrics` key, and the
+//! campaign's is the one OpenMetrics snapshot under `results/`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -396,6 +399,38 @@ fn every_untagged_experiments_block_is_a_span_of_a_results_file() {
         unbacked.is_empty(),
         "fenced blocks that are no line span of any file under results/:\n\n{}",
         unbacked.join("\n\n")
+    );
+}
+
+#[test]
+fn results_carry_no_recorder_snapshot_but_the_campaigns() {
+    const CAMPAIGN_SNAPSHOT: &str = "campaign-run/campaign-run.metrics.txt";
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    let mut problems = Vec::new();
+    for path in files(&results) {
+        let name = path
+            .strip_prefix(&results)
+            .expect("found under results/")
+            .to_string_lossy()
+            .into_owned();
+        if name.ends_with(".metrics.txt") && name != CAMPAIGN_SNAPSHOT {
+            problems.push(format!("{name}: a second OpenMetrics snapshot"));
+        }
+        if name.ends_with(".json") {
+            let text = std::fs::read_to_string(&path).expect("readable results file");
+            let json = dynp_obs::parse_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            if json.get("metrics").is_some() {
+                problems.push(format!("{name}: a top-level \"metrics\" key"));
+            }
+        }
+    }
+    if !results.join(CAMPAIGN_SNAPSHOT).is_file() {
+        problems.push(format!("{CAMPAIGN_SNAPSHOT}: missing"));
+    }
+    assert!(
+        problems.is_empty(),
+        "recorder state in results/:\n{}",
+        problems.join("\n")
     );
 }
 
