@@ -7,6 +7,8 @@
 //! quantifies the paper's observation that coarse scaling can make the
 //! "optimal" schedule *worse* than a policy schedule (negative loss rows
 //! in Table 1) and that compaction recovers most of the grid slack.
+//! The JSON keeps, under each row, every snapshot's nodes, LP
+//! iterations and status next to the averages the text table shows.
 //! Writes `results/scaling_sweep.{txt,json,events.jsonl}`.
 //!
 //! Usage: `cargo run --release -p dynp-bench --bin scaling_sweep [n_jobs] [seed] [--watch <addr>]`
@@ -93,6 +95,17 @@ fn main() {
                 avg_nodes,
                 avg_time
             ));
+            // Which solves closed before the node budget, and how: the
+            // averages above cannot tell.
+            let mut snapshots = JsonValue::array();
+            for r in &runs {
+                snapshots.push(
+                    JsonValue::object()
+                        .with("nodes", r.nodes)
+                        .with("lp_iterations", r.lp_iterations)
+                        .with("status", format!("{:?}", r.status)),
+                );
+            }
             rows_json.push(
                 JsonValue::object()
                     .with("scale_minutes", scale_minutes)
@@ -101,7 +114,8 @@ fn main() {
                     .with("avg_loss_percent", avg_loss)
                     .with("avg_nodes", avg_nodes)
                     .with("avg_solve_seconds", avg_time)
-                    .with("solved", solved.len()),
+                    .with("solved", solved.len())
+                    .with("snapshots", snapshots),
             );
         }
     }

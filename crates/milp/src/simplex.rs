@@ -30,7 +30,11 @@
 //!   §3.1 model is boxed in `[0, 1]`, so a dual step may pass the
 //!   breakpoints of columns whose whole range cannot close the leaving
 //!   row's violation — they move to their other bound, all of them
-//!   through one more FTRAN, instead of costing a pivot each,
+//!   through one more FTRAN, instead of costing a pivot each; the
+//!   breakpoints past the nearest one are put in order only when a step
+//!   passes it, and then sixteen at a time (select the smallest, sort
+//!   those), so a step pays for the few it passes, not for every
+//!   candidate,
 //! * the two children of a branch & bound node install the same parent
 //!   basis, so the [`Basis`] they share carries its fresh factor and
 //!   `d_N`: the first child to arrive computes them, its sibling copies,
@@ -50,8 +54,6 @@
 use crate::lu::{LuFactor, PIVOT_TOL};
 use crate::model::{Milp, Sense};
 use crate::sparse::PrefixSums;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
 /// Feasibility / optimality tolerance.
@@ -393,6 +395,56 @@ impl Columns<'_> {
     }
 }
 
+/// Breakpoints a long dual step hands out per ordering pass.
+const BREAKPOINT_BATCH: usize = 16;
+
+/// The finite breakpoints of one dual pivot row as `(ratio bits, column)`
+/// keys — the bit patterns order like the non-negative floats they are —
+/// handed out in ascending order, lowest column first among tied ratios.
+/// Nothing is ordered until the first [`Breakpoints::pop`], and each
+/// pass then orders only the next [`BREAKPOINT_BATCH`] of what is left
+/// (select them, sort them): a step that passes a handful of breakpoints
+/// pays for a handful, not for all of them. The keys are distinct (one
+/// per column), so an unstable selection still fixes the sequence.
+#[derive(Default)]
+struct Breakpoints {
+    keys: Vec<(u64, u32)>,
+    /// `keys[..sorted]` are the smallest keys, ascending.
+    sorted: usize,
+    /// How many of those [`Breakpoints::pop`] has handed out.
+    taken: usize,
+}
+
+impl Breakpoints {
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.sorted = 0;
+        self.taken = 0;
+    }
+
+    fn push(&mut self, ratio: f64, column: u32) {
+        self.keys.push((ratio.to_bits(), column));
+    }
+
+    /// The column of the smallest key not yet handed out.
+    fn pop(&mut self) -> Option<u32> {
+        if self.taken == self.sorted {
+            let rest = &mut self.keys[self.sorted..];
+            let batch = rest.len().min(BREAKPOINT_BATCH);
+            if batch == 0 {
+                return None;
+            }
+            if batch < rest.len() {
+                rest.select_nth_unstable(batch - 1);
+            }
+            rest[..batch].sort_unstable();
+            self.sorted += batch;
+        }
+        self.taken += 1;
+        Some(self.keys[self.taken - 1].1)
+    }
+}
+
 struct Simplex<'a> {
     a: Columns<'a>,
     m: usize,
@@ -442,14 +494,10 @@ struct Simplex<'a> {
     reach: Vec<u8>,
     reached: Vec<u32>,
     /// Scratch of the long-step ratio test: the columns one dual pivot
-    /// flips, the breakpoint of every reached column (infinite where it
-    /// has none), and the `(breakpoint, column)` min-queue a step that
-    /// passes the nearest one draws the others from — breakpoints by
-    /// their bit patterns, which order like the non-negative floats they
-    /// are.
+    /// flips, and the finite breakpoints of the reached columns, which a
+    /// step that passes the nearest one draws the others from.
     flips: Vec<usize>,
-    ratios: Vec<f64>,
-    queue: BinaryHeap<Reverse<(u64, u32)>>,
+    breakpoints: Breakpoints,
     /// Largest relative distance between a carried `d_j` and its
     /// re-derived value, over the refactorizations of the dual repair.
     #[cfg(test)]
@@ -572,8 +620,7 @@ impl<'a> Simplex<'a> {
             reach: vec![0; n_total.next_multiple_of(8)],
             reached: Vec::new(),
             flips: Vec::new(),
-            ratios: Vec::new(),
-            queue: BinaryHeap::new(),
+            breakpoints: Breakpoints::default(),
             #[cfg(test)]
             dual_drift: 0.0,
             #[cfg(test)]
@@ -940,13 +987,13 @@ impl<'a> Simplex<'a> {
             VarState::AtLower => 1.0,
             VarState::AtUpper => -1.0,
         };
-        if self.lower[j] == self.upper[j] {
-            return None; // fixed (pinned artificials, fixed vars)
-        }
         // x_B[r] changes by -dir * alpha * t; "above" needs a decrease,
-        // "below" an increase.
+        // "below" an increase. Tested first: it needs no bound loaded.
         if above != (dir * alpha > 0.0) {
             return None;
+        }
+        if self.lower[j] == self.upper[j] {
+            return None; // fixed (pinned artificials, fixed vars)
         }
         Some(self.d[j].abs() / alpha.abs())
     }
@@ -968,8 +1015,13 @@ impl<'a> Simplex<'a> {
     /// reach `x_B` through one FTRAN of `Σ a_j·Δx_j`; the `d_N` update
     /// is the textbook one. A step that passes no breakpoint *is* the
     /// textbook min-ratio test, and costs the same: the first breakpoint
-    /// is found by one pass over the reached columns, and only a step
-    /// that passes it queues the others.
+    /// is found by one pass over the reached columns, which also keeps
+    /// every finite breakpoint as a `(ratio bits, column)` key, and only
+    /// a step that passes it queues the others — [`Breakpoints`] hands
+    /// them out in key order, selecting and sorting the next
+    /// [`BREAKPOINT_BATCH`] of them whenever the step has used up the
+    /// last, so a step that passes five breakpoints orders sixteen, not
+    /// the thousands a wide row reaches.
     ///
     /// Every choice keeps dual feasibility and every tie breaks on the
     /// lowest index, so the repair is deterministic. The primal
@@ -1030,16 +1082,21 @@ impl<'a> Simplex<'a> {
             };
             self.iterations += 1;
             self.pivot_row(r);
-            // The nearest breakpoint: the textbook min-ratio candidate
-            // (a column without one counts as infinitely far).
+            // The nearest breakpoint: the textbook min-ratio candidate.
+            // The same pass keeps every finite one (`ratio < ∞` also
+            // drops NaN) for a step that goes past it.
             let mut next: Option<usize> = None;
             let mut nearest = f64::INFINITY;
-            self.ratios.clear();
+            self.breakpoints.clear();
             for &j in &self.reached {
-                let ratio = self.breakpoint(j as usize, above).unwrap_or(f64::INFINITY);
-                self.ratios.push(ratio);
-                if ratio < nearest {
-                    (nearest, next) = (ratio, Some(j as usize));
+                let Some(ratio) = self.breakpoint(j as usize, above) else {
+                    continue;
+                };
+                if ratio < f64::INFINITY {
+                    self.breakpoints.push(ratio, j);
+                    if ratio < nearest {
+                        (nearest, next) = (ratio, Some(j as usize));
+                    }
                 }
             }
             // Walk the breakpoints while the step passes them. `slope` is
@@ -1071,17 +1128,11 @@ impl<'a> Simplex<'a> {
                 self.flips.push(j);
                 if self.flips.len() == 1 {
                     // Only a step that passes the nearest breakpoint
-                    // needs the others in order.
-                    self.queue.clear();
-                    self.queue.extend(
-                        self.reached
-                            .iter()
-                            .zip(&self.ratios)
-                            .filter(|&(&col, ratio)| ratio.is_finite() && col as usize != j)
-                            .map(|(&col, ratio)| Reverse((ratio.to_bits(), col))),
-                    );
+                    // orders the others; the first of them is that one.
+                    let first = self.breakpoints.pop();
+                    debug_assert_eq!(first, Some(j as u32));
                 }
-                next = self.queue.pop().map(|Reverse((_, col))| col as usize);
+                next = self.breakpoints.pop().map(|col| col as usize);
             };
             if !self.flips.is_empty() {
                 // x_B = B⁻¹(b − N x_N): the flips move x_N by Δx, so x_B
@@ -1948,6 +1999,60 @@ mod tests {
         assert!((warm.objective - cold.objective).abs() < 1e-9);
     }
 
+    #[test]
+    fn a_long_step_passes_more_breakpoints_than_one_batch() {
+        // Forty unit columns covering w: two free ones (ratio 0, tied),
+        // then cost pairs 1, 1, 2, 2, … tied up to column 29, then one
+        // cost each. At w = 33.5 the step passes 33 breakpoints — more
+        // than two batches — and column 33 enters at one half. Ties are
+        // met lowest column first, and the optimum is unique (every
+        // passed column is strictly cheaper than the entering one), so
+        // the warm repair must land on the cold solve's point exactly.
+        let mut cost: Vec<f64> = (0..40)
+            .map(|k| match k {
+                0 | 1 => 0.0,
+                2..30 => (k / 2) as f64,
+                _ => 100.0 + k as f64,
+            })
+            .collect();
+        let mut row = vec![1.0; 40];
+        let mut upper = vec![1.0; 40];
+        cost.push(0.0);
+        row.push(-1.0);
+        upper.push(40.0);
+        let n = cost.len();
+        let m = lp(
+            cost,
+            &[row],
+            vec![Sense::Ge],
+            vec![0.0],
+            vec![0.0; n],
+            upper,
+        );
+        let (warm, cold) = cover_child(&m, 33.5);
+        let (warm, cold) = (warm.optimal().unwrap(), cold.optimal().unwrap());
+        // Recorded before the breakpoints were ordered in batches.
+        assert_eq!(
+            (
+                warm.counts.dual_flips,
+                warm.counts.dual_pivots,
+                warm.counts.pivot_row_cols
+            ),
+            (33, 1, 43)
+        );
+        let expected = 2.0 * (1..15).sum::<i32>() as f64 + 130.0 + 131.0 + 132.0 + 0.5 * 133.0;
+        assert!(
+            (warm.objective - expected).abs() < 1e-9,
+            "obj {}",
+            warm.objective
+        );
+        assert!((warm.objective - cold.objective).abs() < 1e-9);
+        for (w, c) in warm.x.iter().zip(&cold.x) {
+            assert!((w - c).abs() < 1e-9, "{:?} vs {:?}", warm.x, cold.x);
+        }
+        assert!((warm.x[33] - 0.5).abs() < 1e-9, "{:?}", warm.x);
+    }
+
     /// A random §3.1 snapshot on an empty machine (same shape as
     /// `tests/warm_props.rs`).
     fn random_timeindex(capacity: u32, specs: &[(u32, u64)]) -> crate::timeindex::TimeIndexedModel {
@@ -1993,6 +2098,44 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// A long step's breakpoints come out of [`Breakpoints`] in
+        /// exactly the order a full sort of their `(ratio bits, column)`
+        /// keys gives — tied ratios lowest column first, zero ratios
+        /// before the rest — however many batches the pops use up, and
+        /// a cleared set forgets the previous pivot's keys and order.
+        #[test]
+        fn batched_breakpoints_pop_in_full_sort_order(
+            entries in proptest::collection::vec((0u32..4, 1u32..4, 0u32..8, 0.0f64..1e3), 0..80),
+            stale in proptest::collection::vec(0.0f64..1e3, 0..40),
+            pops in 0usize..90,
+        ) {
+            let mut set = Breakpoints::default();
+            for (j, &ratio) in stale.iter().enumerate() {
+                set.push(ratio, j as u32);
+            }
+            set.pop();
+            set.clear();
+            // Columns ascend with gaps, as the reached list does; a
+            // quarter of the ratios are zero and a quarter come from four
+            // values, so ties are common.
+            let mut keys = Vec::new();
+            let mut column = 0u32;
+            for &(kind, gap, tied, free) in &entries {
+                column += gap;
+                let ratio = match kind {
+                    0 => 0.0,
+                    1 => 0.25 * (tied % 4) as f64,
+                    _ => free,
+                };
+                set.push(ratio, column);
+                keys.push((ratio.to_bits(), column));
+            }
+            keys.sort_unstable();
+            let popped: Vec<Option<u32>> = (0..pops).map(|_| set.pop()).collect();
+            let expected: Vec<Option<u32>> = (0..pops).map(|k| keys.get(k).map(|key| key.1)).collect();
+            proptest::prop_assert_eq!(popped, expected);
+        }
+
         /// The dual repair carries `d_N` from pivot to pivot; at every
         /// refactorization the carried values must equal `c − yᵀA`
         /// re-derived from scratch. Driven the way branch & bound drives

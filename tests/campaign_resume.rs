@@ -236,6 +236,27 @@ fn checkpoint_lines_are_self_validating() {
 }
 
 #[test]
+fn checkpoints_hold_the_same_lines_at_every_worker_count() {
+    // Workers append their records in the order they finish, so the file
+    // is reproducible as a multiset of lines, not byte for byte.
+    let jobs = campaign_trace();
+    let lines_at = |workers: usize| {
+        let dir = unique_dir(&format!("w{workers}"));
+        let outcome =
+            run_campaign(&jobs, &config(&dir).with_workers(workers)).expect("campaign runs");
+        let text = std::fs::read_to_string(&outcome.checkpoint_path).unwrap();
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        lines.sort_unstable();
+        std::fs::remove_dir_all(&dir).unwrap();
+        (outcome.cells_total, lines)
+    };
+    let (cells, one) = lines_at(1);
+    let (_, two) = lines_at(2);
+    assert_eq!(one.len(), cells, "one line per cell");
+    assert_eq!(one, two, "the checkpoint depends on the worker count");
+}
+
+#[test]
 fn the_committed_version_1_checkpoint_still_loads() {
     // Written by the `campaign` bin before records moved to version 2:
     // every line must still verify under its byte-serial FNV-1a `crc`.
