@@ -75,8 +75,7 @@ impl ResourceProfile {
     ///
     /// A time inside the head segment is answered without a search: on a
     /// working profile compressed at `now` that is every `now`-anchored
-    /// `earliest_fit` and `fits`, the frontier pass's per-job check
-    /// included.
+    /// `earliest_fit` and `place`.
     fn segment_index(&self, t: u64) -> usize {
         match self.steps.get(1) {
             // partition_point returns the first index with step.0 > t; the
@@ -108,21 +107,6 @@ impl ResourceProfile {
             min = min.min(free);
         }
         min
-    }
-
-    /// Whether a job of `width` resources fits in `[start, start+duration)`:
-    /// `width <= min_free(start, start + duration)`, answered at the first
-    /// segment that is too full instead of after the whole window — the
-    /// planner's frontier pass asks this of every queued job.
-    pub fn fits(&self, start: u64, duration: u64, width: u32) -> bool {
-        let end = start.saturating_add(duration);
-        if start >= end {
-            return width <= self.capacity;
-        }
-        self.steps[self.segment_index(start)..]
-            .iter()
-            .take_while(|&&(time, _)| time < end)
-            .all(|&(_, free)| width <= free)
     }
 
     /// Earliest start `t >= earliest` such that `width` resources are free
@@ -300,7 +284,7 @@ impl ResourceProfile {
     ///
     /// # Panics
     /// Panics if the interval is empty or the reservation would drive any
-    /// segment negative — callers must check with [`Self::fits`] first; a
+    /// segment negative — callers must check with [`Self::min_free`] first; a
     /// violation is a scheduler bug, not a recoverable condition.
     pub fn allocate(&mut self, start: u64, end: u64, width: u32) {
         assert!(start < end, "allocate: empty interval [{start}, {end})");
@@ -665,14 +649,6 @@ mod tests {
         prop_assert_eq!(q.free_at(t), naive_free_at(reference, t), "free_at({})", t);
         prop_assert_eq!(q.min_free(t, end), naive_min_free(reference, t, end), "min_free({})", t);
         prop_assert_eq!(
-            q.fits(t, duration, width),
-            width <= naive_min_free(reference, t, end),
-            "fits({}, {}, {})",
-            t,
-            duration,
-            width
-        );
-        prop_assert_eq!(
             q.earliest_fit(t, duration, width),
             naive_earliest_fit(reference, t, duration, width),
             "earliest_fit({}, {}, {})",
@@ -815,21 +791,6 @@ mod tests {
                 prop_assert_eq!(&q, &expected);
                 q.check_invariants().map_err(TestCaseError::Fail)?;
             }
-        }
-
-        #[test]
-        fn fits_equals_the_window_minimum(
-            cap in 1u32..=32,
-            allocs in prop::collection::vec((0u64..500, 1u64..80, 1u32..=16), 0..12),
-            start in 0u64..600,
-            duration in 0u64..200,
-            width in 0u32..=40,
-        ) {
-            let p = random_profile(cap, &allocs);
-            prop_assert_eq!(
-                p.fits(start, duration, width),
-                width <= p.min_free(start, start + duration)
-            );
         }
 
         #[test]

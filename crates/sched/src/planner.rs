@@ -144,9 +144,10 @@ pub fn plan_ordered(
 /// start at `problem.now`. The result is the placed prefix of
 /// `plan_ordered(problem, order)`, entry for entry, and it holds every
 /// entry of that plan with `start == now` — all a completion needs to
-/// dispatch. It places only that prefix, but its stop test asks
-/// [`ResourceProfile::fits`] once of every job in `order` over the pass:
-/// one cheap check per queued job, plus one per placement.
+/// dispatch. It places only that prefix; its stop test looks each job in
+/// `order` up once over the pass in a prefix-minimum staircase of the
+/// working profile, plus once per placement, and rebuilds the staircase
+/// after each placement.
 pub fn plan_frontier(
     problem: &SchedulingProblem,
     order: &[dynp_trace::Job],
@@ -181,10 +182,12 @@ const RECENT: usize = 8;
 /// Allocations only remove capacity, so a job that has stopped fitting
 /// at `now` never fits there again during the pass: `live` — one past
 /// the last position whose job still fits — only ever moves down, and
-/// the stop test costs one cheap check per queued job over the whole
-/// pass plus one per placement. (Comparing the free count at `now` with
-/// the narrowest remaining width is not enough: a narrow job can fit by
-/// width and still not for its whole window.)
+/// the stop test costs one [`Staircase`] lookup per queued job over the
+/// whole pass plus one per placement. The staircase is rebuilt after each
+/// placement: a placement that starts later than `now` can still cut the
+/// window of a job that fits by width at `now`. (Comparing the free count
+/// at `now` with the narrowest remaining width is not enough for that
+/// reason.)
 fn plan_ordered_in(
     problem: &SchedulingProblem,
     order: &[dynp_trace::Job],
@@ -194,17 +197,15 @@ fn plan_ordered_in(
     profile.compress_before(problem.now);
     // A full pass places every job; the frontier usually a few.
     let mut schedule = Schedule::with_capacity(if frontier_only { 0 } else { order.len() });
-    let fits_now = |profile: &ResourceProfile, job: &dynp_trace::Job| {
-        profile.fits(problem.now, job.estimated_duration.max(1), job.width)
-    };
+    let mut stairs = frontier_only.then(|| Staircase::of(&profile, problem.now));
     let mut live = order.len();
     // (width, planned duration, start) of the latest placements; the
     // initial entries bound nothing below `now`.
     let mut recent = [(0u32, 0u64, problem.now); RECENT];
     for (i, job) in order.iter().enumerate() {
         let duration = job.estimated_duration.max(1);
-        if frontier_only {
-            while live > i && !fits_now(&profile, &order[live - 1]) {
+        if let Some(stairs) = &stairs {
+            while live > i && !stairs.fits(&order[live - 1]) {
                 live -= 1;
             }
             if live == i {
@@ -236,8 +237,71 @@ fn plan_ordered_in(
             end: start + duration,
             width: job.width,
         });
+        if let Some(stairs) = &mut stairs {
+            stairs.rebuild(&profile);
+        }
     }
     Ok(schedule)
+}
+
+/// The **prefix-minimum staircase** of a working profile from `now` on:
+/// the points where the running minimum of its free count since `now`
+/// falls. A job of width `w` fits throughout `[now, end)` iff the first
+/// level below `w` begins at or after `end`, or no level is below `w` —
+/// the frontier's stop test, answered from a few levels instead of the
+/// window's segments.
+struct Staircase {
+    now: u64,
+    capacity: u32,
+    /// `(level, time)`: from `time` on the running minimum is `level`.
+    /// Levels strictly fall, times strictly rise, the first at `now`.
+    levels: Vec<(u32, u64)>,
+}
+
+impl Staircase {
+    /// The staircase of `profile` from `now` on.
+    fn of(profile: &ResourceProfile, now: u64) -> Self {
+        let mut stairs = Staircase {
+            now,
+            capacity: profile.capacity(),
+            levels: Vec::new(),
+        };
+        stairs.rebuild(profile);
+        stairs
+    }
+
+    /// Re-reads `profile`, after a placement cut capacity out of it.
+    fn rebuild(&mut self, profile: &ResourceProfile) {
+        let steps = profile.steps();
+        // The segment holding `now`: 0 on a profile compressed at `now`,
+        // 1 once a placement has split it at `now`.
+        let head = steps.partition_point(|&(time, _)| time <= self.now) - 1;
+        self.levels.clear();
+        let mut min = u32::MAX;
+        for &(time, free) in &steps[head..] {
+            if free < min {
+                min = free;
+                self.levels.push((free, time.max(self.now)));
+                if free == 0 {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Whether `job` fits at `now` for its planned duration `d`:
+    /// `width <= profile.min_free(now, now + d)`, the end saturated at
+    /// `u64::MAX`.
+    fn fits(&self, job: &dynp_trace::Job) -> bool {
+        let end = self.now.saturating_add(job.estimated_duration.max(1));
+        if end == self.now {
+            // An empty window (at the end of the time axis) is bounded by
+            // the machine alone, as in `min_free`.
+            return job.width <= self.capacity;
+        }
+        let below = self.levels.partition_point(|&(level, _)| level >= job.width);
+        self.levels.get(below).is_none_or(|&(_, time)| end <= time)
+    }
 }
 
 #[cfg(test)]
@@ -245,6 +309,7 @@ mod tests {
     use super::*;
     use dynp_platform::MachineHistory;
     use dynp_trace::{Job, JobId};
+    use proptest::prelude::*;
 
     fn snapshot(capacity: u32, jobs: Vec<Job>) -> SchedulingProblem {
         SchedulingProblem::on_empty_machine(0, capacity, jobs)
@@ -406,5 +471,86 @@ mod tests {
         let s = plan_ordered(&p, &[jobs[1], jobs[0]]).unwrap();
         assert_eq!(s.start_of(JobId(1)), Some(0));
         assert_eq!(s.start_of(JobId(0)), Some(50));
+    }
+
+    /// Every width from 0 to capacity + 1 and every duration that ends a
+    /// second before, at and a second after a breakpoint of `profile`
+    /// (plus the ends at and past `u64::MAX`): the staircase must answer
+    /// as the window minimum does.
+    fn staircase_agrees_with_min_free(
+        stairs: &Staircase,
+        profile: &ResourceProfile,
+        now: u64,
+    ) -> Result<(), TestCaseError> {
+        let mut durations = vec![0, 1, u64::MAX - now, u64::MAX];
+        for &(time, _) in profile.steps().iter().filter(|&&(time, _)| time > now) {
+            let d = time - now;
+            durations.extend([d - 1, d, d.saturating_add(1)]);
+        }
+        for width in 0..=profile.capacity() + 1 {
+            for &duration in &durations {
+                let end = now.saturating_add(duration.max(1));
+                prop_assert_eq!(
+                    stairs.fits(&Job::exact(0, 0, width, duration)),
+                    width <= profile.min_free(now, end),
+                    "width {} duration {} at {}",
+                    width,
+                    duration,
+                    now
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn the_staircase_answers_as_the_window_minimum(
+            cap in 1u32..=16,
+            history in prop::collection::vec((0u64..500, 1u64..80, 1u32..=16), 0..10),
+            // One `now` in eight within the last four seconds of the axis.
+            now in (0u64..8, 0u64..600)
+                .prop_map(|(pick, t)| if pick == 0 { u64::MAX - t % 4 } else { t }),
+            // One placement in four asked at `now` itself (which splits
+            // the head segment), one in four to run to the end of the axis.
+            placements in prop::collection::vec(
+                (0u64..400, (0u64..4, 1u64..200), 0u32..=16)
+                    .prop_map(|(offset, (pick, len), width)| {
+                        (offset, if pick == 0 { u64::MAX } else { len }, width)
+                    }),
+                0..6,
+            ),
+        ) {
+            let mut profile = ResourceProfile::new(cap);
+            for (start, len, width) in history {
+                let _ = profile.place(start, len, width);
+            }
+            profile.compress_before(now);
+            let mut stairs = Staircase::of(&profile, now);
+            staircase_agrees_with_min_free(&stairs, &profile, now)?;
+            for (offset, len, width) in placements {
+                let start = now.saturating_add(offset.saturating_sub(100));
+                let _ = profile.place(start, len.min(u64::MAX - start), width);
+                stairs.rebuild(&profile);
+                staircase_agrees_with_min_free(&stairs, &profile, now)?;
+            }
+        }
+    }
+
+    #[test]
+    fn a_future_placement_stops_a_narrow_long_job() {
+        // Two of four resources busy until 100. Job 0 needs the whole
+        // machine and is placed at 100, in the future; job 1 is narrow
+        // and fits by width at `now`, and for its window too until job 0
+        // is placed, which empties [100, 110). So the pass places job 0
+        // only: the staircase must be rebuilt after that placement.
+        let history = MachineHistory::build(4, 0, &[(2, 100)]);
+        let order = [Job::exact(0, 0, 4, 10), Job::exact(1, 0, 1, 1_000)];
+        let p = SchedulingProblem::new(0, history, order.to_vec());
+        let full = plan_ordered(&p, &order).unwrap();
+        assert_eq!(full.start_of(JobId(0)), Some(100));
+        assert_eq!(full.start_of(JobId(1)), Some(110));
+        let frontier = plan_frontier(&p, &order).unwrap();
+        assert_eq!(frontier.entries(), &full.entries()[..1]);
     }
 }

@@ -12,11 +12,11 @@
 //! A completion needs only the jobs that start *now*, so it plans the
 //! **dispatch frontier** ([`dynp_sched::plan_frontier`]: the full pass,
 //! stopped once nothing unplaced can still start). It places the jobs it
-//! starts and the few it passes, not the queue, but its stop test still
-//! asks [`dynp_platform::ResourceProfile::fits`] once of every queued
-//! job: 2.98 M calls for the 2 391 completions of one `serve_core_backlog`
-//! rep (`benchmark/`, seed 42). The plan of the jobs left waiting is
-//! derived on read after a completion ([`Rms::plan`]). Both calls funnel into one
+//! starts and the few it passes, not the queue; its stop test still
+//! looks every queued job up once, in a prefix-minimum staircase of the
+//! working profile rather than by a scan of the job's window. The plan
+//! of the jobs left waiting is derived on read after a completion
+//! ([`Rms::plan`]). Both calls funnel into one
 //! private `replan`, the only build-problem → plan → decline-and-retry →
 //! dispatch loop in the workspace, and each returns a [`Step`] saying
 //! what happened.

@@ -108,10 +108,10 @@ proptest! {
         }
         let t = p.earliest_fit(from, duration, width).expect("must fit eventually");
         prop_assert!(t >= from);
-        prop_assert!(p.fits(t, duration, width));
+        prop_assert!(p.min_free(t, t + duration) >= width);
         // Earliestness: check a scatter of earlier instants don't fit.
         for probe in (from..t).rev().take(50) {
-            prop_assert!(!p.fits(probe, duration, width),
+            prop_assert!(p.min_free(probe, probe + duration) < width,
                 "job fits at {probe} < chosen {t}");
         }
     }
