@@ -2,24 +2,23 @@
 //! of the §3.2 compaction on exact-schedule quality and solve effort.
 //!
 //! For a fixed set of snapshots, sweeps the slot width over
-//! {1, 2, 5, 10, 30} minutes, with and without compaction, and reports
-//! model size, quality vs. the best policy, and solve time. This
-//! quantifies the paper's observation that coarse scaling can make the
-//! "optimal" schedule *worse* than a policy schedule (negative loss rows
-//! in Table 1) and that compaction recovers most of the grid slack.
+//! {1, 2, 5, 10, 30} minutes and reports model size, quality vs. the
+//! best policy, and solve time, with and without compaction. Each
+//! snapshot is solved once per width: the search gives the slot-grid
+//! schedule, and compaction only rewrites it afterwards, so both rows of
+//! a width come from the same runs and share their vars, nodes and time.
+//! This quantifies the paper's observation that coarse scaling can make
+//! the "optimal" schedule *worse* than a policy schedule (negative loss
+//! rows in Table 1) and that compaction recovers most of the grid slack.
 //! The JSON keeps, under each row, every snapshot's nodes, LP
 //! iterations and status next to the averages the text table shows.
 //! Writes `results/scaling_sweep.{txt,json,events.jsonl}`.
 //!
 //! Usage: `cargo run --release -p dynp-bench --bin scaling_sweep [n_jobs] [seed] [--watch <addr>]`
 
-use dynp_bench::{
-    cli_args_and_watch, dynp_run_with_snapshots, small_trace, solve_snapshots, spread_sample,
-    start_watch, Report,
-};
-use dynp_milp::{BranchLimits, SolveConfig};
+use dynp_bench::{cli_args_and_watch, dynp_run_with_snapshots, small_trace, start_watch, Report};
+use dynp_exp::ExactConfig;
 use dynp_obs::JsonValue;
-use dynp_sim::SnapshotFilter;
 
 fn main() {
     let (args, watch_addr) = cli_args_and_watch();
@@ -30,62 +29,62 @@ fn main() {
     let mut report = Report::new("scaling_sweep");
     let _watch = start_watch(watch_addr.as_deref());
 
+    let exact = ExactConfig::new()
+        .with_job_range(5, 14)
+        .with_max_snapshots(6)
+        .with_node_budget(5_000);
     eprintln!("generating trace and collecting snapshots ...");
     let trace = small_trace(n_jobs, seed, 64);
-    let run = dynp_run_with_snapshots(
-        &trace.jobs,
-        trace.machine_size,
-        SnapshotFilter {
-            min_jobs: 5,
-            max_jobs: 14,
-            ..SnapshotFilter::default()
-        },
+    let run = dynp_run_with_snapshots(&trace.jobs, trace.machine_size, exact.snapshot_filter());
+    eprintln!(
+        "solving up to {} snapshots at each slot width ...",
+        exact.max_snapshots
     );
-    let sample = spread_sample(&run.snapshots, 6);
-    eprintln!("{} snapshots sampled", sample.len());
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let stages: Vec<(u64, dynp_exp::ExactStage)> = [1u64, 2, 5, 10, 30]
+        .into_iter()
+        .map(|minutes| {
+            let config = exact.clone().with_scale_override(minutes * 60);
+            (minutes, dynp_exp::compare(&run.snapshots, &config, workers))
+        })
+        .collect();
+    let sampled = stages[0].1.tally.sampled;
     report.set(
         "params",
         JsonValue::object()
             .with("n_jobs", n_jobs)
             .with("seed", seed)
             .with("machine_size", trace.machine_size)
-            .with("snapshots", sample.len()),
+            .with("snapshots", sampled),
     );
 
     report.blank();
     report.line(format!(
-        "Time-scaling sweep (metric: SLDwA, {} snapshots averaged)",
-        sample.len()
+        "Time-scaling sweep (metric: SLDwA, {sampled} snapshots averaged)"
     ));
     report.line(format!(
         "{:>7} {:>10} {:>9} {:>9} {:>11} {:>11}",
         "scale", "compacted", "avg vars", "avg loss", "avg nodes", "avg time"
     ));
     let mut rows_json = JsonValue::array();
-    for scale_minutes in [1u64, 2, 5, 10, 30] {
-        for compacted in [true, false] {
-            let config = SolveConfig {
-                scale_override: Some(scale_minutes * 60),
-                skip_compaction: !compacted,
-                limits: BranchLimits {
-                    max_nodes: 5_000,
-                    ..BranchLimits::default()
-                },
-                ..SolveConfig::default()
-            };
-            let runs = solve_snapshots(&sample, &config);
-            let solved: Vec<_> = runs.iter().filter(|r| r.quality.is_some()).collect();
-            let ns = solved.len().max(1) as f64;
-            let avg_vars =
-                runs.iter().map(|r| r.num_variables as f64).sum::<f64>() / runs.len() as f64;
-            let avg_loss = solved
-                .iter()
-                .filter_map(|r| r.perf_loss_percent)
-                .sum::<f64>()
-                / ns;
-            let avg_nodes = runs.iter().map(|r| r.nodes as f64).sum::<f64>() / runs.len() as f64;
-            let avg_time =
-                runs.iter().map(|r| r.solve_time.as_secs_f64()).sum::<f64>() / runs.len() as f64;
+    for (scale_minutes, stage) in &stages {
+        let t = &stage.tally;
+        let avg_vars = t.per_run(t.variables as f64);
+        let avg_nodes = t.per_run(t.nodes as f64);
+        let avg_time = t.per_run(t.solve_seconds);
+        // Which solves closed before the node budget, and how: the
+        // averages below cannot tell.
+        let mut snapshots = JsonValue::array();
+        for r in &stage.runs {
+            snapshots.push(
+                JsonValue::object()
+                    .with("nodes", r.nodes)
+                    .with("lp_iterations", r.lp_iterations)
+                    .with("status", format!("{:?}", r.status)),
+            );
+        }
+        for (compacted, loss_sum) in [(true, t.loss_sum), (false, t.slot_loss_sum)] {
+            let avg_loss = t.per_compared(loss_sum);
             report.line(format!(
                 "{:>5}min {:>10} {:>9.0} {:>+8.2}% {:>11.0} {:>10.3}s",
                 scale_minutes,
@@ -95,27 +94,16 @@ fn main() {
                 avg_nodes,
                 avg_time
             ));
-            // Which solves closed before the node budget, and how: the
-            // averages above cannot tell.
-            let mut snapshots = JsonValue::array();
-            for r in &runs {
-                snapshots.push(
-                    JsonValue::object()
-                        .with("nodes", r.nodes)
-                        .with("lp_iterations", r.lp_iterations)
-                        .with("status", format!("{:?}", r.status)),
-                );
-            }
             rows_json.push(
                 JsonValue::object()
-                    .with("scale_minutes", scale_minutes)
+                    .with("scale_minutes", *scale_minutes)
                     .with("compacted", compacted)
                     .with("avg_vars", avg_vars)
                     .with("avg_loss_percent", avg_loss)
                     .with("avg_nodes", avg_nodes)
                     .with("avg_solve_seconds", avg_time)
-                    .with("solved", solved.len())
-                    .with("snapshots", snapshots),
+                    .with("solved", t.compared)
+                    .with("snapshots", snapshots.clone()),
             );
         }
     }

@@ -19,12 +19,11 @@
 //!   and unpredictable between similar-sized instances.
 
 use dynp_bench::{
-    cli_args_and_watch, ctc_trace, dynp_run_with_snapshots, exact_run_json, solve_snapshots,
-    spread_sample, start_watch, Report, Table1Averages, TABLE1_HEADER,
+    cli_args_and_watch, ctc_trace, dynp_run_with_snapshots, exact_run_json, start_watch, Report,
+    TABLE1_HEADER,
 };
-use dynp_milp::{BranchLimits, SolveConfig};
+use dynp_exp::ExactConfig;
 use dynp_obs::JsonValue;
-use dynp_sim::SnapshotFilter;
 
 fn main() {
     let (args, watch_addr) = cli_args_and_watch();
@@ -36,21 +35,23 @@ fn main() {
     let mut report = Report::new("table1");
     let _watch = start_watch(watch_addr.as_deref());
 
+    let exact = ExactConfig::new()
+        // The paper's average instance has ~22 jobs; very small
+        // snapshots are trivial and very large ones explode the ILP.
+        .with_job_range(5, 18)
+        .with_max_snapshots(rows)
+        .with_node_budget(20_000)
+        // Eq. 6 with a 64x smaller budget than the paper's: a calibration
+        // kept so the time scales Eq. 6 picks (coarser than the paper's,
+        // still minutes-range) stay comparable across PRs. It no longer
+        // models this solver's footprint — the basis is a sparse LU.
+        .with_memory_budget_bytes(dynp_milp::PAPER_MEMORY_BYTES as u64 / 64);
+
     eprintln!("generating CTC-like trace: {n_jobs} jobs, seed {seed} ...");
     let trace = ctc_trace(n_jobs, seed);
 
     eprintln!("replaying under self-tuning dynP, collecting snapshots ...");
-    let run = dynp_run_with_snapshots(
-        &trace.jobs,
-        trace.machine_size,
-        SnapshotFilter {
-            // The paper's average instance has ~22 jobs; very small
-            // snapshots are trivial and very large ones explode the ILP.
-            min_jobs: 5,
-            max_jobs: 18,
-            ..SnapshotFilter::default()
-        },
-    );
+    let run = dynp_run_with_snapshots(&trace.jobs, trace.machine_size, exact.snapshot_filter());
     eprintln!(
         "simulation done: {} jobs completed, {} snapshots collected, {} policy switches",
         run.records.len(),
@@ -68,52 +69,55 @@ fn main() {
             .with("policy_switches", run.selector.stats().switches()),
     );
 
-    let sample = spread_sample(&run.snapshots, rows);
-    eprintln!("solving {} snapshots exactly (parallel) ...", sample.len());
-    let config = SolveConfig {
-        // Eq. 6 with a 64x smaller budget than the paper's: a calibration
-        // kept so the time scales Eq. 6 picks (coarser than the paper's,
-        // still minutes-range) stay comparable across PRs. It no longer
-        // models this solver's footprint — the basis is a sparse LU.
-        memory_bytes: dynp_milp::PAPER_MEMORY_BYTES / 64.0,
-        limits: BranchLimits {
-            max_nodes: 20_000,
-            ..BranchLimits::default()
-        },
-        ..SolveConfig::default()
-    };
-    let solved = solve_snapshots(&sample, &config);
+    eprintln!("solving up to {rows} snapshots exactly (parallel) ...");
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let stage = dynp_exp::compare(&run.snapshots, &exact, workers);
 
     report.blank();
     report.line("Table 1 — exact problem sizes, quality, and compute time");
     report.line("(metric: SLDwA; baseline: best of FCFS/SJF/LJF at each snapshot)");
     report.line(format!("{TABLE1_HEADER}  status"));
     let mut rows_json = JsonValue::array();
-    for r in &solved {
+    for r in &stage.runs {
         report.line(format!("{}  {:?}", r.table_row(), r.status));
         rows_json.push(exact_run_json(r));
     }
     report.set("rows", rows_json);
-    let avg = Table1Averages::compute(&solved);
-    report.set("averages", avg.to_json());
+    let t = &stage.tally;
+    let avg = |sum: u64| t.per_run(sum as f64);
+    let (quality, loss) = (t.per_compared(t.quality_sum), t.per_compared(t.loss_sum));
+    let solve_seconds = t.per_run(t.solve_seconds);
+    report.set(
+        "averages",
+        JsonValue::object()
+            .with("runs", t.runs)
+            .with("solved", t.compared)
+            .with("avg_jobs", avg(t.jobs))
+            .with("avg_makespan", avg(t.max_makespan))
+            .with("avg_acc_runtime", avg(t.accumulated_runtime))
+            .with("avg_time_scale", avg(t.time_scale))
+            .with("avg_quality", quality)
+            .with("avg_loss_percent", loss)
+            .with("avg_solve_seconds", solve_seconds),
+    );
     report.blank();
     report.line(format!(
         "averages over {} runs ({} solved):",
-        avg.runs, avg.solved
+        t.runs, t.compared
     ));
     report.line(format!(
         "  jobs {:.1}   makespan {:.0} s   acc.runtime {:.0} s   scale {:.1} min",
-        avg.avg_jobs,
-        avg.avg_makespan,
-        avg.avg_acc_runtime,
-        avg.avg_time_scale / 60.0
+        avg(t.jobs),
+        avg(t.max_makespan),
+        avg(t.accumulated_runtime),
+        avg(t.time_scale) / 60.0
     ));
     report.line(format!(
-        "  quality {:.3}   perf. loss {:+.2}%   solve time {:.2} s",
-        avg.avg_quality, avg.avg_loss_percent, avg.avg_solve_seconds
+        "  quality {quality:.3}   perf. loss {loss:+.2}%   solve time {solve_seconds:.2} s"
     ));
     // The paper's §3 "power" comparison: quality per compute second.
-    let powers: Vec<(f64, f64)> = solved
+    let powers: Vec<(f64, f64)> = stage
+        .runs
         .iter()
         .filter_map(|r| Some((r.policy_power()?, r.exact_power()?)))
         .collect();

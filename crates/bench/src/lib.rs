@@ -6,12 +6,11 @@
 //! substitution for the original archive trace).
 
 use dynp_core::{FixedPolicy, PolicySelector, SelfTuning};
-use dynp_milp::{solve_snapshot, ExactRun, SolveConfig};
-use dynp_obs::pool::{self, SlotOutcome};
+use dynp_milp::ExactRun;
 use dynp_obs::JsonValue;
 use dynp_platform::MachineHistory;
 use dynp_sched::{Metric, Policy, SchedulingProblem};
-use dynp_sim::{simulate, SimConfig, SimRun, SnapshotFilter, TunedSnapshot};
+use dynp_sim::{simulate, SimConfig, SimRun, SnapshotFilter};
 use dynp_trace::{CtcModel, Job, SyntheticTrace, WorkloadModel};
 use std::path::{Path, PathBuf};
 
@@ -87,82 +86,6 @@ pub fn fixed_run(jobs: &[Job], machine_size: u32, policy: Policy) -> SimRun<Fixe
 /// Replays `jobs` under an arbitrary selector.
 pub fn selector_run<S: PolicySelector>(jobs: &[Job], machine_size: u32, selector: S) -> SimRun<S> {
     simulate(jobs, selector, SimConfig::new(machine_size))
-}
-
-/// Solves a batch of snapshots exactly, one pool worker per available
-/// core (each solve is independent, exactly like the paper's
-/// per-submission CPLEX runs).
-/// Snapshots with input defects (empty queue) are skipped — the snapshot
-/// filter guarantees at least one waiting job, so this only drops
-/// genuinely uncomparable entries.
-pub fn solve_snapshots(snapshots: &[TunedSnapshot], config: &SolveConfig) -> Vec<ExactRun> {
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let solve = |_: usize, s: &TunedSnapshot| solve_snapshot(&s.problem, config);
-    pool::run_indexed(workers, snapshots, solve)
-        .into_iter()
-        .filter_map(|slot| match slot {
-            SlotOutcome::Done(solved) => solved.ok(),
-            // A solver panic is a bug, not an uncomparable snapshot:
-            // re-raise it on the caller instead of dropping the entry.
-            SlotOutcome::Panicked(p) => {
-                panic!("exact solve panicked at {}: {}", p.location, p.payload)
-            }
-        })
-        .collect()
-}
-
-/// Aggregates Table 1's averages row over a set of exact runs.
-#[derive(Clone, Debug, Default)]
-pub struct Table1Averages {
-    /// Number of runs aggregated.
-    pub runs: usize,
-    /// Runs where the exact solver produced a schedule.
-    pub solved: usize,
-    /// Mean number of waiting jobs.
-    pub avg_jobs: f64,
-    /// Mean max makespan (seconds).
-    pub avg_makespan: f64,
-    /// Mean accumulated runtime (seconds).
-    pub avg_acc_runtime: f64,
-    /// Mean time scale (seconds).
-    pub avg_time_scale: f64,
-    /// Mean quality (Eq. 7) over solved runs.
-    pub avg_quality: f64,
-    /// Mean performance loss percent over solved runs.
-    pub avg_loss_percent: f64,
-    /// Mean solve time (seconds).
-    pub avg_solve_seconds: f64,
-}
-
-impl Table1Averages {
-    /// Computes the averages row.
-    pub fn compute(runs: &[ExactRun]) -> Table1Averages {
-        if runs.is_empty() {
-            return Table1Averages::default();
-        }
-        let n = runs.len() as f64;
-        let solved: Vec<&ExactRun> = runs.iter().filter(|r| r.quality.is_some()).collect();
-        let ns = solved.len().max(1) as f64;
-        Table1Averages {
-            runs: runs.len(),
-            solved: solved.len(),
-            avg_jobs: runs.iter().map(|r| r.jobs as f64).sum::<f64>() / n,
-            avg_makespan: runs.iter().map(|r| r.max_makespan as f64).sum::<f64>() / n,
-            avg_acc_runtime: runs
-                .iter()
-                .map(|r| r.accumulated_runtime as f64)
-                .sum::<f64>()
-                / n,
-            avg_time_scale: runs.iter().map(|r| r.time_scale as f64).sum::<f64>() / n,
-            avg_quality: solved.iter().filter_map(|r| r.quality).sum::<f64>() / ns,
-            avg_loss_percent: solved
-                .iter()
-                .filter_map(|r| r.perf_loss_percent)
-                .sum::<f64>()
-                / ns,
-            avg_solve_seconds: runs.iter().map(|r| r.solve_time.as_secs_f64()).sum::<f64>() / n,
-        }
-    }
 }
 
 /// Header matching [`ExactRun::table_row`].
@@ -365,96 +288,4 @@ pub fn exact_run_json(r: &ExactRun) -> JsonValue {
         .with("quality", r.quality)
         .with("perf_loss_percent", r.perf_loss_percent)
         .with("trajectory", trajectory)
-}
-
-impl Table1Averages {
-    /// Serializes the averages row for result files.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .with("runs", self.runs)
-            .with("solved", self.solved)
-            .with("avg_jobs", self.avg_jobs)
-            .with("avg_makespan", self.avg_makespan)
-            .with("avg_acc_runtime", self.avg_acc_runtime)
-            .with("avg_time_scale", self.avg_time_scale)
-            .with("avg_quality", self.avg_quality)
-            .with("avg_loss_percent", self.avg_loss_percent)
-            .with("avg_solve_seconds", self.avg_solve_seconds)
-    }
-}
-
-/// Picks up to `count` snapshots spread evenly over the collected set, so
-/// Table 1 samples different system states rather than one burst.
-pub fn spread_sample(snapshots: &[TunedSnapshot], count: usize) -> Vec<TunedSnapshot> {
-    if snapshots.len() <= count || count == 0 {
-        return snapshots.to_vec();
-    }
-    let step = snapshots.len() as f64 / count as f64;
-    (0..count)
-        .map(|i| snapshots[(i as f64 * step) as usize].clone())
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dynp_milp::BranchLimits;
-
-    #[test]
-    fn harness_collects_and_solves_snapshots() {
-        let trace = small_trace(60, 7, 32);
-        let run = dynp_run_with_snapshots(
-            &trace.jobs,
-            trace.machine_size,
-            SnapshotFilter {
-                min_jobs: 2,
-                max_jobs: 5,
-                max_count: 3,
-                ..SnapshotFilter::default()
-            },
-        );
-        assert!(!run.snapshots.is_empty());
-        let cfg = SolveConfig {
-            scale_override: Some(60),
-            limits: BranchLimits {
-                max_nodes: 200,
-                ..BranchLimits::default()
-            },
-            ..SolveConfig::default()
-        };
-        let solved = solve_snapshots(&run.snapshots, &cfg);
-        assert_eq!(solved.len(), run.snapshots.len());
-        for s in &solved {
-            assert!(s.best_policy_value > 0.0);
-        }
-        let avg = Table1Averages::compute(&solved);
-        assert_eq!(avg.runs, solved.len());
-        assert!(avg.avg_jobs >= 2.0);
-    }
-
-    #[test]
-    fn spread_sample_spreads() {
-        let trace = small_trace(80, 9, 32);
-        let run = dynp_run_with_snapshots(
-            &trace.jobs,
-            trace.machine_size,
-            SnapshotFilter {
-                min_jobs: 1,
-                ..SnapshotFilter::default()
-            },
-        );
-        let sample = spread_sample(&run.snapshots, 5);
-        assert_eq!(sample.len(), 5);
-        // Steps are increasing (spread over the run).
-        for w in sample.windows(2) {
-            assert!(w[0].step < w[1].step);
-        }
-    }
-
-    #[test]
-    fn averages_of_empty_set_are_zero() {
-        let avg = Table1Averages::compute(&[]);
-        assert_eq!(avg.runs, 0);
-        assert_eq!(avg.avg_quality, 0.0);
-    }
 }

@@ -16,13 +16,13 @@
 //! records contain only deterministic quantities: solve effort is counted
 //! in branch & bound nodes and simplex iterations, never wall-clock time.
 
+use crate::exact::{self, ExactConfig};
 use crate::report;
 use dynp_core::{Decider, FixedPolicy, SelfTuning};
-use dynp_milp::{solve_snapshot, BranchLimits, MipStatus, SolveConfig};
 use dynp_obs::checkpoint::{self, CheckpointLog};
 use dynp_obs::{pool, JsonValue};
 use dynp_sched::{Metric, Policy};
-use dynp_sim::{simulate, SimConfig, SnapshotFilter, TunedSnapshot};
+use dynp_sim::{simulate, SimConfig};
 use dynp_trace::filter::overestimate;
 use dynp_trace::{shards, Job, TraceShard, WEEK_SECONDS};
 use std::path::PathBuf;
@@ -247,128 +247,6 @@ pub(crate) fn record_status(data: &JsonValue) -> &str {
     data.get("status")
         .and_then(JsonValue::as_str)
         .unwrap_or("ok")
-}
-
-/// Exact-comparison side of a campaign: which snapshots to solve and
-/// under what budget.
-///
-/// `#[non_exhaustive]`: build with [`ExactConfig::new`] + `with_*`.
-#[derive(Clone, Debug)]
-#[non_exhaustive]
-pub struct ExactConfig {
-    /// Comparison metric (the paper: SLDwA).
-    pub metric: Metric,
-    /// Keep snapshots with at least this many waiting jobs.
-    pub min_jobs: usize,
-    /// Keep snapshots with at most this many waiting jobs.
-    pub max_jobs: usize,
-    /// Solve at most this many snapshots per cell (spread-sampled over
-    /// the replay).
-    pub max_snapshots: usize,
-    /// Branch & bound node budget per solve — the deterministic stand-in
-    /// for the paper's "CPLEX was interrupted" regime. A solve that
-    /// exhausts it still yields its incumbent (or an explicit
-    /// no-incumbent outcome), never an error.
-    pub node_budget: usize,
-    /// Simplex iteration budget per LP.
-    pub lp_iteration_budget: usize,
-    /// Worker threads for each solve's node LPs. Wall-clock only: the
-    /// solver guarantees byte-identical results for any value, so this
-    /// knob is still covered by the checkpoint fingerprint merely to
-    /// keep "what ran" honest in resumed sweeps.
-    pub solver_workers: usize,
-    /// Eq. 6 memory budget in bytes; `None` = the paper's 8 GB / 4.
-    /// Smaller budgets coarsen the time grid, which bounds not just the
-    /// matrix memory but the simplex cost per iteration — the knob to
-    /// turn when a trace's long-running jobs make snapshots expensive.
-    pub memory_budget_bytes: Option<u64>,
-}
-
-impl Default for ExactConfig {
-    fn default() -> Self {
-        ExactConfig::new()
-    }
-}
-
-impl ExactConfig {
-    /// Paper-style defaults with a small deterministic budget: SLDwA,
-    /// snapshots of 3–12 waiting jobs, 2 snapshots per cell, 3000 nodes.
-    pub fn new() -> ExactConfig {
-        ExactConfig {
-            metric: Metric::SldwA,
-            min_jobs: 3,
-            max_jobs: 12,
-            max_snapshots: 2,
-            node_budget: 3_000,
-            lp_iteration_budget: 200_000,
-            solver_workers: 1,
-            memory_budget_bytes: None,
-        }
-    }
-
-    /// Snapshot size window `[min_jobs, max_jobs]`.
-    pub fn with_job_range(mut self, min_jobs: usize, max_jobs: usize) -> ExactConfig {
-        self.min_jobs = min_jobs;
-        self.max_jobs = max_jobs;
-        self
-    }
-
-    /// Snapshots solved per cell.
-    pub fn with_max_snapshots(mut self, max_snapshots: usize) -> ExactConfig {
-        self.max_snapshots = max_snapshots;
-        self
-    }
-
-    /// Branch & bound node budget per solve.
-    pub fn with_node_budget(mut self, node_budget: usize) -> ExactConfig {
-        self.node_budget = node_budget;
-        self
-    }
-
-    /// Simplex iteration budget per LP relaxation. Caps degenerate LPs:
-    /// a stalled relaxation counts as "CPLEX still running", it does not
-    /// stall the sweep.
-    pub fn with_lp_iteration_budget(mut self, lp_iteration_budget: usize) -> ExactConfig {
-        self.lp_iteration_budget = lp_iteration_budget;
-        self
-    }
-
-    /// Worker threads for node-LP solves (wall-clock only; results are
-    /// byte-identical for any value).
-    pub fn with_solver_workers(mut self, workers: usize) -> ExactConfig {
-        self.solver_workers = workers;
-        self
-    }
-
-    /// Eq. 6 memory budget in bytes (the paper: 2 GiB). Coarsens the
-    /// grid when smaller, bounding per-iteration simplex cost.
-    pub fn with_memory_budget_bytes(mut self, bytes: u64) -> ExactConfig {
-        self.memory_budget_bytes = Some(bytes);
-        self
-    }
-
-    fn canonical(&self) -> JsonValue {
-        // The three nulls are knobs this config no longer has, written as
-        // they always were so fingerprints and checkpoints still match.
-        JsonValue::object()
-            .with("metric", self.metric.name())
-            .with("min_jobs", self.min_jobs)
-            .with("max_jobs", self.max_jobs)
-            .with("max_snapshots", self.max_snapshots)
-            .with("node_budget", self.node_budget)
-            .with("lp_iteration_budget", self.lp_iteration_budget)
-            .with("total_lp_iteration_budget", JsonValue::Null)
-            .with("solver_workers", self.solver_workers)
-            .with("time_limit_ms", JsonValue::Null)
-            .with("scale_override", JsonValue::Null)
-            .with(
-                "memory_budget_bytes",
-                match self.memory_budget_bytes {
-                    Some(b) => JsonValue::from(b),
-                    None => JsonValue::Null,
-                },
-            )
-    }
 }
 
 /// A full campaign description.
@@ -853,24 +731,6 @@ pub fn run_campaign(jobs: &[Job], config: &CampaignConfig) -> Result<CampaignOut
     })
 }
 
-/// Evenly spread `count` picks over `snapshots` (first + last included),
-/// mirroring the bench harness's sampling but local so `exp` stays
-/// independent of the bench crate.
-fn spread_sample(snapshots: &[TunedSnapshot], count: usize) -> Vec<TunedSnapshot> {
-    if snapshots.len() <= count {
-        return snapshots.to_vec();
-    }
-    if count == 0 {
-        return Vec::new();
-    }
-    if count == 1 {
-        return vec![snapshots[0].clone()];
-    }
-    (0..count)
-        .map(|i| snapshots[i * (snapshots.len() - 1) / (count - 1)].clone())
-        .collect()
-}
-
 /// The checkpoint record of a cell whose every attempt failed: only
 /// identity fields plus the failure itself, so its bytes depend on
 /// nothing wall-clock (a crashed record carries the deterministic panic
@@ -1002,12 +862,7 @@ fn run_cell(cell: &Cell<'_>, config: &CampaignConfig) -> JsonValue {
     };
     let mut sim_config = SimConfig::new(config.machine_size);
     if let Some(exact) = &config.exact {
-        sim_config = sim_config.with_snapshots(SnapshotFilter {
-            min_jobs: exact.min_jobs,
-            max_jobs: exact.max_jobs,
-            stride: 1,
-            max_count: usize::MAX,
-        });
+        sim_config = sim_config.with_snapshots(exact.snapshot_filter());
     }
 
     // `simulate` is generic over the selector, so dispatch per variant and
@@ -1053,68 +908,10 @@ fn run_cell(cell: &Cell<'_>, config: &CampaignConfig) -> JsonValue {
 
     if let Some(exact) = &config.exact {
         let _exact_span = dynp_obs::span("exp.exact");
-        data = data.with("exact", run_cell_exact(&snapshots, exact));
+        // Cells already run in parallel, so each solves its sample inline.
+        data = data.with("exact", exact::compare(&snapshots, exact, 1).record());
     }
     data
-}
-
-/// Solves the cell's snapshot sample and folds the outcomes into sums
-/// (means are taken at report time, so resumed and fresh aggregation are
-/// bit-identical).
-fn run_cell_exact(snapshots: &[TunedSnapshot], exact: &ExactConfig) -> JsonValue {
-    let sample = spread_sample(snapshots, exact.max_snapshots);
-    let mut solve_config = SolveConfig {
-        metric: exact.metric,
-        limits: BranchLimits {
-            max_nodes: exact.node_budget,
-            max_lp_iterations: exact.lp_iteration_budget,
-            solver_workers: exact.solver_workers,
-            ..BranchLimits::default()
-        },
-        ..SolveConfig::default()
-    };
-    if let Some(bytes) = exact.memory_budget_bytes {
-        solve_config.memory_bytes = bytes as f64;
-    }
-    let (mut compared, mut optimal, mut budget_hit, mut no_incumbent) = (0u64, 0u64, 0u64, 0u64);
-    let (mut quality_sum, mut loss_sum) = (0.0f64, 0.0f64);
-    let (mut nodes, mut lp_iterations) = (0u64, 0u64);
-    for snapshot in &sample {
-        // Snapshots from the filter always have >= min_jobs >= 1 waiting
-        // jobs, so input errors cannot occur here; skip defensively
-        // rather than poison the cell.
-        let Ok(run) = solve_snapshot(&snapshot.problem, &solve_config) else {
-            continue;
-        };
-        nodes += run.nodes as u64;
-        lp_iterations += run.lp_iterations as u64;
-        match run.comparison() {
-            Ok(cmp) => {
-                compared += 1;
-                quality_sum += cmp.quality;
-                loss_sum += cmp.perf_loss_percent;
-                if run.status == MipStatus::Optimal {
-                    optimal += 1;
-                } else {
-                    // The "CPLEX still running" regime: budget exhausted,
-                    // incumbent kept.
-                    budget_hit += 1;
-                }
-            }
-            Err(_) => no_incumbent += 1,
-        }
-    }
-    JsonValue::object()
-        .with("snapshots_seen", snapshots.len())
-        .with("sampled", sample.len())
-        .with("compared", compared)
-        .with("optimal", optimal)
-        .with("budget_hit", budget_hit)
-        .with("no_incumbent", no_incumbent)
-        .with("quality_sum", quality_sum)
-        .with("loss_sum", loss_sum)
-        .with("nodes", nodes)
-        .with("lp_iterations", lp_iterations)
 }
 
 #[cfg(test)]
@@ -1426,26 +1223,5 @@ mod tests {
         assert_eq!(plan.at(5, 99), Some(&FaultKind::CheckpointIo));
         assert!(FaultPlan::none().is_empty());
         assert!(!plan.is_empty());
-    }
-
-    #[test]
-    fn spread_sample_keeps_ends() {
-        let dir = unique_dir("spread");
-        drop(dir);
-        let jobs = tiny_trace(80);
-        let run = simulate(
-            &jobs,
-            FixedPolicy(Policy::Fcfs),
-            SimConfig::new(64).with_snapshots(SnapshotFilter::default()),
-        );
-        if run.snapshots.len() >= 3 {
-            let sample = spread_sample(&run.snapshots, 2);
-            assert_eq!(sample.len(), 2);
-            assert_eq!(sample[0].step, run.snapshots[0].step);
-            assert_eq!(
-                sample[1].step,
-                run.snapshots.last().unwrap().step
-            );
-        }
     }
 }

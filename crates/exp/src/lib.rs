@@ -6,7 +6,10 @@
 //! solved exactly by CPLEX under an interruption budget. This crate turns
 //! that protocol into a first-class API:
 //!
-//! * [`campaign`] — [`CampaignConfig`]/[`ExactConfig`] builders, the
+//! * [`exact`] — the policy-vs-exact stage: [`ExactConfig`] and
+//!   [`compare`], which samples snapshots, solves them and tallies the
+//!   runs; Table 1, Ablation B and every campaign cell go through it,
+//! * [`campaign`] — the [`CampaignConfig`] builder, the
 //!   [`SelectorSpec`] sweep axis, and [`run_campaign`], which fans the
 //!   `shard × selector × factor` cross-product over the shared worker
 //!   pool ([`dynp_obs::pool`]: input-ordered, panic-isolating),
@@ -28,10 +31,12 @@
 //! ```
 
 pub mod campaign;
+pub mod exact;
 pub mod report;
 
 pub use campaign::{
-    run_campaign, CampaignConfig, CampaignError, CampaignOutcome, CellStatus, ExactConfig,
-    FaultInjection, FaultKind, FaultPlan, SelectorSpec,
+    run_campaign, CampaignConfig, CampaignError, CampaignOutcome, CellStatus, FaultInjection,
+    FaultKind, FaultPlan, SelectorSpec,
 };
+pub use exact::{compare, ExactConfig, ExactStage, ExactTally};
 pub use report::BuiltReport;

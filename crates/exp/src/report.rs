@@ -9,6 +9,7 @@
 //! both files byte for byte.
 
 use crate::campaign::{record_status, CampaignConfig};
+use crate::exact::ExactTally;
 use dynp_obs::JsonValue;
 use std::fmt::Write as _;
 
@@ -44,20 +45,7 @@ struct GroupAggregate {
     /// a crashed shard must not drag a selector's SLDwA mean toward 0.
     crashed: usize,
     timed_out: usize,
-    exact: Option<ExactAggregate>,
-}
-
-#[derive(Default)]
-struct ExactAggregate {
-    sampled: u64,
-    compared: u64,
-    optimal: u64,
-    budget_hit: u64,
-    no_incumbent: u64,
-    quality_sum: f64,
-    loss_sum: f64,
-    nodes: u64,
-    lp_iterations: u64,
+    exact: Option<ExactTally>,
 }
 
 impl GroupAggregate {
@@ -83,40 +71,30 @@ impl GroupAggregate {
             .with("crashed", self.crashed)
             .with("timed_out", self.timed_out);
         v = match &self.exact {
-            Some(e) => v.with("exact", e.to_json()),
+            Some(e) => v.with("exact", exact_json(e)),
             None => v.with("exact", JsonValue::Null),
         };
         v
     }
 }
 
-impl ExactAggregate {
-    fn quality_mean(&self) -> Option<f64> {
-        (self.compared > 0).then(|| self.quality_sum / self.compared as f64)
-    }
+/// The mean of `sum` over compared runs; `None` (rendered `null` / `-`)
+/// without any.
+fn compared_mean(e: &ExactTally, sum: f64) -> Option<f64> {
+    (e.compared > 0).then(|| e.per_compared(sum))
+}
 
-    fn loss_mean(&self) -> Option<f64> {
-        (self.compared > 0).then(|| self.loss_sum / self.compared as f64)
-    }
-
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .with("sampled", self.sampled)
-            .with("compared", self.compared)
-            .with("optimal", self.optimal)
-            .with("budget_hit", self.budget_hit)
-            .with("no_incumbent", self.no_incumbent)
-            .with(
-                "quality_mean",
-                self.quality_mean().map(JsonValue::from).unwrap_or(JsonValue::Null),
-            )
-            .with(
-                "perf_loss_percent_mean",
-                self.loss_mean().map(JsonValue::from).unwrap_or(JsonValue::Null),
-            )
-            .with("nodes", self.nodes)
-            .with("lp_iterations", self.lp_iterations)
-    }
+fn exact_json(e: &ExactTally) -> JsonValue {
+    JsonValue::object()
+        .with("sampled", e.sampled)
+        .with("compared", e.compared)
+        .with("optimal", e.optimal)
+        .with("budget_hit", e.compared - e.optimal)
+        .with("no_incumbent", e.runs - e.compared)
+        .with("quality_mean", compared_mean(e, e.quality_sum))
+        .with("perf_loss_percent_mean", compared_mean(e, e.loss_sum))
+        .with("nodes", e.nodes)
+        .with("lp_iterations", e.lp_iterations)
 }
 
 /// Builds the report from the full, index-ordered cell list. `cells` is
@@ -185,16 +163,7 @@ pub fn build(config: &CampaignConfig, n_shards: usize, cells: &[JsonValue]) -> B
         g.switches += int(cell, "switches");
         g.steps += int(cell, "steps");
         if let Some(exact) = cell.get("exact") {
-            let e = g.exact.get_or_insert_with(ExactAggregate::default);
-            e.sampled += int(exact, "sampled");
-            e.compared += int(exact, "compared");
-            e.optimal += int(exact, "optimal");
-            e.budget_hit += int(exact, "budget_hit");
-            e.no_incumbent += int(exact, "no_incumbent");
-            e.quality_sum += num(exact, "quality_sum");
-            e.loss_sum += num(exact, "loss_sum");
-            e.nodes += int(exact, "nodes");
-            e.lp_iterations += int(exact, "lp_iterations");
+            g.exact.get_or_insert_with(ExactTally::default).add_record(exact);
         }
     }
 
@@ -310,8 +279,8 @@ fn render_text(
             Some(e) => (
                 e.compared.to_string(),
                 e.optimal.to_string(),
-                e.quality_mean().map(|q| format!("{q:.4}")).unwrap_or("-".into()),
-                e.loss_mean().map(|l| format!("{l:+.2}")).unwrap_or("-".into()),
+                compared_mean(e, e.quality_sum).map(|q| format!("{q:.4}")).unwrap_or("-".into()),
+                compared_mean(e, e.loss_sum).map(|l| format!("{l:+.2}")).unwrap_or("-".into()),
             ),
             None => ("-".into(), "-".into(), "-".into(), "-".into()),
         };

@@ -109,8 +109,6 @@ pub struct SolveConfig {
     pub scale_override: Option<u64>,
     /// Branch & bound limits.
     pub limits: BranchLimits,
-    /// Skip the §3.2 compaction (ablation; the paper always compacts).
-    pub skip_compaction: bool,
 }
 
 impl Default for SolveConfig {
@@ -122,7 +120,6 @@ impl Default for SolveConfig {
             memory_bytes: PAPER_MEMORY_BYTES,
             scale_override: None,
             limits: BranchLimits::default(),
-            skip_compaction: false,
         }
     }
 }
@@ -171,6 +168,10 @@ pub struct ExactRun {
     pub exact_schedule: Option<Schedule>,
     /// Metric value of the compacted exact schedule.
     pub exact_value: Option<f64>,
+    /// The slot-grid schedule the search found, before §3.2 compaction.
+    pub slot_schedule: Option<Schedule>,
+    /// Metric value of the slot-grid schedule.
+    pub slot_value: Option<f64>,
     /// Wall time spent planning the three policy schedules (the paper's
     /// "< 10 ms" side of the power comparison).
     pub policy_plan_time: Duration,
@@ -179,6 +180,8 @@ pub struct ExactRun {
     /// `(1 - quality) * 100`: how much the policy loses (negative when
     /// time-scaling makes the "exact" schedule worse, as in the paper).
     pub perf_loss_percent: Option<f64>,
+    /// The same loss against the slot-grid schedule, before compaction.
+    pub slot_loss_percent: Option<f64>,
 }
 
 impl ExactRun {
@@ -336,23 +339,24 @@ pub fn solve_snapshot(
     }
     let mip = bb.solve();
 
-    // 5. Extract, compact, compare.
-    let (exact_schedule, exact_value) = match &mip.x {
+    // 5. Extract, compact, compare. The one search gives both schedules:
+    // the slot grid's and its compaction, which never starts a job later.
+    let (slot_schedule, exact_schedule) = match &mip.x {
         Some(x) => {
-            let schedule = if config.skip_compaction {
-                ti.slot_schedule(x, problem)
-            } else {
-                // Every job planned under a policy above, so it fits.
-                compact(problem, &ti.start_order(x))?
-            };
-            debug_assert!(schedule.validate(problem).is_ok());
-            let value = config.metric.eval(problem, &schedule);
-            (Some(schedule), Some(value))
+            let slot = ti.slot_schedule(x, problem);
+            // Every job planned under a policy above, so it fits.
+            let compacted = compact(problem, &ti.start_order(x))?;
+            debug_assert!(slot.validate(problem).is_ok());
+            debug_assert!(compacted.validate(problem).is_ok());
+            (Some(slot), Some(compacted))
         }
         None => (None, None),
     };
+    let value = |schedule: &Schedule| config.metric.eval(problem, schedule);
+    let loss = |v: f64| performance_loss_percent(config.metric, v, best_policy_value);
+    let exact_value = exact_schedule.as_ref().map(value);
+    let slot_value = slot_schedule.as_ref().map(value);
     let quality_ratio = exact_value.map(|ev| quality(config.metric, ev, best_policy_value));
-    let loss = exact_value.map(|ev| performance_loss_percent(config.metric, ev, best_policy_value));
 
     Ok(ExactRun {
         jobs: problem.len(),
@@ -374,8 +378,11 @@ pub fn solve_snapshot(
         best_policy_value,
         exact_schedule,
         exact_value,
+        slot_schedule,
+        slot_value,
         quality: quality_ratio,
-        perf_loss_percent: loss,
+        perf_loss_percent: exact_value.map(loss),
+        slot_loss_percent: slot_value.map(loss),
     })
 }
 
@@ -538,6 +545,49 @@ mod tests {
         // The seed (best policy embedded in the grid) is the incumbent.
         assert_eq!(run.status, MipStatus::Feasible);
         assert!(run.comparison().is_ok());
+    }
+
+    proptest::proptest! {
+        /// One search gives both schedules: the slot grid's is valid, and
+        /// its compaction never starts a job later, so under SLDwA the
+        /// compacted value is never worse (DESIGN.md §14).
+        #[test]
+        fn one_search_gives_a_valid_slot_schedule_that_compaction_improves(
+            jobs in proptest::collection::vec((0u64..=3600, 1u32..=4, 30u64..=2400), 1..=5),
+            (running_width, running_end) in (0u32..=3, 3601u64..=6000),
+            slot in 0usize..4,
+        ) {
+            let now = 3600;
+            let running = if running_width > 0 {
+                vec![(running_width, running_end)]
+            } else {
+                vec![]
+            };
+            let history = MachineHistory::build(4, now, &running);
+            let slot_seconds = [120, 300, 900, 1800][slot];
+            let jobs = jobs
+                .iter()
+                .enumerate()
+                .map(|(id, &(submit, width, duration))| Job::exact(id as u32, submit, width, duration))
+                .collect();
+            let p = SchedulingProblem::new(now, history, jobs);
+            let cfg = SolveConfig {
+                scale_override: Some(slot_seconds),
+                limits: BranchLimits {
+                    max_nodes: 100,
+                    ..BranchLimits::default()
+                },
+                ..SolveConfig::default()
+            };
+            let run = solve_snapshot(&p, &cfg).unwrap();
+            proptest::prop_assert_eq!(run.slot_schedule.is_some(), run.exact_schedule.is_some());
+            if let (Some(slot), Some(exact)) = (&run.slot_schedule, run.comparison().ok()) {
+                proptest::prop_assert!(slot.validate(&p).is_ok());
+                let (slot_value, slot_loss) = (run.slot_value.unwrap(), run.slot_loss_percent.unwrap());
+                proptest::prop_assert!(exact.exact_value <= slot_value);
+                proptest::prop_assert!(exact.perf_loss_percent >= slot_loss);
+            }
+        }
     }
 
     #[test]
