@@ -8,10 +8,11 @@
 //!
 //! Usage: `cargo run --release -p dynp-bench --bin decider_ablation [n_jobs] [seeds...] [--watch <addr>]`
 
-use dynp_bench::{cli_args_and_watch, ctc_trace, selector_run, start_watch, Report};
+use dynp_bench::{cli_args_and_watch, ctc_trace, start_watch, Report};
 use dynp_core::{Decider, SelfTuning};
 use dynp_obs::JsonValue;
 use dynp_sched::{Metric, Policy};
+use dynp_sim::{simulate, SimConfig};
 
 fn main() {
     let (args, watch_addr) = cli_args_and_watch();
@@ -56,7 +57,7 @@ fn main() {
         let trace = ctc_trace(n_jobs, seed);
         for (label, decider) in deciders {
             let tuner = SelfTuning::new(Policy::PAPER_SET.to_vec(), Metric::SldwA, decider);
-            let run = selector_run(&trace.jobs, trace.machine_size, tuner);
+            let run = simulate(&trace.jobs, tuner, SimConfig::new(trace.machine_size));
             let stats = run.selector.stats();
             let total_res: u64 = stats.residency().values().sum::<u64>().max(1);
             let pct = |p: Policy| {

@@ -8,11 +8,11 @@
 //!
 //! Usage: `cargo run --release -p dynp-bench --bin policy_comparison [n_jobs] [seed] [--watch <addr>]`
 
-use dynp_bench::{cli_args_and_watch, ctc_trace, fixed_run, selector_run, start_watch, Report};
-use dynp_core::{Decider, SelfTuning};
+use dynp_bench::{cli_args_and_watch, ctc_trace, start_watch, Report};
+use dynp_core::{Decider, FixedPolicy, SelfTuning};
 use dynp_obs::JsonValue;
 use dynp_sched::{Metric, Policy};
-use dynp_sim::{simulate_queue, QueueDiscipline, SimSummary};
+use dynp_sim::{simulate, simulate_queue, QueueDiscipline, SimConfig, SimSummary};
 
 fn summary_json(label: &str, s: &SimSummary) -> JsonValue {
     JsonValue::object()
@@ -56,7 +56,11 @@ fn main() {
     ));
 
     for policy in Policy::PAPER_SET {
-        let run = fixed_run(&trace.jobs, trace.machine_size, policy);
+        let run = simulate(
+            &trace.jobs,
+            FixedPolicy(policy),
+            SimConfig::new(trace.machine_size),
+        );
         let s = &run.summary;
         report.line(format!(
             "{:<16} {:>9.0}s {:>9.0}s {:>9.0}s {:>8.2} {:>6.1}% {:>9}",
@@ -103,7 +107,7 @@ fn main() {
         ("dynP(advanced)", Decider::Advanced),
     ] {
         let tuner = SelfTuning::new(Policy::PAPER_SET.to_vec(), Metric::SldwA, decider);
-        let run = selector_run(&trace.jobs, trace.machine_size, tuner);
+        let run = simulate(&trace.jobs, tuner, SimConfig::new(trace.machine_size));
         let s = &run.summary;
         let switches = run.selector.stats().switches();
         report.line(format!(

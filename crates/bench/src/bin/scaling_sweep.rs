@@ -5,13 +5,14 @@
 //! {1, 2, 5, 10, 30} minutes and reports model size, quality vs. the
 //! best policy, and solve time, with and without compaction. Each
 //! snapshot is solved once per width: the search gives the slot-grid
-//! schedule, and compaction only rewrites it afterwards, so both rows of
-//! a width come from the same runs and share their vars, nodes and time.
-//! This quantifies the paper's observation that coarse scaling can make
-//! the "optimal" schedule *worse* than a policy schedule (negative loss
-//! rows in Table 1) and that compaction recovers most of the grid slack.
-//! The JSON keeps, under each row, every snapshot's nodes, LP
-//! iterations and status next to the averages the text table shows.
+//! schedule, and compaction only rewrites it afterwards, so both text
+//! lines of a width come from the same runs and share their vars, nodes
+//! and time. This quantifies the paper's observation that coarse scaling
+//! can make the "optimal" schedule *worse* than a policy schedule
+//! (negative loss rows in Table 1) and that compaction recovers most of
+//! the grid slack. The JSON has one row per width: the averages, the
+//! compacted and slot-grid losses, and the stage's per-snapshot rows,
+//! with every wall-clock value under a `timing` key.
 //! Writes `results/scaling_sweep.{txt,json,events.jsonl}`.
 //!
 //! Usage: `cargo run --release -p dynp-bench --bin scaling_sweep [n_jobs] [seed] [--watch <addr>]`
@@ -72,40 +73,27 @@ fn main() {
         let avg_vars = t.per_run(t.variables as f64);
         let avg_nodes = t.per_run(t.nodes as f64);
         let avg_time = t.per_run(t.solve_seconds);
-        // Which solves closed before the node budget, and how: the
-        // averages below cannot tell.
-        let mut snapshots = JsonValue::array();
-        for r in &stage.runs {
-            snapshots.push(
-                JsonValue::object()
-                    .with("nodes", r.nodes)
-                    .with("lp_iterations", r.lp_iterations)
-                    .with("status", format!("{:?}", r.status)),
-            );
-        }
-        for (compacted, loss_sum) in [(true, t.loss_sum), (false, t.slot_loss_sum)] {
-            let avg_loss = t.per_compared(loss_sum);
+        let (avg_loss, avg_slot_loss) =
+            (t.per_compared(t.loss_sum), t.per_compared(t.slot_loss_sum));
+        for (compacted, loss) in [("yes", avg_loss), ("no", avg_slot_loss)] {
             report.line(format!(
-                "{:>5}min {:>10} {:>9.0} {:>+8.2}% {:>11.0} {:>10.3}s",
-                scale_minutes,
-                if compacted { "yes" } else { "no" },
-                avg_vars,
-                avg_loss,
-                avg_nodes,
-                avg_time
+                "{scale_minutes:>5}min {compacted:>10} {avg_vars:>9.0} {loss:>+8.2}% {avg_nodes:>11.0} {avg_time:>10.3}s"
             ));
-            rows_json.push(
-                JsonValue::object()
-                    .with("scale_minutes", *scale_minutes)
-                    .with("compacted", compacted)
-                    .with("avg_vars", avg_vars)
-                    .with("avg_loss_percent", avg_loss)
-                    .with("avg_nodes", avg_nodes)
-                    .with("avg_solve_seconds", avg_time)
-                    .with("solved", t.compared)
-                    .with("snapshots", snapshots.clone()),
-            );
         }
+        rows_json.push(
+            JsonValue::object()
+                .with("scale_minutes", *scale_minutes)
+                .with("avg_vars", avg_vars)
+                .with("avg_nodes", avg_nodes)
+                .with("solved", t.compared)
+                .with("avg_loss_percent", avg_loss)
+                .with("avg_slot_loss_percent", avg_slot_loss)
+                .with("snapshots", stage.rows())
+                .with(
+                    "timing",
+                    JsonValue::object().with("avg_solve_seconds", avg_time),
+                ),
+        );
     }
     report.set("rows", rows_json);
     report.blank();

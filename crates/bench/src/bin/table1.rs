@@ -7,8 +7,9 @@
 //! Eq. 6 time scale, the model size, the Eq. 7 quality and performance
 //! loss of the best policy vs the exact schedule, and the solve effort.
 //! The final row is the averages row, as in the paper. Writes
-//! `results/table1.{txt,json,events.jsonl}`; the JSON carries the full
-//! per-row data including each solve's incumbent/gap trajectory.
+//! `results/table1.{txt,json,events.jsonl}`; the JSON carries the stage's
+//! full per-snapshot rows including each solve's incumbent/gap
+//! trajectory, and keeps every wall-clock value under a `timing` key.
 //!
 //! Usage: `cargo run --release -p dynp-bench --bin table1 [n_jobs] [seed] [--watch <addr>]`
 //!
@@ -18,11 +19,8 @@
 //! * exact solve effort orders of magnitude above the policies' < 10 ms,
 //!   and unpredictable between similar-sized instances.
 
-use dynp_bench::{
-    cli_args_and_watch, ctc_trace, dynp_run_with_snapshots, exact_run_json, start_watch, Report,
-    TABLE1_HEADER,
-};
-use dynp_exp::ExactConfig;
+use dynp_bench::{cli_args_and_watch, ctc_trace, dynp_run_with_snapshots, start_watch, Report};
+use dynp_exp::{ExactConfig, ExactStage};
 use dynp_obs::JsonValue;
 
 fn main() {
@@ -76,13 +74,11 @@ fn main() {
     report.blank();
     report.line("Table 1 — exact problem sizes, quality, and compute time");
     report.line("(metric: SLDwA; baseline: best of FCFS/SJF/LJF at each snapshot)");
-    report.line(format!("{TABLE1_HEADER}  status"));
-    let mut rows_json = JsonValue::array();
-    for r in &stage.runs {
-        report.line(format!("{}  {:?}", r.table_row(), r.status));
-        rows_json.push(exact_run_json(r));
+    report.line(ExactStage::TEXT_HEADER);
+    for line in stage.text_rows() {
+        report.line(line);
     }
-    report.set("rows", rows_json);
+    report.set("rows", stage.rows());
     let t = &stage.tally;
     let avg = |sum: u64| t.per_run(sum as f64);
     let (quality, loss) = (t.per_compared(t.quality_sum), t.per_compared(t.loss_sum));
@@ -97,9 +93,9 @@ fn main() {
             .with("avg_acc_runtime", avg(t.accumulated_runtime))
             .with("avg_time_scale", avg(t.time_scale))
             .with("avg_quality", quality)
-            .with("avg_loss_percent", loss)
-            .with("avg_solve_seconds", solve_seconds),
+            .with("avg_loss_percent", loss),
     );
+    let mut timing = JsonValue::object().with("avg_solve_seconds", solve_seconds);
     report.blank();
     report.line(format!(
         "averages over {} runs ({} solved):",
@@ -130,7 +126,7 @@ fn main() {
              policies {avg_policy:.0} /s   exact solver {avg_exact:.3} /s   ratio {:.0}x",
             avg_policy / avg_exact.max(1e-12)
         ));
-        report.set(
+        timing.set(
             "power",
             JsonValue::object()
                 .with("avg_policy_per_sec", avg_policy)
@@ -138,6 +134,7 @@ fn main() {
                 .with("ratio", avg_policy / avg_exact.max(1e-12)),
         );
     }
+    report.set("timing", timing);
     report.blank();
     report.line(
         "paper reference: avg ~22 jobs, ~2-day makespan, 5-min scale, 0.7% loss, hours of CPLEX time",

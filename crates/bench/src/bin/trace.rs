@@ -27,12 +27,12 @@
 //! Usage: `cargo run --release -p dynp-bench --bin trace \
 //!             [jobs=1000] [capacity=430] [reps=121] [--watch <addr>]`
 
-use dynp_bench::{cli_args_and_watch, start_watch, Report, CTC_NODES};
+use dynp_bench::{cli_args_and_watch, start_watch, Report};
 use dynp_core::SelfTuning;
 use dynp_obs::{Histogram, JsonValue, WindowAggregator};
 use dynp_sched::Metric;
 use dynp_serve::{JobRequest, ServiceCore};
-use dynp_trace::{CtcModel, WorkloadModel};
+use dynp_trace::{synth::CTC_NODES, CtcModel, WorkloadModel};
 use std::time::{Duration, Instant};
 
 fn validate_or_die(what: &str, json: &str) {

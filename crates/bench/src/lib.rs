@@ -5,17 +5,12 @@
 //! generated by `dynp-trace`'s synthetic model (DESIGN.md §1 documents the
 //! substitution for the original archive trace).
 
-use dynp_core::{FixedPolicy, PolicySelector, SelfTuning};
-use dynp_milp::ExactRun;
+use dynp_core::SelfTuning;
 use dynp_obs::JsonValue;
 use dynp_platform::MachineHistory;
-use dynp_sched::{Metric, Policy, SchedulingProblem};
+use dynp_sched::{Metric, SchedulingProblem};
 use dynp_sim::{simulate, SimConfig, SimRun, SnapshotFilter};
 use dynp_trace::{CtcModel, Job, SyntheticTrace, WorkloadModel};
-use std::path::{Path, PathBuf};
-
-/// The CTC machine size used throughout the paper's evaluation.
-pub const CTC_NODES: u32 = 430;
 
 /// Standard CTC-like workload for the experiments.
 pub fn ctc_trace(n_jobs: usize, seed: u64) -> SyntheticTrace {
@@ -78,20 +73,6 @@ pub fn dynp_run_with_snapshots(
     )
 }
 
-/// Replays `jobs` under a fixed policy.
-pub fn fixed_run(jobs: &[Job], machine_size: u32, policy: Policy) -> SimRun<FixedPolicy> {
-    simulate(jobs, FixedPolicy(policy), SimConfig::new(machine_size))
-}
-
-/// Replays `jobs` under an arbitrary selector.
-pub fn selector_run<S: PolicySelector>(jobs: &[Job], machine_size: u32, selector: S) -> SimRun<S> {
-    simulate(jobs, selector, SimConfig::new(machine_size))
-}
-
-/// Header matching [`ExactRun::table_row`].
-pub const TABLE1_HEADER: &str =
-    " jobs  makespan  acc.runtime  scale      vars  quality    loss    nodes      time";
-
 /// A dual-output experiment report: every human-readable line goes to
 /// stdout *and* into `results/<name>.txt`, while the same underlying
 /// values are accumulated as structured JSON for `results/<name>.json` —
@@ -110,7 +91,6 @@ pub struct Report {
     name: String,
     text: String,
     json: JsonValue,
-    dir: PathBuf,
     // Flushes the event sink even if the experiment panics mid-run.
     _flush: dynp_obs::FlushGuard,
 }
@@ -120,19 +100,15 @@ pub struct Report {
 /// to keep all events; a runaway run is bounded instead of unbounded.
 const EVENTS_MAX_BYTES: u64 = 2 * 1024 * 1024;
 const EVENTS_MAX_ROTATED: usize = 4;
+/// Where every report writes, relative to the working directory.
+const RESULTS_DIR: &str = "results";
 
 impl Report {
     /// Starts the report `name`, writing under `results/`.
     pub fn new(name: &str) -> Report {
-        Report::in_dir(name, Path::new("results"))
-    }
-
-    /// Starts the report `name`, writing under `dir` (tests use a temp
-    /// directory).
-    pub fn in_dir(name: &str, dir: &Path) -> Report {
-        let _ = std::fs::create_dir_all(dir);
+        let _ = std::fs::create_dir_all(RESULTS_DIR);
         let sink = dynp_obs::Sink::rotating(
-            dir.join(format!("{name}.events.jsonl")),
+            format!("{RESULTS_DIR}/{name}.events.jsonl"),
             EVENTS_MAX_BYTES,
             EVENTS_MAX_ROTATED,
         )
@@ -142,7 +118,6 @@ impl Report {
             name: name.to_string(),
             text: String::new(),
             json: JsonValue::object().with("experiment", name),
-            dir: dir.to_path_buf(),
             _flush: dynp_obs::flush_on_drop(),
         }
     }
@@ -168,16 +143,10 @@ impl Report {
     /// Writes `results/<name>.txt` and `results/<name>.json`; the event
     /// sink flushes when the report drops.
     pub fn finish(self) -> std::io::Result<()> {
-        std::fs::write(self.dir.join(format!("{}.txt", self.name)), &self.text)?;
-        std::fs::write(
-            self.dir.join(format!("{}.json", self.name)),
-            self.json.to_json_pretty(),
-        )?;
-        eprintln!(
-            "wrote {dir}/{name}.txt, {dir}/{name}.json, {dir}/{name}.events.jsonl",
-            dir = self.dir.display(),
-            name = self.name
-        );
+        let path = format!("{RESULTS_DIR}/{}", self.name);
+        std::fs::write(format!("{path}.txt"), &self.text)?;
+        std::fs::write(format!("{path}.json"), self.json.to_json_pretty())?;
+        eprintln!("wrote {path}.txt, {path}.json, {path}.events.jsonl");
         Ok(())
     }
 }
@@ -248,44 +217,4 @@ pub fn start_watch(addr: Option<&str>) -> Watch {
             std::process::exit(2);
         }
     }
-}
-
-/// Serializes one exact run for result files: every Table 1 quantity
-/// plus the solver's gap trajectory.
-pub fn exact_run_json(r: &ExactRun) -> JsonValue {
-    let mut trajectory = JsonValue::array();
-    for p in &r.trajectory {
-        trajectory.push(
-            JsonValue::object()
-                .with("nodes", p.nodes)
-                .with("elapsed_secs", p.elapsed.as_secs_f64())
-                .with("incumbent", p.incumbent)
-                .with(
-                    "bound",
-                    p.bound.is_finite().then_some(p.bound),
-                )
-                .with("gap", p.gap()),
-        );
-    }
-    JsonValue::object()
-        .with("jobs", r.jobs)
-        .with("max_makespan", r.max_makespan)
-        .with("accumulated_runtime", r.accumulated_runtime)
-        .with("time_scale", r.time_scale)
-        .with("num_variables", r.num_variables)
-        .with("num_constraints", r.num_constraints)
-        .with("status", format!("{:?}", r.status))
-        .with("nodes", r.nodes)
-        .with("lp_iterations", r.lp_iterations)
-        .with("warm_lps", r.warm_lps)
-        .with("cold_lps", r.cold_lps)
-        .with("gap", r.gap)
-        .with("solve_seconds", r.solve_time.as_secs_f64())
-        .with("policy_plan_seconds", r.policy_plan_time.as_secs_f64())
-        .with("best_policy", format!("{:?}", r.best_policy))
-        .with("best_policy_value", r.best_policy_value)
-        .with("exact_value", r.exact_value)
-        .with("quality", r.quality)
-        .with("perf_loss_percent", r.perf_loss_percent)
-        .with("trajectory", trajectory)
 }

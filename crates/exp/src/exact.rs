@@ -1,8 +1,10 @@
 //! The policy-vs-exact stage. Table 1, Ablation B and every campaign
 //! cell are one [`ExactConfig`] run through [`compare`]: one sampler
 //! (`spread_picks`), one snapshot filter, one mapping to the solver's
-//! configuration and one [`ExactTally`] of counts and sums, whose means
-//! each renderer takes itself.
+//! configuration, one [`ExactTally`] of counts and sums, whose means
+//! each renderer takes itself, and one per-snapshot row
+//! ([`ExactStage::rows`], [`ExactStage::text_rows`]) that keeps its
+//! wall-clock values under `timing`.
 
 use dynp_milp::{solve_snapshot, BranchLimits, ExactRun, MipStatus, SolveConfig};
 use dynp_obs::pool::{self, SlotOutcome};
@@ -268,6 +270,25 @@ pub struct ExactStage {
 }
 
 impl ExactStage {
+    /// The header line of [`ExactStage::text_rows`].
+    pub const TEXT_HEADER: &'static str =
+        " jobs  makespan  acc.runtime  scale      vars  quality    loss    nodes      time  status";
+
+    /// One line per run in the style of the paper's Table 1: snapshot
+    /// size, Eq. 6 scale (minutes), model size, Eq. 7 quality and loss,
+    /// nodes, solve time and status.
+    pub fn text_rows(&self) -> impl Iterator<Item = String> + '_ {
+        self.runs.iter().map(text_row)
+    }
+
+    /// One JSON row per run: every Table 1 quantity, both sides of the
+    /// comparison (compacted and slot-grid) and the gap trajectory. Every
+    /// wall-clock value sits under the row's `timing` key, so two stages
+    /// over the same sample render equal rows once `timing` is dropped.
+    pub fn rows(&self) -> JsonValue {
+        self.runs.iter().map(json_row).collect::<Vec<_>>().into()
+    }
+
     /// The campaign cell's record: counts and sums only, no wall-clock,
     /// so a resumed campaign reproduces its report byte for byte.
     pub fn record(&self) -> JsonValue {
@@ -285,6 +306,73 @@ impl ExactStage {
             .with("nodes", t.nodes)
             .with("lp_iterations", t.lp_iterations)
     }
+}
+
+fn text_row(r: &ExactRun) -> String {
+    let (quality, loss) = match (r.quality, r.perf_loss_percent) {
+        (Some(q), Some(l)) => (format!("{q:.3}"), format!("{l:+.1}%")),
+        _ => ("-".into(), "-".into()),
+    };
+    format!(
+        "{:>5} {:>9} {:>11} {:>6.1} {:>9} {:>8} {:>7} {:>8} {:>9.3}s  {:?}",
+        r.jobs,
+        r.max_makespan,
+        r.accumulated_runtime,
+        r.time_scale as f64 / 60.0,
+        r.num_variables,
+        quality,
+        loss,
+        r.nodes,
+        r.solve_time.as_secs_f64(),
+        r.status,
+    )
+}
+
+fn json_row(r: &ExactRun) -> JsonValue {
+    let trajectory: Vec<JsonValue> = r
+        .trajectory
+        .iter()
+        .map(|p| {
+            JsonValue::object()
+                .with("nodes", p.nodes)
+                .with("incumbent", p.incumbent)
+                .with("bound", p.bound.is_finite().then_some(p.bound))
+                .with("gap", p.gap())
+        })
+        .collect();
+    let elapsed: Vec<f64> = r
+        .trajectory
+        .iter()
+        .map(|p| p.elapsed.as_secs_f64())
+        .collect();
+    JsonValue::object()
+        .with("jobs", r.jobs)
+        .with("max_makespan", r.max_makespan)
+        .with("accumulated_runtime", r.accumulated_runtime)
+        .with("time_scale", r.time_scale)
+        .with("num_variables", r.num_variables)
+        .with("num_constraints", r.num_constraints)
+        .with("status", format!("{:?}", r.status))
+        .with("nodes", r.nodes)
+        .with("lp_iterations", r.lp_iterations)
+        .with("warm_lps", r.warm_lps)
+        .with("cold_lps", r.cold_lps)
+        .with("gap", r.gap)
+        .with("best_policy", format!("{:?}", r.best_policy))
+        .with("best_policy_value", r.best_policy_value)
+        .with("exact_value", r.exact_value)
+        .with("quality", r.quality)
+        .with("perf_loss_percent", r.perf_loss_percent)
+        .with("slot_value", r.slot_value)
+        .with("slot_loss_percent", r.slot_loss_percent)
+        .with("trajectory", trajectory)
+        .with(
+            "timing",
+            JsonValue::object()
+                .with("solve_seconds", r.solve_time.as_secs_f64())
+                .with("policy_plan_seconds", r.policy_plan_time.as_secs_f64())
+                .with("trajectory_elapsed_secs", elapsed),
+        )
 }
 
 /// Samples `snapshots` under `exact`, solves the sample on `workers`
@@ -325,8 +413,9 @@ pub fn compare(snapshots: &[TunedSnapshot], exact: &ExactConfig, workers: usize)
 mod tests {
     use super::*;
     use dynp_core::SelfTuning;
+    use dynp_sched::SchedulingProblem;
     use dynp_sim::{simulate, SimConfig};
-    use dynp_trace::{CtcModel, WorkloadModel};
+    use dynp_trace::{CtcModel, Job, WorkloadModel};
 
     #[test]
     fn the_sampler_spreads_by_floor_of_i_n_over_count() {
@@ -390,6 +479,57 @@ mod tests {
         assert_eq!(
             one.tally.slot_loss_sum.to_bits(),
             two.tally.slot_loss_sum.to_bits()
+        );
+        // Rows differ only under `timing`: across worker counts, and
+        // across two calls, whose wall-clock values differ.
+        let again = compare(&run.snapshots, &exact, 1);
+        for stage in [&one, &two, &again] {
+            let rows = stage.rows();
+            let rows = rows.as_array().unwrap();
+            assert_eq!(rows.len(), 3);
+            for row in rows {
+                assert!(row.get("timing").and_then(JsonValue::as_object).is_some());
+            }
+        }
+        let logical = |stage: &ExactStage| without_timing(&stage.rows()).to_json();
+        assert_eq!(logical(&one), logical(&two));
+        assert_eq!(logical(&one), logical(&again));
+    }
+
+    fn without_timing(value: &JsonValue) -> JsonValue {
+        match value {
+            JsonValue::Object(entries) => JsonValue::Object(
+                entries
+                    .iter()
+                    .filter(|(key, _)| key != "timing")
+                    .map(|(key, v)| (key.clone(), without_timing(v)))
+                    .collect(),
+            ),
+            JsonValue::Array(items) => JsonValue::Array(items.iter().map(without_timing).collect()),
+            other => other.clone(),
+        }
+    }
+
+    #[test]
+    fn table_row_renders() {
+        let problem = SchedulingProblem::on_empty_machine(
+            0,
+            4,
+            vec![
+                Job::exact(0, 0, 4, 3600),
+                Job::exact(1, 0, 2, 600),
+                Job::exact(2, 0, 2, 600),
+                Job::exact(3, 0, 1, 1200),
+            ],
+        );
+        let config = ExactConfig::new().with_scale_override(60).solve_config();
+        let row = text_row(&solve_snapshot(&problem, &config).unwrap());
+        assert!(row.contains('%'));
+        assert!(row.trim().starts_with('4'));
+        assert!(row.ends_with("  Optimal"));
+        assert_eq!(
+            row.split_whitespace().count(),
+            ExactStage::TEXT_HEADER.split_whitespace().count()
         );
     }
 }

@@ -223,26 +223,6 @@ impl ExactRun {
         self.exact_value?;
         Some(1.0 / self.solve_time.as_secs_f64().max(1e-9))
     }
-
-    /// Formats the run as a row in the style of the paper's Table 1.
-    pub fn table_row(&self) -> String {
-        let (quality, loss) = match (self.quality, self.perf_loss_percent) {
-            (Some(q), Some(l)) => (format!("{q:.3}"), format!("{l:+.1}%")),
-            _ => ("-".into(), "-".into()),
-        };
-        format!(
-            "{:>5} {:>9} {:>11} {:>6.1} {:>9} {:>8} {:>7} {:>8} {:>9.3}s",
-            self.jobs,
-            self.max_makespan,
-            self.accumulated_runtime,
-            self.time_scale as f64 / 60.0,
-            self.num_variables,
-            quality,
-            loss,
-            self.nodes,
-            self.solve_time.as_secs_f64(),
-        )
-    }
 }
 
 /// Runs the complete exact pipeline on one snapshot.
@@ -487,14 +467,6 @@ mod tests {
         let run = solve_snapshot(&snapshot(), &cfg).unwrap();
         assert_eq!(run.status, MipStatus::Optimal);
         assert!(run.comparison().is_ok());
-    }
-
-    #[test]
-    fn table_row_renders() {
-        let run = solve_snapshot(&snapshot(), &config_fine()).unwrap();
-        let row = run.table_row();
-        assert!(row.contains('%'));
-        assert!(row.trim().starts_with('4'));
     }
 
     #[test]
