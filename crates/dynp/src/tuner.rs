@@ -6,11 +6,40 @@
 //! performance metrics. Thereby, the performance of each policy is
 //! expressed by a single value. These values are compared and a decider
 //! mechanism chooses the best policy." (§2)
+//!
+//! The step plans the incumbent policy in full first, then each other
+//! policy only until a [`dynp_sched::LowerBound`] on its metric — the
+//! exact terms of the jobs placed so far, every unplaced job's term at
+//! `now` — exceeds the best complete value so far. The decider picks the
+//! same policy as over every full plan's value:
+//!
+//! * a cut policy's full plan is strictly worse than one that was planned
+//!   in full, so it is never the best — the first minimal value — and the
+//!   first minimal value is the same over the reported values, where the
+//!   cut policy carries its bound;
+//! * it is never the incumbent, which is always planned in full;
+//! * `Simple`, `Advanced` and `Sticky` decide from those two values
+//!   alone.
+//!
+//! Three guards keep every outcome as the exhaustive step's:
+//!
+//! * *Errors.* A plan is cut only when no plan of any order can fail
+//!   ([`plans_cannot_fail`]). Otherwise every policy is planned in full in
+//!   enumeration order, so an `Err` names the job it always named.
+//! * *Finite terms.* Only metrics that are sums of per-job terms which do
+//!   not decrease as the start moves later are bounded (SLDwA, ARTwW, ART,
+//!   mean wait, mean slowdown), and only when every term is finite — a
+//!   zero estimate makes a slowdown infinite or NaN ([`Metric::lower_bound`]).
+//!   Makespan and utilization keep full plans.
+//! * *Rounding.* The bound is shrunk by a relative margin well above the
+//!   rounding of both its own sum and [`Metric::eval`]'s, so it stays
+//!   below the value `eval` would give the full plan.
 
 use crate::decider::Decider;
 use crate::stats::TuningStats;
 use dynp_sched::{
-    plan_ordered_with_profile, Metric, PlanError, Policy, Schedule, SchedulingProblem,
+    plan_ordered_below, plan_ordered_with_profile, plans_cannot_fail, Metric, PlanError, Policy,
+    Schedule, SchedulingProblem,
 };
 
 /// Result of one self-tuning step.
@@ -22,8 +51,13 @@ pub struct TuningOutcome {
     pub chosen: Policy,
     /// Whether the step switched policies.
     pub switched: bool,
-    /// Per-policy metric values, in enumeration order.
+    /// Per-policy metric values, in enumeration order. The entry of a
+    /// policy in [`Self::cut`] is a lower bound on its value, strictly
+    /// worse than the best value here.
     pub evaluations: Vec<(Policy, f64)>,
+    /// The policies whose plan was given up once its lower bound proved
+    /// it worse than the best complete value, in enumeration order.
+    pub cut: Vec<Policy>,
     /// The full schedule planned under the chosen policy — the RMS installs
     /// exactly this plan, so callers never need to re-plan.
     pub schedule: Schedule,
@@ -104,8 +138,9 @@ impl SelfTuning {
     }
 
     /// Executes one self-tuning step on a quasi-off-line snapshot: plans a
-    /// full schedule per policy, evaluates, decides, switches, and returns
-    /// the chosen policy's schedule.
+    /// full schedule per policy — or a challenger's only until its bound
+    /// rules it out (module doc) — evaluates, decides, switches, and
+    /// returns the chosen policy's schedule.
     ///
     /// An empty snapshot (no waiting jobs) performs no evaluation and keeps
     /// the active policy, mirroring a real RMS where there is nothing to
@@ -130,26 +165,57 @@ impl SelfTuning {
                 chosen: previous,
                 switched: false,
                 evaluations: Vec::new(),
+                cut: Vec::new(),
                 schedule: Schedule::new(),
             });
         }
         // Build the availability profile once; every policy plans against
-        // a clone of it, one after the other in enumeration order (which
-        // is also the decider's tie-breaking order). The plans are
-        // independent but cost microseconds each — far less than handing
-        // them to threads (DESIGN.md §4) — and a plain loop keeps `step`
-        // the same code path on every host. Each policy's queue is ordered
-        // once; the plan's entries come out in that order, so the metric
-        // pairs them with their jobs by position.
+        // a clone of it, one after the other — the incumbent first, then
+        // the rest in enumeration order (which is also the decider's
+        // tie-breaking order). The plans are independent but cost
+        // microseconds each — far less than handing them to threads
+        // (DESIGN.md §4) — and a plain loop keeps `step` the same code
+        // path on every host. Each policy's queue is ordered once; the
+        // plan's entries come out in that order, so the metric pairs them
+        // with their jobs by position. Without a bound nothing is cut and
+        // the policies plan in enumeration order, so an error names the
+        // job the first failing policy meets.
         let profile = problem.availability_profile();
-        let mut evaluations = Vec::with_capacity(self.policies.len());
-        let mut schedules = Vec::with_capacity(self.policies.len());
-        for &policy in &self.policies {
+        let bound = plans_cannot_fail(problem, &profile)
+            .then(|| self.metric.lower_bound(problem))
+            .flatten();
+        let first = match bound {
+            Some(_) => self
+                .policies
+                .iter()
+                .position(|&p| p == previous)
+                .expect("the active policy is tuned"),
+            None => 0,
+        };
+        let mut evaluations: Vec<(Policy, f64)> =
+            self.policies.iter().map(|&p| (p, f64::NAN)).collect();
+        let mut schedules: Vec<Option<Schedule>> = self.policies.iter().map(|_| None).collect();
+        let mut cut = Vec::new();
+        // The best complete value so far; nothing is cut before one exists.
+        let mut best = f64::INFINITY;
+        let later = (0..self.policies.len()).filter(|&idx| idx != first);
+        for idx in std::iter::once(first).chain(later) {
+            let policy = self.policies[idx];
             let order = policy.order(&problem.jobs);
-            let schedule = plan_ordered_with_profile(problem, &order, &profile)?;
+            let mut lower = bound;
+            let schedule = match &mut lower {
+                Some(lower) => plan_ordered_below(problem, &order, &profile, lower, best)?,
+                None => plan_ordered_with_profile(problem, &order, &profile)?,
+            };
+            if let Some(lower) = lower.filter(|_| schedule.len() < order.len()) {
+                evaluations[idx].1 = lower.value();
+                cut.push(policy);
+                continue;
+            }
             let value = self.metric.eval_in_order(problem, &order, &schedule);
-            evaluations.push((policy, value));
-            schedules.push(schedule);
+            best = best.min(value);
+            evaluations[idx].1 = value;
+            schedules[idx] = Some(schedule);
         }
         let chosen = self.decider.decide(self.metric, &evaluations, previous);
         let idx = self
@@ -157,22 +223,30 @@ impl SelfTuning {
             .iter()
             .position(|&p| p == chosen)
             .expect("decider returned an evaluated policy");
-        let schedule = schedules.swap_remove(idx);
+        let schedule = schedules[idx]
+            .take()
+            .expect("the decider picks a policy planned in full");
         let switched = chosen != previous;
         self.active = chosen;
         self.stats.record(problem.now, previous, chosen);
         if let Some(r) = dynp_obs::recorder() {
             // One event per decision, carrying every policy's metric
-            // estimate (the paper's three SLD values under FCFS/SJF/LJF).
+            // estimate (the paper's three SLD values under FCFS/SJF/LJF)
+            // and naming the policies whose estimate is a cut plan's bound.
             let mut estimates = dynp_obs::JsonValue::object();
             for (policy, value) in &evaluations {
                 estimates.set(&format!("{policy:?}"), *value);
+            }
+            let mut bounds = dynp_obs::JsonValue::array();
+            for policy in &cut {
+                bounds.push(format!("{policy:?}"));
             }
             r.event("dynp.decision")
                 .kv("sim_time", problem.now)
                 .kv("jobs", problem.len())
                 .kv("metric", format!("{:?}", self.metric))
                 .kv("estimates", estimates)
+                .kv("cut", bounds)
                 .kv("previous", format!("{previous:?}"))
                 .kv("chosen", format!("{chosen:?}"))
                 .kv("switched", switched)
@@ -183,6 +257,7 @@ impl SelfTuning {
             chosen,
             switched,
             evaluations,
+            cut,
             schedule,
         })
     }
@@ -335,6 +410,46 @@ mod tests {
         // After declining the offending job the tuner works again.
         let ok = SchedulingProblem::on_empty_machine(100, 4, vec![Job::exact(10, 100, 2, 50)]);
         dynp.step(&ok).unwrap();
+    }
+
+    #[test]
+    fn challengers_worse_than_the_incumbent_are_cut_at_their_bound() {
+        let problem = sjf_friendly();
+        let mut dynp = SelfTuning::paper_config(Metric::SldwA);
+        assert!(dynp.restore_active(Policy::Sjf));
+        let out = dynp.step(&problem).unwrap();
+        // FCFS and LJF both run the long job first: once the first short
+        // job is placed behind it, their bound passes SJF's value.
+        assert_eq!(out.chosen, Policy::Sjf);
+        assert_eq!(out.cut, vec![Policy::Fcfs, Policy::Ljf]);
+        let sjf = Metric::SldwA.eval(&problem, &out.schedule);
+        for (policy, bound) in &out.evaluations {
+            let exact = Metric::SldwA.eval(&problem, &dynp_sched::plan(&problem, *policy).unwrap());
+            if *policy == Policy::Sjf {
+                assert_eq!(bound.to_bits(), exact.to_bits());
+            } else {
+                assert!(
+                    sjf < *bound && *bound <= exact,
+                    "{policy:?}: {bound} vs {exact}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unbounded_metrics_and_slowdowns_over_zero_estimates_plan_in_full() {
+        let mut zero = sjf_friendly();
+        zero.jobs.push(Job::exact(4, 0, 1, 0));
+        for (metric, problem) in [
+            (Metric::Makespan, sjf_friendly()),
+            (Metric::Utilization, sjf_friendly()),
+            (Metric::SldwA, zero.clone()),
+            (Metric::AvgSlowdown, zero),
+        ] {
+            let mut dynp = SelfTuning::paper_config(metric);
+            assert!(dynp.restore_active(Policy::Sjf));
+            assert!(dynp.step(&problem).unwrap().cut.is_empty(), "{metric}");
+        }
     }
 
     #[test]

@@ -24,9 +24,10 @@ pub mod reservation;
 pub mod schedule;
 pub mod snapshot;
 
-pub use metrics::Metric;
+pub use metrics::{LowerBound, Metric};
 pub use planner::{
-    plan, plan_frontier, plan_ordered, plan_ordered_with_profile, plan_with_profile, PlanError,
+    plan, plan_frontier, plan_ordered, plan_ordered_below, plan_ordered_with_profile,
+    plan_with_profile, plans_cannot_fail, PlanError,
 };
 pub use policy::Policy;
 pub use reservation::{admit, AdmissionRule, Reservation, ReservationRequest};

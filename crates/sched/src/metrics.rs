@@ -11,6 +11,10 @@
 //! is the only duration the scheduler knows (§3.1). End-of-run statistics
 //! on actual durations are `dynp-sim`'s `SimSummary::compute`, which sums
 //! the same weights over finished job records in its own pass.
+//!
+//! The metrics that are sums of per-job terms also give a [`LowerBound`]
+//! over a plan still being placed, with which the self-tuning step gives
+//! up a policy's plan once it cannot be chosen.
 
 use crate::schedule::{Schedule, ScheduleEntry};
 use crate::snapshot::SchedulingProblem;
@@ -148,6 +152,102 @@ impl Metric {
             }
             Metric::Makespan => (schedule.makespan_end().expect("non-empty") - problem.now) as f64,
         }
+    }
+
+    /// The [`LowerBound`] of this metric over plans of `problem` before
+    /// any job is placed, or `None` where the metric has none: makespan
+    /// and utilization are not sums of per-job terms, a zero estimate
+    /// makes a slowdown term infinite or NaN, and a job submitted after
+    /// `now` or an empty divisor leaves no finite value to bound.
+    pub fn lower_bound(&self, problem: &SchedulingProblem) -> Option<LowerBound> {
+        let now = problem.now;
+        let (mut sum, mut den) = (0.0, 0.0);
+        for job in &problem.jobs {
+            let (weight, lag, share) = self.linear_term(job)?;
+            if job.submit > now {
+                return None;
+            }
+            sum += weight * ((now - job.submit) as f64 + lag as f64);
+            den += share;
+        }
+        // The rounding of this sum and of `eval`'s is below 4(n + 8)ε
+        // relative each (a few roundings per term, one per addition); the
+        // margin is twice their total, and at least 1e-9.
+        let margin = 1e-9_f64.max(16.0 * (problem.jobs.len() as f64 + 8.0) * f64::EPSILON);
+        (den > 0.0).then_some(LowerBound {
+            now,
+            metric: *self,
+            sum,
+            den,
+            shrink: 1.0 - margin,
+        })
+    }
+
+    /// A job's term of a sum metric, linear in its start `t`: the metric
+    /// adds `weight · (t − submit + lag)` to its numerator and `share` to
+    /// its divisor — mathematically the term `eval` computes, with the
+    /// same area the job's [`Job::estimated_area`] gives. `None` for a
+    /// metric that is not such a sum, and for a slowdown over a zero
+    /// estimate.
+    fn linear_term(&self, job: &Job) -> Option<(f64, u64, f64)> {
+        let width = job.width as f64;
+        let run = job.estimated_duration;
+        match self {
+            Metric::ArtwW => Some((width, run, width)),
+            Metric::SldwA if run > 0 => {
+                let area = job.estimated_area() as f64;
+                Some((area / run as f64, run, area))
+            }
+            Metric::Art => Some((1.0, run, 1.0)),
+            Metric::AvgWait => Some((1.0, 0, 1.0)),
+            Metric::AvgSlowdown if run > 0 => Some((1.0 / run as f64, run, 1.0)),
+            _ => None,
+        }
+    }
+}
+
+/// A lower bound on a sum metric over a plan still being placed: the
+/// exact terms of the jobs placed so far plus every unplaced job's term
+/// with its start set to `now`. For SLDwA that is
+/// `(Σ_placed w·(S − s + d) + Σ_unplaced w·(now − s + d)) / Σ area`.
+/// Every term only grows as its start moves later, and no job starts
+/// before `now`, so the bound never exceeds the metric of any plan that
+/// keeps the placements so far — the self-tuning step gives a
+/// challenger's plan up once its bound passes the best complete value.
+///
+/// [`Self::value`] is certified against rounding: it is shrunk by a
+/// relative margin well above the rounding of both this sum and
+/// [`Metric::eval`]'s, so it stays at or below the value `eval` computes
+/// for the full plan.
+#[derive(Clone, Copy, Debug)]
+pub struct LowerBound {
+    now: u64,
+    metric: Metric,
+    /// Σ `weight · (t − submit + lag)`, with `t` the start of a placed
+    /// job and `now` for an unplaced one.
+    sum: f64,
+    /// The metric's divisor: Σ width, Σ area, or the job count.
+    den: f64,
+    /// `1 − margin`.
+    shrink: f64,
+}
+
+impl LowerBound {
+    /// Moves `job`'s term from `now` to its placed `start >= now`.
+    pub fn place(&mut self, job: &Job, start: u64) {
+        debug_assert!(start >= self.now, "a job placed before now");
+        let (weight, _, _) = self
+            .metric
+            .linear_term(job)
+            .expect("a bounded metric bounds every job");
+        self.sum += weight * (start - self.now) as f64;
+    }
+
+    /// The bound: at or below [`Metric::eval`] of every full plan that
+    /// keeps the placements so far, so a value above another plan's
+    /// `eval` proves every such plan strictly worse.
+    pub fn value(&self) -> f64 {
+        self.sum / self.den * self.shrink
     }
 }
 

@@ -12,6 +12,7 @@
 //! later jobs may slot into holes left before earlier jobs' starts, this is
 //! equivalent to *conservative backfilling* relative to the policy order.
 
+use crate::metrics::LowerBound;
 use crate::policy::Policy;
 use crate::schedule::{Schedule, ScheduleEntry};
 use crate::snapshot::SchedulingProblem;
@@ -124,7 +125,49 @@ pub fn plan_ordered_with_profile(
     order: &[dynp_trace::Job],
     profile: &ResourceProfile,
 ) -> Result<Schedule, PlanError> {
-    plan_ordered_in(problem, order, profile.clone(), false)
+    plan_ordered_in(problem, order, profile.clone(), false, None)
+}
+
+/// [`plan_ordered_with_profile`] for a challenger of the self-tuning
+/// step: adds each placement to `bound` and gives up before the next
+/// placement once [`LowerBound::value`] exceeds `best`, which proves the
+/// full plan's metric worse. Returns the placed prefix of the full plan, which
+/// holds every job iff the pass was not cut; after a cut `bound` is the
+/// plan's lower bound.
+///
+/// A cut pass never reaches the jobs after the cut, nor the error a full
+/// pass might raise on one of them: cut only where
+/// [`plans_cannot_fail`].
+pub fn plan_ordered_below(
+    problem: &SchedulingProblem,
+    order: &[dynp_trace::Job],
+    profile: &ResourceProfile,
+    bound: &mut LowerBound,
+    best: f64,
+) -> Result<Schedule, PlanError> {
+    plan_ordered_in(problem, order, profile.clone(), false, Some((bound, best)))
+}
+
+/// Whether every plan of `problem` against `profile` (its
+/// [`SchedulingProblem::availability_profile`]) succeeds, in any order.
+///
+/// True when every job fits the free count the profile keeps from its
+/// last breakpoint `T` on, and `max(now, T) + Σ max(d, 1)` is on the time
+/// axis. Then no job is too wide, and by induction over the pass every
+/// placement ends by `max(now, T)` plus the planned durations placed so
+/// far: from `T` on only earlier placements take anything from that free
+/// count, so a job fits from the latest of their ends, or from
+/// `max(now, T)`, and the earliest fit is no later.
+pub fn plans_cannot_fail(problem: &SchedulingProblem, profile: &ResourceProfile) -> bool {
+    let &(last, free) = profile.steps().last().expect("a profile is never empty");
+    problem.jobs.iter().all(|job| job.width <= free)
+        && problem
+            .jobs
+            .iter()
+            .try_fold(problem.now.max(last), |end, job| {
+                end.checked_add(job.estimated_duration.max(1))
+            })
+            .is_some()
 }
 
 /// Plans a full schedule with an explicit job order (must be a permutation
@@ -135,7 +178,7 @@ pub fn plan_ordered(
     problem: &SchedulingProblem,
     order: &[dynp_trace::Job],
 ) -> Result<Schedule, PlanError> {
-    plan_ordered_in(problem, order, problem.availability_profile(), false)
+    plan_ordered_in(problem, order, problem.availability_profile(), false, None)
 }
 
 /// The **dispatch frontier** of the full plan: places `order` (a
@@ -152,7 +195,7 @@ pub fn plan_frontier(
     problem: &SchedulingProblem,
     order: &[dynp_trace::Job],
 ) -> Result<Schedule, PlanError> {
-    plan_ordered_in(problem, order, problem.availability_profile(), true)
+    plan_ordered_in(problem, order, problem.availability_profile(), true, None)
 }
 
 /// How many of a pass's latest placements bound the next fit (see
@@ -162,7 +205,9 @@ const RECENT: usize = 8;
 /// Core list-scheduling pass: places `order` into an owned working
 /// `profile`. All planner entry points funnel here. With `frontier_only`
 /// it ends before the first position from which no job fits at `now` any
-/// more.
+/// more; with a `cutoff` `(bound, best)` it adds each placement to
+/// `bound` and ends before the first position at which the bound
+/// exceeds `best`.
 ///
 /// The profile's pre-`now` prefix is compressed away first
 /// ([`ResourceProfile::compress_before`]) — no job may start before `now`,
@@ -193,6 +238,7 @@ fn plan_ordered_in(
     order: &[dynp_trace::Job],
     mut profile: ResourceProfile,
     frontier_only: bool,
+    mut cutoff: Option<(&mut LowerBound, f64)>,
 ) -> Result<Schedule, PlanError> {
     profile.compress_before(problem.now);
     // A full pass places every job; the frontier usually a few.
@@ -209,6 +255,11 @@ fn plan_ordered_in(
                 live -= 1;
             }
             if live == i {
+                break;
+            }
+        }
+        if let Some((lower, best)) = &cutoff {
+            if lower.value() > *best {
                 break;
             }
         }
@@ -239,6 +290,9 @@ fn plan_ordered_in(
         });
         if let Some(stairs) = &mut stairs {
             stairs.rebuild(&profile);
+        }
+        if let Some((lower, _)) = &mut cutoff {
+            lower.place(job, start);
         }
     }
     Ok(schedule)
@@ -307,6 +361,7 @@ impl Staircase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Metric;
     use dynp_platform::MachineHistory;
     use dynp_trace::{Job, JobId};
     use proptest::prelude::*;
@@ -462,6 +517,48 @@ mod tests {
                 "policy {policy:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_cut_pass_is_a_prefix_of_the_full_plan_below_its_value() {
+        // Four jobs that run one after another: under SLDwA the full
+        // plan's value is 2.5, and its bound passes 1.2 once two jobs are
+        // placed.
+        let jobs: Vec<Job> = (0..4).map(|i| Job::exact(i, 0, 4, 100)).collect();
+        let p = snapshot(4, jobs.clone());
+        let profile = p.availability_profile();
+        assert!(plans_cannot_fail(&p, &profile));
+        let full = plan_ordered(&p, &jobs).unwrap();
+        let exact = Metric::SldwA.eval(&p, &full);
+        assert_eq!(exact, 2.5);
+        let start = Metric::SldwA.lower_bound(&p).unwrap();
+        let mut lower = start;
+        let cut = plan_ordered_below(&p, &jobs, &profile, &mut lower, 1.2).unwrap();
+        assert_eq!(cut.entries(), &full.entries()[..2]);
+        assert!(1.2 < lower.value() && lower.value() <= exact);
+        // Against a worse best value the pass completes.
+        let mut lower = start;
+        let whole = plan_ordered_below(&p, &jobs, &profile, &mut lower, exact).unwrap();
+        assert_eq!(whole, full);
+    }
+
+    #[test]
+    fn plans_that_might_fail_are_named() {
+        let p = snapshot(4, vec![Job::exact(0, 0, 4, 100), Job::exact(1, 0, 5, 100)]);
+        assert!(!plans_cannot_fail(&p, &p.availability_profile()));
+        // The history drains at 500 and the queue holds 200 s of work.
+        let history = MachineHistory::build(4, 10, &[(4, 500)]);
+        let jobs = vec![Job::exact(0, 0, 4, 100), Job::exact(1, 0, 2, 100)];
+        let p = SchedulingProblem::new(10, history, jobs);
+        assert!(plans_cannot_fail(&p, &p.availability_profile()));
+        let end = u64::MAX - 200;
+        let history = MachineHistory::build(4, 10, &[(4, end)]);
+        let p = SchedulingProblem::new(10, history, p.jobs);
+        assert!(plans_cannot_fail(&p, &p.availability_profile()));
+        let history = MachineHistory::build(4, 10, &[(4, end + 1)]);
+        let p = SchedulingProblem::new(10, history, p.jobs);
+        assert!(!plans_cannot_fail(&p, &p.availability_profile()));
+        assert!(plan(&p, Policy::Fcfs).is_err());
     }
 
     #[test]

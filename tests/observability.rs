@@ -83,7 +83,8 @@ fn dynp_replay_emits_one_event_per_policy_decision() {
 
     // Every submission is a selection point; each non-trivial one must
     // have produced exactly one dynp.decision event carrying the per-
-    // policy estimates and the chosen policy.
+    // policy estimates, the policies whose estimate is a cut plan's
+    // bound, and the chosen policy.
     let events = recorder.events();
     let decisions: Vec<&String> = events
         .iter()
@@ -94,8 +95,13 @@ fn dynp_replay_emits_one_event_per_policy_decision() {
     for line in &decisions {
         json::validate(line).unwrap_or_else(|e| panic!("invalid JSONL {line:?}: {e}"));
         assert!(line.contains("\"estimates\""), "missing estimates: {line}");
+        assert!(line.contains("\"cut\":["), "missing cut policies: {line}");
         assert!(line.contains("\"chosen\""), "missing chosen policy: {line}");
     }
+    assert!(
+        decisions.iter().any(|l| !l.contains("\"cut\":[]")),
+        "no decision cut a challenger"
+    );
 
     // Per-decision latency: one dynp.step span sample per tuning step.
     let step_latency = recorder.histogram("dynp.step").snapshot();

@@ -21,7 +21,9 @@
 
 use dynp_rs::platform::RunningJob;
 use dynp_rs::prelude::*;
-use dynp_rs::sched::{plan, plan_frontier, Reservation, ScheduleEntry};
+use dynp_rs::sched::{
+    plan, plan_frontier, plan_with_profile, PlanError, Reservation, ScheduleEntry,
+};
 use dynp_rs::sim::{Rms, SnapshotFilter, Step};
 use proptest::prelude::*;
 
@@ -85,7 +87,10 @@ fn plan_reference(problem: &SchedulingProblem, policy: Policy) -> Schedule {
 
 /// Asserts bit-identical schedules for every policy on one snapshot, and
 /// that a full `SelfTuning::step` returns the reference plan of its chosen
-/// policy — the advanced decider's pick — with reference metric values.
+/// policy — the advanced decider's pick over the reference metric values.
+/// A policy the step planned in full reports its reference value to the
+/// bit; a cut one reports a bound at or below its reference value and
+/// above the best.
 fn assert_planner_equivalence(problem: &SchedulingProblem) {
     for policy in Policy::ALL {
         let optimized = plan(problem, policy).expect("plannable snapshot");
@@ -105,20 +110,38 @@ fn assert_planner_equivalence(problem: &SchedulingProblem) {
         plan_reference(problem, out.chosen),
         "SelfTuning::step schedule differs from the reference plan"
     );
+    let reference: Vec<(Policy, f64)> = Policy::PAPER_SET
+        .iter()
+        .map(|&policy| {
+            let value = Metric::SldwA.eval(problem, &plan_reference(problem, policy));
+            (policy, value)
+        })
+        .collect();
     assert_eq!(
         out.chosen,
-        Decider::Advanced.decide(Metric::SldwA, &out.evaluations, Policy::PAPER_SET[0]),
+        Decider::Advanced.decide(Metric::SldwA, &reference, Policy::PAPER_SET[0]),
         "SelfTuning::step did not choose what the advanced decider picks"
     );
-    for (policy, value) in &out.evaluations {
-        let reference_value = Metric::SldwA.eval(problem, &plan_reference(problem, *policy));
-        // Bitwise equality: also holds for NaN (a zero-estimate job makes
-        // slowdown divide by zero in both implementations identically).
-        assert_eq!(
-            value.to_bits(),
-            reference_value.to_bits(),
-            "{policy:?}: evaluation differs from reference ({value} vs {reference_value})"
-        );
+    let best = reference
+        .iter()
+        .map(|&(_, v)| v)
+        .fold(f64::INFINITY, f64::min);
+    for (&(policy, value), &(_, reference_value)) in out.evaluations.iter().zip(&reference) {
+        if out.cut.contains(&policy) {
+            assert!(
+                value <= reference_value && value > best,
+                "{policy:?}: bound {value} not in (best {best}, value {reference_value}]"
+            );
+        } else {
+            // Bitwise equality: also holds for NaN (a zero-estimate job
+            // makes slowdown divide by zero in both implementations
+            // identically).
+            assert_eq!(
+                value.to_bits(),
+                reference_value.to_bits(),
+                "{policy:?}: evaluation differs from reference ({value} vs {reference_value})"
+            );
+        }
     }
 }
 
@@ -502,6 +525,171 @@ proptest! {
             let mut stable = jobs.clone();
             stable.sort_by(|a, b| policy.compare(a, b));
             prop_assert_eq!(policy.order(&jobs), stable, "{:?}", policy);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The pruned tuning step ≡ the exhaustive one.
+// ---------------------------------------------------------------------
+
+/// What the exhaustive step decides: the chosen policy, its plan, and
+/// every policy's value in enumeration order.
+struct Exhaustive {
+    chosen: Policy,
+    schedule: Schedule,
+    evaluations: Vec<(Policy, f64)>,
+}
+
+/// The self-tuning step as the paper states it: every policy planned in
+/// full, in enumeration order, evaluated with `Metric::eval` and decided
+/// over those values; or the first plan's error.
+fn exhaustive_step(
+    problem: &SchedulingProblem,
+    policies: &[Policy],
+    metric: Metric,
+    decider: Decider,
+    incumbent: Policy,
+) -> Result<Exhaustive, PlanError> {
+    let profile = problem.availability_profile();
+    let mut evaluations = Vec::new();
+    let mut schedules = Vec::new();
+    for &policy in policies {
+        let schedule = plan_with_profile(problem, policy, &profile)?;
+        evaluations.push((policy, metric.eval(problem, &schedule)));
+        schedules.push(schedule);
+    }
+    let chosen = decider.decide(metric, &evaluations, incumbent);
+    let idx = policies.iter().position(|&p| p == chosen).unwrap();
+    Ok(Exhaustive {
+        chosen,
+        schedule: schedules.swap_remove(idx),
+        evaluations,
+    })
+}
+
+/// Strategy: 1–40 jobs drawn from two to five (width, estimate) shapes —
+/// one estimate in six zero, widths up to 32 — submitted up to 3 000 s
+/// before `now` (`submit` holds the wait until the caller subtracts it),
+/// and in one snapshot of eight a job of width 33, wider than any machine
+/// drawn.
+fn pruning_jobs_strategy() -> impl Strategy<Value = Vec<Job>> {
+    let estimate = (0u64..6, 1u64..3000).prop_map(|(pick, e)| if pick == 0 { 0 } else { e });
+    let shapes = prop::collection::vec((1u32..=32, estimate), 2..=5);
+    let picks = prop::collection::vec((0usize..5, 0u64..=3000), 1..=40);
+    let wide = (0u32..8, 0usize..40);
+    (shapes, picks, wide).prop_map(|(shapes, picks, (wide, at))| {
+        let mut jobs: Vec<Job> = (0u32..)
+            .zip(picks)
+            .map(|(id, (k, waited))| {
+                let (width, estimate) = shapes[k % shapes.len()];
+                Job::new(id, waited, width, estimate, estimate / 2)
+            })
+            .collect();
+        if wide == 0 {
+            let at = at % jobs.len();
+            jobs[at].width = 33;
+        }
+        jobs
+    })
+}
+
+/// Every metric, SLDwA and ARTwW three times as often as the others.
+const PRUNING_METRICS: [Metric; 11] = [
+    Metric::SldwA,
+    Metric::SldwA,
+    Metric::SldwA,
+    Metric::ArtwW,
+    Metric::ArtwW,
+    Metric::ArtwW,
+    Metric::Art,
+    Metric::AvgWait,
+    Metric::AvgSlowdown,
+    Metric::Makespan,
+    Metric::Utilization,
+];
+
+const PRUNING_DECIDERS: [Decider; 3] = [
+    Decider::Simple,
+    Decider::Advanced,
+    Decider::Sticky { margin: 0.1 },
+];
+
+proptest! {
+    /// The pruned step returns what the exhaustive step returns — the
+    /// chosen policy and its plan to the bit, or the same `PlanError` with
+    /// the tuner untouched — for every decider, random incumbents, the
+    /// paper's and the full policy set, every metric (mostly SLDwA and
+    /// ARTwW), zero estimates, jobs wider than the machine, and `now`
+    /// near the end of the `u64` time axis, where some plans run past it.
+    #[test]
+    fn the_pruned_step_decides_as_the_exhaustive_one(
+        capacity in 1u32..=32,
+        jobs in pruning_jobs_strategy(),
+        running in running_strategy(32),
+        // One `now` in four within 200 000 s of the end of the axis.
+        now in (0u32..4, 0u64..200_000)
+            .prop_map(|(pick, t)| if pick == 0 { u64::MAX - t } else { 3000 + t }),
+        metric in 0usize..PRUNING_METRICS.len(),
+        decider in 0usize..PRUNING_DECIDERS.len(),
+        full_set in 0u32..2,
+        incumbent in 0usize..5,
+    ) {
+        let (metric, decider) = (PRUNING_METRICS[metric], PRUNING_DECIDERS[decider]);
+        // Fit the jobs and the running set to this machine; the job drawn
+        // wider than its own capacity stays wider than this one.
+        let jobs: Vec<Job> = jobs
+            .into_iter()
+            .map(|job| Job {
+                width: if job.width > 32 { capacity + 1 } else { 1 + (job.width - 1) % capacity },
+                submit: now - job.submit,
+                ..job
+            })
+            .collect();
+        let mut room = capacity;
+        let running: Vec<(u32, u64)> = running
+            .into_iter()
+            .filter(|&(width, _)| width <= room && { room -= width; true })
+            .map(|(width, end)| (width, now.saturating_add(end - 2000)))
+            .filter(|&(_, end)| end > now)
+            .collect();
+        let history = MachineHistory::build(capacity, now, &running);
+        let problem = SchedulingProblem::new(now, history, jobs);
+        let policies: &[Policy] = if full_set == 1 { &Policy::ALL } else { &Policy::PAPER_SET };
+        let incumbent = policies[incumbent % policies.len()];
+
+        let mut tuner = SelfTuning::new(policies.to_vec(), metric, decider);
+        prop_assert!(tuner.restore_active(incumbent));
+        let expected = exhaustive_step(&problem, policies, metric, decider, incumbent);
+        match (tuner.step(&problem), expected) {
+            (Ok(out), Ok(want)) => {
+                prop_assert_eq!(out.chosen, want.chosen);
+                prop_assert_eq!(&out.schedule, &want.schedule);
+                prop_assert_eq!(tuner.active(), want.chosen);
+                let reference = want.evaluations;
+                let best = reference
+                    .iter()
+                    .map(|&(_, v)| v)
+                    .fold(f64::INFINITY, f64::min);
+                for (&(policy, value), &(_, exact)) in out.evaluations.iter().zip(&reference) {
+                    if out.cut.contains(&policy) {
+                        prop_assert!(value <= exact && value > best, "{:?}: {} vs {}", policy, value, exact);
+                    } else {
+                        prop_assert_eq!(value.to_bits(), exact.to_bits(), "{:?}", policy);
+                    }
+                }
+            }
+            (Err(got), Err(want)) => {
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(tuner.active(), incumbent);
+                prop_assert_eq!(tuner.stats().steps(), 0);
+            }
+            (got, want) => prop_assert!(
+                false,
+                "step {:?} but the exhaustive step {:?}",
+                got.map(|out| out.chosen),
+                want.map(|want| want.chosen)
+            ),
         }
     }
 }
