@@ -13,8 +13,21 @@ use dynp_core::{Decider, FixedPolicy, SelfTuning};
 use dynp_obs::JsonValue;
 use dynp_sched::{Metric, Policy};
 use dynp_sim::{simulate, simulate_queue, QueueDiscipline, SimConfig, SimSummary};
+use std::fmt::Display;
 
-fn summary_json(label: &str, s: &SimSummary) -> JsonValue {
+/// Writes one scheduler's text row, `extra` in the last column, and
+/// returns its JSON row for the caller to tag.
+fn row(report: &mut Report, label: &str, s: &SimSummary, extra: impl Display) -> JsonValue {
+    report.line(format!(
+        "{:<16} {:>9.0}s {:>9.0}s {:>9.0}s {:>8.2} {:>6.1}% {:>9}",
+        label,
+        s.avg_response,
+        s.artww,
+        s.avg_wait,
+        s.sldwa,
+        s.utilization * 100.0,
+        extra
+    ));
     JsonValue::object()
         .with("label", label)
         .with("avg_response", s.avg_response)
@@ -61,18 +74,7 @@ fn main() {
             FixedPolicy(policy),
             SimConfig::new(trace.machine_size),
         );
-        let s = &run.summary;
-        report.line(format!(
-            "{:<16} {:>9.0}s {:>9.0}s {:>9.0}s {:>8.2} {:>6.1}% {:>9}",
-            run.label,
-            s.avg_response,
-            s.artww,
-            s.avg_wait,
-            s.sldwa,
-            s.utilization * 100.0,
-            "-"
-        ));
-        schedulers.push(summary_json(&run.label, s).with("kind", "fixed"));
+        schedulers.push(row(&mut report, &run.label, &run.summary, "-").with("kind", "fixed"));
     }
 
     // Queue-based architectures for contrast (paper §1/[4]: queuing vs
@@ -85,18 +87,8 @@ fn main() {
         let (records, backfills) =
             simulate_queue(&trace.jobs, trace.machine_size, Policy::Fcfs, discipline);
         let s = SimSummary::compute(&records, trace.machine_size);
-        report.line(format!(
-            "{:<16} {:>9.0}s {:>9.0}s {:>9.0}s {:>8.2} {:>6.1}% {:>9}",
-            label,
-            s.avg_response,
-            s.artww,
-            s.avg_wait,
-            s.sldwa,
-            s.utilization * 100.0,
-            format!("bf:{backfills}")
-        ));
         schedulers.push(
-            summary_json(label, &s)
+            row(&mut report, label, &s, format!("bf:{backfills}"))
                 .with("kind", "queue")
                 .with("backfills", backfills),
         );
@@ -108,20 +100,9 @@ fn main() {
     ] {
         let tuner = SelfTuning::new(Policy::PAPER_SET.to_vec(), Metric::SldwA, decider);
         let run = simulate(&trace.jobs, tuner, SimConfig::new(trace.machine_size));
-        let s = &run.summary;
         let switches = run.selector.stats().switches();
-        report.line(format!(
-            "{:<16} {:>9.0}s {:>9.0}s {:>9.0}s {:>8.2} {:>6.1}% {:>9}",
-            label,
-            s.avg_response,
-            s.artww,
-            s.avg_wait,
-            s.sldwa,
-            s.utilization * 100.0,
-            switches
-        ));
         schedulers.push(
-            summary_json(label, s)
+            row(&mut report, label, &run.summary, switches)
                 .with("kind", "dynp")
                 .with("switches", switches),
         );

@@ -49,8 +49,8 @@ pub enum SelectorSpec {
 }
 
 impl SelectorSpec {
-    /// The paper's §4 comparison set: the three basic policies plus dynP
-    /// with the simple decider.
+    /// The campaign's default set: the paper's three basic policies plus
+    /// [`SelectorSpec::dynp`].
     pub fn paper_set() -> Vec<SelectorSpec> {
         vec![
             SelectorSpec::Fixed(Policy::Fcfs),
@@ -60,7 +60,9 @@ impl SelectorSpec {
         ]
     }
 
-    /// dynP with the paper's defaults: SLDwA metric, simple decider.
+    /// The campaign's default dynP cell: SLDwA metric, simple decider.
+    /// The paper's own configuration decides with the advanced decider
+    /// (`SelfTuning::paper_config`; `dynp-adv` here).
     pub fn dynp() -> SelectorSpec {
         SelectorSpec::DynP {
             metric: Metric::SldwA,

@@ -124,7 +124,6 @@ impl ExactConfig {
         SnapshotFilter {
             min_jobs: self.min_jobs,
             max_jobs: self.max_jobs,
-            ..SnapshotFilter::default()
         }
     }
 
@@ -221,10 +220,12 @@ impl ExactTally {
         self.time_scale += run.time_scale;
         self.variables += run.num_variables as u64;
         self.solve_seconds += run.solve_time.as_secs_f64();
-        if let (Ok(cmp), Some(slot_loss)) = (run.comparison(), run.slot_loss_percent) {
+        if let (Some(quality), Some(loss), Some(slot_loss)) =
+            (run.quality, run.perf_loss_percent, run.slot_loss_percent)
+        {
             self.compared += 1;
-            self.quality_sum += cmp.quality;
-            self.loss_sum += cmp.perf_loss_percent;
+            self.quality_sum += quality;
+            self.loss_sum += loss;
             self.slot_loss_sum += slot_loss;
             if run.status == MipStatus::Optimal {
                 self.optimal += 1;
@@ -413,7 +414,7 @@ pub fn compare(snapshots: &[TunedSnapshot], exact: &ExactConfig, workers: usize)
 mod tests {
     use super::*;
     use dynp_core::SelfTuning;
-    use dynp_sched::SchedulingProblem;
+    use dynp_sched::{Policy, SchedulingProblem};
     use dynp_sim::{simulate, SimConfig};
     use dynp_trace::{CtcModel, Job, WorkloadModel};
 
@@ -507,6 +508,51 @@ mod tests {
             ),
             JsonValue::Array(items) => JsonValue::Array(items.iter().map(without_timing).collect()),
             other => other.clone(),
+        }
+    }
+
+    #[test]
+    fn a_run_without_an_incumbent_is_counted_and_rendered_as_such() {
+        // On a 30-minute grid the best policy's start order needs a slot
+        // past the §3.1 horizon, so the seed cannot embed; with no node
+        // budget the search ends without an incumbent.
+        let problem = SchedulingProblem::on_empty_machine(
+            0,
+            2,
+            vec![
+                Job::exact(1, 0, 1, 3400),
+                Job::exact(2, 0, 1, 100),
+                Job::exact(0, 0, 1, 200),
+            ],
+        );
+        let snapshot = TunedSnapshot {
+            step: 0,
+            problem,
+            chosen: Policy::Fcfs,
+        };
+        let exact = ExactConfig::new()
+            .with_node_budget(0)
+            .with_scale_override(1800);
+        let stage = compare(&[snapshot], &exact, 1);
+        assert_eq!(stage.runs.len(), 1);
+        assert_eq!(stage.runs[0].status, MipStatus::Unknown);
+        let record = stage.record();
+        let count = |key| record.get(key).and_then(JsonValue::as_u64);
+        assert_eq!(count("sampled"), Some(1));
+        assert_eq!(count("compared"), Some(0));
+        assert_eq!(count("no_incumbent"), Some(1));
+        let text: Vec<String> = stage.text_rows().collect();
+        let cells: Vec<&str> = text[0].split_whitespace().collect();
+        assert_eq!((cells[5], cells[6]), ("-", "-"), "{}", text[0]);
+        let rows = stage.rows();
+        let row = &rows.as_array().unwrap()[0];
+        for key in [
+            "exact_value",
+            "quality",
+            "perf_loss_percent",
+            "slot_loss_percent",
+        ] {
+            assert_eq!(row.get(key), Some(&JsonValue::Null), "{key}");
         }
     }
 

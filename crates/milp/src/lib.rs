@@ -46,7 +46,5 @@ pub use compact::compact;
 pub use model::{Milp, Sense};
 pub use scaling::{TimeScaling, PAPER_MEMORY_BYTES, PAPER_X_BYTES};
 pub use simplex::{solve_lp, Basis, KernelCounts, LpOutcome, LpSolution, LpStart};
-pub use solve::{
-    solve_snapshot, ExactComparison, ExactRun, SolveConfig, SolveError, SolveIncomplete,
-};
+pub use solve::{solve_snapshot, ExactRun, SolveConfig, SolveError};
 pub use timeindex::TimeIndexedModel;

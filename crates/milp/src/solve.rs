@@ -55,44 +55,6 @@ impl From<PlanError> for SolveError {
     }
 }
 
-/// The solve ran but its budget expired before any incumbent was found —
-/// the paper's "CPLEX is still computing" regime. Returned by
-/// [`ExactRun::comparison`] so consumers handle it as a value instead of
-/// unwrapping `Option`s.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SolveIncomplete {
-    /// Search status at exit (never [`MipStatus::Optimal`]).
-    pub status: MipStatus,
-    /// Nodes explored before the budget expired.
-    pub nodes: usize,
-}
-
-impl std::fmt::Display for SolveIncomplete {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "exact solver still running: no incumbent after {} nodes ({:?})",
-            self.nodes, self.status
-        )
-    }
-}
-
-impl std::error::Error for SolveIncomplete {}
-
-/// The exact-vs-policy comparison of one finished solve, borrowed from an
-/// [`ExactRun`] that found an incumbent.
-#[derive(Clone, Copy, Debug)]
-pub struct ExactComparison<'a> {
-    /// The compacted exact schedule.
-    pub schedule: &'a Schedule,
-    /// Its metric value.
-    pub exact_value: f64,
-    /// Eq. 7 quality of the best policy vs the exact schedule.
-    pub quality: f64,
-    /// `(1 - quality) * 100`.
-    pub perf_loss_percent: f64,
-}
-
 /// Configuration of one exact solve.
 #[derive(Clone, Debug)]
 pub struct SolveConfig {
@@ -164,9 +126,10 @@ pub struct ExactRun {
     pub best_policy: Policy,
     /// Its metric value.
     pub best_policy_value: f64,
-    /// The compacted exact schedule (when a solution was found).
+    /// The compacted exact schedule; `None` when the budget expired
+    /// before any incumbent, the paper's "CPLEX still running" regime.
     pub exact_schedule: Option<Schedule>,
-    /// Metric value of the compacted exact schedule.
+    /// Metric value of the compacted exact schedule (`None` likewise).
     pub exact_value: Option<f64>,
     /// The slot-grid schedule the search found, before §3.2 compaction.
     pub slot_schedule: Option<Schedule>,
@@ -185,27 +148,6 @@ pub struct ExactRun {
 }
 
 impl ExactRun {
-    /// The exact side of the comparison, or [`SolveIncomplete`] when the
-    /// budget expired without an incumbent. This is the supported way to
-    /// consume `exact_schedule`/`quality`: the "CPLEX still running"
-    /// regime is a value, not a panic.
-    pub fn comparison(&self) -> Result<ExactComparison<'_>, SolveIncomplete> {
-        match (&self.exact_schedule, self.exact_value, self.quality, self.perf_loss_percent) {
-            (Some(schedule), Some(exact_value), Some(quality), Some(perf_loss_percent)) => {
-                Ok(ExactComparison {
-                    schedule,
-                    exact_value,
-                    quality,
-                    perf_loss_percent,
-                })
-            }
-            _ => Err(SolveIncomplete {
-                status: self.status,
-                nodes: self.nodes,
-            }),
-        }
-    }
-
     /// Scheduler *power* of the best basic policy: quality per compute
     /// second, the paper's §3 yardstick ("the physical definition of
     /// power, i.e. work per time unit, is well suited for measuring the
@@ -229,7 +171,7 @@ impl ExactRun {
 ///
 /// Errors are *input* defects ([`SolveError`]); a solve that merely runs
 /// out of budget still returns `Ok` with [`MipStatus::Feasible`] or
-/// [`MipStatus::Unknown`] — consume it via [`ExactRun::comparison`].
+/// [`MipStatus::Unknown`]; without an incumbent its exact side is `None`.
 pub fn solve_snapshot(
     problem: &SchedulingProblem,
     config: &SolveConfig,
@@ -397,7 +339,7 @@ mod tests {
         let run = solve_snapshot(&snapshot(), &config_fine()).unwrap();
         assert_eq!(run.status, MipStatus::Optimal);
         assert_eq!(run.jobs, 4);
-        assert!(run.comparison().is_ok());
+        assert!(run.exact_value.is_some());
         assert_eq!(run.time_scale, 60);
         assert!(run.num_variables > 0);
     }
@@ -407,13 +349,12 @@ mod tests {
         // At 60 s scale with 60 s-multiple durations there is no grid loss:
         // the exact schedule must be at least as good as the best policy.
         let run = solve_snapshot(&snapshot(), &config_fine()).unwrap();
-        let cmp = run.comparison().expect("solved to optimality");
+        let quality = run.quality.expect("solved to optimality");
         assert!(
-            cmp.quality <= 1.0 + 1e-9,
-            "exact worse than policy at lossless scale: quality {}",
-            cmp.quality
+            quality <= 1.0 + 1e-9,
+            "exact worse than policy at lossless scale: quality {quality}"
         );
-        assert!(cmp.perf_loss_percent >= -1e-7);
+        assert!(run.perf_loss_percent.unwrap() >= -1e-7);
     }
 
     #[test]
@@ -426,10 +367,10 @@ mod tests {
         );
         let run = solve_snapshot(&p, &config_fine()).unwrap();
         assert_eq!(run.status, MipStatus::Optimal);
-        let cmp = run.comparison().expect("solved to optimality");
-        cmp.schedule.validate(&p).unwrap();
+        let schedule = run.exact_schedule.expect("solved to optimality");
+        schedule.validate(&p).unwrap();
         // Only 1 resource free before t=500: neither width-2 job fits.
-        for e in cmp.schedule.entries() {
+        for e in schedule.entries() {
             assert!(e.start >= 500);
         }
     }
@@ -466,7 +407,7 @@ mod tests {
         };
         let run = solve_snapshot(&snapshot(), &cfg).unwrap();
         assert_eq!(run.status, MipStatus::Optimal);
-        assert!(run.comparison().is_ok());
+        assert!(run.exact_value.is_some());
     }
 
     #[test]
@@ -496,9 +437,8 @@ mod tests {
         assert_eq!(run.best_policy, Policy::Sjf);
         assert_eq!(run.status, MipStatus::Unknown);
         // "CPLEX still running" is a value, not a panic.
-        let incomplete = run.comparison().unwrap_err();
-        assert_eq!(incomplete.status, MipStatus::Unknown);
-        assert!(format!("{incomplete}").contains("still running"));
+        assert!(run.exact_schedule.is_none() && run.exact_value.is_none());
+        assert_eq!((run.quality, run.perf_loss_percent), (None, None));
         // Policy side is always available.
         assert!(run.best_policy_value > 0.0);
     }
@@ -516,7 +456,7 @@ mod tests {
         let run = solve_snapshot(&snapshot(), &cfg).unwrap();
         // The seed (best policy embedded in the grid) is the incumbent.
         assert_eq!(run.status, MipStatus::Feasible);
-        assert!(run.comparison().is_ok());
+        assert!(run.exact_value.is_some());
     }
 
     proptest::proptest! {
@@ -553,11 +493,11 @@ mod tests {
             };
             let run = solve_snapshot(&p, &cfg).unwrap();
             proptest::prop_assert_eq!(run.slot_schedule.is_some(), run.exact_schedule.is_some());
-            if let (Some(slot), Some(exact)) = (&run.slot_schedule, run.comparison().ok()) {
+            if let (Some(slot), Some(exact_value)) = (&run.slot_schedule, run.exact_value) {
                 proptest::prop_assert!(slot.validate(&p).is_ok());
                 let (slot_value, slot_loss) = (run.slot_value.unwrap(), run.slot_loss_percent.unwrap());
-                proptest::prop_assert!(exact.exact_value <= slot_value);
-                proptest::prop_assert!(exact.perf_loss_percent >= slot_loss);
+                proptest::prop_assert!(exact_value <= slot_value);
+                proptest::prop_assert!(run.perf_loss_percent.unwrap() >= slot_loss);
             }
         }
     }

@@ -2,8 +2,8 @@
 //!
 //! Table 1 of the paper is computed from the scheduling instances that
 //! arise "at every job submission" (§4). The simulator offers every
-//! instance to a [`SnapshotLog`], which filters (by queue length, stride,
-//! count cap) and stores them for the off-line ILP comparison — without
+//! instance to a [`SnapshotLog`], which filters them by queue length and
+//! stores them, in step order, for the off-line ILP comparison — without
 //! ever feeding results back into the simulation, exactly as the paper
 //! prescribes for a fair comparison.
 
@@ -28,10 +28,6 @@ pub struct SnapshotFilter {
     /// Keep only snapshots with at most this many waiting jobs (the ILP
     /// blows up beyond a few dozen, just like CPLEX did in the paper).
     pub max_jobs: usize,
-    /// Keep every `stride`-th accepted snapshot (1 = all).
-    pub stride: usize,
-    /// Stop collecting after this many snapshots.
-    pub max_count: usize,
 }
 
 impl Default for SnapshotFilter {
@@ -39,8 +35,6 @@ impl Default for SnapshotFilter {
         SnapshotFilter {
             min_jobs: 1,
             max_jobs: usize::MAX,
-            stride: 1,
-            max_count: usize::MAX,
         }
     }
 }
@@ -49,7 +43,6 @@ impl Default for SnapshotFilter {
 #[derive(Clone, Debug, Default)]
 pub struct SnapshotLog {
     filter: Option<SnapshotFilter>,
-    accepted: usize,
     steps_seen: usize,
     snapshots: Vec<TunedSnapshot>,
 }
@@ -74,15 +67,8 @@ impl SnapshotLog {
         let Some(filter) = self.filter else {
             return;
         };
-        if self.snapshots.len() >= filter.max_count {
-            return;
-        }
         let n = problem.len();
         if n < filter.min_jobs || n > filter.max_jobs {
-            return;
-        }
-        self.accepted += 1;
-        if !(self.accepted - 1).is_multiple_of(filter.stride.max(1)) {
             return;
         }
         self.snapshots.push(TunedSnapshot {
@@ -101,11 +87,6 @@ impl SnapshotLog {
     pub fn into_snapshots(self) -> Vec<TunedSnapshot> {
         self.snapshots
     }
-
-    /// Total self-tuning steps observed (kept or not).
-    pub fn steps_seen(&self) -> usize {
-        self.steps_seen
-    }
 }
 
 #[cfg(test)]
@@ -122,11 +103,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_log_keeps_nothing_but_counts() {
+    fn disabled_log_keeps_nothing() {
         let mut log = SnapshotLog::disabled();
         log.offer(&problem(5), Policy::Fcfs);
         assert!(log.snapshots().is_empty());
-        assert_eq!(log.steps_seen(), 1);
     }
 
     #[test]
@@ -134,40 +114,15 @@ mod tests {
         let mut log = SnapshotLog::with_filter(SnapshotFilter {
             min_jobs: 3,
             max_jobs: 5,
-            ..SnapshotFilter::default()
         });
         for n in [1, 3, 5, 7] {
             log.offer(&problem(n), Policy::Sjf);
         }
         let lens: Vec<usize> = log.snapshots().iter().map(|s| s.problem.len()).collect();
         assert_eq!(lens, vec![3, 5]);
-    }
-
-    #[test]
-    fn stride_skips_snapshots() {
-        let mut log = SnapshotLog::with_filter(SnapshotFilter {
-            stride: 2,
-            ..SnapshotFilter::default()
-        });
-        for _ in 0..6 {
-            log.offer(&problem(2), Policy::Fcfs);
-        }
-        assert_eq!(log.snapshots().len(), 3);
-        // Steps 0, 2, 4 kept.
+        // Rejected offers still count as steps.
         let steps: Vec<usize> = log.snapshots().iter().map(|s| s.step).collect();
-        assert_eq!(steps, vec![0, 2, 4]);
-    }
-
-    #[test]
-    fn max_count_caps_collection() {
-        let mut log = SnapshotLog::with_filter(SnapshotFilter {
-            max_count: 2,
-            ..SnapshotFilter::default()
-        });
-        for _ in 0..10 {
-            log.offer(&problem(2), Policy::Fcfs);
-        }
-        assert_eq!(log.snapshots().len(), 2);
+        assert_eq!(steps, vec![1, 2]);
     }
 
     #[test]

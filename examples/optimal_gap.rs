@@ -70,15 +70,15 @@ fn main() -> Result<(), dynp_rs::Error> {
         run.lp_iterations,
         run.solve_time.as_secs_f64()
     );
-    // The supported way to read the exact side: `comparison()` is `Err`
-    // when the budget expired without an incumbent ("CPLEX still
-    // running"), which is an outcome, not a crash.
-    let exact = match run.comparison() {
-        Ok(cmp) => cmp.exact_value,
-        Err(incomplete) => {
-            println!("  {incomplete}; raise the node budget to compare");
-            return Ok(());
-        }
+    // The exact side is `None` when the budget expired without an
+    // incumbent ("CPLEX still running"), an outcome, not a crash.
+    let Some(exact) = run.exact_value else {
+        println!(
+            "  exact solver still running: no incumbent after {} nodes ({:?}); \
+             raise the node budget to compare",
+            run.nodes, run.status
+        );
+        return Ok(());
     };
     println!("  exact SLDwA (after compaction): {exact:.3}");
 

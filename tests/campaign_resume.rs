@@ -261,7 +261,7 @@ fn the_committed_version_1_checkpoint_still_loads() {
     // Written by the `campaign` bin before records moved to version 2:
     // every line must still verify under its byte-serial FNV-1a `crc`.
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("results/campaign-run/campaign-run.checkpoint.jsonl");
+        .join("tests/data/campaign-run.v1.checkpoint.jsonl");
     let text = std::fs::read_to_string(&path).unwrap();
     assert!(text.lines().all(|line| line.starts_with(r#"{"v":1,"#)));
     let loaded = checkpoint::load(&path, "3093ddd0852402d5").unwrap();

@@ -109,12 +109,11 @@ fn snapshots_replan_identically_offline() {
         SelfTuning::paper_config(Metric::SldwA),
         SimConfig::new(size).with_snapshots(SnapshotFilter {
             min_jobs: 2,
-            max_count: 20,
             ..SnapshotFilter::default()
         }),
     );
     assert!(!run.snapshots.is_empty());
-    for snap in &run.snapshots {
+    for snap in run.snapshots.iter().take(20) {
         snap.problem.validate().unwrap();
         let schedule = plan(&snap.problem, snap.chosen).unwrap();
         schedule.validate(&snap.problem).unwrap();
@@ -141,7 +140,7 @@ fn exact_solver_weakly_improves_on_every_policy() {
     };
     let run = solve_snapshot(&problem, &config).expect("snapshot has waiting jobs");
     assert_eq!(run.status, MipStatus::Optimal);
-    let exact = run.comparison().expect("optimal solve has a schedule").exact_value;
+    let exact = run.exact_value.expect("optimal solve has a schedule");
     for policy in Policy::PAPER_SET {
         let value = Metric::SldwA.eval(&problem, &plan(&problem, policy).unwrap());
         assert!(
@@ -171,7 +170,7 @@ fn exact_schedule_is_valid_against_snapshot() {
         },
     )
     .expect("snapshot has waiting jobs");
-    let schedule = run.comparison().expect("solved").schedule;
+    let schedule = run.exact_schedule.expect("solved");
     schedule.validate(&problem).unwrap();
 }
 

@@ -161,7 +161,6 @@ fn synthetic_ctc_snapshots() -> Vec<SchedulingProblem> {
             SelfTuning::paper_config(Metric::SldwA),
             SimConfig::new(trace.machine_size).with_snapshots(SnapshotFilter {
                 min_jobs: 1,
-                max_count: 40,
                 ..SnapshotFilter::default()
             }),
         );
@@ -169,7 +168,7 @@ fn synthetic_ctc_snapshots() -> Vec<SchedulingProblem> {
             !run.snapshots.is_empty(),
             "trace (n={n_jobs}, seed={seed}) produced no snapshots"
         );
-        problems.extend(run.snapshots.into_iter().map(|snap| snap.problem));
+        problems.extend(run.snapshots.into_iter().take(40).map(|snap| snap.problem));
     }
     problems
 }
