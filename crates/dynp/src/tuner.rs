@@ -10,8 +10,13 @@
 //! The step plans the incumbent policy in full first, then each other
 //! policy only until a [`dynp_sched::LowerBound`] on its metric — the
 //! exact terms of the jobs placed so far, every unplaced job's term at
-//! `now` — exceeds the best complete value so far. The decider picks the
-//! same policy as over every full plan's value:
+//! `now` — exceeds the best complete value so far. On a queue of 128 jobs
+//! or more the bound also pours the unplaced jobs' areas into the
+//! capacity the placed ones left free, every `max(32, n/16)` placements,
+//! so a challenger is cut once the capacity its placed jobs took pushes
+//! the rest of its queue past the best value; its fill order is sorted
+//! once per step. The decider picks the same policy as over every full
+//! plan's value:
 //!
 //! * a cut policy's full plan is strictly worse than one that was planned
 //!   in full, so it is never the best — the first minimal value — and the
@@ -31,7 +36,8 @@
 //!   mean wait, mean slowdown), and only when every term is finite — a
 //!   zero estimate makes a slowdown infinite or NaN ([`Metric::lower_bound`]).
 //!   Makespan and utilization keep full plans.
-//! * *Rounding.* The bound is shrunk by a relative margin well above the
+//! * *Rounding.* The fluid completion is lowered by a margin above its own
+//!   rounding, and the bound shrunk by a relative margin well above the
 //!   rounding of both its own sum and [`Metric::eval`]'s, so it stays
 //!   below the value `eval` would give the full plan.
 
@@ -56,8 +62,9 @@ pub struct TuningOutcome {
     /// worse than the best value here.
     pub evaluations: Vec<(Policy, f64)>,
     /// The policies whose plan was given up once its lower bound proved
-    /// it worse than the best complete value, in enumeration order.
-    pub cut: Vec<Policy>,
+    /// it worse than the best complete value, in enumeration order, each
+    /// with how many jobs its pass placed before the cut.
+    pub cut: Vec<(Policy, usize)>,
     /// The full schedule planned under the chosen policy — the RMS installs
     /// exactly this plan, so callers never need to re-plan.
     pub schedule: Schedule,
@@ -179,7 +186,8 @@ impl SelfTuning {
         // plan's entries come out in that order, so the metric pairs them
         // with their jobs by position. Without a bound nothing is cut and
         // the policies plan in enumeration order, so an error names the
-        // job the first failing policy meets.
+        // job the first failing policy meets. The incumbent plans before
+        // any complete value exists, so it needs no bound.
         let profile = problem.availability_profile();
         let bound = plans_cannot_fail(problem, &profile)
             .then(|| self.metric.lower_bound(problem))
@@ -202,14 +210,14 @@ impl SelfTuning {
         for idx in std::iter::once(first).chain(later) {
             let policy = self.policies[idx];
             let order = policy.order(&problem.jobs);
-            let mut lower = bound;
+            let mut lower = bound.as_ref().filter(|_| best.is_finite()).cloned();
             let schedule = match &mut lower {
                 Some(lower) => plan_ordered_below(problem, &order, &profile, lower, best)?,
                 None => plan_ordered_with_profile(problem, &order, &profile)?,
             };
             if let Some(lower) = lower.filter(|_| schedule.len() < order.len()) {
                 evaluations[idx].1 = lower.value();
-                cut.push(policy);
+                cut.push((policy, schedule.len()));
                 continue;
             }
             let value = self.metric.eval_in_order(problem, &order, &schedule);
@@ -238,7 +246,7 @@ impl SelfTuning {
                 estimates.set(&format!("{policy:?}"), *value);
             }
             let mut bounds = dynp_obs::JsonValue::array();
-            for policy in &cut {
+            for (policy, _) in &cut {
                 bounds.push(format!("{policy:?}"));
             }
             r.event("dynp.decision")
@@ -421,7 +429,8 @@ mod tests {
         // FCFS and LJF both run the long job first: once the first short
         // job is placed behind it, their bound passes SJF's value.
         assert_eq!(out.chosen, Policy::Sjf);
-        assert_eq!(out.cut, vec![Policy::Fcfs, Policy::Ljf]);
+        // Two jobs each: the long one, then the first short one.
+        assert_eq!(out.cut, vec![(Policy::Fcfs, 2), (Policy::Ljf, 2)]);
         let sjf = Metric::SldwA.eval(&problem, &out.schedule);
         for (policy, bound) in &out.evaluations {
             let exact = Metric::SldwA.eval(&problem, &dynp_sched::plan(&problem, *policy).unwrap());

@@ -266,6 +266,8 @@ pub struct ExactStage {
     pub snapshots_seen: usize,
     /// One run per sampled snapshot that could be solved, in sample order.
     pub runs: Vec<ExactRun>,
+    /// The index of each run's snapshot in the replay's snapshots.
+    pub picks: Vec<usize>,
     /// The tally of `runs`.
     pub tally: ExactTally,
 }
@@ -381,21 +383,19 @@ fn json_row(r: &ExactRun) -> JsonValue {
 /// same at any worker count. A snapshot with an input defect is skipped;
 /// a solver panic is a bug and is raised again on the caller.
 pub fn compare(snapshots: &[TunedSnapshot], exact: &ExactConfig, workers: usize) -> ExactStage {
-    let sample: Vec<&TunedSnapshot> = spread_picks(snapshots.len(), exact.max_snapshots)
-        .into_iter()
-        .map(|i| &snapshots[i])
-        .collect();
+    let sample = spread_picks(snapshots.len(), exact.max_snapshots);
     let config = exact.solve_config();
-    let solve = |_: usize, s: &&TunedSnapshot| solve_snapshot(&s.problem, &config);
-    let runs: Vec<ExactRun> = pool::run_indexed(workers, &sample, solve)
+    let solve = |_: usize, &i: &usize| solve_snapshot(&snapshots[i].problem, &config);
+    let (picks, runs): (Vec<usize>, Vec<ExactRun>) = pool::run_indexed(workers, &sample, solve)
         .into_iter()
-        .filter_map(|slot| match slot {
-            SlotOutcome::Done(solved) => solved.ok(),
+        .zip(&sample)
+        .filter_map(|(slot, &pick)| match slot {
+            SlotOutcome::Done(solved) => Some((pick, solved.ok()?)),
             SlotOutcome::Panicked(p) => {
                 panic!("exact solve panicked at {}: {}", p.location, p.payload)
             }
         })
-        .collect();
+        .unzip();
     let mut tally = ExactTally {
         sampled: sample.len(),
         ..ExactTally::default()
@@ -406,6 +406,7 @@ pub fn compare(snapshots: &[TunedSnapshot], exact: &ExactConfig, workers: usize)
     ExactStage {
         snapshots_seen: snapshots.len(),
         runs,
+        picks,
         tally,
     }
 }

@@ -135,8 +135,8 @@ pub struct ExactRun {
     pub slot_schedule: Option<Schedule>,
     /// Metric value of the slot-grid schedule.
     pub slot_value: Option<f64>,
-    /// Wall time spent planning the three policy schedules (the paper's
-    /// "< 10 ms" side of the power comparison).
+    /// Wall time spent planning the three policy schedules once (the
+    /// paper's "< 10 ms").
     pub policy_plan_time: Duration,
     /// Eq. 7 quality of the best policy vs the exact schedule.
     pub quality: Option<f64>,
@@ -148,19 +148,11 @@ pub struct ExactRun {
 }
 
 impl ExactRun {
-    /// Scheduler *power* of the best basic policy: quality per compute
-    /// second, the paper's §3 yardstick ("the physical definition of
-    /// power, i.e. work per time unit, is well suited for measuring the
-    /// performance of a scheduler"). The policy's quality is Eq. 7
-    /// relative to the exact schedule; its compute time is the planning
-    /// time measured here.
-    pub fn policy_power(&self) -> Option<f64> {
-        let q = self.quality?;
-        Some(q / self.policy_plan_time.as_secs_f64().max(1e-9))
-    }
-
-    /// Scheduler power of the exact solver: quality 1 (it is the
-    /// reference) per solve second.
+    /// Scheduler *power* of the exact solver: quality per compute second,
+    /// the paper's §3 yardstick ("the physical definition of power, i.e.
+    /// work per time unit, is well suited for measuring the performance
+    /// of a scheduler"), here quality 1 (it is the reference) per solve
+    /// second. The `table1` bin times the policy side itself.
     pub fn exact_power(&self) -> Option<f64> {
         self.exact_value?;
         Some(1.0 / self.solve_time.as_secs_f64().max(1e-9))

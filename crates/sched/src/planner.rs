@@ -129,9 +129,10 @@ pub fn plan_ordered_with_profile(
 }
 
 /// [`plan_ordered_with_profile`] for a challenger of the self-tuning
-/// step: adds each placement to `bound` and gives up before the next
-/// placement once [`LowerBound::value`] exceeds `best`, which proves the
-/// full plan's metric worse. Returns the placed prefix of the full plan, which
+/// step: adds each placement to `bound` — which checks its fluid
+/// completion against the working profile every few dozen placements —
+/// and gives up before the next placement once [`LowerBound::value`]
+/// exceeds `best`, which proves the full plan's metric worse. Returns the placed prefix of the full plan, which
 /// holds every job iff the pass was not cut; after a cut `bound` is the
 /// plan's lower bound.
 ///
@@ -206,8 +207,8 @@ const RECENT: usize = 8;
 /// `profile`. All planner entry points funnel here. With `frontier_only`
 /// it ends before the first position from which no job fits at `now` any
 /// more; with a `cutoff` `(bound, best)` it adds each placement to
-/// `bound` and ends before the first position at which the bound
-/// exceeds `best`.
+/// `bound`, with the working profile after it, and ends before the first
+/// position at which the bound exceeds `best`.
 ///
 /// The profile's pre-`now` prefix is compressed away first
 /// ([`ResourceProfile::compress_before`]) — no job may start before `now`,
@@ -292,7 +293,7 @@ fn plan_ordered_in(
             stairs.rebuild(&profile);
         }
         if let Some((lower, _)) = &mut cutoff {
-            lower.place(job, start);
+            lower.place(job, start, &profile);
         }
     }
     Ok(schedule)
@@ -532,7 +533,7 @@ mod tests {
         let exact = Metric::SldwA.eval(&p, &full);
         assert_eq!(exact, 2.5);
         let start = Metric::SldwA.lower_bound(&p).unwrap();
-        let mut lower = start;
+        let mut lower = start.clone();
         let cut = plan_ordered_below(&p, &jobs, &profile, &mut lower, 1.2).unwrap();
         assert_eq!(cut.entries(), &full.entries()[..2]);
         assert!(1.2 < lower.value() && lower.value() <= exact);

@@ -103,6 +103,56 @@ fn service_backlog_replay_is_pinned() {
     assert_eq!(digest(&bytes), "eef4764b0945da74");
 }
 
+/// The paper's dynP, counting the jobs its challenger plans place: every
+/// plan of a step but one full plan of the queue.
+struct CountingTuner {
+    tuner: SelfTuning,
+    /// Σ queued jobs over the steps.
+    queued: usize,
+    /// Σ jobs placed by challenger plans over the steps.
+    placed: usize,
+}
+
+impl PolicySelector for CountingTuner {
+    fn select(&mut self, problem: &SchedulingProblem) -> Result<(Policy, Schedule), PlanError> {
+        let out = self.tuner.step(problem)?;
+        let full = out.evaluations.len().saturating_sub(out.cut.len() + 1);
+        let cut: usize = out.cut.iter().map(|&(_, placed)| placed).sum();
+        self.queued += problem.len();
+        self.placed += full * problem.len() + cut;
+        Ok((out.chosen, out.schedule))
+    }
+
+    fn label(&self) -> String {
+        self.tuner.label()
+    }
+}
+
+/// How much of its queue a challenger plan places before its bound
+/// rules it out, over a deep replay: the 1 000 jobs of the service
+/// backlog above, submitted one by one. A change that cuts challengers
+/// later — or never — moves the count; the decisions are pinned above.
+/// The steps queue 186 742 jobs in all, so a step plans 2 · 186 742
+/// challenger jobs without the bound.
+#[test]
+fn challenger_placements_are_pinned() {
+    let model = CtcModel {
+        mean_interarrival: 5.0,
+        ..CtcModel::default()
+    };
+    let trace = model.generate(1000, 42);
+    let counting = CountingTuner {
+        tuner: SelfTuning::paper_config(Metric::SldwA),
+        queued: 0,
+        placed: 0,
+    };
+    let run = simulate(&trace.jobs, counting, SimConfig::new(trace.machine_size));
+    assert_eq!(run.records.len(), trace.jobs.len());
+    let CountingTuner { queued, placed, .. } = run.selector;
+    // 199 525 with the bound that puts every unplaced job at `now` alone.
+    assert_eq!((queued, placed), (186_742, 88_089));
+}
+
 /// Every body the service renders for one job sequence with declines and
 /// a backlog: the decisions, `GET /v1/schedule` and the stats after every
 /// batch, and `GET /v1/jobs/<id>` and `/trace` for every id after every

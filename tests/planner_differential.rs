@@ -127,7 +127,7 @@ fn assert_planner_equivalence(problem: &SchedulingProblem) {
         .map(|&(_, v)| v)
         .fold(f64::INFINITY, f64::min);
     for (&(policy, value), &(_, reference_value)) in out.evaluations.iter().zip(&reference) {
-        if out.cut.contains(&policy) {
+        if out.cut.iter().any(|&(cut, _)| cut == policy) {
             assert!(
                 value <= reference_value && value > best,
                 "{policy:?}: bound {value} not in (best {best}, value {reference_value}]"
@@ -567,16 +567,16 @@ fn exhaustive_step(
     })
 }
 
-/// Strategy: 1–40 jobs drawn from two to five (width, estimate) shapes —
+/// Strategy: `jobs` jobs drawn from two to five (width, estimate) shapes —
 /// one estimate in six zero, widths up to 32 — submitted up to 3 000 s
 /// before `now` (`submit` holds the wait until the caller subtracts it),
 /// and in one snapshot of eight a job of width 33, wider than any machine
 /// drawn.
-fn pruning_jobs_strategy() -> impl Strategy<Value = Vec<Job>> {
+fn pruning_jobs_strategy(jobs: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Vec<Job>> {
     let estimate = (0u64..6, 1u64..3000).prop_map(|(pick, e)| if pick == 0 { 0 } else { e });
     let shapes = prop::collection::vec((1u32..=32, estimate), 2..=5);
-    let picks = prop::collection::vec((0usize..5, 0u64..=3000), 1..=40);
-    let wide = (0u32..8, 0usize..40);
+    let picks = prop::collection::vec((0usize..5, 0u64..=3000), jobs);
+    let wide = (0u32..8, 0usize..usize::MAX);
     (shapes, picks, wide).prop_map(|(shapes, picks, (wide, at))| {
         let mut jobs: Vec<Job> = (0u32..)
             .zip(picks)
@@ -614,17 +614,117 @@ const PRUNING_DECIDERS: [Decider; 3] = [
     Decider::Sticky { margin: 0.1 },
 ];
 
+/// Runs one tuning step both ways on a snapshot of `jobs` on `capacity`
+/// resources at `now`, and requires the pruned step to return what the
+/// exhaustive step returns: the chosen policy and its plan to the bit,
+/// every complete value to the bit and every cut value in (best, exact],
+/// or the same `PlanError` with the tuner untouched.
+#[allow(clippy::too_many_arguments)]
+fn prune_as_the_exhaustive_step(
+    capacity: u32,
+    jobs: Vec<Job>,
+    running: Vec<(u32, u64)>,
+    now: u64,
+    metric: usize,
+    decider: usize,
+    full_set: u32,
+    incumbent: usize,
+) -> Result<(), TestCaseError> {
+    let (metric, decider) = (PRUNING_METRICS[metric], PRUNING_DECIDERS[decider]);
+    // Fit the jobs and the running set to this machine; the job drawn
+    // wider than its own capacity stays wider than this one.
+    let jobs: Vec<Job> = jobs
+        .into_iter()
+        .map(|job| Job {
+            width: if job.width > 32 {
+                capacity + 1
+            } else {
+                1 + (job.width - 1) % capacity
+            },
+            submit: now - job.submit,
+            ..job
+        })
+        .collect();
+    let mut room = capacity;
+    let running: Vec<(u32, u64)> = running
+        .into_iter()
+        .filter(|&(width, _)| {
+            width <= room && {
+                room -= width;
+                true
+            }
+        })
+        .map(|(width, end)| (width, now.saturating_add(end - 2000)))
+        .filter(|&(_, end)| end > now)
+        .collect();
+    let history = MachineHistory::build(capacity, now, &running);
+    let problem = SchedulingProblem::new(now, history, jobs);
+    let policies: &[Policy] = if full_set == 1 {
+        &Policy::ALL
+    } else {
+        &Policy::PAPER_SET
+    };
+    let incumbent = policies[incumbent % policies.len()];
+
+    let mut tuner = SelfTuning::new(policies.to_vec(), metric, decider);
+    prop_assert!(tuner.restore_active(incumbent));
+    let expected = exhaustive_step(&problem, policies, metric, decider, incumbent);
+    match (tuner.step(&problem), expected) {
+        (Ok(out), Ok(want)) => {
+            prop_assert_eq!(out.chosen, want.chosen);
+            prop_assert_eq!(&out.schedule, &want.schedule);
+            prop_assert_eq!(tuner.active(), want.chosen);
+            let reference = want.evaluations;
+            let best = reference
+                .iter()
+                .map(|&(_, v)| v)
+                .fold(f64::INFINITY, f64::min);
+            for (&(policy, value), &(_, exact)) in out.evaluations.iter().zip(&reference) {
+                match out.cut.iter().find(|&&(cut, _)| cut == policy) {
+                    Some(&(_, placed)) => {
+                        prop_assert!(
+                            value <= exact && value > best,
+                            "{:?}: {} vs {}",
+                            policy,
+                            value,
+                            exact
+                        );
+                        prop_assert!(
+                            placed < problem.len(),
+                            "{:?} cut after all {}",
+                            policy,
+                            placed
+                        );
+                    }
+                    None => prop_assert_eq!(value.to_bits(), exact.to_bits(), "{:?}", policy),
+                }
+            }
+        }
+        (Err(got), Err(want)) => {
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(tuner.active(), incumbent);
+            prop_assert_eq!(tuner.stats().steps(), 0);
+        }
+        (got, want) => prop_assert!(
+            false,
+            "step {:?} but the exhaustive step {:?}",
+            got.map(|out| out.chosen),
+            want.map(|want| want.chosen)
+        ),
+    }
+    Ok(())
+}
+
 proptest! {
-    /// The pruned step returns what the exhaustive step returns — the
-    /// chosen policy and its plan to the bit, or the same `PlanError` with
-    /// the tuner untouched — for every decider, random incumbents, the
-    /// paper's and the full policy set, every metric (mostly SLDwA and
-    /// ARTwW), zero estimates, jobs wider than the machine, and `now`
-    /// near the end of the `u64` time axis, where some plans run past it.
+    /// The pruned step returns what the exhaustive step returns for every
+    /// decider, random incumbents, the paper's and the full policy set,
+    /// every metric (mostly SLDwA and ARTwW), zero estimates, jobs wider
+    /// than the machine, and `now` near the end of the `u64` time axis,
+    /// where some plans run past it.
     #[test]
     fn the_pruned_step_decides_as_the_exhaustive_one(
         capacity in 1u32..=32,
-        jobs in pruning_jobs_strategy(),
+        jobs in pruning_jobs_strategy(1..=40),
         running in running_strategy(32),
         // One `now` in four within 200 000 s of the end of the axis.
         now in (0u32..4, 0u64..200_000)
@@ -634,62 +734,27 @@ proptest! {
         full_set in 0u32..2,
         incumbent in 0usize..5,
     ) {
-        let (metric, decider) = (PRUNING_METRICS[metric], PRUNING_DECIDERS[decider]);
-        // Fit the jobs and the running set to this machine; the job drawn
-        // wider than its own capacity stays wider than this one.
-        let jobs: Vec<Job> = jobs
-            .into_iter()
-            .map(|job| Job {
-                width: if job.width > 32 { capacity + 1 } else { 1 + (job.width - 1) % capacity },
-                submit: now - job.submit,
-                ..job
-            })
-            .collect();
-        let mut room = capacity;
-        let running: Vec<(u32, u64)> = running
-            .into_iter()
-            .filter(|&(width, _)| width <= room && { room -= width; true })
-            .map(|(width, end)| (width, now.saturating_add(end - 2000)))
-            .filter(|&(_, end)| end > now)
-            .collect();
-        let history = MachineHistory::build(capacity, now, &running);
-        let problem = SchedulingProblem::new(now, history, jobs);
-        let policies: &[Policy] = if full_set == 1 { &Policy::ALL } else { &Policy::PAPER_SET };
-        let incumbent = policies[incumbent % policies.len()];
+        prune_as_the_exhaustive_step(capacity, jobs, running, now, metric, decider, full_set, incumbent)?;
+    }
 
-        let mut tuner = SelfTuning::new(policies.to_vec(), metric, decider);
-        prop_assert!(tuner.restore_active(incumbent));
-        let expected = exhaustive_step(&problem, policies, metric, decider, incumbent);
-        match (tuner.step(&problem), expected) {
-            (Ok(out), Ok(want)) => {
-                prop_assert_eq!(out.chosen, want.chosen);
-                prop_assert_eq!(&out.schedule, &want.schedule);
-                prop_assert_eq!(tuner.active(), want.chosen);
-                let reference = want.evaluations;
-                let best = reference
-                    .iter()
-                    .map(|&(_, v)| v)
-                    .fold(f64::INFINITY, f64::min);
-                for (&(policy, value), &(_, exact)) in out.evaluations.iter().zip(&reference) {
-                    if out.cut.contains(&policy) {
-                        prop_assert!(value <= exact && value > best, "{:?}: {} vs {}", policy, value, exact);
-                    } else {
-                        prop_assert_eq!(value.to_bits(), exact.to_bits(), "{:?}", policy);
-                    }
-                }
-            }
-            (Err(got), Err(want)) => {
-                prop_assert_eq!(got, want);
-                prop_assert_eq!(tuner.active(), incumbent);
-                prop_assert_eq!(tuner.stats().steps(), 0);
-            }
-            (got, want) => prop_assert!(
-                false,
-                "step {:?} but the exhaustive step {:?}",
-                got.map(|out| out.chosen),
-                want.map(|want| want.chosen)
-            ),
-        }
+    /// The same on queues of 128–256 jobs, where the bound checks its
+    /// fluid completion during a pass. One `now` in four lies within
+    /// 4·10⁶ s of the end of the axis: the queue's planned work, up to
+    /// 7.7·10⁵ s, then fits before it in most of those snapshots, so the
+    /// fluid cut runs there too.
+    #[test]
+    fn the_pruned_step_decides_as_the_exhaustive_one_on_deep_queues(
+        capacity in 1u32..=32,
+        jobs in pruning_jobs_strategy(128..=256),
+        running in running_strategy(32),
+        now in (0u32..4, 0u64..4_000_000)
+            .prop_map(|(pick, t)| if pick == 0 { u64::MAX - t } else { 3000 + t % 200_000 }),
+        metric in 0usize..PRUNING_METRICS.len(),
+        decider in 0usize..PRUNING_DECIDERS.len(),
+        full_set in 0u32..2,
+        incumbent in 0usize..5,
+    ) {
+        prune_as_the_exhaustive_step(capacity, jobs, running, now, metric, decider, full_set, incumbent)?;
     }
 }
 
